@@ -33,11 +33,15 @@ def _timed_run(config, warm, backend=None):
     if backend is not None:
         config = dataclasses.replace(config, sweep=config.sweep.with_backend(backend))
     outcomes = []
+    # Per-drop solves (batch_size=1): warm chains never batch, so a batched
+    # cold run would compare batching with warm starts; batched lanes also
+    # carry no per-stage timings.
     runner = SweepRunner(
         jobs=1,
         use_cache=False,
         warm_start=warm,
         progress=lambda done, total, outcome: outcomes.append(outcome),
+        batch_size=1,
     )
     started = time.perf_counter()
     table = run_fig2(config, runner=runner)

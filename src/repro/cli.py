@@ -118,8 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="solve up to N same-shape cold tasks in one lockstep multi-solve "
-        "pass (results bit-identical to the per-drop path; requires --jobs 1)",
+        help="cap on same-shape cold tasks per lockstep multi-solve pass "
+        "(default: a whole same-shape group per pass, split across --jobs "
+        "workers; 1 = solve every task per drop; results are bit-identical "
+        "either way)",
     )
     run.add_argument(
         "--no-cache",
@@ -130,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--warm-start",
         action="store_true",
         help="seed each sweep point from its neighbour's solution along the "
-        "sweep axis (faster; results match a cold run within solver tolerance)",
+        "sweep axis (results match a cold run within solver tolerance; "
+        "warm-chained tasks are solved per drop, not batched)",
     )
     run.add_argument(
         "--cache-dir",

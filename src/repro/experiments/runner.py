@@ -28,6 +28,12 @@ through a pluggable :class:`SweepRunner`:
   independent invocations partition any task list exactly, and
   ``repro store merge`` reassembles their shard stores into the serial
   store bit-for-bit;
+* cold ``"proposed"`` tasks of one problem shape (:meth:`SweepRunner.batch_group_key`)
+  are solved together in one lockstep multi-solve pass
+  (:func:`execute_batch` / :meth:`ResourceAllocator.solve_batch`) whose
+  lanes are bit-identical to per-drop solves; with ``jobs > 1`` each group
+  is cut into at most ``jobs`` contiguous chunks, one pool call each, and a
+  one-lane group or chunk runs per drop;
 * with ``warm_start=True`` the runner chains tasks that share a
   ``warm_key`` **along the sweep axis** (``warm_order``) and seeds each
   solve from its neighbour's solution: the iterative allocator then starts
@@ -387,15 +393,19 @@ def batchable_task(task: SweepTask) -> bool:
     (the runner's batch mode and the ``repro serve`` coalescer): the
     corners it rejects mirror the lanes
     :meth:`ResourceAllocator.solve_batch` would route through the per-drop
-    solver anyway (baseline kinds, a hard deadline, ``energy_weight <= 0``),
-    so callers keep their batches densely packed with lanes that genuinely
-    run in lockstep.  Scheduling-level exclusions (e.g. warm chains, which
-    are sequential by definition) are the caller's business.
+    solver anyway (baseline kinds, a hard deadline, ``energy_weight <= 0``,
+    a non-vector SP2 backend), so callers keep their batches densely packed
+    with lanes that genuinely run in lockstep.  Scheduling-level exclusions
+    (e.g. warm chains, which are sequential by definition) are the caller's
+    business.
     """
     if task.solver_kind != "proposed":
         return False
     params = task.solver_params
     if params.get("deadline_s") is not None:
+        return False
+    allocator = params.get("allocator")
+    if allocator is not None and allocator.sum_of_ratios.backend != "vector":
         return False
     return float(params.get("energy_weight", 0.0)) > 0.0
 
@@ -454,6 +464,24 @@ def execute_batch(
     return results
 
 
+def _execute_step(
+    tasks: Sequence[SweepTask], warm_state: Mapping[str, Any] | None = None
+) -> list[tuple[dict[str, float] | None, dict[str, Any] | None, dict[str, float] | None, str | None]]:
+    """Run one scheduling step of the runner (worker entry point).
+
+    Several tasks form one lockstep batch (:func:`execute_batch`; its lanes
+    carry no stage timings); a single task runs per drop through
+    :func:`_execute_safely`, seeded by ``warm_state``.  Either way one
+    ``(metrics, state, timings, error)`` tuple comes back per task.
+    """
+    if len(tasks) > 1:
+        return [
+            (metrics, state, None, error)
+            for metrics, state, error in execute_batch(tasks)
+        ]
+    return [_execute_safely(tasks[0], warm_state)]
+
+
 @dataclass(frozen=True)
 class TaskOutcome:
     """What happened to one task: metrics, a cache hit, an error, or a skip.
@@ -491,8 +519,9 @@ class BatchConfig:
     exactly like ``warm_key`` / ``warm_order``.
     """
 
-    #: Maximum number of lanes solved in one lockstep Algorithm-2 pass.
-    size: int = 8
+    #: Maximum number of lanes solved in one lockstep Algorithm-2 pass
+    #: (``None``: the whole same-shape group).
+    size: int | None = None
 
 
 @dataclass
@@ -506,7 +535,8 @@ class SweepStats:
     warm_started: int = 0
     elapsed_s: float = 0.0
     cache_io_s: float = 0.0
-    #: Lockstep multi-solve groups executed (0 unless ``batch_size`` is set).
+    #: Lockstep multi-solve passes executed (0 with ``batch_size=1``, or
+    #: when no two pending tasks share a problem shape).
     batches: int = 0
     #: Tasks that went through the batched path (the rest ran per drop).
     batched_tasks: int = 0
@@ -614,6 +644,12 @@ class SweepCache:
 
 ProgressFn = Callable[[int, int, TaskOutcome], None]
 
+#: One scheduling unit of :meth:`SweepRunner.run`: ``(steps, seed)``.  The
+#: steps (lists of task indices) run in order, each seeded by the state its
+#: predecessor produced — a warm chain is one single-task step per element,
+#: a lockstep batch is one multi-task step; ``seed`` seeds the first step.
+_Unit = tuple[list[list[int]], dict[str, Any] | None]
+
 
 class SweepRunner:
     """Execute a batch of :class:`SweepTask` with caching and parallelism.
@@ -638,12 +674,17 @@ class SweepRunner:
         Optional ``fn(done, total, outcome)`` invoked in the parent process
         after every task completes (including cache hits).
     batch_size:
-        When > 1, group eligible cold ``"proposed"`` tasks by problem shape
-        and solve each group in one lockstep multi-solve pass
-        (:meth:`ResourceAllocator.solve_batch`).  Results and cache keys are
-        bit-identical to the per-drop path; only the wall clock changes.
-        Mutually exclusive with ``jobs > 1`` (the batched pass is itself the
-        parallelism).
+        Cap on the lanes of one lockstep multi-solve pass.  Eligible cold
+        ``"proposed"`` tasks are grouped by problem shape
+        (:meth:`batch_group_key`) and each group is solved in
+        ``ceil(len / batch_size)`` even passes
+        (:meth:`ResourceAllocator.solve_batch`); ``None`` (default) solves a
+        whole group in one pass, ``1`` solves every task per drop.  With
+        ``jobs > 1`` a group is further cut into up to ``jobs`` contiguous
+        chunks of two or more lanes, each one pool call.  A one-lane group or
+        chunk runs per drop (a batch of one is slower than ``solve``).
+        Results and cache keys are bit-identical to the per-drop path; only
+        the wall clock changes, and batched outcomes carry no ``timings``.
     store_backend:
         Result-store backend for the cache (``"json"`` / ``"columnar"``);
         ``None`` auto-detects from the cache directory's on-disk layout.
@@ -679,15 +720,10 @@ class SweepRunner:
         self.shard = parse_shard(shard)
         self.progress = progress
         self.batch = (
-            BatchConfig(size=int(batch_size))
-            if batch_size is not None and batch_size > 1
-            else None
+            None
+            if batch_size is not None and batch_size <= 1
+            else BatchConfig(size=None if batch_size is None else int(batch_size))
         )
-        if self.batch is not None and self.jobs > 1:
-            raise ConfigurationError(
-                "batch mode runs inline: use batch_size with jobs=1 "
-                f"(got jobs={self.jobs}, batch_size={batch_size})"
-            )
         self.last_stats = SweepStats()
 
     # -- execution -----------------------------------------------------------
@@ -742,21 +778,18 @@ class SweepRunner:
             self._report(done, stats.total, outcome)
 
         try:
-            if pending and self.batch is not None:
-                batched = [index for index in pending if self._batchable(tasks[index])]
-                pending = [index for index in pending if not self._batchable(tasks[index])]
-                for index, outcome in self._execute_batches(tasks, batched, stats):
-                    record(index, outcome)
-
             if pending:
-                chains = self._plan_chains(tasks, pending, outcomes)
+                units = self._plan_batches(tasks, pending, stats)
+                batched = {index for steps, _seed in units for index in steps[0]}
+                pending = [index for index in pending if index not in batched]
+                units += self._plan_chains(tasks, pending, outcomes)
                 executor = (
-                    ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
+                    ProcessPoolExecutor(max_workers=min(self.jobs, len(units)))
                     if self.jobs > 1
                     else None
                 )
                 try:
-                    for index, outcome in self._execute(tasks, chains, executor):
+                    for index, outcome in self._execute(tasks, units, executor):
                         record(index, outcome)
                 finally:
                     if executor is not None:
@@ -810,65 +843,68 @@ class SweepRunner:
         }
         return json.dumps(key, sort_keys=True, separators=(",", ":"))
 
-    def _execute_batches(
+    def _plan_batches(
         self, tasks: Sequence[SweepTask], pending: Sequence[int], stats: SweepStats
-    ) -> Iterator[tuple[int, TaskOutcome]]:
-        """Group, fill and run lockstep batches over the batchable tasks."""
-        assert self.batch is not None
+    ) -> list[_Unit]:
+        """Group the batchable pending tasks into lockstep-batch units.
+
+        Each same-shape group is cut into even contiguous chunks: as many
+        as the ``batch_size`` cap needs, and with ``jobs > 1`` up to ``jobs``
+        chunks of two or more lanes so every worker gets one.  A chunk of
+        one lane is left out here and runs per drop with the other pending
+        tasks (a batch of one costs more than ``solve``).
+        """
+        if self.batch is None:
+            return []
         groups: dict[str, list[int]] = {}
         for index in pending:
-            groups.setdefault(self.batch_group_key(tasks[index]), []).append(index)
-        size = self.batch.size
+            if self._batchable(tasks[index]):
+                groups.setdefault(self.batch_group_key(tasks[index]), []).append(index)
+        units: list[_Unit] = []
         for indices in groups.values():
-            for start in range(0, len(indices), size):
-                chunk = indices[start : start + size]
-                stats.batches += 1
-                stats.batched_tasks += len(chunk)
-                yield from self._execute_one_batch(tasks, chunk)
-
-    def _execute_one_batch(
-        self, tasks: Sequence[SweepTask], chunk: Sequence[int]
-    ) -> Iterator[tuple[int, TaskOutcome]]:
-        """Solve one batch, scattering results back to per-task outcomes.
-
-        The lockstep execution (and its crash-isolation contract) lives in
-        the module-level :func:`execute_batch`, shared with the ``repro
-        serve`` coalescer.
-        """
-        triples = execute_batch([tasks[index] for index in chunk])
-        for index, (metrics, state, error) in zip(chunk, triples):
-            yield index, TaskOutcome(
-                task=tasks[index], metrics=metrics, error=error, state=state
-            )
+            count = len(indices)
+            pieces = 1 if self.batch.size is None else -(-count // self.batch.size)
+            if self.jobs > 1:
+                pieces = max(pieces, min(self.jobs, count // 2))
+            base, extra = divmod(count, pieces)
+            start = 0
+            for piece in range(pieces):
+                stop = start + base + (piece < extra)
+                chunk = indices[start:stop]
+                start = stop
+                if len(chunk) > 1:
+                    stats.batches += 1
+                    stats.batched_tasks += len(chunk)
+                    units.append(([chunk], None))
+        return units
 
     def _plan_chains(
         self,
         tasks: Sequence[SweepTask],
         pending: Sequence[int],
         outcomes: Sequence[TaskOutcome | None],
-    ) -> list[tuple[list[int], dict[str, Any] | None]]:
-        """Group pending task indices into ``(chain, initial seed)`` units.
+    ) -> list[_Unit]:
+        """Group pending task indices into per-drop ``(steps, seed)`` units.
 
-        Without warm starts every task is its own chain (the pool saturates
+        Without warm starts every task is its own unit (the pool saturates
         exactly as before).  With warm starts, tasks of a warm-capable kind
         sharing a ``warm_key`` become one sequential chain ordered by
         ``warm_order``; a cache hit inside a chain contributes its stored
         state as the seed of the segment that follows it.
         """
         if not self.warm_start:
-            return [([index], None) for index in pending]
+            return [([[index]], None) for index in pending]
 
         pending_set = set(pending)
         groups: dict[tuple, list[int]] = {}
-        singles: list[tuple[list[int], dict[str, Any] | None]] = []
+        chains: list[tuple[list[int], dict[str, Any] | None]] = []
         for index, task in enumerate(tasks):
             if task.warm_key is None or task.solver_kind not in _WARM_SOLVER_KINDS:
                 if index in pending_set:
-                    singles.append(([index], None))
+                    chains.append(([index], None))
                 continue
             groups.setdefault((task.solver_kind, task.warm_key), []).append(index)
 
-        chains: list[tuple[list[int], dict[str, Any] | None]] = singles
         for indices in groups.values():
             indices.sort(key=lambda i: (tasks[i].warm_order, i))
             segment: list[int] = []
@@ -886,89 +922,79 @@ class SweepRunner:
                 seed = outcome.state if outcome is not None else None
             if segment:
                 chains.append((segment, seed))
-        return chains
+        return [([[index] for index in chain], seed) for chain, seed in chains]
 
     def _execute(
         self,
         tasks: Sequence[SweepTask],
-        chains: Sequence[tuple[list[int], dict[str, Any] | None]],
+        units: Sequence[_Unit],
         executor: ProcessPoolExecutor | None,
     ) -> Iterator[tuple[int, TaskOutcome]]:
-        if executor is None:
-            for indices, seed in chains:
-                for index in indices:
-                    outcome = self._outcome_of(tasks[index], seed, *_execute_safely(tasks[index], seed))
-                    yield index, outcome
-                    seed = outcome.state
-            return
+        """Run every unit's steps in order, inline or over the pool.
 
-        futures: dict[Future, tuple[int, int, int, bool]] = {}
+        A unit's steps run one after another, each seeded by the state its
+        predecessor produced (a failed step restarts the rest of its chain
+        cold); different units are independent and fan out over the pool.
+        """
 
-        def submit(chain_id: int, position: int, seed: dict[str, Any] | None) -> Future:
-            index = chains[chain_id][0][position]
-            future = executor.submit(_execute_safely, tasks[index], seed)
-            futures[future] = (chain_id, position, index, seed is not None)
-            return future
-
-        for chain_id, (indices, seed) in enumerate(chains):
-            submit(chain_id, 0, seed)
-        remaining = set(futures)
-        while remaining:
-            finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-            for future in finished:
-                chain_id, position, index, warm = futures[future]
-                try:
-                    metrics, state, timings, error = future.result()
-                except Exception as exc:  # repro-lint: disable=RL005 -- pool failures (e.g. BrokenProcessPool) must become error outcomes
-                    metrics, state, timings, error = (
-                        None,
-                        None,
-                        None,
-                        f"{type(exc).__name__}: {exc}",
-                    )
+        def outcomes_of(step, seed, results) -> Iterator[tuple[int, TaskOutcome]]:
+            for index, (metrics, state, timings, error) in zip(step, results):
                 yield index, TaskOutcome(
                     task=tasks[index],
                     metrics=metrics,
                     error=error,
                     state=state,
                     timings=timings,
-                    warm=warm and metrics is not None,
+                    warm=seed is not None and metrics is not None,
                 )
-                indices = chains[chain_id][0]
-                if position + 1 < len(indices):
+
+        if executor is None:
+            for steps, seed in units:
+                for step in steps:
+                    results = _execute_step([tasks[index] for index in step], seed)
+                    yield from outcomes_of(step, seed, results)
+                    seed = results[0][1]
+            return
+
+        futures: dict[Future, tuple[int, int, dict[str, Any] | None]] = {}
+
+        def submit(unit_id: int, position: int, seed: dict[str, Any] | None) -> Future:
+            step = units[unit_id][0][position]
+            future = executor.submit(_execute_step, [tasks[index] for index in step], seed)
+            futures[future] = (unit_id, position, seed)
+            return future
+
+        for unit_id, (_steps, seed) in enumerate(units):
+            submit(unit_id, 0, seed)
+        remaining = set(futures)
+        while remaining:
+            finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
+            for future in finished:
+                unit_id, position, seed = futures[future]
+                steps = units[unit_id][0]
+                try:
+                    results = future.result()
+                except Exception as exc:  # repro-lint: disable=RL005 -- pool failures (e.g. BrokenProcessPool) must become error outcomes
+                    results = [(None, None, None, f"{type(exc).__name__}: {exc}")] * len(
+                        steps[position]
+                    )
+                yield from outcomes_of(steps[position], seed, results)
+                if position + 1 < len(steps):
                     try:
-                        # A failed element restarts the rest of its chain cold.
-                        remaining.add(submit(chain_id, position + 1, state))
+                        remaining.add(submit(unit_id, position + 1, results[0][1]))
                     except Exception as exc:  # repro-lint: disable=RL005 -- pool failures (e.g. BrokenProcessPool) must become error outcomes
                         # The executor itself is gone: surface the rest of
                         # this chain as error outcomes instead of crashing
                         # the sweep (crash isolation must survive a dead
                         # worker exactly like the submit-everything-upfront
                         # path did).
-                        for later in indices[position + 1 :]:
-                            yield later, TaskOutcome(
-                                task=tasks[later],
-                                metrics=None,
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
-
-    @staticmethod
-    def _outcome_of(
-        task: SweepTask,
-        seed: dict[str, Any] | None,
-        metrics: dict[str, float] | None,
-        state: dict[str, Any] | None,
-        timings: dict[str, float] | None,
-        error: str | None,
-    ) -> TaskOutcome:
-        return TaskOutcome(
-            task=task,
-            metrics=metrics,
-            error=error,
-            state=state,
-            timings=timings,
-            warm=seed is not None and metrics is not None,
-        )
+                        for later in steps[position + 1 :]:
+                            for index in later:
+                                yield index, TaskOutcome(
+                                    task=tasks[index],
+                                    metrics=None,
+                                    error=f"{type(exc).__name__}: {exc}",
+                                )
 
     def _cache_put(self, outcome: TaskOutcome) -> None:
         """Store one result, degrading to cache-off if the disk won't take it.

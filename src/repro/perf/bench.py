@@ -2,8 +2,9 @@
 
 One invocation runs the Figure-2 sweep four times through the shared
 :class:`~repro.experiments.runner.SweepRunner` — cold (vector backend),
-warm-started, cold on the scalar reference backend, and cold through the
-batched multi-solve path (``batch_size=8``) — on a fixed, seeded
+warm-started and cold on the scalar reference backend, all three solved
+per drop (``batch_size=1``), and cold through the batched multi-solve
+path (``batch_size=8``) — on a fixed, seeded
 configuration (serial, cache off, so the timings are honest), and
 writes a ``BENCH_PR<k>.json`` report:
 
@@ -411,10 +412,13 @@ def _bench_store(outcomes: list[TaskOutcome]) -> dict[str, float]:
 def run_bench(*, quick: bool = False, label: str = "PR8") -> dict[str, Any]:
     """Run the suite and return the report (see the module docstring)."""
     config = bench_config(quick)
+    # The runner batches by default; the per-drop modes pin ``batch_size=1``
+    # so ``batch_wall_speedup`` and the per-stage timings keep comparing
+    # per-drop solves with the batched path.
     modes: dict[str, dict[str, Any]] = {
-        "cold": {"warm": False},
-        "warm": {"warm": True},
-        "scalar": {"warm": False, "backend": "scalar"},
+        "cold": {"warm": False, "batch_size": 1},
+        "warm": {"warm": True, "batch_size": 1},
+        "scalar": {"warm": False, "backend": "scalar", "batch_size": 1},
         "batch": {"warm": False, "batch_size": _BENCH_BATCH_SIZE},
     }
     # Repeats are interleaved across modes rather than run per mode in a

@@ -7,17 +7,18 @@ SNR factor ``x = 1 + p g / (N0 B)`` satisfies
     x * ln(x) - x + 1 = mu / j,        j = nu * d * N0 / g,   mu >= 0,
 
 whose solution is ``x = (mu - j) / (j * W0((mu - j) / (e * j)))`` for
-``mu != j`` and ``x = e`` for ``mu = j``.  This module provides a robust
-vectorised evaluation of that root: it uses :func:`scipy.special.lambertw`
-when the argument is in the principal branch's domain and a guarded Newton
-iteration on ``x ln x - x + 1 = rhs`` otherwise (also used as a cross-check
-in the tests).
+``mu != j`` and ``x = e`` for ``mu = j``.  The solvers never evaluate W0
+itself: they find that root with a guarded Newton iteration on
+``x ln x - x + 1 = rhs`` (the scalar oracle's and the vector backend's
+forms, each with a row-stopping batched twin).  :func:`lambert_w_principal`
+wraps :func:`scipy.special.lambertw` for the tests, which cross-check the
+Newton roots against the closed form; scipy is imported only when it is
+called.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from ..exceptions import ConvergenceError
 
@@ -67,6 +68,8 @@ def lambert_w_principal(z: np.ndarray | float) -> np.ndarray:
     Values marginally below ``-1/e`` (from round-off) are clamped to the
     branch point, where ``W0 = -1``.
     """
+    from scipy import special
+
     z_arr = np.asarray(z, dtype=float)
     clamped = np.maximum(z_arr, -1.0 / np.e)
     w = np.real(special.lambertw(clamped, k=0))

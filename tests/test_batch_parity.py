@@ -8,8 +8,8 @@ Three levels enforce it:
 * **end-to-end** — ``ResourceAllocator.solve_batch`` on every registered
   scenario family, every field (allocations, objective, iteration counts,
   convergence history, warm hints) compared with ``==``, never ``approx``;
-* **runner-level** — ``SweepRunner(batch_size=...)`` outcomes, solution
-  states and cache entries against the serial runner, plus the scheduling
+* **runner-level** — batched ``SweepRunner`` outcomes, solution states and
+  cache entries against the per-drop runner (``batch_size=1``), plus the scheduling
   semantics (grouping, error-lane isolation, warm-chain exclusion);
 * **kernel-level (Hypothesis)** — masked-lane isolation of the row-stopping
   Newton/golden-section kernels: lane ``k``'s iterates may never depend on
@@ -28,9 +28,8 @@ from repro import JointProblem, ProblemWeights
 from repro.core.allocator import ResourceAllocator
 from repro.core.subproblem1 import solve_subproblem1, solve_subproblem1_rows
 from repro.core.subproblem2 import solve_sp2_v2, solve_sp2_v2_rows
-from repro.exceptions import ConfigurationError
 from repro.experiments.base import SweepConfig
-from repro.experiments.fig2 import Fig2Config
+from repro.experiments.fig2 import Fig2Config, run_fig2
 from repro.experiments.runner import SweepRunner, SweepTask, task_hash
 from repro.scenarios import ScenarioSpec, scenario_families
 from repro.solvers.lambert import (
@@ -207,7 +206,7 @@ def _fig2_tasks(**sweep_kwargs):
 
 def test_runner_batch_outcomes_match_serial_exactly():
     tasks = _fig2_tasks()
-    serial = SweepRunner().run(tasks)
+    serial = SweepRunner(batch_size=1).run(tasks)
     runner = SweepRunner(batch_size=3)
     batched = runner.run(tasks)
     assert runner.last_stats.batches >= 1
@@ -224,12 +223,12 @@ def test_runner_batch_cache_keys_interoperate(tmp_path):
     tasks = _fig2_tasks()
     batched_runner = SweepRunner(batch_size=4, cache_dir=tmp_path, use_cache=True)
     batched_runner.run(tasks)
-    serial_runner = SweepRunner(cache_dir=tmp_path, use_cache=True)
+    serial_runner = SweepRunner(batch_size=1, cache_dir=tmp_path, use_cache=True)
     outcomes = serial_runner.run(tasks)
     # Every batched entry is a hit for the serial run: identical cache keys
     # *and* identical stored results.
     assert serial_runner.last_stats.cache_hits == len(tasks)
-    reference = SweepRunner().run(tasks)
+    reference = SweepRunner(batch_size=1).run(tasks)
     for cached, fresh in zip(outcomes, reference):
         assert cached.metrics == fresh.metrics
         assert cached.state == fresh.state
@@ -246,7 +245,7 @@ def test_runner_batch_error_lane_isolation():
     )
     mixed = [proposed[0], broken, proposed[1]]
     outcomes = SweepRunner(batch_size=4).run(mixed)
-    reference = SweepRunner().run(mixed)
+    reference = SweepRunner(batch_size=1).run(mixed)
     assert outcomes[1].error == reference[1].error  # same "Type: message" string
     assert outcomes[1].metrics is None
     for index in (0, 2):
@@ -268,16 +267,83 @@ def test_runner_batch_excludes_warm_chains_and_non_proposed():
     assert all(outcome.ok for outcome in outcomes)
 
 
-def test_runner_batch_rejects_process_pool():
-    with pytest.raises(ConfigurationError):
-        SweepRunner(jobs=4, batch_size=8)
+def test_runner_batches_across_process_pool_chunks(tmp_path):
+    # Batching composes with --jobs: each same-shape group is cut into up
+    # to ``jobs`` chunks, one pool call each, and every chunk's lanes stay
+    # bit-identical to the per-drop solves — outcomes and the CSV alike.
+    config = Fig2Config(
+        sweep=SweepConfig(num_devices=8, num_trials=2),
+        max_power_dbm_grid=(5.0, 9.0),
+        weight_pairs=((0.9, 0.1), (0.5, 0.5)),
+        include_benchmark=True,
+    )
+    tasks = config.tasks()
+    per_drop = SweepRunner(batch_size=1).run(tasks)
+    runner = SweepRunner(jobs=2)
+    pooled = runner.run(tasks)
+    assert runner.last_stats.batches == 2
+    assert runner.last_stats.batched_tasks == sum(
+        t.solver_kind == "proposed" for t in tasks
+    )
+    for left, right in zip(per_drop, pooled):
+        assert task_hash(left.task) == task_hash(right.task)
+        assert left.error == right.error
+        assert left.metrics == right.metrics
+        assert left.state == right.state
+
+    run_fig2(config, runner=SweepRunner(batch_size=1)).to_csv(tmp_path / "per_drop.csv")
+    run_fig2(config, runner=SweepRunner(jobs=2)).to_csv(tmp_path / "pooled.csv")
+    assert (tmp_path / "per_drop.csv").read_bytes() == (
+        tmp_path / "pooled.csv"
+    ).read_bytes()
 
 
 def test_runner_batch_size_one_disables_batching():
     runner = SweepRunner(batch_size=1)
     assert runner.batch is None
+    runner.run(_fig2_tasks())
+    assert runner.last_stats.batches == 0
+    # The default batches each whole same-shape group in one pass.
     runner = SweepRunner(batch_size=None)
-    assert runner.batch is None
+    assert runner.batch is not None and runner.batch.size is None
+    tasks = _fig2_tasks()
+    runner.run(tasks)
+    assert runner.last_stats.batches == 1
+    assert runner.last_stats.batched_tasks == sum(
+        t.solver_kind == "proposed" for t in tasks
+    )
+
+
+def test_runner_one_lane_group_runs_per_drop():
+    # A batch of one is slower than a per-drop solve, so a lone task of its
+    # shape runs through the per-drop path and keeps its stage timings.
+    [task] = [t for t in _fig2_tasks() if t.solver_kind == "proposed"][:1]
+    runner = SweepRunner()
+    [outcome] = runner.run([task])
+    assert runner.last_stats.batches == 0
+    assert runner.last_stats.batched_tasks == 0
+    assert outcome.ok
+    assert outcome.timings is not None
+    for name in ("scenario_build", "solve"):
+        assert outcome.timings.get(name, 0.0) > 0.0
+    [reference] = SweepRunner(batch_size=1).run([task])
+    assert outcome.metrics == reference.metrics
+    assert outcome.state == reference.state
+
+
+def test_runner_scalar_backend_tasks_run_per_drop():
+    # The lockstep kernels model the vector backend only; scalar-backend
+    # tasks stay on the per-drop path instead of filling empty batches.
+    tasks = Fig2Config(
+        sweep=SweepConfig(num_devices=8, num_trials=1).with_backend("scalar"),
+        max_power_dbm_grid=(5.0, 9.0),
+        weight_pairs=((0.5, 0.5),),
+        include_benchmark=False,
+    ).tasks()
+    runner = SweepRunner()
+    outcomes = runner.run(tasks)
+    assert runner.last_stats.batches == 0
+    assert all(outcome.timings for outcome in outcomes)
 
 
 def test_runner_batch_group_key_separates_shapes():
