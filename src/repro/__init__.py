@@ -7,7 +7,7 @@ The package is organised as follows:
   problem and the alternating resource-allocation algorithm (Algorithms 1
   and 2).
 * :mod:`repro.wireless` — the single-cell FDMA uplink substrate (topology,
-  path loss, shadowing, Shannon rates, spectrum management).
+  path loss, shadowing, fading, Shannon rates).
 * :mod:`repro.devices` — device CPU / radio / battery models and fleet
   generation.
 * :mod:`repro.solvers` — the from-scratch convex-optimization toolkit the

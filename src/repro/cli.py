@@ -129,13 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="recompute every task instead of reusing the on-disk result cache",
     )
     run.add_argument(
-        "--warm-start",
-        action="store_true",
-        help="seed each sweep point from its neighbour's solution along the "
-        "sweep axis (results match a cold run within solver tolerance; "
-        "warm-chained tasks are solved per drop, not batched)",
-    )
-    run.add_argument(
         "--cache-dir",
         metavar="DIR",
         help="result-cache root (default: $REPRO_CACHE_DIR or ./.repro-cache)",
@@ -210,13 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="SP2 inner-solve backend for the per-round allocation solves",
     )
     fl.add_argument(
-        "--warm-start",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="chain consecutive rounds through warm-start hints (default on; "
-        "results are bit-identical either way, warm is faster)",
-    )
-    fl.add_argument(
         "--energy-weight",
         type=float,
         default=0.5,
@@ -278,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser(
         "bench",
-        help="run the benchmark suite (cold vs warm-started fig2 sweep) and "
-        "write a BENCH_PR<k>.json perf report",
+        help="run the benchmark suite (fig2 sweep: vector vs scalar backend "
+        "vs batched) and write a BENCH_PR<k>.json perf report",
     )
     bench.add_argument(
         "--quick",
@@ -570,7 +556,6 @@ def _make_runner(name: str, args: argparse.Namespace) -> SweepRunner:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        warm_start=getattr(args, "warm_start", False),
         progress=_ProgressPrinter(name),
         batch_size=getattr(args, "batch_size", None),
         store_backend=getattr(args, "store", None),
@@ -608,14 +593,13 @@ def _run(
             table = experiment(config) if config is not None else experiment()
         stats = runner.last_stats
         if stats.total:
-            warm = f", {stats.warm_started} warm-started" if stats.warm_started else ""
             skipped = (
                 f", {stats.skipped} other-shard" if stats.skipped else ""
             )
             backend = f", store={stats.store_backend}" if stats.store_backend else ""
             print(
                 f"[{name}] {stats.total} tasks in {stats.elapsed_s:.1f}s "
-                f"({stats.cache_hits} cached, {stats.failed} failed{warm}"
+                f"({stats.cache_hits} cached, {stats.failed} failed"
                 f"{skipped}, jobs={runner.jobs}{backend})",
                 file=sys.stderr,
             )
@@ -658,7 +642,6 @@ def _run_fl(args: argparse.Namespace) -> int:
         energy_weight=args.energy_weight,
         scheme=args.scheme,
         backend=args.backend,
-        warm_start=args.warm_start,
         selection=args.selection,
         selection_params=selection_params,
         fading=None if args.fading in ("none", "") else args.fading,
@@ -697,23 +680,17 @@ def _run_bench(args: argparse.Namespace) -> int:
     output = args.output or f"BENCH_{args.label}.json"
     bench.write_report(report, output)
     print(
-        f"[bench:{report['mode']}] cold {metrics['cold_wall_s']:.2f}s -> warm "
-        f"{metrics['warm_wall_s']:.2f}s ({metrics['warm_wall_speedup']:.2f}x), "
-        f"outer iterations {metrics['cold_outer_iterations']:.0f} -> "
-        f"{metrics['warm_outer_iterations']:.0f}, parity "
-        f"{metrics['parity_max_rel_dev']:.2e}; batch "
+        f"[bench:{report['mode']}] cold {metrics['cold_wall_s']:.2f}s, "
+        f"outer iterations {metrics['cold_outer_iterations']:.0f}; batch "
         f"{metrics['batch_wall_s']:.2f}s ({metrics['batch_wall_speedup']:.2f}x, "
         f"fill {metrics['batch_fill']:.2f}, parity "
         f"{metrics['batch_parity_max_rel_dev']:.2e}); backend sp2 "
         f"{metrics['backend_sp2_speedup']:.2f}x (scalar/vector parity "
         f"{metrics['backend_parity_max_rel_dev']:.2e}); fl loop "
         f"{metrics['fl_rounds_per_s']:.1f} rounds/s "
-        f"(warm parity {metrics['fl_warm_parity_max_rel_dev']:.2e}, "
-        f"backend parity {metrics['fl_backend_parity_max_rel_dev']:.2e}); "
-        f"dynamic fleet churn resolve {metrics['fl_churn_resolve_s']:.2f}s, "
-        f"{metrics['fl_dynamic_punctures']:.0f} punctures "
-        f"(warm parity {metrics['fl_dynamic_warm_parity_max_rel_dev']:.2e}, "
-        f"backend parity {metrics['fl_dynamic_backend_parity_max_rel_dev']:.2e}, "
+        f"(backend parity {metrics['fl_backend_parity_max_rel_dev']:.2e}); "
+        f"dynamic fleet churn resolve {metrics['fl_churn_resolve_s']:.2f}s "
+        f"(backend parity {metrics['fl_dynamic_backend_parity_max_rel_dev']:.2e}, "
         f"estimated-vs-oracle accuracy gap "
         f"{metrics['fl_estimated_vs_oracle_accuracy_gap']:.3f})",
         file=sys.stderr,

@@ -27,7 +27,7 @@ Two special regimes are handled exactly as the paper's experiments use them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,9 +95,9 @@ class AllocationResult:
     inner_iterations: int = 0
     #: Per-stage wall-clock seconds (``algorithm2``, ``sp1``, ``sp2``, ...).
     timings: dict[str, float] = field(default_factory=dict)
-    #: Numerical warm-start hints for a neighbouring problem (currently the
-    #: final bandwidth multiplier ``mu`` of the inner KKT solve).
-    warm_hints: dict[str, float] = field(default_factory=dict)
+    #: Final bandwidth multiplier ``mu`` of the last inner KKT solve that
+    #: bound the budget (0 when it never did).
+    mu: float = 0.0
 
     def summary(self) -> dict[str, float]:
         """Scalar metrics as a plain dictionary (used by the experiment tables)."""
@@ -135,7 +135,6 @@ class ResourceAllocator:
         self,
         problem: JointProblem,
         initial_allocation: ResourceAllocation | None = None,
-        warm_hints: Mapping[str, float] | None = None,
     ) -> AllocationResult:
         """Run Algorithm 2 on ``problem`` and return the final allocation.
 
@@ -143,23 +142,10 @@ class ResourceAllocator:
         strategy.  Beware that the alternating scheme is a heuristic with
         many fixed points: a different initial point generally converges to
         a (slightly) different solution.
-
-        ``warm_hints`` switches the inner solvers onto their seeded path
-        (optionally carrying a neighbouring problem's final bandwidth
-        multiplier under ``"mu"``).  This is the *trajectory-preserving*
-        warm start the sweep engine uses: every iterate matches the unhinted
-        solve to the inner bisection tolerance, only the root-finding work
-        shrinks — so warm and cold runs agree far within the parity
-        tolerance while the hot path gets measurably faster.
         """
         system = problem.system
         config = self.config
         timings = StageTimings()
-        mu_hint = (
-            max(float(warm_hints.get("mu", 0.0)), 0.0)
-            if warm_hints is not None
-            else None
-        )
         last_mu = 0.0
         delay_only = problem.energy_weight <= 0.0 and problem.deadline_s is None
         with stage("algorithm2", timings):
@@ -208,13 +194,11 @@ class ResourceAllocator:
                 # Step 2: Subproblem 2 — transmit power and bandwidth.
                 with stage("sp2", timings):
                     allocation, feasible, inner, mu = self._solve_communication(
-                        problem, allocation, round_deadline, mu_hint=mu_hint
+                        problem, allocation, round_deadline
                     )
                 inner_iterations += inner
                 if mu > 0.0:
                     last_mu = mu
-                    if mu_hint is not None:
-                        mu_hint = mu
 
                 objective = problem.objective(allocation)
                 step_change = allocation.distance_to(previous)
@@ -233,7 +217,7 @@ class ResourceAllocator:
             feasible,
             inner_iterations=inner_iterations,
             timings=timings,
-            warm_hints={"mu": last_mu} if last_mu > 0.0 else {},
+            mu=last_mu,
         )
 
     def solve_batch(
@@ -422,7 +406,7 @@ class ResourceAllocator:
                     lane.iteration,
                     lane.feasible,
                     inner_iterations=lane.inner_iterations,
-                    warm_hints={"mu": lane.last_mu} if lane.last_mu > 0.0 else {},
+                    mu=lane.last_mu,
                 )
             except Exception as exc:  # repro-lint: disable=RL005 -- lane isolation: one bad problem must fail its own slot, not the batch
                 if not return_exceptions:
@@ -547,7 +531,6 @@ class ResourceAllocator:
         problem: JointProblem,
         allocation: ResourceAllocation,
         round_deadline_s: float,
-        mu_hint: float | None = None,
     ) -> tuple[ResourceAllocation, bool, int, float]:
         """Solve Subproblem 2.
 
@@ -584,12 +567,7 @@ class ResourceAllocator:
             backend=self.backend,
         )
         try:
-            result = solver.solve(
-                min_rate,
-                allocation.power_w,
-                allocation.bandwidth_hz,
-                mu_hint=mu_hint,
-            )
+            result = solver.solve(min_rate, allocation.power_w, allocation.bandwidth_hz)
         except InfeasibleProblemError:
             # Keep the previous (feasible) communication allocation.
             return allocation, False, 0, 0.0
@@ -631,7 +609,7 @@ class ResourceAllocator:
         feasible: bool,
         inner_iterations: int = 0,
         timings: StageTimings | None = None,
-        warm_hints: dict[str, float] | None = None,
+        mu: float = 0.0,
     ) -> AllocationResult:
         terms = problem.objective_terms(allocation)
         report = problem.feasibility(allocation)
@@ -649,5 +627,5 @@ class ResourceAllocator:
             history=history,
             inner_iterations=inner_iterations,
             timings=timings.as_dict() if timings is not None else {},
-            warm_hints=warm_hints or {},
+            mu=mu,
         )

@@ -75,7 +75,7 @@ DEFAULT_BACKEND = "vector"
 MU_BRACKET_MAX_EXPANSIONS = 400
 #: Lower-bracket contractions (``mu_lo *= 0.25`` / batched chunks thereof).
 MU_BRACKET_MAX_CONTRACTIONS = 2000
-#: Root-refinement iterations (bisection / Illinois / safeguarded Newton).
+#: Root-refinement iterations (bisection / safeguarded Newton).
 MU_SEARCH_MAX_ITERATIONS = 300
 
 #: Candidate multipliers evaluated per batched bracket-scan pass (vector
@@ -173,16 +173,16 @@ def _polish_mu(
     """Newton-polish ``mu`` onto the exact root of the excess equation.
 
     The bracketed searches stop at ``mu_tol`` relative width, which leaves
-    each backend (and each warm/cold path) on its own side of the root; a
-    few analytic Newton steps (``d excess / d mu = -sum rmin ln2 /
-    (j x ln(x)^3)``) collapse that residual to round-off.
+    each backend on its own side of the root; a few analytic Newton steps
+    (``d excess / d mu = -sum rmin ln2 / (j x ln(x)^3)``) collapse that
+    residual to round-off.
 
     The polish is deliberately **entry-independent**: the entry multiplier
     is first snapped to a 26-bit-mantissa grid — far coarser than the
     ``mu_tol`` agreement between the searches, far finer than the Newton
-    basin — so every search path (scalar/vector, warm/cold) almost surely
-    starts the polish from the *same* double; ``x`` is then evaluated
-    through one canonical, unseeded evaluator, and the Newton map is
+    basin — so every search path (scalar or vector, per drop or batched)
+    almost surely starts the polish from the *same* double; ``x`` is then
+    evaluated through one canonical, unseeded evaluator, and the Newton map is
     iterated into its double-precision attractor (fixed point, or 2-cycle
     tie-broken to the smaller value).  The backends therefore return
     bit-identical multipliers call for call — which is what keeps their
@@ -280,7 +280,6 @@ def _mu_search_scalar(
     budget: float,
     *,
     mu_tol: float,
-    mu_hint: float | None,
 ) -> tuple[float, np.ndarray | None]:
     """Reference bandwidth-multiplier search: one probe at a time.
 
@@ -290,34 +289,16 @@ def _mu_search_scalar(
     kept float-for-float identical as the oracle the vector backend is
     differential-tested against.
     """
-    # Newton seed threaded across evaluations: consecutive mu probes are
-    # close, so the previous root is an excellent starting iterate.
-    # Only used on the warm path to keep the cold path's float-for-float
-    # behaviour identical to the reference implementation.
-    x_seed: list[np.ndarray | None] = [None]
-    thread_seed = mu_hint is not None
-
-    def solve_x(mu_value: float) -> np.ndarray:
-        x = solve_x_log_x(mu_value / j_c, x0=x_seed[0] if thread_seed else None)
-        if thread_seed:
-            x_seed[0] = x
-        return x
-
     def bandwidth_at(mu_value: float) -> np.ndarray:
-        x = solve_x(mu_value)
+        x = solve_x_log_x(mu_value / j_c)
         return rmin_c * _LN2 / np.maximum(np.log(x), 1e-300)
 
     def excess(mu_value: float) -> float:
         return float(bandwidth_at(mu_value).sum()) - budget
 
     # Bracket the multiplier: bandwidth demand explodes as mu -> 0 and
-    # vanishes as mu -> infinity.  A warm hint replaces the generic
-    # starting point, typically collapsing the expansion/contraction
-    # scans to a couple of probes.
-    if mu_hint is not None and np.isfinite(mu_hint) and mu_hint > 0.0:
-        mu_hi = float(mu_hint)
-    else:
-        mu_hi = float(np.median(j_c))
+    # vanishes as mu -> infinity.
+    mu_hi = float(np.median(j_c))
     f_hi = excess(mu_hi)
     expansions = 0
     while f_hi > 0.0:
@@ -348,46 +329,15 @@ def _mu_search_scalar(
         # value is taken from the feasible side of the bracket so the
         # active-set bandwidth can never exceed the budget.
         converged = False
-        if mu_hint is not None:
-            # Seeded path: safeguarded regula falsi (Illinois) — the
-            # excess is smooth and monotone, so the superlinear update
-            # reaches the same ``mu_tol`` bracket in a fraction of the
-            # probes plain bisection needs.  f_lo/f_hi carry over from
-            # the bracket scans above — no re-evaluation.
-            last_side = 0
-            for _ in range(MU_SEARCH_MAX_ITERATIONS):
-                if mu_hi - mu_lo <= mu_tol * mu_hi or f_lo == 0.0 or f_hi == 0.0:
-                    converged = True
-                    break
-                denom = f_lo - f_hi
-                mu_mid = (
-                    (mu_lo * (-f_hi) + mu_hi * f_lo) / denom
-                    if denom > 0.0
-                    else 0.5 * (mu_lo + mu_hi)
-                )
-                if not mu_lo < mu_mid < mu_hi:
-                    mu_mid = 0.5 * (mu_lo + mu_hi)
-                f_mid = excess(mu_mid)
-                if f_mid > 0.0:
-                    mu_lo, f_lo = mu_mid, f_mid
-                    if last_side < 0:
-                        f_hi *= 0.5
-                    last_side = -1
-                else:
-                    mu_hi, f_hi = mu_mid, f_mid
-                    if last_side > 0:
-                        f_lo *= 0.5
-                    last_side = 1
-        else:
-            for _ in range(MU_SEARCH_MAX_ITERATIONS):
-                mu_mid = 0.5 * (mu_lo + mu_hi)
-                if excess(mu_mid) > 0.0:
-                    mu_lo = mu_mid
-                else:
-                    mu_hi = mu_mid
-                if mu_hi - mu_lo <= mu_tol * mu_hi:
-                    converged = True
-                    break
+        for _ in range(MU_SEARCH_MAX_ITERATIONS):
+            mu_mid = 0.5 * (mu_lo + mu_hi)
+            if excess(mu_mid) > 0.0:
+                mu_lo = mu_mid
+            else:
+                mu_hi = mu_mid
+            if mu_hi - mu_lo <= mu_tol * mu_hi:
+                converged = True
+                break
         if not converged:
             raise ConvergenceError(
                 "bandwidth-multiplier search did not converge in "
@@ -405,7 +355,6 @@ def _mu_search_vector(
     budget: float,
     *,
     mu_tol: float,
-    mu_hint: float | None,
 ) -> tuple[float, np.ndarray | None]:
     """Batched bandwidth-multiplier search (the ``"vector"`` backend).
 
@@ -443,18 +392,15 @@ def _mu_search_vector(
         slope = -float((lead / (j_c * x * log_x**3)).sum())
         return excess, slope, x
 
-    if mu_hint is not None and np.isfinite(mu_hint) and mu_hint > 0.0:
-        mu_0 = float(mu_hint)
-    else:
-        mu_0 = float(np.median(j_c))
+    mu_0 = float(np.median(j_c))
     (f_0,), _ = batch_excess(np.array([mu_0]))
     f_0 = float(f_0)
 
     if f_0 > 0.0:
         # Scan upward in chunks of geometrically growing candidates.  The
-        # first chunk is small: a warm hint (and usually the median start)
-        # sits within a few factors of the root, so a full-width batch
-        # would mostly evaluate candidates beyond the bracket.
+        # first chunk is small: the median start usually sits within a
+        # few factors of the root, so a full-width batch would mostly
+        # evaluate candidates beyond the bracket.
         mu_lo, f_lo = mu_0, f_0
         mu_hi = f_hi = None
         scanned = 0
@@ -748,7 +694,6 @@ def solve_sp2_v2(
     min_rate_bps: np.ndarray,
     *,
     mu_tol: float = 1e-13,
-    mu_hint: float | None = None,
     backend: str = DEFAULT_BACKEND,
 ) -> SP2Result:
     """Closed-form KKT solution of SP2_v2 (Theorem 2 / Appendix B).
@@ -765,30 +710,15 @@ def solve_sp2_v2(
     probe-sequential reference implementation.  Both converge ``mu`` to the
     same relative tolerance, so they agree within ``mu_tol``-level
     round-off — the backend-parity tests enforce it.
-
-    ``mu_hint`` warm-starts the **scalar** bandwidth-multiplier search from
-    a nearby problem's multiplier (the previous Algorithm-1 iteration, or
-    the neighbouring sweep point): the bracket expansion starts at the hint
-    and every Lambert evaluation reuses the previous iterate as its Newton
-    seed, which collapses the probe-sequential scan to a couple of
-    evaluations.  On the vector backend the hint is a deliberate no-op: the
-    chunked bracket scan already amortises the probes a hint would skip, so
-    threading it bought nothing and cost measurable bookkeeping — ignoring
-    it makes warm and cold vector runs bit-identical (and keeps the warm
-    path's wall-clock at parity instead of slightly behind).
     """
     mu_search = _MU_SEARCHES[validate_backend(backend)]
-    if backend == "vector":
-        mu_hint = None
     budget = system.total_bandwidth_hz
     nu, beta, rmin, j, constrained = _sp2_prepare(system, nu, beta, min_rate_bps)
 
     mu = 0.0
     x_c: np.ndarray | None = None
     if np.any(constrained):
-        mu, x_c = mu_search(
-            j[constrained], rmin[constrained], budget, mu_tol=mu_tol, mu_hint=mu_hint
-        )
+        mu, x_c = mu_search(j[constrained], rmin[constrained], budget, mu_tol=mu_tol)
     return _sp2_finish(system, nu, beta, rmin, j, constrained, mu, x_c)
 
 

@@ -87,7 +87,7 @@ class SumOfRatiosResult:
     feasible: bool
     history: ConvergenceHistory = field(default_factory=ConvergenceHistory)
     #: Final bandwidth multiplier of the inner KKT solve (0 when the budget
-    #: constraint was slack); a warm-start hint for nearby problems.
+    #: constraint was slack).
     bandwidth_multiplier: float = 0.0
 
 
@@ -136,7 +136,6 @@ class SumOfRatiosSolver:
         min_rate_bps: np.ndarray,
         incumbent_power: np.ndarray,
         incumbent_bandwidth: np.ndarray,
-        mu_hint: float | None = None,
     ) -> SP2Result:
         """Solve SP2_v2, falling back to the numeric solver and, as a last
         resort, to the (feasible) incumbent point."""
@@ -148,7 +147,6 @@ class SumOfRatiosSolver:
                 nu,
                 beta,
                 min_rate_bps,
-                mu_hint=mu_hint,
                 backend=self.backend,
             )
             if result.feasible or not self.config.use_numeric_fallback:
@@ -199,27 +197,11 @@ class SumOfRatiosSolver:
         min_rate_bps: np.ndarray,
         initial_power_w: np.ndarray,
         initial_bandwidth_hz: np.ndarray,
-        *,
-        initial_beta: np.ndarray | None = None,
-        initial_nu: np.ndarray | None = None,
-        mu_hint: float | None = None,
     ) -> SumOfRatiosResult:
         """Run Algorithm 1 from a feasible ``(p, B)`` starting point.
 
-        ``initial_beta`` / ``initial_nu`` warm-start the auxiliary variables
-        (both must be given together); by default they are derived from the
-        initial point's exact ratios, which is the paper's initialisation.
-        A warm pair from a nearby problem can save Newton iterations — the
-        converged solution is the same root either way.
-
-        ``mu_hint`` switches the inner KKT solve onto its seeded path: the
-        bandwidth-multiplier search starts from the hint (pass ``0.0`` for
-        "seeded path, no prior value") and each subsequent inner solve is
-        seeded with its predecessor's multiplier.  Unlike ``initial_beta`` /
-        ``initial_nu`` — which select the Newton root and can change which
-        stationary point Algorithm 1 converges to — the hint is
-        trajectory-preserving: every iterate matches the unhinted solve to
-        the multiplier bisection's tolerance.
+        The auxiliary variables ``(beta, nu)`` start at the initial point's
+        exact ratios, which is the paper's initialisation.
         """
         system = self.system
         config = self.config
@@ -227,22 +209,9 @@ class SumOfRatiosSolver:
         power = np.asarray(initial_power_w, dtype=float).copy()
         bandwidth = np.asarray(initial_bandwidth_hz, dtype=float).copy()
 
-        if (initial_beta is None) != (initial_nu is None):
-            raise ValueError("initial_beta and initial_nu must be given together")
-
         rates = self._rates(power, bandwidth)
-        if initial_beta is not None:
-            beta = np.asarray(initial_beta, dtype=float).copy()
-            nu = np.asarray(initial_nu, dtype=float).copy()
-            if beta.shape != power.shape or nu.shape != power.shape:
-                raise ValueError(
-                    "initial_beta/initial_nu must have one entry per device"
-                )
-            if np.any(~np.isfinite(beta)) or np.any(~np.isfinite(nu)) or np.any(nu <= 0.0):
-                raise ValueError("initial_beta/initial_nu must be finite with nu > 0")
-        else:
-            beta = power * system.upload_bits / rates
-            nu = self._scale / rates
+        beta = power * system.upload_bits / rates
+        nu = self._scale / rates
 
         history = ConvergenceHistory()
         converged = False
@@ -256,13 +225,9 @@ class SumOfRatiosSolver:
         iteration = 0
         for iteration in range(1, config.max_iterations + 1):
             with stage("sp2_inner"):
-                inner = self._solve_inner(
-                    nu, beta, min_rate, power, bandwidth, mu_hint=mu_hint
-                )
+                inner = self._solve_inner(nu, beta, min_rate, power, bandwidth)
             if inner.bandwidth_multiplier > 0.0:
                 last_multiplier = inner.bandwidth_multiplier
-            if mu_hint is not None and inner.bandwidth_multiplier > 0.0:
-                mu_hint = inner.bandwidth_multiplier
             new_power, new_bandwidth = inner.power_w, inner.bandwidth_hz
             feasible = inner.feasible
             new_rates = self._rates(new_power, new_bandwidth)
@@ -506,8 +471,7 @@ def solve_sum_of_ratios_rows(
     Results are bit-identical to the per-drop calls.  Exceptions a
     per-drop ``solve`` would raise (e.g. infeasible iterates) are returned
     in that lane's slot instead of raised, so one bad lane cannot abort
-    the batch.  Intended for the vector backend, where warm hints are a
-    no-op — lanes therefore need no hint threading.
+    the batch.  Intended for the vector backend.
     """
     num_lanes = len(solvers)
     results: list[SumOfRatiosResult | Exception] = [

@@ -199,18 +199,9 @@ def proposed_tasks(
     energy_weight: float,
     *,
     deadline_s: float | None = None,
-    warm_group: tuple | None = None,
-    warm_order: float = 0.0,
     **scenario_overrides: Any,
 ) -> list[SweepTask]:
-    """One ``"proposed"`` task per trial of ``sweep`` for this grid point.
-
-    ``warm_group`` names the warm-start chain this grid point belongs to
-    (everything that stays fixed along the sweep axis — the trial seed is
-    appended automatically so different drops never chain together), and
-    ``warm_order`` is the point's position on the axis.  Runners ignore
-    both unless warm starts are enabled.
-    """
+    """One ``"proposed"`` task per trial of ``sweep`` for this grid point."""
     return [
         SweepTask(
             key=key,
@@ -221,8 +212,6 @@ def proposed_tasks(
                 "deadline_s": deadline_s,
                 "allocator": sweep.allocator,
             },
-            warm_key=None if warm_group is None else (*warm_group, seed),
-            warm_order=warm_order,
         )
         for seed in sweep.trial_seeds()
     ]

@@ -44,23 +44,12 @@ class Fig2Config:
         )
 
     def tasks(self) -> list[SweepTask]:
-        """The full (grid point × trial) task list of this sweep.
-
-        Proposed-scheme tasks sharing a weight pair (and trial seed) chain
-        along the ``p_max`` axis, so a warm-started runner seeds each grid
-        point from its neighbour's solution.
-        """
+        """The full (grid point × trial) task list of this sweep."""
         tasks: list[SweepTask] = []
         for p_max_dbm in self.max_power_dbm_grid:
             sweep = replace(self.sweep, max_power_dbm=p_max_dbm)
             for w1, _w2 in self.weight_pairs:
-                tasks += proposed_tasks(
-                    ("proposed", p_max_dbm, w1),
-                    sweep,
-                    w1,
-                    warm_group=("fig2", w1),
-                    warm_order=p_max_dbm,
-                )
+                tasks += proposed_tasks(("proposed", p_max_dbm, w1), sweep, w1)
             if self.include_benchmark:
                 tasks += baseline_tasks(
                     ("benchmark", p_max_dbm),

@@ -48,13 +48,7 @@ class Fig3Config:
         for f_max_ghz in self.max_frequency_ghz_grid:
             sweep = replace(self.sweep, max_frequency_hz=f_max_ghz * 1e9)
             for w1, _w2 in self.weight_pairs:
-                tasks += proposed_tasks(
-                    ("proposed", f_max_ghz, w1),
-                    sweep,
-                    w1,
-                    warm_group=("fig3", w1),
-                    warm_order=f_max_ghz,
-                )
+                tasks += proposed_tasks(("proposed", f_max_ghz, w1), sweep, w1)
             if self.include_benchmark:
                 tasks += baseline_tasks(
                     ("benchmark", f_max_ghz),

@@ -5,8 +5,8 @@ allocation changes the *wall-clock trajectory* of federated training: for
 the same FedAvg schedule, a better allocation reaches a given accuracy in
 fewer seconds and joules.  This experiment runs the closed-loop round loop
 (:mod:`repro.fl.roundloop`) once per (scenario family × scheme × trial) —
-the proposed Algorithm 2, re-solved every round with warm starts on the
-vector backend, against the registered baseline schemes — and reports one
+the proposed Algorithm 2, re-solved cold every round on the vector
+backend, against the registered baseline schemes — and reports one
 row per global round: cumulative wall-clock, cumulative energy and test
 accuracy.  Plotting ``accuracy`` against ``elapsed_s`` per scheme is the
 accuracy-versus-wall-clock comparison.
@@ -66,7 +66,6 @@ class FLCurveConfig:
     #: Per-round fading redraw (None = static channel).
     fading: str | None = "rayleigh"
     energy_weight: float = 0.5
-    warm_start: bool = True
     local_iterations: int = 8
     #: Device-profile modes the allocator runs on: ``"oracle"`` (the true
     #: profiles) and/or ``"estimated"`` (profiles fitted online from
@@ -107,7 +106,6 @@ class FLCurveConfig:
             energy_weight=self.energy_weight,
             scheme=scheme,
             backend=None,
-            warm_start=self.warm_start,
             selection=self.selection,
             selection_params=dict(self.selection_params),
             fading=self.fading,

@@ -28,20 +28,15 @@ through a pluggable :class:`SweepRunner`:
   independent invocations partition any task list exactly, and
   ``repro store merge`` reassembles their shard stores into the serial
   store bit-for-bit;
-* cold ``"proposed"`` tasks of one problem shape (:meth:`SweepRunner.batch_group_key`)
+* ``"proposed"`` tasks of one problem shape (:meth:`SweepRunner.batch_group_key`)
   are solved together in one lockstep multi-solve pass
   (:func:`execute_batch` / :meth:`ResourceAllocator.solve_batch`) whose
   lanes are bit-identical to per-drop solves; with ``jobs > 1`` each group
   is cut into at most ``jobs`` contiguous chunks, one pool call each, and a
-  one-lane group or chunk runs per drop;
-* with ``warm_start=True`` the runner chains tasks that share a
-  ``warm_key`` **along the sweep axis** (``warm_order``) and seeds each
-  solve from its neighbour's solution: the iterative allocator then starts
-  next to its fixed point instead of from the cold equal split, cutting
-  outer iterations several-fold.  Chains run sequentially but *different*
-  chains still fan out over the pool, and the cache key is unchanged (a
-  warm result must agree with the cold one within solver tolerance — the
-  parity tests enforce it).
+  one-lane group or chunk runs per drop.
+
+Every solve starts cold from the paper's initial point, so a task's result
+depends on nothing but the task itself.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ import importlib
 import json
 import os
 import warnings
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,7 +57,7 @@ import numpy as np
 
 from ..baselines.registry import get_baseline
 from ..core.allocation import ResourceAllocation
-from ..core.allocator import ResourceAllocator
+from ..core.allocator import AllocationResult, ResourceAllocator
 from ..core.problem import JointProblem, ProblemWeights
 from ..exceptions import ConfigurationError
 from ..perf.timers import StageTimings, collect_timings, stage, wall_clock
@@ -79,7 +74,6 @@ __all__ = [
     "SweepRunner",
     "register_solver_kind",
     "solver_kinds",
-    "warm_solver_kinds",
     "allocation_from_state",
     "batchable_task",
     "execute_batch",
@@ -97,7 +91,7 @@ __all__ = [
 #: 2: scenarios became (family, params) specs — the family name and scenario
 #: schema version joined the payload, so pre-registry entries are stale.
 #: 3: the metrics schema gained solver iteration counts (inner_iterations)
-#: and entries may carry the final allocation as warm-start state.
+#: and entries may carry the final allocation as solution state.
 #: 4: the SP2 backend knob joined the allocator configuration (and the
 #: multiplier search gained its exact-root polish), so pre-backend entries
 #: were solved to a different tolerance profile and are stale.
@@ -107,41 +101,31 @@ __all__ = [
 #: pre-dynamic FL entries carry an incomplete schema.
 CACHE_VERSION = 5
 
-SolverFn = Callable[[SystemModel, Mapping[str, Any]], Mapping[str, float]]
+SolverFn = Callable[
+    [SystemModel, Mapping[str, Any]],
+    Mapping[str, float] | tuple[Mapping[str, float], dict[str, Any]],
+]
 
 _SOLVER_KINDS: dict[str, SolverFn] = {}
-#: Kinds whose function accepts a ``warm_state`` third argument and returns
-#: ``(metrics, state)`` — the contract that makes warm-start chains work.
-_WARM_SOLVER_KINDS: set[str] = set()
 
 
-def register_solver_kind(name: str, *, warm: bool = False) -> Callable[[SolverFn], SolverFn]:
+def register_solver_kind(name: str) -> Callable[[SolverFn], SolverFn]:
     """Register ``fn(system, params) -> metrics`` under ``name``.
 
     The registry is what keeps the engine pluggable: experiments declare the
     *name* of the computation in their tasks and the worker looks the
     function up at execution time, so task objects stay pure data.
 
-    With ``warm=True`` the function is registered as warm-start capable and
-    must instead have the signature ``fn(system, params, warm_state=None)
-    -> (metrics, state)``: ``state`` is a JSON-able snapshot of the solution
-    that the runner feeds to the next task of a warm chain (and stores in
-    the result cache), and ``warm_state`` is the neighbouring task's
-    snapshot — or ``None`` for a cold start.
+    A kind may instead return ``(metrics, state)``: ``state`` is a JSON-able
+    snapshot of the solution that the runner stores beside the metrics in
+    the result cache.
     """
 
     def decorator(fn: SolverFn) -> SolverFn:
         _SOLVER_KINDS[name] = fn
-        if warm:
-            _WARM_SOLVER_KINDS.add(name)
         return fn
 
     return decorator
-
-
-def warm_solver_kinds() -> tuple[str, ...]:
-    """The registered solver kinds that support warm-start chaining."""
-    return tuple(sorted(_WARM_SOLVER_KINDS))
 
 
 def solver_kinds() -> tuple[str, ...]:
@@ -152,13 +136,12 @@ def solver_kinds() -> tuple[str, ...]:
 def allocation_from_state(
     system: SystemModel, state: Mapping[str, Any]
 ) -> ResourceAllocation | None:
-    """Rebuild a warm-start allocation from a neighbour's state snapshot.
+    """Rebuild a task's stored allocation from its state snapshot.
 
-    The neighbouring sweep point has (slightly) different constraints, so
-    the snapshot is projected into the new problem's boxes: power and
-    frequency are clipped, the bandwidth split is rescaled into the budget.
-    Anything unusable (wrong fleet size, non-finite values, zero rates)
-    returns ``None`` and the task simply starts cold.
+    The snapshot is projected into ``system``'s boxes: power and frequency
+    are clipped, the bandwidth split is rescaled into the budget.  Anything
+    unusable (wrong fleet size, non-finite values, zero rates) returns
+    ``None``.
     """
     try:
         power = np.asarray(state["power_w"], dtype=float)
@@ -211,38 +194,25 @@ def _resolve_solver(name: str) -> SolverFn:
         raise KeyError(f"unknown solver kind {name!r}; known: {known}") from exc
 
 
-@register_solver_kind("proposed", warm=True)
-def _run_proposed(
-    system: SystemModel,
-    params: Mapping[str, Any],
-    warm_state: Mapping[str, Any] | None = None,
-) -> tuple[Mapping[str, float], dict[str, Any]]:
-    """Algorithm 2 on one drop (the paper's proposed scheme).
-
-    Warm-start capable: a neighbouring sweep point's state switches the
-    allocator onto its seeded hot path, with the neighbour's final
-    bandwidth multiplier priming the inner KKT solves.  The seeding is
-    deliberately *trajectory-preserving* — Algorithm 2 is an alternating
-    heuristic whose fixed point depends on the initial allocation, so
-    seeding the initial point itself would converge to a (measurably)
-    different solution and break warm/cold parity.  The snapshot still
-    carries the full allocation for API consumers who want genuine
-    continuation via ``ResourceAllocator.solve(initial_allocation=...)``.
-    """
-    weights = ProblemWeights.from_energy_weight(params["energy_weight"])
-    problem = JointProblem(system, weights, deadline_s=params.get("deadline_s"))
-    allocator = ResourceAllocator(params.get("allocator"))
-    hints = None
-    if warm_state is not None:
-        hints = {"mu": float(warm_state.get("mu") or 0.0)}
-    result = allocator.solve(problem, warm_hints=hints)
-    state = {
+def _proposed_state(result: AllocationResult) -> dict[str, Any]:
+    """The JSON-able solution snapshot stored beside a proposed task's metrics."""
+    return {
         "power_w": result.allocation.power_w.tolist(),
         "bandwidth_hz": result.allocation.bandwidth_hz.tolist(),
         "frequency_hz": result.allocation.frequency_hz.tolist(),
-        "mu": result.warm_hints.get("mu", 0.0),
+        "mu": result.mu,
     }
-    return result.summary(), state
+
+
+@register_solver_kind("proposed")
+def _run_proposed(
+    system: SystemModel, params: Mapping[str, Any]
+) -> tuple[Mapping[str, float], dict[str, Any]]:
+    """Algorithm 2 on one drop (the paper's proposed scheme)."""
+    weights = ProblemWeights.from_energy_weight(params["energy_weight"])
+    problem = JointProblem(system, weights, deadline_s=params.get("deadline_s"))
+    result = ResourceAllocator(params.get("allocator")).solve(problem)
+    return result.summary(), _proposed_state(result)
 
 
 @register_solver_kind("baseline")
@@ -262,21 +232,12 @@ class SweepTask:
     by the aggregation layer.  ``scenario`` holds the
     :class:`~repro.scenario.ScenarioConfig` keyword arguments *including the
     trial seed*, which is what makes execution order irrelevant.
-
-    ``warm_key`` / ``warm_order`` describe the task's position on its sweep
-    axis: tasks sharing a ``warm_key`` form one warm-start chain, executed
-    in ``warm_order`` when the runner's ``warm_start`` flag is on.  Both are
-    *scheduling hints only* — they are deliberately excluded from
-    :meth:`payload`, so warm and cold runs share cache keys (their results
-    agree within solver tolerance).
     """
 
     key: tuple
     scenario: Mapping[str, Any]
     solver_kind: str
     solver_params: Mapping[str, Any] = field(default_factory=dict)
-    warm_key: tuple | None = None
-    warm_order: float = 0.0
 
     def scenario_spec(self) -> ScenarioSpec:
         """The task's scenario as a (family, params) spec.
@@ -348,14 +309,13 @@ def execute_task(task: SweepTask) -> dict[str, float]:
 
 
 def execute_task_detailed(
-    task: SweepTask, warm_state: Mapping[str, Any] | None = None
+    task: SweepTask,
 ) -> tuple[dict[str, float], dict[str, Any] | None, dict[str, float]]:
     """Run one task and also return its solution state and stage timings.
 
-    ``warm_state`` seeds warm-capable solver kinds; others ignore it.  The
-    returned state is ``None`` for kinds that do not expose one.  Timings
-    cover the whole execution (``scenario_build`` / ``solve`` plus whatever
-    stages the solver recorded through :mod:`repro.perf.timers`).
+    The returned state is ``None`` for kinds that return bare metrics.
+    Timings cover the whole execution (``scenario_build`` / ``solve`` plus
+    whatever stages the solver recorded through :mod:`repro.perf.timers`).
     """
     solver = _resolve_solver(task.solver_kind)
     collector = StageTimings()
@@ -363,15 +323,13 @@ def execute_task_detailed(
         with stage("scenario_build"):
             system = task.scenario_spec().build()
         with stage("solve"):
-            if task.solver_kind in _WARM_SOLVER_KINDS:
-                metrics, state = solver(system, task.solver_params, warm_state)
-            else:
-                metrics, state = solver(system, task.solver_params), None
+            output = solver(system, task.solver_params)
+    metrics, state = output if isinstance(output, tuple) else (output, None)
     return dict(metrics), state, collector.as_dict()
 
 
 def _execute_safely(
-    task: SweepTask, warm_state: Mapping[str, Any] | None = None
+    task: SweepTask,
 ) -> tuple[dict[str, float] | None, dict[str, Any] | None, dict[str, float] | None, str | None]:
     """Run one task, trading exceptions for an error string.
 
@@ -380,7 +338,7 @@ def _execute_safely(
     drop cannot take the whole sweep down.
     """
     try:
-        metrics, state, timings = execute_task_detailed(task, warm_state)
+        metrics, state, timings = execute_task_detailed(task)
         return metrics, state, timings, None
     except Exception as exc:  # repro-lint: disable=RL005 -- crash isolation: one bad drop must become an error row, not kill the sweep
         return None, None, None, f"{type(exc).__name__}: {exc}"
@@ -395,9 +353,7 @@ def batchable_task(task: SweepTask) -> bool:
     :meth:`ResourceAllocator.solve_batch` would route through the per-drop
     solver anyway (baseline kinds, a hard deadline, ``energy_weight <= 0``,
     a non-vector SP2 backend), so callers keep their batches densely packed
-    with lanes that genuinely run in lockstep.  Scheduling-level exclusions
-    (e.g. warm chains, which are sequential by definition) are the caller's
-    business.
+    with lanes that genuinely run in lockstep.
     """
     if task.solver_kind != "proposed":
         return False
@@ -454,41 +410,34 @@ def execute_batch(
         if isinstance(result, Exception):
             results[position] = (None, None, f"{type(result).__name__}: {result}")
             continue
-        state = {
-            "power_w": result.allocation.power_w.tolist(),
-            "bandwidth_hz": result.allocation.bandwidth_hz.tolist(),
-            "frequency_hz": result.allocation.frequency_hz.tolist(),
-            "mu": result.warm_hints.get("mu", 0.0),
-        }
-        results[position] = (dict(result.summary()), state, None)
+        results[position] = (dict(result.summary()), _proposed_state(result), None)
     return results
 
 
 def _execute_step(
-    tasks: Sequence[SweepTask], warm_state: Mapping[str, Any] | None = None
+    tasks: Sequence[SweepTask],
 ) -> list[tuple[dict[str, float] | None, dict[str, Any] | None, dict[str, float] | None, str | None]]:
-    """Run one scheduling step of the runner (worker entry point).
+    """Run one scheduling unit of the runner (worker entry point).
 
     Several tasks form one lockstep batch (:func:`execute_batch`; its lanes
     carry no stage timings); a single task runs per drop through
-    :func:`_execute_safely`, seeded by ``warm_state``.  Either way one
-    ``(metrics, state, timings, error)`` tuple comes back per task.
+    :func:`_execute_safely`.  Either way one ``(metrics, state, timings,
+    error)`` tuple comes back per task.
     """
     if len(tasks) > 1:
         return [
             (metrics, state, None, error)
             for metrics, state, error in execute_batch(tasks)
         ]
-    return [_execute_safely(tasks[0], warm_state)]
+    return [_execute_safely(tasks[0])]
 
 
 @dataclass(frozen=True)
 class TaskOutcome:
     """What happened to one task: metrics, a cache hit, an error, or a skip.
 
-    ``state`` is the solver's solution snapshot (used to seed the next task
-    of a warm chain), ``timings`` the per-stage wall-clock breakdown of the
-    execution, and ``warm`` whether the solve was seeded from a neighbour.
+    ``state`` is the solver's solution snapshot (stored beside the metrics)
+    and ``timings`` the per-stage wall-clock breakdown of the execution.
     ``skipped`` marks a task that belongs to a *different* shard of a
     ``--shard I/N`` run: it was neither executed nor failed, and the
     aggregation layer must not count it against the grid point.
@@ -500,7 +449,6 @@ class TaskOutcome:
     cached: bool = False
     state: dict[str, Any] | None = None
     timings: dict[str, float] | None = None
-    warm: bool = False
     skipped: bool = False
 
     @property
@@ -515,8 +463,7 @@ class BatchConfig:
     The batch size is a *scheduling knob only*: a batched lane's trajectory
     is bit-identical to the per-drop solve (``ResourceAllocator.solve_batch``
     guarantees it, the parity tests enforce it), so the size is deliberately
-    excluded from :meth:`SweepTask.payload` and cache keys are unchanged —
-    exactly like ``warm_key`` / ``warm_order``.
+    excluded from :meth:`SweepTask.payload` and cache keys are unchanged.
     """
 
     #: Maximum number of lanes solved in one lockstep Algorithm-2 pass
@@ -532,7 +479,6 @@ class SweepStats:
     cache_hits: int = 0
     executed: int = 0
     failed: int = 0
-    warm_started: int = 0
     elapsed_s: float = 0.0
     cache_io_s: float = 0.0
     #: Lockstep multi-solve passes executed (0 with ``batch_size=1``, or
@@ -593,7 +539,7 @@ class SweepCache:
 
     Only successful results are stored — a failed task is always retried
     on the next run.  Entries may additionally carry the solver's solution
-    ``state``, which lets a warm chain keep seeding across cache hits.
+    ``state``.
     """
 
     def __init__(
@@ -644,11 +590,9 @@ class SweepCache:
 
 ProgressFn = Callable[[int, int, TaskOutcome], None]
 
-#: One scheduling unit of :meth:`SweepRunner.run`: ``(steps, seed)``.  The
-#: steps (lists of task indices) run in order, each seeded by the state its
-#: predecessor produced — a warm chain is one single-task step per element,
-#: a lockstep batch is one multi-task step; ``seed`` seeds the first step.
-_Unit = tuple[list[list[int]], dict[str, Any] | None]
+#: One scheduling unit of :meth:`SweepRunner.run`: the indices of the tasks
+#: it runs — one for a per-drop solve, several for a lockstep batch.
+_Unit = list[int]
 
 
 class SweepRunner:
@@ -665,16 +609,11 @@ class SweepRunner:
     use_cache:
         Disable to force recomputation (the cache is neither read nor
         written).
-    warm_start:
-        Chain tasks sharing a ``warm_key`` along their ``warm_order`` and
-        seed each solve from its neighbour's solution.  Off by default: a
-        warm-started result matches the cold one within solver tolerance
-        but is not bit-identical, so reproducibility-first runs stay cold.
     progress:
         Optional ``fn(done, total, outcome)`` invoked in the parent process
         after every task completes (including cache hits).
     batch_size:
-        Cap on the lanes of one lockstep multi-solve pass.  Eligible cold
+        Cap on the lanes of one lockstep multi-solve pass.  Eligible
         ``"proposed"`` tasks are grouped by problem shape
         (:meth:`batch_group_key`) and each group is solved in
         ``ceil(len / batch_size)`` even passes
@@ -705,7 +644,6 @@ class SweepRunner:
         *,
         cache_dir: str | Path | None = None,
         use_cache: bool = False,
-        warm_start: bool = False,
         progress: ProgressFn | None = None,
         batch_size: int | None = None,
         store_backend: str | None = None,
@@ -715,7 +653,6 @@ class SweepRunner:
             jobs = os.cpu_count() or 1
         self.jobs = int(jobs)
         self.use_cache = use_cache
-        self.warm_start = warm_start
         self.cache = SweepCache(cache_dir, store_backend)
         self.shard = parse_shard(shard)
         self.progress = progress
@@ -767,7 +704,6 @@ class SweepRunner:
             nonlocal done
             outcomes[index] = outcome
             stats.executed += 1
-            stats.warm_started += outcome.warm
             if outcome.error is not None:
                 stats.failed += 1
             elif self.use_cache:
@@ -780,9 +716,8 @@ class SweepRunner:
         try:
             if pending:
                 units = self._plan_batches(tasks, pending, stats)
-                batched = {index for steps, _seed in units for index in steps[0]}
-                pending = [index for index in pending if index not in batched]
-                units += self._plan_chains(tasks, pending, outcomes)
+                batched = {index for unit in units for index in unit}
+                units += [[index] for index in pending if index not in batched]
                 executor = (
                     ProcessPoolExecutor(max_workers=min(self.jobs, len(units)))
                     if self.jobs > 1
@@ -816,16 +751,6 @@ class SweepRunner:
         return [outcome for outcome in outcomes if outcome is not None]
 
     # -- batched multi-solve -------------------------------------------------
-    def _batchable(self, task: SweepTask) -> bool:
-        """Whether ``task`` can ride the lockstep multi-solve path.
-
-        Warm-chained tasks are excluded (a chain is sequential by
-        definition) on top of the shared :func:`batchable_task` shape check.
-        """
-        if self.warm_start and task.warm_key is not None:
-            return False
-        return batchable_task(task)
-
     @staticmethod
     def batch_group_key(task: SweepTask) -> str:
         """The problem-shape key batched tasks are grouped by.
@@ -858,7 +783,7 @@ class SweepRunner:
             return []
         groups: dict[str, list[int]] = {}
         for index in pending:
-            if self._batchable(tasks[index]):
+            if batchable_task(tasks[index]):
                 groups.setdefault(self.batch_group_key(tasks[index]), []).append(index)
         units: list[_Unit] = []
         for indices in groups.values():
@@ -875,54 +800,8 @@ class SweepRunner:
                 if len(chunk) > 1:
                     stats.batches += 1
                     stats.batched_tasks += len(chunk)
-                    units.append(([chunk], None))
+                    units.append(chunk)
         return units
-
-    def _plan_chains(
-        self,
-        tasks: Sequence[SweepTask],
-        pending: Sequence[int],
-        outcomes: Sequence[TaskOutcome | None],
-    ) -> list[_Unit]:
-        """Group pending task indices into per-drop ``(steps, seed)`` units.
-
-        Without warm starts every task is its own unit (the pool saturates
-        exactly as before).  With warm starts, tasks of a warm-capable kind
-        sharing a ``warm_key`` become one sequential chain ordered by
-        ``warm_order``; a cache hit inside a chain contributes its stored
-        state as the seed of the segment that follows it.
-        """
-        if not self.warm_start:
-            return [([[index]], None) for index in pending]
-
-        pending_set = set(pending)
-        groups: dict[tuple, list[int]] = {}
-        chains: list[tuple[list[int], dict[str, Any] | None]] = []
-        for index, task in enumerate(tasks):
-            if task.warm_key is None or task.solver_kind not in _WARM_SOLVER_KINDS:
-                if index in pending_set:
-                    chains.append(([index], None))
-                continue
-            groups.setdefault((task.solver_kind, task.warm_key), []).append(index)
-
-        for indices in groups.values():
-            indices.sort(key=lambda i: (tasks[i].warm_order, i))
-            segment: list[int] = []
-            seed: dict[str, Any] | None = None
-            for index in indices:
-                if index in pending_set:
-                    segment.append(index)
-                    continue
-                # Cache hit mid-chain: close the running segment and seed
-                # the next one from the hit's stored state (if any).
-                if segment:
-                    chains.append((segment, seed))
-                    segment = []
-                outcome = outcomes[index]
-                seed = outcome.state if outcome is not None else None
-            if segment:
-                chains.append((segment, seed))
-        return [([[index] for index in chain], seed) for chain, seed in chains]
 
     def _execute(
         self,
@@ -930,71 +809,34 @@ class SweepRunner:
         units: Sequence[_Unit],
         executor: ProcessPoolExecutor | None,
     ) -> Iterator[tuple[int, TaskOutcome]]:
-        """Run every unit's steps in order, inline or over the pool.
+        """Run every unit, inline in order or fanned out over the pool."""
 
-        A unit's steps run one after another, each seeded by the state its
-        predecessor produced (a failed step restarts the rest of its chain
-        cold); different units are independent and fan out over the pool.
-        """
-
-        def outcomes_of(step, seed, results) -> Iterator[tuple[int, TaskOutcome]]:
-            for index, (metrics, state, timings, error) in zip(step, results):
+        def outcomes_of(unit: _Unit, results) -> Iterator[tuple[int, TaskOutcome]]:
+            for index, (metrics, state, timings, error) in zip(unit, results):
                 yield index, TaskOutcome(
                     task=tasks[index],
                     metrics=metrics,
                     error=error,
                     state=state,
                     timings=timings,
-                    warm=seed is not None and metrics is not None,
                 )
 
         if executor is None:
-            for steps, seed in units:
-                for step in steps:
-                    results = _execute_step([tasks[index] for index in step], seed)
-                    yield from outcomes_of(step, seed, results)
-                    seed = results[0][1]
+            for unit in units:
+                yield from outcomes_of(unit, _execute_step([tasks[i] for i in unit]))
             return
 
-        futures: dict[Future, tuple[int, int, dict[str, Any] | None]] = {}
-
-        def submit(unit_id: int, position: int, seed: dict[str, Any] | None) -> Future:
-            step = units[unit_id][0][position]
-            future = executor.submit(_execute_step, [tasks[index] for index in step], seed)
-            futures[future] = (unit_id, position, seed)
-            return future
-
-        for unit_id, (_steps, seed) in enumerate(units):
-            submit(unit_id, 0, seed)
-        remaining = set(futures)
-        while remaining:
-            finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-            for future in finished:
-                unit_id, position, seed = futures[future]
-                steps = units[unit_id][0]
-                try:
-                    results = future.result()
-                except Exception as exc:  # repro-lint: disable=RL005 -- pool failures (e.g. BrokenProcessPool) must become error outcomes
-                    results = [(None, None, None, f"{type(exc).__name__}: {exc}")] * len(
-                        steps[position]
-                    )
-                yield from outcomes_of(steps[position], seed, results)
-                if position + 1 < len(steps):
-                    try:
-                        remaining.add(submit(unit_id, position + 1, results[0][1]))
-                    except Exception as exc:  # repro-lint: disable=RL005 -- pool failures (e.g. BrokenProcessPool) must become error outcomes
-                        # The executor itself is gone: surface the rest of
-                        # this chain as error outcomes instead of crashing
-                        # the sweep (crash isolation must survive a dead
-                        # worker exactly like the submit-everything-upfront
-                        # path did).
-                        for later in steps[position + 1 :]:
-                            for index in later:
-                                yield index, TaskOutcome(
-                                    task=tasks[index],
-                                    metrics=None,
-                                    error=f"{type(exc).__name__}: {exc}",
-                                )
+        futures = {
+            executor.submit(_execute_step, [tasks[i] for i in unit]): unit
+            for unit in units
+        }
+        for future in as_completed(futures):
+            unit = futures[future]
+            try:
+                results = future.result()
+            except Exception as exc:  # repro-lint: disable=RL005 -- pool failures (e.g. BrokenProcessPool) must become error outcomes
+                results = [(None, None, None, f"{type(exc).__name__}: {exc}")] * len(unit)
+            yield from outcomes_of(unit, results)
 
     def _cache_put(self, outcome: TaskOutcome) -> None:
         """Store one result, degrading to cache-off if the disk won't take it.

@@ -33,20 +33,13 @@ class SamplesConfig:
         )
 
     def tasks(self) -> list[SweepTask]:
-        """The full (grid point × trial) task list of this sweep.
-
-        Tasks sharing a trial seed chain along the samples axis for
-        warm-started runners (the fleet size is unchanged, so a neighbour's
-        allocation is a valid — and nearby — starting point).
-        """
+        """The full (grid point × trial) task list of this sweep."""
         tasks: list[SweepTask] = []
         for samples in self.samples_grid:
             tasks += proposed_tasks(
                 (samples,),
                 self.sweep,
                 self.energy_weight,
-                warm_group=("samples",),
-                warm_order=float(samples),
                 samples_per_device=samples,
             )
         return tasks

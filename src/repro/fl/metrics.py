@@ -86,8 +86,8 @@ class RoundRecord:
     #: Smallest state-of-charge across alive devices after this round's
     #: draws, or None when battery tracking is off.
     battery_soc_min: float | None = None
-    #: Whether the warm-start chain was punctured before this round's solve
-    #: (the active fleet changed shape), or None when warm starts are off.
+    #: Always None: every round solves cold, so no chain can puncture.
+    #: Kept so that tools reading round records still find the field.
     resolve_punctured: bool | None = None
     #: Mean relative error of the estimated profiles against the oracle
     #: (compute cycles / large-scale gains), or None when estimation is off.
@@ -217,10 +217,6 @@ class RoundLoopReport:
                 metrics[f"{prefix}_retired"] = float(len(record.retired))
             if record.battery_soc_min is not None:
                 metrics[f"{prefix}_battery_soc_min"] = record.battery_soc_min
-            if record.resolve_punctured is not None:
-                metrics[f"{prefix}_resolve_punctured"] = float(
-                    record.resolve_punctured
-                )
             if record.estimation_cycles_rel_err is not None:
                 metrics[f"{prefix}_est_cycles_rel_err"] = (
                     record.estimation_cycles_rel_err

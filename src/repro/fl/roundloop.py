@@ -10,9 +10,8 @@ resource-allocation stack *every global round*:
    :mod:`repro.wireless.fading` registry perturbs the gains, so the
    allocator faces an evolving channel exactly as a deployed system would.
 2. **Re-solve the allocation** — Algorithm 2 (or any registered baseline
-   scheme) solves the new drop; consecutive proposed-scheme rounds chain
-   through the PR-3 warm-start hints (the previous round's bandwidth
-   multiplier seeds the inner KKT solves) on the PR-4 vector backend.
+   scheme) solves the new drop from scratch, on the vector backend by
+   default.
 3. **Price the round** — the re-solved ``(p, B, f)`` gives every device its
    computation + upload time and energy for this round.
 4. **Select clients** — a pluggable strategy (:mod:`repro.fl.selection`)
@@ -29,8 +28,7 @@ loop):
 * **churn** (:mod:`repro.fl.churn`) — a declarative or Poisson-generated
   schedule of arrivals/departures grows and shrinks the fleet mid-training;
   each round re-solves the allocation over the present subset
-  (:meth:`SystemModel.with_devices`), and the warm-start chain punctures
-  deterministically whenever the fleet shape changes;
+  (:meth:`SystemModel.with_devices`);
 * **drain** — per-device :class:`~repro.devices.battery.Battery` state is
   charged each round's allocated energy; drained devices are retired (never
   selected again, re-solved around) under the ``graceful`` policy, or the
@@ -43,8 +41,7 @@ loop):
 Everything is deterministic in ``RoundLoopConfig.seed``: the dataset,
 partition, model init, server RNG, each round's fading/selection draws and
 the churn event stream derive from per-purpose seed streams, so fixed-seed
-runs are bit-identical across solver backends, warm/cold starts and sweep
-execution order — churned, drained and estimated or not.
+runs are bit-identical across solver backends and sweep execution order — churned, drained and estimated or not.
 """
 
 from __future__ import annotations
@@ -121,8 +118,6 @@ class RoundLoopConfig:
     scheme: str = "proposed"
     #: SP2 inner-solve backend (``"vector"`` / ``"scalar"``; None = default).
     backend: str | None = None
-    #: Chain consecutive rounds through warm-start hints (proposed only).
-    warm_start: bool = True
     #: Client-selection strategy name (see :mod:`repro.fl.selection`).
     selection: str = "all"
     #: Strategy-specific parameters (e.g. ``{"k": 5}``).
@@ -300,7 +295,6 @@ class FLRoundLoop:
         self,
         system: SystemModel,
         allocator: ResourceAllocator | None,
-        mu_hint: float | None,
     ) -> AllocationResult:
         """Re-solve the allocation for this round's channel realisation."""
         problem = JointProblem(
@@ -310,10 +304,7 @@ class FLRoundLoop:
         )
         if allocator is None:
             return get_baseline(self.config.scheme)(problem)
-        hints = None
-        if self.config.warm_start and mu_hint is not None and mu_hint > 0.0:
-            hints = {"mu": mu_hint}
-        return allocator.solve(problem, warm_hints=hints)
+        return allocator.solve(problem)
 
     # -- the loop -------------------------------------------------------------
     def run(self) -> RoundLoopReport:
@@ -376,12 +367,10 @@ class FLRoundLoop:
             present[:] = False
             present[list(churn.initial_present)] = True
         alive = np.ones(num_clients, dtype=bool)
-        previous_active: tuple[int, ...] | None = None
 
         report = RoundLoopReport()
         elapsed = 0.0
         consumed = 0.0
-        mu_hint: float | None = None
         for round_index in range(1, config.rounds + 1):
             timings = StageTimings()
             round_rng = np.random.default_rng(
@@ -400,18 +389,6 @@ class FLRoundLoop:
                     "present device's battery is drained"
                 )
             active_tuple = tuple(int(i) for i in active)
-            punctured = False
-            if (
-                config.warm_start
-                and previous_active is not None
-                and active_tuple != previous_active
-            ):
-                # The fleet changed shape: the previous round's bandwidth
-                # multiplier belongs to a different problem, so the warm
-                # chain punctures deterministically (exactly like a sharded
-                # sweep skipping an out-of-shard task).
-                mu_hint = None
-                punctured = True
             with stage("fl_round", timings):
                 with stage("fl_channel", timings):
                     # Fading is always drawn over the full universe so the
@@ -432,9 +409,7 @@ class FLRoundLoop:
                         if estimator is not None
                         else round_system
                     )
-                    result = self._solve_round(solve_system, allocator, mu_hint)
-                if allocator is not None:
-                    mu_hint = result.warm_hints.get("mu", mu_hint)
+                    result = self._solve_round(solve_system, allocator)
                 allocation = result.allocation
                 # Pricing always uses the *true* subsystem: an allocation
                 # solved on estimated profiles is charged what it really
@@ -505,7 +480,6 @@ class FLRoundLoop:
                     est_errors = estimator.error_report(base_system)
             elapsed += round_time
             consumed += round_energy
-            previous_active = active_tuple
             report.append(
                 RoundRecord(
                     round_index=round_index,
@@ -526,11 +500,6 @@ class FLRoundLoop:
                     departed=departed,
                     retired=tuple(retired),
                     battery_soc_min=soc_min,
-                    resolve_punctured=(
-                        punctured
-                        if (fleet_dynamic and config.warm_start and allocator is not None)
-                        else None
-                    ),
                     estimation_cycles_rel_err=(
                         est_errors["cycles_rel_err"] if est_errors else None
                     ),

@@ -10,7 +10,7 @@ producing accuracy-versus-wallclock and accuracy-versus-energy curves.
 
 The allocation here is *static* — one ``(p, B, f)`` prices every round.
 For the closed loop where the allocator re-solves round by round as the
-channel evolves (fresh fading draws, warm-started solves, client
+channel evolves (fresh fading draws, a fresh solve per round, client
 selection), see :mod:`repro.fl.roundloop`.
 """
 

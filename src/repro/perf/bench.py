@@ -1,36 +1,33 @@
 """The benchmark suite and perf-trajectory tracking behind ``repro bench``.
 
-One invocation runs the Figure-2 sweep four times through the shared
-:class:`~repro.experiments.runner.SweepRunner` — cold (vector backend),
-warm-started and cold on the scalar reference backend, all three solved
-per drop (``batch_size=1``), and cold through the batched multi-solve
-path (``batch_size=8``) — on a fixed, seeded
-configuration (serial, cache off, so the timings are honest), and
+One invocation runs the Figure-2 sweep three times through the shared
+:class:`~repro.experiments.runner.SweepRunner` — on the vector backend and
+on the scalar reference backend, both solved per drop (``batch_size=1``),
+and through the batched multi-solve path (``batch_size=8``) — on a fixed,
+seeded configuration (serial, cache off, so the timings are honest), and
 writes a ``BENCH_PR<k>.json`` report:
 
 * **per-stage wall-clock** summed over every task (``scenario_build``,
   ``solve``, ``algorithm2``, ``sp1``, ``sp2``, ``sp2_inner``) plus the
-  runner-level dispatch overhead, for each mode;
+  runner-level dispatch overhead, for each per-drop mode;
 * **solver iteration counts** (outer Algorithm-2 and inner Algorithm-1
   totals) — these are deterministic for a fixed suite, which is what makes
   cross-machine regression tracking meaningful;
-* the **warm-start speedup** and the **warm/cold parity** (max relative
-  metric deviation across the produced tables);
 * the **backend SP2-stage speedup** (scalar over vector, on the ``sp2``
-  stage wall-clock) and the **scalar/vector parity**.
+  stage wall-clock) and the **scalar/vector parity** (max relative metric
+  deviation across the produced tables).
 
 Since schema 3 the report also carries a **closed-loop FL suite**: one
-:class:`~repro.fl.roundloop.FLRoundLoop` run per mode (cold vector /
-warm-started / cold scalar) on a fixed seeded configuration, reporting the
-round-loop throughput (rounds per second), the per-stage split (allocate
-versus train), the deterministic total of allocator iterations across
-rounds, and two *exact* parities — fixed-seed round loops must be
-bit-identical across backends and warm/cold, so their parity gates are
-zero-tolerance (within the sweep parity epsilon).
+:class:`~repro.fl.roundloop.FLRoundLoop` run per backend (vector / scalar)
+on a fixed seeded configuration, reporting the round-loop throughput
+(rounds per second), the per-stage split (allocate versus train), the
+deterministic total of allocator iterations across rounds, and an *exact*
+backend parity — fixed-seed round loops must be bit-identical across
+backends, so the gate is zero-tolerance (within the backend parity bound).
 
 Since schema 4 the report also carries the **batched multi-solve** run:
-``batch_wall_s`` / ``batch_wall_speedup`` (cold wall over batched wall),
-``batch_fill`` (how densely the lockstep batches were packed) and
+``batch_wall_s`` / ``batch_wall_speedup`` (per-drop wall over batched
+wall), ``batch_fill`` (how densely the lockstep batches were packed) and
 ``batch_parity_max_rel_dev`` — the batched path is *bit-identical* to the
 per-drop one by construction, so its parity gate is exactly zero.
 
@@ -42,30 +39,30 @@ instance serving every digest — the cache-hit pattern of a repeated sweep.
 ``store_read_speedup`` (JSON wall over columnar wall) carries a floor: the
 columnar backend's whole reason to exist is that one segment load beats
 O(tasks) file opens.  ``store_parity_max_rel_dev`` is the zero-tolerance
-gate that both backends return bit-identical entries (metrics *and* warm
-state).
+gate that both backends return bit-identical entries (metrics *and*
+solution state).
 
 Since schema 6 the report also carries a **dynamic-fleet FL suite**: the
 closed-loop run re-done with Poisson churn and battery drain enabled
-(cold vector / warm / cold scalar), reporting the allocation cost of
-mid-training re-solves (``fl_churn_resolve_s``), the number of warm-chain
-punctures the fleet-shape changes forced, and the same exact parity gates
-as the frozen-fleet loop (``fl_dynamic_warm_parity_max_rel_dev`` /
-``fl_dynamic_backend_parity_max_rel_dev``) — churn and drain are seeded,
-so dynamic runs must stay bit-identical too.  A fourth run flips on
-online profile estimation (:mod:`repro.fl.estimation`) and reports the
-estimated-versus-oracle accuracy gap plus the estimator's final relative
-errors (``fl_estimated_vs_oracle_accuracy_gap``,
+(vector / scalar), reporting the allocation cost of mid-training re-solves
+(``fl_churn_resolve_s``) and the same exact backend parity gate as the
+frozen-fleet loop (``fl_dynamic_backend_parity_max_rel_dev``) — churn and
+drain are seeded, so dynamic runs must stay bit-identical too.  A third
+run flips on online profile estimation (:mod:`repro.fl.estimation`) and
+reports the estimated-versus-oracle accuracy gap plus the estimator's
+final relative errors (``fl_estimated_vs_oracle_accuracy_gap``,
 ``fl_estimation_cycles_rel_err``, ``fl_estimation_gain_rel_err``).
+
+Schema 7 dropped the warm-started modes: every solve is cold, so the
+report no longer carries ``warm_*`` metrics or warm parities.
 
 :func:`compare_reports` gates a report against a committed baseline: a
 tracked metric that regresses beyond the tolerance (default 20%), a floor
 that is no longer met (backend SP2 speedup >= 2x, batched multi-solve
-wall speedup >= 2x, warm wall no slower than cold, columnar store reads
-beating JSON), or a parity breach (warm/cold above 1e-6, scalar/vector
-above 1e-8, batched/per-drop above 0.0, store backends above 0.0, FL
-round loops above the warm/backend bounds) fails the comparison — that is
-the CI perf gate.
+wall speedup >= 2x, columnar store reads beating JSON), or a parity breach
+(scalar/vector above 1e-8, batched/per-drop above 0.0, store backends
+above 0.0, FL round loops above the backend bound) fails the comparison —
+that is the CI perf gate.
 """
 
 from __future__ import annotations
@@ -88,7 +85,6 @@ from ..store import open_store
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "DEFAULT_TOLERANCE",
-    "DEFAULT_PARITY_TOL",
     "DEFAULT_BACKEND_PARITY_TOL",
     "bench_config",
     "fl_bench_config",
@@ -99,22 +95,15 @@ __all__ = [
     "compare_reports",
 ]
 
-BENCH_SCHEMA_VERSION = 6
+BENCH_SCHEMA_VERSION = 7
 #: Relative regression a tracked metric may show before the compare fails.
 DEFAULT_TOLERANCE = 0.20
-#: Maximum relative deviation allowed between warm and cold sweep metrics.
-DEFAULT_PARITY_TOL = 1e-6
 #: Maximum relative deviation allowed between the scalar and vector backend
-#: sweeps.  Far tighter than the warm/cold tolerance: both backends polish
-#: the bandwidth multiplier onto the exact root, so their trajectories agree
-#: to round-off.
+#: sweeps: both backends polish the bandwidth multiplier onto the exact
+#: root, so their trajectories agree to round-off.
 DEFAULT_BACKEND_PARITY_TOL = 1e-8
 
 #: Absolute gates every report must keep meeting, whatever the baseline.
-#: ``warm_wall_speedup`` is back (floor 1.0) now that warm hints are a
-#: strict no-op on the vector backend: a warm sweep runs the exact cold
-#: trajectory, so it must never be slower than cold beyond scheduler noise
-#: (the hint-threading overhead that used to drag it to ~0.98x is gone).
 #: ``batch_wall_speedup`` gates the batched multi-solve path against the
 #: per-drop cold sweep.  ``store_read_speedup`` gates the columnar result
 #: store against the JSON oracle on cache-hit reads: one segment load must
@@ -123,7 +112,6 @@ DEFAULT_BACKEND_PARITY_TOL = 1e-8
 #: below both).
 _FLOORS: dict[str, float] = {
     "backend_sp2_speedup": 2.0,
-    "warm_wall_speedup": 1.0,
     "batch_wall_speedup": 2.0,
     "store_read_speedup": 1.2,
 }
@@ -131,30 +119,20 @@ _FLOORS: dict[str, float] = {
 #: Wall-clock speedup floors get a per-metric slack factor in the
 #: comparison: the ratio of two measured wall-clocks carries scheduler
 #: noise that the deterministic iteration-count gates do not, and a hard
-#: floor would flap on a busy CI box.  ``warm_wall_speedup`` compares two
-#: sweeps doing the *same* work (true ratio ~1.0), so its measurement is
-#: all noise (+-7% observed on contended hosts) and its floor only
-#: arrests gross breakage — small warm regressions are instead caught by
-#: the zero-tolerance parity and iteration-count gates, which are
-#: noise-free.  ``batch_wall_speedup`` has real headroom above its floor
-#: (~2.2x measured vs the 2.0 floor), so it keeps a tight slack.
-#: ``store_read_speedup`` is measured on sub-millisecond walls at quick
-#: scale, so it gets the same generous slack as the warm ratio; the
-#: measured headroom (2x+ above the floor) does the real guarding.
+#: floor would flap on a busy CI box.  ``batch_wall_speedup`` has real
+#: headroom above its floor (~2.2x measured vs the 2.0 floor), so it keeps
+#: a tight slack.  ``store_read_speedup`` is measured on sub-millisecond
+#: walls at quick scale, so it gets a generous slack; the measured headroom
+#: (2x+ above the floor) does the real guarding.
 _WALL_SPEEDUP_FLOOR_SLACK: dict[str, float] = {
-    "warm_wall_speedup": 0.85,
     "batch_wall_speedup": 0.95,
     "store_read_speedup": 0.85,
 }
 
 #: Metrics compared against the baseline, with their improvement direction.
-#: ``warm_wall_speedup`` stays reported but untracked: a ratio of two
-#: near-equal wall-clocks is pure scheduler noise on a busy CI box.
 _TRACKED: dict[str, str] = {
     "cold_outer_iterations": "lower",
     "cold_inner_iterations": "lower",
-    "warm_outer_iterations": "lower",
-    "warm_inner_iterations": "lower",
     "backend_sp2_speedup": "higher",
     "fl_outer_iterations": "lower",
     "fl_dynamic_outer_iterations": "lower",
@@ -201,8 +179,8 @@ def fl_dynamic_bench_config(quick: bool = False) -> RoundLoopConfig:
 
     The frozen-fleet bench config plus seeded Poisson churn and battery
     drain: arrivals and departures change the active fleet's shape
-    mid-training, forcing full (punctured) re-solves whose cost
-    ``fl_churn_resolve_s`` tracks.  The capacity is generous enough that
+    mid-training, and ``fl_churn_resolve_s`` tracks the cost of re-solving
+    around them.  The capacity is generous enough that
     no device retires inside the benchmark horizon — retirement coverage
     lives in the test suite; here the batteries exist to price the drain
     bookkeeping, not to shrink the fleet nondeterministically across
@@ -220,25 +198,12 @@ def fl_dynamic_bench_config(quick: bool = False) -> RoundLoopConfig:
     )
 
 
-def _run_fl_mode(config: RoundLoopConfig, *, warm: bool, backend: str):
+def _run_fl_mode(config: RoundLoopConfig, *, backend: str):
     """One closed-loop run; returns (flat metrics, report, wall seconds)."""
-    mode = replace(config, warm_start=warm, backend=backend)
     started = time.monotonic()
-    report = FLRoundLoop(mode).run()
+    report = FLRoundLoop(replace(config, backend=backend)).run()
     wall = time.monotonic() - started
     return report.flat_metrics(), report, wall
-
-
-def _drop_suffix(
-    metrics: Mapping[str, float], suffix: str
-) -> dict[str, float]:
-    """The flat metrics without keys ending in ``suffix``.
-
-    Used to compare dynamic warm and cold trajectories: the
-    ``_resolve_punctured`` diagnostics exist only on warm runs (there is
-    no chain to puncture cold), so they are structural noise for parity.
-    """
-    return {k: v for k, v in metrics.items() if not k.endswith(suffix)}
 
 
 def _flat_parity(left: Mapping[str, float], right: Mapping[str, float]) -> float:
@@ -274,7 +239,6 @@ _BENCH_REPEATS = 5
 
 def _run_mode(
     config: Fig2Config,
-    warm: bool,
     backend: str | None = None,
     batch_size: int | None = None,
 ):
@@ -286,7 +250,6 @@ def _run_mode(
     runner = SweepRunner(
         jobs=1,
         use_cache=False,
-        warm_start=warm,
         progress=lambda done, total, outcome: outcomes.append(outcome),
         batch_size=batch_size,
     )
@@ -306,25 +269,25 @@ def _sum_stages(outcomes: list[TaskOutcome]) -> dict[str, float]:
     return {name: round(seconds, 6) for name, seconds in sorted(stages.items())}
 
 
-def _parity(cold_table, warm_table) -> float:
-    """Max relative warm/cold deviation; ``inf`` when the tables disagree
-    structurally (different row counts, or a value present in one mode and
-    NaN in the other) so a broken warm run can never pass the gate."""
-    if len(cold_table.rows) != len(warm_table.rows):
+def _parity(reference_table, other_table) -> float:
+    """Max relative deviation between two sweep tables; ``inf`` when they
+    disagree structurally (different row counts, or a value present in one
+    mode and NaN in the other) so a broken mode can never pass the gate."""
+    if len(reference_table.rows) != len(other_table.rows):
         return float("inf")
     deviation = 0.0
-    for cold_row, warm_row in zip(cold_table.rows, warm_table.rows):
+    for ref_row, other_row in zip(reference_table.rows, other_table.rows):
         for column in _PARITY_COLUMNS:
-            if column not in cold_row:
+            if column not in ref_row:
                 continue
-            cold_value, warm_value = float(cold_row[column]), float(warm_row[column])
-            cold_nan, warm_nan = cold_value != cold_value, warm_value != warm_value
-            if cold_nan and warm_nan:
+            ref_value, other_value = float(ref_row[column]), float(other_row[column])
+            ref_nan, other_nan = ref_value != ref_value, other_value != other_value
+            if ref_nan and other_nan:
                 continue  # the grid point failed in both modes
-            if cold_nan or warm_nan:
+            if ref_nan or other_nan:
                 return float("inf")
-            scale = max(abs(cold_value), 1e-30)
-            deviation = max(deviation, abs(cold_value - warm_value) / scale)
+            scale = max(abs(ref_value), 1e-30)
+            deviation = max(deviation, abs(ref_value - other_value) / scale)
     return deviation
 
 
@@ -347,7 +310,7 @@ def _bench_store(outcomes: list[TaskOutcome]) -> dict[str, float]:
     instance so the JSON backend pays its per-entry file opens and the
     columnar backend its one segment load — the honest cache-hit model.
     The parity deviation is exact-equality strict: entries that float-match
-    but differ structurally (an int came back a float, a warm state
+    but differ structurally (an int came back a float, a solution state
     changed) read as ``inf``.
     """
     entries = [
@@ -391,7 +354,7 @@ def _bench_store(outcomes: list[TaskOutcome]) -> dict[str, float]:
         parity = _flat_parity(json_entry[0], columnar_entry[0])
         if parity == 0.0 and json_entry != columnar_entry:
             # Float-identical but structurally different (int/float type
-            # drift or a warm-state mismatch): still a parity breach.
+            # drift or a solution-state mismatch): still a parity breach.
             parity = float("inf")
         deviation = max(deviation, parity)
     return {
@@ -416,10 +379,9 @@ def run_bench(*, quick: bool = False, label: str = "PR8") -> dict[str, Any]:
     # so ``batch_wall_speedup`` and the per-stage timings keep comparing
     # per-drop solves with the batched path.
     modes: dict[str, dict[str, Any]] = {
-        "cold": {"warm": False, "batch_size": 1},
-        "warm": {"warm": True, "batch_size": 1},
-        "scalar": {"warm": False, "backend": "scalar", "batch_size": 1},
-        "batch": {"warm": False, "batch_size": _BENCH_BATCH_SIZE},
+        "cold": {"batch_size": 1},
+        "scalar": {"backend": "scalar", "batch_size": 1},
+        "batch": {"batch_size": _BENCH_BATCH_SIZE},
     }
     # Repeats are interleaved across modes rather than run per mode in a
     # block, so a load shift on the host biases every mode of a round
@@ -443,51 +405,36 @@ def run_bench(*, quick: bool = False, label: str = "PR8") -> dict[str, Any]:
         return totals["cold"] / max(totals[denominator], 1e-12)
 
     cold_table, cold_outcomes, cold_stats = best["cold"]
-    warm_table, warm_outcomes, warm_stats = best["warm"]
     scalar_table, scalar_outcomes, scalar_stats = best["scalar"]
     batch_table, _batch_outcomes, batch_stats = best["batch"]
 
     fl_config = fl_bench_config(quick)
-    fl_cold, fl_cold_report, fl_cold_wall = _run_fl_mode(
-        fl_config, warm=False, backend="vector"
-    )
-    fl_warm, _fl_warm_report, fl_warm_wall = _run_fl_mode(
-        fl_config, warm=True, backend="vector"
-    )
+    fl_cold, fl_cold_report, fl_cold_wall = _run_fl_mode(fl_config, backend="vector")
     fl_scalar, _fl_scalar_report, fl_scalar_wall = _run_fl_mode(
-        fl_config, warm=False, backend="scalar"
+        fl_config, backend="scalar"
     )
 
     dyn_config = fl_dynamic_bench_config(quick)
     fl_dyn_cold, fl_dyn_cold_report, fl_dyn_cold_wall = _run_fl_mode(
-        dyn_config, warm=False, backend="vector"
-    )
-    fl_dyn_warm, fl_dyn_warm_report, _fl_dyn_warm_wall = _run_fl_mode(
-        dyn_config, warm=True, backend="vector"
+        dyn_config, backend="vector"
     )
     fl_dyn_scalar, _fl_dyn_scalar_report, _fl_dyn_scalar_wall = _run_fl_mode(
-        dyn_config, warm=False, backend="scalar"
+        dyn_config, backend="scalar"
     )
     est_config = replace(dyn_config, estimate_profiles=True)
-    _fl_est, fl_est_report, _fl_est_wall = _run_fl_mode(
-        est_config, warm=True, backend="vector"
-    )
+    _fl_est, fl_est_report, _fl_est_wall = _run_fl_mode(est_config, backend="vector")
 
     cold_stages = _sum_stages(cold_outcomes)
-    warm_stages = _sum_stages(warm_outcomes)
     scalar_stages = _sum_stages(scalar_outcomes)
     cold_task_s = cold_stages.get("scenario_build", 0.0) + cold_stages.get("solve", 0.0)
-    warm_wall = warm_stats.elapsed_s
     scalar_sp2 = scalar_stages.get("sp2", 0.0)
     vector_sp2 = cold_stages.get("sp2", 0.0)
     batch_wall = batch_stats.elapsed_s
     batch_capacity = batch_stats.batches * _BENCH_BATCH_SIZE
     metrics: dict[str, float] = {
         "cold_wall_s": round(cold_stats.elapsed_s, 4),
-        "warm_wall_s": round(warm_wall, 4),
         "scalar_wall_s": round(scalar_stats.elapsed_s, 4),
         "batch_wall_s": round(batch_wall, 4),
-        "warm_wall_speedup": round(_summed_speedup("warm"), 4),
         "batch_wall_speedup": round(_summed_speedup("batch"), 4),
         "batch_fill": round(batch_stats.batched_tasks / batch_capacity, 4)
         if batch_capacity
@@ -496,32 +443,23 @@ def run_bench(*, quick: bool = False, label: str = "PR8") -> dict[str, Any]:
         "batch_parity_max_rel_dev": _parity(cold_table, batch_table),
         "backend_sp2_speedup": round(scalar_sp2 / max(vector_sp2, 1e-12), 4),
         "cold_outer_iterations": _sum_metric(cold_outcomes, "iterations"),
-        "warm_outer_iterations": _sum_metric(warm_outcomes, "iterations"),
         "scalar_outer_iterations": _sum_metric(scalar_outcomes, "iterations"),
         "cold_inner_iterations": _sum_metric(cold_outcomes, "inner_iterations"),
-        "warm_inner_iterations": _sum_metric(warm_outcomes, "inner_iterations"),
         "scalar_inner_iterations": _sum_metric(scalar_outcomes, "inner_iterations"),
         "tasks": float(cold_stats.total),
-        "warm_started_tasks": float(warm_stats.warm_started),
         "failed_tasks": float(
-            cold_stats.failed
-            + warm_stats.failed
-            + scalar_stats.failed
-            + batch_stats.failed
+            cold_stats.failed + scalar_stats.failed + batch_stats.failed
         ),
         "dispatch_overhead_s": round(max(cold_stats.elapsed_s - cold_task_s, 0.0), 4),
-        "cache_io_s": round(cold_stats.cache_io_s + warm_stats.cache_io_s, 6),
-        "parity_max_rel_dev": _parity(cold_table, warm_table),
+        "cache_io_s": round(cold_stats.cache_io_s, 6),
         "backend_parity_max_rel_dev": _parity(scalar_table, cold_table),
         "fl_wall_s": round(fl_cold_wall, 4),
-        "fl_warm_wall_s": round(fl_warm_wall, 4),
         "fl_scalar_wall_s": round(fl_scalar_wall, 4),
         "fl_rounds_per_s": round(fl_config.rounds / max(fl_cold_wall, 1e-12), 4),
         "fl_allocate_s": round(fl_cold_report.stage_seconds("fl_allocate"), 6),
         "fl_train_s": round(fl_cold_report.stage_seconds("fl_train"), 6),
         "fl_outer_iterations": float(fl_cold_report.total_allocator_iterations),
         "fl_final_accuracy": round(fl_cold_report.final_accuracy, 6),
-        "fl_warm_parity_max_rel_dev": _flat_parity(fl_cold, fl_warm),
         "fl_backend_parity_max_rel_dev": _flat_parity(fl_cold, fl_scalar),
         "fl_dynamic_wall_s": round(fl_dyn_cold_wall, 4),
         "fl_churn_resolve_s": round(
@@ -530,19 +468,12 @@ def run_bench(*, quick: bool = False, label: str = "PR8") -> dict[str, Any]:
         "fl_dynamic_outer_iterations": float(
             fl_dyn_cold_report.total_allocator_iterations
         ),
-        "fl_dynamic_punctures": float(
-            sum(bool(r.resolve_punctured) for r in fl_dyn_warm_report.records)
-        ),
         "fl_dynamic_final_accuracy": round(fl_dyn_cold_report.final_accuracy, 6),
-        "fl_dynamic_warm_parity_max_rel_dev": _flat_parity(
-            _drop_suffix(fl_dyn_cold, "_resolve_punctured"),
-            _drop_suffix(fl_dyn_warm, "_resolve_punctured"),
-        ),
         "fl_dynamic_backend_parity_max_rel_dev": _flat_parity(
             fl_dyn_cold, fl_dyn_scalar
         ),
         "fl_estimated_vs_oracle_accuracy_gap": round(
-            abs(fl_dyn_warm_report.final_accuracy - fl_est_report.final_accuracy),
+            abs(fl_dyn_cold_report.final_accuracy - fl_est_report.final_accuracy),
             6,
         ),
         "fl_estimation_cycles_rel_err": round(
@@ -557,18 +488,17 @@ def run_bench(*, quick: bool = False, label: str = "PR8") -> dict[str, Any]:
         "schema": BENCH_SCHEMA_VERSION,
         "label": label,
         "mode": "quick" if quick else "standard",
-        "suite": "fig2 sweep: cold (vector) vs warm-started vs scalar backend "
-        "vs batched multi-solve (jobs=1, cache off) + closed-loop FL round "
-        "loop (cold/warm/scalar, frozen and dynamic fleets, estimated "
-        "profiles) + result-store read/write (json vs columnar)",
+        "suite": "fig2 sweep: vector vs scalar backend vs batched "
+        "multi-solve (jobs=1, cache off) + closed-loop FL round loop "
+        "(vector/scalar, frozen and dynamic fleets, estimated profiles) + "
+        "result-store read/write (json vs columnar)",
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "metrics": metrics,
-        "stages": {"cold": cold_stages, "warm": warm_stages, "scalar": scalar_stages},
+        "stages": {"cold": cold_stages, "scalar": scalar_stages},
         "tracked": dict(_TRACKED),
         "floors": dict(_FLOORS),
-        "parity_tol": DEFAULT_PARITY_TOL,
         "backend_parity_tol": DEFAULT_BACKEND_PARITY_TOL,
     }
 
@@ -596,8 +526,9 @@ def compare_reports(
     Three kinds of failure:
 
     * a **floor** (absolute gate recorded in the baseline) is not met;
-    * the **parity** between warm and cold runs exceeds the baseline's
-      ``parity_tol``;
+    * a **parity** gate breaks: scalar/vector above the baseline's
+      ``backend_parity_tol``, or batched/per-drop and the store backends
+      above exact equality;
     * modes match and a **tracked metric** regressed more than ``tolerance``
       relative to the baseline value (iteration counts are deterministic
       per suite, so cross-machine comparison is sound; wall-clock enters
@@ -615,16 +546,6 @@ def compare_reports(
         elif value < limit:
             problems.append(f"{name} = {value:.4g} fell below its floor {floor:.4g}")
 
-    parity_tol = float(baseline.get("parity_tol", DEFAULT_PARITY_TOL))
-    parity = current_metrics.get("parity_max_rel_dev")
-    if parity is None:
-        problems.append("parity_max_rel_dev missing from the current report")
-    elif not parity <= parity_tol:  # catches NaN as well as breaches
-        problems.append(
-            f"warm/cold parity broke: max relative deviation {parity:.3e} "
-            f"exceeds {parity_tol:.1e}"
-        )
-
     backend_tol = float(
         baseline.get("backend_parity_tol", DEFAULT_BACKEND_PARITY_TOL)
     )
@@ -639,12 +560,14 @@ def compare_reports(
             f"{backend_parity:.3e} exceeds {backend_tol:.1e}"
         )
 
-    # Batched multi-solve parity (schema >= 4).  Zero tolerance: the batched
-    # path is bit-identical to the per-drop one by construction, so any
-    # deviation at all is a lane-isolation bug, not noise.  Guarded on
-    # presence so an older report can still be compared against.
+    # Batched multi-solve parity: the required sweep-parity gate.  Zero
+    # tolerance: the batched path is bit-identical to the per-drop one by
+    # construction, so any deviation at all is a lane-isolation bug, not
+    # noise.
     batch_parity = current_metrics.get("batch_parity_max_rel_dev")
-    if batch_parity is not None and not batch_parity <= 0.0:  # catches NaN too
+    if batch_parity is None:
+        problems.append("batch_parity_max_rel_dev missing from the current report")
+    elif not batch_parity <= 0.0:  # catches NaN too
         problems.append(
             f"batched/per-drop parity broke: max relative deviation "
             f"{batch_parity:.3e} exceeds the exact-equality gate (0.0)"
@@ -652,7 +575,7 @@ def compare_reports(
 
     # Result-store parity (schema >= 5).  Zero tolerance: both backends
     # serve the same entries through lossless round-trips, so any deviation
-    # (including an int coming back a float, or a warm state drifting) is a
+    # (including an int coming back a float, or a solution state drifting) is a
     # packing bug, not noise.  Guarded on presence like the batch gate.
     store_parity = current_metrics.get("store_parity_max_rel_dev")
     if store_parity is not None and not store_parity <= 0.0:  # catches NaN too
@@ -661,24 +584,20 @@ def compare_reports(
             f"{store_parity:.3e} exceeds the exact-equality gate (0.0)"
         )
 
-    # Closed-loop FL parities (schema >= 3).  Guarded on presence so a
-    # schema-2 report can still be compared against; once the current
-    # report carries them they must hold — fixed-seed round loops are
-    # bit-identical by construction, so these should in fact be 0.0.
-    # The dynamic-fleet parities (schema >= 6) share the frozen-fleet
-    # bounds: churn and drain are seeded, so fixed-seed dynamic runs are
-    # just as bit-identical as frozen ones.
-    for name, tol in (
-        ("fl_warm_parity_max_rel_dev", parity_tol),
-        ("fl_backend_parity_max_rel_dev", backend_tol),
-        ("fl_dynamic_warm_parity_max_rel_dev", parity_tol),
-        ("fl_dynamic_backend_parity_max_rel_dev", backend_tol),
+    # Closed-loop FL backend parities (schema >= 3, dynamic fleet >= 6).
+    # Guarded on presence so an older report can still be compared against;
+    # once the current report carries them they must hold — fixed-seed
+    # round loops are bit-identical by construction, so these should in
+    # fact be 0.0.
+    for name in (
+        "fl_backend_parity_max_rel_dev",
+        "fl_dynamic_backend_parity_max_rel_dev",
     ):
         fl_parity = current_metrics.get(name)
-        if fl_parity is not None and not fl_parity <= tol:
+        if fl_parity is not None and not fl_parity <= backend_tol:
             problems.append(
                 f"FL round-loop parity broke: {name} = {fl_parity:.3e} "
-                f"exceeds {tol:.1e}"
+                f"exceeds {backend_tol:.1e}"
             )
 
     failed = current_metrics.get("failed_tasks", 0.0)

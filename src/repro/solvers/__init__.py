@@ -9,8 +9,6 @@ implements the required numerical machinery directly:
   finding (used for the dual variable of the bandwidth constraint).
 * :mod:`repro.solvers.scalar` — golden-section / ternary minimisation of
   one-dimensional convex functions, scalar and vectorised.
-* :mod:`repro.solvers.projection` — Euclidean projections onto boxes, the
-  probability simplex and scaled simplices.
 * :mod:`repro.solvers.waterfilling` — water-filling style solvers for
   separable concave maximisation over a simplex (Subproblem 1's dual).
 * :mod:`repro.solvers.lambert` — Lambert-W helpers (Theorem 2 / Appendix B).
@@ -29,11 +27,6 @@ from .boxlp import solve_box_budget_lp
 from .dual_decomposition import minimize_separable_with_budget
 from .lambert import lambert_solve_vector, lambert_w_principal, solve_x_log_x
 from .newton import DampedNewtonResult, damped_newton_step
-from .projection import (
-    project_box,
-    project_capped_simplex,
-    project_simplex,
-)
 from .scalar import golden_section_scalar, golden_section_vector
 from .waterfilling import maximize_concave_on_simplex, power_waterfilling
 
@@ -49,9 +42,6 @@ __all__ = [
     "solve_x_log_x",
     "DampedNewtonResult",
     "damped_newton_step",
-    "project_box",
-    "project_simplex",
-    "project_capped_simplex",
     "golden_section_scalar",
     "golden_section_vector",
     "maximize_concave_on_simplex",

@@ -83,18 +83,12 @@ def solve_x_log_x(
     *,
     tol: float = 1e-14,
     max_iter: int = 100,
-    x0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve ``x * ln(x) - x + 1 = rhs`` for ``x >= 1`` given ``rhs >= 0``.
 
     The left-hand side is zero at ``x = 1`` and strictly increasing for
     ``x > 1`` (its derivative is ``ln x``), so the root is unique.  A damped
     Newton iteration with a multiplicative update keeps the iterate above 1.
-
-    ``x0`` optionally warm-starts the iteration (e.g. with the root for a
-    nearby ``rhs``): the root is unique, so a warm start changes the
-    iteration count, not the answer.  An unusable ``x0`` (wrong shape,
-    non-finite entries) is ignored.
     """
     rhs_arr = np.asarray(rhs, dtype=float)
     if np.any(rhs_arr < -1e-12):
@@ -106,12 +100,7 @@ def solve_x_log_x(
     small = 1.0 + np.sqrt(2.0 * rhs_arr)
     with np.errstate(divide="ignore", invalid="ignore"):
         large = np.where(rhs_arr > np.e, rhs_arr / np.maximum(np.log(rhs_arr), 1.0), small)
-    x = np.where(rhs_arr > np.e, large, small)
-    if x0 is not None:
-        seed = np.asarray(x0, dtype=float)
-        if seed.shape == rhs_arr.shape and np.all(np.isfinite(seed)) and np.all(seed >= 1.0):
-            x = seed.copy()
-    x = np.maximum(x, 1.0 + 1e-15)
+    x = np.maximum(np.where(rhs_arr > np.e, large, small), 1.0 + 1e-15)
 
     for _ in range(max_iter):  # repro-lint: disable=RL002 -- exhaustion raises via _check_lambert_residual
         log_x = np.log(x)

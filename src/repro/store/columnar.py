@@ -214,7 +214,7 @@ def _pack_states(
 
     Packable means: every non-``None`` state has the same keys in the same
     order, and each key's value is a plain float (or a non-empty list of
-    plain floats with one length across all rows).  The runner's warm-state
+    plain floats with one length across all rows).  The runner's solution-state
     snapshots (``power_w`` / ``bandwidth_hz`` / ``frequency_hz`` lists plus
     the ``mu`` scalar) fit exactly; anything irregular — including ints,
     whose JSON round-trip the float matrix could not preserve — keeps the

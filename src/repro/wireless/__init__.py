@@ -1,4 +1,4 @@
-"""Wireless-network substrate: topology, channel model, rates and spectrum.
+"""Wireless-network substrate: topology, channel model, fading and rates.
 
 The paper evaluates its resource-allocation algorithm on a single-cell FDMA
 uplink: ``N`` devices are dropped uniformly in a disc around one base
@@ -27,7 +27,6 @@ from .rate import (
     spectral_efficiency,
 )
 from .shadowing import LogNormalShadowing
-from .spectrum import BandwidthAllocation, SpectrumManager
 from .topology import (
     Topology,
     cell_edge_ring_topology,
@@ -53,8 +52,6 @@ __all__ = [
     "spectral_efficiency",
     "required_power_for_rate",
     "min_bandwidth_for_rate",
-    "BandwidthAllocation",
-    "SpectrumManager",
     "Topology",
     "uniform_disc_topology",
     "cell_edge_ring_topology",

@@ -119,22 +119,6 @@ def test_backend_parity_with_deadline_constrained_problem():
         )
 
 
-def test_backend_parity_under_warm_hints(tiny_system):
-    problem = JointProblem(tiny_system, ProblemWeights(energy=0.5, time=0.5))
-    cold = ResourceAllocator(backend="vector").solve(problem)
-    hints = cold.warm_hints
-    assert hints.get("mu", 0.0) > 0.0
-    warm_scalar = ResourceAllocator(backend="scalar").solve(problem, warm_hints=hints)
-    warm_vector = ResourceAllocator(backend="vector").solve(problem, warm_hints=hints)
-    for metric in _TRACKED_METRICS:
-        assert warm_vector.summary()[metric] == pytest.approx(
-            warm_scalar.summary()[metric], rel=BACKEND_PARITY_TOL
-        )
-        assert warm_vector.summary()[metric] == pytest.approx(
-            cold.summary()[metric], rel=BACKEND_PARITY_TOL
-        )
-
-
 # -- SP2-level differential fuzz (Hypothesis) ---------------------------------
 
 @pytest.mark.hypothesis

@@ -7,10 +7,11 @@ Three levels enforce it:
 
 * **end-to-end** — ``ResourceAllocator.solve_batch`` on every registered
   scenario family, every field (allocations, objective, iteration counts,
-  convergence history, warm hints) compared with ``==``, never ``approx``;
+  convergence history, final bandwidth multiplier) compared with ``==``,
+  never ``approx``;
 * **runner-level** — batched ``SweepRunner`` outcomes, solution states and
   cache entries against the per-drop runner (``batch_size=1``), plus the scheduling
-  semantics (grouping, error-lane isolation, warm-chain exclusion);
+  semantics (grouping, error-lane isolation, non-proposed exclusion);
 * **kernel-level (Hypothesis)** — masked-lane isolation of the row-stopping
   Newton/golden-section kernels: lane ``k``'s iterates may never depend on
   what its neighbour lanes are doing, which is the property the end-to-end
@@ -67,7 +68,7 @@ def _assert_results_identical(batched, reference):
     assert batched.inner_iterations == reference.inner_iterations
     assert batched.converged == reference.converged
     assert batched.feasible == reference.feasible
-    assert batched.warm_hints == reference.warm_hints
+    assert batched.mu == reference.mu
     assert len(batched.history) == len(reference.history)
     for left, right in zip(batched.history, reference.history):
         assert left.objective == right.objective
@@ -253,17 +254,14 @@ def test_runner_batch_error_lane_isolation():
         assert outcomes[index].metrics == reference[index].metrics
 
 
-def test_runner_batch_excludes_warm_chains_and_non_proposed():
+def test_runner_batch_excludes_non_proposed():
     tasks = _fig2_tasks()
-    runner = SweepRunner(batch_size=4, warm_start=True)
+    runner = SweepRunner(batch_size=4)
     outcomes = runner.run(tasks)
-    # Warm-chained proposed tasks and baseline tasks both stay off the
-    # batched path; with fig2's warm keys set, nothing batches.
-    chained = [
-        t for t in tasks if t.solver_kind == "proposed" and t.warm_key is not None
-    ]
-    if chained:
-        assert runner.last_stats.batched_tasks <= len(tasks) - len(chained)
+    # Baseline tasks stay off the batched path: only proposed tasks batch.
+    proposed = [t for t in tasks if t.solver_kind == "proposed"]
+    assert len(proposed) < len(tasks)
+    assert runner.last_stats.batched_tasks == len(proposed)
     assert all(outcome.ok for outcome in outcomes)
 
 

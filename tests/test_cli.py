@@ -111,67 +111,38 @@ def test_scenario_param_requires_key_value(capsys):
     assert "KEY=VALUE" in capsys.readouterr().err
 
 
-def test_warm_start_flag_configures_the_runner(monkeypatch):
-    from repro import cli as cli_module
-
-    captured = {}
-
-    class FakeRunner:
-        def __init__(self, jobs=1, **kwargs):
-            captured.update(kwargs, jobs=jobs)
-            self.jobs = jobs
-            from repro.experiments.runner import SweepStats
-
-            self.last_stats = SweepStats()
-
-    monkeypatch.setattr(cli_module, "SweepRunner", FakeRunner)
-    args = build_parser().parse_args(["run", "samples", "--warm-start", "--no-cache"])
-    cli_module._make_runner("samples", args)
-    assert captured["warm_start"] is True
-    assert captured["use_cache"] is False
-
-
 def test_bench_command_writes_report_and_compares(tmp_path, capsys, monkeypatch):
     from repro.perf import bench as bench_module
 
     fake = {
-        "schema": 6,
+        "schema": 7,
         "label": "PRX",
         "mode": "quick",
         "metrics": {
             "store_read_speedup": 2.5,
             "store_parity_max_rel_dev": 0.0,
             "fl_churn_resolve_s": 0.1,
-            "fl_dynamic_punctures": 2.0,
             "fl_dynamic_outer_iterations": 14.0,
-            "fl_dynamic_warm_parity_max_rel_dev": 0.0,
             "fl_dynamic_backend_parity_max_rel_dev": 0.0,
             "fl_estimated_vs_oracle_accuracy_gap": 0.01,
             "fl_estimation_cycles_rel_err": 0.0,
             "fl_estimation_gain_rel_err": 0.2,
             "cold_wall_s": 1.0,
-            "warm_wall_s": 0.5,
             "scalar_wall_s": 2.5,
             "batch_wall_s": 0.4,
-            "warm_wall_speedup": 2.0,
             "batch_wall_speedup": 2.5,
             "batch_fill": 1.0,
             "batch_parity_max_rel_dev": 0.0,
             "backend_sp2_speedup": 3.0,
             "cold_outer_iterations": 10.0,
-            "warm_outer_iterations": 10.0,
             "cold_inner_iterations": 70.0,
-            "warm_inner_iterations": 70.0,
-            "parity_max_rel_dev": 1e-9,
             "backend_parity_max_rel_dev": 1e-12,
             "fl_rounds_per_s": 30.0,
             "fl_outer_iterations": 12.0,
-            "fl_warm_parity_max_rel_dev": 0.0,
             "fl_backend_parity_max_rel_dev": 0.0,
         },
         "tracked": {"cold_inner_iterations": "lower"},
-        "floors": {"warm_wall_speedup": 1.3},
-        "parity_tol": 1e-6,
+        "floors": {"batch_wall_speedup": 2.0},
         "backend_parity_tol": 1e-8,
     }
     monkeypatch.setattr(bench_module, "run_bench", lambda quick, label: dict(fake, label=label))
@@ -186,7 +157,7 @@ def test_bench_command_writes_report_and_compares(tmp_path, capsys, monkeypatch)
     assert json.loads(out_path.read_text())["label"] == "PRX"
 
     # A broken parity or missed floor makes the command fail.
-    bad = dict(fake, metrics=dict(fake["metrics"], warm_wall_speedup=1.0))
+    bad = dict(fake, metrics=dict(fake["metrics"], batch_wall_speedup=1.0))
     monkeypatch.setattr(bench_module, "run_bench", lambda quick, label: bad)
     assert main(["bench", "--quick", "--output", str(out_path),
                  "--compare", str(base_path)]) == 1
@@ -295,7 +266,6 @@ def test_fl_command_selection_and_backend_flags(capsys):
                 "--selection", "fastest-k",
                 "--select-k", "2",
                 "--backend", "scalar",
-                "--no-warm-start",
                 "--fading", "none",
                 "--scheme", "static",
             ]

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.allocator import AllocatorConfig
 from repro.experiments import (
+    Fig2Config,
     Fig8Config,
     SweepConfig,
     SweepRunner,
@@ -20,6 +22,7 @@ from repro.experiments import (
 from repro.experiments.base import add_grid_row, proposed_tasks, run_sweep
 from repro.experiments.results import ResultTable
 from repro.experiments.runner import (
+    allocation_from_state,
     get_active_runner,
     register_solver_kind,
     set_default_runner,
@@ -195,6 +198,14 @@ def test_progress_callback_sees_every_task():
     assert seen == [(1, 2), (2, 2)]
 
 
+def test_task_timings_travel_with_outcomes():
+    sweep = SweepConfig(num_devices=6, num_trials=1, allocator=AllocatorConfig(max_iterations=4))
+    [outcome] = SweepRunner(jobs=1, use_cache=False).run(proposed_tasks(("p",), sweep, 0.5))
+    assert outcome.timings is not None
+    for name in ("scenario_build", "solve", "algorithm2", "sp2"):
+        assert outcome.timings.get(name, 0.0) > 0.0
+
+
 def test_keyboard_interrupt_flushes_store_and_reraises(tmp_path):
     # satellite: graceful interrupt.  Ctrl-C mid-sweep (injected through the
     # progress callback after the first executed task) must re-raise, but
@@ -287,3 +298,64 @@ def test_run_experiment_forwards_runner():
     table = run_experiment("fig8", TINY_FIG8, runner=runner)
     assert runner.last_stats.total == len(TINY_FIG8.tasks())
     assert len(table) == 4
+
+
+# -- stored solution state ----------------------------------------------------
+
+def test_proposed_state_has_the_same_keys_per_drop_and_batched():
+    """A proposed task stores exactly (p, B, f, mu), whether solved per drop
+    or in a lockstep batch, and the two snapshots are equal."""
+    tasks = [t for t in Fig2Config().tasks() if t.solver_kind == "proposed"]
+    per_drop = SweepRunner(jobs=1, batch_size=1).run(tasks)
+    batched_runner = SweepRunner(jobs=1)
+    batched = batched_runner.run(tasks)
+    assert batched_runner.last_stats.batched_tasks == len(tasks)
+    keys = {"power_w", "bandwidth_hz", "frequency_hz", "mu"}
+    for single, lane in zip(per_drop, batched):
+        assert single.ok and lane.ok
+        assert set(single.state) == keys
+        assert set(lane.state) == keys
+        assert single.state == lane.state
+    # At least one drop binds the bandwidth budget, so its multiplier is
+    # positive rather than the slack-budget default of 0.
+    assert any(outcome.state["mu"] > 0.0 for outcome in per_drop)
+
+
+def _state_for(system, scale=1.0):
+    n = system.num_devices
+    return {
+        "power_w": (system.max_power_w * 0.9).tolist(),
+        "bandwidth_hz": np.full(n, scale * system.total_bandwidth_hz / n).tolist(),
+        "frequency_hz": system.max_frequency_hz.tolist(),
+        "mu": 1e-9,
+    }
+
+
+def test_allocation_from_state_round_trips(tiny_system):
+    allocation = allocation_from_state(tiny_system, _state_for(tiny_system, scale=0.5))
+    assert allocation is not None
+    assert allocation.bandwidth_hz.sum() <= tiny_system.total_bandwidth_hz * (1 + 1e-9)
+
+
+def test_allocation_from_state_rescales_an_over_budget_split(tiny_system):
+    allocation = allocation_from_state(tiny_system, _state_for(tiny_system, scale=2.0))
+    assert allocation is not None
+    assert allocation.bandwidth_hz.sum() == pytest.approx(
+        tiny_system.total_bandwidth_hz, rel=1e-9
+    )
+
+
+def test_allocation_from_state_rejects_wrong_fleet_size(tiny_system):
+    state = _state_for(tiny_system)
+    state["power_w"] = state["power_w"][:-1]
+    assert allocation_from_state(tiny_system, state) is None
+
+
+def test_allocation_from_state_rejects_unusable_values(tiny_system):
+    state = _state_for(tiny_system)
+    state["bandwidth_hz"] = [0.0] * tiny_system.num_devices
+    assert allocation_from_state(tiny_system, state) is None
+    state = _state_for(tiny_system)
+    state["frequency_hz"][0] = float("nan")
+    assert allocation_from_state(tiny_system, state) is None
+    assert allocation_from_state(tiny_system, {"power_w": "garbage"}) is None

@@ -6,9 +6,8 @@ The acceptance gates of the dynamic layer, all at **zero tolerance**:
   to the committed PR-9 golden record — adding the layer changed nothing
   for existing users;
 * fixed-seed churn + drain runs are bit-identical across solver backends,
-  warm and cold starts, repeated invocations, and serial versus parallel
-  sweep execution;
-* the warm-start chain punctures exactly when the fleet changes shape;
+  repeated invocations, and serial versus parallel sweep execution;
+* the active fleet follows the resolved churn schedule round by round;
 * drained devices retire and are never selected again (``graceful``) or
   fail the run loudly (``loud``);
 * the online profile estimator converges toward the oracle parameters and
@@ -24,7 +23,7 @@ from repro.devices.battery import BatteryDrainedError
 from repro.exceptions import ConfigurationError
 from repro.fl.churn import resolve_churn
 from repro.fl.estimation import ProfileEstimator
-from repro.fl.roundloop import FLRoundLoop, RoundLoopConfig, run_round_loop
+from repro.fl.roundloop import RoundLoopConfig, run_round_loop
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_fl_pr9.json"
 
@@ -91,7 +90,7 @@ class TestGoldenFrozenFleet:
         ]
 
 
-# -- the churn x warm-start x backend determinism matrix ---------------------
+# -- the churn x backend determinism matrix ----------------------------------
 class TestDynamicDeterminismMatrix:
     @pytest.fixture(scope="class", params=["events", "poisson"])
     def churn_spec(self, request):
@@ -103,7 +102,6 @@ class TestDynamicDeterminismMatrix:
             tiny_config(
                 churn=churn_spec,
                 battery={"capacity_j": 50.0},
-                warm_start=False,
                 backend="vector",
             )
         ).flat_metrics()
@@ -113,7 +111,6 @@ class TestDynamicDeterminismMatrix:
             tiny_config(
                 churn=churn_spec,
                 battery={"capacity_j": 50.0},
-                warm_start=False,
                 backend="vector",
             )
         ).flat_metrics()
@@ -124,50 +121,16 @@ class TestDynamicDeterminismMatrix:
             tiny_config(
                 churn=churn_spec,
                 battery={"capacity_j": 50.0},
-                warm_start=False,
                 backend="scalar",
             )
         ).flat_metrics()
         assert scalar == reference
 
-    def test_warm_start_is_bit_identical_modulo_puncture_diagnostics(
-        self, churn_spec, reference
-    ):
-        warm = run_round_loop(
-            tiny_config(
-                churn=churn_spec,
-                battery={"capacity_j": 50.0},
-                warm_start=True,
-                backend="vector",
-            )
-        ).flat_metrics()
-        # Warm runs additionally report the puncture diagnostic; every
-        # shared key must agree exactly.
-        punctures = {k for k in warm if k.endswith("_resolve_punctured")}
-        assert punctures
-        assert {k: v for k, v in warm.items() if k not in punctures} == reference
 
-    def test_warm_scalar_matches_warm_vector_exactly(self, churn_spec):
-        kwargs = dict(
-            churn=churn_spec, battery={"capacity_j": 50.0}, warm_start=True
-        )
-        vector = run_round_loop(tiny_config(backend="vector", **kwargs))
-        scalar = run_round_loop(tiny_config(backend="scalar", **kwargs))
-        assert vector.flat_metrics() == scalar.flat_metrics()
-
-
-def test_warm_chain_punctures_exactly_when_the_fleet_changes_shape():
-    report = run_round_loop(
-        tiny_config(rounds=4, churn=CHURN_EVENTS, warm_start=True)
-    )
-    # Round 1 has no chain yet; rounds 2 and 3 both carry events that
-    # change the active set; round 4 has no events, so the chain holds.
-    assert [r.resolve_punctured for r in report.records] == [
-        False,
-        True,
-        True,
-        False,
-    ]
+def test_fleet_size_follows_the_churn_schedule():
+    report = run_round_loop(tiny_config(rounds=4, churn=CHURN_EVENTS))
+    # Every round solves cold, so no round reports a punctured chain.
+    assert [r.resolve_punctured for r in report.records] == [None] * 4
     fleet_sizes = [r.fleet_size for r in report.records]
     expected = [
         len(p)

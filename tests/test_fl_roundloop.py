@@ -1,8 +1,8 @@
 """Tests for the closed-loop round-by-round FL training subsystem.
 
 The determinism tests here are the PR's acceptance gate: a fixed seed must
-give bit-identical per-round metrics across solver backends, warm and cold
-starts, and sweep execution order.
+give bit-identical per-round metrics across solver backends and sweep
+execution order.
 """
 
 import pytest
@@ -90,7 +90,7 @@ def test_fading_redraw_changes_the_allocation_between_rounds(baseline_report):
 
 
 def test_static_channel_reprices_rounds_identically():
-    report = run_round_loop(tiny_config(fading=None, warm_start=False))
+    report = run_round_loop(tiny_config(fading=None))
     times = {round(r.round_time_s, 12) for r in report.records}
     assert len(times) == 1
 
@@ -163,11 +163,6 @@ def test_fixed_seed_runs_are_bit_identical_across_backends(baseline_report):
     vector = _flat(tiny_config(backend="vector"))
     assert scalar == vector
     assert vector == baseline_report.flat_metrics()
-
-
-def test_fixed_seed_runs_are_bit_identical_warm_and_cold(baseline_report):
-    cold = _flat(tiny_config(warm_start=False))
-    assert cold == baseline_report.flat_metrics()
 
 
 def test_repeated_runs_are_bit_identical(baseline_report):

@@ -3,12 +3,10 @@ the ``repro bench`` report/compare machinery."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.allocator import AllocatorConfig, ResourceAllocator
 from repro.core.problem import JointProblem, ProblemWeights
-from repro.core.sum_of_ratios import SumOfRatiosSolver
 from repro.perf import bench
 from repro.perf.timers import StageTimings, active_collector, collect_timings, stage
 
@@ -103,96 +101,19 @@ def test_delay_only_solve_still_reports_timings(tiny_system):
     assert result.inner_iterations == 0
 
 
-# -- SumOfRatiosSolver warm-start API ----------------------------------------
-
-def _sp2_inputs(system):
-    n = system.num_devices
-    power = system.max_power_w.copy()
-    bandwidth = np.full(n, system.total_bandwidth_hz * 0.5 / n)
-    rates = system.rates_bps(power, bandwidth)
-    min_rate = 0.5 * rates
-    return min_rate, power, bandwidth
-
-
-def test_initial_beta_nu_pair_converges_to_same_solution(tiny_system):
-    solver = SumOfRatiosSolver(tiny_system, 0.5)
-    min_rate, power, bandwidth = _sp2_inputs(tiny_system)
-    reference = solver.solve(min_rate, power, bandwidth)
-    seeded = solver.solve(
-        min_rate,
-        power,
-        bandwidth,
-        initial_beta=reference.beta,
-        initial_nu=reference.nu,
-    )
-    assert seeded.converged
-    assert seeded.iterations <= reference.iterations
-    assert seeded.communication_energy_j == pytest.approx(
-        reference.communication_energy_j, rel=1e-5
-    )
-
-
-def test_initial_beta_without_nu_is_rejected(tiny_system):
-    solver = SumOfRatiosSolver(tiny_system, 0.5)
-    min_rate, power, bandwidth = _sp2_inputs(tiny_system)
-    with pytest.raises(ValueError, match="together"):
-        solver.solve(min_rate, power, bandwidth, initial_beta=np.ones_like(power))
-
-
-def test_invalid_initial_pair_shapes_rejected(tiny_system):
-    solver = SumOfRatiosSolver(tiny_system, 0.5)
-    min_rate, power, bandwidth = _sp2_inputs(tiny_system)
-    with pytest.raises(ValueError, match="per device"):
-        solver.solve(
-            min_rate,
-            power,
-            bandwidth,
-            initial_beta=np.ones(2),
-            initial_nu=np.ones(2),
-        )
-
-
-def test_mu_hint_preserves_the_solution_trajectory(tiny_system):
-    solver = SumOfRatiosSolver(tiny_system, 0.5)
-    min_rate, power, bandwidth = _sp2_inputs(tiny_system)
-    reference = solver.solve(min_rate, power, bandwidth)
-    hinted = solver.solve(min_rate, power, bandwidth, mu_hint=0.0)
-    assert hinted.iterations == reference.iterations
-    assert hinted.communication_energy_j == pytest.approx(
-        reference.communication_energy_j, rel=1e-8
-    )
-    np.testing.assert_allclose(hinted.power_w, reference.power_w, rtol=1e-7)
-    np.testing.assert_allclose(hinted.bandwidth_hz, reference.bandwidth_hz, rtol=1e-7)
-
-
-def test_warm_hints_round_trip_through_the_allocator(tiny_system):
-    problem = JointProblem(tiny_system, ProblemWeights(energy=0.5, time=0.5))
-    cold = ResourceAllocator().solve(problem)
-    assert cold.warm_hints.get("mu", 0.0) > 0.0
-    warm = ResourceAllocator().solve(problem, warm_hints=cold.warm_hints)
-    assert warm.iterations == cold.iterations
-    assert warm.inner_iterations == cold.inner_iterations
-    assert warm.objective == pytest.approx(cold.objective, rel=1e-8)
-
-
 # -- bench report & compare ---------------------------------------------------
 
 def _report(**metric_overrides):
     metrics = {
         "cold_wall_s": 2.0,
-        "warm_wall_s": 1.0,
         "scalar_wall_s": 5.0,
         "batch_wall_s": 0.8,
-        "warm_wall_speedup": 2.0,
         "batch_wall_speedup": 2.5,
         "batch_fill": 1.0,
         "batch_parity_max_rel_dev": 0.0,
         "backend_sp2_speedup": 3.0,
         "cold_outer_iterations": 100.0,
-        "warm_outer_iterations": 100.0,
         "cold_inner_iterations": 700.0,
-        "warm_inner_iterations": 700.0,
-        "parity_max_rel_dev": 1e-9,
         "backend_parity_max_rel_dev": 1e-12,
         "store_read_speedup": 2.5,
         "store_parity_max_rel_dev": 0.0,
@@ -205,10 +126,9 @@ def _report(**metric_overrides):
         "metrics": metrics,
         "tracked": {
             "cold_inner_iterations": "lower",
-            "warm_wall_speedup": "higher",
+            "backend_sp2_speedup": "higher",
         },
-        "floors": {"warm_wall_speedup": 1.3},
-        "parity_tol": 1e-6,
+        "floors": {"backend_sp2_speedup": 2.0},
         "backend_parity_tol": 1e-8,
     }
 
@@ -233,10 +153,21 @@ def test_compare_reports_allows_regressions_within_tolerance():
 
 def test_compare_reports_enforces_speedup_floor_and_parity():
     base = _report()
-    slow = _report(warm_wall_speedup=1.1)
+    slow = _report(backend_sp2_speedup=1.1)
     assert any("floor" in p for p in bench.compare_reports(slow, base))
-    broken = _report(parity_max_rel_dev=1e-3)
+    broken = _report(batch_parity_max_rel_dev=1e-3)
     assert any("parity" in p for p in bench.compare_reports(broken, base))
+
+
+def test_compare_reports_requires_the_batch_parity_gate():
+    # The batched/per-drop parity is the compare's required sweep-parity
+    # gate: a report without it fails instead of passing silently.
+    missing = _report()
+    del missing["metrics"]["batch_parity_max_rel_dev"]
+    assert any(
+        "batch_parity_max_rel_dev" in p and "missing" in p
+        for p in bench.compare_reports(missing, _report())
+    )
 
 
 def test_compare_reports_enforces_backend_floor_and_parity():
@@ -246,8 +177,7 @@ def test_compare_reports_enforces_backend_floor_and_parity():
         "backend_sp2_speedup" in p and "floor" in p
         for p in bench.compare_reports(slow, base)
     )
-    # The scalar/vector gate is far tighter than the warm/cold one: 1e-9
-    # passes the 1e-6 warm tolerance but must fail the 1e-8 backend gate...
+    # A deviation above the 1e-8 backend gate fails it...
     broken = _report(backend_parity_max_rel_dev=1e-7)
     assert any("backend parity" in p for p in bench.compare_reports(broken, base))
     # ...and a NaN (structurally different tables) must fail, not pass.
@@ -306,26 +236,6 @@ def test_compare_reports_enforces_store_floor_and_exact_parity():
     )
 
 
-def test_compare_reports_warm_floor_allows_scheduler_noise():
-    base = _report()
-    # Drop the fixture's stricter 1.3 override so the built-in 1.0 floor
-    # (warm hints are a vector-path no-op, warm == cold work) is exercised:
-    # with warm's wide noise slack, 0.90 passes and 0.80 fails.
-    base["floors"] = {}
-    # (also drop the fixture's tracked-ratio entry: this test is about the
-    # absolute floor, not the baseline-relative regression check)
-    base["tracked"] = {"cold_inner_iterations": "lower"}
-    noisy = _report(warm_wall_speedup=0.90)
-    assert not any(
-        "warm_wall_speedup" in p for p in bench.compare_reports(noisy, base)
-    )
-    slow = _report(warm_wall_speedup=0.80)
-    assert any(
-        "warm_wall_speedup" in p and "floor" in p
-        for p in bench.compare_reports(slow, base)
-    )
-
-
 def test_compare_reports_cross_mode_checks_floors_only():
     base = _report()
     other_mode = _report(cold_inner_iterations=10_000.0)
@@ -373,18 +283,18 @@ def test_fl_bench_config_scales_with_quick_flag():
 
 
 def test_compare_reports_flags_fl_parity_breach():
-    current = _report(
-        fl_warm_parity_max_rel_dev=1e-3, fl_backend_parity_max_rel_dev=0.0
-    )
     baseline = _report()
-    problems = bench.compare_reports(current, baseline)
-    assert any("fl_warm_parity_max_rel_dev" in p for p in problems)
-
     current = _report(
-        fl_warm_parity_max_rel_dev=0.0, fl_backend_parity_max_rel_dev=1e-3
+        fl_backend_parity_max_rel_dev=1e-3, fl_dynamic_backend_parity_max_rel_dev=0.0
     )
     problems = bench.compare_reports(current, baseline)
     assert any("fl_backend_parity_max_rel_dev" in p for p in problems)
+
+    current = _report(
+        fl_backend_parity_max_rel_dev=0.0, fl_dynamic_backend_parity_max_rel_dev=1e-3
+    )
+    problems = bench.compare_reports(current, baseline)
+    assert any("fl_dynamic_backend_parity_max_rel_dev" in p for p in problems)
 
 
 def test_compare_reports_tolerates_reports_without_fl_metrics():

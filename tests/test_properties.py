@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 pytestmark = pytest.mark.hypothesis
 
 from repro import constants
-from repro.solvers import (
-    project_box,
-    project_simplex,
-    solve_box_budget_lp,
-    solve_x_log_x,
-)
+from repro.solvers import solve_box_budget_lp, solve_x_log_x
 from repro.solvers.waterfilling import power_waterfilling
 from repro.wireless.rate import required_power_for_rate, shannon_rate
 
@@ -67,40 +61,6 @@ def test_solve_x_log_x_inverts_its_equation(rhs):
     x = float(solve_x_log_x(rhs))
     assert x >= 1.0
     assert np.isclose(x * np.log(x) - x + 1.0, rhs, rtol=1e-6, atol=1e-9)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    values=hnp.arrays(
-        dtype=float,
-        shape=st.integers(min_value=1, max_value=12),
-        elements=st.floats(min_value=-50.0, max_value=50.0),
-    ),
-    total=st.floats(min_value=0.1, max_value=100.0),
-)
-def test_simplex_projection_always_feasible(values, total):
-    projected = project_simplex(values, total=total)
-    assert np.all(projected >= -1e-9)
-    assert np.isclose(projected.sum(), total, rtol=1e-6)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    values=hnp.arrays(
-        dtype=float,
-        shape=st.integers(min_value=1, max_value=12),
-        elements=st.floats(min_value=-10.0, max_value=10.0),
-    ),
-    lo=st.floats(min_value=-5.0, max_value=0.0),
-    width=st.floats(min_value=0.1, max_value=10.0),
-)
-def test_box_projection_lands_inside_the_box(values, lo, width):
-    hi = lo + width
-    projected = project_box(values, lo, hi)
-    assert np.all(projected >= lo - 1e-12)
-    assert np.all(projected <= hi + 1e-12)
-    # Projection is idempotent.
-    assert np.allclose(project_box(projected, lo, hi), projected)
 
 
 @settings(max_examples=50, deadline=None)

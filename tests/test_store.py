@@ -4,7 +4,7 @@ The JSON backend is the compatibility oracle (the original one-file-per-
 task cache layout, unchanged); the columnar backend must serve *exactly*
 the same entries from its append-log + packed-segment layout.  The suite
 therefore leans on exact equality everywhere: metric key order, int-vs-
-float types and warm-state structure all round-trip bit-identically, and
+float types and solution-state structure all round-trip bit-identically, and
 compaction/migration/merge are byte-deterministic on disk.
 """
 
@@ -403,7 +403,7 @@ def test_shard_for_digest_partitions_and_is_stable():
     )
 
 
-# -- packed warm states ------------------------------------------------------
+# -- packed solution states --------------------------------------------------
 
 
 def test_columnar_packs_uniform_states_and_falls_back_on_irregular(tmp_path):

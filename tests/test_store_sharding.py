@@ -206,99 +206,6 @@ def test_merged_store_serves_a_cached_rerun(tmp_path):
     assert all(o.cached for o in outcomes)
 
 
-def _warm_chain_tasks():
-    """A tiny p_max axis whose proposed tasks chain along warm_order."""
-    from dataclasses import replace
-
-    tasks = []
-    for p_max_dbm in (6.0, 9.0, 12.0):
-        sweep = replace(TINY_SWEEP, max_power_dbm=p_max_dbm)
-        tasks += proposed_tasks(
-            ("p", p_max_dbm),
-            sweep,
-            0.5,
-            warm_group=("chain",),
-            warm_order=p_max_dbm,
-        )
-    return tasks
-
-
-def test_sharded_warm_runs_are_bit_identical_to_serial(tmp_path):
-    # satellite: shard x warm-start interaction.  Warm chains are a
-    # scheduling hint only — a sharded warm run, whose chains are punctured
-    # by skipped (other-shard) tasks, must still produce the exact serial
-    # metrics, and the merged shard stores must equal the serial warm store
-    # bit for bit.
-    tasks = _warm_chain_tasks()
-    serial_runner = SweepRunner(
-        jobs=1,
-        cache_dir=tmp_path / "serial",
-        use_cache=True,
-        store_backend="columnar",
-        warm_start=True,
-    )
-    serial = {task_hash(o.task): o.metrics for o in serial_runner.run(tasks)}
-
-    count = 3
-    shards = []
-    by_key: dict = {}
-    for index in range(count):
-        runner = SweepRunner(
-            jobs=1,
-            cache_dir=tmp_path / f"shard{index}",
-            use_cache=True,
-            store_backend="columnar",
-            warm_start=True,
-            shard=(index, count),
-        )
-        outcomes = runner.run(tasks)
-        assert runner.last_stats.failed == 0
-        for outcome in outcomes:
-            if not outcome.skipped:
-                by_key[task_hash(outcome.task)] = outcome.metrics
-        shards.append(open_store(tmp_path / f"shard{index}", "columnar"))
-
-    assert by_key == serial
-
-    serial_store = open_store(tmp_path / "serial", "columnar")
-    serial_store.compact()
-    merge_stores(shards, open_store(tmp_path / "merged", "columnar"))
-    assert _tree_bytes(tmp_path / "merged") == _tree_bytes(tmp_path / "serial")
-
-
-def test_warm_chains_skip_other_shard_tasks_deterministically(tmp_path):
-    # A chain whose middle point lands in another shard must restart cold
-    # after the gap rather than crash or warm-start across it: running the
-    # same shard twice (fresh stores) is bit-identical, and a cold unsharded
-    # run of the same tasks agrees on every executed metric.
-    tasks = _warm_chain_tasks()
-    cold = {
-        task_hash(o.task): o.metrics
-        for o in SweepRunner(jobs=1, use_cache=False).run(tasks)
-    }
-    count = 2
-    for index in range(count):
-        first = SweepRunner(
-            jobs=1,
-            cache_dir=tmp_path / f"one{index}",
-            use_cache=True,
-            warm_start=True,
-            shard=(index, count),
-        ).run(tasks)
-        second = SweepRunner(
-            jobs=1,
-            cache_dir=tmp_path / f"two{index}",
-            use_cache=True,
-            warm_start=True,
-            shard=(index, count),
-        ).run(tasks)
-        assert [o.skipped for o in first] == [o.skipped for o in second]
-        for left, right in zip(first, second):
-            assert left.metrics == right.metrics
-            if not left.skipped:
-                assert left.metrics == cold[task_hash(left.task)]
-
-
 def test_result_table_csv_identical_across_store_backends(tmp_path):
     # The store backend is pure addressing: a sweep served from a columnar
     # cache must export byte-identical CSV to one served from the JSON

@@ -1,7 +1,7 @@
 """`repro-lint`: project-specific static analysis for the reproduction.
 
 The reproduction's headline guarantees — bit-identical scalar/vector,
-warm/cold and serial/parallel trajectories — rest on hand-maintained
+batched/per-drop and serial/parallel trajectories — rest on hand-maintained
 conventions (purpose-tagged seed streams, ``ConvergenceError`` on
 iteration-budget exhaustion, "every semantic config field enters the
 cache key").  This package turns those conventions into AST-level lint

@@ -1,7 +1,7 @@
 """RL001 seed-discipline: every RNG draw must be purpose-seeded.
 
-The parity guarantees (serial vs ``--jobs``, warm vs cold, scalar vs
-vector) hold because every random draw in ``src/repro`` flows from an
+The parity guarantees (serial vs ``--jobs``, batched vs per-drop, scalar
+vs vector) hold because every random draw in ``src/repro`` flows from an
 explicit, purpose-tagged seed — the trial seed inside a
 :class:`~repro.experiments.runner.SweepTask`, or a ``(seed, stream)``
 tuple like the round-loop's ``_DATASET_STREAM``.  Three things break

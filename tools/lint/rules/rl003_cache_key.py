@@ -58,13 +58,12 @@ class KeySpec:
 
 #: class name -> how its fields must reach SweepTask.payload().
 WATCHED: dict[str, KeySpec] = {
-    # key/warm_key/warm_order are scheduling + aggregation labels: tasks
-    # sharing a payload are the same computation, and warm results must
-    # agree with cold ones (parity-tested), so they share cache entries.
+    # key is an aggregation label: tasks sharing a payload are the same
+    # computation, so they share cache entries.
     "SweepTask": KeySpec(
         mode="explicit",
         builders=("payload",),
-        allow=frozenset({"key", "warm_key", "warm_order"}),
+        allow=frozenset({"key"}),
     ),
     # num_trials/base_seed expand into the per-task scenario "seed" (each
     # trial is its own task); every other field must appear in the flat
@@ -77,7 +76,7 @@ WATCHED: dict[str, KeySpec] = {
     "AllocatorConfig": KeySpec(mode="asdict"),
     "SumOfRatiosConfig": KeySpec(mode="asdict"),
     "RoundLoopConfig": KeySpec(mode="asdict"),
-    # size is a scheduling knob like warm_key/warm_order: a batched lane's
+    # size is a scheduling knob: a batched lane's
     # trajectory is bit-identical to the per-drop solve (parity-tested), so
     # batch size deliberately stays out of the payload and cache keys are
     # shared with serial runs.  Any *new* BatchConfig field must either be

@@ -13,7 +13,7 @@ partitions drift between runs, and ``repro store merge`` loses its
 byte-identical-to-serial guarantee.
 
 The rule checks the watched addressing functions statically: any
-reference to semantic task material (the task payload, metrics, warm
+reference to semantic task material (the task payload, metrics, solution
 state, scenario or solver parameters) inside one of them is a finding.
 Renaming every watched function away without updating the spec below is
 itself reported — a silently-detached invariant is the failure mode this
@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from ..engine import Finding, ParsedModule, Project
+from ..engine import Finding, Project
 from ..registry import Rule, register
 
 #: The addressing primitives whose bodies must stay digest-pure.
