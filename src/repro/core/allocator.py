@@ -12,6 +12,13 @@ allocation, it alternates:
 until the allocation stops changing (tolerance ``epsilon_0``) or the
 iteration budget ``K`` is exhausted.
 
+There is one driver: a lockstep loop over independent problems ("lanes")
+that runs each step for every active lane at once.
+:meth:`ResourceAllocator.solve` is a batch of one lane and
+:meth:`ResourceAllocator.solve_batch` a batch of many; the numeric kernels
+underneath pick their 1-D or rows form by lane count, so a lane's result
+does not depend on the batch it ran in.
+
 Two special regimes are handled exactly as the paper's experiments use them:
 
 * ``w1 = 0`` (pure delay minimisation): the communication energy vanishes
@@ -32,16 +39,17 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import InfeasibleProblemError
-from ..perf.timers import StageTimings, stage
+from ..perf.timers import stage
 from ..solvers.dual_decomposition import minimize_separable_with_budget
 from ..wireless.rate import min_bandwidth_for_rate
 from .allocation import ResourceAllocation
 from .convergence import ConvergenceHistory
 from .problem import JointProblem
-from .subproblem1 import solve_subproblem1, solve_subproblem1_rows
+from .subproblem1 import solve_subproblem1_rows
 from .subproblem2 import validate_backend
 from .sum_of_ratios import (
     SumOfRatiosConfig,
+    SumOfRatiosResult,
     SumOfRatiosSolver,
     solve_sum_of_ratios_rows,
 )
@@ -93,8 +101,6 @@ class AllocationResult:
     history: ConvergenceHistory = field(default_factory=ConvergenceHistory)
     #: Total Algorithm-1 (sum-of-ratios) iterations across every outer step.
     inner_iterations: int = 0
-    #: Per-stage wall-clock seconds (``algorithm2``, ``sp1``, ``sp2``, ...).
-    timings: dict[str, float] = field(default_factory=dict)
     #: Final bandwidth multiplier ``mu`` of the last inner KKT solve that
     #: bound the budget (0 when it never did).
     mu: float = 0.0
@@ -112,6 +118,56 @@ class AllocationResult:
             "converged": float(self.converged),
             "feasible": float(self.feasible),
         }
+
+
+class _Lane:
+    """Mutable Algorithm-2 state of one lane of the lockstep driver."""
+
+    def __init__(self, problem: JointProblem, allocation: ResourceAllocation) -> None:
+        self.problem = problem
+        self.allocation = allocation
+        self.history = ConvergenceHistory()
+        self.converged = False
+        self.feasible = True
+        self.inner_iterations = 0
+        self.round_deadline = allocation.round_time_s(problem.system)
+        self.iteration = 0
+        self.last_mu = 0.0
+
+    def min_rate_requirements(self) -> np.ndarray:
+        """Per-device rates the current frequencies and deadline demand."""
+        allocation = self.allocation
+        min_rate = self.problem.min_rate_requirements(
+            allocation.frequency_hz, self.round_deadline
+        )
+        # The frequencies chosen by Subproblem 1 guarantee positive slack, so
+        # the requirements are finite; numerical round-off can still produce
+        # an infinity when a device sits exactly on the deadline.
+        return np.where(
+            np.isfinite(min_rate),
+            min_rate,
+            self.problem.system.rates_bps(allocation.power_w, allocation.bandwidth_hz),
+        )
+
+    def accept(self, inner: SumOfRatiosResult) -> None:
+        """Take Algorithm 1's ``(p, B)`` unless it raises the objective."""
+        problem = self.problem
+        candidate = self.allocation.with_communication(inner.power_w, inner.bandwidth_hz)
+        # Never accept a step that increases the overall weighted objective;
+        # the alternating scheme then remains monotone even when the inner
+        # solver's heuristic split is slightly off.  A deadline lane whose
+        # current point misses the deadline takes the step regardless.
+        if problem.objective(candidate) <= problem.objective(self.allocation) * (1 + 1e-12) or (
+            problem.deadline_s is not None
+            and not problem.is_feasible(self.allocation, rtol=1e-6)
+        ):
+            self.allocation = candidate
+            self.feasible = inner.feasible
+        else:
+            self.feasible = True
+        self.inner_iterations += inner.iterations
+        if inner.bandwidth_multiplier > 0.0:
+            self.last_mu = inner.bandwidth_multiplier
 
 
 class ResourceAllocator:
@@ -141,84 +197,14 @@ class ResourceAllocator:
         ``initial_allocation`` overrides the configured initial-point
         strategy.  Beware that the alternating scheme is a heuristic with
         many fixed points: a different initial point generally converges to
-        a (slightly) different solution.
+        a (slightly) different solution.  This is a one-lane batch of the
+        lockstep driver behind :meth:`solve_batch`; the lane's exception is
+        raised.
         """
-        system = problem.system
-        config = self.config
-        timings = StageTimings()
-        last_mu = 0.0
-        delay_only = problem.energy_weight <= 0.0 and problem.deadline_s is None
-        with stage("algorithm2", timings):
-            allocation = initial_allocation or self._initial_allocation(problem)
-
-            if delay_only:
-                allocation, history = self._solve_delay_only(problem, timings)
-        if delay_only:
-            return self._finalize(
-                problem,
-                allocation,
-                allocation.round_time_s(system),
-                history,
-                converged=True,
-                iterations=1,
-                feasible=True,
-                timings=timings,
-            )
-        with stage("algorithm2", timings):
-            history = ConvergenceHistory()
-            converged = False
-            feasible = True
-            inner_iterations = 0
-            round_deadline = allocation.round_time_s(system)
-            iteration = 0
-
-            for iteration in range(1, config.max_iterations + 1):
-                previous = allocation
-
-                # Step 1: Subproblem 1 — CPU frequencies and round deadline.
-                with stage("sp1", timings):
-                    upload_time = system.upload_time_s(
-                        allocation.power_w, allocation.bandwidth_hz
-                    )
-                    sp1 = solve_subproblem1(
-                        system,
-                        problem.energy_weight,
-                        problem.time_weight,
-                        upload_time,
-                        round_deadline_s=problem.round_deadline_s,
-                        method=config.subproblem1_method,
-                    )
-                allocation = allocation.with_frequency(sp1.frequency_hz)
-                round_deadline = sp1.round_deadline_s
-
-                # Step 2: Subproblem 2 — transmit power and bandwidth.
-                with stage("sp2", timings):
-                    allocation, feasible, inner, mu = self._solve_communication(
-                        problem, allocation, round_deadline
-                    )
-                inner_iterations += inner
-                if mu > 0.0:
-                    last_mu = mu
-
-                objective = problem.objective(allocation)
-                step_change = allocation.distance_to(previous)
-                history.append(objective, step_change=step_change, note=f"outer-{iteration}")
-                if step_change <= config.tolerance:
-                    converged = True
-                    break
-
-        return self._finalize(
-            problem,
-            allocation,
-            round_deadline,
-            history,
-            converged,
-            iteration,
-            feasible,
-            inner_iterations=inner_iterations,
-            timings=timings,
-            mu=last_mu,
-        )
+        (result,) = self._solve_lanes([problem], [initial_allocation], return_exceptions=True)
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def solve_batch(
         self,
@@ -230,194 +216,21 @@ class ResourceAllocator:
 
         Each lane's trajectory — every SP1/SP2 iterate, the convergence
         history, iteration counts and the final allocation — is bit-identical
-        to a stand-alone ``solve(problems[i])`` call.  Only the numeric hot
-        spots (the SP2 bandwidth-multiplier search and the SP1 golden-section
-        search) actually run batched; everything else executes per lane with
-        the exact per-drop code.  Lanes the batched kernels do not cover
-        (``energy_weight <= 0``, a hard deadline, or a non-vector backend)
-        are transparently routed through :meth:`solve`.
+        to a stand-alone ``solve(problems[i])`` call: both run the same
+        driver, and the numeric kernels it calls (the SP1 golden-section
+        search, the SP2 bandwidth-multiplier search) return the same bits
+        whether they take the rows path for a group of lanes or the 1-D
+        path for a single one.  Every lane kind runs in the batch: delay-only
+        (``w1 = 0``, no deadline), hard-deadline and scalar-backend lanes
+        included.
 
         With ``return_exceptions=True`` a failing lane's exception is
         returned in its slot (the :func:`asyncio.gather` idiom) instead of
         aborting the batch; otherwise the first failure propagates.
-
-        Batched lanes report empty ``timings`` — the lockstep loop
-        interleaves all lanes' SP1/SP2 work, so per-lane stage wall-clock
-        has no meaning there.
         """
-        num_lanes = len(problems)
-        results: list[AllocationResult | Exception | None] = [None] * num_lanes
-
-        class _Lane:
-            """Mutable per-lane outer-loop state (mirrors ``solve`` locals)."""
-
-            def __init__(self, problem: JointProblem, allocation: ResourceAllocation) -> None:
-                self.problem = problem
-                self.allocation = allocation
-                self.history = ConvergenceHistory()
-                self.converged = False
-                self.feasible = True
-                self.inner_iterations = 0
-                self.round_deadline = allocation.round_time_s(problem.system)
-                self.iteration = 0
-                self.last_mu = 0.0
-
-        lanes: dict[int, _Lane] = {}
-        for i, problem in enumerate(problems):
-            if (
-                self.backend != "vector"
-                or problem.energy_weight <= 0.0
-                or problem.deadline_s is not None
-            ):
-                # Corners the batched kernels do not model; the per-drop
-                # solver is authoritative there (and trivially bit-identical).
-                try:
-                    results[i] = self.solve(problem)
-                except Exception as exc:  # repro-lint: disable=RL005 -- lane isolation: one bad problem must fail its own slot, not the batch
-                    if not return_exceptions:
-                        raise
-                    results[i] = exc
-                continue
-            try:
-                lanes[i] = _Lane(problem, self._initial_allocation(problem))
-            except Exception as exc:  # repro-lint: disable=RL005 -- lane isolation: one bad problem must fail its own slot, not the batch
-                if not return_exceptions:
-                    raise
-                results[i] = exc
-
-        config = self.config
-        active = [i for i in sorted(lanes) if config.max_iterations >= 1]
-        while active:
-            for i in active:
-                lanes[i].iteration += 1
-
-            # Step 1 (batched): Subproblem 1 across all active lanes.
-            sp1_results = solve_subproblem1_rows(
-                [lanes[i].problem.system for i in active],
-                [lanes[i].problem.energy_weight for i in active],
-                [lanes[i].problem.time_weight for i in active],
-                [
-                    lanes[i].problem.system.upload_time_s(
-                        lanes[i].allocation.power_w, lanes[i].allocation.bandwidth_hz
-                    )
-                    for i in active
-                ],
-                method=config.subproblem1_method,
-            )
-            previous: dict[int, ResourceAllocation] = {}
-            survivors: list[int] = []
-            for k, i in enumerate(active):
-                lane = lanes[i]
-                sp1 = sp1_results[k]
-                if isinstance(sp1, Exception):
-                    # ``solve`` would have raised this out of the outer loop.
-                    if not return_exceptions:
-                        raise sp1
-                    results[i] = sp1
-                    lanes.pop(i)
-                    continue
-                previous[i] = lane.allocation
-                lane.allocation = lane.allocation.with_frequency(sp1.frequency_hz)
-                lane.round_deadline = sp1.round_deadline_s
-                survivors.append(i)
-            active = survivors
-
-            # Step 2 (batched): Subproblem 2 across the surviving lanes,
-            # replicating ``_solve_communication`` lane by lane around one
-            # batched Algorithm-1 call.
-            min_rates: dict[int, np.ndarray] = {}
-            for i in active:
-                lane = lanes[i]
-                system = lane.problem.system
-                min_rate = lane.problem.min_rate_requirements(
-                    lane.allocation.frequency_hz, lane.round_deadline
-                )
-                min_rates[i] = np.where(
-                    np.isfinite(min_rate),
-                    min_rate,
-                    system.rates_bps(lane.allocation.power_w, lane.allocation.bandwidth_hz),
-                )
-            inner_results = solve_sum_of_ratios_rows(
-                [
-                    SumOfRatiosSolver(
-                        lanes[i].problem.system,
-                        lanes[i].problem.energy_weight,
-                        config=config.sum_of_ratios,
-                        backend=self.backend,
-                    )
-                    for i in active
-                ],
-                [min_rates[i] for i in active],
-                [lanes[i].allocation.power_w for i in active],
-                [lanes[i].allocation.bandwidth_hz for i in active],
-            )
-            survivors = []
-            for k, i in enumerate(active):
-                lane = lanes[i]
-                inner = inner_results[k]
-                if isinstance(inner, InfeasibleProblemError):
-                    # Keep the previous (feasible) communication allocation.
-                    lane.feasible = False
-                    mu = 0.0
-                elif isinstance(inner, Exception):
-                    if not return_exceptions:
-                        raise inner
-                    results[i] = inner
-                    lanes.pop(i)
-                    continue
-                else:
-                    candidate = lane.allocation.with_communication(
-                        inner.power_w, inner.bandwidth_hz
-                    )
-                    # Same monotone guard as ``_solve_communication`` (the
-                    # deadline clause is vacuous here: deadline lanes never
-                    # reach the lockstep loop).
-                    if lane.problem.objective(candidate) <= lane.problem.objective(
-                        lane.allocation
-                    ) * (1 + 1e-12):
-                        lane.allocation = candidate
-                        lane.feasible = inner.feasible
-                    else:
-                        lane.feasible = True
-                    lane.inner_iterations += inner.iterations
-                    mu = inner.bandwidth_multiplier
-                if mu > 0.0:
-                    lane.last_mu = mu
-
-                objective = lane.problem.objective(lane.allocation)
-                step_change = lane.allocation.distance_to(previous[i])
-                lane.history.append(
-                    objective, step_change=step_change, note=f"outer-{lane.iteration}"
-                )
-                if step_change <= config.tolerance:
-                    lane.converged = True
-                elif lane.iteration < config.max_iterations:
-                    survivors.append(i)
-            active = survivors
-
-        for i, lane in lanes.items():
-            try:
-                results[i] = self._finalize(
-                    lane.problem,
-                    lane.allocation,
-                    lane.round_deadline,
-                    lane.history,
-                    lane.converged,
-                    lane.iteration,
-                    lane.feasible,
-                    inner_iterations=lane.inner_iterations,
-                    mu=lane.last_mu,
-                )
-            except Exception as exc:  # repro-lint: disable=RL005 -- lane isolation: one bad problem must fail its own slot, not the batch
-                if not return_exceptions:
-                    raise
-                results[i] = exc
-        final: list[AllocationResult | Exception] = []
-        for i, item in enumerate(results):
-            if item is None:  # pragma: no cover - defensive
-                raise RuntimeError(f"batch lane {i} was never solved")
-            final.append(item)
-        return final
+        return self._solve_lanes(
+            problems, [None] * len(problems), return_exceptions=return_exceptions
+        )
 
     # -- internals ----------------------------------------------------------
     def _initial_allocation(self, problem: JointProblem) -> ResourceAllocation:
@@ -526,106 +339,183 @@ class ResourceAllocator:
             )
         return initial
 
-    def _solve_communication(
+    def _solve_lanes(
         self,
-        problem: JointProblem,
-        allocation: ResourceAllocation,
-        round_deadline_s: float,
-    ) -> tuple[ResourceAllocation, bool, int, float]:
-        """Solve Subproblem 2.
+        problems: Sequence[JointProblem],
+        initial_allocations: Sequence[ResourceAllocation | None],
+        *,
+        return_exceptions: bool,
+    ) -> list[AllocationResult | Exception]:
+        """The lockstep Algorithm-2 driver behind ``solve`` and ``solve_batch``.
 
-        Returns ``(allocation, feasible, inner iterations, final bandwidth
-        multiplier)`` — the multiplier is 0 when the inner solver did not
-        run or the budget constraint was slack.
+        Every round runs Subproblem 1 for all active lanes in one
+        :func:`solve_subproblem1_rows` call, then Subproblem 2 in one
+        :func:`solve_sum_of_ratios_rows` call, then each lane's convergence
+        test; converged lanes drop out.  Lane kinds:
+
+        * ``w1 = 0`` with no deadline finishes at setup with the closed
+          form (maximum frequency, min-max upload; see
+          :mod:`repro.core.uplink_delay`);
+        * ``w1 = 0`` with a deadline takes the min-max upload split as its
+          Subproblem-2 step, since energy leaves the SP2 objective;
+        * a hard deadline fixes the per-round deadline in Subproblem 1.
         """
-        system = problem.system
         config = self.config
+        results: list[AllocationResult | Exception | None] = [None] * len(problems)
+        lanes: dict[int, _Lane] = {}
 
-        min_rate = problem.min_rate_requirements(
-            allocation.frequency_hz, round_deadline_s
-        )
-        # The frequencies chosen by Subproblem 1 guarantee positive slack, so
-        # the requirements are finite; numerical round-off can still produce
-        # an infinity when a device sits exactly on the deadline.
-        min_rate = np.where(np.isfinite(min_rate), min_rate, system.rates_bps(
-            allocation.power_w, allocation.bandwidth_hz
-        ))
+        def fail(i: int, exc: Exception) -> None:
+            if not return_exceptions:
+                raise exc
+            results[i] = exc
+            lanes.pop(i, None)
 
-        if problem.energy_weight <= 0.0:
-            uplink = minimize_max_upload_time(system)
-            return (
-                allocation.with_communication(uplink.power_w, uplink.bandwidth_hz),
-                True,
-                0,
-                0.0,
-            )
+        active: list[int] = []
+        with stage("algorithm2"):
+            for i, problem in enumerate(problems):
+                try:
+                    if problem.energy_weight <= 0.0 and problem.deadline_s is None:
+                        with stage("sp2"):
+                            uplink = minimize_max_upload_time(problem.system)
+                        lane = _Lane(
+                            problem,
+                            ResourceAllocation(
+                                power_w=uplink.power_w,
+                                bandwidth_hz=uplink.bandwidth_hz,
+                                frequency_hz=problem.system.max_frequency_hz.copy(),
+                            ),
+                        )
+                        lane.history.append(
+                            problem.objective(lane.allocation), note="delay-only"
+                        )
+                        lane.converged, lane.iteration = True, 1
+                    else:
+                        lane = _Lane(
+                            problem,
+                            initial_allocations[i] or self._initial_allocation(problem),
+                        )
+                        if config.max_iterations >= 1:
+                            active.append(i)
+                    lanes[i] = lane
+                except Exception as exc:  # repro-lint: disable=RL005 -- lane isolation: one bad problem must fail its own slot, not the batch
+                    fail(i, exc)
 
-        solver = SumOfRatiosSolver(
-            system,
-            problem.energy_weight,
-            config=config.sum_of_ratios,
-            backend=self.backend,
-        )
-        try:
-            result = solver.solve(min_rate, allocation.power_w, allocation.bandwidth_hz)
-        except InfeasibleProblemError:
-            # Keep the previous (feasible) communication allocation.
-            return allocation, False, 0, 0.0
-        candidate = allocation.with_communication(result.power_w, result.bandwidth_hz)
-        # Never accept a step that increases the overall weighted objective;
-        # the alternating scheme then remains monotone even when the inner
-        # solver's heuristic split is slightly off.
-        if problem.objective(candidate) <= problem.objective(allocation) * (1 + 1e-12) or (
-            problem.deadline_s is not None
-            and not problem.is_feasible(allocation, rtol=1e-6)
-        ):
-            return candidate, result.feasible, result.iterations, result.bandwidth_multiplier
-        return allocation, True, result.iterations, result.bandwidth_multiplier
+            while active:
+                for i in active:
+                    lanes[i].iteration += 1
 
-    def _solve_delay_only(
-        self, problem: JointProblem, timings: StageTimings
-    ) -> tuple[ResourceAllocation, ConvergenceHistory]:
-        """Closed-form solution for ``w1 = 0``: max frequency, min-max upload."""
-        system = problem.system
-        with stage("sp2", timings):
-            uplink = minimize_max_upload_time(system)
-        allocation = ResourceAllocation(
-            power_w=uplink.power_w,
-            bandwidth_hz=uplink.bandwidth_hz,
-            frequency_hz=system.max_frequency_hz.copy(),
-        )
-        history = ConvergenceHistory()
-        history.append(problem.objective(allocation), note="delay-only")
-        return allocation, history
+                # Step 1: Subproblem 1 — CPU frequencies and round deadline.
+                with stage("sp1"):
+                    sp1_results = solve_subproblem1_rows(
+                        [lanes[i].problem.system for i in active],
+                        [lanes[i].problem.energy_weight for i in active],
+                        [lanes[i].problem.time_weight for i in active],
+                        [
+                            lanes[i].problem.system.upload_time_s(
+                                lanes[i].allocation.power_w,
+                                lanes[i].allocation.bandwidth_hz,
+                            )
+                            for i in active
+                        ],
+                        round_deadlines_s=[lanes[i].problem.round_deadline_s for i in active],
+                        method=config.subproblem1_method,
+                    )
+                previous: dict[int, ResourceAllocation] = {}
+                for i, sp1 in zip(active, sp1_results):
+                    if isinstance(sp1, Exception):
+                        fail(i, sp1)
+                        continue
+                    lane = lanes[i]
+                    previous[i] = lane.allocation
+                    lane.allocation = lane.allocation.with_frequency(sp1.frequency_hz)
+                    lane.round_deadline = sp1.round_deadline_s
+                active = [i for i in active if i in lanes]
 
-    def _finalize(
-        self,
-        problem: JointProblem,
-        allocation: ResourceAllocation,
-        round_deadline_s: float,
-        history: ConvergenceHistory,
-        converged: bool,
-        iterations: int,
-        feasible: bool,
-        inner_iterations: int = 0,
-        timings: StageTimings | None = None,
-        mu: float = 0.0,
-    ) -> AllocationResult:
+                # Step 2: Subproblem 2 — transmit power and bandwidth.
+                with stage("sp2"):
+                    algorithm1: list[int] = []
+                    for i in active:
+                        lane = lanes[i]
+                        if lane.problem.energy_weight > 0.0:
+                            algorithm1.append(i)
+                            continue
+                        try:
+                            uplink = minimize_max_upload_time(lane.problem.system)
+                        except Exception as exc:  # repro-lint: disable=RL005 -- lane isolation: one bad problem must fail its own slot, not the batch
+                            fail(i, exc)
+                            continue
+                        lane.allocation = lane.allocation.with_communication(
+                            uplink.power_w, uplink.bandwidth_hz
+                        )
+                        lane.feasible = True
+                    inner_results = solve_sum_of_ratios_rows(
+                        [
+                            SumOfRatiosSolver(
+                                lanes[i].problem.system,
+                                lanes[i].problem.energy_weight,
+                                config=config.sum_of_ratios,
+                                backend=self.backend,
+                            )
+                            for i in algorithm1
+                        ],
+                        [lanes[i].min_rate_requirements() for i in algorithm1],
+                        [lanes[i].allocation.power_w for i in algorithm1],
+                        [lanes[i].allocation.bandwidth_hz for i in algorithm1],
+                    )
+                    for i, inner in zip(algorithm1, inner_results):
+                        if isinstance(inner, InfeasibleProblemError):
+                            # Keep the previous (feasible) communication allocation.
+                            lanes[i].feasible = False
+                        elif isinstance(inner, Exception):
+                            fail(i, inner)
+                        else:
+                            lanes[i].accept(inner)
+
+                survivors: list[int] = []
+                for i in active:
+                    if i not in lanes:
+                        continue
+                    lane = lanes[i]
+                    step_change = lane.allocation.distance_to(previous[i])
+                    lane.history.append(
+                        lane.problem.objective(lane.allocation),
+                        step_change=step_change,
+                        note=f"outer-{lane.iteration}",
+                    )
+                    if step_change <= config.tolerance:
+                        lane.converged = True
+                    elif lane.iteration < config.max_iterations:
+                        survivors.append(i)
+                active = survivors
+
+        for i, lane in lanes.items():
+            try:
+                results[i] = self._finalize(lane)
+            except Exception as exc:  # repro-lint: disable=RL005 -- lane isolation: one bad problem must fail its own slot, not the batch
+                fail(i, exc)
+        final: list[AllocationResult | Exception] = []
+        for i, item in enumerate(results):
+            if item is None:  # pragma: no cover - defensive
+                raise RuntimeError(f"batch lane {i} was never solved")
+            final.append(item)
+        return final
+
+    def _finalize(self, lane: _Lane) -> AllocationResult:
+        problem, allocation = lane.problem, lane.allocation
         terms = problem.objective_terms(allocation)
         report = problem.feasibility(allocation)
         return AllocationResult(
             allocation=allocation,
-            round_deadline_s=float(round_deadline_s),
+            round_deadline_s=float(lane.round_deadline),
             objective=terms["objective"],
             energy_j=terms["energy_j"],
             completion_time_s=terms["completion_time_s"],
             transmission_energy_j=terms["transmission_energy_j"],
             computation_energy_j=terms["computation_energy_j"],
-            converged=converged,
-            iterations=iterations,
-            feasible=feasible and report.is_feasible,
-            history=history,
-            inner_iterations=inner_iterations,
-            timings=timings.as_dict() if timings is not None else {},
-            mu=mu,
+            converged=lane.converged,
+            iterations=lane.iteration,
+            feasible=lane.feasible and report.is_feasible,
+            history=lane.history,
+            inner_iterations=lane.inner_iterations,
+            mu=lane.last_mu,
         )

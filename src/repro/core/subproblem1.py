@@ -229,24 +229,28 @@ def solve_subproblem1_rows(
     time_weights: Sequence[float],
     upload_times_s: Sequence[np.ndarray],
     *,
+    round_deadlines_s: Sequence[float | None] | None = None,
     method: str = "primal",
 ) -> list[Subproblem1Result | Exception]:
-    """Batched Subproblem-1 solve across independent lanes.
+    """Subproblem-1 solve across independent lanes.
 
     Lane ``i`` solves ``solve_subproblem1(systems[i], energy_weights[i],
-    time_weights[i], upload_times_s[i], method=method)`` and the result is
-    bit-identical to that per-drop call.  Only the primal golden-section
-    search over the deadline ``T`` is genuinely batched (through
+    time_weights[i], upload_times_s[i], round_deadline_s=
+    round_deadlines_s[i], method=method)`` and the result is bit-identical
+    to that 1-D call.  Only the primal golden-section search over the
+    deadline ``T`` is genuinely batched (through
     :func:`~repro.solvers.scalar.golden_section_rows`, whose lanes
-    replicate the scalar search exactly); degenerate corners — ``w1 <= 0``,
-    ``w2 <= 0``, an already-collapsed interval, or a non-primal ``method``
-    — fall through to the per-drop solver lane by lane.  Exceptions the
-    per-drop call would raise are returned in that lane's slot.
+    replicate the scalar search exactly), and only for a device-count
+    group of two or more lanes.  A one-lane group, a fixed-deadline lane
+    and the degenerate corners — ``w1 <= 0``, ``w2 <= 0``, an
+    already-collapsed interval, or a non-primal ``method`` — run
+    :func:`solve_subproblem1` lane by lane.  Exceptions the 1-D call would
+    raise are returned in that lane's slot.
 
     Golden lanes are sub-grouped by device count so the stacked objective
     sums run over rectangular ``(lanes, n)`` arrays, which NumPy reduces
-    with the same pairwise trees as the per-drop 1-D sums — the keystone of
-    the bit-parity guarantee.
+    with the same pairwise trees as the 1-D sums — the keystone of the
+    bit-parity guarantee.
     """
     num_lanes = len(systems)
     results: list[Subproblem1Result | Exception] = [
@@ -255,7 +259,25 @@ def solve_subproblem1_rows(
     golden: dict[int, list[int]] = {}
     uploads: dict[int, np.ndarray] = {}
     bounds: dict[int, tuple[float, float]] = {}
+    deadlines_s = round_deadlines_s or [None] * num_lanes
+
+    def solve_lane(i: int) -> None:
+        try:
+            results[i] = solve_subproblem1(
+                systems[i],
+                float(energy_weights[i]),
+                float(time_weights[i]),
+                upload_times_s[i],
+                round_deadline_s=deadlines_s[i],
+                method=method,
+            )
+        except (ConfigurationError, InfeasibleProblemError, ConvergenceError) as exc:
+            results[i] = exc
+
     for i in range(num_lanes):
+        if deadlines_s[i] is not None:
+            solve_lane(i)
+            continue
         system = systems[i]
         w1 = float(energy_weights[i])
         w2 = float(time_weights[i])
@@ -284,13 +306,14 @@ def solve_subproblem1_rows(
                 uploads[i] = upload
                 bounds[i] = (t_lower, t_upper)
             else:
-                results[i] = solve_subproblem1(
-                    system, w1, w2, upload, method=method
-                )
+                solve_lane(i)
         except (ConfigurationError, InfeasibleProblemError, ConvergenceError) as exc:
             results[i] = exc
 
     for n, lanes in golden.items():
+        if len(lanes) == 1:
+            solve_lane(lanes[0])
+            continue
         upload_rows = np.stack([uploads[i] for i in lanes])
         cycles_rows = np.stack([systems[i].cycles_per_round for i in lanes])
         fmin_rows = np.stack([systems[i].min_frequency_hz for i in lanes])
@@ -321,16 +344,7 @@ def solve_subproblem1_rows(
             # One stuck lane aborts the whole rows search; redo the group
             # lane by lane so only the genuinely failing lanes error out.
             for i in lanes:
-                try:
-                    results[i] = solve_subproblem1(
-                        systems[i],
-                        float(energy_weights[i]),
-                        float(time_weights[i]),
-                        uploads[i],
-                        method=method,
-                    )
-                except (ConfigurationError, InfeasibleProblemError, ConvergenceError) as exc:
-                    results[i] = exc
+                solve_lane(i)
             continue
         for k, i in enumerate(lanes):
             system = systems[i]

@@ -842,19 +842,26 @@ def solve_sp2_v2_rows(
     min_rates: Sequence[np.ndarray],
     *,
     mu_tol: float = 1e-13,
+    backend: str = DEFAULT_BACKEND,
 ) -> list[SP2Result | Exception]:
-    """Batched closed-form SP2_v2 across independent lanes (vector backend).
+    """Closed-form SP2_v2 across independent lanes.
 
-    Lane ``i`` solves the same problem as
-    ``solve_sp2_v2(systems[i], nus[i], betas[i], min_rates[i])`` and the
-    returned :class:`SP2Result` is bit-identical to that per-drop call:
-    preparation and the allocation tail run the exact per-lane code
-    (:func:`_sp2_prepare` / :func:`_sp2_finish`), and the only genuinely
-    batched stage — the bandwidth-multiplier search — hands its bracket to
-    the entry-independent polish, which collapses every search path onto
-    the same double.  Lanes are grouped by constrained-device count so all
-    array passes run over rectangular stacks (ragged padding would change
-    NumPy's pairwise-summation trees and break bit parity).
+    Lane ``i`` solves the same problem as ``solve_sp2_v2(systems[i],
+    nus[i], betas[i], min_rates[i], backend=backend)`` and the returned
+    :class:`SP2Result` is bit-identical to that 1-D call: preparation and
+    the allocation tail run the exact per-lane code (:func:`_sp2_prepare` /
+    :func:`_sp2_finish`).  Lanes are grouped by constrained-device count so
+    all array passes run over rectangular stacks (ragged padding would
+    change NumPy's pairwise-summation trees and break bit parity).
+
+    The bandwidth-multiplier search picks its kernel by lane count: a
+    group of two or more lanes runs the lockstep rows search
+    (:func:`_mu_search_vector_rows`, one candidate per lane per round), a
+    one-lane group runs the 1-D search of ``backend`` (which scans a chunk
+    of candidates per pass, so it needs fewer Lambert calls for one lane),
+    and the ``"scalar"`` backend always runs its probe-sequential oracle
+    lane by lane.  Every path hands its bracket to the entry-independent
+    polish, which collapses them onto the same double.
 
     Exceptions are returned in-place rather than raised so one diverged or
     infeasible lane cannot abort its neighbours: each element is either a
@@ -862,6 +869,7 @@ def solve_sp2_v2_rows(
     :class:`~repro.exceptions.ConvergenceError` the per-drop call would
     have raised, letting callers replicate their per-lane fallback logic.
     """
+    mu_search = _MU_SEARCHES[validate_backend(backend)]
     num_lanes = len(systems)
     results: list[SP2Result | Exception] = [
         InfeasibleProblemError("lane not solved") for _ in range(num_lanes)
@@ -883,6 +891,19 @@ def solve_sp2_v2_rows(
         else:
             solved[i] = (0.0, None)
     for n_c, lanes in groups.items():
+        if len(lanes) == 1 or backend == "scalar":
+            for i in lanes:
+                _, _, rmin, j, constrained = prepared[i]
+                try:
+                    solved[i] = mu_search(
+                        j[constrained],
+                        rmin[constrained],
+                        systems[i].total_bandwidth_hz,
+                        mu_tol=mu_tol,
+                    )
+                except ConvergenceError as exc:
+                    results[i] = exc
+            continue
         j_rows = np.empty((len(lanes), n_c))
         rmin_rows = np.empty((len(lanes), n_c))
         budgets = np.empty(len(lanes))

@@ -35,7 +35,6 @@ from .convergence import ConvergenceHistory
 from .subproblem2 import (
     DEFAULT_BACKEND,
     SP2Result,
-    solve_sp2_v2,
     solve_sp2_v2_numeric,
     solve_sp2_v2_rows,
     sp2_objective,
@@ -129,50 +128,6 @@ class SumOfRatiosSolver:
             )
         return rates
 
-    def _solve_inner(
-        self,
-        nu: np.ndarray,
-        beta: np.ndarray,
-        min_rate_bps: np.ndarray,
-        incumbent_power: np.ndarray,
-        incumbent_bandwidth: np.ndarray,
-    ) -> SP2Result:
-        """Solve SP2_v2, falling back to the numeric solver and, as a last
-        resort, to the (feasible) incumbent point."""
-        from .subproblem2 import sp2_objective
-
-        try:
-            result = solve_sp2_v2(
-                self.system,
-                nu,
-                beta,
-                min_rate_bps,
-                backend=self.backend,
-            )
-            if result.feasible or not self.config.use_numeric_fallback:
-                return result
-        except (InfeasibleProblemError, ConvergenceError):
-            if not self.config.use_numeric_fallback:
-                raise
-        try:
-            return solve_sp2_v2_numeric(self.system, nu, beta, min_rate_bps)
-        except (InfeasibleProblemError, SolverError):
-            # SolverError covers the numeric path's own failure modes (e.g.
-            # an unbracketable budget multiplier); the incumbent is the
-            # documented last resort either way, and the caller's monotone
-            # objective guard keeps a bad step from being accepted.
-            return SP2Result(
-                power_w=incumbent_power.copy(),
-                bandwidth_hz=incumbent_bandwidth.copy(),
-                objective=sp2_objective(
-                    self.system, nu, beta, incumbent_power, incumbent_bandwidth
-                ),
-                bandwidth_multiplier=0.0,
-                rate_multipliers=np.zeros_like(incumbent_power),
-                feasible=True,
-                method="incumbent",
-            )
-
     def _residual(
         self,
         beta: np.ndarray,
@@ -201,106 +156,27 @@ class SumOfRatiosSolver:
         """Run Algorithm 1 from a feasible ``(p, B)`` starting point.
 
         The auxiliary variables ``(beta, nu)`` start at the initial point's
-        exact ratios, which is the paper's initialisation.
+        exact ratios, which is the paper's initialisation.  This is a
+        one-lane :func:`solve_sum_of_ratios_rows` call; the lane's exception
+        is raised.
         """
-        system = self.system
-        config = self.config
-        min_rate = np.maximum(np.asarray(min_rate_bps, dtype=float), 0.0)
-        power = np.asarray(initial_power_w, dtype=float).copy()
-        bandwidth = np.asarray(initial_bandwidth_hz, dtype=float).copy()
-
-        rates = self._rates(power, bandwidth)
-        beta = power * system.upload_bits / rates
-        nu = self._scale / rates
-
-        history = ConvergenceHistory()
-        converged = False
-        feasible = True
-        residual_scale = float(
-            np.linalg.norm(np.concatenate([power * system.upload_bits, np.full_like(power, self._scale)]))
+        (result,) = solve_sum_of_ratios_rows(
+            [self], [min_rate_bps], [initial_power_w], [initial_bandwidth_hz]
         )
-        residual_scale = max(residual_scale, 1e-12)
-
-        last_multiplier = 0.0
-        iteration = 0
-        for iteration in range(1, config.max_iterations + 1):
-            with stage("sp2_inner"):
-                inner = self._solve_inner(nu, beta, min_rate, power, bandwidth)
-            if inner.bandwidth_multiplier > 0.0:
-                last_multiplier = inner.bandwidth_multiplier
-            new_power, new_bandwidth = inner.power_w, inner.bandwidth_hz
-            feasible = inner.feasible
-            new_rates = self._rates(new_power, new_bandwidth)
-
-            residual = self._residual(beta, nu, new_power, new_rates)
-            residual_norm = float(np.linalg.norm(residual))
-            objective = self.energy_weight * system.global_rounds * float(
-                np.sum(new_power * system.upload_bits / new_rates)
-            )
-            step_change = float(
-                np.linalg.norm(new_power - power) / max(np.linalg.norm(power), 1e-30)
-                + np.linalg.norm(new_bandwidth - bandwidth)
-                / max(np.linalg.norm(bandwidth), 1e-30)
-            )
-            history.append(
-                objective,
-                residual=residual_norm,
-                step_change=step_change,
-                note=inner.method,
-            )
-
-            power, bandwidth = new_power, new_bandwidth
-            if residual_norm <= config.residual_tol * residual_scale:
-                converged = True
-                break
-            if iteration > 1 and step_change <= config.step_tol:
-                converged = True
-                break
-
-            # Damped Newton-like update of (beta, nu) — steps 5-6 of Algorithm 1.
-            alpha = np.concatenate([beta, nu])
-            target_beta = power * system.upload_bits / new_rates
-            target_nu = self._scale / new_rates
-            direction = np.concatenate([target_beta - beta, target_nu - nu])
-
-            def residual_of_alpha(a: np.ndarray) -> np.ndarray:
-                half = a.shape[0] // 2
-                return self._residual(a[:half], a[half:], power, new_rates)
-
-            update = damped_newton_step(
-                alpha,
-                residual_of_alpha,
-                direction,
-                xi=config.damping_xi,
-                eps=config.damping_eps,
-            )
-            half = update.alpha.shape[0] // 2
-            beta, nu = update.alpha[:half], update.alpha[half:]
-
-        return SumOfRatiosResult(
-            power_w=power,
-            bandwidth_hz=bandwidth,
-            nu=nu,
-            beta=beta,
-            communication_energy_j=self.communication_energy(power, bandwidth),
-            converged=converged,
-            iterations=iteration,
-            feasible=feasible,
-            history=history,
-            bandwidth_multiplier=last_multiplier,
-        )
+        if isinstance(result, Exception):
+            raise result
+        return result
 
 
 class _BatchLane:
-    """Per-lane Algorithm-1 state of the lockstep batched solve.
+    """Per-lane Algorithm-1 state of the lockstep solve.
 
-    Replicates :meth:`SumOfRatiosSolver.solve` float-for-float, split into
-    an initialisation (`__init__`), a fallback resolution for the batched
-    inner solve (:meth:`resolve_inner`) and a per-iteration bookkeeping
-    step (:meth:`step`), so :func:`solve_sum_of_ratios_rows` can drive many
-    lanes in lockstep while each lane's trajectory stays bit-identical to a
-    stand-alone ``solve`` call.  Keep the arithmetic in sync with ``solve``
-    — the batched-parity suite holds the two to exact equality.
+    The one Algorithm-1 state machine: an initialisation (`__init__`), the
+    fallback ladder for the lane's closed-form SP2_v2 attempt
+    (:meth:`resolve_inner`) and one iteration's bookkeeping (:meth:`step`).
+    :func:`solve_sum_of_ratios_rows` drives any number of lanes in
+    lockstep, and :meth:`SumOfRatiosSolver.solve` is a batch of one, so a
+    lane's trajectory never depends on its neighbours.
     """
 
     def __init__(
@@ -337,13 +213,14 @@ class _BatchLane:
         self.iteration = 0
 
     def resolve_inner(self, attempt: SP2Result | Exception) -> SP2Result:
-        """Apply :meth:`SumOfRatiosSolver._solve_inner`'s fallback ladder.
+        """Resolve the lane's closed-form SP2_v2 attempt into a usable step.
 
-        ``attempt`` is this lane's outcome of the batched closed-form solve:
-        either the :class:`SP2Result` or the exception the per-drop call
-        would have raised.  Infeasible-or-failed attempts fall back to the
-        numeric solver and, as a last resort, the incumbent point — the
-        same ladder, per lane.
+        ``attempt`` is this lane's outcome of the closed-form solve: either
+        the :class:`SP2Result` or the exception it raised.  An infeasible or
+        failed attempt falls back to the numeric solver and, as a last
+        resort, to the (feasible) incumbent point; the caller's monotone
+        objective guard keeps a bad step from being accepted.  With
+        ``use_numeric_fallback`` off the attempt's exception is raised.
         """
         if isinstance(attempt, SP2Result):
             if attempt.feasible or not self.config.use_numeric_fallback:
@@ -355,6 +232,8 @@ class _BatchLane:
                 self.system, self.nu, self.beta, self.min_rate
             )
         except (InfeasibleProblemError, SolverError):
+            # SolverError covers the numeric path's own failure modes (e.g.
+            # an unbracketable budget multiplier).
             return SP2Result(
                 power_w=self.power.copy(),
                 bandwidth_hz=self.bandwidth.copy(),
@@ -370,9 +249,11 @@ class _BatchLane:
     def step(self, inner: SP2Result) -> bool:
         """One Algorithm-1 iteration given the resolved inner solve.
 
-        Returns ``True`` while the lane should keep iterating; mirrors one
-        pass of the ``solve`` loop body, including the convergence tests
-        and the damped Newton update of ``(beta, nu)``.
+        Returns ``True`` while the lane should keep iterating: the
+        convergence tests, then (unless the lane converged) the damped
+        Newton update of ``(beta, nu)`` — steps 5-6 of Algorithm 1.  A lane
+        that exhausts ``max_iterations`` still takes that last update, so
+        its final ``(beta, nu)`` track the ratios of its final ``(p, B)``.
         """
         system = self.system
         config = self.config
@@ -409,8 +290,6 @@ class _BatchLane:
         if self.iteration > 1 and step_change <= config.step_tol:
             self.converged = True
             return False
-        if self.iteration >= config.max_iterations:
-            return False
 
         alpha = np.concatenate([self.beta, self.nu])
         target_beta = self.power * system.upload_bits / new_rates
@@ -433,7 +312,7 @@ class _BatchLane:
         )
         half = update.alpha.shape[0] // 2
         self.beta, self.nu = update.alpha[:half], update.alpha[half:]
-        return True
+        return self.iteration < config.max_iterations
 
     def result(self) -> SumOfRatiosResult:
         return SumOfRatiosResult(
@@ -458,20 +337,21 @@ def solve_sum_of_ratios_rows(
     initial_powers: Sequence[np.ndarray],
     initial_bandwidths: Sequence[np.ndarray],
 ) -> list[SumOfRatiosResult | Exception]:
-    """Lockstep batch of independent Algorithm-1 solves (vector backend).
+    """Lockstep batch of independent Algorithm-1 solves.
 
-    Lane ``i`` runs ``solvers[i].solve(min_rates[i], initial_powers[i],
-    initial_bandwidths[i])`` in lockstep with its neighbours: each round,
-    every active lane's SP2_v2 closed form is solved in one batched
-    :func:`~repro.core.subproblem2.solve_sp2_v2_rows` call, then the
+    Lane ``i`` runs Algorithm 1 for ``solvers[i]`` from ``(initial_powers[i],
+    initial_bandwidths[i])`` under ``min_rates[i]``.  Each round, every
+    active lane's SP2_v2 closed form is solved by one
+    :func:`~repro.core.subproblem2.solve_sp2_v2_rows` call per SP2 backend
+    (the kernel picks its 1-D or rows search by lane count), then the
     per-lane bookkeeping (fallback ladder, residuals, convergence tests,
-    damped Newton update) runs with the exact per-drop code.  Converged or
-    failed lanes drop out of subsequent rounds; stragglers keep iterating.
+    damped Newton update) runs lane by lane.  Converged or failed lanes drop
+    out of subsequent rounds; stragglers keep iterating.
 
-    Results are bit-identical to the per-drop calls.  Exceptions a
-    per-drop ``solve`` would raise (e.g. infeasible iterates) are returned
-    in that lane's slot instead of raised, so one bad lane cannot abort
-    the batch.  Intended for the vector backend.
+    A lane's result does not depend on its neighbours: a batch of one
+    (:meth:`SumOfRatiosSolver.solve`) gives the same bits.  Exceptions (e.g.
+    infeasible iterates) are returned in that lane's slot instead of
+    raised, so one bad lane cannot abort the batch.
     """
     num_lanes = len(solvers)
     results: list[SumOfRatiosResult | Exception] = [
@@ -487,18 +367,31 @@ def solve_sum_of_ratios_rows(
             results[i] = exc
     active = [i for i in lanes if lanes[i].config.max_iterations >= 1]
     while active:
-        attempts = solve_sp2_v2_rows(
-            [lanes[i].system for i in active],
-            [lanes[i].nu for i in active],
-            [lanes[i].beta for i in active],
-            [lanes[i].min_rate for i in active],
-        )
+        groups: dict[str, list[int]] = {}
+        for i in active:
+            groups.setdefault(lanes[i].solver.backend, []).append(i)
+        inners: dict[int, SP2Result] = {}
+        with stage("sp2_inner"):
+            for backend, group in groups.items():
+                attempts = solve_sp2_v2_rows(
+                    [lanes[i].system for i in group],
+                    [lanes[i].nu for i in group],
+                    [lanes[i].beta for i in group],
+                    [lanes[i].min_rate for i in group],
+                    backend=backend,
+                )
+                for i, attempt in zip(group, attempts):
+                    try:
+                        inners[i] = lanes[i].resolve_inner(attempt)
+                    except (InfeasibleProblemError, ConvergenceError) as exc:
+                        results[i] = exc
+                        lanes.pop(i)
         still: list[int] = []
-        for k, i in enumerate(active):
-            lane = lanes[i]
+        for i in active:
+            if i not in inners:
+                continue
             try:
-                inner = lane.resolve_inner(attempts[k])
-                if lane.step(inner):
+                if lanes[i].step(inners[i]):
                     still.append(i)
             except (InfeasibleProblemError, ConvergenceError) as exc:
                 results[i] = exc

@@ -21,7 +21,6 @@ from typing import Mapping
 
 import numpy as np
 
-from ..solvers.kkt import box_constraint_violation, budget_violation
 from ..system import SystemModel
 from .allocation import ResourceAllocation
 from .problem import JointProblem
@@ -34,6 +33,25 @@ _LN2 = np.log(2.0)
 
 #: Default tolerance on every certificate residual.
 DEFAULT_TOL = 1e-6
+
+
+def _box_constraint_violation(
+    x: np.ndarray, lower: np.ndarray | float, upper: np.ndarray | float
+) -> float:
+    """Worst relative violation of ``lower <= x <= upper``."""
+    x_arr = np.asarray(x, dtype=float)
+    lo = np.broadcast_to(np.asarray(lower, dtype=float), x_arr.shape)
+    hi = np.broadcast_to(np.asarray(upper, dtype=float), x_arr.shape)
+    scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    below = np.maximum(lo - x_arr, 0.0) / scale
+    above = np.maximum(x_arr - hi, 0.0) / scale
+    return float(np.max(np.maximum(below, above), initial=0.0))
+
+
+def _budget_violation(x: np.ndarray, budget: float) -> float:
+    """Relative violation of ``sum(x) <= budget``."""
+    total = float(np.sum(np.asarray(x, dtype=float)))
+    return max(0.0, (total - budget) / max(1.0, abs(budget)))
 
 
 @dataclass(frozen=True)
@@ -137,13 +155,13 @@ def check_kkt(
     rates = system.rates_bps(power, bandwidth)
 
     residuals: dict[str, float] = {
-        "power_box": box_constraint_violation(
+        "power_box": _box_constraint_violation(
             power, system.min_power_w, system.max_power_w
         ),
         "bandwidth_sign": float(
             np.max(-bandwidth / system.total_bandwidth_hz, initial=0.0)
         ),
-        "bandwidth_budget": budget_violation(bandwidth, system.total_bandwidth_hz),
+        "bandwidth_budget": _budget_violation(bandwidth, system.total_bandwidth_hz),
         "min_rate": _relative_rate_violation(rates, rmin),
     }
 
@@ -222,7 +240,7 @@ def check_sp1(
     round_time = upload + system.cycles_per_round / frequency
     return KKTCertificate(
         residuals={
-            "frequency_box": box_constraint_violation(
+            "frequency_box": _box_constraint_violation(
                 frequency, system.min_frequency_hz, system.max_frequency_hz
             ),
             "deadline_cover": float(

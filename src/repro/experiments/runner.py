@@ -32,8 +32,7 @@ through a pluggable :class:`SweepRunner`:
   are solved together in one lockstep multi-solve pass
   (:func:`execute_batch` / :meth:`ResourceAllocator.solve_batch`) whose
   lanes are bit-identical to per-drop solves; with ``jobs > 1`` each group
-  is cut into at most ``jobs`` contiguous chunks, one pool call each, and a
-  one-lane group or chunk runs per drop.
+  is cut into at most ``jobs`` contiguous chunks, one pool call each.
 
 Every solve starts cold from the paper's initial point, so a task's result
 depends on nothing but the task itself.
@@ -387,7 +386,8 @@ def execute_batch(
     lanes: list[tuple[int, JointProblem]] = []
     for position, task in enumerate(tasks):
         try:
-            system = task.scenario_spec().build()
+            with stage("scenario_build"):
+                system = task.scenario_spec().build()
             weights = ProblemWeights.from_energy_weight(
                 task.solver_params["energy_weight"]
             )
@@ -403,9 +403,10 @@ def execute_batch(
     # One allocator serves the batch: the group key pins the configuration,
     # so every lane would build this same instance.
     allocator = ResourceAllocator(tasks[lanes[0][0]].solver_params.get("allocator"))
-    solved = allocator.solve_batch(
-        [problem for _, problem in lanes], return_exceptions=True
-    )
+    with stage("solve"):
+        solved = allocator.solve_batch(
+            [problem for _, problem in lanes], return_exceptions=True
+        )
     for (position, _problem), result in zip(lanes, solved):
         if isinstance(result, Exception):
             results[position] = (None, None, f"{type(result).__name__}: {result}")
@@ -416,20 +417,26 @@ def execute_batch(
 
 def _execute_step(
     tasks: Sequence[SweepTask],
+    batched: bool,
 ) -> list[tuple[dict[str, float] | None, dict[str, Any] | None, dict[str, float] | None, str | None]]:
     """Run one scheduling unit of the runner (worker entry point).
 
-    Several tasks form one lockstep batch (:func:`execute_batch`; its lanes
-    carry no stage timings); a single task runs per drop through
+    A batched unit is one lockstep pass (:func:`execute_batch`) of one or
+    more tasks; otherwise the unit is a single task run per drop through
     :func:`_execute_safely`.  Either way one ``(metrics, state, timings,
-    error)`` tuple comes back per task.
+    error)`` tuple comes back per task.  A pass of several lanes has no
+    per-lane stage breakdown, so only a one-lane pass reports ``timings``.
     """
-    if len(tasks) > 1:
-        return [
-            (metrics, state, None, error)
-            for metrics, state, error in execute_batch(tasks)
-        ]
-    return [_execute_safely(tasks[0])]
+    if not batched:
+        return [_execute_safely(tasks[0])]
+    collector = StageTimings()
+    with collect_timings(collector):
+        triples = execute_batch(tasks)
+    timings = collector.as_dict() if len(tasks) == 1 else None
+    return [
+        (metrics, state, timings if error is None else None, error)
+        for metrics, state, error in triples
+    ]
 
 
 @dataclass(frozen=True)
@@ -591,8 +598,9 @@ class SweepCache:
 ProgressFn = Callable[[int, int, TaskOutcome], None]
 
 #: One scheduling unit of :meth:`SweepRunner.run`: the indices of the tasks
-#: it runs — one for a per-drop solve, several for a lockstep batch.
-_Unit = list[int]
+#: it runs, and whether they run as one lockstep batch (otherwise the unit
+#: is one task solved per drop).
+_Unit = tuple[list[int], bool]
 
 
 class SweepRunner:
@@ -620,10 +628,12 @@ class SweepRunner:
         (:meth:`ResourceAllocator.solve_batch`); ``None`` (default) solves a
         whole group in one pass, ``1`` solves every task per drop.  With
         ``jobs > 1`` a group is further cut into up to ``jobs`` contiguous
-        chunks of two or more lanes, each one pool call.  A one-lane group or
-        chunk runs per drop (a batch of one is slower than ``solve``).
-        Results and cache keys are bit-identical to the per-drop path; only
-        the wall clock changes, and batched outcomes carry no ``timings``.
+        chunks, each one pool call.  A batch of one costs what a per-drop
+        solve costs (the kernels take their 1-D path for one lane), so a
+        lone task of its shape is simply a one-lane batch.  Results and
+        cache keys are bit-identical to the per-drop path; only the wall
+        clock changes, and outcomes of a batch of several lanes carry no
+        ``timings``.
     store_backend:
         Result-store backend for the cache (``"json"`` / ``"columnar"``);
         ``None`` auto-detects from the cache directory's on-disk layout.
@@ -716,8 +726,8 @@ class SweepRunner:
         try:
             if pending:
                 units = self._plan_batches(tasks, pending, stats)
-                batched = {index for unit in units for index in unit}
-                units += [[index] for index in pending if index not in batched]
+                batched = {index for indices, _ in units for index in indices}
+                units += [([index], False) for index in pending if index not in batched]
                 executor = (
                     ProcessPoolExecutor(max_workers=min(self.jobs, len(units)))
                     if self.jobs > 1
@@ -775,9 +785,7 @@ class SweepRunner:
 
         Each same-shape group is cut into even contiguous chunks: as many
         as the ``batch_size`` cap needs, and with ``jobs > 1`` up to ``jobs``
-        chunks of two or more lanes so every worker gets one.  A chunk of
-        one lane is left out here and runs per drop with the other pending
-        tasks (a batch of one costs more than ``solve``).
+        chunks so every worker gets one.
         """
         if self.batch is None:
             return []
@@ -790,17 +798,15 @@ class SweepRunner:
             count = len(indices)
             pieces = 1 if self.batch.size is None else -(-count // self.batch.size)
             if self.jobs > 1:
-                pieces = max(pieces, min(self.jobs, count // 2))
+                pieces = max(pieces, min(self.jobs, count))
             base, extra = divmod(count, pieces)
             start = 0
             for piece in range(pieces):
                 stop = start + base + (piece < extra)
-                chunk = indices[start:stop]
+                units.append((indices[start:stop], True))
                 start = stop
-                if len(chunk) > 1:
-                    stats.batches += 1
-                    stats.batched_tasks += len(chunk)
-                    units.append(chunk)
+            stats.batches += pieces
+            stats.batched_tasks += count
         return units
 
     def _execute(
@@ -811,8 +817,8 @@ class SweepRunner:
     ) -> Iterator[tuple[int, TaskOutcome]]:
         """Run every unit, inline in order or fanned out over the pool."""
 
-        def outcomes_of(unit: _Unit, results) -> Iterator[tuple[int, TaskOutcome]]:
-            for index, (metrics, state, timings, error) in zip(unit, results):
+        def outcomes_of(indices: list[int], results) -> Iterator[tuple[int, TaskOutcome]]:
+            for index, (metrics, state, timings, error) in zip(indices, results):
                 yield index, TaskOutcome(
                     task=tasks[index],
                     metrics=metrics,
@@ -822,21 +828,23 @@ class SweepRunner:
                 )
 
         if executor is None:
-            for unit in units:
-                yield from outcomes_of(unit, _execute_step([tasks[i] for i in unit]))
+            for indices, batched in units:
+                yield from outcomes_of(
+                    indices, _execute_step([tasks[i] for i in indices], batched)
+                )
             return
 
         futures = {
-            executor.submit(_execute_step, [tasks[i] for i in unit]): unit
-            for unit in units
+            executor.submit(_execute_step, [tasks[i] for i in indices], batched): indices
+            for indices, batched in units
         }
         for future in as_completed(futures):
-            unit = futures[future]
+            indices = futures[future]
             try:
                 results = future.result()
             except Exception as exc:  # repro-lint: disable=RL005 -- pool failures (e.g. BrokenProcessPool) must become error outcomes
-                results = [(None, None, None, f"{type(exc).__name__}: {exc}")] * len(unit)
-            yield from outcomes_of(unit, results)
+                results = [(None, None, None, f"{type(exc).__name__}: {exc}")] * len(indices)
+            yield from outcomes_of(indices, results)
 
     def _cache_put(self, outcome: TaskOutcome) -> None:
         """Store one result, degrading to cache-off if the disk won't take it.

@@ -19,13 +19,12 @@ implements the required numerical machinery directly:
   fallback / cross-check for the closed-form SP2_v2 solver).
 * :mod:`repro.solvers.newton` — damped Newton-like root finding used by the
   sum-of-ratios outer loop (Algorithm 1).
-* :mod:`repro.solvers.kkt` — KKT residual diagnostics used by the tests.
 """
 
 from .bisection import bisect_scalar, bisect_vector, expand_bracket, expand_bracket_vector
 from .boxlp import solve_box_budget_lp
 from .dual_decomposition import minimize_separable_with_budget
-from .lambert import lambert_solve_vector, lambert_w_principal, solve_x_log_x
+from .lambert import lambert_solve_vector, solve_x_log_x
 from .newton import DampedNewtonResult, damped_newton_step
 from .scalar import golden_section_scalar, golden_section_vector
 from .waterfilling import maximize_concave_on_simplex, power_waterfilling
@@ -38,7 +37,6 @@ __all__ = [
     "solve_box_budget_lp",
     "minimize_separable_with_budget",
     "lambert_solve_vector",
-    "lambert_w_principal",
     "solve_x_log_x",
     "DampedNewtonResult",
     "damped_newton_step",

@@ -10,10 +10,8 @@ whose solution is ``x = (mu - j) / (j * W0((mu - j) / (e * j)))`` for
 ``mu != j`` and ``x = e`` for ``mu = j``.  The solvers never evaluate W0
 itself: they find that root with a guarded Newton iteration on
 ``x ln x - x + 1 = rhs`` (the scalar oracle's and the vector backend's
-forms, each with a row-stopping batched twin).  :func:`lambert_w_principal`
-wraps :func:`scipy.special.lambertw` for the tests, which cross-check the
-Newton roots against the closed form; scipy is imported only when it is
-called.
+forms, each with a row-stopping batched twin).  The tests cross-check the
+Newton roots against that closed form.
 """
 
 from __future__ import annotations
@@ -54,28 +52,11 @@ def _check_lambert_residual(
         )
 
 __all__ = [
-    "lambert_w_principal",
     "solve_x_log_x",
     "solve_x_log_x_rows",
     "lambert_solve_vector",
     "lambert_solve_rows",
 ]
-
-
-def lambert_w_principal(z: np.ndarray | float) -> np.ndarray:
-    """Principal branch ``W0(z)`` for real ``z >= -1/e``, returned as float.
-
-    Values marginally below ``-1/e`` (from round-off) are clamped to the
-    branch point, where ``W0 = -1``.
-    """
-    from scipy import special
-
-    z_arr = np.asarray(z, dtype=float)
-    clamped = np.maximum(z_arr, -1.0 / np.e)
-    w = np.real(special.lambertw(clamped, k=0))
-    # Exactly at (or within round-off of) the branch point scipy can return
-    # NaN; the limit value there is -1.
-    return np.where(np.isnan(w), -1.0, w)
 
 
 def solve_x_log_x(

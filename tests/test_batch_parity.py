@@ -103,7 +103,7 @@ def test_solve_batch_mixes_families_and_fleet_sizes():
         _assert_results_identical(result, allocator.solve(problem))
 
 
-def test_solve_batch_routes_escape_lanes_through_per_drop_solver():
+def test_solve_batch_handles_corner_lanes():
     system = _build("paper", num_devices=6, seed=0)
     problems = [
         JointProblem(system, ProblemWeights(0.5, 0.5)),
@@ -111,11 +111,34 @@ def test_solve_batch_routes_escape_lanes_through_per_drop_solver():
         JointProblem(system, ProblemWeights(0.0, 1.0)),
         # Hard completion-time budget: the deadline regime.
         JointProblem(system, ProblemWeights(0.5, 0.5), deadline_s=1e4),
+        # w1 = 0 under a deadline: min-max upload as the SP2 step.
+        JointProblem(system, ProblemWeights(0.0, 1.0), deadline_s=1e4),
     ]
     allocator = ResourceAllocator()
     batched = allocator.solve_batch(problems)
     for problem, result in zip(problems, batched):
         _assert_results_identical(result, allocator.solve(problem))
+    # The deadline lane with w1 = 0 really runs the alternation.
+    assert batched[3].history[0].note == "outer-1"
+
+    # Scalar-backend lanes batch too (the w1 > 0 deadline lane is left out
+    # only because the scalar oracle takes seconds on it).
+    scalar = ResourceAllocator(backend="scalar")
+    lanes = [problems[0], problems[1], problems[3]]
+    for problem, result in zip(lanes, scalar.solve_batch(lanes)):
+        _assert_results_identical(result, scalar.solve(problem))
+
+    # A lane started from an explicit allocation, batched beside a lane on
+    # the configured start: each matches its own ``solve``.
+    start = problems[0].initial_allocation(bandwidth_fraction=0.9)
+    neighbour = JointProblem(system, ProblemWeights(0.9, 0.1))
+    together = allocator._solve_lanes(
+        [problems[0], neighbour], [start, None], return_exceptions=False
+    )
+    explicit = allocator.solve(problems[0], initial_allocation=start)
+    _assert_results_identical(together[0], explicit)
+    _assert_results_identical(together[1], allocator.solve(neighbour))
+    assert explicit.objective != allocator.solve(problems[0]).objective
 
 
 def test_solve_batch_exception_lanes_isolate():
@@ -312,17 +335,29 @@ def test_runner_batch_size_one_disables_batching():
     )
 
 
-def test_runner_one_lane_group_runs_per_drop():
-    # A batch of one is slower than a per-drop solve, so a lone task of its
-    # shape runs through the per-drop path and keeps its stage timings.
+def test_runner_one_lane_group_runs_as_a_batch_of_one(monkeypatch):
+    # A batch of one costs what a per-drop solve costs, so a lone task of
+    # its shape runs through ``execute_batch`` like any other group.
+    from repro.experiments import runner as runner_module
+
+    batches = []
+    execute_batch = runner_module.execute_batch
+
+    def spy(tasks):
+        batches.append(len(tasks))
+        return execute_batch(tasks)
+
+    monkeypatch.setattr(runner_module, "execute_batch", spy)
     [task] = [t for t in _fig2_tasks() if t.solver_kind == "proposed"][:1]
     runner = SweepRunner()
     [outcome] = runner.run([task])
-    assert runner.last_stats.batches == 0
-    assert runner.last_stats.batched_tasks == 0
+    assert batches == [1]
+    assert runner.last_stats.batches == 1
+    assert runner.last_stats.batched_tasks == 1
     assert outcome.ok
+    # A one-lane pass still reports its lane's stage timings.
     assert outcome.timings is not None
-    for name in ("scenario_build", "solve"):
+    for name in ("scenario_build", "solve", "algorithm2"):
         assert outcome.timings.get(name, 0.0) > 0.0
     [reference] = SweepRunner(batch_size=1).run([task])
     assert outcome.metrics == reference.metrics

@@ -37,10 +37,10 @@ from repro.solvers import (
     expand_bracket,
     expand_bracket_vector,
     lambert_solve_vector,
-    lambert_w_principal,
     solve_x_log_x,
 )
 from repro.solvers.waterfilling import power_waterfilling
+from tests.lambert_reference import lambert_w_principal
 
 pytestmark = pytest.mark.hypothesis
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.solvers import lambert_w_principal, solve_x_log_x
+from repro.solvers import solve_x_log_x
+from tests.lambert_reference import lambert_w_principal
 
 
 def test_lambert_w_known_values():
