@@ -274,6 +274,28 @@ def _polish_mu_rows(
     return mu, x
 
 
+def _newton_start(
+    mu_lo: np.ndarray | float,
+    f_lo: np.ndarray | float,
+    mu_hi: np.ndarray | float,
+    f_hi: np.ndarray | float,
+) -> np.ndarray:
+    """First Newton iterate of the multiplier search, per lane.
+
+    Across a scan bracket (one ×4 step) the excess is close to linear in
+    ``log mu``, so the secant point in ``log mu`` lands a few Newton steps
+    nearer the root than ``mu_hi``.  A point that is not strictly inside the
+    bracket (round-off, or an overflowing excess) falls back to ``mu_hi``.
+    Only the pre-polish iterates move: :func:`_polish_mu` is entry-independent.
+    """
+    mu_lo, f_lo = np.asarray(mu_lo, dtype=float), np.asarray(f_lo, dtype=float)
+    mu_hi, f_hi = np.asarray(mu_hi, dtype=float), np.asarray(f_hi, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_lo = np.log(mu_lo)
+        mu = np.exp(log_lo + f_lo / (f_lo - f_hi) * (np.log(mu_hi) - log_lo))
+    return np.where((mu_lo < mu) & (mu < mu_hi), mu, mu_hi)
+
+
 def _mu_search_scalar(
     j_c: np.ndarray,
     rmin_c: np.ndarray,
@@ -460,8 +482,9 @@ def _mu_search_vector(
         f_lo = f_hi = 0.0
 
     # Safeguarded Newton on the bracket [mu_lo, mu_hi] (f_lo >= 0 >= f_hi).
-    mu_k, f_k, x_k = mu_hi, f_hi, None
     converged = mu_hi - mu_lo <= mu_tol * mu_hi or f_lo == 0.0 or f_hi == 0.0
+    mu_k = mu_hi if converged else float(_newton_start(mu_lo, f_lo, mu_hi, f_hi))
+    x_k = None
     for _ in range(MU_SEARCH_MAX_ITERATIONS):
         if converged:
             break
@@ -521,136 +544,152 @@ def _mu_search_vector_rows(
     messages.
     """
     num_lanes, n_c = j_rows.shape
-    lead = rmin_rows * _LN2
+    SCAN_UP, SCAN_DOWN, NEWTON = range(3)
+    mu_out = np.zeros(num_lanes)
+    polish = np.zeros(num_lanes, dtype=bool)
+    errors: list[str | None] = [None] * num_lanes
 
-    def evaluate(
-        lanes: np.ndarray, mu_vals: np.ndarray, seeds: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x = lambert_solve_rows(mu_vals[:, None] / j_rows[lanes], x0=seeds)
-        log_x = np.maximum(np.log(x), 1e-300)
-        excess = (lead[lanes] / log_x).sum(axis=1) - budgets[lanes]
-        slope = -(lead[lanes] / (j_rows[lanes] * x * log_x**3)).sum(axis=1)
-        return excess, slope, x
-
-    SCAN_UP, SCAN_DOWN, NEWTON, DONE, FAILED = range(5)
-    phase = np.full(num_lanes, DONE, dtype=np.int64)
+    # State of the lanes still searching, one entry per lane, compacted
+    # whenever lanes stop: a round's work is elementwise masked updates over
+    # these arrays, so each lane sees the same float operations as a
+    # lane-at-a-time loop would, and only a round that stops lanes pays for
+    # re-indexing.
+    ids = np.arange(num_lanes)
+    j, lead, budget = j_rows, rmin_rows * _LN2, budgets
     mu_lo = np.zeros(num_lanes)
     f_lo = np.zeros(num_lanes)
     mu_hi = np.zeros(num_lanes)
     f_hi = np.zeros(num_lanes)
-    cand = np.zeros(num_lanes)
     mu_k = np.zeros(num_lanes)
     counts = np.zeros(num_lanes, dtype=np.int64)
     # NaN rows mean "no seed" (the row kernel ignores non-finite seeds
     # element-wise), matching the per-drop search: unseeded bracket scan,
     # previous iterates threaded through the Newton refinement.
     x_seed = np.full((num_lanes, n_c), np.nan)
-    mu_out = np.zeros(num_lanes)
-    slack = np.zeros(num_lanes, dtype=bool)
-    errors: list[str | None] = [None] * num_lanes
 
-    def enter_newton(i: int) -> None:
-        if mu_hi[i] - mu_lo[i] <= mu_tol * mu_hi[i] or f_lo[i] == 0.0 or f_hi[i] == 0.0:
-            phase[i] = DONE
-            mu_out[i] = mu_hi[i]
-        else:
-            phase[i] = NEWTON
-            mu_k[i] = mu_hi[i]
-            counts[i] = 0
-            x_seed[i] = np.nan
+    def evaluate(mu_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        x = lambert_solve_rows(mu_vals[:, None] / j, x0=x_seed)
+        log_x = np.maximum(np.log(x), 1e-300)
+        excess = (lead / log_x).sum(axis=1) - budget
+        slope = -(lead / (j * x * log_x**3)).sum(axis=1)
+        return excess, slope, x
+
+    def enter_newton(bracketed: np.ndarray) -> np.ndarray:
+        """Start Newton in the newly bracketed lanes; returns those that are
+        already converged there."""
+        converged = bracketed & (
+            (mu_hi - mu_lo <= mu_tol * mu_hi) | (f_lo == 0.0) | (f_hi == 0.0)
+        )
+        start = bracketed & ~converged
+        if start.any():
+            np.copyto(mu_k, _newton_start(mu_lo, f_lo, mu_hi, f_hi), where=start)
+            phase[start] = NEWTON
+            counts[start] = 0
+            x_seed[start] = np.nan
+        return converged
+
+    def fail(lanes: np.ndarray) -> None:
+        # The phase a lane failed in picks its message.
+        for k in np.flatnonzero(lanes):
+            if phase[k] == SCAN_UP:
+                message = (
+                    "bandwidth multiplier could not be bracketed from "
+                    f"above in {MU_BRACKET_MAX_EXPANSIONS} expansions "
+                    f"(excess {f_lo[k]:.3g} at mu {mu_lo[k]:.3g})"
+                )
+            elif phase[k] == SCAN_DOWN:
+                message = (
+                    "bandwidth multiplier could not be bracketed from "
+                    f"below in {MU_BRACKET_MAX_CONTRACTIONS} "
+                    f"contractions (excess {f_hi[k]:.3g} at mu "
+                    f"{mu_hi[k]:.3g})"
+                )
+            else:
+                message = (
+                    "bandwidth-multiplier search did not converge in "
+                    f"{MU_SEARCH_MAX_ITERATIONS} iterations: the bracket "
+                    f"[{mu_lo[k]:.6g}, {mu_hi[k]:.6g}] is still wider "
+                    f"than tol={mu_tol:.3g}"
+                )
+            errors[ids[k]] = message
 
     mu_0 = np.median(j_rows, axis=1)
-    all_lanes = np.arange(num_lanes)
-    f_0, _, _ = evaluate(all_lanes, mu_0, x_seed)
-    for i in range(num_lanes):
-        if f_0[i] > 0.0:
-            phase[i] = SCAN_UP
-            mu_lo[i], f_lo[i] = mu_0[i], f_0[i]
-            cand[i] = mu_0[i] * 4.0
-        elif f_0[i] < 0.0:
-            phase[i] = SCAN_DOWN
-            mu_hi[i], f_hi[i] = mu_0[i], f_0[i]
-            cand[i] = mu_0[i] * 0.25
-        else:
-            mu_lo[i] = mu_hi[i] = mu_0[i]
-            f_lo[i] = f_hi[i] = 0.0
-            enter_newton(i)
+    f_0, _, _ = evaluate(mu_0)
+    up, down = f_0 > 0.0, f_0 < 0.0
+    phase = np.where(up, SCAN_UP, SCAN_DOWN)
+    np.copyto(mu_lo, mu_0, where=~down)
+    np.copyto(f_lo, f_0, where=up)
+    np.copyto(mu_hi, mu_0, where=~up)
+    np.copyto(f_hi, f_0, where=down)
+    cand = np.where(up, mu_0 * 4.0, mu_0 * 0.25)
+    done = enter_newton(~up & ~down)
+    stopped = done
 
     while True:
-        running = np.flatnonzero(phase <= NEWTON)
-        if running.size == 0:
+        if stopped.any():
+            mu_out[ids[done]] = mu_hi[done]
+            polish[ids[done]] = True
+            keep = ~stopped
+            ids, phase, cand, mu_k, counts = (
+                ids[keep], phase[keep], cand[keep], mu_k[keep], counts[keep]
+            )
+            mu_lo, f_lo, mu_hi, f_hi = mu_lo[keep], f_lo[keep], mu_hi[keep], f_hi[keep]
+            j, lead, budget, x_seed = j[keep], lead[keep], budget[keep], x_seed[keep]
+        if ids.size == 0:
             break
-        mu_vals = np.where(phase[running] == NEWTON, mu_k[running], cand[running])
-        excess, slope, x = evaluate(running, mu_vals, x_seed[running])
-        for k, lane in enumerate(running):
-            i = int(lane)
-            e = float(excess[k])
-            s = float(slope[k])
-            if phase[i] == SCAN_UP:
-                if e <= 0.0:
-                    mu_hi[i], f_hi[i] = cand[i], e
-                    enter_newton(i)
-                else:
-                    mu_lo[i], f_lo[i] = cand[i], e
-                    counts[i] += 1
-                    if counts[i] >= MU_BRACKET_MAX_EXPANSIONS:
-                        phase[i] = FAILED
-                        errors[i] = (
-                            "bandwidth multiplier could not be bracketed from "
-                            f"above in {MU_BRACKET_MAX_EXPANSIONS} expansions "
-                            f"(excess {f_lo[i]:.3g} at mu {mu_lo[i]:.3g})"
-                        )
-                    else:
-                        cand[i] = cand[i] * 4.0
-            elif phase[i] == SCAN_DOWN:
-                if e >= 0.0:
-                    mu_lo[i], f_lo[i] = cand[i], e
-                    if mu_lo[i] == 0.0:
-                        phase[i] = DONE
-                        slack[i] = True
-                    else:
-                        enter_newton(i)
-                else:
-                    mu_hi[i], f_hi[i] = cand[i], e
-                    counts[i] += 1
-                    if counts[i] >= MU_BRACKET_MAX_CONTRACTIONS:
-                        phase[i] = FAILED
-                        errors[i] = (
-                            "bandwidth multiplier could not be bracketed from "
-                            f"below in {MU_BRACKET_MAX_CONTRACTIONS} "
-                            f"contractions (excess {f_hi[i]:.3g} at mu "
-                            f"{mu_hi[i]:.3g})"
-                        )
-                    else:
-                        cand[i] = cand[i] * 0.25
-            else:
-                x_seed[i] = x[k]
-                if e > 0.0:
-                    mu_lo[i], f_lo[i] = mu_k[i], e
-                else:
-                    mu_hi[i], f_hi[i] = mu_k[i], e
-                if mu_hi[i] - mu_lo[i] <= mu_tol * mu_hi[i] or e == 0.0:
-                    phase[i] = DONE
-                    mu_out[i] = mu_hi[i]
-                    continue
-                counts[i] += 1
-                if counts[i] >= MU_SEARCH_MAX_ITERATIONS:
-                    phase[i] = FAILED
-                    errors[i] = (
-                        "bandwidth-multiplier search did not converge in "
-                        f"{MU_SEARCH_MAX_ITERATIONS} iterations: the bracket "
-                        f"[{mu_lo[i]:.6g}, {mu_hi[i]:.6g}] is still wider "
-                        f"than tol={mu_tol:.3g}"
-                    )
-                    continue
-                mu_next = mu_k[i] - e / s if s < 0.0 else 0.5 * (mu_lo[i] + mu_hi[i])
-                if not mu_lo[i] < mu_next < mu_hi[i]:
-                    mu_next = 0.5 * (mu_lo[i] + mu_hi[i])
-                mu_k[i] = mu_next
+        newton = phase == NEWTON
+        excess, slope, x = evaluate(np.where(newton, mu_k, cand))
+
+        # Safeguarded Newton: shrink the bracket onto the iterate, stop at
+        # ``mu_tol``, else step (bisecting when the step leaves the bracket).
+        np.copyto(x_seed, x, where=newton[:, None])
+        above = newton & (excess > 0.0)
+        below = newton & ~(excess > 0.0)
+        np.copyto(mu_lo, mu_k, where=above)
+        np.copyto(f_lo, excess, where=above)
+        np.copyto(mu_hi, mu_k, where=below)
+        np.copyto(f_hi, excess, where=below)
+        done = newton & ((mu_hi - mu_lo <= mu_tol * mu_hi) | (excess == 0.0))
+        stepping = newton & ~done
+        counts += stepping
+        failed = stepping & (counts >= MU_SEARCH_MAX_ITERATIONS)
+        stepping &= ~failed
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mu_next = mu_k - excess / slope
+        inside = (slope < 0.0) & (mu_lo < mu_next) & (mu_next < mu_hi)
+        np.copyto(mu_next, 0.5 * (mu_lo + mu_hi), where=~inside)
+        np.copyto(mu_k, mu_next, where=stepping)
+        stopped = done | failed
+
+        if not newton.all():
+            # Bracket scans: a step across the root closes the bracket ...
+            up, down = phase == SCAN_UP, phase == SCAN_DOWN
+            closed_up, closed_down = up & (excess <= 0.0), down & (excess >= 0.0)
+            np.copyto(mu_hi, cand, where=closed_up)
+            np.copyto(f_hi, excess, where=closed_up)
+            np.copyto(mu_lo, cand, where=closed_down)
+            np.copyto(f_lo, excess, where=closed_down)
+            slack = closed_down & (mu_lo == 0.0)
+            # ... any other step moves the open end on, up to the scan's cap.
+            open_up, open_down = up & ~closed_up, down & ~closed_down
+            np.copyto(mu_lo, cand, where=open_up)
+            np.copyto(f_lo, excess, where=open_up)
+            np.copyto(mu_hi, cand, where=open_down)
+            np.copyto(f_hi, excess, where=open_down)
+            counts += open_up | open_down
+            capped_up = open_up & (counts >= MU_BRACKET_MAX_EXPANSIONS)
+            capped_down = open_down & (counts >= MU_BRACKET_MAX_CONTRACTIONS)
+            np.multiply(cand, 4.0, out=cand, where=open_up & ~capped_up)
+            np.multiply(cand, 0.25, out=cand, where=open_down & ~capped_down)
+            failed |= capped_up | capped_down
+            done |= enter_newton((closed_up | closed_down) & ~slack)
+            stopped = done | failed | slack
+        if failed.any():
+            fail(failed)
 
     mu_final = np.zeros(num_lanes)
     x_rows = np.ones((num_lanes, n_c))
-    to_polish = np.flatnonzero((phase == DONE) & ~slack)
+    to_polish = np.flatnonzero(polish)
     if to_polish.size:
         mu_p, x_p = _polish_mu_rows(
             mu_out[to_polish],

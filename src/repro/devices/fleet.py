@@ -15,6 +15,7 @@ the ``hetero-fleet`` scenario family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -49,6 +50,11 @@ class DeviceFleet:
             raise ConfigurationError("a fleet needs at least one device")
         object.__setattr__(self, "profiles", tuple(self.profiles))
 
+    def __getstate__(self) -> dict[str, object]:
+        # Pickle (``--jobs`` workers) only the profiles; the unpickled fleet
+        # rebuilds its read-only views on first use.
+        return {"profiles": self.profiles}
+
     def __len__(self) -> int:
         return len(self.profiles)
 
@@ -63,37 +69,44 @@ class DeviceFleet:
         return len(self.profiles)
 
     # -- array views ------------------------------------------------------
-    @property
+    # Each view is built once per fleet (the solvers read them every
+    # iteration) and is read-only, so no caller can corrupt the shared copy.
+    def _view(self, attribute: str) -> np.ndarray:
+        values = np.array([getattr(p, attribute) for p in self.profiles], dtype=float)
+        values.flags.writeable = False
+        return values
+
+    @cached_property
     def cycles_per_sample(self) -> np.ndarray:
-        return np.array([p.cycles_per_sample for p in self.profiles], dtype=float)
+        return self._view("cycles_per_sample")
 
-    @property
+    @cached_property
     def num_samples(self) -> np.ndarray:
-        return np.array([p.num_samples for p in self.profiles], dtype=float)
+        return self._view("num_samples")
 
-    @property
+    @cached_property
     def upload_bits(self) -> np.ndarray:
-        return np.array([p.upload_bits for p in self.profiles], dtype=float)
+        return self._view("upload_bits")
 
-    @property
+    @cached_property
     def min_frequency_hz(self) -> np.ndarray:
-        return np.array([p.min_frequency_hz for p in self.profiles], dtype=float)
+        return self._view("min_frequency_hz")
 
-    @property
+    @cached_property
     def max_frequency_hz(self) -> np.ndarray:
-        return np.array([p.max_frequency_hz for p in self.profiles], dtype=float)
+        return self._view("max_frequency_hz")
 
-    @property
+    @cached_property
     def min_power_w(self) -> np.ndarray:
-        return np.array([p.min_power_w for p in self.profiles], dtype=float)
+        return self._view("min_power_w")
 
-    @property
+    @cached_property
     def max_power_w(self) -> np.ndarray:
-        return np.array([p.max_power_w for p in self.profiles], dtype=float)
+        return self._view("max_power_w")
 
-    @property
+    @cached_property
     def effective_capacitance(self) -> np.ndarray:
-        return np.array([p.effective_capacitance for p in self.profiles], dtype=float)
+        return self._view("effective_capacitance")
 
     @property
     def total_samples(self) -> int:

@@ -165,20 +165,21 @@ def bisect_vector(
             "bisect_vector requires a sign change in every interval; "
             f"index {idx} has f(lo)={f_lo[idx]:.3g}, f(hi)={f_hi[idx]:.3g}"
         )
+    # Only residual *signs* steer a bisection, and ``sign(f_lo)`` never
+    # changes (``lo`` moves only onto a point of the same sign), so it is
+    # read once; the bracket is then updated in place.
+    sign_lo = np.sign(f_lo)
     mid = 0.5 * (lo + hi)
     active = hi - lo > tol * np.maximum(1.0, np.abs(mid))
     for _ in range(max_iter):
         if not np.any(active):
             return mid
-        f_mid = np.asarray(func(mid), dtype=float)
-        go_left = active & (np.sign(f_mid) == np.sign(f_lo))
-        go_right = active & ~go_left
-        lo = np.where(go_left, mid, lo)
-        f_lo = np.where(go_left, f_mid, f_lo)
-        hi = np.where(go_right, mid, hi)
-        new_mid = 0.5 * (lo + hi)
+        go_left = np.sign(np.asarray(func(mid), dtype=float)) == sign_lo
+        go_left &= active
+        np.copyto(lo, mid, where=go_left)
+        np.copyto(hi, mid, where=active & ~go_left)
         # Converged lanes keep their last midpoint; only active lanes move.
-        mid = np.where(active, new_mid, mid)
+        np.copyto(mid, 0.5 * (lo + hi), where=active)
         active &= hi - lo > tol * np.maximum(1.0, np.abs(mid))
     if not np.any(active):
         return mid

@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 
+def _open_band_rate(gp: np.ndarray, b: np.ndarray, noise_psd: float) -> np.ndarray:
+    """``B log2(1 + g p / (N0 B))`` for bands ``B > 0``, given ``g p``."""
+    return b * np.log2(1.0 + gp / (noise_psd * b))
+
+
 def shannon_rate(
     power_w: np.ndarray | float,
     bandwidth_hz: np.ndarray | float,
@@ -42,12 +47,14 @@ def shannon_rate(
     p = np.asarray(power_w, dtype=float)
     b = np.asarray(bandwidth_hz, dtype=float)
     g = np.asarray(gain, dtype=float)
+    if np.all(b > 0.0):
+        # Every band is open: no masking needed.
+        rate = _open_band_rate(g * p, b, noise_psd)
+        return rate[()] if rate.ndim == 0 else rate
     p, b, g = np.broadcast_arrays(p, b, g)
     rate = np.zeros(p.shape, dtype=float)
     positive = b > 0.0
-    snr = np.zeros_like(rate)
-    snr[positive] = g[positive] * p[positive] / (noise_psd * b[positive])
-    rate[positive] = b[positive] * np.log2(1.0 + snr[positive])
+    rate[positive] = _open_band_rate(g[positive] * p[positive], b[positive], noise_psd)
     if rate.ndim == 0:
         return rate[()]
     return rate
@@ -121,10 +128,11 @@ def min_bandwidth_for_rate(
     if not np.any(achievable):
         return result
 
-    r_a, p_a, g_a = r[achievable], p[achievable], g[achievable]
+    r_a, gp_a = r[achievable], g[achievable] * p[achievable]
 
     def residual(bw: np.ndarray) -> np.ndarray:
-        return shannon_rate(p_a, bw, g_a, noise_psd) - r_a
+        # Every bisection point is an open band, so skip ``shannon_rate``'s checks.
+        return _open_band_rate(gp_a, bw, noise_psd) - r_a
 
     lo = np.full(r_a.shape, 1e-6)
     hi = np.full(r_a.shape, float(bandwidth_cap_hz))

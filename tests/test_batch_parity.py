@@ -20,12 +20,15 @@ Three levels enforce it:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import JointProblem, ProblemWeights
+from repro.core import subproblem2
 from repro.core.allocator import ResourceAllocator
 from repro.core.subproblem1 import solve_subproblem1, solve_subproblem1_rows
 from repro.core.subproblem2 import solve_sp2_v2, solve_sp2_v2_rows
@@ -40,6 +43,7 @@ from repro.solvers.lambert import (
     solve_x_log_x_rows,
 )
 from repro.solvers.scalar import golden_section_rows, golden_section_scalar
+from tests.mu_search_reference import mu_search_rows_reference
 
 
 def _build(family: str, *, num_devices: int = 8, seed: int = 0):
@@ -487,35 +491,95 @@ class TestMaskedLaneIsolation:
         np.testing.assert_array_equal(with_a[1], with_b[1])
 
     @settings(max_examples=50, deadline=None)
-    @given(st.data())
-    def test_golden_section_rows_matches_scalar_per_lane(self, data):
-        num_lanes = data.draw(st.integers(min_value=1, max_value=5))
-        centers = [
-            data.draw(
-                st.floats(
-                    min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False
-                )
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda num_lanes: st.tuples(
+                st.lists(
+                    st.floats(
+                        min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False
+                    ),
+                    min_size=num_lanes,
+                    max_size=num_lanes,
+                ),
+                st.lists(
+                    st.floats(
+                        min_value=0.0, max_value=50.0, allow_nan=False, allow_infinity=False
+                    ),
+                    min_size=num_lanes,
+                    max_size=num_lanes,
+                ),
             )
-            for _ in range(num_lanes)
-        ]
-        widths = [
-            data.draw(
-                st.floats(
-                    min_value=0.0, max_value=50.0, allow_nan=False, allow_infinity=False
-                )
-            )
-            for _ in range(num_lanes)
-        ]
+        )
+    )
+    # ``(x - c) ** 2`` on a Python float goes through libm ``pow``, which is
+    # 1 ulp off the exactly rounded ``d * d`` NumPy uses for arrays here.
+    @example(lanes=([-0.0007174852385240576], [9.0]))
+    def test_golden_section_rows_matches_scalar_per_lane(self, lanes):
+        centers, widths = lanes
+        num_lanes = len(centers)
         lo = np.array([c - w for c, w in zip(centers, widths)])
         hi = np.array([c + w for c, w in zip(centers, widths)])
 
         def func(lanes, x):
-            return (x - np.asarray(centers)[lanes]) ** 2
+            d = x - np.asarray(centers)[lanes]
+            return d * d
+
+        def scalar_func(x, c):
+            d = x - c
+            return d * d
 
         xs, fs = golden_section_rows(func, lo, hi)
         for k in range(num_lanes):
             x_ref, f_ref = golden_section_scalar(
-                lambda x, c=centers[k]: (x - c) ** 2, float(lo[k]), float(hi[k])
+                lambda x, c=centers[k]: scalar_func(x, c), float(lo[k]), float(hi[k])
             )
             assert xs[k] == x_ref
             assert fs[k] == f_ref
+
+
+@pytest.mark.hypothesis
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rows_mu_search_matches_the_lane_loop_reference(data):
+    """The masked-array rows search makes the lane-at-a-time loop's decisions.
+
+    Compared *before* the polish (patched to hand its entry point straight
+    back), so every pre-polish bit counts, and with capped scans and Newton
+    phases, so the error strings count too.
+    """
+    num_lanes = data.draw(st.integers(min_value=1, max_value=6))
+    n_c = data.draw(st.integers(min_value=1, max_value=6))
+    exponents = st.floats(min_value=-14.0, max_value=-8.0)
+    j_rows = 10.0 ** np.array(
+        [[data.draw(exponents) for _ in range(n_c)] for _ in range(num_lanes)]
+    )
+    rmin_rows = np.array(
+        [
+            [data.draw(st.floats(min_value=1e3, max_value=1e6)) for _ in range(n_c)]
+            for _ in range(num_lanes)
+        ]
+    )
+    budgets = np.array(
+        [data.draw(st.floats(min_value=1e4, max_value=3e7)) for _ in range(num_lanes)]
+    )
+    cap = data.draw(
+        st.sampled_from(
+            [
+                None,
+                "MU_BRACKET_MAX_EXPANSIONS",
+                "MU_BRACKET_MAX_CONTRACTIONS",
+                "MU_SEARCH_MAX_ITERATIONS",
+            ]
+        )
+    )
+    caps = {} if cap is None else {cap: data.draw(st.integers(min_value=0, max_value=3))}
+
+    def unpolished(mu, j_rows, rmin_rows, budgets, steps=8):
+        return mu.copy(), np.zeros_like(j_rows)
+
+    with mock.patch.multiple(subproblem2, _polish_mu_rows=unpolished, **caps):
+        got = subproblem2._mu_search_vector_rows(j_rows, rmin_rows, budgets, mu_tol=1e-13)
+        want = mu_search_rows_reference(j_rows, rmin_rows, budgets, mu_tol=1e-13)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]

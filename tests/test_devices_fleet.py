@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.devices import DeviceFleet, generate_fleet
+from repro.devices import DeviceFleet, generate_fleet, generate_mixed_fleet
 from repro.exceptions import ConfigurationError
 
 
@@ -151,3 +151,45 @@ def test_device_class_validates_scales():
 
     with pytest.raises(ConfigurationError):
         DeviceClass(name="bad", power_scale=0.0)
+
+
+_ARRAY_VIEWS = (
+    "cycles_per_sample",
+    "num_samples",
+    "upload_bits",
+    "min_frequency_hz",
+    "max_frequency_hz",
+    "min_power_w",
+    "max_power_w",
+    "effective_capacitance",
+)
+
+
+@pytest.mark.parametrize("view", _ARRAY_VIEWS)
+def test_fleet_array_views_are_built_once_and_read_only(view):
+    fleet = generate_mixed_fleet(9, rng=3)
+    values = getattr(fleet, view)
+    assert getattr(fleet, view) is values
+    expected = np.array([getattr(p, view) for p in fleet.profiles], dtype=float)
+    np.testing.assert_array_equal(values, expected)
+    with pytest.raises(ValueError):
+        values[0] = 1.0
+    with pytest.raises(ValueError):
+        values *= 2.0
+    np.testing.assert_array_equal(getattr(fleet, view), expected)
+
+
+def test_fleet_pickle_round_trip_keeps_views_equality_and_hash():
+    import pickle
+
+    fleet = generate_mixed_fleet(9, rng=3)
+    before = {view: getattr(fleet, view) for view in _ARRAY_VIEWS}
+    restored = pickle.loads(pickle.dumps(fleet))
+    rebuilt = DeviceFleet(tuple(fleet.profiles))
+    assert restored == fleet == rebuilt
+    assert hash(restored) == hash(fleet) == hash(rebuilt)
+    for view, values in before.items():
+        np.testing.assert_array_equal(getattr(restored, view), values)
+        assert not getattr(restored, view).flags.writeable
+    # A cached view is no part of the fleet's identity.
+    assert DeviceFleet(tuple(fleet.profiles)) == fleet

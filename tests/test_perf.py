@@ -303,3 +303,50 @@ def test_compare_reports_flags_fl_parity_breach():
 def test_compare_reports_tolerates_reports_without_fl_metrics():
     # A schema-2 report (no FL suite) must still compare cleanly.
     assert bench.compare_reports(_report(), _report()) == []
+
+
+# -- deterministic work counters ---------------------------------------------
+
+
+def _lambert_calls(monkeypatch, batch_size):
+    """Lambert-kernel calls of the SP2 multiplier search over the fig2 bench
+    sweep, solved per drop (``batch_size=1``) or batched (the default)."""
+    from repro.core import subproblem2
+    from repro.experiments.fig2 import run_fig2
+    from repro.experiments.runner import SweepRunner
+
+    calls = {"vector": 0, "rows": 0}
+
+    def counting(name, kernel):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            subproblem2,
+            "lambert_solve_vector",
+            counting("vector", subproblem2.lambert_solve_vector),
+        )
+        patch.setattr(
+            subproblem2, "lambert_solve_rows", counting("rows", subproblem2.lambert_solve_rows)
+        )
+        runner = SweepRunner(jobs=1, use_cache=False, batch_size=batch_size)
+        table = run_fig2(bench.bench_config(False), runner=runner)
+    assert runner.last_stats.failed == 0
+    assert len(table.rows) > 0
+    return calls
+
+
+def test_mu_search_lambert_calls_are_deterministic_and_within_budget(monkeypatch):
+    """The 48 fig2 bench problems cost a fixed, bounded number of Lambert
+    calls in the multiplier search, per drop and batched."""
+    per_drop = _lambert_calls(monkeypatch, batch_size=1)
+    batched = _lambert_calls(monkeypatch, batch_size=None)
+    assert per_drop["rows"] == 0 and batched["vector"] == 0
+    assert per_drop["vector"] <= 7400
+    assert batched["rows"] <= 265
+    assert _lambert_calls(monkeypatch, batch_size=1) == per_drop
+    assert _lambert_calls(monkeypatch, batch_size=None) == batched

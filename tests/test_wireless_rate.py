@@ -102,3 +102,45 @@ def test_lemma1_concavity_via_random_midpoints():
         mid = shannon_rate(0.5 * (p1 + p2), 0.5 * (b1 + b2), g, N0)
         average = 0.5 * (shannon_rate(p1, b1, g, N0) + shannon_rate(p2, b2, g, N0))
         assert mid >= average - 1e-6
+
+
+def _masked_rate(power_w, bandwidth_hz, gain, noise_psd):
+    """The masked formula ``shannon_rate`` uses whenever some band is closed."""
+    p, b, g = np.broadcast_arrays(
+        np.asarray(power_w, dtype=float),
+        np.asarray(bandwidth_hz, dtype=float),
+        np.asarray(gain, dtype=float),
+    )
+    rate = np.zeros(p.shape, dtype=float)
+    positive = b > 0.0
+    snr = g[positive] * p[positive] / (noise_psd * b[positive])
+    rate[positive] = b[positive] * np.log2(1.0 + snr)
+    return rate[()] if rate.ndim == 0 else rate
+
+
+@pytest.mark.parametrize(
+    "power, bandwidth, gain",
+    [
+        # every band open: the unmasked fast path
+        (np.linspace(1e-3, 0.02, 7), np.linspace(1e4, 2e6, 7), np.logspace(-12, -8, 7)),
+        # some closed (zero) bands
+        (np.full(5, 0.01), np.array([0.0, 1e6, 0.0, 3e5, 2e6]), np.full(5, 1e-10)),
+        # negative bandwidths rate as closed bands
+        (np.full(4, 0.01), np.array([-1e6, 1e6, -0.5, 2e6]), np.logspace(-11, -9, 4)),
+        # scalars: a 0-d result, open and closed
+        (0.01, 1e6, 1e-10),
+        (0.01, 0.0, 1e-10),
+        (0.01, -3.0, 1e-10),
+        # broadcasting: scalar band against vectors, a column against a row
+        (np.linspace(1e-3, 0.02, 6), 1e6, np.logspace(-12, -8, 6)),
+        (np.linspace(1e-3, 0.02, 3)[:, None], np.array([[1e5, 1e6, 2e6, 5e6]]), 1e-10),
+        (np.linspace(1e-3, 0.02, 3)[:, None], np.array([[1e5, 0.0, 2e6, 5e6]]), 1e-10),
+    ],
+)
+def test_rate_fast_path_matches_the_masked_formula_bit_for_bit(power, bandwidth, gain):
+    got = shannon_rate(power, bandwidth, gain, N0)
+    want = _masked_rate(power, bandwidth, gain, N0)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.all(got == want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
