@@ -21,7 +21,7 @@ implements the required numerical machinery directly:
   sum-of-ratios outer loop (Algorithm 1).
 """
 
-from .bisection import bisect_scalar, bisect_vector, expand_bracket, expand_bracket_vector
+from .bisection import bisect_scalar, bisect_vector
 from .boxlp import solve_box_budget_lp
 from .dual_decomposition import minimize_separable_with_budget
 from .lambert import lambert_solve_vector, solve_x_log_x
@@ -32,8 +32,6 @@ from .waterfilling import maximize_concave_on_simplex, power_waterfilling
 __all__ = [
     "bisect_scalar",
     "bisect_vector",
-    "expand_bracket",
-    "expand_bracket_vector",
     "solve_box_budget_lp",
     "minimize_separable_with_budget",
     "lambert_solve_vector",

@@ -9,83 +9,13 @@ Algorithm 2 fast for the paper's 50-80 device sweeps.
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
 from ..exceptions import ConvergenceError, SolverError
 
-__all__ = ["bisect_scalar", "bisect_vector", "expand_bracket", "expand_bracket_vector"]
-
-
-def expand_bracket(
-    func: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    grow: float = 4.0,
-    max_expansions: int = 200,
-) -> Tuple[float, float]:
-    """Grow ``hi`` geometrically until ``func`` changes sign on ``[lo, hi]``.
-
-    ``func`` is assumed monotone.  Raises :class:`SolverError` if no sign
-    change is found after ``max_expansions`` expansions.
-    """
-    f_lo = func(lo)
-    f_hi = func(hi)
-    if f_lo == 0.0:
-        return lo, lo
-    if f_hi == 0.0:
-        return hi, hi
-    if np.sign(f_lo) != np.sign(f_hi):
-        return lo, hi
-    for _ in range(max_expansions):
-        hi = lo + (hi - lo) * grow
-        f_hi = func(hi)
-        if f_hi == 0.0 or np.sign(f_lo) != np.sign(f_hi):
-            return lo, hi
-    raise SolverError(
-        f"could not bracket a root: f({lo})={f_lo:.3g}, f({hi})={f_hi:.3g}"
-    )
-
-
-def expand_bracket_vector(
-    func: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    *,
-    grow: float = 4.0,
-    max_expansions: int = 200,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched bracket expansion: one independent monotone equation per lane.
-
-    Grows ``hi[i]`` geometrically away from ``lo[i]`` — only in the lanes
-    that have not yet found a sign change — until every lane brackets a root
-    (a zero at either endpoint counts).  Already-bracketed lanes are frozen,
-    so a slowly diverging lane never perturbs the others.  Raises
-    :class:`SolverError` naming the first unbracketed lane if any interval
-    fails to produce a sign change after ``max_expansions`` expansions.
-    """
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    if lo.shape != hi.shape:
-        raise ValueError("lo and hi must have the same shape")
-    f_lo = np.asarray(func(lo), dtype=float)
-    f_hi = np.asarray(func(hi), dtype=float)
-    open_lanes = (np.sign(f_lo) == np.sign(f_hi)) & (f_lo != 0.0) & (f_hi != 0.0)
-    for _ in range(max_expansions):
-        if not np.any(open_lanes):
-            return lo, hi
-        hi = np.where(open_lanes, lo + (hi - lo) * grow, hi)
-        f_hi = np.where(open_lanes, np.asarray(func(hi), dtype=float), f_hi)
-        open_lanes &= (np.sign(f_lo) == np.sign(f_hi)) & (f_hi != 0.0)
-    if not np.any(open_lanes):
-        return lo, hi
-    idx = int(np.flatnonzero(open_lanes)[0])
-    raise SolverError(
-        f"could not bracket a root in lane {idx}: "
-        f"f({lo[idx]:.6g})={f_lo[idx]:.3g}, f({hi[idx]:.6g})={f_hi[idx]:.3g}"
-    )
+__all__ = ["bisect_scalar", "bisect_vector"]
 
 
 def bisect_scalar(

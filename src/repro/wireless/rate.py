@@ -10,8 +10,10 @@ formula, the optimizers need two inverse maps:
 * the power required to reach a target rate in a given band
   (:func:`required_power_for_rate`), and
 * the minimum bandwidth that reaches a target rate at a given power
-  (:func:`min_bandwidth_for_rate`), which has no closed form and is solved
-  by a vectorised bisection.
+  (:func:`min_bandwidth_for_rate`).  The ``W_-1`` branch of the Lambert W
+  function gives it in closed form, but the code keeps a vectorised
+  bisection: its bits are the output (tables, cache entries and the golden
+  FL record depend on them), and a closed form would move them.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ __all__ = [
     "min_bandwidth_for_rate",
     "rate_jacobian",
 ]
+
+
+#: ``min_bandwidth_for_rate``'s bisection bracket floor and default tolerance
+#: (``core.uplink_delay`` retraces the same bisection tree).
+_BANDWIDTH_FLOOR_HZ = 1e-6
+_BANDWIDTH_TOL = 1e-9
 
 
 def _open_band_rate(gp: np.ndarray, b: np.ndarray, noise_psd: float) -> np.ndarray:
@@ -107,13 +115,15 @@ def min_bandwidth_for_rate(
     noise_psd: float,
     *,
     bandwidth_cap_hz: float,
-    tol: float = 1e-9,
+    tol: float = _BANDWIDTH_TOL,
 ) -> np.ndarray:
     """Smallest bandwidth achieving ``rate_bps`` at the given power.
 
     The rate is strictly increasing in bandwidth (for fixed power), so the
-    answer is found by bisection on ``[0, bandwidth_cap_hz]``.  Entries whose
-    target is unreachable even at the cap are returned as ``np.inf``.
+    answer is found by bisection on ``[1e-6, bandwidth_cap_hz]``.  (The
+    ``W_-1`` branch of Lambert W would give it in closed form; the bisection
+    stays because its bits are the output.)  Entries whose target is
+    unreachable even at the cap are returned as ``np.inf``.
     """
     r = np.asarray(rate_bps, dtype=float)
     p = np.broadcast_to(np.asarray(power_w, dtype=float), r.shape).copy()
@@ -134,7 +144,7 @@ def min_bandwidth_for_rate(
         # Every bisection point is an open band, so skip ``shannon_rate``'s checks.
         return _open_band_rate(gp_a, bw, noise_psd) - r_a
 
-    lo = np.full(r_a.shape, 1e-6)
+    lo = np.full(r_a.shape, _BANDWIDTH_FLOOR_HZ)
     hi = np.full(r_a.shape, float(bandwidth_cap_hz))
     # Ensure the lower end is below the root (rate at tiny bandwidth is ~0).
     result[achievable] = bisect_vector(residual, lo, hi, tol=tol)

@@ -1,10 +1,21 @@
 """Tests for the min-max upload-time bandwidth allocation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import build_paper_scenario
 from repro.core.uplink_delay import minimize_max_upload_time
-from repro.exceptions import InfeasibleProblemError
+from repro.devices.fleet import DeviceFleet
+from repro.devices.profiles import DeviceProfile
+from repro.exceptions import InfeasibleProblemError, SolverError
+from repro.scenarios import build_scenario_spec
+from repro.system import SystemModel
+from repro.wireless.rate import min_bandwidth_for_rate
+from tests.uplink_delay_reference import minimize_max_upload_time_reference
 
 
 def test_allocation_respects_budget(tiny_system):
@@ -88,3 +99,140 @@ def test_partially_zero_upload_bits_fleet_keeps_finite_times():
     assert result.max_upload_time_s > 0.0
     assert np.all(np.isfinite(result.bandwidth_hz))
     assert result.bandwidth_hz.sum() <= system.total_bandwidth_hz * (1 + 1e-9)
+
+
+# -- bit parity with the nested bisection -------------------------------------
+#
+# ``minimize_max_upload_time`` shares one bandwidth walk per device across the
+# outer bisection and stops each feasibility test once its answer is certain;
+# ``tests.uplink_delay_reference`` reruns ``min_bandwidth_for_rate`` from the
+# root at every step.  Both must give the same bits and the same errors.
+
+FAMILIES = ("paper", "cell-edge", "hotspot", "hetero-fleet", "indoor")
+
+
+def _outcome(solve, system, **kwargs):
+    """Bits of the answer, or the type of the error raised."""
+    try:
+        result = solve(system, **kwargs)
+    except Exception as exc:  # the error type is the outcome
+        return type(exc)
+    return (
+        result.power_w.tobytes(),
+        result.bandwidth_hz.tobytes(),
+        np.float64(result.max_upload_time_s).tobytes(),
+    )
+
+
+def _assert_matches_reference(system, **kwargs):
+    with np.errstate(all="ignore"):
+        expected = _outcome(minimize_max_upload_time_reference, system, **kwargs)
+        actual = _outcome(minimize_max_upload_time, system, **kwargs)
+    assert actual == expected
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_matches_nested_bisection_on_the_drop_grid(family):
+    for num_devices in (1, 2, 3, 5, 10, 12, 20, 50):
+        for seed in range(25):
+            system = build_scenario_spec(
+                {"family": family, "num_devices": num_devices, "seed": seed}
+            )
+            _assert_matches_reference(system)
+
+
+def test_matches_nested_bisection_at_half_power():
+    for family in FAMILIES:
+        for num_devices in (1, 3, 10, 50):
+            for seed in range(3):
+                system = build_scenario_spec(
+                    {"family": family, "num_devices": num_devices, "seed": seed}
+                )
+                _assert_matches_reference(system, power_w=system.max_power_w * 0.5)
+
+
+@pytest.mark.parametrize("num_uploading", [0, 1, 2, 3])
+def test_matches_nested_bisection_on_zero_upload_fleets(num_uploading):
+    _assert_matches_reference(_zero_upload_system(num_uploading))
+
+
+def _needed_at_equal_split_time(system):
+    """``min_bandwidth_for_rate`` at the equal split's own max upload time."""
+    n = system.num_devices
+    budget = system.total_bandwidth_hz
+    rates = system.rates_bps(system.max_power_w, np.full(n, budget / n))
+    t_hi = float(np.max(system.upload_bits / np.maximum(rates, 1e-300)))
+    return min_bandwidth_for_rate(
+        system.upload_bits / t_hi,
+        system.max_power_w,
+        system.gains,
+        system.noise_psd_w_per_hz,
+        bandwidth_cap_hz=budget,
+    )
+
+
+def test_matches_nested_bisection_when_the_upper_bound_is_doubled():
+    # A lone device's equal-split time asks for a rate just above its rate
+    # at the full band, so the upper bound must grow.
+    system = build_paper_scenario(num_devices=1, seed=12)
+    needed = _needed_at_equal_split_time(system)
+    budget = system.total_bandwidth_hz
+    assert not np.all(np.isfinite(needed)) or needed.sum() > budget * (1 + 1e-9)
+    _assert_matches_reference(system)
+
+
+def test_matches_nested_bisection_inside_the_upper_bound_tolerance():
+    # Identical devices split the band evenly; rounding puts the equal-split
+    # demand a hair above the budget, within the 1e-9 tolerance that keeps
+    # the upper bound as it is.
+    base = build_paper_scenario(num_devices=3, seed=0)
+    system = replace(base, gains=np.full(3, 1e-13))
+    needed = _needed_at_equal_split_time(system)
+    budget = system.total_bandwidth_hz
+    assert budget < needed.sum() <= budget * (1 + 1e-9)
+    _assert_matches_reference(system)
+
+
+def _uplink_system(devices, budget):
+    """Devices given as ``(gain, upload_bits, max_power_w)`` triples."""
+    profiles = tuple(
+        DeviceProfile(
+            cycles_per_sample=1.0, upload_bits=bits, min_power_w=0.0, max_power_w=power
+        )
+        for _, bits, power in devices
+    )
+    gains = np.array([gain for gain, _, _ in devices])
+    return SystemModel(DeviceFleet(profiles), gains, total_bandwidth_hz=budget)
+
+
+def test_a_target_below_the_floor_rate_raises_like_the_nested_bisection():
+    # A few bits against a strong channel ask for less than the rate at the
+    # 1e-6 Hz bracket floor: ``min_bandwidth_for_rate`` finds no sign change.
+    system = _uplink_system([(1e-6, 1e-9, 1.0), (1e-12, 1e6, 0.1)], 1e6)
+    with pytest.raises(SolverError):
+        minimize_max_upload_time_reference(system)
+    _assert_matches_reference(system)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda exponent: 10.0**exponent)
+
+
+@pytest.mark.hypothesis
+@settings(max_examples=200, deadline=None)
+@given(
+    devices=st.lists(
+        st.tuples(
+            _log_uniform(-16.0, -6.0),
+            st.one_of(st.just(0.0), _log_uniform(-9.0, 9.0)),
+            _log_uniform(-4.0, 1.0),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    budget=_log_uniform(3.0, 9.0),
+)
+def test_shared_walk_is_bit_identical_to_the_nested_bisection(devices, budget):
+    # Tiny uploads over strong channels reach below the floor rate, large
+    # ones over weak channels miss their target even at the full band.
+    _assert_matches_reference(_uplink_system(devices, budget))

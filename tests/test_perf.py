@@ -350,3 +350,39 @@ def test_mu_search_lambert_calls_are_deterministic_and_within_budget(monkeypatch
     assert batched["rows"] <= 265
     assert _lambert_calls(monkeypatch, batch_size=1) == per_drop
     assert _lambert_calls(monkeypatch, batch_size=None) == batched
+
+
+def _delay_min_rate_evaluations(monkeypatch):
+    """Rate-formula evaluations per ``minimize_max_upload_time`` call on the
+    80 ten-device paper/hotspot drops (seeds 0-39)."""
+    from repro.core import uplink_delay
+    from repro.scenarios import build_scenario_spec
+    from repro.wireless import rate
+
+    systems = [
+        build_scenario_spec({"family": family, "num_devices": 10, "seed": seed})
+        for family in ("paper", "hotspot")
+        for seed in range(40)
+    ]
+    original = rate._open_band_rate
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rate, "_open_band_rate", counting)
+        patch.setattr(uplink_delay, "_open_band_rate", counting)
+        for system in systems:
+            uplink_delay.minimize_max_upload_time(system)
+    return calls / len(systems)
+
+
+def test_delay_min_rate_evaluations_are_deterministic_and_within_budget(monkeypatch):
+    """The shared bandwidth walk costs a fixed, bounded number of rate
+    evaluations per delay-min solve (the nested bisection cost 909.0)."""
+    per_call = _delay_min_rate_evaluations(monkeypatch)
+    assert per_call <= 166
+    assert _delay_min_rate_evaluations(monkeypatch) == per_call

@@ -1,6 +1,6 @@
 """Property-based suite for the root-finding primitives (Hypothesis).
 
-Four families of invariants, one per solver primitive:
+Three families of invariants, one per solver primitive:
 
 * ``bisect_scalar`` / ``bisect_vector`` — the returned point stays inside
   the initial bracket, the residual there is root-small, lanes converge
@@ -8,9 +8,6 @@ Four families of invariants, one per solver primitive:
   (:class:`SolverError` for unbracketable intervals,
   :class:`ConvergenceError` for exhausted iteration budgets) instead of
   silently returning midpoints;
-* ``expand_bracket`` / ``expand_bracket_vector`` — expansion always ends
-  on a sign change, never moves ``lo``, and raises when no root exists in
-  the expansion range;
 * the Lambert helpers — ``W0`` satisfies its defining equation,
   ``solve_x_log_x`` / ``lambert_solve_vector`` return the unique root of
   ``x ln x - x + 1 = rhs`` (agreeing with each other — the vector variant
@@ -34,8 +31,6 @@ from repro.exceptions import ConvergenceError, SolverError
 from repro.solvers import (
     bisect_scalar,
     bisect_vector,
-    expand_bracket,
-    expand_bracket_vector,
     lambert_solve_vector,
     solve_x_log_x,
 )
@@ -143,53 +138,6 @@ def test_bisect_vector_raises_convergence_error_on_exhaustion(roots):
     func = lambda x: x - roots  # noqa: E731
     with pytest.raises(ConvergenceError, match="did not converge"):
         bisect_vector(func, roots - 50.0, roots + 51.0, tol=1e-12, max_iter=2)
-
-
-# -- bracket expansion --------------------------------------------------------
-
-@settings(max_examples=40, deadline=None)
-@given(
-    root=st.floats(min_value=0.5, max_value=1e4, **finite),
-    hi0=st.floats(min_value=1e-3, max_value=0.4, **finite),
-)
-def test_expand_bracket_finds_sign_change(root, hi0):
-    func = lambda x: x - root  # noqa: E731
-    lo, hi = expand_bracket(func, 0.0, hi0)
-    assert lo == 0.0
-    assert func(lo) <= 0.0 <= func(hi)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    roots=hnp.arrays(
-        dtype=float,
-        shape=st.integers(min_value=1, max_value=10),
-        elements=st.floats(min_value=0.5, max_value=1e5, **finite),
-    )
-)
-def test_expand_bracket_vector_brackets_every_lane(roots):
-    func = lambda x: x - roots  # noqa: E731
-    lo0 = np.zeros_like(roots)
-    lo, hi = expand_bracket_vector(func, lo0, np.full_like(roots, 0.25))
-    np.testing.assert_array_equal(lo, lo0)  # lo is never moved
-    assert np.all(func(lo) <= 0.0)
-    assert np.all(func(hi) >= 0.0)
-
-
-def test_expand_bracket_vector_raises_when_no_root_in_range():
-    func = lambda x: np.ones_like(x)  # noqa: E731 — no sign change anywhere
-    with pytest.raises(SolverError, match="lane 0"):
-        expand_bracket_vector(
-            func, np.zeros(2), np.ones(2), max_expansions=5
-        )
-
-
-def test_expand_bracket_vector_freezes_already_bracketed_lanes():
-    roots = np.array([0.1, 1e4])
-    func = lambda x: x - roots  # noqa: E731
-    lo, hi = expand_bracket_vector(func, np.zeros(2), np.array([1.0, 1.0]))
-    assert hi[0] == 1.0  # already bracketed: untouched
-    assert hi[1] >= 1e4
 
 
 # -- Lambert helpers ----------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConvergenceError, SolverError
-from repro.solvers import bisect_scalar, bisect_vector, expand_bracket
+from repro.solvers import bisect_scalar, bisect_vector
 from tests.bisection_reference import bisect_vector_reference
 
 
@@ -44,22 +44,6 @@ def test_bisect_vector_shape_mismatch_rejected():
 def test_bisect_vector_requires_sign_change_everywhere():
     with pytest.raises(SolverError):
         bisect_vector(lambda x: x + 1.0, np.zeros(2), np.ones(2))
-
-
-def test_expand_bracket_grows_until_sign_change():
-    lo, hi = expand_bracket(lambda x: x - 100.0, 0.0, 1.0)
-    assert lo == 0.0
-    assert hi >= 100.0
-
-
-def test_expand_bracket_returns_original_interval_when_already_bracketing():
-    lo, hi = expand_bracket(lambda x: x - 0.5, 0.0, 1.0)
-    assert (lo, hi) == (0.0, 1.0)
-
-
-def test_expand_bracket_gives_up_eventually():
-    with pytest.raises(SolverError):
-        expand_bracket(lambda x: 1.0, 0.0, 1.0, max_expansions=5)
 
 
 def test_bisect_scalar_raises_on_exhausted_iteration_budget():
