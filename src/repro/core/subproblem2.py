@@ -35,6 +35,7 @@ from ..solvers.boxlp import solve_box_budget_lp
 from ..solvers.dual_decomposition import minimize_separable_with_budget
 from ..solvers.lambert import (
     lambert_solve_rows,
+    lambert_solve_seeded,
     lambert_solve_vector,
     solve_x_log_x,
     solve_x_log_x_rows,
@@ -59,12 +60,14 @@ __all__ = [
 _LN2 = np.log(2.0)
 
 #: The available SP2_v2 inner-solve backends.  ``"vector"`` (the default)
-#: finds the bandwidth multiplier through batched array passes — a chunked
-#: geometric bracket scan plus a safeguarded Newton iteration with the
-#: analytic ``d(excess)/d(mu)`` — evaluating every device at once through
-#: :func:`~repro.solvers.lambert.lambert_solve_vector`.  ``"scalar"`` is the
-#: original probe-at-a-time bisection, retained float-for-float as the
-#: reference oracle for the differential tests.
+#: finds the bandwidth multiplier through batched array passes — one
+#: Lambert call over the median start and its first ×4 candidates, which
+#: brackets almost every root, then safeguarded Halley steps with the
+#: analytic first and second ``mu``-derivatives of the excess — evaluating
+#: every device at once through the Lambert kernels of
+#: :mod:`repro.solvers.lambert`.  ``"scalar"`` is the original
+#: probe-at-a-time bisection, retained float-for-float as the reference
+#: oracle for the differential tests.
 BACKENDS: tuple[str, ...] = ("scalar", "vector")
 DEFAULT_BACKEND = "vector"
 
@@ -75,12 +78,16 @@ DEFAULT_BACKEND = "vector"
 MU_BRACKET_MAX_EXPANSIONS = 400
 #: Lower-bracket contractions (``mu_lo *= 0.25`` / batched chunks thereof).
 MU_BRACKET_MAX_CONTRACTIONS = 2000
-#: Root-refinement iterations (bisection / safeguarded Newton).
+#: Root-refinement iterations (bisection / safeguarded Halley).
 MU_SEARCH_MAX_ITERATIONS = 300
 
-#: Candidate multipliers evaluated per batched bracket-scan pass (vector
-#: backend): one ``(chunk, num_devices)`` Lambert evaluation replaces up to
-#: ``chunk`` sequential scalar probes.
+#: ×4 up-candidates evaluated together with ``mu_0 = median(j)`` in the
+#: vector searches' first Lambert call.  The root sits 4^1-4^5 above
+#: ``mu_0`` in almost every search, so this one call brackets it.
+_FIRST_CALL_EXPANSIONS = 8
+#: Largest batch of candidate multipliers per later bracket-scan pass of
+#: the 1-D vector search: one ``(chunk, num_devices)`` Lambert evaluation
+#: replaces up to ``chunk`` sequential scalar probes.
 _VECTOR_SCAN_CHUNK = 16
 
 
@@ -274,26 +281,65 @@ def _polish_mu_rows(
     return mu, x
 
 
-def _newton_start(
+def _halley_start(
     mu_lo: np.ndarray | float,
     f_lo: np.ndarray | float,
+    x_lo: np.ndarray,
     mu_hi: np.ndarray | float,
     f_hi: np.ndarray | float,
-) -> np.ndarray:
-    """First Newton iterate of the multiplier search, per lane.
+    x_hi: np.ndarray,
+    budget: np.ndarray | float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """First Halley iterate of the multiplier search and its Lambert seed.
 
-    Across a scan bracket (one ×4 step) the excess is close to linear in
-    ``log mu``, so the secant point in ``log mu`` lands a few Newton steps
-    nearer the root than ``mu_hi``.  A point that is not strictly inside the
-    bracket (round-off, or an overflowing excess) falls back to ``mu_hi``.
-    Only the pre-polish iterates move: :func:`_polish_mu` is entry-independent.
+    Across a scan bracket (one ×4 step) the bandwidth demand
+    ``excess + budget`` is close to a power of ``mu``, so the secant point
+    in ``(log mu, log demand)`` lands near the root.  The seed interpolates
+    the bracket ends' roots ``x`` geometrically at the same fraction.  A
+    point that is not strictly inside the bracket (round-off, or an
+    overflowing demand) falls back to ``mu_hi`` and its ``x``.  Works per
+    lane on ``(lanes,)`` scalars with ``(lanes, n)`` roots, or on scalars
+    with ``(n,)`` roots.  Only the pre-polish iterates move:
+    :func:`_polish_mu` is entry-independent.
     """
-    mu_lo, f_lo = np.asarray(mu_lo, dtype=float), np.asarray(f_lo, dtype=float)
-    mu_hi, f_hi = np.asarray(mu_hi, dtype=float), np.asarray(f_hi, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         log_lo = np.log(mu_lo)
-        mu = np.exp(log_lo + f_lo / (f_lo - f_hi) * (np.log(mu_hi) - log_lo))
-    return np.where((mu_lo < mu) & (mu < mu_hi), mu, mu_hi)
+        demand_lo = np.log(f_lo + budget)
+        t = (demand_lo - np.log(budget)) / (demand_lo - np.log(f_hi + budget))
+        mu = np.exp(log_lo + t * (np.log(mu_hi) - log_lo))
+        inside = (mu_lo < mu) & (mu < mu_hi)
+        t = np.where(inside, t, 1.0)[..., None]
+        log_x_lo = np.log(x_lo)
+        seed = np.exp(log_x_lo + t * (np.log(x_hi) - log_x_lo))
+    return np.where(inside, mu, mu_hi), seed
+
+
+def _excess_derivatives(
+    x: np.ndarray, log_x: np.ndarray, terms: np.ndarray, j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and second ``mu``-derivatives of the excess, summed over devices.
+
+    With ``L = ln x``, ``lead = rmin ln2`` and ``terms = lead / L`` (each
+    device's bandwidth), ``dx/dmu = 1 / (j L)`` gives
+    ``f' = -sum lead / (j x L^3)`` and ``f'' = sum lead (L + 3) / (j^2 x^2 L^5)``.
+    """
+    jx_l2 = j * x * log_x * log_x
+    ratio = terms / jx_l2
+    return -ratio.sum(axis=-1), (ratio * (log_x + 3.0) / jx_l2).sum(axis=-1)
+
+
+def _predict_x(
+    x: np.ndarray, log_x: np.ndarray, j: np.ndarray, step: np.ndarray | float
+) -> np.ndarray:
+    """Tangent predictor ``x + step / (j L)`` of the roots at ``mu + step``.
+
+    ``x`` is concave in ``mu``, so the predictor sits on or above the root,
+    where the Lambert Newton iteration descends monotonically.  A
+    non-finite prediction (a root at ``x = 1``) keeps ``x``.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        seed = x + np.asarray(step)[..., None] / (j * log_x)
+    return np.where(np.isfinite(seed), seed, x)
 
 
 def _mu_search_scalar(
@@ -383,122 +429,120 @@ def _mu_search_vector(
     Same monotone root problem as :func:`_mu_search_scalar`, solved in a
     handful of array passes instead of dozens of sequential probes:
 
-    * **batched bracket scan** — whole chunks of geometrically spaced
-      candidate multipliers are evaluated at once through a
-      ``(chunk, num_devices)`` :func:`lambert_solve_vector` call;
-    * **safeguarded Newton refinement** — the excess-bandwidth derivative is
-      analytic (``d B_n / d mu = -rmin_n ln2 / (j_n x_n ln(x_n)^3)``), so
-      each iteration takes a quadratically convergent Newton step, clipped
-      into the running bracket (with a bisection fallback), and threads the
-      previous Lambert iterates as seeds.
+    * **one bracketing call** — ``mu_0 = median(j)`` and its first
+      ``_FIRST_CALL_EXPANSIONS`` ×4 up-candidates go through one
+      :func:`lambert_solve_vector` call, which brackets the root in almost
+      every search.  A bracket still open after it continues with chunked
+      ×4 scans (×0.25 scans from ``mu_0`` when the excess there is
+      negative), the candidates already spent counting against the cap;
+    * **safeguarded Halley refinement** — from the secant point in
+      ``(log mu, log demand)`` (:func:`_halley_start`), each step uses the
+      analytic first and second excess derivatives
+      (:func:`_excess_derivatives`), falls back to bisection when it leaves
+      the running bracket, and solves Lambert from the tangent predictor of
+      the previous roots (:func:`lambert_solve_seeded`, :func:`_predict_x`).
 
     The stopping rule is the same relative bracket width on the feasible
     side, so scalar and vector backends agree on ``mu`` to ``mu_tol``-level
-    round-off — the differential harness holds them to that.
+    round-off, which :func:`_polish_mu` turns into the same bits.
     """
     lead = rmin_c * _LN2
 
     def batch_excess(mu_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Excess bandwidth at each candidate mu: one array pass for all."""
-        x = lambert_solve_vector(mu_values[:, None] / j_c[None, :])
+        x = lambert_solve_vector(mu_values[:, None] / j_c)
         log_x = np.maximum(np.log(x), 1e-300)
         return (lead / log_x).sum(axis=1) - budget, x
 
-    def point_excess(
-        mu_value: float, seed: np.ndarray | None
-    ) -> tuple[float, float, np.ndarray]:
-        """Excess and its mu-derivative at one multiplier, seeded."""
-        x = lambert_solve_vector(np.atleast_1d(mu_value) / j_c, x0=seed)
-        log_x = np.maximum(np.log(x), 1e-300)
-        excess = float((lead / log_x).sum()) - budget
-        slope = -float((lead / (j_c * x * log_x**3)).sum())
-        return excess, slope, x
+    def scan(mu, f, x, factor, cap, scanned, width):
+        """Step ``mu *= factor`` in chunks until the excess changes sign.
+
+        Returns the open end ``(mu, f, x)`` and the point that closed the
+        bracket, or ``None`` for the latter once ``cap`` candidates are spent.
+        """
+        while scanned < cap:
+            chunk = min(width, _VECTOR_SCAN_CHUNK, cap - scanned)
+            width *= 2
+            candidates = mu * factor ** np.arange(1, chunk + 1)
+            excesses, xs = batch_excess(candidates)
+            hits = np.flatnonzero(excesses <= 0.0 if factor > 1.0 else excesses >= 0.0)
+            if hits.size:
+                k = int(hits[0])
+                if k:
+                    mu, f, x = candidates[k - 1], excesses[k - 1], xs[k - 1]
+                return (mu, f, x), (candidates[k], excesses[k], xs[k])
+            mu, f, x = candidates[-1], excesses[-1], xs[-1]
+            scanned += chunk
+        return (mu, f, x), None
 
     mu_0 = float(np.median(j_c))
-    (f_0,), _ = batch_excess(np.array([mu_0]))
-    f_0 = float(f_0)
-
+    first = min(_FIRST_CALL_EXPANSIONS, MU_BRACKET_MAX_EXPANSIONS)
+    grid = mu_0 * 4.0 ** np.arange(first + 1)
+    excesses, xs = batch_excess(grid)
+    f_0 = float(excesses[0])
     if f_0 > 0.0:
-        # Scan upward in chunks of geometrically growing candidates.  The
-        # first chunk is small: the median start usually sits within a
-        # few factors of the root, so a full-width batch would mostly
-        # evaluate candidates beyond the bracket.
-        mu_lo, f_lo = mu_0, f_0
-        mu_hi = f_hi = None
-        scanned = 0
-        width = 4
-        while mu_hi is None and scanned < MU_BRACKET_MAX_EXPANSIONS:
-            chunk = min(width, _VECTOR_SCAN_CHUNK, MU_BRACKET_MAX_EXPANSIONS - scanned)
-            width *= 2
-            candidates = mu_lo * 4.0 ** np.arange(1, chunk + 1)
-            excesses, _ = batch_excess(candidates)
-            hits = np.flatnonzero(excesses <= 0.0)
-            if hits.size:
-                first = int(hits[0])
-                mu_hi, f_hi = float(candidates[first]), float(excesses[first])
-                if first > 0:
-                    mu_lo, f_lo = float(candidates[first - 1]), float(excesses[first - 1])
-            else:
-                mu_lo, f_lo = float(candidates[-1]), float(excesses[-1])
-                scanned += chunk
-        if mu_hi is None:
-            raise ConvergenceError(
-                "bandwidth multiplier could not be bracketed from above in "
-                f"{MU_BRACKET_MAX_EXPANSIONS} expansions (excess {f_lo:.3g} "
-                f"at mu {mu_lo:.3g})"
+        hits = np.flatnonzero(excesses <= 0.0)
+        if hits.size:
+            k = int(hits[0])
+            low, high = (grid[k - 1], excesses[k - 1], xs[k - 1]), (grid[k], excesses[k], xs[k])
+        else:
+            low, high = scan(
+                grid[-1], excesses[-1], xs[-1], 4.0, MU_BRACKET_MAX_EXPANSIONS, first,
+                _VECTOR_SCAN_CHUNK,
             )
+            if high is None:
+                raise ConvergenceError(
+                    "bandwidth multiplier could not be bracketed from above in "
+                    f"{MU_BRACKET_MAX_EXPANSIONS} expansions (excess {low[1]:.3g} "
+                    f"at mu {low[0]:.3g})"
+                )
     elif f_0 < 0.0:
-        # Scan downward; demand grows without bound as mu -> 0, so a sign
-        # change (or exact underflow to mu = 0, where the budget is slack
-        # for the active set) must appear before the cap.
-        mu_hi, f_hi = mu_0, f_0
-        mu_lo = f_lo = None
-        scanned = 0
-        width = 4
-        while mu_lo is None and scanned < MU_BRACKET_MAX_CONTRACTIONS:
-            chunk = min(width, _VECTOR_SCAN_CHUNK, MU_BRACKET_MAX_CONTRACTIONS - scanned)
-            width *= 2
-            candidates = mu_hi * 0.25 ** np.arange(1, chunk + 1)
-            excesses, _ = batch_excess(candidates)
-            hits = np.flatnonzero(excesses >= 0.0)
-            if hits.size:
-                first = int(hits[0])
-                mu_lo, f_lo = float(candidates[first]), float(excesses[first])
-                if first > 0:
-                    mu_hi, f_hi = float(candidates[first - 1]), float(excesses[first - 1])
-            else:
-                mu_hi, f_hi = float(candidates[-1]), float(excesses[-1])
-                scanned += chunk
-        if mu_lo is None:
+        # Demand grows without bound as mu -> 0, so a sign change (or exact
+        # underflow to mu = 0, where the budget is slack for the active set)
+        # must appear before the cap.
+        high, low = scan(mu_0, f_0, xs[0], 0.25, MU_BRACKET_MAX_CONTRACTIONS, 0, 4)
+        if low is None:
             raise ConvergenceError(
                 "bandwidth multiplier could not be bracketed from below in "
                 f"{MU_BRACKET_MAX_CONTRACTIONS} contractions (excess "
-                f"{f_hi:.3g} at mu {mu_hi:.3g})"
+                f"{high[1]:.3g} at mu {high[0]:.3g})"
             )
-        if mu_lo == 0.0:
+        if low[0] == 0.0:
             return 0.0, None
     else:
-        mu_lo = mu_hi = mu_0
-        f_lo = f_hi = 0.0
+        return _polish_mu(mu_0, j_c, rmin_c, budget)
 
-    # Safeguarded Newton on the bracket [mu_lo, mu_hi] (f_lo >= 0 >= f_hi).
+    # Safeguarded Halley on the bracket [mu_lo, mu_hi] (f_lo >= 0 >= f_hi).
+    (mu_lo, f_lo, x_lo), (mu_hi, f_hi, x_hi) = low, high
+    mu_lo, mu_hi = float(mu_lo), float(mu_hi)
     converged = mu_hi - mu_lo <= mu_tol * mu_hi or f_lo == 0.0 or f_hi == 0.0
-    mu_k = mu_hi if converged else float(_newton_start(mu_lo, f_lo, mu_hi, f_hi))
-    x_k = None
+    if not converged:
+        start, seed = _halley_start(mu_lo, f_lo, x_lo, mu_hi, f_hi, x_hi, budget)
+        mu_k = float(start)
     for _ in range(MU_SEARCH_MAX_ITERATIONS):
         if converged:
             break
-        f_k, slope, x_k = point_excess(mu_k, x_k)
+        x = lambert_solve_seeded(mu_k / j_c, seed)
+        log_x = np.maximum(np.log(x), 1e-300)
+        terms = lead / log_x
+        f_k = float(terms.sum()) - budget
         if f_k > 0.0:
-            mu_lo, f_lo = mu_k, f_k
+            mu_lo = mu_k
         else:
-            mu_hi, f_hi = mu_k, f_k
+            mu_hi = mu_k
         if mu_hi - mu_lo <= mu_tol * mu_hi or f_k == 0.0:
             converged = True
             break
-        mu_next = mu_k - f_k / slope if slope < 0.0 else 0.5 * (mu_lo + mu_hi)
-        if not mu_lo < mu_next < mu_hi:
-            mu_next = 0.5 * (mu_lo + mu_hi)
+        slope, curvature = (float(v) for v in _excess_derivatives(x, log_x, terms, j_c))
+        mu_next = 0.5 * (mu_lo + mu_hi)
+        if slope < 0.0:
+            step = f_k / slope
+            # A non-positive denominator sends the step out of the bracket;
+            # testing it first keeps the division defined.
+            denominator = 1.0 - 0.5 * step * curvature / slope
+            if denominator > 0.0 and mu_lo < mu_k - step / denominator < mu_hi:
+                mu_next = mu_k - step / denominator
+        seed = _predict_x(x, log_x, j_c, mu_next - mu_k)
         mu_k = mu_next
     if not converged:
         raise ConvergenceError(
@@ -520,21 +564,30 @@ def _mu_search_vector_rows(
 
     One row per lane: ``j_rows[i]``/``rmin_rows[i]`` are lane ``i``'s
     constrained-device coefficients and ``budgets[i]`` its bandwidth
-    budget.  Every lane runs the same state machine as
-    :func:`_mu_search_vector` — geometric bracket scan (×4 up / ×0.25 down
-    from the median of ``j``), then safeguarded Newton with the analytic
-    excess derivative — but each round evaluates *one candidate per lane*,
-    batched into a single ``(lanes, n_c)`` :func:`lambert_solve_rows` call.
+    budget.  Every lane runs the state machine of :func:`_mu_search_vector`:
 
-    Lane isolation is exact: the row kernel freezes each row on its own
-    stopping criterion and every bracket/Newton decision reads only that
+    * one bracketing call evaluates every lane's ``mu_0`` and first
+      ``_FIRST_CALL_EXPANSIONS`` ×4 up-candidates in a single
+      ``(lanes * 9, n_c)`` :func:`lambert_solve_rows` call;
+    * lanes still open then scan one candidate per lane per round (×4 up,
+      or ×0.25 down from ``mu_0``), the spent candidates counting against
+      the cap;
+    * bracketed lanes take safeguarded Halley steps from the log-log secant
+      point, their Lambert solves seeded by the tangent predictor
+      (:func:`lambert_solve_seeded`).
+
+    A round makes one kernel call per phase present: seeded for Halley
+    lanes, cold for scanning ones.
+
+    Lane isolation is exact: both row kernels freeze each row on its own
+    stopping criterion and every bracket/Halley decision reads only that
     lane's values, so perturbing one lane's inputs cannot move another
     lane's iterates by even one ulp.  Bracket iterates may differ from the
-    per-drop search in round-off (the per-drop scan evaluates candidate
-    *chunks* per lane, this search evaluates candidate *lanes* per round),
-    but both stop at the same ``mu_tol`` bracket and hand the feasible side
-    to the entry-independent polish, which collapses either path onto the
-    same double — the batched-parity suite holds the final results to
+    per-drop search in round-off (its bracketing call stops on one test for
+    all nine candidates, the row kernel on one per candidate), but both stop
+    at the same ``mu_tol`` bracket and hand the feasible side to the
+    entry-independent polish, which collapses either path onto the same
+    double — the batched-parity suite holds the final results to
     bit-identity.
 
     Returns ``(mu, x_rows, errors)``: polished multipliers (``0.0`` for
@@ -544,7 +597,7 @@ def _mu_search_vector_rows(
     messages.
     """
     num_lanes, n_c = j_rows.shape
-    SCAN_UP, SCAN_DOWN, NEWTON = range(3)
+    SCAN_UP, SCAN_DOWN, HALLEY = range(3)
     mu_out = np.zeros(num_lanes)
     polish = np.zeros(num_lanes, dtype=bool)
     errors: list[str | None] = [None] * num_lanes
@@ -553,39 +606,52 @@ def _mu_search_vector_rows(
     # whenever lanes stop: a round's work is elementwise masked updates over
     # these arrays, so each lane sees the same float operations as a
     # lane-at-a-time loop would, and only a round that stops lanes pays for
-    # re-indexing.
+    # re-indexing.  ``x_seed`` holds a scanning lane's roots at its open
+    # bracket end and a Halley lane's seed for its next Lambert solve.
     ids = np.arange(num_lanes)
     j, lead, budget = j_rows, rmin_rows * _LN2, budgets
-    mu_lo = np.zeros(num_lanes)
-    f_lo = np.zeros(num_lanes)
-    mu_hi = np.zeros(num_lanes)
-    f_hi = np.zeros(num_lanes)
+
+    mu_0 = np.median(j_rows, axis=1)
+    first = min(_FIRST_CALL_EXPANSIONS, MU_BRACKET_MAX_EXPANSIONS)
+    grid = mu_0[:, None] * 4.0 ** np.arange(first + 1)
+    x_grid = lambert_solve_rows(
+        (grid[:, :, None] / j[:, None, :]).reshape(-1, n_c)
+    ).reshape(num_lanes, first + 1, n_c)
+    f_grid = (lead[:, None, :] / np.maximum(np.log(x_grid), 1e-300)).sum(axis=2)
+    f_grid -= budget[:, None]
+    up, down = f_grid[:, 0] > 0.0, f_grid[:, 0] < 0.0
+    closes = f_grid[:, 1:] <= 0.0
+    hit = up & closes.any(axis=1)
+    # Grid index of each lane's bracket ends: a closed up-scan's two
+    # candidates, an open up-scan's last candidate, a down-scan's mu_0.
+    at_lo = np.full(num_lanes, first)
+    at_hi = np.zeros(num_lanes, dtype=np.int64)
+    if hit.any():
+        at_hi[hit] = np.argmax(closes[hit], axis=1) + 1
+        at_lo[hit] = at_hi[hit] - 1
+    mu_lo, f_lo, x_lo = grid[ids, at_lo], f_grid[ids, at_lo], x_grid[ids, at_lo]
+    mu_hi, f_hi, x_hi = grid[ids, at_hi], f_grid[ids, at_hi], x_grid[ids, at_hi]
+    phase = np.where(up, SCAN_UP, SCAN_DOWN)
+    counts = np.where(up, first, 0)
+    cand = np.where(up, mu_lo * 4.0, mu_hi * 0.25)
+    x_seed = np.where(up[:, None], x_lo, x_hi)
     mu_k = np.zeros(num_lanes)
-    counts = np.zeros(num_lanes, dtype=np.int64)
-    # NaN rows mean "no seed" (the row kernel ignores non-finite seeds
-    # element-wise), matching the per-drop search: unseeded bracket scan,
-    # previous iterates threaded through the Newton refinement.
-    x_seed = np.full((num_lanes, n_c), np.nan)
 
-    def evaluate(mu_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x = lambert_solve_rows(mu_vals[:, None] / j, x0=x_seed)
-        log_x = np.maximum(np.log(x), 1e-300)
-        excess = (lead / log_x).sum(axis=1) - budget
-        slope = -(lead / (j * x * log_x**3)).sum(axis=1)
-        return excess, slope, x
-
-    def enter_newton(bracketed: np.ndarray) -> np.ndarray:
-        """Start Newton in the newly bracketed lanes; returns those that are
+    def enter_halley(
+        bracketed: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray
+    ) -> np.ndarray:
+        """Start Halley in the newly bracketed lanes; returns those that are
         already converged there."""
         converged = bracketed & (
             (mu_hi - mu_lo <= mu_tol * mu_hi) | (f_lo == 0.0) | (f_hi == 0.0)
         )
         start = bracketed & ~converged
         if start.any():
-            np.copyto(mu_k, _newton_start(mu_lo, f_lo, mu_hi, f_hi), where=start)
-            phase[start] = NEWTON
+            mu_start, seed = _halley_start(mu_lo, f_lo, x_lo, mu_hi, f_hi, x_hi, budget)
+            np.copyto(mu_k, mu_start, where=start)
+            np.copyto(x_seed, seed, where=start[:, None])
+            phase[start] = HALLEY
             counts[start] = 0
-            x_seed[start] = np.nan
         return converged
 
     def fail(lanes: np.ndarray) -> None:
@@ -613,19 +679,13 @@ def _mu_search_vector_rows(
                 )
             errors[ids[k]] = message
 
-    mu_0 = np.median(j_rows, axis=1)
-    f_0, _, _ = evaluate(mu_0)
-    up, down = f_0 > 0.0, f_0 < 0.0
-    phase = np.where(up, SCAN_UP, SCAN_DOWN)
-    np.copyto(mu_lo, mu_0, where=~down)
-    np.copyto(f_lo, f_0, where=up)
-    np.copyto(mu_hi, mu_0, where=~up)
-    np.copyto(f_hi, f_0, where=down)
-    cand = np.where(up, mu_0 * 4.0, mu_0 * 0.25)
-    done = enter_newton(~up & ~down)
-    stopped = done
+    failed = up & ~hit & (counts >= MU_BRACKET_MAX_EXPANSIONS)
+    done = enter_halley(hit, x_lo, x_hi) | (~up & ~down)
+    stopped = done | failed
 
     while True:
+        if failed.any():
+            fail(failed)
         if stopped.any():
             mu_out[ids[done]] = mu_hi[done]
             polish[ids[done]] = True
@@ -637,34 +697,50 @@ def _mu_search_vector_rows(
             j, lead, budget, x_seed = j[keep], lead[keep], budget[keep], x_seed[keep]
         if ids.size == 0:
             break
-        newton = phase == NEWTON
-        excess, slope, x = evaluate(np.where(newton, mu_k, cand))
+        halley = phase == HALLEY
+        if halley.all():
+            x = lambert_solve_seeded(mu_k[:, None] / j, x_seed)
+        elif not halley.any():
+            x = lambert_solve_rows(cand[:, None] / j)
+        else:
+            x = np.empty_like(x_seed)
+            x[halley] = lambert_solve_seeded(mu_k[halley, None] / j[halley], x_seed[halley])
+            x[~halley] = lambert_solve_rows(cand[~halley, None] / j[~halley])
+        log_x = np.maximum(np.log(x), 1e-300)
+        terms = lead / log_x
+        excess = terms.sum(axis=1) - budget
 
-        # Safeguarded Newton: shrink the bracket onto the iterate, stop at
+        # Safeguarded Halley: shrink the bracket onto the iterate, stop at
         # ``mu_tol``, else step (bisecting when the step leaves the bracket).
-        np.copyto(x_seed, x, where=newton[:, None])
-        above = newton & (excess > 0.0)
-        below = newton & ~(excess > 0.0)
+        above = halley & (excess > 0.0)
+        below = halley & ~(excess > 0.0)
         np.copyto(mu_lo, mu_k, where=above)
         np.copyto(f_lo, excess, where=above)
         np.copyto(mu_hi, mu_k, where=below)
         np.copyto(f_hi, excess, where=below)
-        done = newton & ((mu_hi - mu_lo <= mu_tol * mu_hi) | (excess == 0.0))
-        stepping = newton & ~done
+        done = halley & ((mu_hi - mu_lo <= mu_tol * mu_hi) | (excess == 0.0))
+        stepping = halley & ~done
         counts += stepping
         failed = stepping & (counts >= MU_SEARCH_MAX_ITERATIONS)
         stepping &= ~failed
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            mu_next = mu_k - excess / slope
-        inside = (slope < 0.0) & (mu_lo < mu_next) & (mu_next < mu_hi)
-        np.copyto(mu_next, 0.5 * (mu_lo + mu_hi), where=~inside)
-        np.copyto(mu_k, mu_next, where=stepping)
+        if stepping.any():
+            slope, curvature = _excess_derivatives(x, log_x, terms, j)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = excess / slope
+                mu_next = mu_k - step / (1.0 - 0.5 * step * curvature / slope)
+            inside = (slope < 0.0) & (mu_lo < mu_next) & (mu_next < mu_hi)
+            np.copyto(mu_next, 0.5 * (mu_lo + mu_hi), where=~inside)
+            np.copyto(x_seed, _predict_x(x, log_x, j, mu_next - mu_k), where=stepping[:, None])
+            np.copyto(mu_k, mu_next, where=stepping)
         stopped = done | failed
 
-        if not newton.all():
-            # Bracket scans: a step across the root closes the bracket ...
+        if not halley.all():
+            # Bracket scans: a step across the root closes the bracket, the
+            # open end's roots waiting in ``x_seed`` ...
             up, down = phase == SCAN_UP, phase == SCAN_DOWN
             closed_up, closed_down = up & (excess <= 0.0), down & (excess >= 0.0)
+            x_lo = np.where(closed_up[:, None], x_seed, x)
+            x_hi = np.where(closed_up[:, None], x, x_seed)
             np.copyto(mu_hi, cand, where=closed_up)
             np.copyto(f_hi, excess, where=closed_up)
             np.copyto(mu_lo, cand, where=closed_down)
@@ -676,16 +752,15 @@ def _mu_search_vector_rows(
             np.copyto(f_lo, excess, where=open_up)
             np.copyto(mu_hi, cand, where=open_down)
             np.copyto(f_hi, excess, where=open_down)
+            np.copyto(x_seed, x, where=(open_up | open_down)[:, None])
             counts += open_up | open_down
             capped_up = open_up & (counts >= MU_BRACKET_MAX_EXPANSIONS)
             capped_down = open_down & (counts >= MU_BRACKET_MAX_CONTRACTIONS)
             np.multiply(cand, 4.0, out=cand, where=open_up & ~capped_up)
             np.multiply(cand, 0.25, out=cand, where=open_down & ~capped_down)
             failed |= capped_up | capped_down
-            done |= enter_newton((closed_up | closed_down) & ~slack)
+            done |= enter_halley((closed_up | closed_down) & ~slack, x_lo, x_hi)
             stopped = done | failed | slack
-        if failed.any():
-            fail(failed)
 
     mu_final = np.zeros(num_lanes)
     x_rows = np.ones((num_lanes, n_c))
@@ -744,8 +819,9 @@ def solve_sp2_v2(
     :func:`solve_sp2_v2_numeric` in both cases).
 
     ``backend`` selects the bandwidth-multiplier search: ``"vector"``
-    (default) batches the bracket scan and runs a safeguarded Newton
-    iteration over all devices in single array passes; ``"scalar"`` is the
+    (default) brackets the root in one batched Lambert call and runs a
+    safeguarded Halley iteration over all devices in single array passes
+    (:func:`_mu_search_vector`); ``"scalar"`` is the
     probe-sequential reference implementation.  Both converge ``mu`` to the
     same relative tolerance, so they agree within ``mu_tol``-level
     round-off — the backend-parity tests enforce it.
@@ -895,10 +971,11 @@ def solve_sp2_v2_rows(
 
     The bandwidth-multiplier search picks its kernel by lane count: a
     group of two or more lanes runs the lockstep rows search
-    (:func:`_mu_search_vector_rows`, one candidate per lane per round), a
-    one-lane group runs the 1-D search of ``backend`` (which scans a chunk
-    of candidates per pass, so it needs fewer Lambert calls for one lane),
-    and the ``"scalar"`` backend always runs its probe-sequential oracle
+    (:func:`_mu_search_vector_rows`, one bracketing call for the group,
+    then one candidate per lane per round), a one-lane group runs the 1-D
+    search of ``backend`` (the same state machine without per-lane masks,
+    scanning past the bracketing call in chunks of candidates), and the
+    ``"scalar"`` backend always runs its probe-sequential oracle
     lane by lane.  Every path hands its bracket to the entry-independent
     polish, which collapses them onto the same double.
 

@@ -9,9 +9,12 @@ SNR factor ``x = 1 + p g / (N0 B)`` satisfies
 whose solution is ``x = (mu - j) / (j * W0((mu - j) / (e * j)))`` for
 ``mu != j`` and ``x = e`` for ``mu = j``.  The solvers never evaluate W0
 itself: they find that root with a guarded Newton iteration on
-``x ln x - x + 1 = rhs`` (the scalar oracle's and the vector backend's
-forms, each with a row-stopping batched twin).  The tests cross-check the
-Newton roots against that closed form.
+``x ln x - x + 1 = rhs``.  There are three forms: the scalar oracle's
+(:func:`solve_x_log_x`) and the vector backend's cold-seeded one
+(:func:`lambert_solve_vector`), each with a row-stopping batched twin, and
+the multiplier search's :func:`lambert_solve_seeded`, which takes either
+shape, starts from a seed the search predicts and skips validation.  The
+tests cross-check the Newton roots against that closed form.
 """
 
 from __future__ import annotations
@@ -56,7 +59,20 @@ __all__ = [
     "solve_x_log_x_rows",
     "lambert_solve_vector",
     "lambert_solve_rows",
+    "lambert_solve_seeded",
 ]
+
+
+def _newton_step(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """One guarded Newton step on ``x ln x - x + 1 = c``, kept above 1.
+
+    The update of every Newton loop here; :func:`solve_x_log_x` spells out
+    the same expressions in its own loop.
+    """
+    log_x = np.log(x)
+    f = x * log_x - x + 1.0 - c
+    df = np.maximum(log_x, 1e-12)
+    return np.maximum(x - f / df, 0.5 * (x + 1.0))
 
 
 def solve_x_log_x(
@@ -99,29 +115,13 @@ def solve_x_log_x(
     return np.where(rhs_arr == 0.0, 1.0, x)
 
 
-def lambert_solve_vector(
-    rhs: np.ndarray | float,
-    *,
-    tol: float = 1e-14,
-    max_iter: int = 60,
-    x0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Batched solve of ``x * ln(x) - x + 1 = rhs`` for arrays of any shape.
-
-    This is the vector backend's workhorse: where :func:`solve_x_log_x` is
-    tuned for the scalar solver's one-probe-at-a-time call pattern (and kept
-    float-for-float stable as the reference oracle), this variant accepts an
-    arbitrarily shaped batch — e.g. a ``(num_probes, num_devices)`` grid of
-    right-hand sides from a batched multiplier scan — and runs one guarded
-    Newton iteration over the whole array at once.
+def _cold_start(rhs: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """Validated right-hand sides and the cold seed of the vector kernels.
 
     The seed is third-order accurate on both asymptotic branches
     (``x = 1 + sqrt(2 c) + c/3`` for small ``c``; ``x ~ c / ln c`` corrected
-    by ``ln ln c / ln c`` for large ``c``), so the iteration converges in a
-    handful of steps.  ``x0`` optionally replaces the seed (e.g. the root
-    for a nearby batch); it must match ``rhs``'s shape, be finite and
-    ``>= 1``, or it is ignored.  The root is unique, so a seed changes the
-    iteration count, not the answer.
+    by ``ln ln c / ln c`` for large ``c``), so Newton converges in a handful
+    of steps.
     """
     c = np.asarray(rhs, dtype=float)
     if np.any(c < -1e-12):
@@ -133,25 +133,42 @@ def lambert_solve_vector(
         t = np.log(np.maximum(c, np.e))
         large = c / t * (1.0 + np.log(t) / t)
     x = np.where(c > np.e, np.maximum(large, 1.0 + 1e-12), small)
-    if x0 is not None:
-        seed = np.asarray(x0, dtype=float)
-        if seed.shape == c.shape:
-            usable = np.isfinite(seed) & (seed >= 1.0)
-            x = np.where(usable, seed, x)
-    x = np.maximum(x, 1.0 + 1e-15)
+    return c, np.maximum(x, 1.0 + 1e-15)
 
+
+def lambert_solve_vector(
+    rhs: np.ndarray | float,
+    *,
+    tol: float = 1e-14,
+    max_iter: int = 60,
+) -> np.ndarray:
+    """Batched solve of ``x * ln(x) - x + 1 = rhs`` for arrays of any shape.
+
+    This is the vector backend's workhorse: where :func:`solve_x_log_x` is
+    tuned for the scalar solver's one-probe-at-a-time call pattern (and kept
+    float-for-float stable as the reference oracle), this variant accepts an
+    arbitrarily shaped batch — e.g. a ``(num_probes, num_devices)`` grid of
+    right-hand sides from a batched multiplier scan — and runs one guarded
+    Newton iteration over the whole array at once, from the cold seed of
+    :func:`_cold_start`.
+    """
+    c, x = _cold_start(rhs)
+    return _newton_all(x, c, tol, max_iter, "lambert_solve_vector")
+
+
+def _newton_all(
+    x: np.ndarray, rhs: np.ndarray, tol: float, max_iter: int, name: str
+) -> np.ndarray:
+    """Newton loop that stops once every element meets the step test."""
     for _ in range(max_iter):  # repro-lint: disable=RL002 -- exhaustion raises via _check_lambert_residual
-        log_x = np.log(x)
-        f = x * log_x - x + 1.0 - c
-        df = np.maximum(log_x, 1e-12)
-        x_new = np.maximum(x - f / df, 0.5 * (x + 1.0))
+        x_new = _newton_step(x, rhs)
         if np.all(np.abs(x_new - x) <= tol * np.maximum(1.0, np.abs(x_new))):
             x = x_new
             break
         x = x_new
     else:
-        _check_lambert_residual(x, c, max_iter, "lambert_solve_vector")
-    return np.where(c == 0.0, 1.0, x)
+        _check_lambert_residual(x, rhs, max_iter, name)
+    return np.where(rhs == 0.0, 1.0, x)
 
 
 def _newton_rows(
@@ -166,36 +183,27 @@ def _newton_rows(
     row — which is what makes the batched multiplier search's masked-lane
     isolation exact rather than approximate.
     """
-    active = np.ones(x.shape[0], dtype=bool)
-    all_active = True  # rows converge at similar depths: skip the gather/
-    # scatter indexing while every row is still live (the common phase)
+    live = None  # indices of the rows still iterating; None while all are
+    # (rows converge at similar depths, so the common phase skips indexing)
+    xa, ra = x, rhs
     for _ in range(max_iter):  # repro-lint: disable=RL002 -- exhaustion raises via _check_lambert_residual
-        if all_active:
-            xa, ra = x, rhs
-        else:
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            xa, ra = x[idx], rhs[idx]
-        log_x = np.log(xa)
-        f = xa * log_x - xa + 1.0 - ra
-        df = np.maximum(log_x, 1e-12)
-        x_new = np.maximum(xa - f / df, 0.5 * (xa + 1.0))
-        done = np.all(
-            np.abs(x_new - xa) <= tol * np.maximum(1.0, np.abs(x_new)), axis=1
-        )
-        if all_active:
+        x_new = _newton_step(xa, ra)
+        done = (np.abs(x_new - xa) <= tol * np.maximum(1.0, np.abs(x_new))).all(axis=1)
+        if live is None:
             x = x_new
-            if done.any():
-                active = ~done
-                all_active = False
+            if done.size and not done.any():
+                xa = x_new
+                continue
+            live = np.flatnonzero(~done)
         else:
-            x[idx] = x_new
-            active[idx[done]] = False
-        if not active.any():
+            x[live] = x_new
+            live = live[~done]
+        if live.size == 0:
             break
-    if np.any(active):
-        _check_lambert_residual(x[active], rhs[active], max_iter, name)
+        xa, ra = x_new[~done], ra[~done]
+    else:
+        stalled = slice(None) if live is None else live
+        _check_lambert_residual(x[stalled], rhs[stalled], max_iter, name)
     return np.where(rhs == 0.0, 1.0, x)
 
 
@@ -246,37 +254,42 @@ def lambert_solve_rows(
     *,
     tol: float = 1e-14,
     max_iter: int = 60,
-    x0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-row variant of :func:`lambert_solve_vector` for ``(lanes, n)``.
 
-    Same third-order seeds and guarded Newton update as the any-shape
-    kernel, but each row stops on its own criterion (see
-    :func:`_newton_rows`): row ``i`` equals ``lambert_solve_vector(rhs[i])``
-    bitwise and is unaffected by its neighbours.  This is the evaluation
-    kernel of the batched multiplier search, where one lane per row probes
-    its own candidate against its own ``(n,)`` problem data.
-
-    ``x0`` is accepted element-wise within rows (matching the any-shape
-    kernel's per-element acceptance) — seeds only change iteration counts,
-    never the root.
+    Same cold seed and guarded Newton update as the any-shape kernel, but
+    each row stops on its own criterion (see :func:`_newton_rows`): row
+    ``i`` equals ``lambert_solve_vector(rhs[i])`` bitwise and is unaffected
+    by its neighbours.  This is the bracketing kernel of the batched
+    multiplier search, where each row probes one lane's candidate against
+    that lane's ``(n,)`` problem data.
     """
-    c = np.asarray(rhs, dtype=float)
-    if c.ndim != 2:
+    if np.ndim(rhs) != 2:
         raise ValueError("lambert_solve_rows expects a (lanes, n) array")
-    if np.any(c < -1e-12):
-        raise ValueError("rhs must be non-negative")
-    c = np.maximum(c, 0.0)
-
-    small = 1.0 + np.sqrt(2.0 * c) + c / 3.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.log(np.maximum(c, np.e))
-        large = c / t * (1.0 + np.log(t) / t)
-    x = np.where(c > np.e, np.maximum(large, 1.0 + 1e-12), small)
-    if x0 is not None:
-        seed = np.asarray(x0, dtype=float)
-        if seed.shape == c.shape:
-            usable = np.isfinite(seed) & (seed >= 1.0)
-            x = np.where(usable, seed, x)
-    x = np.maximum(x, 1.0 + 1e-15)
+    c, x = _cold_start(rhs)
     return _newton_rows(x, c, tol, max_iter, "lambert_solve_rows")
+
+
+def lambert_solve_seeded(
+    rhs: np.ndarray,
+    x0: np.ndarray,
+    *,
+    tol: float = 1e-14,
+    max_iter: int = 60,
+) -> np.ndarray:
+    """Search-only solve of ``x ln x - x + 1 = rhs`` from the caller's seed.
+
+    The multiplier searches' Halley phase already knows each root to a few
+    digits (the previous iterate's root plus its first-order step), so this
+    kernel skips what the public kernels do on entry: it checks nothing and
+    computes no cold seed.  ``rhs`` must be finite and ``>= 0``, and ``x0``
+    finite and of ``rhs``'s shape; the seed is floored at ``1 + 1e-15``
+    like the cold ones.  A 2-D ``rhs`` runs :func:`_newton_rows`, so each
+    row stops on its own test and is bitwise independent of its neighbours;
+    a 1-D one is a single row, whose test is the global one.  Exhaustion
+    raises through :func:`_check_lambert_residual`.
+    """
+    x = np.maximum(x0, 1.0 + 1e-15)
+    if rhs.ndim == 1:
+        return _newton_all(x, rhs, tol, max_iter, "lambert_solve_seeded")
+    return _newton_rows(x, rhs, tol, max_iter, "lambert_solve_seeded")

@@ -1,10 +1,11 @@
 """Reference lockstep multiplier search: the lane-at-a-time decision loop.
 
 :func:`repro.core.subproblem2._mu_search_vector_rows` updates each phase's
-lanes with masked array operations.  This copy keeps the original form — one
-Python pass over the running lanes per round, every bracket and Newton
-decision made on that lane's scalars — so the tests can hold the masked
-version to the same bits, pre-polish iterates and error strings included.
+lanes with masked array operations.  This copy makes the same decisions one
+lane at a time — one Python pass over the running lanes per round, every
+bracket and Halley decision made on that lane's scalars — so the tests can
+hold the masked version to the same bits, pre-polish iterates and error
+strings included.
 """
 
 from __future__ import annotations
@@ -12,8 +13,27 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import subproblem2
-from repro.core.subproblem2 import _LN2, _newton_start
-from repro.solvers.lambert import lambert_solve_rows
+from repro.core.subproblem2 import (
+    _LN2,
+    _excess_derivatives,
+    _halley_start,
+    _predict_x,
+)
+from repro.solvers.lambert import lambert_solve_rows, lambert_solve_seeded, solve_x_log_x
+
+
+def rooted_problem(j, rmin, offset: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Search inputs whose multiplier root sits at ``median(j) * 4**offset``.
+
+    Returns ``(j, rmin, budget, c_min)``: the budget is the bandwidth demand
+    at that root, and ``c_min`` the smallest ``mu / j`` there (how far the
+    roots ``x`` stay from 1, where the excess loses its conditioning).
+    """
+    j, rmin = np.asarray(j, dtype=float), np.asarray(rmin, dtype=float)
+    root = float(np.median(j)) * 4.0**offset
+    x = solve_x_log_x(root / j)
+    budget = float((rmin * _LN2 / np.log(x)).sum())
+    return j, rmin, budget, float(np.min(root / j))
 
 
 def mu_search_rows_reference(
@@ -28,17 +48,16 @@ def mu_search_rows_reference(
     max_expansions = subproblem2.MU_BRACKET_MAX_EXPANSIONS
     max_contractions = subproblem2.MU_BRACKET_MAX_CONTRACTIONS
     max_iterations = subproblem2.MU_SEARCH_MAX_ITERATIONS
+    first = min(subproblem2._FIRST_CALL_EXPANSIONS, max_expansions)
     num_lanes, n_c = j_rows.shape
     lead = rmin_rows * _LN2
 
-    def evaluate(lanes, mu_vals, seeds):
-        x = lambert_solve_rows(mu_vals[:, None] / j_rows[lanes], x0=seeds)
+    def excess_of(i, x):
         log_x = np.maximum(np.log(x), 1e-300)
-        excess = (lead[lanes] / log_x).sum(axis=1) - budgets[lanes]
-        slope = -(lead[lanes] / (j_rows[lanes] * x * log_x**3)).sum(axis=1)
-        return excess, slope, x
+        terms = lead[i] / log_x
+        return terms.sum(axis=-1) - budgets[i], log_x, terms
 
-    SCAN_UP, SCAN_DOWN, NEWTON, DONE, FAILED = range(5)
+    SCAN_UP, SCAN_DOWN, HALLEY, DONE, FAILED = range(5)
     phase = np.full(num_lanes, DONE, dtype=np.int64)
     mu_lo = np.zeros(num_lanes)
     f_lo = np.zeros(num_lanes)
@@ -47,73 +66,100 @@ def mu_search_rows_reference(
     cand = np.zeros(num_lanes)
     mu_k = np.zeros(num_lanes)
     counts = np.zeros(num_lanes, dtype=np.int64)
-    x_seed = np.full((num_lanes, n_c), np.nan)
+    x_open = np.ones((num_lanes, n_c))
+    x_seed = np.ones((num_lanes, n_c))
     mu_out = np.zeros(num_lanes)
     slack = np.zeros(num_lanes, dtype=bool)
     errors: list[str | None] = [None] * num_lanes
 
-    def enter_newton(i):
+    def fail_up(i):
+        phase[i] = FAILED
+        errors[i] = (
+            "bandwidth multiplier could not be bracketed from "
+            f"above in {max_expansions} expansions "
+            f"(excess {f_lo[i]:.3g} at mu {mu_lo[i]:.3g})"
+        )
+
+    def enter_halley(i, x_lo, x_hi):
         if mu_hi[i] - mu_lo[i] <= mu_tol * mu_hi[i] or f_lo[i] == 0.0 or f_hi[i] == 0.0:
             phase[i] = DONE
             mu_out[i] = mu_hi[i]
         else:
-            phase[i] = NEWTON
-            mu_k[i] = _newton_start(mu_lo[i], f_lo[i], mu_hi[i], f_hi[i])
+            phase[i] = HALLEY
+            start, seed = _halley_start(
+                mu_lo[i], f_lo[i], x_lo, mu_hi[i], f_hi[i], x_hi, budgets[i]
+            )
+            mu_k[i] = start
+            x_seed[i] = seed
             counts[i] = 0
-            x_seed[i] = np.nan
 
-    mu_0 = np.median(j_rows, axis=1)
-    f_0, _, _ = evaluate(np.arange(num_lanes), mu_0, x_seed)
+    # The bracketing call: mu_0 and its first ×4 up-candidates, per lane.
     for i in range(num_lanes):
-        if f_0[i] > 0.0:
-            phase[i] = SCAN_UP
-            mu_lo[i], f_lo[i] = mu_0[i], f_0[i]
-            cand[i] = mu_0[i] * 4.0
-        elif f_0[i] < 0.0:
+        mu_0 = np.median(j_rows[i])
+        grid = mu_0 * 4.0 ** np.arange(first + 1)
+        xs = lambert_solve_rows(grid[:, None] / j_rows[i])
+        excesses, _, _ = excess_of(i, xs)
+        if excesses[0] > 0.0:
+            hits = np.flatnonzero(excesses[1:] <= 0.0)
+            if hits.size:
+                k = int(hits[0]) + 1
+                mu_lo[i], f_lo[i] = grid[k - 1], excesses[k - 1]
+                mu_hi[i], f_hi[i] = grid[k], excesses[k]
+                enter_halley(i, xs[k - 1], xs[k])
+            else:
+                phase[i] = SCAN_UP
+                mu_lo[i], f_lo[i] = grid[-1], excesses[-1]
+                x_open[i] = xs[-1]
+                counts[i] = first
+                if counts[i] >= max_expansions:
+                    fail_up(i)
+                else:
+                    cand[i] = grid[-1] * 4.0
+        elif excesses[0] < 0.0:
             phase[i] = SCAN_DOWN
-            mu_hi[i], f_hi[i] = mu_0[i], f_0[i]
-            cand[i] = mu_0[i] * 0.25
+            mu_hi[i], f_hi[i] = mu_0, excesses[0]
+            x_open[i] = xs[0]
+            cand[i] = mu_0 * 0.25
         else:
-            mu_lo[i] = mu_hi[i] = mu_0[i]
-            f_lo[i] = f_hi[i] = 0.0
-            enter_newton(i)
+            phase[i] = DONE
+            mu_out[i] = mu_0
 
     while True:
-        running = np.flatnonzero(phase <= NEWTON)
+        running = np.flatnonzero(phase <= HALLEY)
         if running.size == 0:
             break
-        mu_vals = np.where(phase[running] == NEWTON, mu_k[running], cand[running])
-        excess, slope, x = evaluate(running, mu_vals, x_seed[running])
-        for k, lane in enumerate(running):
+        for lane in running:
             i = int(lane)
-            e = float(excess[k])
-            s = float(slope[k])
+            if phase[i] == HALLEY:
+                x = lambert_solve_seeded(
+                    mu_k[i : i + 1, None] / j_rows[i : i + 1], x_seed[i : i + 1]
+                )
+            else:
+                x = lambert_solve_rows(cand[i : i + 1, None] / j_rows[i : i + 1])
+            excess, log_x, terms = excess_of(i, x[0])
             if phase[i] == SCAN_UP:
-                if e <= 0.0:
-                    mu_hi[i], f_hi[i] = cand[i], e
-                    enter_newton(i)
+                if excess <= 0.0:
+                    mu_hi[i], f_hi[i] = cand[i], excess
+                    enter_halley(i, x_open[i], x[0])
                 else:
-                    mu_lo[i], f_lo[i] = cand[i], e
+                    mu_lo[i], f_lo[i] = cand[i], excess
+                    x_open[i] = x[0]
                     counts[i] += 1
                     if counts[i] >= max_expansions:
-                        phase[i] = FAILED
-                        errors[i] = (
-                            "bandwidth multiplier could not be bracketed from "
-                            f"above in {max_expansions} expansions "
-                            f"(excess {f_lo[i]:.3g} at mu {mu_lo[i]:.3g})"
-                        )
+                        fail_up(i)
                     else:
                         cand[i] = cand[i] * 4.0
             elif phase[i] == SCAN_DOWN:
-                if e >= 0.0:
-                    mu_lo[i], f_lo[i] = cand[i], e
+                if excess >= 0.0:
+                    mu_lo[i], f_lo[i] = cand[i], excess
                     if mu_lo[i] == 0.0:
                         phase[i] = DONE
                         slack[i] = True
                     else:
-                        enter_newton(i)
+                        enter_halley(i, x[0], x_open[i])
                 else:
-                    mu_hi[i], f_hi[i] = cand[i], e
+                    mu_hi[i], f_hi[i] = cand[i], excess
+                    x_open[i] = x[0]
                     counts[i] += 1
                     if counts[i] >= max_contractions:
                         phase[i] = FAILED
@@ -126,12 +172,11 @@ def mu_search_rows_reference(
                     else:
                         cand[i] = cand[i] * 0.25
             else:
-                x_seed[i] = x[k]
-                if e > 0.0:
-                    mu_lo[i], f_lo[i] = mu_k[i], e
+                if excess > 0.0:
+                    mu_lo[i], f_lo[i] = mu_k[i], excess
                 else:
-                    mu_hi[i], f_hi[i] = mu_k[i], e
-                if mu_hi[i] - mu_lo[i] <= mu_tol * mu_hi[i] or e == 0.0:
+                    mu_hi[i], f_hi[i] = mu_k[i], excess
+                if mu_hi[i] - mu_lo[i] <= mu_tol * mu_hi[i] or excess == 0.0:
                     phase[i] = DONE
                     mu_out[i] = mu_hi[i]
                     continue
@@ -145,9 +190,15 @@ def mu_search_rows_reference(
                         f"than tol={mu_tol:.3g}"
                     )
                     continue
-                mu_next = mu_k[i] - e / s if s < 0.0 else 0.5 * (mu_lo[i] + mu_hi[i])
-                if not mu_lo[i] < mu_next < mu_hi[i]:
-                    mu_next = 0.5 * (mu_lo[i] + mu_hi[i])
+                slope, curvature = _excess_derivatives(x[0], log_x, terms, j_rows[i])
+                mu_next = 0.5 * (mu_lo[i] + mu_hi[i])
+                if slope < 0.0:
+                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                        step = excess / slope
+                        halley = mu_k[i] - step / (1.0 - 0.5 * step * curvature / slope)
+                    if mu_lo[i] < halley < mu_hi[i]:
+                        mu_next = halley
+                x_seed[i] = _predict_x(x[0], log_x, j_rows[i], mu_next - mu_k[i])
                 mu_k[i] = mu_next
 
     mu_final = np.zeros(num_lanes)

@@ -38,12 +38,13 @@ from repro.experiments.runner import SweepRunner, SweepTask, task_hash
 from repro.scenarios import ScenarioSpec, scenario_families
 from repro.solvers.lambert import (
     lambert_solve_rows,
+    lambert_solve_seeded,
     lambert_solve_vector,
     solve_x_log_x,
     solve_x_log_x_rows,
 )
 from repro.solvers.scalar import golden_section_rows, golden_section_scalar
-from tests.mu_search_reference import mu_search_rows_reference
+from tests.mu_search_reference import mu_search_rows_reference, rooted_problem
 
 
 def _build(family: str, *, num_devices: int = 8, seed: int = 0):
@@ -468,6 +469,23 @@ class TestMaskedLaneIsolation:
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
+    def test_lambert_solve_seeded_rows_match_per_row(self, data):
+        """A 2-D seeded solve stops each row on its own test: row ``k`` equals
+        the 1-D seeded solve of row ``k``, whatever the other rows hold."""
+        num_rows = data.draw(st.integers(min_value=1, max_value=5))
+        width = data.draw(st.integers(min_value=1, max_value=6))
+        values = st.floats(min_value=0.0, max_value=1e8)
+        rhs = np.array([[data.draw(values) for _ in range(width)] for _ in range(num_rows)])
+        jitter = st.floats(min_value=0.5, max_value=2.0)
+        seeds = lambert_solve_rows(rhs) * np.array(
+            [[data.draw(jitter) for _ in range(width)] for _ in range(num_rows)]
+        )
+        rows = lambert_solve_seeded(rhs, seeds)
+        for k in range(num_rows):
+            np.testing.assert_array_equal(rows[k], lambert_solve_seeded(rhs[k], seeds[k]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
     def test_neighbour_lane_cannot_perturb_a_row(self, data):
         """Replacing every *other* lane leaves lane k's bits untouched."""
         width = data.draw(st.integers(min_value=1, max_value=5))
@@ -544,7 +562,7 @@ def test_rows_mu_search_matches_the_lane_loop_reference(data):
     """The masked-array rows search makes the lane-at-a-time loop's decisions.
 
     Compared *before* the polish (patched to hand its entry point straight
-    back), so every pre-polish bit counts, and with capped scans and Newton
+    back), so every pre-polish bit counts, and with capped scans and Halley
     phases, so the error strings count too.
     """
     num_lanes = data.draw(st.integers(min_value=1, max_value=6))
@@ -572,7 +590,8 @@ def test_rows_mu_search_matches_the_lane_loop_reference(data):
             ]
         )
     )
-    caps = {} if cap is None else {cap: data.draw(st.integers(min_value=0, max_value=3))}
+    # 0-9 covers caps below, at and above the bracketing call's 8 candidates.
+    caps = {} if cap is None else {cap: data.draw(st.integers(min_value=0, max_value=9))}
 
     def unpolished(mu, j_rows, rmin_rows, budgets, steps=8):
         return mu.copy(), np.zeros_like(j_rows)
@@ -582,4 +601,38 @@ def test_rows_mu_search_matches_the_lane_loop_reference(data):
         want = mu_search_rows_reference(j_rows, rmin_rows, budgets, mu_tol=1e-13)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize(
+    "caps",
+    [
+        {},
+        {"MU_BRACKET_MAX_EXPANSIONS": 3},
+        {"MU_BRACKET_MAX_EXPANSIONS": 8},
+        {"MU_BRACKET_MAX_EXPANSIONS": 9},
+        {"MU_BRACKET_MAX_CONTRACTIONS": 1},
+        {"MU_SEARCH_MAX_ITERATIONS": 0},
+        {"MU_SEARCH_MAX_ITERATIONS": 2},
+    ],
+)
+def test_rows_mu_search_matches_the_lane_loop_reference_on_pinned_roots(caps):
+    """Lanes whose roots sit below ``mu_0``, inside the bracketing call, just
+    past its eight candidates and far beyond them, under each cap."""
+    offsets = [-2.3, 0.6, 3.4, 8.5, 11.2]
+    lanes = [
+        rooted_problem([2e-12, 7e-12, 1.1e-11, 4e-11], [3e5, 8e4, 5e5, 2e5], offset)
+        for offset in offsets
+    ]
+    j_rows = np.array([lane[0] for lane in lanes])
+    rmin_rows = np.array([lane[1] for lane in lanes])
+    budgets = np.array([lane[2] for lane in lanes])
+
+    def unpolished(mu, j_rows, rmin_rows, budgets, steps=8):
+        return mu.copy(), np.zeros_like(j_rows)
+
+    with mock.patch.multiple(subproblem2, _polish_mu_rows=unpolished, **caps):
+        got = subproblem2._mu_search_vector_rows(j_rows, rmin_rows, budgets, mu_tol=1e-13)
+        want = mu_search_rows_reference(j_rows, rmin_rows, budgets, mu_tol=1e-13)
+    assert got[0].tobytes() == want[0].tobytes()
     assert got[2] == want[2]

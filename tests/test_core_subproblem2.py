@@ -1,12 +1,19 @@
 """Tests for the SP2_v2 solvers (Theorem 2 / Appendix B and the fallback)."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core import subproblem2
 from repro.core.subproblem2 import solve_sp2_v2, solve_sp2_v2_numeric, sp2_objective
 from repro.core.verify import check_kkt
 from repro.exceptions import ConvergenceError, InfeasibleProblemError
+from tests.mu_search_reference import rooted_problem
+from tests.mu_search_vector_reference import mu_search_vector_reference
 
 
 def _setup(system, *, energy_weight=0.5, bandwidth_fraction=0.5, deadline_factor=1.0):
@@ -182,3 +189,117 @@ def test_exhaustion_falls_back_to_the_numeric_solver(
     solver = SumOfRatiosSolver(tiny_system, 0.5, backend=backend)
     result = solver.solve(min_rate, power, bandwidth)
     assert result.history[0].note in ("numeric", "incumbent")
+
+
+# -- the 1-D multiplier search against its frozen predecessor -----------------
+#
+# ``tests.mu_search_vector_reference`` is the chunked-scan / seeded-Newton
+# search this one replaced.  The polish makes the output independent of the
+# path into it, so both must return the same polished ``(mu, x)`` bits or
+# raise the same error.  Problems are built around a chosen root
+# ``mu_0 * 4**offset`` (``mu_0 = median(j)``) by setting the budget to the
+# demand there.  The root keeps every ``c = mu / j >= 1e-3``: nearer
+# ``x = 1``, ``x ln x - x + 1`` cancels catastrophically, the excess is noisy
+# far above ``mu_tol``, and the polish lands on a different double for every
+# entry point (see the multiplier allowance in test_backend_parity.py).
+# The Halley phase counts different iterations from the Newton phase it
+# replaced, so its cap is only drawn at 0, where both raise on the scan's
+# bracket.
+
+
+def _search_outcome(search, j, rmin, budget):
+    try:
+        mu, x = search(j, rmin, budget, mu_tol=1e-13)
+    except ConvergenceError as exc:
+        return "ConvergenceError", str(exc)
+    return mu, None if x is None else x.tobytes()
+
+
+def _assert_matches_the_frozen_search(j, rmin, budget, caps):
+    patched = mock.patch.multiple(subproblem2, **caps) if caps else contextlib.nullcontext()
+    with patched:
+        got = _search_outcome(subproblem2._mu_search_vector, j, rmin, budget)
+        want = _search_outcome(mu_search_vector_reference, j, rmin, budget)
+    assert got == want
+
+
+_CAPS = st.sampled_from(
+    [
+        None,
+        "MU_BRACKET_MAX_EXPANSIONS",
+        "MU_BRACKET_MAX_CONTRACTIONS",
+        "MU_SEARCH_MAX_ITERATIONS",
+    ]
+)
+
+
+@pytest.mark.hypothesis
+@settings(max_examples=150, deadline=None)
+@given(
+    n_c=st.integers(min_value=1, max_value=6),
+    equal_j=st.booleans(),
+    data=st.data(),
+)
+def test_vector_search_matches_the_frozen_search(n_c, equal_j, data):
+    """Bit-identical polished ``(mu, x)`` or the same error: roots below
+    ``mu_0``, inside and beyond the bracketing call's ``4**8 * mu_0``, one
+    device, equal ``j``, and every cap at 0-9."""
+    base = data.draw(st.floats(min_value=-14.0, max_value=-10.0))
+    spread = [0.0] * n_c if equal_j else [
+        data.draw(st.floats(min_value=0.0, max_value=3.0)) for _ in range(n_c)
+    ]
+    rmin = [data.draw(st.floats(min_value=1e3, max_value=1e6)) for _ in range(n_c)]
+    offset = data.draw(st.floats(min_value=-3.0, max_value=12.0))
+    j, rmin, budget, c_min = rooted_problem(10.0 ** (base + np.array(spread)), rmin, offset)
+    assume(c_min >= 1e-3)
+    cap = data.draw(_CAPS)
+    caps = {}
+    if cap is not None:
+        top = 0 if cap == "MU_SEARCH_MAX_ITERATIONS" else 9
+        caps[cap] = data.draw(st.integers(min_value=0, max_value=top))
+        # A root on a scan candidate leaves the excess there at round-off,
+        # so a one-row and a nine-row Lambert call may read opposite signs
+        # and scan opposite ways; a cap can then fail just one of them.
+        assume(abs(offset - round(offset)) > 1e-9)
+    _assert_matches_the_frozen_search(j, rmin, budget, caps)
+
+
+@pytest.mark.parametrize(
+    ("offset", "caps"),
+    [
+        (-2.3, {}),  # root below mu_0: the ×0.25 scan
+        (-2.3, {"MU_BRACKET_MAX_CONTRACTIONS": 2}),
+        (0.0, {}),  # root at mu_0
+        (3.4, {}),  # inside the bracketing call
+        (7.6, {"MU_BRACKET_MAX_EXPANSIONS": 8}),  # closes on the last candidate
+        (8.5, {"MU_BRACKET_MAX_EXPANSIONS": 8}),  # exhausts the cap in one call
+        (8.5, {"MU_BRACKET_MAX_EXPANSIONS": 9}),  # one candidate more
+        (11.2, {}),  # beyond 4**8 * mu_0: the continued ×4 scan
+        (3.4, {"MU_BRACKET_MAX_EXPANSIONS": 0}),
+        (3.4, {"MU_SEARCH_MAX_ITERATIONS": 0}),
+    ],
+)
+def test_vector_search_matches_the_frozen_search_on_pinned_roots(offset, caps):
+    j = [2e-12, 7e-12, 1.1e-11, 4e-11, 9e-11]
+    j, rmin, budget, _ = rooted_problem(j, [3e5, 8e4, 5e5, 2e5, 6e5], offset)
+    _assert_matches_the_frozen_search(j, rmin, budget, caps)
+
+
+@pytest.mark.parametrize(
+    ("j", "rmin"),
+    [([3e-12], [2e5]), ([5e-12] * 4, [1e5, 2e5, 3e5, 4e5])],
+    ids=["one-device", "equal-j"],
+)
+def test_vector_search_matches_the_frozen_search_on_degenerate_j(j, rmin):
+    j, rmin, budget, _ = rooted_problem(j, rmin, 1.7)
+    _assert_matches_the_frozen_search(j, rmin, budget, {})
+
+
+def test_vector_search_takes_the_slack_path_like_the_frozen_search():
+    """``j`` around 1e-300 keeps ``x > 1`` at every positive candidate, so
+    the ×0.25 scan underflows to ``mu = 0`` before the excess turns
+    positive: the budget is slack for the active set."""
+    j = np.array([1e-300, 3e-300, 2e-299])
+    rmin = np.array([1e-6, 3e-6, 2e-6])
+    assert subproblem2._mu_search_vector(j, rmin, 1e6, mu_tol=1e-13) == (0.0, None)
+    _assert_matches_the_frozen_search(j, rmin, 1e6, {})

@@ -308,48 +308,80 @@ def test_compare_reports_tolerates_reports_without_fl_metrics():
 # -- deterministic work counters ---------------------------------------------
 
 
-def _lambert_calls(monkeypatch, batch_size):
-    """Lambert-kernel calls of the SP2 multiplier search over the fig2 bench
-    sweep, solved per drop (``batch_size=1``) or batched (the default)."""
+def _mu_search_work(monkeypatch, batch_size):
+    """Work of the SP2 multiplier search over the fig2 bench sweep, solved
+    per drop (``batch_size=1``) or batched (the default): calls of each
+    Lambert kernel, searches (one per lane), and the Newton iterations run
+    inside those kernel calls (the polish's own solves not counted)."""
     from repro.core import subproblem2
     from repro.experiments.fig2 import run_fig2
     from repro.experiments.runner import SweepRunner
+    from repro.solvers import lambert
 
-    calls = {"vector": 0, "rows": 0}
+    work = {"vector": 0, "rows": 0, "seeded": 0, "searches": 0, "newton": 0}
+    in_kernel = False
 
     def counting(name, kernel):
         def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return kernel(*args, **kwargs)
+            nonlocal in_kernel
+            work[name] += 1
+            in_kernel = True
+            try:
+                return kernel(*args, **kwargs)
+            finally:
+                in_kernel = False
 
         return wrapped
 
+    newton_step = lambert._newton_step
+
+    def counting_step(x, c):
+        work["newton"] += in_kernel
+        return newton_step(x, c)
+
+    one_lane = subproblem2._MU_SEARCHES["vector"]
+    lockstep = subproblem2._mu_search_vector_rows
+
+    def counting_one_lane(*args, **kwargs):
+        work["searches"] += 1
+        return one_lane(*args, **kwargs)
+
+    def counting_lockstep(j_rows, *args, **kwargs):
+        work["searches"] += j_rows.shape[0]
+        return lockstep(j_rows, *args, **kwargs)
+
     with monkeypatch.context() as patch:
-        patch.setattr(
-            subproblem2,
-            "lambert_solve_vector",
-            counting("vector", subproblem2.lambert_solve_vector),
-        )
-        patch.setattr(
-            subproblem2, "lambert_solve_rows", counting("rows", subproblem2.lambert_solve_rows)
-        )
+        for name in ("vector", "rows", "seeded"):
+            kernel = f"lambert_solve_{name}"
+            patch.setattr(subproblem2, kernel, counting(name, getattr(subproblem2, kernel)))
+        patch.setattr(lambert, "_newton_step", counting_step)
+        patch.setitem(subproblem2._MU_SEARCHES, "vector", counting_one_lane)
+        patch.setattr(subproblem2, "_mu_search_vector_rows", counting_lockstep)
         runner = SweepRunner(jobs=1, use_cache=False, batch_size=batch_size)
         table = run_fig2(bench.bench_config(False), runner=runner)
     assert runner.last_stats.failed == 0
     assert len(table.rows) > 0
-    return calls
+    return work
 
 
 def test_mu_search_lambert_calls_are_deterministic_and_within_budget(monkeypatch):
-    """The 48 fig2 bench problems cost a fixed, bounded number of Lambert
-    calls in the multiplier search, per drop and batched."""
-    per_drop = _lambert_calls(monkeypatch, batch_size=1)
-    batched = _lambert_calls(monkeypatch, batch_size=None)
+    """The 48 fig2 bench problems (986 searches) cost a fixed, bounded number
+    of Lambert calls and inner Newton iterations in the multiplier search,
+    per drop and batched.  Before the bracketing call and the Halley phase:
+    7,390 calls per drop (7.49 per search) and 265 batched; 29,051 inner
+    Newton iterations per drop (29.5 per search) and 1,124 batched."""
+    per_drop = _mu_search_work(monkeypatch, batch_size=1)
+    batched = _mu_search_work(monkeypatch, batch_size=None)
     assert per_drop["rows"] == 0 and batched["vector"] == 0
-    assert per_drop["vector"] <= 7400
-    assert batched["rows"] <= 265
-    assert _lambert_calls(monkeypatch, batch_size=1) == per_drop
-    assert _lambert_calls(monkeypatch, batch_size=None) == batched
+    assert per_drop["searches"] == batched["searches"] == 986
+    per_drop_calls = per_drop["vector"] + per_drop["seeded"]
+    assert per_drop_calls <= 4500
+    assert per_drop_calls / per_drop["searches"] <= 5.0
+    assert per_drop["newton"] <= 15000
+    assert batched["rows"] + batched["seeded"] <= 145
+    assert batched["newton"] <= 405
+    assert _mu_search_work(monkeypatch, batch_size=1) == per_drop
+    assert _mu_search_work(monkeypatch, batch_size=None) == batched
 
 
 def _delay_min_rate_evaluations(monkeypatch):

@@ -11,7 +11,9 @@ Three families of invariants, one per solver primitive:
 * the Lambert helpers — ``W0`` satisfies its defining equation,
   ``solve_x_log_x`` / ``lambert_solve_vector`` return the unique root of
   ``x ln x - x + 1 = rhs`` (agreeing with each other — the vector variant
-  is differential-tested against the scalar one), monotone in ``rhs``;
+  is differential-tested against the scalar one), monotone in ``rhs``,
+  and the multiplier search's seeded kernel lands on that root from any
+  seed;
 * ``power_waterfilling`` — the allocation lands exactly on the simplex,
   stays positive, satisfies the water-filling stationarity, and rejects
   invalid coefficients.
@@ -34,6 +36,7 @@ from repro.solvers import (
     lambert_solve_vector,
     solve_x_log_x,
 )
+from repro.solvers.lambert import lambert_solve_seeded
 from repro.solvers.waterfilling import power_waterfilling
 from tests.lambert_reference import lambert_w_principal
 
@@ -219,9 +222,9 @@ def test_lambert_solutions_are_monotone_in_rhs(rhs, factor):
     ),
     jitter=st.floats(min_value=0.5, max_value=2.0, **finite),
 )
-def test_lambert_solve_vector_seed_changes_work_not_answer(rhs, jitter):
+def test_lambert_solve_seeded_seed_changes_work_not_answer(rhs, jitter):
     cold = lambert_solve_vector(rhs)
-    seeded = lambert_solve_vector(rhs, x0=np.maximum(cold * jitter, 1.0))
+    seeded = lambert_solve_seeded(rhs, np.maximum(cold * jitter, 1.0))
     np.testing.assert_allclose(seeded, cold, rtol=1e-9, atol=1e-12)
 
 
