@@ -34,8 +34,8 @@ from ..exceptions import ConvergenceError, InfeasibleProblemError
 from ..solvers.boxlp import solve_box_budget_lp
 from ..solvers.dual_decomposition import minimize_separable_with_budget
 from ..solvers.lambert import (
+    _lambert_solve_seeded,
     lambert_solve_rows,
-    lambert_solve_seeded,
     lambert_solve_vector,
     solve_x_log_x,
     solve_x_log_x_rows,
@@ -342,6 +342,31 @@ def _predict_x(
     return np.where(np.isfinite(seed), seed, x)
 
 
+def _halley_next(
+    mu_k: np.ndarray | float,
+    f: np.ndarray | float,
+    slope: np.ndarray | float,
+    curvature: np.ndarray | float,
+    mu_lo: np.ndarray | float,
+    mu_hi: np.ndarray | float,
+) -> np.ndarray:
+    """Next iterate of the safeguarded Halley search on ``[mu_lo, mu_hi]``.
+
+    The Halley point ``mu_k - s / (1 - s f'' / (2 f'))``, ``s = f / f'``,
+    when the excess falls at ``mu_k`` and that point lies strictly inside
+    the bracket; the bisection point otherwise.  ``mu_k`` is the bracket
+    end the caller just moved, so ``s`` points into the bracket and a
+    non-positive denominator (or a zero one's infinity) sends the point out
+    of it: one test covers both.  Works elementwise on scalars or
+    ``(lanes,)`` arrays.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step = f / slope
+        halley = mu_k - step / (1.0 - 0.5 * step * curvature / slope)
+    inside = (slope < 0.0) & (mu_lo < halley) & (halley < mu_hi)
+    return np.where(inside, halley, 0.5 * (mu_lo + mu_hi))
+
+
 def _mu_search_scalar(
     j_c: np.ndarray,
     rmin_c: np.ndarray,
@@ -439,8 +464,8 @@ def _mu_search_vector(
       ``(log mu, log demand)`` (:func:`_halley_start`), each step uses the
       analytic first and second excess derivatives
       (:func:`_excess_derivatives`), falls back to bisection when it leaves
-      the running bracket, and solves Lambert from the tangent predictor of
-      the previous roots (:func:`lambert_solve_seeded`, :func:`_predict_x`).
+      the running bracket (:func:`_halley_next`), and solves Lambert from the tangent predictor of
+      the previous roots (:func:`_lambert_solve_seeded`, :func:`_predict_x`).
 
     The stopping rule is the same relative bracket width on the feasible
     side, so scalar and vector backends agree on ``mu`` to ``mu_tol``-level
@@ -522,7 +547,7 @@ def _mu_search_vector(
     for _ in range(MU_SEARCH_MAX_ITERATIONS):
         if converged:
             break
-        x = lambert_solve_seeded(mu_k / j_c, seed)
+        x = _lambert_solve_seeded(mu_k / j_c, seed)
         log_x = np.maximum(np.log(x), 1e-300)
         terms = lead / log_x
         f_k = float(terms.sum()) - budget
@@ -533,15 +558,8 @@ def _mu_search_vector(
         if mu_hi - mu_lo <= mu_tol * mu_hi or f_k == 0.0:
             converged = True
             break
-        slope, curvature = (float(v) for v in _excess_derivatives(x, log_x, terms, j_c))
-        mu_next = 0.5 * (mu_lo + mu_hi)
-        if slope < 0.0:
-            step = f_k / slope
-            # A non-positive denominator sends the step out of the bracket;
-            # testing it first keeps the division defined.
-            denominator = 1.0 - 0.5 * step * curvature / slope
-            if denominator > 0.0 and mu_lo < mu_k - step / denominator < mu_hi:
-                mu_next = mu_k - step / denominator
+        slope, curvature = _excess_derivatives(x, log_x, terms, j_c)
+        mu_next = float(_halley_next(mu_k, f_k, slope, curvature, mu_lo, mu_hi))
         seed = _predict_x(x, log_x, j_c, mu_next - mu_k)
         mu_k = mu_next
     if not converged:
@@ -574,7 +592,7 @@ def _mu_search_vector_rows(
       the cap;
     * bracketed lanes take safeguarded Halley steps from the log-log secant
       point, their Lambert solves seeded by the tangent predictor
-      (:func:`lambert_solve_seeded`).
+      (:func:`_lambert_solve_seeded`).
 
     A round makes one kernel call per phase present: seeded for Halley
     lanes, cold for scanning ones.
@@ -699,12 +717,12 @@ def _mu_search_vector_rows(
             break
         halley = phase == HALLEY
         if halley.all():
-            x = lambert_solve_seeded(mu_k[:, None] / j, x_seed)
+            x = _lambert_solve_seeded(mu_k[:, None] / j, x_seed)
         elif not halley.any():
             x = lambert_solve_rows(cand[:, None] / j)
         else:
             x = np.empty_like(x_seed)
-            x[halley] = lambert_solve_seeded(mu_k[halley, None] / j[halley], x_seed[halley])
+            x[halley] = _lambert_solve_seeded(mu_k[halley, None] / j[halley], x_seed[halley])
             x[~halley] = lambert_solve_rows(cand[~halley, None] / j[~halley])
         log_x = np.maximum(np.log(x), 1e-300)
         terms = lead / log_x
@@ -725,11 +743,7 @@ def _mu_search_vector_rows(
         stepping &= ~failed
         if stepping.any():
             slope, curvature = _excess_derivatives(x, log_x, terms, j)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                step = excess / slope
-                mu_next = mu_k - step / (1.0 - 0.5 * step * curvature / slope)
-            inside = (slope < 0.0) & (mu_lo < mu_next) & (mu_next < mu_hi)
-            np.copyto(mu_next, 0.5 * (mu_lo + mu_hi), where=~inside)
+            mu_next = _halley_next(mu_k, excess, slope, curvature, mu_lo, mu_hi)
             np.copyto(x_seed, _predict_x(x, log_x, j, mu_next - mu_k), where=stepping[:, None])
             np.copyto(mu_k, mu_next, where=stepping)
         stopped = done | failed

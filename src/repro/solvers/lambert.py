@@ -12,8 +12,8 @@ itself: they find that root with a guarded Newton iteration on
 ``x ln x - x + 1 = rhs``.  There are three forms: the scalar oracle's
 (:func:`solve_x_log_x`) and the vector backend's cold-seeded one
 (:func:`lambert_solve_vector`), each with a row-stopping batched twin, and
-the multiplier search's :func:`lambert_solve_seeded`, which takes either
-shape, starts from a seed the search predicts and skips validation.  The
+the multiplier search's private :func:`_lambert_solve_seeded`, which takes
+either shape, starts from a seed the search predicts and skips validation.  The
 tests cross-check the Newton roots against that closed form.
 """
 
@@ -59,7 +59,6 @@ __all__ = [
     "solve_x_log_x_rows",
     "lambert_solve_vector",
     "lambert_solve_rows",
-    "lambert_solve_seeded",
 ]
 
 
@@ -270,13 +269,7 @@ def lambert_solve_rows(
     return _newton_rows(x, c, tol, max_iter, "lambert_solve_rows")
 
 
-def lambert_solve_seeded(
-    rhs: np.ndarray,
-    x0: np.ndarray,
-    *,
-    tol: float = 1e-14,
-    max_iter: int = 60,
-) -> np.ndarray:
+def _lambert_solve_seeded(rhs: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Search-only solve of ``x ln x - x + 1 = rhs`` from the caller's seed.
 
     The multiplier searches' Halley phase already knows each root to a few
@@ -286,10 +279,11 @@ def lambert_solve_seeded(
     finite and of ``rhs``'s shape; the seed is floored at ``1 + 1e-15``
     like the cold ones.  A 2-D ``rhs`` runs :func:`_newton_rows`, so each
     row stops on its own test and is bitwise independent of its neighbours;
-    a 1-D one is a single row, whose test is the global one.  Exhaustion
-    raises through :func:`_check_lambert_residual`.
+    a 1-D one is a single row, whose test is the global one.  Tolerance
+    and iteration cap are :func:`lambert_solve_vector`'s defaults;
+    exhaustion raises through :func:`_check_lambert_residual`.
     """
     x = np.maximum(x0, 1.0 + 1e-15)
     if rhs.ndim == 1:
-        return _newton_all(x, rhs, tol, max_iter, "lambert_solve_seeded")
-    return _newton_rows(x, rhs, tol, max_iter, "lambert_solve_seeded")
+        return _newton_all(x, rhs, 1e-14, 60, "_lambert_solve_seeded")
+    return _newton_rows(x, rhs, 1e-14, 60, "_lambert_solve_seeded")

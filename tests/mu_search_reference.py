@@ -16,10 +16,11 @@ from repro.core import subproblem2
 from repro.core.subproblem2 import (
     _LN2,
     _excess_derivatives,
+    _halley_next,
     _halley_start,
     _predict_x,
 )
-from repro.solvers.lambert import lambert_solve_rows, lambert_solve_seeded, solve_x_log_x
+from repro.solvers.lambert import _lambert_solve_seeded, lambert_solve_rows, solve_x_log_x
 
 
 def rooted_problem(j, rmin, offset: float) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -131,7 +132,7 @@ def mu_search_rows_reference(
         for lane in running:
             i = int(lane)
             if phase[i] == HALLEY:
-                x = lambert_solve_seeded(
+                x = _lambert_solve_seeded(
                     mu_k[i : i + 1, None] / j_rows[i : i + 1], x_seed[i : i + 1]
                 )
             else:
@@ -191,13 +192,9 @@ def mu_search_rows_reference(
                     )
                     continue
                 slope, curvature = _excess_derivatives(x[0], log_x, terms, j_rows[i])
-                mu_next = 0.5 * (mu_lo[i] + mu_hi[i])
-                if slope < 0.0:
-                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                        step = excess / slope
-                        halley = mu_k[i] - step / (1.0 - 0.5 * step * curvature / slope)
-                    if mu_lo[i] < halley < mu_hi[i]:
-                        mu_next = halley
+                mu_next = float(
+                    _halley_next(mu_k[i], excess, slope, curvature, mu_lo[i], mu_hi[i])
+                )
                 x_seed[i] = _predict_x(x[0], log_x, j_rows[i], mu_next - mu_k[i])
                 mu_k[i] = mu_next
 

@@ -37,8 +37,8 @@ from repro.experiments.fig2 import Fig2Config, run_fig2
 from repro.experiments.runner import SweepRunner, SweepTask, task_hash
 from repro.scenarios import ScenarioSpec, scenario_families
 from repro.solvers.lambert import (
+    _lambert_solve_seeded,
     lambert_solve_rows,
-    lambert_solve_seeded,
     lambert_solve_vector,
     solve_x_log_x,
     solve_x_log_x_rows,
@@ -480,9 +480,9 @@ class TestMaskedLaneIsolation:
         seeds = lambert_solve_rows(rhs) * np.array(
             [[data.draw(jitter) for _ in range(width)] for _ in range(num_rows)]
         )
-        rows = lambert_solve_seeded(rhs, seeds)
+        rows = _lambert_solve_seeded(rhs, seeds)
         for k in range(num_rows):
-            np.testing.assert_array_equal(rows[k], lambert_solve_seeded(rhs[k], seeds[k]))
+            np.testing.assert_array_equal(rows[k], _lambert_solve_seeded(rhs[k], seeds[k]))
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())

@@ -351,8 +351,11 @@ def _mu_search_work(monkeypatch, batch_size):
         return lockstep(j_rows, *args, **kwargs)
 
     with monkeypatch.context() as patch:
-        for name in ("vector", "rows", "seeded"):
-            kernel = f"lambert_solve_{name}"
+        for name, kernel in (
+            ("vector", "lambert_solve_vector"),
+            ("rows", "lambert_solve_rows"),
+            ("seeded", "_lambert_solve_seeded"),
+        ):
             patch.setattr(subproblem2, kernel, counting(name, getattr(subproblem2, kernel)))
         patch.setattr(lambert, "_newton_step", counting_step)
         patch.setitem(subproblem2._MU_SEARCHES, "vector", counting_one_lane)

@@ -36,7 +36,7 @@ from repro.solvers import (
     lambert_solve_vector,
     solve_x_log_x,
 )
-from repro.solvers.lambert import lambert_solve_seeded
+from repro.solvers.lambert import _lambert_solve_seeded
 from repro.solvers.waterfilling import power_waterfilling
 from tests.lambert_reference import lambert_w_principal
 
@@ -224,7 +224,7 @@ def test_lambert_solutions_are_monotone_in_rhs(rhs, factor):
 )
 def test_lambert_solve_seeded_seed_changes_work_not_answer(rhs, jitter):
     cold = lambert_solve_vector(rhs)
-    seeded = lambert_solve_seeded(rhs, np.maximum(cold * jitter, 1.0))
+    seeded = _lambert_solve_seeded(rhs, np.maximum(cold * jitter, 1.0))
     np.testing.assert_allclose(seeded, cold, rtol=1e-9, atol=1e-12)
 
 
