@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Callable
 
 from ..core.allocator import AllocationResult
-from ..core.problem import JointProblem
 from ..exceptions import ConfigurationError
 from .benchmark import random_benchmark
 from .communication_only import communication_only
@@ -42,8 +41,3 @@ def get_baseline(name: str) -> BaselineFn:
     except KeyError as exc:
         known = ", ".join(sorted(BASELINES))
         raise ConfigurationError(f"unknown baseline {name!r}; known: {known}") from exc
-
-
-def run_baseline(name: str, problem: JointProblem, **kwargs) -> AllocationResult:
-    """Convenience wrapper: look up and immediately run a baseline."""
-    return get_baseline(name)(problem, **kwargs)

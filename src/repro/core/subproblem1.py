@@ -86,6 +86,30 @@ def _objective(
     return system.global_rounds * (w1 * energy_per_round + w2 * round_deadline_s)
 
 
+def _primal_result(
+    system: SystemModel,
+    w1: float,
+    w2: float,
+    upload_time_s: np.ndarray,
+    deadline: float,
+) -> Subproblem1Result:
+    """The primal solution at a searched deadline ``T``.
+
+    The frequencies are the slowest that meet ``T``; the reported deadline
+    is the one those frequencies realise.
+    """
+    cycles = system.cycles_per_round
+    slack = np.maximum(deadline - upload_time_s, 1e-300)
+    frequency = np.clip(cycles / slack, system.min_frequency_hz, system.max_frequency_hz)
+    realised = float(np.max(upload_time_s + cycles / frequency))
+    return Subproblem1Result(
+        frequency_hz=frequency,
+        round_deadline_s=realised,
+        objective=_objective(system, w1, w2, frequency, realised),
+        method="primal",
+    )
+
+
 def _solve_primal(
     system: SystemModel,
     w1: float,
@@ -103,42 +127,26 @@ def _solve_primal(
     if w2 <= 0.0:
         # Only energy matters and T is free: run every CPU at its minimum.
         frequency = f_min.copy()
-        deadline = t_upper
         return Subproblem1Result(
             frequency_hz=frequency,
-            round_deadline_s=deadline,
-            objective=_objective(system, w1, w2, frequency, deadline),
+            round_deadline_s=t_upper,
+            objective=_objective(system, w1, w2, frequency, t_upper),
             method="primal",
         )
 
-    def frequencies_at(deadline: float) -> np.ndarray:
-        slack = np.maximum(deadline - upload_time_s, 1e-300)
-        return np.clip(cycles / slack, f_min, f_max)
-
-    def objective_at(deadline: float) -> float:
-        return _objective(system, w1, w2, frequencies_at(deadline), deadline)
-
-    if w1 <= 0.0:
-        # Only time matters: the smallest feasible deadline is optimal.
-        deadline = t_lower
-    elif t_upper <= t_lower * (1.0 + 1e-12):
+    if w1 <= 0.0 or t_upper <= t_lower * (1.0 + 1e-12):
+        # Only time matters (or T is pinned): the smallest feasible deadline.
         deadline = t_lower
     else:
-        deadline, _ = golden_section_scalar(
-            objective_at, t_lower, t_upper, tol=1e-12
-        )
-    frequency = frequencies_at(deadline)
-    # Report the deadline actually realised by the chosen frequencies (it can
-    # only be smaller than the searched value, never larger).
-    realised = float(np.max(upload_time_s + cycles / frequency))
-    deadline = min(deadline, realised) if w2 > 0 else realised
-    deadline = max(deadline, realised)
-    return Subproblem1Result(
-        frequency_hz=frequency,
-        round_deadline_s=deadline,
-        objective=_objective(system, w1, w2, frequency, deadline),
-        method="primal",
-    )
+        # The system's arrays stay hoisted out of the objective:
+        # ``cycles_per_round`` is recomputed on every read.
+        def objective_at(deadline: float) -> float:
+            slack = np.maximum(deadline - upload_time_s, 1e-300)
+            frequency = np.clip(cycles / slack, f_min, f_max)
+            return _objective(system, w1, w2, frequency, deadline)
+
+        deadline, _ = golden_section_scalar(objective_at, t_lower, t_upper, tol=1e-12)
+    return _primal_result(system, w1, w2, upload_time_s, deadline)
 
 
 def _solve_dual(
@@ -175,6 +183,22 @@ def _solve_dual(
     )
 
 
+def _checked_upload(
+    system: SystemModel, w1: float, w2: float, upload_time_s: np.ndarray
+) -> np.ndarray:
+    """``upload_time_s`` as a float array, after the Subproblem-1 input checks."""
+    upload = np.asarray(upload_time_s, dtype=float)
+    if upload.shape != (system.num_devices,):
+        raise ConfigurationError(
+            f"upload_time_s must have shape ({system.num_devices},), got {upload.shape}"
+        )
+    if np.any(~np.isfinite(upload)) or np.any(upload < 0.0):
+        raise ConfigurationError("upload times must be finite and non-negative")
+    if w1 < 0.0 or w2 < 0.0:
+        raise ConfigurationError("weights must be non-negative")
+    return upload
+
+
 def solve_subproblem1(
     system: SystemModel,
     energy_weight: float,
@@ -198,16 +222,7 @@ def solve_subproblem1(
     method:
         ``"primal"`` (exact) or ``"dual"`` (paper's problem (17)).
     """
-    upload = np.asarray(upload_time_s, dtype=float)
-    if upload.shape != (system.num_devices,):
-        raise ConfigurationError(
-            f"upload_time_s must have shape ({system.num_devices},), got {upload.shape}"
-        )
-    if np.any(~np.isfinite(upload)) or np.any(upload < 0.0):
-        raise ConfigurationError("upload times must be finite and non-negative")
-    if energy_weight < 0.0 or time_weight < 0.0:
-        raise ConfigurationError("weights must be non-negative")
-
+    upload = _checked_upload(system, energy_weight, time_weight, upload_time_s)
     if round_deadline_s is not None:
         frequency = _frequency_for_deadline(system, upload, round_deadline_s)
         return Subproblem1Result(
@@ -243,9 +258,9 @@ def solve_subproblem1_rows(
     replicate the scalar search exactly), and only for a device-count
     group of two or more lanes.  A one-lane group, a fixed-deadline lane
     and the degenerate corners — ``w1 <= 0``, ``w2 <= 0``, an
-    already-collapsed interval, or a non-primal ``method`` — run
-    :func:`solve_subproblem1` lane by lane.  Exceptions the 1-D call would
-    raise are returned in that lane's slot.
+    already-collapsed interval, or a non-primal ``method`` — run the 1-D
+    solver lane by lane.  Exceptions the 1-D call would raise are returned
+    in that lane's slot.
 
     Golden lanes are sub-grouped by device count so the stacked objective
     sums run over rectangular ``(lanes, n)`` arrays, which NumPy reduces
@@ -260,111 +275,79 @@ def solve_subproblem1_rows(
     uploads: dict[int, np.ndarray] = {}
     bounds: dict[int, tuple[float, float]] = {}
     deadlines_s = round_deadlines_s or [None] * num_lanes
-
-    def solve_lane(i: int) -> None:
-        try:
-            results[i] = solve_subproblem1(
-                systems[i],
-                float(energy_weights[i]),
-                float(time_weights[i]),
-                upload_times_s[i],
-                round_deadline_s=deadlines_s[i],
-                method=method,
-            )
-        except (ConfigurationError, InfeasibleProblemError, ConvergenceError) as exc:
-            results[i] = exc
+    lane_errors = (ConfigurationError, InfeasibleProblemError, ConvergenceError)
 
     for i in range(num_lanes):
-        if deadlines_s[i] is not None:
-            solve_lane(i)
-            continue
         system = systems[i]
         w1 = float(energy_weights[i])
         w2 = float(time_weights[i])
-        upload = np.asarray(upload_times_s[i], dtype=float)
         try:
-            if upload.shape != (system.num_devices,):
-                raise ConfigurationError(
-                    f"upload_time_s must have shape ({system.num_devices},), "
-                    f"got {upload.shape}"
+            if deadlines_s[i] is not None or method != "primal":
+                results[i] = solve_subproblem1(
+                    system,
+                    w1,
+                    w2,
+                    upload_times_s[i],
+                    round_deadline_s=deadlines_s[i],
+                    method=method,
                 )
-            if np.any(~np.isfinite(upload)) or np.any(upload < 0.0):
-                raise ConfigurationError(
-                    "upload times must be finite and non-negative"
-                )
-            if w1 < 0.0 or w2 < 0.0:
-                raise ConfigurationError("weights must be non-negative")
-            t_lower = float(np.max(upload + system.cycles_per_round / system.max_frequency_hz))
-            t_upper = float(np.max(upload + system.cycles_per_round / system.min_frequency_hz))
-            if (
-                method == "primal"
-                and w1 > 0.0
-                and w2 > 0.0
-                and t_upper > t_lower * (1.0 + 1e-12)
-            ):
+                continue
+            upload = _checked_upload(system, w1, w2, upload_times_s[i])
+            cycles = system.cycles_per_round
+            t_lower = float(np.max(upload + cycles / system.max_frequency_hz))
+            t_upper = float(np.max(upload + cycles / system.min_frequency_hz))
+            if w1 > 0.0 and w2 > 0.0 and t_upper > t_lower * (1.0 + 1e-12):
                 golden.setdefault(system.num_devices, []).append(i)
                 uploads[i] = upload
                 bounds[i] = (t_lower, t_upper)
             else:
-                solve_lane(i)
-        except (ConfigurationError, InfeasibleProblemError, ConvergenceError) as exc:
+                results[i] = _solve_primal(system, w1, w2, upload)
+        except lane_errors as exc:
             results[i] = exc
 
     for n, lanes in golden.items():
-        if len(lanes) == 1:
-            solve_lane(lanes[0])
-            continue
-        upload_rows = np.stack([uploads[i] for i in lanes])
-        cycles_rows = np.stack([systems[i].cycles_per_round for i in lanes])
-        fmin_rows = np.stack([systems[i].min_frequency_hz for i in lanes])
-        fmax_rows = np.stack([systems[i].max_frequency_hz for i in lanes])
-        kappa_rows = np.stack(
-            [
-                np.broadcast_to(
-                    np.asarray(systems[i].effective_capacitance, dtype=float), (n,)
-                )
-                for i in lanes
-            ]
-        )
-        rg = np.array([float(systems[i].global_rounds) for i in lanes])
-        w1_arr = np.array([float(energy_weights[i]) for i in lanes])
-        w2_arr = np.array([float(time_weights[i]) for i in lanes])
-        t_lo = np.array([bounds[i][0] for i in lanes])
-        t_hi = np.array([bounds[i][1] for i in lanes])
+        deadlines = None
+        if len(lanes) > 1:
+            upload_rows = np.stack([uploads[i] for i in lanes])
+            cycles_rows = np.stack([systems[i].cycles_per_round for i in lanes])
+            fmin_rows = np.stack([systems[i].min_frequency_hz for i in lanes])
+            fmax_rows = np.stack([systems[i].max_frequency_hz for i in lanes])
+            kappa_rows = np.stack(
+                [
+                    np.broadcast_to(
+                        np.asarray(systems[i].effective_capacitance, dtype=float), (n,)
+                    )
+                    for i in lanes
+                ]
+            )
+            rg = np.array([float(systems[i].global_rounds) for i in lanes])
+            w1_arr = np.array([float(energy_weights[i]) for i in lanes])
+            w2_arr = np.array([float(time_weights[i]) for i in lanes])
+            t_lo = np.array([bounds[i][0] for i in lanes])
+            t_hi = np.array([bounds[i][1] for i in lanes])
 
-        def objective_rows(sel: np.ndarray, deadlines: np.ndarray) -> np.ndarray:
-            slack = np.maximum(deadlines[:, None] - upload_rows[sel], 1e-300)
-            freq = np.clip(cycles_rows[sel] / slack, fmin_rows[sel], fmax_rows[sel])
-            energy = (kappa_rows[sel] * cycles_rows[sel] * freq**2).sum(axis=1)
-            return rg[sel] * (w1_arr[sel] * energy + w2_arr[sel] * deadlines)
+            def objective_rows(sel: np.ndarray, deadlines: np.ndarray) -> np.ndarray:
+                slack = np.maximum(deadlines[:, None] - upload_rows[sel], 1e-300)
+                freq = np.clip(cycles_rows[sel] / slack, fmin_rows[sel], fmax_rows[sel])
+                energy = (kappa_rows[sel] * cycles_rows[sel] * freq**2).sum(axis=1)
+                return rg[sel] * (w1_arr[sel] * energy + w2_arr[sel] * deadlines)
 
-        try:
-            deadlines, _ = golden_section_rows(objective_rows, t_lo, t_hi, tol=1e-12)
-        except ConvergenceError:
-            # One stuck lane aborts the whole rows search; redo the group
-            # lane by lane so only the genuinely failing lanes error out.
-            for i in lanes:
-                solve_lane(i)
-            continue
+            try:
+                deadlines, _ = golden_section_rows(objective_rows, t_lo, t_hi, tol=1e-12)
+            except ConvergenceError:
+                # One stuck lane aborts the whole rows search; redo the group
+                # lane by lane so only the genuinely failing lanes error out.
+                deadlines = None
         for k, i in enumerate(lanes):
-            system = systems[i]
             w1 = float(energy_weights[i])
             w2 = float(time_weights[i])
-            upload = uploads[i]
-            deadline = float(deadlines[k])
-            slack = np.maximum(deadline - upload, 1e-300)
-            frequency = np.clip(
-                system.cycles_per_round / slack,
-                system.min_frequency_hz,
-                system.max_frequency_hz,
-            )
-            realised = float(np.max(upload + system.cycles_per_round / frequency))
-            deadline = min(deadline, realised)
-            deadline = max(deadline, realised)
-            results[i] = Subproblem1Result(
-                frequency_hz=frequency,
-                round_deadline_s=deadline,
-                objective=_objective(system, w1, w2, frequency, deadline),
-                method="primal",
-            )
+            try:
+                if deadlines is None:
+                    results[i] = _solve_primal(systems[i], w1, w2, uploads[i])
+                else:
+                    results[i] = _primal_result(
+                        systems[i], w1, w2, uploads[i], float(deadlines[k])
+                    )
+            except lane_errors as exc:
+                results[i] = exc
     return results

@@ -804,7 +804,7 @@ def _sp2_prepare(
 
     Returns ``(nu, beta, rmin, j, constrained)`` with
     ``j_n = nu_n d_n N0 / g_n`` and ``constrained`` the rate-constrained
-    device mask.  Shared head of the per-drop and batched solve paths.
+    device mask.  Run per lane by :func:`solve_sp2_v2_rows`.
     """
     nu = np.maximum(np.asarray(nu, dtype=float), 1e-300)
     beta = np.maximum(np.asarray(beta, dtype=float), 0.0)
@@ -826,29 +826,26 @@ def solve_sp2_v2(
 ) -> SP2Result:
     """Closed-form KKT solution of SP2_v2 (Theorem 2 / Appendix B).
 
+    A one-lane :func:`solve_sp2_v2_rows` call, so the multiplier search is
+    the 1-D search of ``backend``: ``"vector"`` (default) brackets the root
+    in one batched Lambert call and runs a safeguarded Halley iteration
+    over all devices in single array passes (:func:`_mu_search_vector`);
+    ``"scalar"`` is the probe-sequential reference implementation.  Both
+    hand their bracket to the same root polish, so they agree within
+    ``mu_tol``-level round-off — the backend-parity tests enforce it.
+
     Raises :class:`InfeasibleProblemError` when the decomposition's lower
     bounds cannot fit into the bandwidth budget, and
     :class:`~repro.exceptions.ConvergenceError` when the multiplier search
     exhausts one of its iteration caps (callers fall back to
     :func:`solve_sp2_v2_numeric` in both cases).
-
-    ``backend`` selects the bandwidth-multiplier search: ``"vector"``
-    (default) brackets the root in one batched Lambert call and runs a
-    safeguarded Halley iteration over all devices in single array passes
-    (:func:`_mu_search_vector`); ``"scalar"`` is the
-    probe-sequential reference implementation.  Both converge ``mu`` to the
-    same relative tolerance, so they agree within ``mu_tol``-level
-    round-off — the backend-parity tests enforce it.
     """
-    mu_search = _MU_SEARCHES[validate_backend(backend)]
-    budget = system.total_bandwidth_hz
-    nu, beta, rmin, j, constrained = _sp2_prepare(system, nu, beta, min_rate_bps)
-
-    mu = 0.0
-    x_c: np.ndarray | None = None
-    if np.any(constrained):
-        mu, x_c = mu_search(j[constrained], rmin[constrained], budget, mu_tol=mu_tol)
-    return _sp2_finish(system, nu, beta, rmin, j, constrained, mu, x_c)
+    (result,) = solve_sp2_v2_rows(
+        [system], [nu], [beta], [min_rate_bps], mu_tol=mu_tol, backend=backend
+    )
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _sp2_finish(
@@ -865,9 +862,8 @@ def _sp2_finish(
 
     The tail of the closed-form path — rate-active bandwidths, the box LP
     (A.6) for the slack devices, power repair, and the feasibility verdict —
-    shared verbatim between :func:`solve_sp2_v2` and the batched
-    :func:`solve_sp2_v2_rows` so the two are trivially bit-identical from
-    the multiplier onward.
+    run per lane by :func:`solve_sp2_v2_rows`, so every lane is
+    bit-identical to a one-lane solve from the multiplier onward.
     """
     gains = system.gains
     bits = system.upload_bits
@@ -975,13 +971,14 @@ def solve_sp2_v2_rows(
 ) -> list[SP2Result | Exception]:
     """Closed-form SP2_v2 across independent lanes.
 
-    Lane ``i`` solves the same problem as ``solve_sp2_v2(systems[i],
-    nus[i], betas[i], min_rates[i], backend=backend)`` and the returned
-    :class:`SP2Result` is bit-identical to that 1-D call: preparation and
-    the allocation tail run the exact per-lane code (:func:`_sp2_prepare` /
-    :func:`_sp2_finish`).  Lanes are grouped by constrained-device count so
-    all array passes run over rectangular stacks (ragged padding would
-    change NumPy's pairwise-summation trees and break bit parity).
+    Lane ``i`` solves SP2_v2 for ``(systems[i], nus[i], betas[i],
+    min_rates[i])``, and its :class:`SP2Result` is bit-identical to the
+    one-lane call ``solve_sp2_v2(systems[i], nus[i], betas[i],
+    min_rates[i], backend=backend)``: preparation and the allocation tail
+    run per lane (:func:`_sp2_prepare` / :func:`_sp2_finish`).  Lanes are
+    grouped by constrained-device count so all array passes run over
+    rectangular stacks (ragged padding would change NumPy's
+    pairwise-summation trees and break bit parity).
 
     The bandwidth-multiplier search picks its kernel by lane count: a
     group of two or more lanes runs the lockstep rows search

@@ -25,8 +25,6 @@ from .base import (
     baseline_tasks,
     proposed_tasks,
     run_sweep,
-    solve_baseline,
-    solve_proposed,
 )
 from .fig2 import Fig2Config, run_fig2
 from .fig3 import Fig3Config, run_fig3
@@ -40,7 +38,6 @@ from .plotting import ascii_line_plot
 from .registry import EXPERIMENTS, get_experiment, run_experiment
 from .results import ResultTable
 from .runner import (
-    SweepCache,
     SweepRunner,
     SweepStats,
     SweepTask,
@@ -57,7 +54,6 @@ __all__ = [
     "PAPER_WEIGHT_PAIRS",
     "GridPoint",
     "SweepConfig",
-    "SweepCache",
     "SweepRunner",
     "SweepStats",
     "SweepTask",
@@ -69,8 +65,6 @@ __all__ = [
     "register_solver_kind",
     "run_sweep",
     "set_default_runner",
-    "solve_baseline",
-    "solve_proposed",
     "task_hash",
     "use_runner",
     "ScenarioSpec",

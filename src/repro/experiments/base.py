@@ -12,18 +12,14 @@ isolation — and folds the outcomes back into a
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .. import constants
-from ..baselines.registry import get_baseline
-from ..core.allocator import AllocationResult, AllocatorConfig, ResourceAllocator
-from ..core.problem import JointProblem, ProblemWeights
+from ..core.allocator import AllocatorConfig
 from ..core.subproblem2 import validate_backend
 from ..exceptions import ConfigurationError
-from ..scenarios import ScenarioSpec, build_scenario_spec
-from ..system import SystemModel
 from .results import ResultTable
 from .runner import SweepRunner, SweepTask, TaskOutcome, get_active_runner
 
@@ -33,13 +29,10 @@ __all__ = [
     "SweepConfig",
     "GridPoint",
     "average_metrics",
-    "solve_proposed",
-    "solve_baseline",
     "proposed_tasks",
     "baseline_tasks",
     "run_sweep",
     "add_grid_row",
-    "sweep_scenarios",
 ]
 
 #: The five weight pairs the paper compares in Figs. 2-4.
@@ -144,43 +137,9 @@ class SweepConfig:
         params.update(overrides)
         return params
 
-    def scenario(self, *, seed: int, **overrides: Any) -> SystemModel:
-        """Build one random drop with this sweep's shared parameters."""
-        return build_scenario_spec(
-            ScenarioSpec.from_mapping(self.scenario_params(seed=seed, **overrides))
-        )
-
     def trial_seeds(self) -> tuple[int, ...]:
         """The deterministic per-trial seeds (``base_seed + trial``)."""
         return tuple(self.base_seed + trial for trial in range(self.num_trials))
-
-
-def solve_proposed(
-    system: SystemModel,
-    energy_weight: float,
-    *,
-    deadline_s: float | None = None,
-    allocator_config: AllocatorConfig | None = None,
-) -> AllocationResult:
-    """Run the proposed algorithm (Algorithm 2) on one scenario."""
-    weights = ProblemWeights.from_energy_weight(energy_weight)
-    problem = JointProblem(system, weights, deadline_s=deadline_s)
-    allocator = ResourceAllocator(allocator_config)
-    return allocator.solve(problem)
-
-
-def solve_baseline(
-    name: str,
-    system: SystemModel,
-    energy_weight: float,
-    *,
-    deadline_s: float | None = None,
-    **kwargs: Any,
-) -> AllocationResult:
-    """Run a named baseline on one scenario."""
-    weights = ProblemWeights.from_energy_weight(energy_weight)
-    problem = JointProblem(system, weights, deadline_s=deadline_s)
-    return get_baseline(name)(problem, **kwargs)
 
 
 def average_metrics(results: list[Mapping[str, float]]) -> dict[str, float]:
@@ -350,21 +309,3 @@ def add_grid_row(
     if point.failures:
         table.add_error(point.key, point.errors)
     table.add_row(**fixed, **values)
-
-
-def sweep_scenarios(
-    config: SweepConfig,
-    solve: Callable[[SystemModel, int], Mapping[str, float]],
-    **scenario_overrides: Any,
-) -> dict[str, float]:
-    """Average ``solve(system, trial_seed)`` over the configured random drops.
-
-    This is the in-process escape hatch for ad-hoc callables that cannot be
-    expressed as a registered solver kind; the figure runners all go through
-    :func:`run_sweep` instead.
-    """
-    metrics = []
-    for seed in config.trial_seeds():
-        system = config.scenario(seed=seed, **scenario_overrides)
-        metrics.append(dict(solve(system, seed)))
-    return average_metrics(metrics)

@@ -61,7 +61,7 @@ from ..core.problem import JointProblem, ProblemWeights
 from ..exceptions import ConfigurationError
 from ..perf.timers import StageTimings, collect_timings, stage, wall_clock
 from ..scenarios import SCENARIO_SCHEMA_VERSION, ScenarioSpec
-from ..store import JsonResultStore, ResultStore, open_store, shard_for_digest
+from ..store import ResultStore, open_store, shard_for_digest
 from ..system import SystemModel
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "SweepTask",
     "TaskOutcome",
     "SweepStats",
-    "SweepCache",
     "SweepRunner",
     "register_solver_kind",
     "solver_kinds",
@@ -344,25 +343,14 @@ def _execute_safely(
 
 
 def batchable_task(task: SweepTask) -> bool:
-    """Whether ``task`` can ride the lockstep multi-solve path.
+    """Whether ``task`` rides the lockstep multi-solve path.
 
-    This is the *shape* check shared by every batched execution surface
-    (the runner's batch mode and the ``repro serve`` coalescer): the
-    corners it rejects mirror the lanes
-    :meth:`ResourceAllocator.solve_batch` would route through the per-drop
-    solver anyway (baseline kinds, a hard deadline, ``energy_weight <= 0``,
-    a non-vector SP2 backend), so callers keep their batches densely packed
-    with lanes that genuinely run in lockstep.
+    The check shared by every batched execution surface (the runner's
+    batch mode and the ``repro serve`` coalescer): every ``"proposed"``
+    task batches, since :meth:`ResourceAllocator.solve_batch` runs each
+    lane kind; baselines and custom kinds run per drop.
     """
-    if task.solver_kind != "proposed":
-        return False
-    params = task.solver_params
-    if params.get("deadline_s") is not None:
-        return False
-    allocator = params.get("allocator")
-    if allocator is not None and allocator.sum_of_ratios.backend != "vector":
-        return False
-    return float(params.get("energy_weight", 0.0)) > 0.0
+    return task.solver_kind == "proposed"
 
 
 def execute_batch(
@@ -533,68 +521,6 @@ def parse_shard(spec: str | tuple[int, int] | None) -> tuple[int, int] | None:
     return None if count == 1 else (index, count)
 
 
-class SweepCache:
-    """The runner's view of its result store, keyed by :func:`task_hash`.
-
-    A thin facade over a :class:`repro.store.ResultStore` backend: the
-    default ``"json"`` backend keeps the original
-    ``<root>/sweeps/<hash[:2]>/<hash>.json`` layout (payload stored
-    alongside the metrics so entries stay debuggable), ``"columnar"``
-    switches to the packed append-log layout of
-    :class:`repro.store.ColumnarResultStore`.  With ``backend=None`` the
-    on-disk layout decides, so pre-existing cache directories keep working.
-
-    Only successful results are stored — a failed task is always retried
-    on the next run.  Entries may additionally carry the solver's solution
-    ``state``.
-    """
-
-    def __init__(
-        self, root: str | Path | None = None, backend: str | None = None
-    ) -> None:
-        self.store: ResultStore = open_store(
-            root if root is not None else default_cache_dir(), backend
-        )
-
-    @property
-    def root(self) -> Path:
-        return self.store.root
-
-    @property
-    def backend(self) -> str:
-        return self.store.backend
-
-    def _path(self, digest: str) -> Path:
-        """Entry path of ``digest`` (JSON backend only — columnar entries
-        live inside shared files and have no per-digest path)."""
-        if not isinstance(self.store, JsonResultStore):
-            raise AttributeError(
-                f"{self.store.backend!r} store entries have no per-digest path"
-            )
-        return self.store.entry_path(digest)
-
-    def get(self, digest: str) -> dict[str, float] | None:
-        return self.store.get(digest)
-
-    def get_entry(
-        self, digest: str
-    ) -> tuple[dict[str, float], dict[str, Any] | None] | None:
-        """Cached ``(metrics, state)`` for ``digest``, or ``None`` on a miss."""
-        return self.store.get_entry(digest)
-
-    def put(
-        self,
-        digest: str,
-        task: SweepTask,
-        metrics: Mapping[str, float],
-        state: Mapping[str, Any] | None = None,
-    ) -> None:
-        self.store.put(digest, task.payload(), metrics, state)
-
-    def flush(self) -> None:
-        self.store.flush()
-
-
 ProgressFn = Callable[[int, int, TaskOutcome], None]
 
 #: One scheduling unit of :meth:`SweepRunner.run`: the indices of the tasks
@@ -612,17 +538,20 @@ class SweepRunner:
         Worker processes.  ``1`` (default) runs inline in this process —
         no pool, no pickling; ``0`` or ``None`` means "all CPU cores";
         ``N > 1`` uses a :class:`~concurrent.futures.ProcessPoolExecutor`.
+        A negative count raises :class:`ConfigurationError`.
     cache_dir:
         Root of the result cache; defaults to :func:`default_cache_dir`.
     use_cache:
         Disable to force recomputation (the cache is neither read nor
-        written).
+        written).  Only successful results are stored, keyed by
+        :func:`task_hash`, so a failed task is retried on the next run.
     progress:
         Optional ``fn(done, total, outcome)`` invoked in the parent process
         after every task completes (including cache hits).
     batch_size:
-        Cap on the lanes of one lockstep multi-solve pass.  Eligible
-        ``"proposed"`` tasks are grouped by problem shape
+        Cap on the lanes of one lockstep multi-solve pass (at least 1,
+        else :class:`ConfigurationError`).  ``"proposed"`` tasks are
+        grouped by problem shape
         (:meth:`batch_group_key`) and each group is solved in
         ``ceil(len / batch_size)`` even passes
         (:meth:`ResourceAllocator.solve_batch`); ``None`` (default) solves a
@@ -659,16 +588,20 @@ class SweepRunner:
         store_backend: str | None = None,
         shard: str | tuple[int, int] | None = None,
     ) -> None:
-        if jobs is None or jobs <= 0:
-            jobs = os.cpu_count() or 1
-        self.jobs = int(jobs)
+        if jobs is not None and jobs < 0:
+            raise ConfigurationError(f"jobs must be >= 0 (0: all cores), got {jobs}")
+        if batch_size is not None and batch_size < 1:
+            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+        self.jobs = int(jobs or os.cpu_count() or 1)
         self.use_cache = use_cache
-        self.cache = SweepCache(cache_dir, store_backend)
+        self.store: ResultStore = open_store(
+            cache_dir if cache_dir is not None else default_cache_dir(), store_backend
+        )
         self.shard = parse_shard(shard)
         self.progress = progress
         self.batch = (
             None
-            if batch_size is not None and batch_size <= 1
+            if batch_size == 1
             else BatchConfig(size=None if batch_size is None else int(batch_size))
         )
         self.last_stats = SweepStats()
@@ -678,7 +611,7 @@ class SweepRunner:
         """Run every task, returning outcomes in task order."""
         started = wall_clock()
         stats = SweepStats(total=len(tasks))
-        stats.store_backend = self.cache.backend if self.use_cache else ""
+        stats.store_backend = self.store.backend if self.use_cache else ""
         outcomes: list[TaskOutcome | None] = [None] * len(tasks)
         done = 0
 
@@ -696,7 +629,7 @@ class SweepRunner:
             entry = None
             if self.use_cache:
                 io_started = wall_clock()
-                entry = self.cache.get_entry(task_hash(task))
+                entry = self.store.get_entry(task_hash(task))
                 stats.cache_io_s += wall_clock() - io_started
             if entry is not None:
                 metrics, state = entry
@@ -747,14 +680,14 @@ class SweepRunner:
             # Ctrl-C mid-sweep strands neither workers nor tmp files and
             # the finished work survives for the next (cached) run.
             if self.use_cache:
-                self.cache.flush()
+                self.store.flush()
             stats.elapsed_s = wall_clock() - started
             self.last_stats = stats
             raise
 
         if self.use_cache:
             io_started = wall_clock()
-            self.cache.flush()
+            self.store.flush()
             stats.cache_io_s += wall_clock() - io_started
         stats.elapsed_s = wall_clock() - started
         self.last_stats = stats
@@ -854,13 +787,16 @@ class SweepRunner:
         uncached instead of crashing it.
         """
         try:
-            self.cache.put(
-                task_hash(outcome.task), outcome.task, outcome.metrics, outcome.state
+            self.store.put(
+                task_hash(outcome.task),
+                outcome.task.payload(),
+                outcome.metrics,
+                outcome.state,
             )
         except OSError as exc:
             self.use_cache = False
             warnings.warn(
-                f"result cache disabled: cannot write under {self.cache.root}: {exc}",
+                f"result cache disabled: cannot write under {self.store.root}: {exc}",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -8,15 +8,16 @@ as possible:
 * requests for the **same digest** collapse onto one in-flight future
   (submitted while an identical request is already queued or solving,
   a request never recomputes — it joins the existing lane);
-* distinct batchable tasks **group by**
+* distinct ``"proposed"`` tasks **group by**
   :meth:`~repro.experiments.runner.SweepRunner.batch_group_key` and each
   group runs through one lockstep
   :meth:`~repro.core.allocator.ResourceAllocator.solve_batch` pass via the
   sweep engine's :func:`~repro.experiments.runner.execute_batch` — the
   same code the ``--batch-size`` sweep path uses, so a coalesced response
-  is bit-identical to a per-drop ``solve()``;
-* everything else (baselines, deadline-constrained problems) runs through
-  the exact per-drop execution path, one task at a time.
+  is bit-identical to a per-drop ``solve()``, hard-deadline lanes
+  included;
+* everything else (baselines, custom solver kinds) runs through the exact
+  per-drop execution path, one task at a time.
 
 Failures follow the sweep engine's crash-isolation contract: a broken
 lane resolves its futures with an error string, never an exception, and

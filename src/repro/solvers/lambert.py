@@ -8,13 +8,16 @@ SNR factor ``x = 1 + p g / (N0 B)`` satisfies
 
 whose solution is ``x = (mu - j) / (j * W0((mu - j) / (e * j)))`` for
 ``mu != j`` and ``x = e`` for ``mu = j``.  The solvers never evaluate W0
-itself: they find that root with a guarded Newton iteration on
-``x ln x - x + 1 = rhs``.  There are three forms: the scalar oracle's
-(:func:`solve_x_log_x`) and the vector backend's cold-seeded one
-(:func:`lambert_solve_vector`), each with a row-stopping batched twin, and
-the multiplier search's private :func:`_lambert_solve_seeded`, which takes
-either shape, starts from a seed the search predicts and skips validation.  The
-tests cross-check the Newton roots against that closed form.
+itself: they find that root with one guarded Newton step
+(:func:`_newton_step`), looped by :func:`_newton_all` (stop when every
+element meets the step test) or :func:`_newton_rows` (each row stops on
+its own test, so a row equals the 1-D solve of that row bitwise).  The
+kernels differ in their seed and iteration cap: the scalar oracle's
+(:func:`solve_x_log_x` and its rows twin), the vector backend's cold seed
+(:func:`lambert_solve_vector` and its rows twin), and the multiplier
+search's private :func:`_lambert_solve_seeded`, which starts from a seed
+the search predicts and skips validation.  The tests cross-check the
+Newton roots against that closed form.
 """
 
 from __future__ import annotations
@@ -65,13 +68,37 @@ __all__ = [
 def _newton_step(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """One guarded Newton step on ``x ln x - x + 1 = c``, kept above 1.
 
-    The update of every Newton loop here; :func:`solve_x_log_x` spells out
-    the same expressions in its own loop.
+    The derivative ``ln x`` is floored at ``1e-12`` near ``x = 1``, and the
+    update never moves more than half-way down to 1.
     """
     log_x = np.log(x)
     f = x * log_x - x + 1.0 - c
     df = np.maximum(log_x, 1e-12)
     return np.maximum(x - f / df, 0.5 * (x + 1.0))
+
+
+def _nonnegative(rhs: np.ndarray | float) -> np.ndarray:
+    """``rhs`` as a float array, round-off negatives clamped to 0.
+
+    Raises :class:`ValueError` on a genuinely negative entry.
+    """
+    c = np.asarray(rhs, dtype=float)
+    if np.any(c < -1e-12):
+        raise ValueError("rhs must be non-negative")
+    return np.maximum(c, 0.0)
+
+
+def _oracle_start(rhs: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """Validated right-hand sides and the seed of the scalar oracle.
+
+    For small ``rhs`` the root is ``x ~ 1 + sqrt(2 rhs)``, for large ``rhs``
+    it is ``x ~ rhs / ln(rhs)``; the seed takes whichever branch applies.
+    """
+    c = _nonnegative(rhs)
+    small = 1.0 + np.sqrt(2.0 * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        large = np.where(c > np.e, c / np.maximum(np.log(c), 1.0), small)
+    return c, np.maximum(np.where(c > np.e, large, small), 1.0 + 1e-15)
 
 
 def solve_x_log_x(
@@ -84,34 +111,11 @@ def solve_x_log_x(
 
     The left-hand side is zero at ``x = 1`` and strictly increasing for
     ``x > 1`` (its derivative is ``ln x``), so the root is unique.  A damped
-    Newton iteration with a multiplicative update keeps the iterate above 1.
+    Newton iteration from :func:`_oracle_start`'s seed keeps the iterate
+    above 1.
     """
-    rhs_arr = np.asarray(rhs, dtype=float)
-    if np.any(rhs_arr < -1e-12):
-        raise ValueError("rhs must be non-negative")
-    rhs_arr = np.maximum(rhs_arr, 0.0)
-
-    # Initial guess: for small rhs, x ~ 1 + sqrt(2 rhs); for large rhs,
-    # x ~ rhs / ln(rhs).  Blend the two.
-    small = 1.0 + np.sqrt(2.0 * rhs_arr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        large = np.where(rhs_arr > np.e, rhs_arr / np.maximum(np.log(rhs_arr), 1.0), small)
-    x = np.maximum(np.where(rhs_arr > np.e, large, small), 1.0 + 1e-15)
-
-    for _ in range(max_iter):  # repro-lint: disable=RL002 -- exhaustion raises via _check_lambert_residual
-        log_x = np.log(x)
-        f = x * log_x - x + 1.0 - rhs_arr
-        # Guard the derivative away from 0 near x = 1.
-        df = np.maximum(log_x, 1e-12)
-        step = f / df
-        x_new = np.maximum(x - step, 0.5 * (x + 1.0))
-        if np.all(np.abs(x_new - x) <= tol * np.maximum(1.0, np.abs(x_new))):
-            x = x_new
-            break
-        x = x_new
-    else:
-        _check_lambert_residual(x, rhs_arr, max_iter, "lambert_solve")
-    return np.where(rhs_arr == 0.0, 1.0, x)
+    c, x = _oracle_start(rhs)
+    return _newton_all(x, c, tol, max_iter, "lambert_solve")
 
 
 def _cold_start(rhs: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
@@ -122,11 +126,7 @@ def _cold_start(rhs: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
     by ``ln ln c / ln c`` for large ``c``), so Newton converges in a handful
     of steps.
     """
-    c = np.asarray(rhs, dtype=float)
-    if np.any(c < -1e-12):
-        raise ValueError("rhs must be non-negative")
-    c = np.maximum(c, 0.0)
-
+    c = _nonnegative(rhs)
     small = 1.0 + np.sqrt(2.0 * c) + c / 3.0
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.log(np.maximum(c, np.e))
@@ -211,41 +211,20 @@ def solve_x_log_x_rows(
     *,
     tol: float = 1e-14,
     max_iter: int = 100,
-    x0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-row variant of :func:`solve_x_log_x` for a ``(lanes, n)`` batch.
 
-    Seeds and Newton updates are the same float-for-float expressions as the
-    1-D kernel; only the stopping rule changes, from one global ``np.all``
-    to an independent per-row test (see :func:`_newton_rows`).  Row ``i`` of
-    the result is therefore bitwise equal to ``solve_x_log_x(rhs[i])``, and
-    no row's iterates depend on any other row — the property the batched
-    root polish relies on for exact per-drop parity.
-
-    ``x0``, when given, must match ``rhs``'s shape; a row's seed is used
-    only if that whole row is finite and ``>= 1`` (the 1-D kernel's
-    all-or-nothing acceptance, applied per row).
+    Same seed and Newton update as the 1-D kernel; only the stopping rule
+    changes, from one global test to an independent per-row one (see
+    :func:`_newton_rows`).  Row ``i`` of the result is therefore bitwise
+    equal to ``solve_x_log_x(rhs[i])``, and no row's iterates depend on any
+    other row — the property the batched root polish relies on for exact
+    per-drop parity.
     """
-    rhs_arr = np.asarray(rhs, dtype=float)
-    if rhs_arr.ndim != 2:
+    if np.ndim(rhs) != 2:
         raise ValueError("solve_x_log_x_rows expects a (lanes, n) array")
-    if np.any(rhs_arr < -1e-12):
-        raise ValueError("rhs must be non-negative")
-    rhs_arr = np.maximum(rhs_arr, 0.0)
-
-    small = 1.0 + np.sqrt(2.0 * rhs_arr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        large = np.where(
-            rhs_arr > np.e, rhs_arr / np.maximum(np.log(rhs_arr), 1.0), small
-        )
-    x = np.where(rhs_arr > np.e, large, small)
-    if x0 is not None:
-        seed = np.asarray(x0, dtype=float)
-        if seed.shape == rhs_arr.shape:
-            usable = np.all(np.isfinite(seed) & (seed >= 1.0), axis=1)
-            x[usable] = seed[usable]
-    x = np.maximum(x, 1.0 + 1e-15)
-    return _newton_rows(x, rhs_arr, tol, max_iter, "solve_x_log_x_rows")
+    c, x = _oracle_start(rhs)
+    return _newton_rows(x, c, tol, max_iter, "solve_x_log_x_rows")
 
 
 def lambert_solve_rows(

@@ -32,8 +32,9 @@ from repro.core import subproblem2
 from repro.core.allocator import ResourceAllocator
 from repro.core.subproblem1 import solve_subproblem1, solve_subproblem1_rows
 from repro.core.subproblem2 import solve_sp2_v2, solve_sp2_v2_rows
-from repro.experiments.base import SweepConfig
+from repro.experiments.base import SweepConfig, proposed_tasks
 from repro.experiments.fig2 import Fig2Config, run_fig2
+from repro.experiments.fig7 import Fig7Config
 from repro.experiments.runner import SweepRunner, SweepTask, task_hash
 from repro.scenarios import ScenarioSpec, scenario_families
 from repro.solvers.lambert import (
@@ -369,19 +370,34 @@ def test_runner_one_lane_group_runs_as_a_batch_of_one(monkeypatch):
     assert outcome.state == reference.state
 
 
-def test_runner_scalar_backend_tasks_run_per_drop():
-    # The lockstep kernels model the vector backend only; scalar-backend
-    # tasks stay on the per-drop path instead of filling empty batches.
-    tasks = Fig2Config(
-        sweep=SweepConfig(num_devices=8, num_trials=1).with_backend("scalar"),
-        max_power_dbm_grid=(5.0, 9.0),
-        weight_pairs=((0.5, 0.5),),
-        include_benchmark=False,
-    ).tasks()
-    runner = SweepRunner()
-    outcomes = runner.run(tasks)
-    assert runner.last_stats.batches == 0
-    assert all(outcome.timings for outcome in outcomes)
+def test_runner_batches_deadline_delay_only_and_scalar_tasks():
+    # ``solve_batch`` runs every lane kind, so hard-deadline (Figure 7),
+    # ``energy_weight = 0`` and scalar-backend groups each run as one
+    # lockstep batch, with outcomes equal to the per-drop ones.
+    sweep = SweepConfig(num_devices=8, num_trials=2, max_power_dbm=10.0)
+    groups = {
+        "deadline": Fig7Config(
+            sweep=sweep, deadline_s_grid=(100.0, 150.0), schemes=("proposed",)
+        ).tasks(),
+        "delay-only": proposed_tasks(("w1=0",), sweep, 0.0)
+        + proposed_tasks(("w1=0", 150.0), sweep, 0.0, deadline_s=150.0),
+        "scalar": Fig2Config(
+            sweep=SweepConfig(num_devices=8, num_trials=1).with_backend("scalar"),
+            max_power_dbm_grid=(5.0, 9.0),
+            weight_pairs=((0.5, 0.5),),
+            include_benchmark=False,
+        ).tasks(),
+    }
+    for name, tasks in groups.items():
+        runner = SweepRunner()
+        batched = runner.run(tasks)
+        assert runner.last_stats.batches == 1, name
+        assert runner.last_stats.batched_tasks == len(tasks), name
+        per_drop = SweepRunner(batch_size=1).run(tasks)
+        for left, right in zip(per_drop, batched):
+            assert left.error is None and right.error is None, name
+            assert left.metrics == right.metrics, name
+            assert left.state == right.state, name
 
 
 def test_runner_batch_group_key_separates_shapes():

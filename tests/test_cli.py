@@ -464,6 +464,20 @@ def test_serve_rejects_invalid_config(tmp_path, capsys):
     assert "batch_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("flag", "value", "name"),
+    [
+        ("--batch-size", "0", "batch_size"),
+        ("--batch-size", "-2", "batch_size"),
+        ("--jobs", "-1", "jobs"),
+    ],
+)
+def test_run_rejects_out_of_range_runner_input(tmp_path, capsys, flag, value, name):
+    code = main(["run", "samples", "--cache-dir", str(tmp_path), flag, value])
+    assert code == 2
+    assert name in capsys.readouterr().err
+
+
 def test_serve_runs_until_interrupt_then_stops_cleanly(tmp_path, capsys, monkeypatch):
     # Drive the CLI path without a real socket loop: the first poll of
     # serve_forever raises KeyboardInterrupt, which must fall through the

@@ -195,8 +195,8 @@ def test_served_baseline_and_deadline_requests_match_direct_solve(server):
     status, payload = _post(server, baseline)
     assert status == 200
     assert payload["metrics"] == execute_task(parse_request(baseline))
-    # A hard deadline routes through the per-drop path (non-batchable) but
-    # must still be exact.
+    # A hard-deadline request rides the lockstep batch path (here as a
+    # batch of one) and must match the per-drop solve exactly.
     deadline = _request_body(seed=2, deadline_s=60.0)
     status, payload = _post(server, deadline)
     assert status == 200
