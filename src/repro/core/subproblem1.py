@@ -139,11 +139,17 @@ def _solve_primal(
         deadline = t_lower
     else:
         # The system's arrays stay hoisted out of the objective:
-        # ``cycles_per_round`` is recomputed on every read.
+        # ``cycles_per_round`` is recomputed on every read.  ``energy_coeff``
+        # is the ``kappa * cycles`` factor ``computation_energy_j`` forms,
+        # so ``energy_coeff * f**2`` is its product, left to right.
+        energy_coeff = system.effective_capacitance * cycles
+        global_rounds = system.global_rounds
+
         def objective_at(deadline: float) -> float:
             slack = np.maximum(deadline - upload_time_s, 1e-300)
             frequency = np.clip(cycles / slack, f_min, f_max)
-            return _objective(system, w1, w2, frequency, deadline)
+            energy_per_round = float((energy_coeff * frequency**2).sum())
+            return global_rounds * (w1 * energy_per_round + w2 * deadline)
 
         deadline, _ = golden_section_scalar(objective_at, t_lower, t_upper, tol=1e-12)
     return _primal_result(system, w1, w2, upload_time_s, deadline)

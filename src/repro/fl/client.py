@@ -51,8 +51,10 @@ class Client:
         """Run local training from the global weights.
 
         Returns ``(new_weights, last_minibatch_loss)``.  The shared ``model``
-        object is used as a computation engine; its weights are restored by
-        the caller (the server) before the next client runs.
+        object is used as a computation engine: this call loads
+        ``global_weights`` into it before training, so the next client's
+        ``local_update`` starts from the weights it is given, not from this
+        client's result.
         """
         if num_iterations <= 0:
             raise ConfigurationError("num_iterations must be positive")

@@ -39,20 +39,25 @@ def sgd_steps(
 ) -> float:
     """Run ``num_iterations`` SGD steps in place on ``model``.
 
-    Each iteration samples one minibatch (with replacement when the dataset
-    is smaller than the batch size).  Returns the last minibatch loss.
+    Each iteration draws a minibatch of ``batch_size`` distinct samples, or
+    uses the whole dataset when it has at most ``batch_size`` samples.
+    Returns the loss of the last minibatch, the only step whose loss is
+    computed (NaN when ``num_iterations`` is 0).
     """
     generator = np.random.default_rng(rng)
     num_samples = features.shape[0]
+    # BLAS can round a product differently for C- and Fortran-ordered
+    # operands; minibatch copies ``features[batch_idx]`` are C-ordered, so
+    # the whole dataset is handed over in C order too.
+    step = model.gradient_oracle(np.ascontiguousarray(features), labels)
+    weights = model.weights
     velocity = np.zeros(model.num_parameters)
-    last_loss = float("nan")
-    for _ in range(num_iterations):
-        if num_samples <= config.batch_size:
-            batch_idx = np.arange(num_samples)
-        else:
+    loss = float("nan")
+    for iteration in range(num_iterations):
+        batch_idx = None
+        if num_samples > config.batch_size:
             batch_idx = generator.choice(num_samples, size=config.batch_size, replace=False)
-        loss, gradient = model.loss_and_gradient(features[batch_idx], labels[batch_idx])
+        loss, gradient = step(batch_idx, iteration == num_iterations - 1)
         velocity = config.momentum * velocity - config.learning_rate * gradient
-        model.set_weights(model.get_weights() + velocity)
-        last_loss = loss
-    return last_loss
+        weights += velocity
+    return loss

@@ -12,6 +12,11 @@ itself: they find that root with one guarded Newton step
 (:func:`_newton_step`), looped by :func:`_newton_all` (stop when every
 element meets the step test) or :func:`_newton_rows` (each row stops on
 its own test, so a row equals the 1-D solve of that row bitwise).  The
+step test is relative, ``|x_new - x| <= tol * x_new``: every iterate is
+``>= 1`` (the seeds are floored at ``1 + 1e-15`` and a step never moves
+more than half-way down to 1), so ``x_new`` is its own
+``max(1, |x_new|)``; a NaN iterate never passes the test and an infinite
+one passes it only from a finite predecessor.  The
 kernels differ in their seed and iteration cap: the scalar oracle's
 (:func:`solve_x_log_x` and its rows twin), the vector backend's cold seed
 (:func:`lambert_solve_vector` and its rows twin), and the multiplier
@@ -161,7 +166,7 @@ def _newton_all(
     """Newton loop that stops once every element meets the step test."""
     for _ in range(max_iter):  # repro-lint: disable=RL002 -- exhaustion raises via _check_lambert_residual
         x_new = _newton_step(x, rhs)
-        if np.all(np.abs(x_new - x) <= tol * np.maximum(1.0, np.abs(x_new))):
+        if (np.abs(x_new - x) <= tol * x_new).all():
             x = x_new
             break
         x = x_new
@@ -177,7 +182,7 @@ def _newton_rows(
 
     Each row iterates until *its own* step criterion holds over that row's
     elements, then freezes; a frozen row's values are never touched again.
-    Because a 1-D call's global ``np.all`` stop *is* the row's stop, every
+    Because a 1-D call's global ``.all()`` stop *is* the row's stop, every
     row of the result is bitwise equal to a stand-alone 1-D solve of that
     row — which is what makes the batched multiplier search's masked-lane
     isolation exact rather than approximate.
@@ -187,7 +192,7 @@ def _newton_rows(
     xa, ra = x, rhs
     for _ in range(max_iter):  # repro-lint: disable=RL002 -- exhaustion raises via _check_lambert_residual
         x_new = _newton_step(xa, ra)
-        done = (np.abs(x_new - xa) <= tol * np.maximum(1.0, np.abs(x_new))).all(axis=1)
+        done = (np.abs(x_new - xa) <= tol * x_new).all(axis=1)
         if live is None:
             x = x_new
             if done.size and not done.any():

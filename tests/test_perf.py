@@ -421,3 +421,51 @@ def test_delay_min_rate_evaluations_are_deterministic_and_within_budget(monkeypa
     per_call = _delay_min_rate_evaluations(monkeypatch)
     assert per_call <= 166
     assert _delay_min_rate_evaluations(monkeypatch) == per_call
+
+
+def _fl_round_training_work(monkeypatch, model):
+    """Local-SGD work of one closed-loop FL round: the gradient oracles
+    prepared, the gradients and the losses computed, per model step."""
+    from repro.fl import models
+    from repro.fl.roundloop import RoundLoopConfig, run_round_loop
+
+    work = {"oracles": 0, "gradients": 0, "losses": 0}
+    model_cls = {"softmax": models.SoftmaxRegression, "mlp": models.MLPClassifier}[model]
+    oracle = model_cls.gradient_oracle
+
+    def counting_oracle(self, x, y):
+        step = oracle(self, x, y)
+        work["oracles"] += 1
+
+        def counting_step(batch_idx, with_loss):
+            work["gradients"] += 1
+            work["losses"] += with_loss
+            return step(batch_idx, with_loss)
+
+        return counting_step
+
+    config = RoundLoopConfig(
+        scenario={"num_devices": 6, "seed": 3},
+        rounds=1,
+        local_iterations=5,
+        selection="deadline-k",
+        selection_params={"k": 4},
+        model=model,
+        samples_per_client=40,
+        seed=3,
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(model_cls, "gradient_oracle", counting_oracle)
+        report = run_round_loop(config)
+    return work, len(report.records[0].selected)
+
+
+@pytest.mark.parametrize("model", ["softmax", "mlp"])
+def test_fl_round_computes_one_loss_per_selected_client(monkeypatch, model):
+    """One FL round prepares one gradient oracle and computes one loss per
+    selected client, and ``local_iterations`` gradients per selected client
+    (the per-step formulation computed the loss on every step)."""
+    work, selected = _fl_round_training_work(monkeypatch, model)
+    assert 1 <= selected < 6
+    assert work == {"oracles": selected, "gradients": 5 * selected, "losses": selected}
+    assert _fl_round_training_work(monkeypatch, model) == (work, selected)
