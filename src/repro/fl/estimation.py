@@ -165,26 +165,6 @@ class ProfileEstimator:
             and self._gains[device].observations > 0
         )
 
-    def cycles_estimates(self) -> np.ndarray:
-        """Fitted ``c_n`` per universe device (NaN where unobserved)."""
-        return np.array(
-            [
-                rls.theta if rls.observations else float("nan")
-                for rls in self._cycles
-            ],
-            dtype=float,
-        )
-
-    def gain_estimates(self) -> np.ndarray:
-        """Fitted large-scale gain per universe device (NaN where unobserved)."""
-        return np.array(
-            [
-                rls.theta if rls.observations else float("nan")
-                for rls in self._gains
-            ],
-            dtype=float,
-        )
-
     def estimated_system(
         self, system: SystemModel, universe_indices: np.ndarray
     ) -> SystemModel:

@@ -69,8 +69,10 @@ class RoundRecord:
     allocator_objective: float
     #: The per-round deadline ``T`` the allocator chose (or was given).
     round_deadline_s: float
-    #: Per-stage wall-clock of the round (``fl_channel`` / ``fl_allocate`` /
-    #: ``fl_select`` / ``fl_train`` plus the solver's own stages).
+    #: Per-stage wall-clock of the round: the five ``fl_*`` stages
+    #: (``fl_round`` enclosing ``fl_channel`` / ``fl_allocate`` /
+    #: ``fl_select`` / ``fl_train``).  The solver's own stages go to the
+    #: ambient collector (e.g. a sweep task's ``timings``), not here.
     timings: Mapping[str, float] = field(default_factory=dict)
 
     # -- dynamic-fleet fields (None/empty when the layer is disabled, so a

@@ -21,6 +21,13 @@ resource-allocation stack *every global round*:
    the :class:`~repro.fl.server.FedAvgServer` aggregates, producing the
    accuracy/loss the round's seconds and joules actually bought.
 
+Each round is one prepare → solve → finish step over a private per-run
+state object: ``prepare_round`` applies churn, fixes the active set, redraws
+the fading and poses the round's :class:`~repro.core.problem.JointProblem`
+(step 1); the run's solve callable — Algorithm 2 or the configured baseline,
+picked once per run — solves it (step 2); ``finish_round`` does steps 3-5
+plus battery drain and profile estimation, and returns the round's record.
+
 On top of the closed loop sits the **dynamic-fleet layer** (all off by
 default, in which case the trajectory is bit-identical to the frozen-fleet
 loop):
@@ -290,236 +297,225 @@ class FLRoundLoop:
             rng=np.random.default_rng((config.seed, _SERVER_STREAM)),
         )
 
-    # -- per-round allocation ------------------------------------------------
-    def _solve_round(
-        self,
-        system: SystemModel,
-        allocator: ResourceAllocator | None,
-    ) -> AllocationResult:
-        """Re-solve the allocation for this round's channel realisation."""
-        problem = JointProblem(
-            system,
-            ProblemWeights.from_energy_weight(self.config.energy_weight),
-            deadline_s=self.config.deadline_s,
-        )
-        if allocator is None:
-            return get_baseline(self.config.scheme)(problem)
-        return allocator.solve(problem)
-
     # -- the loop -------------------------------------------------------------
     def run(self) -> RoundLoopReport:
         """Run every configured round and return the per-round trajectory."""
-        config = self.config
-        base_system = self.system
+        state = _RunState(self.config, self.system, self._build_server())
+        report = RoundLoopReport()
+        for round_index in range(1, self.config.rounds + 1):
+            timings = StageTimings()
+            with stage("fl_round", timings):
+                with stage("fl_channel", timings):
+                    problem = state.prepare_round(round_index)
+                with stage("fl_allocate", timings):
+                    result = state.solve(problem)
+                report.append(state.finish_round(round_index, result, timings))
+        return report
+
+
+class _RunState:
+    """One run's state, advanced a global round at a time.
+
+    :meth:`prepare_round` builds round ``r``'s allocation problem;
+    :meth:`finish_round` prices, selects, trains, drains and estimates on
+    the solved allocation and returns the round's record.  The round's RNG,
+    active set and true subsystem stay here between the two calls.
+    """
+
+    def __init__(
+        self, config: RoundLoopConfig, system: SystemModel, server: FedAvgServer
+    ) -> None:
+        self.config = config
         # Pricing and training must agree on R_l: the compute time/energy
         # models charge ``R_l c_n D_n`` cycles per round, so an overridden
         # iteration count is threaded into the system model, not just the
         # SGD loop.
         if (
             config.local_iterations is not None
-            and config.local_iterations != base_system.local_iterations
+            and config.local_iterations != system.local_iterations
         ):
-            base_system = base_system.with_schedule(
-                local_iterations=config.local_iterations
-            )
-        num_clients = base_system.num_devices
-        server = self._build_server()
-        local_iterations = base_system.local_iterations
-        fading_model = (
+            system = system.with_schedule(local_iterations=config.local_iterations)
+        self.base_system = system
+        self.num_clients = system.num_devices
+        self.server = server
+        self.fading = (
             make_fading(config.fading, **dict(config.fading_params))
             if config.fading is not None
             else None
         )
-        allocator = (
-            ResourceAllocator(config.allocator, backend=config.backend)
+        self.weights = ProblemWeights.from_energy_weight(config.energy_weight)
+        self.solve = (
+            ResourceAllocator(config.allocator, backend=config.backend).solve
             if config.scheme == "proposed"
-            else None
+            else get_baseline(config.scheme)
         )
-        base_gains = base_system.gains
 
         # -- dynamic-fleet state over the device universe -------------------
-        churn = (
+        self.churn: ChurnSchedule | None = (
             resolve_churn(
                 config.churn,
-                num_devices=num_clients,
+                num_devices=self.num_clients,
                 rounds=config.rounds,
                 seed=config.seed,
             )
             if config.churn is not None
             else None
         )
-        batteries: list[Battery] | None = None
-        battery_policy = "graceful"
+        self.batteries: list[Battery] | None = None
+        self.battery_policy = "graceful"
         if config.battery is not None:
-            capacity, initial_soc, battery_policy = config.battery_spec()
-            batteries = [
+            capacity, initial_soc, self.battery_policy = config.battery_spec()
+            self.batteries = [
                 Battery(capacity_j=capacity, charge_j=capacity * initial_soc)
-                for _ in range(num_clients)
+                for _ in range(self.num_clients)
             ]
-        estimator = (
-            ProfileEstimator(num_clients, params=dict(config.estimation_params))
+        self.estimator = (
+            ProfileEstimator(self.num_clients, params=dict(config.estimation_params))
             if config.estimate_profiles
             else None
         )
-        fleet_dynamic = churn is not None or batteries is not None
-        present = np.ones(num_clients, dtype=bool)
-        if churn is not None:
-            present[:] = False
-            present[list(churn.initial_present)] = True
-        alive = np.ones(num_clients, dtype=bool)
+        self.fleet_dynamic = self.churn is not None or self.batteries is not None
+        self.present = np.ones(self.num_clients, dtype=bool)
+        if self.churn is not None:
+            self.present[:] = False
+            self.present[list(self.churn.initial_present)] = True
+        self.alive = np.ones(self.num_clients, dtype=bool)
+        self.elapsed = 0.0
+        self.consumed = 0.0
 
-        report = RoundLoopReport()
-        elapsed = 0.0
-        consumed = 0.0
-        for round_index in range(1, config.rounds + 1):
-            timings = StageTimings()
-            round_rng = np.random.default_rng(
-                (config.seed, _ROUND_STREAM + round_index)
+    def prepare_round(self, round_index: int) -> JointProblem:
+        """Round ``round_index``'s allocation problem over the active fleet.
+
+        Applies the round's churn events, fixes the active set, redraws the
+        fading and keeps the true subsystem for :meth:`finish_round`; the
+        problem itself is posed on the estimated profiles when estimation
+        is on.
+        """
+        config = self.config
+        self.rng = np.random.default_rng((config.seed, _ROUND_STREAM + round_index))
+        self.arrived: tuple[int, ...] = ()
+        self.departed: tuple[int, ...] = ()
+        if self.churn is not None and round_index >= 2:
+            self.arrived, self.departed = self.churn.events_for_round(round_index)
+            self.present[list(self.arrived)] = True
+            self.present[list(self.departed)] = False
+        self.active = np.flatnonzero(self.present & self.alive)
+        if self.active.size == 0:
+            raise BatteryDrainedError(
+                f"no device can train at round {round_index}: every "
+                "present device's battery is drained"
             )
-            arrived: tuple[int, ...] = ()
-            departed: tuple[int, ...] = ()
-            if churn is not None and round_index >= 2:
-                arrived, departed = churn.events_for_round(round_index)
-                present[list(arrived)] = True
-                present[list(departed)] = False
-            active = np.flatnonzero(present & alive)
-            if active.size == 0:
-                raise BatteryDrainedError(
-                    f"no device can train at round {round_index}: every "
-                    "present device's battery is drained"
-                )
-            active_tuple = tuple(int(i) for i in active)
-            with stage("fl_round", timings):
-                with stage("fl_channel", timings):
-                    # Fading is always drawn over the full universe so the
-                    # per-round stream never shifts with the fleet shape.
-                    if fading_model is not None:
-                        factors = fading_model.sample_linear(num_clients, round_rng)
-                        system = base_system.with_gains(base_gains * factors)
-                    else:
-                        system = base_system
-                    round_system = (
-                        system.with_devices(active)
-                        if active.size != num_clients
-                        else system
-                    )
-                with stage("fl_allocate", timings):
-                    solve_system = (
-                        estimator.estimated_system(round_system, active)
-                        if estimator is not None
-                        else round_system
-                    )
-                    result = self._solve_round(solve_system, allocator)
-                allocation = result.allocation
-                # Pricing always uses the *true* subsystem: an allocation
-                # solved on estimated profiles is charged what it really
-                # costs, which is what makes the estimation gap measurable.
-                per_time = allocation.per_device_time_s(round_system)
-                per_energy = allocation.per_device_energy_j(round_system)
-                with stage("fl_select", timings):
-                    soc = (
-                        np.array(
-                            [batteries[i].state_of_charge for i in active_tuple]
-                        )
-                        if batteries is not None
-                        else None
-                    )
-                    selected_sub = select_clients(
-                        config.selection,
-                        SelectionContext(
-                            round_index=round_index,
-                            num_clients=active.size,
-                            per_device_time_s=per_time,
-                            per_device_energy_j=per_energy,
-                            round_deadline_s=result.round_deadline_s,
-                            rng=round_rng,
-                            params=config.selection_params,
-                            state_of_charge=soc,
-                        ),
-                    )
-                selected = active[selected_sub]
-                round_time = float(np.max(per_time[selected_sub]))
-                round_energy = float(np.sum(per_energy[selected_sub]))
-                with stage("fl_train", timings):
-                    train_loss, test_loss, test_accuracy = server.run_round(
-                        round_index, local_iterations, client_indices=selected.tolist()
-                    )
-                retired: list[int] = []
-                soc_min: float | None = None
-                if batteries is not None:
-                    retired = self._drain_batteries(
-                        batteries,
-                        battery_policy,
-                        selected_sub,
-                        selected,
-                        per_energy,
-                        alive,
-                        round_index,
-                    )
-                    alive_soc = [
-                        batteries[i].state_of_charge
-                        for i in range(num_clients)
-                        if alive[i]
-                    ]
-                    soc_min = min(alive_soc) if alive_soc else 0.0
-                est_errors: dict[str, float] | None = None
-                if estimator is not None:
-                    estimator.observe_round(
-                        base_system,
-                        selected,
-                        frequency_hz=allocation.frequency_hz[selected_sub],
-                        power_w=allocation.power_w[selected_sub],
-                        bandwidth_hz=allocation.bandwidth_hz[selected_sub],
-                        compute_time_s=round_system.computation_time_s(
-                            allocation.frequency_hz
-                        )[selected_sub],
-                        upload_time_s=round_system.upload_time_s(
-                            allocation.power_w, allocation.bandwidth_hz
-                        )[selected_sub],
-                    )
-                    est_errors = estimator.error_report(base_system)
-            elapsed += round_time
-            consumed += round_energy
-            report.append(
-                RoundRecord(
+        system = self.base_system
+        if self.fading is not None:
+            # Fading is always drawn over the full universe so the
+            # per-round stream never shifts with the fleet shape.
+            factors = self.fading.sample_linear(self.num_clients, self.rng)
+            system = system.with_gains(system.gains * factors)
+        if self.active.size != self.num_clients:
+            system = system.with_devices(self.active)
+        self.round_system = system
+        if self.estimator is not None:
+            system = self.estimator.estimated_system(system, self.active)
+        return JointProblem(system, self.weights, deadline_s=config.deadline_s)
+
+    def finish_round(
+        self, round_index: int, result: AllocationResult, timings: StageTimings
+    ) -> RoundRecord:
+        """Price, select, train, drain and estimate on the solved round.
+
+        The record holds ``timings.seconds`` itself, so the caller's
+        enclosing ``fl_round`` stage lands in it when the round closes.
+        """
+        config = self.config
+        allocation = result.allocation
+        active = self.active
+        # Pricing always uses the *true* subsystem: an allocation solved on
+        # estimated profiles is charged what it really costs, which is what
+        # makes the estimation gap measurable.
+        compute_time = self.round_system.computation_time_s(allocation.frequency_hz)
+        upload_time = self.round_system.upload_time_s(
+            allocation.power_w, allocation.bandwidth_hz
+        )
+        per_time = compute_time + upload_time
+        per_energy = allocation.per_device_energy_j(self.round_system)
+        with stage("fl_select", timings):
+            soc = (
+                np.array([self.batteries[i].state_of_charge for i in active])
+                if self.batteries is not None
+                else None
+            )
+            selected_sub = select_clients(
+                config.selection,
+                SelectionContext(
                     round_index=round_index,
-                    selected=tuple(int(i) for i in selected),
-                    round_time_s=round_time,
-                    elapsed_time_s=elapsed,
-                    round_energy_j=round_energy,
-                    consumed_energy_j=consumed,
-                    train_loss=train_loss,
-                    test_loss=test_loss,
-                    test_accuracy=test_accuracy,
-                    allocator_iterations=result.iterations,
-                    allocator_objective=result.objective,
+                    num_clients=active.size,
+                    per_device_time_s=per_time,
+                    per_device_energy_j=per_energy,
                     round_deadline_s=result.round_deadline_s,
-                    timings=timings.as_dict(),
-                    fleet_size=int(active.size) if fleet_dynamic else None,
-                    arrived=arrived,
-                    departed=departed,
-                    retired=tuple(retired),
-                    battery_soc_min=soc_min,
-                    estimation_cycles_rel_err=(
-                        est_errors["cycles_rel_err"] if est_errors else None
-                    ),
-                    estimation_gain_rel_err=(
-                        est_errors["gain_rel_err"] if est_errors else None
-                    ),
-                )
+                    rng=self.rng,
+                    params=config.selection_params,
+                    state_of_charge=soc,
+                ),
             )
-        return report
+        selected = active[selected_sub]
+        round_time = float(np.max(per_time[selected_sub]))
+        round_energy = float(np.sum(per_energy[selected_sub]))
+        with stage("fl_train", timings):
+            train_loss, test_loss, test_accuracy = self.server.run_round(
+                round_index,
+                self.base_system.local_iterations,
+                client_indices=selected.tolist(),
+            )
+        retired: tuple[int, ...] = ()
+        soc_min: float | None = None
+        if self.batteries is not None:
+            retired = self._drain_batteries(round_index, selected_sub, per_energy)
+            alive_soc = [
+                battery.state_of_charge
+                for battery, alive in zip(self.batteries, self.alive)
+                if alive
+            ]
+            soc_min = min(alive_soc) if alive_soc else 0.0
+        est_errors: dict[str, float] = {}
+        if self.estimator is not None:
+            self.estimator.observe_round(
+                self.base_system,
+                selected,
+                frequency_hz=allocation.frequency_hz[selected_sub],
+                power_w=allocation.power_w[selected_sub],
+                bandwidth_hz=allocation.bandwidth_hz[selected_sub],
+                compute_time_s=compute_time[selected_sub],
+                upload_time_s=upload_time[selected_sub],
+            )
+            est_errors = self.estimator.error_report(self.base_system)
+        self.elapsed += round_time
+        self.consumed += round_energy
+        return RoundRecord(
+            round_index=round_index,
+            selected=tuple(int(i) for i in selected),
+            round_time_s=round_time,
+            elapsed_time_s=self.elapsed,
+            round_energy_j=round_energy,
+            consumed_energy_j=self.consumed,
+            train_loss=train_loss,
+            test_loss=test_loss,
+            test_accuracy=test_accuracy,
+            allocator_iterations=result.iterations,
+            allocator_objective=result.objective,
+            round_deadline_s=result.round_deadline_s,
+            timings=timings.seconds,
+            fleet_size=int(active.size) if self.fleet_dynamic else None,
+            arrived=self.arrived,
+            departed=self.departed,
+            retired=retired,
+            battery_soc_min=soc_min,
+            estimation_cycles_rel_err=est_errors.get("cycles_rel_err"),
+            estimation_gain_rel_err=est_errors.get("gain_rel_err"),
+        )
 
-    @staticmethod
     def _drain_batteries(
-        batteries: list[Battery],
-        policy: str,
-        selected_sub: np.ndarray,
-        selected: np.ndarray,
-        per_energy: np.ndarray,
-        alive: np.ndarray,
-        round_index: int,
-    ) -> list[int]:
+        self, round_index: int, selected_sub: np.ndarray, per_energy: np.ndarray
+    ) -> tuple[int, ...]:
         """Charge this round's energy to the selected devices' batteries.
 
         Returns the devices retired this round.  Under the ``graceful``
@@ -529,23 +525,24 @@ class FLRoundLoop:
         lost a device mid-round.
         """
         retired: list[int] = []
-        for sub, device in zip(selected_sub, selected):
-            battery = batteries[int(device)]
+        for sub in selected_sub:
+            device = int(self.active[sub])
+            battery = self.batteries[device]
             draw = float(per_energy[int(sub)])
             if battery.can_supply(draw):
                 battery.draw(draw)
-            elif policy == "loud":
+            elif self.battery_policy == "loud":
                 raise BatteryDrainedError(
-                    f"device {int(device)} needs {draw:.3f} J for round "
+                    f"device {device} needs {draw:.3f} J for round "
                     f"{round_index} but only {battery.charge_j:.3f} J remain "
                     "(battery policy 'loud')"
                 )
             else:
                 battery.draw(max(min(draw, battery.charge_j), 0.0))
             if battery.state_of_charge <= _DEAD_SOC:
-                alive[int(device)] = False
-                retired.append(int(device))
-        return retired
+                self.alive[device] = False
+                retired.append(device)
+        return tuple(retired)
 
 
 def run_round_loop(

@@ -135,14 +135,8 @@ class FederatedSimulation:
 
     def round_cost(self) -> RoundCost:
         """Energy and time of one global round under the bound allocation."""
-        per_device_time = self.system.per_device_round_time_s(
-            self.allocation.power_w,
-            self.allocation.bandwidth_hz,
-            self.allocation.frequency_hz,
-        )
-        per_device_energy = self.system.upload_energy_j(
-            self.allocation.power_w, self.allocation.bandwidth_hz
-        ) + self.system.computation_energy_j(self.allocation.frequency_hz)
+        per_device_time = self.allocation.per_device_time_s(self.system)
+        per_device_energy = self.allocation.per_device_energy_j(self.system)
         return RoundCost(
             round_time_s=float(np.max(per_device_time)),
             round_energy_j=float(per_device_energy.sum()),

@@ -18,14 +18,13 @@ __all__ = [
     "collect_timings",
     "stage",
     "wall_clock",
-    "BenchReport",
     "run_bench",
     "compare_reports",
     "write_report",
     "load_report",
 ]
 
-_BENCH_EXPORTS = {"BenchReport", "run_bench", "compare_reports", "write_report", "load_report"}
+_BENCH_EXPORTS = {"run_bench", "compare_reports", "write_report", "load_report"}
 
 
 def __getattr__(name: str) -> Any:

@@ -88,7 +88,7 @@ def _nonnegative(rhs: np.ndarray | float) -> np.ndarray:
     Raises :class:`ValueError` on a genuinely negative entry.
     """
     c = np.asarray(rhs, dtype=float)
-    if np.any(c < -1e-12):
+    if (c < -1e-12).any():
         raise ValueError("rhs must be non-negative")
     return np.maximum(c, 0.0)
 

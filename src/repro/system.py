@@ -16,12 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import constants
-from .devices.cpu import CpuModel
 from .devices.fleet import DeviceFleet
-from .devices.radio import RadioModel
 from .exceptions import ConfigurationError
 from .wireless.channel import ChannelState
-from .wireless.noise import NoiseModel
 from .wireless.rate import shannon_rate
 
 __all__ = ["SystemModel"]
@@ -98,22 +95,6 @@ class SystemModel:
     def cycles_per_round(self) -> np.ndarray:
         """CPU cycles of one global round per device: ``R_l * c_n * D_n``."""
         return self.local_iterations * self.cycles_per_sample * self.num_samples
-
-    # -- component models --------------------------------------------------
-    @property
-    def noise_model(self) -> NoiseModel:
-        return NoiseModel(psd_w_per_hz=self.noise_psd_w_per_hz)
-
-    @property
-    def cpu_model(self) -> CpuModel:
-        # Per-device kappa may differ; the vectorised methods below use the
-        # per-device values directly.  The CpuModel here is the default used
-        # by callers who want a standalone model object.
-        return CpuModel(effective_capacitance=float(self.effective_capacitance[0]))
-
-    @property
-    def radio_model(self) -> RadioModel:
-        return RadioModel(noise=self.noise_model)
 
     # -- physical cost models (eqs. (1)-(7)) --------------------------------
     def rates_bps(self, power_w: np.ndarray, bandwidth_hz: np.ndarray) -> np.ndarray:

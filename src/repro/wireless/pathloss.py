@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import constants, units
+from .. import constants
 from ..exceptions import ConfigurationError
 
 __all__ = ["LogDistancePathLoss"]
@@ -56,7 +56,3 @@ class LogDistancePathLoss:
     def __call__(self, distances_km: np.ndarray | float) -> np.ndarray:
         return self.loss_db(distances_km)
 
-
-def _unused_unit_helper() -> float:
-    """Keep a reference to :mod:`repro.units` for doc cross-linking."""
-    return units.db_to_linear(0.0)

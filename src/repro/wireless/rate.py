@@ -55,7 +55,7 @@ def shannon_rate(
     p = np.asarray(power_w, dtype=float)
     b = np.asarray(bandwidth_hz, dtype=float)
     g = np.asarray(gain, dtype=float)
-    if np.all(b > 0.0):
+    if (b > 0.0).all():
         # Every band is open: no masking needed.
         rate = _open_band_rate(g * p, b, noise_psd)
         return rate[()] if rate.ndim == 0 else rate

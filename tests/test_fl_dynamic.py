@@ -26,6 +26,7 @@ from repro.fl.estimation import ProfileEstimator
 from repro.fl.roundloop import RoundLoopConfig, run_round_loop
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_fl_pr9.json"
+DYNAMIC_GOLDEN_PATH = Path(__file__).parent / "data" / "golden_fl_dynamic.json"
 
 SCENARIO = {"family": "paper", "num_devices": 6, "seed": 11}
 
@@ -88,6 +89,49 @@ class TestGoldenFrozenFleet:
             for key in metrics
             if any(fragment in key for fragment in dynamic_fragments)
         ]
+
+
+# -- golden dynamic-fleet regression ------------------------------------------
+#: Churned, drained and estimated runs pinned to a committed record, so a
+#: refactor of the loop cannot move them even where both backends would
+#: move together.
+DYNAMIC_GOLDEN_CONFIGS = {
+    # The tiny capacity retires a device in round 3 (``r003_retired``).
+    "events-battery": dict(churn=CHURN_EVENTS, battery={"capacity_j": 0.02}),
+    "poisson-estimated-deadline-k-vector": dict(
+        churn=CHURN_POISSON,
+        battery={"capacity_j": 50.0},
+        estimate_profiles=True,
+        selection="deadline-k",
+        backend="vector",
+    ),
+    "poisson-estimated-deadline-k-scalar": dict(
+        churn=CHURN_POISSON,
+        battery={"capacity_j": 50.0},
+        estimate_profiles=True,
+        selection="deadline-k",
+        backend="scalar",
+    ),
+    "charge-k-battery": dict(
+        selection="charge-k",
+        selection_params={"k": 3},
+        battery={"capacity_j": 50.0},
+    ),
+    "delay-min-mlp-estimated": dict(
+        scheme="delay_min", model="mlp", estimate_profiles=True
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def dynamic_golden():
+    return json.loads(DYNAMIC_GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(DYNAMIC_GOLDEN_CONFIGS))
+def test_dynamic_trajectory_matches_golden_exactly(name, dynamic_golden):
+    config = tiny_config(**DYNAMIC_GOLDEN_CONFIGS[name])
+    assert run_round_loop(config).flat_metrics() == dynamic_golden[name]
 
 
 # -- the churn x backend determinism matrix ----------------------------------
