@@ -118,10 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="cap on same-shape cold tasks per lockstep multi-solve pass "
-        "(default: a whole same-shape group per pass, split across --jobs "
-        "workers; 1 = solve every task per drop; results are bit-identical "
-        "either way)",
+        help="cap on same-shape cold tasks per lockstep pass: proposed "
+        "solves, or proposed FL runs advanced a round at a time (default: "
+        "a whole same-shape group per pass, split across --jobs workers; "
+        "1 = run every task on its own; results are bit-identical either "
+        "way)",
     )
     run.add_argument(
         "--no-cache",

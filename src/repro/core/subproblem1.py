@@ -318,12 +318,11 @@ def solve_subproblem1_rows(
             cycles_rows = np.stack([systems[i].cycles_per_round for i in lanes])
             fmin_rows = np.stack([systems[i].min_frequency_hz for i in lanes])
             fmax_rows = np.stack([systems[i].max_frequency_hz for i in lanes])
-            kappa_rows = np.stack(
+            # ``kappa * cycles`` per lane, as the 1-D objective hoists it.
+            energy_coeff_rows = np.stack(
                 [
-                    np.broadcast_to(
-                        np.asarray(systems[i].effective_capacitance, dtype=float), (n,)
-                    )
-                    for i in lanes
+                    systems[i].effective_capacitance * cycles_rows[k]
+                    for k, i in enumerate(lanes)
                 ]
             )
             rg = np.array([float(systems[i].global_rounds) for i in lanes])
@@ -332,11 +331,11 @@ def solve_subproblem1_rows(
             t_lo = np.array([bounds[i][0] for i in lanes])
             t_hi = np.array([bounds[i][1] for i in lanes])
 
-            def objective_rows(sel: np.ndarray, deadlines: np.ndarray) -> np.ndarray:
-                slack = np.maximum(deadlines[:, None] - upload_rows[sel], 1e-300)
-                freq = np.clip(cycles_rows[sel] / slack, fmin_rows[sel], fmax_rows[sel])
-                energy = (kappa_rows[sel] * cycles_rows[sel] * freq**2).sum(axis=1)
-                return rg[sel] * (w1_arr[sel] * energy + w2_arr[sel] * deadlines)
+            def objective_rows(deadlines: np.ndarray) -> np.ndarray:
+                slack = np.maximum(deadlines[:, None] - upload_rows, 1e-300)
+                freq = np.clip(cycles_rows / slack, fmin_rows, fmax_rows)
+                energy = (energy_coeff_rows * freq**2).sum(axis=1)
+                return rg * (w1_arr * energy + w2_arr * deadlines)
 
             try:
                 deadlines, _ = golden_section_rows(objective_rows, t_lo, t_hi, tol=1e-12)

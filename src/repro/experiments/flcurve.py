@@ -14,7 +14,11 @@ accuracy-versus-wall-clock comparison.
 Each (family, scheme, trial) run is one :class:`SweepTask` of solver kind
 ``"fl_roundloop"``, so the sweep engine's parallelism, caching and crash
 isolation apply: trajectories are flattened to scalar metrics
-(``r012_accuracy`` …) for the cache and unfolded back into rows here.
+(``r012_accuracy`` …) for the cache and unfolded back into rows here.  The
+kind's batch twin lets the engine run the ``"proposed"`` runs as one
+lockstep unit (:func:`~repro.fl.roundloop.run_lockstep`: one
+``solve_batch`` per global round), bit-identical to running them one by
+one; baseline runs stay per task.
 
 A ``profiles`` axis compares the oracle allocator (true device profiles)
 against the estimated one (:mod:`repro.fl.estimation` fits compute and
@@ -26,13 +30,13 @@ hides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
-from ..fl.roundloop import FLRoundLoop, RoundLoopConfig
+from ..fl.roundloop import FLRoundLoop, RoundLoopConfig, run_lockstep
 from ..system import SystemModel
 from .base import SweepConfig, run_sweep
 from .results import ResultTable
-from .runner import SweepRunner, SweepTask, register_solver_kind
+from .runner import SweepRunner, SweepTask, batch_twin, register_solver_kind
 
 __all__ = ["FLCurveConfig", "run_flcurve"]
 
@@ -44,6 +48,24 @@ def _run_fl_roundloop(
     """One full closed-loop training run on a pre-built drop (worker entry)."""
     config: RoundLoopConfig = params["roundloop"]
     return FLRoundLoop(config, system=system).run().flat_metrics()
+
+
+def _proposed_run(params: Mapping[str, Any]) -> bool:
+    return getattr(params.get("roundloop"), "scheme", None) == "proposed"
+
+
+@batch_twin(_run_fl_roundloop, accepts=_proposed_run)
+def _run_fl_roundloop_batch(
+    systems: Sequence[SystemModel], params: Sequence[Mapping[str, Any]]
+) -> list[Mapping[str, float] | Exception]:
+    """The unit's ``"proposed"`` runs in lockstep, one ``solve_batch`` a round."""
+    reports = run_lockstep(
+        [FLRoundLoop(p["roundloop"], system=system) for system, p in zip(systems, params)]
+    )
+    return [
+        report if isinstance(report, Exception) else report.flat_metrics()
+        for report in reports
+    ]
 
 
 @dataclass(frozen=True)

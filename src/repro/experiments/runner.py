@@ -28,11 +28,15 @@ through a pluggable :class:`SweepRunner`:
   independent invocations partition any task list exactly, and
   ``repro store merge`` reassembles their shard stores into the serial
   store bit-for-bit;
-* ``"proposed"`` tasks of one problem shape (:meth:`SweepRunner.batch_group_key`)
-  are solved together in one lockstep multi-solve pass
-  (:func:`execute_batch` / :meth:`ResourceAllocator.solve_batch`) whose
-  lanes are bit-identical to per-drop solves; with ``jobs > 1`` each group
-  is cut into at most ``jobs`` contiguous chunks, one pool call each.
+* batchable tasks of one shape (:meth:`SweepRunner.batch_group_key`) run
+  together as one lockstep unit (:func:`execute_batch`), through their
+  kind's :func:`batch_twin`: ``"proposed"`` solves in one
+  :meth:`ResourceAllocator.solve_batch` pass, ``"proposed"`` closed FL
+  runs (``fl_roundloop``) a global round at a time with one
+  ``solve_batch`` per round (:func:`repro.fl.roundloop.run_lockstep`).
+  Every lane is bit-identical to its per-task run; with ``jobs > 1`` each
+  group is cut into at most ``jobs`` contiguous chunks, one pool call
+  each.
 
 Every solve starts cold from the paper's initial point, so a task's result
 depends on nothing but the task itself.
@@ -73,6 +77,7 @@ __all__ = [
     "register_solver_kind",
     "solver_kinds",
     "allocation_from_state",
+    "batch_twin",
     "batchable_task",
     "execute_batch",
     "execute_task",
@@ -104,6 +109,12 @@ SolverFn = Callable[
     Mapping[str, float] | tuple[Mapping[str, float], dict[str, Any]],
 ]
 
+#: A solver kind's lockstep twin (see :func:`batch_twin`).
+BatchFn = Callable[
+    [Sequence[SystemModel], Sequence[Mapping[str, Any]]],
+    list[Any],
+]
+
 _SOLVER_KINDS: dict[str, SolverFn] = {}
 
 
@@ -122,6 +133,27 @@ def register_solver_kind(name: str) -> Callable[[SolverFn], SolverFn]:
     def decorator(fn: SolverFn) -> SolverFn:
         _SOLVER_KINDS[name] = fn
         return fn
+
+    return decorator
+
+
+def batch_twin(
+    kind: SolverFn, accepts: Callable[[Mapping[str, Any]], bool] = lambda params: True
+) -> Callable[[BatchFn], BatchFn]:
+    """Give the solver-kind function ``kind`` a lockstep batch twin.
+
+    ``twin(systems, params)`` runs a whole batched unit at once and returns
+    one output per task, in order: what ``kind(system, params)`` returns,
+    or the exception it would raise.  ``accepts(params)`` says which tasks
+    of the kind batch (:func:`batchable_task`); the rest run per task.  The
+    twin lives on the function object, so a kind re-registered with a
+    plain function runs every task per task again.
+    """
+
+    def decorator(twin: BatchFn) -> BatchFn:
+        kind.batch = twin  # type: ignore[attr-defined]
+        kind.batch_accepts = accepts  # type: ignore[attr-defined]
+        return twin
 
     return decorator
 
@@ -202,24 +234,57 @@ def _proposed_state(result: AllocationResult) -> dict[str, Any]:
     }
 
 
+def _joint_problem(system: SystemModel, params: Mapping[str, Any]) -> JointProblem:
+    weights = ProblemWeights.from_energy_weight(params["energy_weight"])
+    return JointProblem(system, weights, deadline_s=params.get("deadline_s"))
+
+
 @register_solver_kind("proposed")
 def _run_proposed(
     system: SystemModel, params: Mapping[str, Any]
 ) -> tuple[Mapping[str, float], dict[str, Any]]:
     """Algorithm 2 on one drop (the paper's proposed scheme)."""
-    weights = ProblemWeights.from_energy_weight(params["energy_weight"])
-    problem = JointProblem(system, weights, deadline_s=params.get("deadline_s"))
-    result = ResourceAllocator(params.get("allocator")).solve(problem)
+    result = ResourceAllocator(params.get("allocator")).solve(
+        _joint_problem(system, params)
+    )
     return result.summary(), _proposed_state(result)
+
+
+@batch_twin(_run_proposed)
+def _run_proposed_batch(
+    systems: Sequence[SystemModel], params: Sequence[Mapping[str, Any]]
+) -> list[Any]:
+    """Algorithm 2 on every drop of a unit in one lockstep pass.
+
+    The unit shares a :meth:`SweepRunner.batch_group_key`, so one
+    :class:`ResourceAllocator` serves it.
+    """
+    outputs: list[Any] = [None] * len(systems)
+    lanes: list[tuple[int, JointProblem]] = []
+    for position, (system, task_params) in enumerate(zip(systems, params)):
+        try:
+            lanes.append((position, _joint_problem(system, task_params)))
+        except Exception as exc:  # repro-lint: disable=RL005 -- crash isolation: one bad drop must become an error row, not kill the batch
+            outputs[position] = exc
+    if lanes:
+        allocator = ResourceAllocator(params[lanes[0][0]].get("allocator"))
+        solved = allocator.solve_batch(
+            [problem for _, problem in lanes], return_exceptions=True
+        )
+        for (position, _problem), result in zip(lanes, solved):
+            outputs[position] = (
+                result
+                if isinstance(result, Exception)
+                else (result.summary(), _proposed_state(result))
+            )
+    return outputs
 
 
 @register_solver_kind("baseline")
 def _run_baseline(system: SystemModel, params: Mapping[str, Any]) -> Mapping[str, float]:
     """A named baseline scheme on one drop."""
-    weights = ProblemWeights.from_energy_weight(params["energy_weight"])
-    problem = JointProblem(system, weights, deadline_s=params.get("deadline_s"))
     kwargs = dict(params.get("kwargs", {}))
-    return get_baseline(params["name"])(problem, **kwargs).summary()
+    return get_baseline(params["name"])(_joint_problem(system, params), **kwargs).summary()
 
 
 @dataclass(frozen=True)
@@ -326,6 +391,10 @@ def execute_task_detailed(
     return dict(metrics), state, collector.as_dict()
 
 
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _execute_safely(
     task: SweepTask,
 ) -> tuple[dict[str, float] | None, dict[str, Any] | None, dict[str, float] | None, str | None]:
@@ -339,67 +408,62 @@ def _execute_safely(
         metrics, state, timings = execute_task_detailed(task)
         return metrics, state, timings, None
     except Exception as exc:  # repro-lint: disable=RL005 -- crash isolation: one bad drop must become an error row, not kill the sweep
-        return None, None, None, f"{type(exc).__name__}: {exc}"
+        return None, None, None, _error_text(exc)
 
 
 def batchable_task(task: SweepTask) -> bool:
-    """Whether ``task`` rides the lockstep multi-solve path.
+    """Whether ``task`` rides a lockstep batch (:func:`execute_batch`).
 
     The check shared by every batched execution surface (the runner's
-    batch mode and the ``repro serve`` coalescer): every ``"proposed"``
-    task batches, since :meth:`ResourceAllocator.solve_batch` runs each
-    lane kind; baselines and custom kinds run per drop.
+    batch mode and the ``repro serve`` coalescer): a task batches when its
+    registered kind function has a :func:`batch_twin` that accepts its
+    parameters — every ``"proposed"`` solve (:meth:`ResourceAllocator.solve_batch`
+    runs each lane kind) and every ``"proposed"`` closed FL run
+    (:func:`repro.fl.roundloop.run_lockstep`).  Baselines and custom
+    kinds run per task.
     """
-    return task.solver_kind == "proposed"
+    accepts = getattr(_SOLVER_KINDS.get(task.solver_kind), "batch_accepts", None)
+    return accepts is not None and bool(accepts(task.solver_params))
 
 
 def execute_batch(
     tasks: Sequence[SweepTask],
 ) -> list[tuple[dict[str, float] | None, dict[str, Any] | None, str | None]]:
-    """Solve one group of batchable tasks in a single lockstep pass.
+    """Run one unit of batchable tasks in a single lockstep pass.
 
-    ``tasks`` must share a :meth:`SweepRunner.batch_group_key` (same solver
-    configuration and device count), so one :class:`ResourceAllocator`
-    serves the whole group.  Returns one ``(metrics, state, error)`` triple
-    per task, in task order; metrics and state snapshots are built exactly
-    as ``_run_proposed`` builds them, so a batched result's cache entry is
-    byte-identical to the per-drop one.  Failures follow
+    ``tasks`` share a solver kind (and a :meth:`SweepRunner.batch_group_key`);
+    the kind's :func:`batch_twin` runs them all at once.  Returns one
+    ``(metrics, state, error)`` triple per task, in task order, built
+    exactly as the per-task path builds them, so a batched result's cache
+    entry is byte-identical to the per-task one.  Failures follow
     :func:`_execute_safely`'s contract: a broken lane (scenario build or
     solve) becomes an error triple with the same ``"Type: message"``
     string, never an exception.
     """
+    twin = _resolve_solver(tasks[0].solver_kind).batch
     results: list[tuple[dict[str, float] | None, dict[str, Any] | None, str | None]] = [
         (None, None, None)
     ] * len(tasks)
-    lanes: list[tuple[int, JointProblem]] = []
+    built: list[tuple[int, SystemModel]] = []
     for position, task in enumerate(tasks):
         try:
             with stage("scenario_build"):
-                system = task.scenario_spec().build()
-            weights = ProblemWeights.from_energy_weight(
-                task.solver_params["energy_weight"]
-            )
-            problem = JointProblem(
-                system, weights, deadline_s=task.solver_params.get("deadline_s")
-            )
+                built.append((position, task.scenario_spec().build()))
         except Exception as exc:  # repro-lint: disable=RL005 -- crash isolation: one bad drop must become an error row, not kill the batch
-            results[position] = (None, None, f"{type(exc).__name__}: {exc}")
-            continue
-        lanes.append((position, problem))
-    if not lanes:
+            results[position] = (None, None, _error_text(exc))
+    if not built:
         return results
-    # One allocator serves the batch: the group key pins the configuration,
-    # so every lane would build this same instance.
-    allocator = ResourceAllocator(tasks[lanes[0][0]].solver_params.get("allocator"))
     with stage("solve"):
-        solved = allocator.solve_batch(
-            [problem for _, problem in lanes], return_exceptions=True
+        outputs = twin(
+            [system for _, system in built],
+            [tasks[position].solver_params for position, _ in built],
         )
-    for (position, _problem), result in zip(lanes, solved):
-        if isinstance(result, Exception):
-            results[position] = (None, None, f"{type(result).__name__}: {result}")
+    for (position, _system), output in zip(built, outputs):
+        if isinstance(output, Exception):
+            results[position] = (None, None, _error_text(output))
             continue
-        results[position] = (dict(result.summary()), _proposed_state(result), None)
+        metrics, state = output if isinstance(output, tuple) else (output, None)
+        results[position] = (dict(metrics), state, None)
     return results
 
 
@@ -410,7 +474,7 @@ def _execute_step(
     """Run one scheduling unit of the runner (worker entry point).
 
     A batched unit is one lockstep pass (:func:`execute_batch`) of one or
-    more tasks; otherwise the unit is a single task run per drop through
+    more tasks; otherwise the unit is a single task run on its own through
     :func:`_execute_safely`.  Either way one ``(metrics, state, timings,
     error)`` tuple comes back per task.  A pass of several lanes has no
     per-lane stage breakdown, so only a one-lane pass reports ``timings``.
@@ -453,15 +517,17 @@ class TaskOutcome:
 
 @dataclass(frozen=True)
 class BatchConfig:
-    """How the runner groups tasks for the batched multi-solve path.
+    """How the runner groups tasks into lockstep units.
 
     The batch size is a *scheduling knob only*: a batched lane's trajectory
-    is bit-identical to the per-drop solve (``ResourceAllocator.solve_batch``
-    guarantees it, the parity tests enforce it), so the size is deliberately
-    excluded from :meth:`SweepTask.payload` and cache keys are unchanged.
+    is bit-identical to its per-task run (``ResourceAllocator.solve_batch``
+    and :func:`repro.fl.roundloop.run_lockstep` guarantee it, the parity
+    tests enforce it), so the size is deliberately excluded from
+    :meth:`SweepTask.payload` and cache keys are unchanged.
     """
 
-    #: Maximum number of lanes solved in one lockstep Algorithm-2 pass
+    #: Maximum number of tasks in one lockstep unit — ``"proposed"`` solves
+    #: in one Algorithm-2 pass, or ``"proposed"`` FL runs advanced together
     #: (``None``: the whole same-shape group).
     size: int | None = None
 
@@ -476,10 +542,11 @@ class SweepStats:
     failed: int = 0
     elapsed_s: float = 0.0
     cache_io_s: float = 0.0
-    #: Lockstep multi-solve passes executed (0 with ``batch_size=1``, or
-    #: when no two pending tasks share a problem shape).
+    #: Lockstep units executed: ``"proposed"`` solve passes and units of
+    #: ``"proposed"`` FL runs (0 with ``batch_size=1``, or when no pending
+    #: task is batchable).
     batches: int = 0
-    #: Tasks that went through the batched path (the rest ran per drop).
+    #: Tasks that went through the batched path (the rest ran per task).
     batched_tasks: int = 0
     #: Tasks belonging to another shard of a ``--shard I/N`` run.
     skipped: int = 0
@@ -525,7 +592,7 @@ ProgressFn = Callable[[int, int, TaskOutcome], None]
 
 #: One scheduling unit of :meth:`SweepRunner.run`: the indices of the tasks
 #: it runs, and whether they run as one lockstep batch (otherwise the unit
-#: is one task solved per drop).
+#: is one task run on its own).
 _Unit = tuple[list[int], bool]
 
 
@@ -549,20 +616,19 @@ class SweepRunner:
         Optional ``fn(done, total, outcome)`` invoked in the parent process
         after every task completes (including cache hits).
     batch_size:
-        Cap on the lanes of one lockstep multi-solve pass (at least 1,
-        else :class:`ConfigurationError`).  ``"proposed"`` tasks are
-        grouped by problem shape
-        (:meth:`batch_group_key`) and each group is solved in
-        ``ceil(len / batch_size)`` even passes
-        (:meth:`ResourceAllocator.solve_batch`); ``None`` (default) solves a
-        whole group in one pass, ``1`` solves every task per drop.  With
-        ``jobs > 1`` a group is further cut into up to ``jobs`` contiguous
-        chunks, each one pool call.  A batch of one costs what a per-drop
-        solve costs (the kernels take their 1-D path for one lane), so a
-        lone task of its shape is simply a one-lane batch.  Results and
-        cache keys are bit-identical to the per-drop path; only the wall
-        clock changes, and outcomes of a batch of several lanes carry no
-        ``timings``.
+        Cap on the tasks of one lockstep unit (at least 1, else
+        :class:`ConfigurationError`).  Batchable tasks
+        (:func:`batchable_task`: ``"proposed"`` solves and ``"proposed"``
+        FL runs) are grouped by shape (:meth:`batch_group_key`) and each
+        group runs in ``ceil(len / batch_size)`` even units
+        (:func:`execute_batch`); ``None`` (default) runs a whole group as
+        one unit, ``1`` runs every task on its own.  With ``jobs > 1`` a
+        group is further cut into up to ``jobs`` contiguous chunks, each
+        one pool call.  A batch of one costs what a per-task run costs
+        (the kernels take their 1-D path for one lane), so a lone task of
+        its shape is simply a one-lane batch.  Results and cache keys are
+        bit-identical to the per-task path; only the wall clock changes,
+        and outcomes of a unit of several tasks carry no ``timings``.
     store_backend:
         Result-store backend for the cache (``"json"`` / ``"columnar"``);
         ``None`` auto-detects from the cache directory's on-disk layout.
@@ -693,16 +759,18 @@ class SweepRunner:
         self.last_stats = stats
         return [outcome for outcome in outcomes if outcome is not None]
 
-    # -- batched multi-solve -------------------------------------------------
+    # -- lockstep units -------------------------------------------------------
     @staticmethod
     def batch_group_key(task: SweepTask) -> str:
         """The problem-shape key batched tasks are grouped by.
 
         Derived from the same canonical-payload machinery as the cache key
         (:func:`_jsonify` over the allocator configuration, the scenario
-        spec's device count): tasks in one group share ``num_devices`` and
-        the full solver configuration, so one :class:`ResourceAllocator`
-        serves the whole group.
+        spec's device count): tasks in one group share their kind,
+        ``num_devices`` and the full solver configuration, so one
+        :class:`ResourceAllocator` serves a group of ``"proposed"``
+        solves.  (FL runs carry their allocator inside the round-loop
+        config; the lockstep driver groups their solves by it.)
         """
         key = {
             "solver_kind": task.solver_kind,
@@ -714,7 +782,7 @@ class SweepRunner:
     def _plan_batches(
         self, tasks: Sequence[SweepTask], pending: Sequence[int], stats: SweepStats
     ) -> list[_Unit]:
-        """Group the batchable pending tasks into lockstep-batch units.
+        """Group the batchable pending tasks into lockstep units.
 
         Each same-shape group is cut into even contiguous chunks: as many
         as the ``batch_size`` cap needs, and with ``jobs > 1`` up to ``jobs``
@@ -776,7 +844,7 @@ class SweepRunner:
             try:
                 results = future.result()
             except Exception as exc:  # repro-lint: disable=RL005 -- pool failures (e.g. BrokenProcessPool) must become error outcomes
-                results = [(None, None, None, f"{type(exc).__name__}: {exc}")] * len(indices)
+                results = [(None, None, None, _error_text(exc))] * len(indices)
             yield from outcomes_of(indices, results)
 
     def _cache_put(self, outcome: TaskOutcome) -> None:

@@ -71,8 +71,11 @@ class RoundRecord:
     round_deadline_s: float
     #: Per-stage wall-clock of the round: the five ``fl_*`` stages
     #: (``fl_round`` enclosing ``fl_channel`` / ``fl_allocate`` /
-    #: ``fl_select`` / ``fl_train``).  The solver's own stages go to the
-    #: ambient collector (e.g. a sweep task's ``timings``), not here.
+    #: ``fl_select`` / ``fl_train``).  When the round's solve was shared by
+    #: several lockstep runs (one ``solve_batch``), each run is charged the
+    #: batch wall divided by the lanes, in ``fl_allocate`` and ``fl_round``.
+    #: The solver's own stages go to the ambient collector (e.g. a sweep
+    #: task's ``timings``), not here.
     timings: Mapping[str, float] = field(default_factory=dict)
 
     # -- dynamic-fleet fields (None/empty when the layer is disabled, so a

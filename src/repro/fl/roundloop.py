@@ -24,9 +24,19 @@ resource-allocation stack *every global round*:
 Each round is one prepare → solve → finish step over a private per-run
 state object: ``prepare_round`` applies churn, fixes the active set, redraws
 the fading and poses the round's :class:`~repro.core.problem.JointProblem`
-(step 1); the run's solve callable — Algorithm 2 or the configured baseline,
-picked once per run — solves it (step 2); ``finish_round`` does steps 3-5
-plus battery drain and profile estimation, and returns the round's record.
+(step 1); the run's solver — Algorithm 2 or the configured baseline, picked
+once per run — solves it (step 2); ``finish_round`` does steps 3-5 plus
+battery drain and profile estimation, and returns the round's record.
+
+One driver, :func:`run_lockstep`, steps any number of independent runs
+together: round ``r`` of every run is prepared, then every ``"proposed"``
+run sharing an allocator configuration and backend is solved in one
+:meth:`~repro.core.allocator.ResourceAllocator.solve_batch` (a baseline run
+is solved on its own), then every run is finished.  :meth:`FLRoundLoop.run`
+is its one-run case, and the sweep engine hands it a flcurve's
+``"proposed"`` runs as one unit.  A batched lane is bit-identical to a lone
+solve and each run keeps its own RNG streams, so a run's trajectory does
+not depend on the runs beside it; a run that fails fails alone.
 
 On top of the closed loop sits the **dynamic-fleet layer** (all off by
 default, in which case the trajectory is bit-identical to the frozen-fleet
@@ -54,7 +64,7 @@ runs are bit-identical across solver backends and sweep execution order — chur
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -66,7 +76,7 @@ from ..devices.battery import Battery, BatteryDrainedError
 from ..exceptions import ConfigurationError
 from ..perf.timers import StageTimings, stage
 from ..scenarios import ScenarioSpec
-from ..system import SystemModel
+from ..system import SystemModel, transmission_energy_j
 from ..wireless.fading import make_fading
 from .churn import ChurnSchedule, resolve_churn
 from .client import Client
@@ -79,7 +89,7 @@ from .partition import dirichlet_partition, iid_partition
 from .selection import SelectionContext, get_selection_strategy, select_clients
 from .server import FedAvgServer
 
-__all__ = ["RoundLoopConfig", "FLRoundLoop", "run_round_loop"]
+__all__ = ["RoundLoopConfig", "FLRoundLoop", "run_lockstep", "run_round_loop"]
 
 #: Battery retirement policies: ``graceful`` drains what is left and
 #: retires the device (the loop re-solves around it from the next round);
@@ -299,18 +309,82 @@ class FLRoundLoop:
 
     # -- the loop -------------------------------------------------------------
     def run(self) -> RoundLoopReport:
-        """Run every configured round and return the per-round trajectory."""
-        state = _RunState(self.config, self.system, self._build_server())
-        report = RoundLoopReport()
-        for round_index in range(1, self.config.rounds + 1):
-            timings = StageTimings()
-            with stage("fl_round", timings):
-                with stage("fl_channel", timings):
-                    problem = state.prepare_round(round_index)
-                with stage("fl_allocate", timings):
-                    result = state.solve(problem)
-                report.append(state.finish_round(round_index, result, timings))
+        """Run every configured round and return the per-round trajectory.
+
+        The one-run case of :func:`run_lockstep`; the run's exception is
+        raised.
+        """
+        (report,) = run_lockstep([self])
+        if isinstance(report, Exception):
+            raise report
         return report
+
+
+def run_lockstep(loops: Sequence[FLRoundLoop]) -> list[RoundLoopReport | Exception]:
+    """Run independent closed loops together, one global round at a time.
+
+    Round ``r`` of every run is posed (``prepare_round``), then solved —
+    the ``"proposed"`` runs sharing an allocator configuration and backend
+    in one :meth:`ResourceAllocator.solve_batch`, each baseline run on its
+    own — then closed (``finish_round``).  Every run keeps its own state
+    and RNG streams, and a batched lane is bit-identical to a lone solve,
+    so each trajectory is the one the run produces alone.  Runs may have
+    different round counts.  A run that raises (building its state,
+    posing, solving or closing a round) stops there and its exception
+    takes its slot, the :func:`asyncio.gather` idiom; the others go on.
+    """
+    outcomes: list[RoundLoopReport | Exception] = []
+    states: dict[int, _RunState] = {}
+
+    def fail(k: int, exc: Exception) -> None:
+        outcomes[k] = exc
+        del states[k]
+
+    for k, loop in enumerate(loops):
+        outcomes.append(RoundLoopReport())
+        try:
+            states[k] = _RunState(loop.config, loop.system, loop._build_server())
+        except Exception as exc:  # repro-lint: disable=RL005 -- run isolation: one bad run must fail its own slot, not its lockstep peers
+            outcomes[k] = exc
+
+    round_index = 0
+    while states:
+        round_index += 1
+        groups: dict[Any, list[tuple[int, JointProblem, StageTimings]]] = {}
+        for k, state in list(states.items()):
+            if round_index > state.config.rounds:
+                del states[k]
+                continue
+            timings = StageTimings()
+            try:
+                with stage("fl_round", timings), stage("fl_channel", timings):
+                    problem = state.prepare_round(round_index)
+            except Exception as exc:  # repro-lint: disable=RL005 -- run isolation: one bad run must fail its own slot, not its lockstep peers
+                fail(k, exc)
+                continue
+            groups.setdefault(state.solve_key, []).append((k, problem, timings))
+
+        for lanes in groups.values():
+            # The group's solve wall is shared evenly by its lanes.
+            shared = StageTimings()
+            with stage("fl_round", shared), stage("fl_allocate", shared):
+                solved = states[lanes[0][0]].solve_group(
+                    [problem for _, problem, _ in lanes]
+                )
+            share = {name: seconds / len(lanes) for name, seconds in shared.seconds.items()}
+            for (k, _problem, timings), result in zip(lanes, solved):
+                timings.merge(share)
+                if isinstance(result, Exception):
+                    fail(k, result)
+                    continue
+                try:
+                    with stage("fl_round", timings):
+                        record = states[k].finish_round(round_index, result, timings)
+                except Exception as exc:  # repro-lint: disable=RL005 -- run isolation: one bad run must fail its own slot, not its lockstep peers
+                    fail(k, exc)
+                    continue
+                outcomes[k].append(record)
+    return outcomes
 
 
 class _RunState:
@@ -344,11 +418,18 @@ class _RunState:
             else None
         )
         self.weights = ProblemWeights.from_energy_weight(config.energy_weight)
-        self.solve = (
-            ResourceAllocator(config.allocator, backend=config.backend).solve
-            if config.scheme == "proposed"
-            else get_baseline(config.scheme)
-        )
+        # Runs with equal solve keys solve their rounds in one group: every
+        # proposed run with this allocator configuration and backend, or
+        # this baseline run alone.
+        if config.scheme == "proposed":
+            self.allocator: ResourceAllocator | None = ResourceAllocator(
+                config.allocator, backend=config.backend
+            )
+            self.solve_key: Any = (config.allocator, self.allocator.backend)
+        else:
+            self.allocator = None
+            self.baseline = get_baseline(config.scheme)
+            self.solve_key = self
 
         # -- dynamic-fleet state over the device universe -------------------
         self.churn: ChurnSchedule | None = (
@@ -382,6 +463,21 @@ class _RunState:
         self.alive = np.ones(self.num_clients, dtype=bool)
         self.elapsed = 0.0
         self.consumed = 0.0
+
+    def solve_group(
+        self, problems: Sequence[JointProblem]
+    ) -> list[AllocationResult | Exception]:
+        """Solve one round's problems of every run sharing this solve key.
+
+        A failing lane's exception is returned in its slot.
+        """
+        if self.allocator is not None:
+            return self.allocator.solve_batch(problems, return_exceptions=True)
+        (problem,) = problems
+        try:
+            return [self.baseline(problem)]
+        except Exception as exc:  # repro-lint: disable=RL005 -- run isolation: a failing baseline solve fails only its own run
+            return [exc]
 
     def prepare_round(self, round_index: int) -> JointProblem:
         """Round ``round_index``'s allocation problem over the active fleet.
@@ -437,7 +533,9 @@ class _RunState:
             allocation.power_w, allocation.bandwidth_hz
         )
         per_time = compute_time + upload_time
-        per_energy = allocation.per_device_energy_j(self.round_system)
+        per_energy = transmission_energy_j(
+            allocation.power_w, upload_time
+        ) + self.round_system.computation_energy_j(allocation.frequency_hz)
         with stage("fl_select", timings):
             soc = (
                 np.array([self.batteries[i].state_of_charge for i in active])

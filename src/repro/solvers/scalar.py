@@ -139,7 +139,7 @@ def golden_section_vector(
 
 
 def golden_section_rows(
-    func: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    func: Callable[[np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
     *,
@@ -148,8 +148,8 @@ def golden_section_rows(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Lockstep batch of independent :func:`golden_section_scalar` solves.
 
-    ``func(lanes, x)`` evaluates lane ``lanes[k]``'s objective at the scalar
-    candidate ``x[k]`` and returns the values in the same order; each lane's
+    ``func(x)`` evaluates every lane's objective at that lane's scalar
+    candidate ``x[k]`` and returns the values in lane order; each lane's
     value may depend only on that lane's candidate.  ``lo``/``hi`` are 1-D
     arrays of per-lane interval endpoints.  Returns per-lane arrays
     ``(x_min, f(x_min))``.
@@ -159,7 +159,10 @@ def golden_section_rows(
     bookkeeping exactly: per lane it keeps the reusable probe and evaluates
     exactly one new candidate per iteration, applies the same top-of-loop
     width test, and freezes converged lanes so a neighbour's extra
-    iterations cannot perturb them.  Lane ``k``'s result is bitwise equal to
+    iterations cannot perturb them.  The state stays full-width: masks pick
+    which lanes move, and frozen lanes are re-evaluated at a probe they
+    already hold and the value is dropped, which is cheaper than compacting
+    the lanes every iteration.  Lane ``k``'s result is bitwise equal to
     ``golden_section_scalar(func_k, lo[k], hi[k])`` — the property the
     batched allocator path's per-drop parity guarantee rests on.
     """
@@ -170,68 +173,46 @@ def golden_section_rows(
     swap = b < a
     a[swap], b[swap] = b[swap], a[swap]
 
-    x_out = np.zeros_like(a)
-    f_out = np.zeros_like(a)
+    # Both probes of a degenerate lane sit on its point, so the first
+    # evaluation is the scalar variant's ``func(lo)``; the lane is never
+    # active and keeps them to the end.
     degenerate = b == a
-    if np.any(degenerate):
-        idx = np.flatnonzero(degenerate)
-        x_out[idx] = a[idx]
-        f_out[idx] = np.asarray(func(idx, a[idx]), dtype=float)
-
-    active = ~degenerate
     h = b - a
-    c = a + _INV_PHI_SQ * h
-    d = a + _INV_PHI * h
-    fc = np.zeros_like(a)
-    fd = np.zeros_like(a)
-    idx = np.flatnonzero(active)
-    if idx.size:
-        fc[idx] = np.asarray(func(idx, c[idx]), dtype=float)
-        fd[idx] = np.asarray(func(idx, d[idx]), dtype=float)
+    c = np.where(degenerate, a, a + _INV_PHI_SQ * h)
+    d = np.where(degenerate, a, a + _INV_PHI * h)
+    fc = np.asarray(func(c), dtype=float)
+    fd = np.asarray(func(d), dtype=float)
+    active = ~degenerate
     for _ in range(max_iter):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        active &= ~(h <= tol * np.maximum(1.0, np.abs(a) + np.abs(b)))
+        if not active.any():
             break
-        narrow = h[idx] <= tol * np.maximum(1.0, np.abs(a[idx]) + np.abs(b[idx]))
-        active[idx[narrow]] = False
-        idx = idx[~narrow]
-        if idx.size == 0:
-            continue
-        left = fc[idx] < fd[idx]
-        li = idx[left]
-        ri = idx[~left]
+        lower = fc < fd
+        left = active & lower
+        right = active & ~lower
         # Shrink left: the old c becomes the new d and keeps its value.
-        b[li] = d[li]
-        d[li] = c[li]
-        fd[li] = fc[li]
-        h[li] = b[li] - a[li]
-        c[li] = a[li] + _INV_PHI_SQ * h[li]
         # Shrink right: the old d becomes the new c and keeps its value.
-        a[ri] = c[ri]
-        c[ri] = d[ri]
-        fc[ri] = fd[ri]
-        h[ri] = b[ri] - a[ri]
-        d[ri] = a[ri] + _INV_PHI * h[ri]
-        # Exactly one fresh evaluation per active lane, batched in one call.
-        candidates = np.zeros(idx.size)
-        candidates[left] = c[li]
-        candidates[~left] = d[ri]
-        values = np.asarray(func(idx, candidates), dtype=float)
-        fc[li] = values[left]
-        fd[ri] = values[~left]
-    idx = np.flatnonzero(active)
-    if idx.size:
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        d, c = np.where(left, c, d), np.where(right, d, c)
+        fd, fc = np.where(left, fc, fd), np.where(right, fd, fc)
+        h = b - a
+        c = np.where(left, a + _INV_PHI_SQ * h, c)
+        d = np.where(right, a + _INV_PHI * h, d)
+        # One call evaluates every active lane's one fresh probe; a frozen
+        # lane's value is dropped.
+        values = np.asarray(func(np.where(left, c, d)), dtype=float)
+        fc = np.where(left, values, fc)
+        fd = np.where(right, values, fd)
+    else:
         # Same top-of-loop semantics as the scalar variant: re-test the
         # final widths before declaring exhaustion a failure.
-        wide = h[idx] > tol * np.maximum(1.0, np.abs(a[idx]) + np.abs(b[idx]))
-        if np.any(wide):
+        wide = active & (h > tol * np.maximum(1.0, np.abs(a) + np.abs(b)))
+        if wide.any():
             raise ConvergenceError(
                 f"golden_section_rows did not converge in {max_iter} "
                 f"iterations for {int(np.sum(wide))} lane(s): max interval "
-                f"width {float(np.max(h[idx][wide])):.6g} > tol={tol:.3g}"
+                f"width {float(np.max(h[wide])):.6g} > tol={tol:.3g}"
             )
-    regular = ~degenerate
     pick_c = fc < fd
-    x_out[regular] = np.where(pick_c[regular], c[regular], d[regular])
-    f_out[regular] = np.where(pick_c[regular], fc[regular], fd[regular])
-    return x_out, f_out
+    return np.where(pick_c, c, d), np.where(pick_c, fc, fd)

@@ -21,7 +21,18 @@ from .exceptions import ConfigurationError
 from .wireless.channel import ChannelState
 from .wireless.rate import shannon_rate
 
-__all__ = ["SystemModel"]
+__all__ = ["SystemModel", "transmission_energy_j"]
+
+
+def transmission_energy_j(power_w: np.ndarray, upload_time_s: np.ndarray) -> np.ndarray:
+    """Transmission energies ``E^trans_n = p_n T^up_n`` (eq. (3)) from upload times.
+
+    A silent device (``p_n = 0``) spends nothing, even where its upload
+    time is infinite.
+    """
+    power = np.asarray(power_w, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return np.where(power == 0.0, 0.0, power * upload_time_s)
 
 
 @dataclass(frozen=True)
@@ -111,10 +122,7 @@ class SystemModel:
 
     def upload_energy_j(self, power_w: np.ndarray, bandwidth_hz: np.ndarray) -> np.ndarray:
         """Per-round transmission energies ``E^trans_n = p_n T^up_n`` (eq. (3))."""
-        power = np.asarray(power_w, dtype=float)
-        time = self.upload_time_s(power_w, bandwidth_hz)
-        with np.errstate(invalid="ignore"):
-            return np.where(power == 0.0, 0.0, power * time)
+        return transmission_energy_j(power_w, self.upload_time_s(power_w, bandwidth_hz))
 
     def computation_time_s(self, frequency_hz: np.ndarray) -> np.ndarray:
         """Per-round computation times ``T^cmp_n = R_l c_n D_n / f_n`` (eq. (7))."""

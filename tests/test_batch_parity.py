@@ -548,14 +548,21 @@ class TestMaskedLaneIsolation:
     # ``(x - c) ** 2`` on a Python float goes through libm ``pow``, which is
     # 1 ulp off the exactly rounded ``d * d`` NumPy uses for arrays here.
     @example(lanes=([-0.0007174852385240576], [9.0]))
+    # Interval widths 1e-3 and 1e2: the narrow lane freezes ~24 iterations
+    # before the wide one, which keeps moving around it.
+    @example(lanes=([0.5, -1.5], [5e-4, 50.0]))
+    @example(lanes=([-1.5, 0.5, 2.0], [50.0, 5e-4, 5e-2]))
+    # A degenerate ``lo == hi`` lane beside live ones.
+    @example(lanes=([1.0, -2.0, 3.0], [2.0, 0.0, 1e-2]))
+    @example(lanes=([0.0, 4.0], [0.0, 0.0]))
     def test_golden_section_rows_matches_scalar_per_lane(self, lanes):
         centers, widths = lanes
         num_lanes = len(centers)
         lo = np.array([c - w for c, w in zip(centers, widths)])
         hi = np.array([c + w for c, w in zip(centers, widths)])
 
-        def func(lanes, x):
-            d = x - np.asarray(centers)[lanes]
+        def func(x):
+            d = x - np.asarray(centers)
             return d * d
 
         def scalar_func(x, c):

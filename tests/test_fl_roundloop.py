@@ -181,3 +181,36 @@ def test_local_iterations_override_reprices_compute():
     many = run_round_loop(tiny_config(local_iterations=8, fading=None, rounds=1))
     # More local work => strictly more energy per round for the same drop.
     assert many.records[0].round_energy_j > few.records[0].round_energy_j
+
+
+def test_finish_round_evaluates_the_rate_formula_once(monkeypatch, baseline_report):
+    """Pricing reuses the round's upload times for the transmission energy:
+    one ``shannon_rate`` evaluation per ``finish_round`` (it was two), and
+    the trajectory is unchanged."""
+    import repro.system as system_module
+    from repro.fl.roundloop import _RunState
+
+    rate = system_module.shannon_rate
+    finish_round = _RunState.finish_round
+    calls: list[int] = []
+    inside = False
+
+    def counting_rate(*args, **kwargs):
+        if inside:
+            calls[-1] += 1
+        return rate(*args, **kwargs)
+
+    def counting_finish(self, *args, **kwargs):
+        nonlocal inside
+        calls.append(0)
+        inside = True
+        try:
+            return finish_round(self, *args, **kwargs)
+        finally:
+            inside = False
+
+    monkeypatch.setattr(system_module, "shannon_rate", counting_rate)
+    monkeypatch.setattr(_RunState, "finish_round", counting_finish)
+    report = run_round_loop(tiny_config())
+    assert calls == [1, 1, 1]
+    assert report.flat_metrics() == baseline_report.flat_metrics()

@@ -469,3 +469,51 @@ def test_fl_round_computes_one_loss_per_selected_client(monkeypatch, model):
     assert 1 <= selected < 6
     assert work == {"oracles": selected, "gradients": 5 * selected, "losses": selected}
     assert _fl_round_training_work(monkeypatch, model) == (work, selected)
+
+
+def _flcurve_allocator_work(monkeypatch, batch_size):
+    """Allocator calls of a 3-round ``FLCurveConfig`` (2 ``proposed`` runs
+    beside 4 baseline runs): the lanes of each ``solve_batch`` call, the
+    ``solve`` calls, and the summed outer and inner Algorithm-2 iterations."""
+    from repro.core.allocator import ResourceAllocator
+    from repro.experiments.flcurve import FLCurveConfig, run_flcurve
+    from repro.experiments.runner import SweepRunner
+
+    work = {"batch_lanes": [], "solve_calls": 0, "outer": 0, "inner": 0}
+    solve_batch = ResourceAllocator.solve_batch
+    solve = ResourceAllocator.solve
+
+    def counting_batch(self, problems, **kwargs):
+        results = solve_batch(self, problems, **kwargs)
+        work["batch_lanes"].append(len(problems))
+        for result in results:
+            work["outer"] += result.iterations
+            work["inner"] += result.inner_iterations
+        return results
+
+    def counting_solve(self, *args, **kwargs):
+        work["solve_calls"] += 1
+        return solve(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ResourceAllocator, "solve_batch", counting_batch)
+        patch.setattr(ResourceAllocator, "solve", counting_solve)
+        runner = SweepRunner(jobs=1, use_cache=False, batch_size=batch_size)
+        table = run_flcurve(FLCurveConfig(rounds=3), runner=runner)
+    assert runner.last_stats.failed == 0
+    assert len(table.rows) == 2 * 3 * 3
+    return work
+
+
+def test_lockstep_flcurve_solves_each_round_in_one_batch(monkeypatch):
+    """On the default runner, round ``r`` of both ``proposed`` runs is one
+    two-lane ``solve_batch`` call, with no ``solve`` call, and the
+    allocator does exactly the per-run path's work (``batch_size=1``: one
+    one-lane call per run and round)."""
+    lockstep = _flcurve_allocator_work(monkeypatch, batch_size=None)
+    per_run = _flcurve_allocator_work(monkeypatch, batch_size=1)
+    assert lockstep["batch_lanes"] == [2, 2, 2]
+    assert lockstep["solve_calls"] == 0
+    assert per_run["batch_lanes"] == [1] * 6
+    assert (lockstep["outer"], lockstep["inner"]) == (per_run["outer"], per_run["inner"])
+    assert lockstep["outer"] >= 6
