@@ -21,6 +21,20 @@ with ``G_n`` the Shannon rate of eq. (1).  Two solvers are implemented:
   separable convex problem solved by bisection on the budget multiplier.
   It is used to cross-check the closed form in the tests and as a fallback
   whenever the closed-form path reports infeasibility.
+
+Algorithm 1 solves SP2_v2 once per iteration, and its multiplier barely
+moves between iterations.  A caller may therefore hand the vector searches
+a per-lane **hint**: the previous polished multiplier and the roots ``x``
+of the rate-constrained devices there (:attr:`SP2Result.constrained_roots`).
+A lane with a usable hint starts warm (:func:`_warm_start`): the excess at
+the hint, one unbounded Halley step, and one call on a tight pair around
+that step, repeated from the nearer pair end while the pair is wider than
+``mu_tol``.  If a pair brackets the root, the safeguarded Halley loop
+takes over; otherwise, or without a hint, the search starts cold from
+``median(j)``.  The polish is entry-independent, so a warm search returns
+the same bits as a cold one.  Algorithm 1 keeps a lane's hint for one run
+only (:class:`~repro.core.sum_of_ratios._BatchLane`), so each run's first
+search is cold; the scalar oracle always starts cold.
 """
 
 from __future__ import annotations
@@ -60,7 +74,8 @@ __all__ = [
 _LN2 = np.log(2.0)
 
 #: The available SP2_v2 inner-solve backends.  ``"vector"`` (the default)
-#: finds the bandwidth multiplier through batched array passes — one
+#: finds the bandwidth multiplier through batched array passes — a warm
+#: start from the caller's hint when it brackets the root, else one
 #: Lambert call over the median start and its first ×4 candidates, which
 #: brackets almost every root, then safeguarded Halley steps with the
 #: analytic first and second ``mu``-derivatives of the excess — evaluating
@@ -82,8 +97,8 @@ MU_BRACKET_MAX_CONTRACTIONS = 2000
 MU_SEARCH_MAX_ITERATIONS = 300
 
 #: ×4 up-candidates evaluated together with ``mu_0 = median(j)`` in the
-#: vector searches' first Lambert call.  The root sits 4^1-4^5 above
-#: ``mu_0`` in almost every search, so this one call brackets it.
+#: first Lambert call of a cold vector search.  The root sits 4^1-4^5
+#: above ``mu_0`` in almost every search, so this one call brackets it.
 _FIRST_CALL_EXPANSIONS = 8
 #: Largest batch of candidate multipliers per later bracket-scan pass of
 #: the 1-D vector search: one ``(chunk, num_devices)`` Lambert evaluation
@@ -110,6 +125,10 @@ class SP2Result:
     rate_multipliers: np.ndarray
     feasible: bool
     method: str
+    #: The roots ``x`` of the rate-constrained devices at the polished
+    #: ``bandwidth_multiplier`` (``None`` when it is 0 or the solve is not
+    #: the closed form): with the multiplier, the next search's warm hint.
+    constrained_roots: np.ndarray | None = None
 
     @property
     def num_devices(self) -> int:
@@ -249,6 +268,10 @@ def _polish_mu_rows(
     Together with the entry-independence of the polish itself, this is what
     lets the batched multiplier search return bit-identical results to the
     per-drop path even though its bracket iterates differ in round-off.
+
+    The state stays full width: each step evaluates every lane, masks its
+    decisions to the lanes still stepping, and re-solves only the lanes
+    whose multiplier moved.
     """
     mantissa, exponent = np.frexp(mu)
     mu = np.ldexp(np.round(mantissa * (1 << 26)) / float(1 << 26), exponent)
@@ -257,27 +280,22 @@ def _polish_mu_rows(
     previous = np.full_like(mu, np.nan)
     active = np.ones(mu.shape[0], dtype=bool)
     for _ in range(steps):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if not active.any():
             break
-        xa = x[idx]
-        log_x = np.maximum(np.log(xa), 1e-300)
-        excess = (lead[idx] / log_x).sum(axis=1) - budgets[idx]
-        slope = -(lead[idx] / (j_rows[idx] * xa * log_x**3)).sum(axis=1)
-        ok = np.isfinite(slope) & (slope < 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mu_new = np.where(ok, mu[idx] - excess / slope, mu[idx])
-        ok &= np.isfinite(mu_new) & (mu_new > 0.0) & (mu_new != mu[idx])
-        cycle = ok & (mu_new == previous[idx])
-        take_cycle = cycle & (mu_new < mu[idx])
-        advance = ok & ~cycle
-        update = advance | take_cycle
-        previous[idx[advance]] = mu[idx[advance]]
-        mu[idx[update]] = mu_new[update]
-        if np.any(update):
-            upd = idx[update]
-            x[upd] = solve_x_log_x_rows(mu[upd][:, None] / j_rows[upd])
-        active[idx[~advance]] = False
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_x = np.maximum(np.log(x), 1e-300)
+            excess = (lead / log_x).sum(axis=1) - budgets
+            slope = -(lead / (j_rows * x * log_x**3)).sum(axis=1)
+            mu_new = mu - excess / slope
+        ok = active & np.isfinite(slope) & (slope < 0.0)
+        ok &= np.isfinite(mu_new) & (mu_new > 0.0) & (mu_new != mu)
+        cycle = ok & (mu_new == previous)
+        active = ok & ~cycle
+        update = active | (cycle & (mu_new < mu))
+        np.copyto(previous, mu, where=active)
+        np.copyto(mu, mu_new, where=update)
+        if update.any():
+            x[update] = solve_x_log_x_rows(mu[update, None] / j_rows[update])
     return mu, x
 
 
@@ -367,12 +385,133 @@ def _halley_next(
     return np.where(inside, halley, 0.5 * (mu_lo + mu_hi))
 
 
+#: A lane's warm-start hint: its previous polished multiplier and the roots
+#: ``x`` of its rate-constrained devices there.
+MuHint = tuple[float, np.ndarray]
+#: Halley-step-and-pair rounds of the warm start (:func:`_warm_start`):
+#: the first from the hint, each later one from the nearer end of the last
+#: pair while that pair brackets the root but is still wider than
+#: ``mu_tol``.  Each round shrinks the bracket cubically: a multiplier that
+#: moved by 1% since the hint needs two rounds, by 10% three, by 30% four.
+_WARM_ROUNDS = 4
+#: ``(-1, +1)``: a warm pair is ``mu_1 (1 + _PAIR_SIGNS d)``.
+_PAIR_SIGNS = np.array([-1.0, 1.0])
+
+
+def _excess(
+    x: np.ndarray, lead: np.ndarray, budget: np.ndarray | float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Excess bandwidth demand at the roots ``x``, summed over the last axis.
+
+    Returns ``(excess, log_x, terms)`` with ``terms = lead / ln x`` each
+    device's bandwidth (``ln x`` floored at ``1e-300``).
+    """
+    log_x = np.maximum(np.log(x), 1e-300)
+    terms = lead / log_x
+    return terms.sum(axis=-1) - budget, log_x, terms
+
+
+def _warm_start(
+    hints: Sequence[MuHint | None],
+    j: np.ndarray,
+    lead: np.ndarray,
+    budget: np.ndarray,
+    mu_tol: float,
+) -> tuple[np.ndarray, tuple, tuple]:
+    """Bracket each hinted lane's root from its hint in a few seeded calls.
+
+    For every lane with a usable hint (a finite positive multiplier, finite
+    at every ``mu / j``, and one finite root per constrained device): the
+    excess at the hint ``mu_h`` (Lambert seeded by the hint's roots), one
+    Halley step with no bracket to keep it in, to ``mu_1``, then the excess
+    at the pair ``mu_1 (1 -+ d)``, ``d = max(2 rel**3, 0.45 mu_tol)`` and
+    ``rel = |mu_1 - mu_h| / mu_h``, in one call seeded by the tangent
+    predictor.  Halley's error is cubic in its step, so the pair straddles
+    the root unless the hint was poor; at ``d = 0.45 mu_tol`` the bracket
+    is already converged.  A pair that brackets the root but is wider than
+    ``mu_tol`` takes another round from its end with the smaller excess, up
+    to ``_WARM_ROUNDS`` rounds; a round whose pair misses the root leaves
+    the last bracket standing for the Halley loop.
+
+    Lanes are rows of ``(lanes, n)`` ``j``/``lead`` and ``(lanes,)``
+    ``budget``; each lane's values depend on that lane alone (the seeded
+    kernel stops each row on its own test).  Returns ``(warm, low, high)``:
+    ``warm`` marks the lanes with a bracket (``f_lo >= 0 >= f_hi``), and
+    ``low``/``high`` are its ``(mu, f, x)`` ends, with ``(lanes,)``,
+    ``(lanes,)`` and ``(lanes, n)`` members, meaningful where ``warm``.
+    Every other lane must search cold.
+    """
+    num_lanes, n = j.shape
+    warm = np.zeros(num_lanes, dtype=bool)
+    mu_pair = np.ones((num_lanes, 2))
+    f_pair = np.zeros((num_lanes, 2))
+    x_pair = np.ones((num_lanes, 2, n))
+    lanes = np.array(
+        [k for k, h in enumerate(hints) if h is not None and np.shape(h[1]) == (n,)],
+        dtype=np.intp,
+    )
+    if lanes.size:
+        # (mu, x): each stepping lane's evaluated point, first its hint.
+        mu = np.array([hints[k][0] for k in lanes], dtype=float)
+        x = np.array([hints[k][1] for k in lanes], dtype=float)
+        j_k, lead_k, budget_k = j[lanes], lead[lanes], budget[lanes]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rhs = mu[:, None] / j_k
+        usable = (mu > 0.0) & np.isfinite(rhs).all(axis=1) & np.isfinite(x).all(axis=1)
+        if not usable.all():
+            lanes, mu, x, rhs = lanes[usable], mu[usable], x[usable], rhs[usable]
+            j_k, lead_k, budget_k = j_k[usable], lead_k[usable], budget_k[usable]
+        if lanes.size:
+            x = _lambert_solve_seeded(rhs, x)
+    for _ in range(_WARM_ROUNDS):
+        if not lanes.size:
+            break
+        f, log_x, terms = _excess(x, lead_k, budget_k)
+        slope, curvature = _excess_derivatives(x, log_x, terms, j_k)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = f / slope
+            mu_1 = mu - step / (1.0 - 0.5 * step * curvature / slope)
+            d = np.maximum(2.0 * (np.abs(mu_1 - mu) / mu) ** 3, 0.45 * mu_tol)
+            pair = mu_1[:, None] * (1.0 + _PAIR_SIGNS * d[:, None])
+        ok = (pair[:, 0] > 0.0) & np.isfinite(pair[:, 1])
+        if not ok.all():
+            lanes, mu, x, log_x, pair = lanes[ok], mu[ok], x[ok], log_x[ok], pair[ok]
+            j_k, lead_k, budget_k = j_k[ok], lead_k[ok], budget_k[ok]
+            if not lanes.size:
+                break
+        seeds = _predict_x(x[:, None], log_x[:, None], j_k[:, None], pair - mu[:, None])
+        xs = _lambert_solve_seeded(
+            (pair[:, :, None] / j_k[:, None]).reshape(-1, n), seeds.reshape(-1, n)
+        ).reshape(-1, 2, n)
+        fs = _excess(xs, lead_k[:, None], budget_k[:, None])[0]
+        bracketed = (fs[:, 0] >= 0.0) & (fs[:, 1] <= 0.0)
+        k = lanes[bracketed]
+        mu_pair[k], f_pair[k], x_pair[k] = pair[bracketed], fs[bracketed], xs[bracketed]
+        warm[k] = True
+        # The Halley loop's stopping test; wider brackets step again.
+        wide = bracketed & ~(
+            (pair[:, 1] - pair[:, 0] <= mu_tol * pair[:, 1])
+            | (fs[:, 0] == 0.0)
+            | (fs[:, 1] == 0.0)
+        )
+        if not wide.any():
+            break
+        rows = np.flatnonzero(wide)
+        near = (np.abs(fs[rows, 1]) < np.abs(fs[rows, 0])).astype(np.intp)
+        lanes, mu, x = lanes[rows], pair[rows, near], xs[rows, near]
+        j_k, lead_k, budget_k = j_k[rows], lead_k[rows], budget_k[rows]
+    low = (mu_pair[:, 0], f_pair[:, 0], x_pair[:, 0])
+    high = (mu_pair[:, 1], f_pair[:, 1], x_pair[:, 1])
+    return warm, low, high
+
+
 def _mu_search_scalar(
     j_c: np.ndarray,
     rmin_c: np.ndarray,
     budget: float,
     *,
     mu_tol: float,
+    hint: MuHint | None = None,
 ) -> tuple[float, np.ndarray | None]:
     """Reference bandwidth-multiplier search: one probe at a time.
 
@@ -380,7 +519,8 @@ def _mu_search_scalar(
     ``None`` when ``mu == 0``, i.e. the budget constraint is slack for the
     rate-active set).  This is the original probe-sequential implementation,
     kept float-for-float identical as the oracle the vector backend is
-    differential-tested against.
+    differential-tested against; it always starts cold, so ``hint`` (taken
+    for the searches' common signature) is ignored.
     """
     def bandwidth_at(mu_value: float) -> np.ndarray:
         x = solve_x_log_x(mu_value / j_c)
@@ -448,13 +588,20 @@ def _mu_search_vector(
     budget: float,
     *,
     mu_tol: float,
+    hint: MuHint | None = None,
 ) -> tuple[float, np.ndarray | None]:
     """Batched bandwidth-multiplier search (the ``"vector"`` backend).
 
     Same monotone root problem as :func:`_mu_search_scalar`, solved in a
     handful of array passes instead of dozens of sequential probes:
 
-    * **one bracketing call** — ``mu_0 = median(j)`` and its first
+    * **a warm start** — with a usable ``hint`` (the previous search's
+      polished multiplier and roots), :func:`_warm_start` brackets the root
+      in two seeded Lambert calls when the multiplier barely moved, one
+      more per extra round when it moved more.  When its first pair does
+      not bracket the root, or without a hint, the search starts cold, and
+      only the cold start raises the bracketing caps' errors;
+    * **one bracketing call** (cold) — ``mu_0 = median(j)`` and its first
       ``_FIRST_CALL_EXPANSIONS`` ×4 up-candidates go through one
       :func:`lambert_solve_vector` call, which brackets the root in almost
       every search.  A bracket still open after it continues with chunked
@@ -464,20 +611,21 @@ def _mu_search_vector(
       ``(log mu, log demand)`` (:func:`_halley_start`), each step uses the
       analytic first and second excess derivatives
       (:func:`_excess_derivatives`), falls back to bisection when it leaves
-      the running bracket (:func:`_halley_next`), and solves Lambert from the tangent predictor of
-      the previous roots (:func:`_lambert_solve_seeded`, :func:`_predict_x`).
+      the running bracket (:func:`_halley_next`), and solves Lambert from
+      the tangent predictor of the previous roots
+      (:func:`_lambert_solve_seeded`, :func:`_predict_x`).
 
     The stopping rule is the same relative bracket width on the feasible
-    side, so scalar and vector backends agree on ``mu`` to ``mu_tol``-level
-    round-off, which :func:`_polish_mu` turns into the same bits.
+    side, so scalar and vector backends, warm or cold, agree on ``mu`` to
+    ``mu_tol``-level round-off, which :func:`_polish_mu` turns into the
+    same bits.
     """
     lead = rmin_c * _LN2
 
     def batch_excess(mu_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Excess bandwidth at each candidate mu: one array pass for all."""
         x = lambert_solve_vector(mu_values[:, None] / j_c)
-        log_x = np.maximum(np.log(x), 1e-300)
-        return (lead / log_x).sum(axis=1) - budget, x
+        return _excess(x, lead, budget)[0], x
 
     def scan(mu, f, x, factor, cap, scanned, width):
         """Step ``mu *= factor`` in chunks until the excess changes sign.
@@ -500,42 +648,49 @@ def _mu_search_vector(
             scanned += chunk
         return (mu, f, x), None
 
-    mu_0 = float(np.median(j_c))
-    first = min(_FIRST_CALL_EXPANSIONS, MU_BRACKET_MAX_EXPANSIONS)
-    grid = mu_0 * 4.0 ** np.arange(first + 1)
-    excesses, xs = batch_excess(grid)
-    f_0 = float(excesses[0])
-    if f_0 > 0.0:
-        hits = np.flatnonzero(excesses <= 0.0)
-        if hits.size:
-            k = int(hits[0])
-            low, high = (grid[k - 1], excesses[k - 1], xs[k - 1]), (grid[k], excesses[k], xs[k])
-        else:
-            low, high = scan(
-                grid[-1], excesses[-1], xs[-1], 4.0, MU_BRACKET_MAX_EXPANSIONS, first,
-                _VECTOR_SCAN_CHUNK,
-            )
-            if high is None:
-                raise ConvergenceError(
-                    "bandwidth multiplier could not be bracketed from above in "
-                    f"{MU_BRACKET_MAX_EXPANSIONS} expansions (excess {low[1]:.3g} "
-                    f"at mu {low[0]:.3g})"
+    warm = False
+    if hint is not None:
+        (warm,), low, high = _warm_start(
+            [hint], j_c[None], lead[None], np.array([budget]), mu_tol
+        )
+        low, high = tuple(end[0] for end in low), tuple(end[0] for end in high)
+    if not warm:
+        mu_0 = float(np.median(j_c))
+        first = min(_FIRST_CALL_EXPANSIONS, MU_BRACKET_MAX_EXPANSIONS)
+        grid = mu_0 * 4.0 ** np.arange(first + 1)
+        excesses, xs = batch_excess(grid)
+        f_0 = float(excesses[0])
+        if f_0 > 0.0:
+            hits = np.flatnonzero(excesses <= 0.0)
+            if hits.size:
+                k = int(hits[0])
+                low, high = (grid[k - 1], excesses[k - 1], xs[k - 1]), (grid[k], excesses[k], xs[k])
+            else:
+                low, high = scan(
+                    grid[-1], excesses[-1], xs[-1], 4.0, MU_BRACKET_MAX_EXPANSIONS, first,
+                    _VECTOR_SCAN_CHUNK,
                 )
-    elif f_0 < 0.0:
-        # Demand grows without bound as mu -> 0, so a sign change (or exact
-        # underflow to mu = 0, where the budget is slack for the active set)
-        # must appear before the cap.
-        high, low = scan(mu_0, f_0, xs[0], 0.25, MU_BRACKET_MAX_CONTRACTIONS, 0, 4)
-        if low is None:
-            raise ConvergenceError(
-                "bandwidth multiplier could not be bracketed from below in "
-                f"{MU_BRACKET_MAX_CONTRACTIONS} contractions (excess "
-                f"{high[1]:.3g} at mu {high[0]:.3g})"
-            )
-        if low[0] == 0.0:
-            return 0.0, None
-    else:
-        return _polish_mu(mu_0, j_c, rmin_c, budget)
+                if high is None:
+                    raise ConvergenceError(
+                        "bandwidth multiplier could not be bracketed from above in "
+                        f"{MU_BRACKET_MAX_EXPANSIONS} expansions (excess {low[1]:.3g} "
+                        f"at mu {low[0]:.3g})"
+                    )
+        elif f_0 < 0.0:
+            # Demand grows without bound as mu -> 0, so a sign change (or
+            # exact underflow to mu = 0, where the budget is slack for the
+            # active set) must appear before the cap.
+            high, low = scan(mu_0, f_0, xs[0], 0.25, MU_BRACKET_MAX_CONTRACTIONS, 0, 4)
+            if low is None:
+                raise ConvergenceError(
+                    "bandwidth multiplier could not be bracketed from below in "
+                    f"{MU_BRACKET_MAX_CONTRACTIONS} contractions (excess "
+                    f"{high[1]:.3g} at mu {high[0]:.3g})"
+                )
+            if low[0] == 0.0:
+                return 0.0, None
+        else:
+            return _polish_mu(mu_0, j_c, rmin_c, budget)
 
     # Safeguarded Halley on the bracket [mu_lo, mu_hi] (f_lo >= 0 >= f_hi).
     (mu_lo, f_lo, x_lo), (mu_hi, f_hi, x_hi) = low, high
@@ -548,9 +703,8 @@ def _mu_search_vector(
         if converged:
             break
         x = _lambert_solve_seeded(mu_k / j_c, seed)
-        log_x = np.maximum(np.log(x), 1e-300)
-        terms = lead / log_x
-        f_k = float(terms.sum()) - budget
+        f_k, log_x, terms = _excess(x, lead, budget)
+        f_k = float(f_k)
         if f_k > 0.0:
             mu_lo = mu_k
         else:
@@ -577,14 +731,19 @@ def _mu_search_vector_rows(
     budgets: np.ndarray,
     *,
     mu_tol: float,
+    hints: Sequence[MuHint | None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
     """Lockstep bandwidth-multiplier search across independent lanes.
 
     One row per lane: ``j_rows[i]``/``rmin_rows[i]`` are lane ``i``'s
     constrained-device coefficients and ``budgets[i]`` its bandwidth
-    budget.  Every lane runs the state machine of :func:`_mu_search_vector`:
+    budget, and ``hints[i]`` (optional) its warm-start hint.  Every lane
+    runs the state machine of :func:`_mu_search_vector`:
 
-    * one bracketing call evaluates every lane's ``mu_0`` and first
+    * lanes with a usable hint try the warm start first
+      (:func:`_warm_start`: one seeded call at every hint, one on every
+      lane's pair);
+    * one bracketing call evaluates every other lane's ``mu_0`` and first
       ``_FIRST_CALL_EXPANSIONS`` ×4 up-candidates in a single
       ``(lanes * 9, n_c)`` :func:`lambert_solve_rows` call;
     * lanes still open then scan one candidate per lane per round (×4 up,
@@ -597,16 +756,16 @@ def _mu_search_vector_rows(
     A round makes one kernel call per phase present: seeded for Halley
     lanes, cold for scanning ones.
 
-    Lane isolation is exact: both row kernels freeze each row on its own
-    stopping criterion and every bracket/Halley decision reads only that
-    lane's values, so perturbing one lane's inputs cannot move another
-    lane's iterates by even one ulp.  Bracket iterates may differ from the
-    per-drop search in round-off (its bracketing call stops on one test for
-    all nine candidates, the row kernel on one per candidate), but both stop
-    at the same ``mu_tol`` bracket and hand the feasible side to the
-    entry-independent polish, which collapses either path onto the same
-    double — the batched-parity suite holds the final results to
-    bit-identity.
+    Lane isolation is exact: every row kernel freezes each row on its own
+    stopping criterion and every warm-start, bracket and Halley decision
+    reads only that lane's values, so perturbing one lane's inputs (its
+    hint included) cannot move another lane's iterates by even one ulp.
+    Bracket iterates may differ from the per-drop search in round-off (its
+    bracketing call stops on one test for all nine candidates, the row
+    kernel on one per candidate), but both stop at the same ``mu_tol``
+    bracket and hand the feasible side to the entry-independent polish,
+    which collapses either path onto the same double — the batched-parity
+    suite holds the final results to bit-identity.
 
     Returns ``(mu, x_rows, errors)``: polished multipliers (``0.0`` for
     lanes whose budget is slack for the active set, with that lane's
@@ -628,27 +787,37 @@ def _mu_search_vector_rows(
     # bracket end and a Halley lane's seed for its next Lambert solve.
     ids = np.arange(num_lanes)
     j, lead, budget = j_rows, rmin_rows * _LN2, budgets
-
-    mu_0 = np.median(j_rows, axis=1)
+    warm, (mu_lo, f_lo, x_lo), (mu_hi, f_hi, x_hi) = _warm_start(
+        [None] * num_lanes if hints is None else hints, j, lead, budget, mu_tol
+    )
+    up = np.zeros(num_lanes, dtype=bool)
+    down, hit = up.copy(), up.copy()
     first = min(_FIRST_CALL_EXPANSIONS, MU_BRACKET_MAX_EXPANSIONS)
-    grid = mu_0[:, None] * 4.0 ** np.arange(first + 1)
-    x_grid = lambert_solve_rows(
-        (grid[:, :, None] / j[:, None, :]).reshape(-1, n_c)
-    ).reshape(num_lanes, first + 1, n_c)
-    f_grid = (lead[:, None, :] / np.maximum(np.log(x_grid), 1e-300)).sum(axis=2)
-    f_grid -= budget[:, None]
-    up, down = f_grid[:, 0] > 0.0, f_grid[:, 0] < 0.0
-    closes = f_grid[:, 1:] <= 0.0
-    hit = up & closes.any(axis=1)
-    # Grid index of each lane's bracket ends: a closed up-scan's two
-    # candidates, an open up-scan's last candidate, a down-scan's mu_0.
-    at_lo = np.full(num_lanes, first)
-    at_hi = np.zeros(num_lanes, dtype=np.int64)
-    if hit.any():
-        at_hi[hit] = np.argmax(closes[hit], axis=1) + 1
-        at_lo[hit] = at_hi[hit] - 1
-    mu_lo, f_lo, x_lo = grid[ids, at_lo], f_grid[ids, at_lo], x_grid[ids, at_lo]
-    mu_hi, f_hi, x_hi = grid[ids, at_hi], f_grid[ids, at_hi], x_grid[ids, at_hi]
+    cold = np.flatnonzero(~warm)
+    if cold.size:
+        mu_0 = np.median(j_rows[cold], axis=1)
+        grid = mu_0[:, None] * 4.0 ** np.arange(first + 1)
+        x_grid = lambert_solve_rows(
+            (grid[:, :, None] / j[cold, None, :]).reshape(-1, n_c)
+        ).reshape(cold.size, first + 1, n_c)
+        f_grid = _excess(x_grid, lead[cold, None, :], budget[cold, None])[0]
+        up[cold], down[cold] = f_grid[:, 0] > 0.0, f_grid[:, 0] < 0.0
+        closes = f_grid[:, 1:] <= 0.0
+        hit[cold] = closed = up[cold] & closes.any(axis=1)
+        # Grid index of each lane's bracket ends: a closed up-scan's two
+        # candidates, an open up-scan's last candidate, a down-scan's mu_0.
+        at_lo = np.full(cold.size, first)
+        at_hi = np.zeros(cold.size, dtype=np.int64)
+        if closed.any():
+            at_hi[closed] = np.argmax(closes[closed], axis=1) + 1
+            at_lo[closed] = at_hi[closed] - 1
+        rows = np.arange(cold.size)
+        mu_lo[cold], f_lo[cold], x_lo[cold] = (
+            grid[rows, at_lo], f_grid[rows, at_lo], x_grid[rows, at_lo]
+        )
+        mu_hi[cold], f_hi[cold], x_hi[cold] = (
+            grid[rows, at_hi], f_grid[rows, at_hi], x_grid[rows, at_hi]
+        )
     phase = np.where(up, SCAN_UP, SCAN_DOWN)
     counts = np.where(up, first, 0)
     cand = np.where(up, mu_lo * 4.0, mu_hi * 0.25)
@@ -698,7 +867,7 @@ def _mu_search_vector_rows(
             errors[ids[k]] = message
 
     failed = up & ~hit & (counts >= MU_BRACKET_MAX_EXPANSIONS)
-    done = enter_halley(hit, x_lo, x_hi) | (~up & ~down)
+    done = enter_halley(hit | warm, x_lo, x_hi) | (~warm & ~up & ~down)
     stopped = done | failed
 
     while True:
@@ -724,9 +893,7 @@ def _mu_search_vector_rows(
             x = np.empty_like(x_seed)
             x[halley] = _lambert_solve_seeded(mu_k[halley, None] / j[halley], x_seed[halley])
             x[~halley] = lambert_solve_rows(cand[~halley, None] / j[~halley])
-        log_x = np.maximum(np.log(x), 1e-300)
-        terms = lead / log_x
-        excess = terms.sum(axis=1) - budget
+        excess, log_x, terms = _excess(x, lead, budget)
 
         # Safeguarded Halley: shrink the bracket onto the iterate, stop at
         # ``mu_tol``, else step (bisecting when the step leaves the bracket).
@@ -957,6 +1124,7 @@ def _sp2_finish(
         rate_multipliers=tau,
         feasible=feasible,
         method="kkt",
+        constrained_roots=x_c if mu > 0.0 else None,
     )
 
 
@@ -968,6 +1136,7 @@ def solve_sp2_v2_rows(
     *,
     mu_tol: float = 1e-13,
     backend: str = DEFAULT_BACKEND,
+    hints: Sequence[MuHint | None] | None = None,
 ) -> list[SP2Result | Exception]:
     """Closed-form SP2_v2 across independent lanes.
 
@@ -989,6 +1158,12 @@ def solve_sp2_v2_rows(
     ``"scalar"`` backend always runs its probe-sequential oracle
     lane by lane.  Every path hands its bracket to the entry-independent
     polish, which collapses them onto the same double.
+
+    ``hints[i]`` (optional) is lane ``i``'s warm-start hint for the vector
+    searches: a previous ``(bandwidth_multiplier, constrained_roots)`` of
+    the same lane, whose constrained-device set must not have changed.  A
+    missing, unusable or unhelpful hint means a cold start, with the same
+    result bits; the scalar oracle ignores hints.
 
     Exceptions are returned in-place rather than raised so one diverged or
     infeasible lane cannot abort its neighbours: each element is either a
@@ -1017,6 +1192,8 @@ def solve_sp2_v2_rows(
             groups.setdefault(int(np.sum(constrained)), []).append(i)
         else:
             solved[i] = (0.0, None)
+    if hints is None:
+        hints = [None] * num_lanes
     for n_c, lanes in groups.items():
         if len(lanes) == 1 or backend == "scalar":
             for i in lanes:
@@ -1027,6 +1204,7 @@ def solve_sp2_v2_rows(
                         rmin[constrained],
                         systems[i].total_bandwidth_hz,
                         mu_tol=mu_tol,
+                        hint=hints[i],
                     )
                 except ConvergenceError as exc:
                     results[i] = exc
@@ -1040,7 +1218,7 @@ def solve_sp2_v2_rows(
             rmin_rows[k] = rmin[constrained]
             budgets[k] = systems[i].total_bandwidth_hz
         mu_arr, x_rows, errors = _mu_search_vector_rows(
-            j_rows, rmin_rows, budgets, mu_tol=mu_tol
+            j_rows, rmin_rows, budgets, mu_tol=mu_tol, hints=[hints[i] for i in lanes]
         )
         for k, i in enumerate(lanes):
             if errors[k] is not None:

@@ -34,6 +34,7 @@ from ..system import SystemModel
 from .convergence import ConvergenceHistory
 from .subproblem2 import (
     DEFAULT_BACKEND,
+    MuHint,
     SP2Result,
     solve_sp2_v2_numeric,
     solve_sp2_v2_rows,
@@ -177,6 +178,15 @@ class _BatchLane:
     :func:`solve_sum_of_ratios_rows` drives any number of lanes in
     lockstep, and :meth:`SumOfRatiosSolver.solve` is a batch of one, so a
     lane's trajectory never depends on its neighbours.
+
+    ``hint`` is the warm start for the lane's next multiplier search: the
+    last closed-form attempt's polished multiplier and constrained-device
+    roots.  It lives only as long as this lane (one Algorithm-1 run), starts
+    as ``None`` (the first search is cold), and is dropped whenever the
+    attempt raised, fell back to the numeric solver or the incumbent, or
+    found the budget slack (``mu = 0``).  The search's polish is
+    entry-independent, so the hint changes how fast a search runs, never
+    its result.
     """
 
     def __init__(
@@ -211,6 +221,7 @@ class _BatchLane:
         self.residual_scale = max(scale, 1e-12)
         self.last_multiplier = 0.0
         self.iteration = 0
+        self.hint: MuHint | None = None
 
     def resolve_inner(self, attempt: SP2Result | Exception) -> SP2Result:
         """Resolve the lane's closed-form SP2_v2 attempt into a usable step.
@@ -222,8 +233,11 @@ class _BatchLane:
         objective guard keeps a bad step from being accepted.  With
         ``use_numeric_fallback`` off the attempt's exception is raised.
         """
+        self.hint = None
         if isinstance(attempt, SP2Result):
             if attempt.feasible or not self.config.use_numeric_fallback:
+                if attempt.constrained_roots is not None:
+                    self.hint = (attempt.bandwidth_multiplier, attempt.constrained_roots)
                 return attempt
         elif not self.config.use_numeric_fallback:
             raise attempt
@@ -346,7 +360,10 @@ def solve_sum_of_ratios_rows(
     (the kernel picks its 1-D or rows search by lane count), then the
     per-lane bookkeeping (fallback ladder, residuals, convergence tests,
     damped Newton update) runs lane by lane.  Converged or failed lanes drop
-    out of subsequent rounds; stragglers keep iterating.
+    out of subsequent rounds; stragglers keep iterating.  From its second
+    round on, a lane's multiplier search starts warm from its previous
+    round's multiplier (:class:`_BatchLane`'s ``hint``), falling back to a
+    cold start when that fails; either start gives the same bits.
 
     A lane's result does not depend on its neighbours: a batch of one
     (:meth:`SumOfRatiosSolver.solve`) gives the same bits.  Exceptions (e.g.
@@ -379,6 +396,7 @@ def solve_sum_of_ratios_rows(
                     [lanes[i].beta for i in group],
                     [lanes[i].min_rate for i in group],
                     backend=backend,
+                    hints=[lanes[i].hint for i in group],
                 )
                 for i, attempt in zip(group, attempts):
                     try:

@@ -355,8 +355,14 @@ def _jsonify(value: Any) -> Any:
 
 def task_hash(task: SweepTask) -> str:
     """A stable SHA-256 over the task's canonical payload (the cache key)."""
-    blob = json.dumps(task.payload(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _task_key(task)[0]
+
+
+def _task_key(task: SweepTask) -> tuple[str, dict[str, Any]]:
+    """``(task_hash(task), task.payload())``, building the payload once."""
+    payload = task.payload()
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest(), payload
 
 
 def execute_task(task: SweepTask) -> dict[str, float]:
@@ -682,10 +688,15 @@ class SweepRunner:
         done = 0
 
         pending: list[int] = []
+        # (digest, payload) per task, built once for the shard filter, the
+        # store lookup and the put.
+        keys: dict[int, tuple[str, dict[str, Any]]] = {}
         for index, task in enumerate(tasks):
+            if self.shard is not None or self.use_cache:
+                keys[index] = _task_key(task)
             if self.shard is not None:
                 shard_index, shard_count = self.shard
-                if shard_for_digest(task_hash(task), shard_count) != shard_index:
+                if shard_for_digest(keys[index][0], shard_count) != shard_index:
                     outcome = TaskOutcome(task=task, metrics=None, skipped=True)
                     outcomes[index] = outcome
                     stats.skipped += 1
@@ -695,7 +706,7 @@ class SweepRunner:
             entry = None
             if self.use_cache:
                 io_started = wall_clock()
-                entry = self.store.get_entry(task_hash(task))
+                entry = self.store.get_entry(keys[index][0])
                 stats.cache_io_s += wall_clock() - io_started
             if entry is not None:
                 metrics, state = entry
@@ -717,7 +728,7 @@ class SweepRunner:
                 stats.failed += 1
             elif self.use_cache:
                 io_started = wall_clock()
-                self._cache_put(outcome)
+                self._cache_put(outcome, *keys[index])
                 stats.cache_io_s += wall_clock() - io_started
             done += 1
             self._report(done, stats.total, outcome)
@@ -847,7 +858,9 @@ class SweepRunner:
                 results = [(None, None, None, _error_text(exc))] * len(indices)
             yield from outcomes_of(indices, results)
 
-    def _cache_put(self, outcome: TaskOutcome) -> None:
+    def _cache_put(
+        self, outcome: TaskOutcome, digest: str, payload: dict[str, Any]
+    ) -> None:
         """Store one result, degrading to cache-off if the disk won't take it.
 
         A computed result must never be lost to a cache problem — an
@@ -855,12 +868,7 @@ class SweepRunner:
         uncached instead of crashing it.
         """
         try:
-            self.store.put(
-                task_hash(outcome.task),
-                outcome.task.payload(),
-                outcome.metrics,
-                outcome.state,
-            )
+            self.store.put(digest, payload, outcome.metrics, outcome.state)
         except OSError as exc:
             self.use_cache = False
             warnings.warn(

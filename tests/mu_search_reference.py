@@ -5,7 +5,8 @@ lanes with masked array operations.  This copy makes the same decisions one
 lane at a time — one Python pass over the running lanes per round, every
 bracket and Halley decision made on that lane's scalars — so the tests can
 hold the masked version to the same bits, pre-polish iterates and error
-strings included.
+strings included.  A lane with a hint tries the shared warm start
+(``_warm_start``) on its own before the cold bracketing call.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.core.subproblem2 import (
     _halley_next,
     _halley_start,
     _predict_x,
+    _warm_start,
 )
 from repro.solvers.lambert import _lambert_solve_seeded, lambert_solve_rows, solve_x_log_x
 
@@ -43,6 +45,7 @@ def mu_search_rows_reference(
     budgets: np.ndarray,
     *,
     mu_tol: float,
+    hints=None,
 ) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
     """Same contract as ``_mu_search_vector_rows``; reads its caps and polish
     from :mod:`repro.core.subproblem2` at call time, so a test can patch them."""
@@ -94,8 +97,18 @@ def mu_search_rows_reference(
             x_seed[i] = seed
             counts[i] = 0
 
-    # The bracketing call: mu_0 and its first ×4 up-candidates, per lane.
+    # The warm start from a lane's hint, else the bracketing call: mu_0 and
+    # its first ×4 up-candidates, per lane.
     for i in range(num_lanes):
+        if hints is not None:
+            (warm,), low, high = _warm_start(
+                [hints[i]], j_rows[i : i + 1], lead[i : i + 1], budgets[i : i + 1], mu_tol
+            )
+            if warm:
+                mu_lo[i], f_lo[i] = low[0][0], low[1][0]
+                mu_hi[i], f_hi[i] = high[0][0], high[1][0]
+                enter_halley(i, low[2][0], high[2][0])
+                continue
         mu_0 = np.median(j_rows[i])
         grid = mu_0 * 4.0 ** np.arange(first + 1)
         xs = lambert_solve_rows(grid[:, None] / j_rows[i])

@@ -615,16 +615,101 @@ def test_rows_mu_search_matches_the_lane_loop_reference(data):
     )
     # 0-9 covers caps below, at and above the bracketing call's 8 candidates.
     caps = {} if cap is None else {cap: data.draw(st.integers(min_value=0, max_value=9))}
+    # Some lanes carry a hint 1e-9 to 3x off their (uncapped) root, so warm
+    # lanes, failed warm starts and cold lanes share one call.
+    roots, _, _ = subproblem2._mu_search_vector_rows(j_rows, rmin_rows, budgets, mu_tol=1e-13)
+    hints = [
+        _drawn_hint(data, j_rows[k], roots[k]) if roots[k] > 0.0 and data.draw(st.booleans())
+        else None
+        for k in range(num_lanes)
+    ]
 
     def unpolished(mu, j_rows, rmin_rows, budgets, steps=8):
         return mu.copy(), np.zeros_like(j_rows)
 
     with mock.patch.multiple(subproblem2, _polish_mu_rows=unpolished, **caps):
-        got = subproblem2._mu_search_vector_rows(j_rows, rmin_rows, budgets, mu_tol=1e-13)
-        want = mu_search_rows_reference(j_rows, rmin_rows, budgets, mu_tol=1e-13)
+        got = subproblem2._mu_search_vector_rows(
+            j_rows, rmin_rows, budgets, mu_tol=1e-13, hints=hints
+        )
+        want = mu_search_rows_reference(j_rows, rmin_rows, budgets, mu_tol=1e-13, hints=hints)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
     assert got[2] == want[2]
+
+
+def _drawn_hint(data, j, root):
+    """A hint 1e-9 to 3x off ``root`` on a drawn side, its roots solved for
+    ``j`` perturbed by up to 10% per device."""
+    rel = 10.0 ** data.draw(st.floats(min_value=-9.0, max_value=np.log10(2.0)))
+    mu = root * (1.0 + rel) if data.draw(st.booleans()) else root / (1.0 + rel)
+    jitter = np.array(
+        [data.draw(st.floats(min_value=-0.1, max_value=0.1)) for _ in range(j.shape[0])]
+    )
+    return mu, solve_x_log_x(mu / (j * (1.0 + jitter)))
+
+
+def _rooted_lanes(offsets, j=(2e-12, 7e-12, 1.1e-11, 4e-11), rmin=(3e5, 8e4, 5e5, 2e5)):
+    lanes = [rooted_problem(list(j), list(rmin), offset) for offset in offsets]
+    j_rows = np.array([lane[0] for lane in lanes])
+    rmin_rows = np.array([lane[1] for lane in lanes])
+    budgets = np.array([lane[2] for lane in lanes])
+    roots = np.median(j_rows, axis=1) * 4.0 ** np.asarray(offsets)
+    return j_rows, rmin_rows, budgets, roots
+
+
+@pytest.mark.hypothesis
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rows_mu_search_with_mixed_hints_matches_the_1d_search(data):
+    """Lanes with and without hints in one rows call return, polished, the
+    bits of their one-lane 1-D searches (roots kept at ``mu / j >= 1e-3``)."""
+    offsets = [
+        data.draw(st.floats(min_value=-1.0, max_value=12.0))
+        for _ in range(data.draw(st.integers(min_value=2, max_value=6)))
+    ]
+    j_rows, rmin_rows, budgets, roots = _rooted_lanes(offsets)
+    hints = [
+        _drawn_hint(data, j_rows[k], roots[k]) if data.draw(st.booleans()) else None
+        for k in range(len(offsets))
+    ]
+    mu, x_rows, errors = subproblem2._mu_search_vector_rows(
+        j_rows, rmin_rows, budgets, mu_tol=1e-13, hints=hints
+    )
+    assert errors == [None] * len(offsets)
+    for k, hint in enumerate(hints):
+        mu_k, x_k = subproblem2._mu_search_vector(
+            j_rows[k], rmin_rows[k], budgets[k], mu_tol=1e-13, hint=hint
+        )
+        assert mu[k] == mu_k
+        assert x_rows[k].tobytes() == x_k.tobytes()
+
+
+@pytest.mark.parametrize("replacement", [None, 1.3, 1e-6, np.nan])
+def test_perturbing_one_lanes_hint_moves_no_other_lane(replacement):
+    """Every pre-polish bit of the other lanes, warm or cold, is unchanged."""
+    j_rows, rmin_rows, budgets, roots = _rooted_lanes([-2.3, 0.6, 3.4, 8.5, 11.2])
+    hints = [
+        (roots[k] * (1.0 + 1e-4), solve_x_log_x(roots[k] * (1.0 + 1e-4) / j_rows[k]))
+        for k in range(4)
+    ] + [None]
+    perturbed = list(hints)
+    perturbed[2] = None if replacement is None else (
+        roots[2] * (1.0 + replacement), hints[2][1]
+    )
+
+    def unpolished(mu, j_rows, rmin_rows, budgets, steps=8):
+        return mu.copy(), np.zeros_like(j_rows)
+
+    with mock.patch.object(subproblem2, "_polish_mu_rows", unpolished):
+        base = subproblem2._mu_search_vector_rows(
+            j_rows, rmin_rows, budgets, mu_tol=1e-13, hints=hints
+        )
+        moved = subproblem2._mu_search_vector_rows(
+            j_rows, rmin_rows, budgets, mu_tol=1e-13, hints=perturbed
+        )
+    others = [0, 1, 3, 4]
+    assert base[0][others].tobytes() == moved[0][others].tobytes()
+    assert base[2] == moved[2]
 
 
 @pytest.mark.parametrize(
@@ -654,8 +739,19 @@ def test_rows_mu_search_matches_the_lane_loop_reference_on_pinned_roots(caps):
     def unpolished(mu, j_rows, rmin_rows, budgets, steps=8):
         return mu.copy(), np.zeros_like(j_rows)
 
-    with mock.patch.multiple(subproblem2, _polish_mu_rows=unpolished, **caps):
-        got = subproblem2._mu_search_vector_rows(j_rows, rmin_rows, budgets, mu_tol=1e-13)
-        want = mu_search_rows_reference(j_rows, rmin_rows, budgets, mu_tol=1e-13)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[2] == want[2]
+    roots = np.median(j_rows, axis=1) * 4.0 ** np.array(offsets)
+    # Warm lanes 1e-3 off, 1e-9 off and far off (cold), then two cold lanes.
+    hints = [
+        (root * factor, solve_x_log_x(root * factor / j_rows[k]))
+        for k, (root, factor) in enumerate(zip(roots[:3], [1.001, 1.0 - 1e-9, 50.0]))
+    ] + [None, None]
+    for lane_hints in (None, hints):
+        with mock.patch.multiple(subproblem2, _polish_mu_rows=unpolished, **caps):
+            got = subproblem2._mu_search_vector_rows(
+                j_rows, rmin_rows, budgets, mu_tol=1e-13, hints=lane_hints
+            )
+            want = mu_search_rows_reference(
+                j_rows, rmin_rows, budgets, mu_tol=1e-13, hints=lane_hints
+            )
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[2] == want[2]

@@ -221,6 +221,12 @@ def _assert_matches_the_frozen_search(j, rmin, budget, caps, c_min=np.inf):
     with patched:
         got = _search_outcome(subproblem2._mu_search_vector, j, rmin, budget)
         want = _search_outcome(mu_search_vector_reference, j, rmin, budget)
+    _assert_same_outcome(got, want, c_min)
+
+
+def _assert_same_outcome(got, want, c_min):
+    """The same polished bits or error, or ``mu``/``x`` to a relative 1e-7
+    when some root sits below ``mu / j = 1e-3``."""
     solved = all(isinstance(outcome[1], np.ndarray) for outcome in (got, want))
     if c_min < 1e-3 and solved:
         assert got[0] == pytest.approx(want[0], rel=1e-7)
@@ -317,3 +323,123 @@ def test_vector_search_takes_the_slack_path_like_the_frozen_search():
     rmin = np.array([1e-6, 3e-6, 2e-6])
     assert subproblem2._mu_search_vector(j, rmin, 1e6, mu_tol=1e-13) == (0.0, None)
     _assert_matches_the_frozen_search(j, rmin, 1e6, {})
+
+
+# -- the warm start against the cold search ------------------------------------
+#
+# A hint is a previous search's polished multiplier and the roots there, for
+# a slightly different ``j`` (Algorithm 1 moves ``nu`` between searches).
+# The hinted search must return the cold search's polished ``(mu, x)``: bit
+# for bit where every root keeps ``mu / j >= 1e-3``, and to a relative 1e-7
+# nearer ``x = 1``, as for the frozen search above.
+
+
+def _hint(j, root, rel, above, jitter):
+    """A hint ``rel`` off ``root`` (a factor ``1 + rel`` above or below it),
+    its roots solved for ``j`` scaled by ``1 + jitter``."""
+    mu = root * (1.0 + rel) if above else root / (1.0 + rel)
+    return mu, subproblem2.solve_x_log_x(mu / (j * (1.0 + np.asarray(jitter))))
+
+
+def _assert_warm_matches_cold(j, rmin, budget, hint, c_min=np.inf, caps=None):
+    patched = mock.patch.multiple(subproblem2, **caps) if caps else contextlib.nullcontext()
+    with patched:
+        cold = _search_outcome(subproblem2._mu_search_vector, j, rmin, budget)
+        warm = _search_outcome(
+            lambda *a, **kw: subproblem2._mu_search_vector(*a, hint=hint, **kw),
+            j,
+            rmin,
+            budget,
+        )
+    _assert_same_outcome(warm, cold, c_min)
+
+
+@pytest.mark.hypothesis
+@settings(max_examples=150, deadline=None)
+@given(n_c=st.integers(min_value=1, max_value=6), data=st.data())
+def test_warm_search_matches_the_cold_search(n_c, data):
+    """Hints 1e-9 to 3x off the root, on either side, with roots from a
+    ``j`` perturbed by up to 10% per device."""
+    base = data.draw(st.floats(min_value=-14.0, max_value=-10.0))
+    spread = [data.draw(st.floats(min_value=0.0, max_value=3.0)) for _ in range(n_c)]
+    rmin = [data.draw(st.floats(min_value=1e3, max_value=1e6)) for _ in range(n_c)]
+    offset = data.draw(st.floats(min_value=-12.0, max_value=12.0))
+    j, rmin, budget, c_min = rooted_problem(10.0 ** (base + np.array(spread)), rmin, offset)
+    root = float(np.median(j)) * 4.0**offset
+    rel = 10.0 ** data.draw(st.floats(min_value=-9.0, max_value=np.log10(2.0)))
+    jitter = [data.draw(st.floats(min_value=-0.1, max_value=0.1)) for _ in range(n_c)]
+    hint = _hint(j, root, rel, data.draw(st.booleans()), jitter)
+    _assert_warm_matches_cold(j, rmin, budget, hint, c_min)
+
+
+_J5 = [2e-12, 7e-12, 1.1e-11, 4e-11, 9e-11]
+_RMIN5 = [3e5, 8e4, 5e5, 2e5, 6e5]
+
+
+@pytest.mark.parametrize("rel", [0.0, 1e-9, 1e-5, 1e-2, 0.3, 2.0])
+@pytest.mark.parametrize("above", [True, False])
+def test_warm_search_matches_the_cold_search_on_pinned_hints(rel, above):
+    j, rmin, budget, _ = rooted_problem(_J5, _RMIN5, 3.4)
+    root = float(np.median(j)) * 4.0**3.4
+    hint = _hint(j, root, rel, above, [0.05, -0.02, 0.0, 0.1, -0.1])
+    _assert_warm_matches_cold(j, rmin, budget, hint)
+
+
+def _warm_bracketed(j, rmin, budget, hint) -> bool:
+    (warm,), _, _ = subproblem2._warm_start(
+        [hint], j[None], (rmin * subproblem2._LN2)[None], np.array([budget]), 1e-13
+    )
+    return bool(warm)
+
+
+_COLD_CAPS = [
+    {},
+    {"MU_BRACKET_MAX_EXPANSIONS": 0},
+    {"MU_BRACKET_MAX_EXPANSIONS": 3},
+    {"MU_BRACKET_MAX_CONTRACTIONS": 1},
+    {"MU_SEARCH_MAX_ITERATIONS": 0},
+]
+
+
+@pytest.mark.parametrize("caps", _COLD_CAPS)
+@pytest.mark.parametrize("offset", [-2.3, 3.4, 11.2])
+@pytest.mark.parametrize(
+    "make_hint",
+    [
+        # Far on the wrong side: the Halley step cannot reach the root.
+        lambda j, root: (root * 1e4, subproblem2.solve_x_log_x(root * 1e4 / j)),
+        lambda j, root: (root * 1e-4, subproblem2.solve_x_log_x(root * 1e-4 / j)),
+        # Not finite, not positive, or roots that do not fit j.
+        lambda j, root: (np.nan, np.ones_like(j)),
+        lambda j, root: (np.inf, np.ones_like(j)),
+        lambda j, root: (0.0, np.ones_like(j)),
+        lambda j, root: (-root, np.ones_like(j)),
+        lambda j, root: (root, np.full_like(j, np.nan)),
+        lambda j, root: (root, np.full_like(j, np.inf)),
+        lambda j, root: (root, subproblem2.solve_x_log_x(root / j)[:-1]),
+        lambda j, root: (root, subproblem2.solve_x_log_x(root / j)[None]),
+    ],
+    ids=[
+        "far-above", "far-below", "nan", "inf", "zero", "negative",
+        "nan-roots", "inf-roots", "short-roots", "2-d-roots",
+    ],
+)
+def test_unusable_hints_take_the_cold_path(make_hint, offset, caps):
+    """No bracket from the hint: the cold search's result or error string."""
+    j, rmin, budget, _ = rooted_problem(_J5, _RMIN5, offset)
+    hint = make_hint(j, float(np.median(j)) * 4.0**offset)
+    assert not _warm_bracketed(j, rmin, budget, hint)
+    _assert_warm_matches_cold(j, rmin, budget, hint, caps=caps)
+
+
+def test_a_converged_warm_start_skips_the_bracketing_caps():
+    """A hint at the root brackets it at once, so the cold start's caps,
+    which raise on these inputs without a hint, never come into play."""
+    j, rmin, budget, _ = rooted_problem(_J5, _RMIN5, 3.4)
+    mu, x = subproblem2._mu_search_vector(j, rmin, budget, mu_tol=1e-13)
+    caps = {"MU_BRACKET_MAX_EXPANSIONS": 0, "MU_SEARCH_MAX_ITERATIONS": 0}
+    with mock.patch.multiple(subproblem2, **caps):
+        with pytest.raises(ConvergenceError):
+            subproblem2._mu_search_vector(j, rmin, budget, mu_tol=1e-13)
+        warm = subproblem2._mu_search_vector(j, rmin, budget, mu_tol=1e-13, hint=(mu, x))
+    assert warm[0] == mu and warm[1].tobytes() == x.tobytes()

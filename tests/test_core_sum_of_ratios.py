@@ -1,5 +1,7 @@
 """Tests for Algorithm 1 (the Newton-like sum-of-ratios solver)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,116 @@ def test_incumbent_fallback_when_requirements_are_tight(tiny_system):
     assert result.communication_energy_j <= solver.communication_energy(power, bandwidth) * (
         1 + 1e-9
     )
+
+
+# -- the warm-start hint of each Algorithm-1 lane ------------------------------
+
+
+def _recorded_hints(monkeypatch, solver, *args):
+    """Run ``solver.solve(*args)``, returning the hint and the method of
+    every closed-form attempt, in order."""
+    from repro.core import sum_of_ratios
+
+    calls = []
+    solve_rows = sum_of_ratios.solve_sp2_v2_rows
+
+    def recording(*a, hints=None, **kw):
+        attempts = solve_rows(*a, hints=hints, **kw)
+        calls.append((hints[0], attempts[0]))
+        return attempts
+
+    monkeypatch.setattr(sum_of_ratios, "solve_sp2_v2_rows", recording)
+    result = solver.solve(*args)
+    return calls, result
+
+
+def test_each_search_is_hinted_by_the_previous_closed_form_multiplier(
+    monkeypatch, tiny_system
+):
+    """The first search of a run is cold; every later one gets the last
+    attempt's polished multiplier and constrained roots."""
+    power, bandwidth, min_rate = _setup(tiny_system)
+    config = SumOfRatiosConfig(max_iterations=6, residual_tol=0.0, step_tol=0.0)
+    solver = SumOfRatiosSolver(tiny_system, 0.5, config)
+    calls, _ = _recorded_hints(monkeypatch, solver, min_rate, power, bandwidth)
+    assert len(calls) == 6
+    assert calls[0][0] is None
+    for (hint, _), (_, previous) in zip(calls[1:], calls[:-1]):
+        assert previous.method == "kkt" and previous.bandwidth_multiplier > 0.0
+        assert hint[0] == previous.bandwidth_multiplier
+        assert hint[1] is previous.constrained_roots
+
+
+def test_hints_do_not_move_the_result(monkeypatch, tiny_system):
+    """A run whose searches are all cold returns the same bits."""
+    from repro.core import sum_of_ratios
+
+    power, bandwidth, min_rate = _setup(tiny_system)
+    solver = SumOfRatiosSolver(tiny_system, 0.5)
+    warm = solver.solve(min_rate, power, bandwidth)
+    solve_rows = sum_of_ratios.solve_sp2_v2_rows
+    monkeypatch.setattr(
+        sum_of_ratios,
+        "solve_sp2_v2_rows",
+        lambda *a, hints=None, **kw: solve_rows(*a, **kw),
+    )
+    cold = solver.solve(min_rate, power, bandwidth)
+    assert warm.power_w.tobytes() == cold.power_w.tobytes()
+    assert warm.bandwidth_hz.tobytes() == cold.bandwidth_hz.tobytes()
+    assert warm.bandwidth_multiplier == cold.bandwidth_multiplier
+    assert warm.iterations == cold.iterations
+
+
+def _lane(system):
+    from repro.core.sum_of_ratios import _BatchLane
+
+    power, bandwidth, min_rate = _setup(system)
+    return _BatchLane(SumOfRatiosSolver(system, 0.5), min_rate, power, bandwidth)
+
+
+def test_batch_lane_drops_its_hint_after_a_fallback(tiny_system):
+    from repro.core.subproblem2 import solve_sp2_v2
+    from repro.exceptions import ConvergenceError
+
+    lane = _lane(tiny_system)
+    assert lane.hint is None
+    kkt = solve_sp2_v2(tiny_system, lane.nu, lane.beta, lane.min_rate)
+    assert kkt.method == "kkt" and kkt.constrained_roots is not None
+
+    def fresh_hint():
+        lane.resolve_inner(kkt)
+        assert lane.hint[0] == kkt.bandwidth_multiplier
+        assert lane.hint[1] is kkt.constrained_roots
+
+    # A raised attempt: the numeric fallback answers.
+    fresh_hint()
+    assert lane.resolve_inner(ConvergenceError("cap")).method == "numeric"
+    assert lane.hint is None
+    # An infeasible closed-form attempt falls back too.
+    fresh_hint()
+    infeasible = dataclasses.replace(kkt, feasible=False)
+    assert lane.resolve_inner(infeasible).method in ("numeric", "incumbent")
+    assert lane.hint is None
+    # A slack budget (mu = 0) carries no roots.
+    fresh_hint()
+    slack = dataclasses.replace(kkt, bandwidth_multiplier=0.0, constrained_roots=None)
+    assert lane.resolve_inner(slack) is slack
+    assert lane.hint is None
+
+
+def test_batch_lane_drops_its_hint_after_an_incumbent_fallback(monkeypatch, tiny_system):
+    from repro.core import sum_of_ratios
+    from repro.core.subproblem2 import solve_sp2_v2
+    from repro.exceptions import InfeasibleProblemError
+
+    lane = _lane(tiny_system)
+    kkt = solve_sp2_v2(tiny_system, lane.nu, lane.beta, lane.min_rate)
+    lane.resolve_inner(kkt)
+    assert lane.hint is not None
+
+    def no_numeric(*args, **kwargs):
+        raise InfeasibleProblemError("numeric fallback failed")
+
+    monkeypatch.setattr(sum_of_ratios, "solve_sp2_v2_numeric", no_numeric)
+    assert lane.resolve_inner(InfeasibleProblemError("x")).method == "incumbent"
+    assert lane.hint is None

@@ -106,6 +106,28 @@ def test_cache_hit_on_repeat_and_invalidation_on_config_change(tmp_path):
     assert runner.last_stats.executed == len(changed)
 
 
+@pytest.mark.parametrize("shard", [None, "0/1"])
+def test_executed_task_builds_its_payload_once(monkeypatch, tmp_path, shard):
+    """One payload per task serves the shard filter, the lookup and the put,
+    and the stored entries keep their keys and task payloads."""
+    tasks = proposed_tasks(("p",), TINY_SWEEP, 0.5)
+    built = []
+    payload = SweepTask.payload
+
+    def counting(self):
+        built.append(self.key)
+        return payload(self)
+
+    monkeypatch.setattr(SweepTask, "payload", counting)
+    runner = SweepRunner(jobs=1, cache_dir=tmp_path, use_cache=True, shard=shard)
+    runner.run(tasks)
+    assert runner.last_stats.executed == len(tasks)
+    assert sorted(built) == sorted(task.key for task in tasks)
+    monkeypatch.setattr(SweepTask, "payload", payload)
+    stored = {entry.digest: entry.task for entry in runner.store.entries()}
+    assert stored == {task_hash(task): task.payload() for task in tasks}
+
+
 def test_cache_disabled_runner_never_touches_disk(tmp_path):
     tasks = proposed_tasks(("p",), TINY_SWEEP, 0.5)
     runner = SweepRunner(jobs=1, cache_dir=tmp_path, use_cache=False)

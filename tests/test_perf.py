@@ -311,14 +311,17 @@ def test_compare_reports_tolerates_reports_without_fl_metrics():
 def _mu_search_work(monkeypatch, batch_size):
     """Work of the SP2 multiplier search over the fig2 bench sweep, solved
     per drop (``batch_size=1``) or batched (the default): calls of each
-    Lambert kernel, searches (one per lane), and the Newton iterations run
-    inside those kernel calls (the polish's own solves not counted)."""
-    from repro.core import subproblem2
+    Lambert kernel, searches (one per lane), the searches bracketed by their
+    warm start, the Algorithm-1 runs, and the Newton iterations run inside
+    those kernel calls (the polish's own solves not counted)."""
+    from repro.core import subproblem2, sum_of_ratios
     from repro.experiments.fig2 import run_fig2
     from repro.experiments.runner import SweepRunner
     from repro.solvers import lambert
 
-    work = {"vector": 0, "rows": 0, "seeded": 0, "searches": 0, "newton": 0}
+    work = {
+        "vector": 0, "rows": 0, "seeded": 0, "searches": 0, "warm": 0, "runs": 0, "newton": 0
+    }
     in_kernel = False
 
     def counting(name, kernel):
@@ -350,6 +353,19 @@ def _mu_search_work(monkeypatch, batch_size):
         work["searches"] += j_rows.shape[0]
         return lockstep(j_rows, *args, **kwargs)
 
+    warm_start = subproblem2._warm_start
+
+    def counting_warm_start(*args):
+        warm, low, high = warm_start(*args)
+        work["warm"] += int(warm.sum())
+        return warm, low, high
+
+    lane_init = sum_of_ratios._BatchLane.__init__
+
+    def counting_lane_init(self, *args):
+        work["runs"] += 1
+        lane_init(self, *args)
+
     with monkeypatch.context() as patch:
         for name, kernel in (
             ("vector", "lambert_solve_vector"),
@@ -360,6 +376,8 @@ def _mu_search_work(monkeypatch, batch_size):
         patch.setattr(lambert, "_newton_step", counting_step)
         patch.setitem(subproblem2._MU_SEARCHES, "vector", counting_one_lane)
         patch.setattr(subproblem2, "_mu_search_vector_rows", counting_lockstep)
+        patch.setattr(subproblem2, "_warm_start", counting_warm_start)
+        patch.setattr(sum_of_ratios._BatchLane, "__init__", counting_lane_init)
         runner = SweepRunner(jobs=1, use_cache=False, batch_size=batch_size)
         table = run_fig2(bench.bench_config(False), runner=runner)
     assert runner.last_stats.failed == 0
@@ -368,21 +386,32 @@ def _mu_search_work(monkeypatch, batch_size):
 
 
 def test_mu_search_lambert_calls_are_deterministic_and_within_budget(monkeypatch):
-    """The 48 fig2 bench problems (986 searches) cost a fixed, bounded number
-    of Lambert calls and inner Newton iterations in the multiplier search,
-    per drop and batched.  Before the bracketing call and the Halley phase:
-    7,390 calls per drop (7.49 per search) and 265 batched; 29,051 inner
-    Newton iterations per drop (29.5 per search) and 1,124 batched."""
+    """The 48 fig2 bench problems (986 searches in 144 Algorithm-1 runs)
+    cost a fixed, bounded number of Lambert calls and inner Newton
+    iterations in the multiplier search, per drop and batched.
+
+    Only the first search of each run starts cold; the other 842 are
+    bracketed by the warm start from the previous multiplier.  Before the
+    warm start: 4,499 calls per drop (4.56 per search) and 140 batched;
+    14,981 inner Newton iterations per drop and 404 batched.  Before the
+    bracketing call and the Halley phase: 7,390 calls per drop (7.49 per
+    search) and 265 batched; 29,051 inner Newton iterations per drop (29.5
+    per search) and 1,124 batched."""
     per_drop = _mu_search_work(monkeypatch, batch_size=1)
     batched = _mu_search_work(monkeypatch, batch_size=None)
     assert per_drop["rows"] == 0 and batched["vector"] == 0
     assert per_drop["searches"] == batched["searches"] == 986
+    for work in (per_drop, batched):
+        assert work["runs"] == 144
+        assert work["searches"] - work["warm"] == work["runs"]
+    # A cold search makes one bracketing call, a warm one makes none.
+    assert per_drop["vector"] == 144
     per_drop_calls = per_drop["vector"] + per_drop["seeded"]
-    assert per_drop_calls <= 4500
-    assert per_drop_calls / per_drop["searches"] <= 5.0
-    assert per_drop["newton"] <= 15000
-    assert batched["rows"] + batched["seeded"] <= 145
-    assert batched["newton"] <= 405
+    assert per_drop_calls <= 3015
+    assert per_drop_calls / per_drop["searches"] <= 3.1
+    assert per_drop["newton"] <= 8270
+    assert batched["rows"] + batched["seeded"] <= 78
+    assert batched["newton"] <= 206
     assert _mu_search_work(monkeypatch, batch_size=1) == per_drop
     assert _mu_search_work(monkeypatch, batch_size=None) == batched
 
