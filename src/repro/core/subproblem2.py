@@ -39,13 +39,13 @@ search is cold; the scalar oracle always starts cold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import ConvergenceError, InfeasibleProblemError
-from ..solvers.boxlp import solve_box_budget_lp
+from ..solvers.boxlp import solve_box_budget_lp_rows
 from ..solvers.dual_decomposition import minimize_separable_with_budget
 from ..solvers.lambert import (
     _lambert_solve_seeded,
@@ -145,48 +145,6 @@ def sp2_objective(
     """Objective of SP2_v2: ``sum nu_n (p_n d_n - beta_n G_n)``."""
     rates = system.rates_bps(power_w, bandwidth_hz)
     return float(np.sum(nu * (power_w * system.upload_bits - beta * rates)))
-
-
-def _rate_feasibility(
-    system: SystemModel,
-    power_w: np.ndarray,
-    bandwidth_hz: np.ndarray,
-    min_rate_bps: np.ndarray,
-    rtol: float = 1e-6,
-) -> bool:
-    rates = system.rates_bps(power_w, bandwidth_hz)
-    return bool(np.all(rates >= min_rate_bps * (1.0 - rtol) - 1e-9))
-
-
-def _repair_rates(
-    system: SystemModel,
-    power_w: np.ndarray,
-    bandwidth_hz: np.ndarray,
-    min_rate_bps: np.ndarray,
-) -> np.ndarray:
-    """Raise power (within its box) wherever the rate target is missed.
-
-    The closed-form path clips power into ``[p_min, p_max]`` after the KKT
-    step, which can leave a small rate shortfall; bumping the power back up
-    is always feasible for the power box and never increases bandwidth.
-    """
-    rates = system.rates_bps(power_w, bandwidth_hz)
-    short = rates < min_rate_bps * (1.0 - 1e-9)
-    if not np.any(short):
-        return power_w
-    repaired = power_w.copy()
-    needed = required_power_for_rate(
-        min_rate_bps[short],
-        bandwidth_hz[short],
-        system.gains[short],
-        system.noise_psd_w_per_hz,
-    )
-    repaired[short] = np.clip(
-        np.maximum(power_w[short], needed),
-        system.min_power_w[short],
-        system.max_power_w[short],
-    )
-    return repaired
 
 
 def _polish_mu(
@@ -961,25 +919,393 @@ def _mu_search_vector_rows(
 _MU_SEARCHES = {"scalar": _mu_search_scalar, "vector": _mu_search_vector}
 
 
-def _sp2_prepare(
-    system: SystemModel,
+@dataclass(frozen=True)
+class SystemRows:
+    """The SP2_v2 constants of same-size lanes, stacked once.
+
+    ``gains``, ``bits``, ``noise`` (each lane's noise PSD, repeated per
+    device), ``p_min`` and ``p_max`` are ``(lanes, n)`` and ``budget`` is a
+    ``(lanes,)`` vector, so every elementwise formula of one lane runs over
+    the stack unchanged (and without broadcasting).
+    """
+
+    gains: np.ndarray
+    bits: np.ndarray
+    noise: np.ndarray
+    p_min: np.ndarray
+    p_max: np.ndarray
+    budget: np.ndarray
+
+    @classmethod
+    def of(cls, systems: Sequence[SystemModel]) -> SystemRows:
+        return cls(
+            gains=np.array([s.gains for s in systems], dtype=float),
+            bits=np.array([s.upload_bits for s in systems], dtype=float),
+            noise=np.array([[s.noise_psd_w_per_hz] * s.num_devices for s in systems], dtype=float),
+            p_min=np.array([s.min_power_w for s in systems], dtype=float),
+            p_max=np.array([s.max_power_w for s in systems], dtype=float),
+            budget=np.array([s.total_bandwidth_hz for s in systems], dtype=float),
+        )
+
+    def take(self, rows: np.ndarray) -> SystemRows:
+        """The stack of the given rows."""
+        return SystemRows(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+@dataclass(frozen=True)
+class SP2Rows:
+    """Closed-form SP2_v2 outcomes of one stack of same-size lanes.
+
+    Row ``k`` is lane ``k``'s allocation, its rates there (the only rate
+    evaluation of the allocation, which Algorithm 1's step reuses), its
+    rate multipliers ``tau``, bandwidth multiplier, feasibility verdict and
+    objective; ``roots[k]`` is its constrained roots at a positive
+    multiplier.  ``errors[k]`` is the exception the lane raised instead,
+    whose rows are then meaningless.
+    """
+
+    power: np.ndarray
+    bandwidth: np.ndarray
+    rates: np.ndarray
+    tau: np.ndarray
+    mu: np.ndarray
+    feasible: np.ndarray
+    objective: np.ndarray
+    roots: list[np.ndarray | None]
+    errors: list[Exception | None]
+
+    def result(self, k: int) -> SP2Result | Exception:
+        """Lane ``k``'s :class:`SP2Result`, or the exception it raised."""
+        error = self.errors[k]
+        if error is not None:
+            return error
+        return SP2Result(
+            power_w=self.power[k],
+            bandwidth_hz=self.bandwidth[k],
+            objective=float(self.objective[k]),
+            bandwidth_multiplier=float(self.mu[k]),
+            rate_multipliers=self.tau[k],
+            feasible=bool(self.feasible[k]),
+            method="kkt",
+            constrained_roots=self.roots[k],
+        )
+
+
+def _subset_row_sums(values: np.ndarray, mask: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``values[k][mask[k]].sum()`` for every row ``k`` in ``rows``, bit for bit.
+
+    The rows are summed as rectangular stacks grouped by subset size: a
+    zero-masked or zero-padded full-width sum would change NumPy's pairwise
+    summation tree for subsets of 8 or more.
+    """
+    if rows.size == 1:
+        k = int(rows[0])
+        return np.array([values[k][mask[k]].sum()])
+    counts = mask[rows].sum(axis=1)
+    sums = np.zeros(rows.size)
+    for size in set(counts.tolist()):
+        if size:
+            at = counts == size
+            sel = rows[at]
+            sums[at] = values[sel][mask[sel]].reshape(sel.size, size).sum(axis=1)
+    return sums
+
+
+def _sp2_prepare_rows(
+    stack: SystemRows,
     nu: np.ndarray,
     beta: np.ndarray,
     min_rate_bps: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Clamp the SP2_v2 inputs and derive the multiplier-search coefficients.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
+    """Clamp a stack's SP2_v2 inputs and derive the multiplier-search coefficients.
 
-    Returns ``(nu, beta, rmin, j, constrained)`` with
-    ``j_n = nu_n d_n N0 / g_n`` and ``constrained`` the rate-constrained
-    device mask.  Run per lane by :func:`solve_sp2_v2_rows`.
+    Returns ``(nu, beta, rmin, j, constrained, errors)`` with
+    ``j_n = nu_n d_n N0 / g_n``, ``constrained`` the rate-constrained device
+    mask, and ``errors[k]`` set for a lane with an infinite requirement.
     """
-    nu = np.maximum(np.asarray(nu, dtype=float), 1e-300)
-    beta = np.maximum(np.asarray(beta, dtype=float), 0.0)
-    rmin = np.maximum(np.asarray(min_rate_bps, dtype=float), 0.0)
-    if np.any(~np.isfinite(rmin)):
-        raise InfeasibleProblemError("infinite rate requirement in SP2_v2")
-    j = nu * system.upload_bits * system.noise_psd_w_per_hz / system.gains
-    return nu, beta, rmin, j, rmin > 0.0
+    nu = np.maximum(nu, 1e-300)
+    beta = np.maximum(beta, 0.0)
+    rmin = np.maximum(min_rate_bps, 0.0)
+    errors: list[Exception | None] = [None] * nu.shape[0]
+    if not np.isfinite(rmin).all():
+        for k in np.flatnonzero(~np.isfinite(rmin).all(axis=1)).tolist():
+            errors[k] = InfeasibleProblemError("infinite rate requirement in SP2_v2")
+    j = nu * stack.bits * stack.noise / stack.gains
+    return nu, beta, rmin, j, rmin > 0.0, errors
+
+
+def _sp2_certify_rows(
+    stack: SystemRows,
+    nu: np.ndarray,
+    beta: np.ndarray,
+    rmin: np.ndarray,
+    power: np.ndarray,
+    bandwidth: np.ndarray,
+    live: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Power repair, rates, feasibility verdict and SP2_v2 objective of a stack.
+
+    Wherever a rate target is missed (clipping power into its box after the
+    KKT step can leave a small shortfall), power is raised within its box,
+    which never increases bandwidth.  Rates are evaluated once and
+    re-evaluated only on the repaired devices.  Rows outside ``live`` are
+    not repaired.  Returns ``(power, rates, feasible, objective)``.
+    """
+    rates = shannon_rate(power, bandwidth, stack.gains, stack.noise)
+    short = rates < rmin * (1.0 - 1e-9)
+    if live is not None:
+        short &= live[:, None]
+    if short.any():
+        noise = stack.noise[short]
+        bandwidth_s, gains_s = bandwidth[short], stack.gains[short]
+        needed = required_power_for_rate(rmin[short], bandwidth_s, gains_s, noise)
+        power = power.copy()
+        power[short] = np.clip(
+            np.maximum(power[short], needed), stack.p_min[short], stack.p_max[short]
+        )
+        rates[short] = shannon_rate(power[short], bandwidth_s, gains_s, noise)
+    feasible = np.all(rates >= rmin * (1.0 - 1e-6) - 1e-9, axis=1) & (
+        bandwidth.sum(axis=1) <= stack.budget * (1.0 + 1e-6)
+    )
+    objective = (nu * (power * stack.bits - beta * rates)).sum(axis=1)
+    return power, rates, feasible, objective
+
+
+def _sp2_finish_rows(
+    stack: SystemRows,
+    nu: np.ndarray,
+    beta: np.ndarray,
+    rmin: np.ndarray,
+    j: np.ndarray,
+    constrained: np.ndarray,
+    mu: np.ndarray,
+    x: np.ndarray,
+    errors: list[Exception | None],
+) -> tuple[np.ndarray, ...]:
+    """Assemble the SP2_v2 allocations of a stack from its solved multipliers.
+
+    The tail of the closed-form path, one pass over the ``(lanes, n)``
+    stack: rate-active bandwidths and powers, ``tau``, the box LP (A.6) for
+    the slack devices (with the ``p_min`` relax-and-retry), power repair,
+    the feasibility verdict and the objective.  ``x`` holds each lane's
+    constrained roots at its multiplier ``mu``.  A lane that raises records
+    its exception in ``errors`` (lanes already there are skipped); every
+    other row is bit-identical to the one-lane tail: elementwise formulas
+    are shared, and subset sums and LPs run over stacks grouped by subset
+    size.  Returns ``(power, bandwidth, rates, tau, feasible, objective)``.
+    """
+    gains, noise = stack.gains, stack.noise
+    lanes, n = nu.shape
+    live = np.array([error is None for error in errors])
+
+    solved = constrained & (mu > 0.0)[:, None]
+    if solved.any():
+        # Rate-active devices: a_n = nu_n beta_n + tau_n at stationarity.
+        tau_c = j * _LN2 * x - nu * beta
+        tau = np.maximum(tau_c, 0.0)
+        active = solved & (tau_c > 0.0)
+        if active.all():
+            # Every device rate-active (the common case): no masking.
+            bandwidth = rmin * _LN2 / np.log(x)
+            power = np.clip((x - 1.0) * noise * bandwidth / gains, stack.p_min, stack.p_max)
+            num_active = np.full(lanes, n)
+            remaining = stack.budget - bandwidth.sum(axis=1)
+        else:
+            tau = np.where(solved, tau, 0.0)
+            x_active = np.where(active, x, 2.0)
+            bw_active = rmin * _LN2 / np.log(x_active)
+            pw_active = (x_active - 1.0) * noise * bw_active / gains
+            bandwidth = np.where(active, bw_active, 0.0)
+            power = np.where(active, np.clip(pw_active, stack.p_min, stack.p_max), 0.0)
+            num_active = active.sum(axis=1)
+            remaining = stack.budget - _subset_row_sums(bandwidth, active, np.arange(lanes))
+        over = live & (remaining < -1e-6 * stack.budget)
+        if over.any():
+            for k in np.flatnonzero(over).tolist():
+                errors[k] = InfeasibleProblemError(
+                    "active rate constraints exceed the bandwidth budget"
+                )
+            live &= ~over
+        remaining = np.where(0.0 > remaining, 0.0, remaining)  # max(remaining, 0.0)
+    else:
+        tau, bandwidth, power = np.zeros((3, lanes, n))
+        active = np.zeros((lanes, n), dtype=bool)
+        num_active = np.zeros(lanes, dtype=int)
+        remaining = stack.budget
+
+    slack = np.flatnonzero(live & (num_active < n))
+    if slack.size:
+        bits = stack.bits
+        inactive = ~active
+        # Stationary SNR factor with tau = 0 (eq. (A.1) specialised); the
+        # clamp guards the theoretical corner beta -> 0, which cannot occur
+        # when beta comes from an actual feasible iterate.
+        x0 = np.maximum(beta * gains / (noise * bits * _LN2), 1.0 + 1e-12)
+        slope = np.log2(x0)
+        # Problem (A.6): linear cost per hertz of bandwidth.
+        costs = nu * ((x0 - 1.0) * noise * bits / gains - beta * slope)
+
+        lower_rate = np.where(rmin > 0.0, rmin / slope, 0.0)
+        lower_power = stack.p_min * gains / ((x0 - 1.0) * noise)
+        upper_power = stack.p_max * gains / ((x0 - 1.0) * noise)
+        lower = np.maximum(lower_rate, lower_power)
+        upper = np.maximum(upper_power, lower)
+
+        cap = remaining * (1.0 + 1e-9)
+        relax = slack[_subset_row_sums(lower, inactive, slack) > cap[slack]]
+        if relax.size:
+            # Relax the p_min-induced lower bound (the final clip to p_min can
+            # only increase the achieved rate) and retry before giving up.
+            lower[relax] = lower_rate[relax]
+            upper[relax] = np.maximum(upper[relax], lower_rate[relax])
+            over = relax[_subset_row_sums(lower, inactive, relax) > cap[relax]]
+            for k in over.tolist():
+                errors[k] = InfeasibleProblemError(
+                    "LP lower bounds exceed the remaining bandwidth budget"
+                )
+            live[over] = False
+            slack = slack[live[slack]]
+        # The box LP (A.6) over each stack of lanes with the same number of
+        # slack devices (all of them, when no device is rate-active).
+        bandwidth = bandwidth.copy()
+        sizes = n - num_active[slack]
+        for size in set(sizes.tolist()):
+            sel = slack[sizes == size]
+            if size == n:
+                grants, lp_errors = solve_box_budget_lp_rows(
+                    costs[sel], lower[sel], upper[sel], remaining[sel]
+                )
+                bandwidth[sel] = grants
+            else:
+                sub = inactive[sel]
+                shape = (sel.size, size)
+                grants, lp_errors = solve_box_budget_lp_rows(
+                    costs[sel][sub].reshape(shape),
+                    lower[sel][sub].reshape(shape),
+                    upper[sel][sub].reshape(shape),
+                    remaining[sel],
+                )
+                block = bandwidth[sel]
+                block[sub] = grants.ravel()
+                bandwidth[sel] = block
+            for k, message in zip(sel.tolist(), lp_errors):
+                if message is not None:
+                    errors[k] = InfeasibleProblemError(message)
+                    live[k] = False
+        pw_slack = np.clip((x0 - 1.0) * noise * bandwidth / gains, stack.p_min, stack.p_max)
+        power = np.where(inactive, pw_slack, power)
+
+    power, rates, feasible, objective = _sp2_certify_rows(
+        stack, nu, beta, rmin, power, bandwidth, live
+    )
+    return power, bandwidth, rates, tau, feasible, objective
+
+
+def _solve_sp2_stacks(
+    stacks: Sequence[SystemRows],
+    nus: Sequence[np.ndarray],
+    betas: Sequence[np.ndarray],
+    min_rates: Sequence[np.ndarray],
+    *,
+    mu_tol: float = 1e-13,
+    backend: str = DEFAULT_BACKEND,
+    hints: Sequence[Sequence[MuHint | None]] | None = None,
+) -> list[SP2Rows]:
+    """Closed-form SP2_v2 over stacks of same-size lanes, one :class:`SP2Rows` each.
+
+    Every stack is prepared and finished in one rows pass
+    (:func:`_sp2_prepare_rows`, :func:`_sp2_finish_rows`).  The multiplier
+    searches of all stacks are grouped by constrained-device count, so
+    lanes of different sizes still share a lockstep rows search: a group
+    of two or more lanes runs :func:`_mu_search_vector_rows`, a one-lane
+    group the 1-D search of ``backend``, and the ``"scalar"`` backend its
+    probe-sequential oracle lane by lane.  ``hints[s][k]`` is the
+    warm-start hint of lane ``k`` of stack ``s``.
+    """
+    mu_search = _MU_SEARCHES[validate_backend(backend)]
+    prepared = [
+        _sp2_prepare_rows(stack, nu, beta, rmin)
+        for stack, nu, beta, rmin in zip(stacks, nus, betas, min_rates)
+    ]
+    mus: list[np.ndarray] = []
+    xs: list[np.ndarray] = []
+    roots: list[list[np.ndarray | None]] = []
+    # (stack, lane) pairs by constrained-device count; lanes with no
+    # rate-constrained device skip the search (mu = 0).
+    searches: dict[int, list[tuple[int, int]]] = {}
+    for s, (_, _, _, j, constrained, errors) in enumerate(prepared):
+        mus.append(np.zeros(j.shape[0]))
+        xs.append(np.full(j.shape, 2.0))
+        roots.append([None] * j.shape[0])
+        for k, (n_c, error) in enumerate(zip(constrained.sum(axis=1).tolist(), errors)):
+            if n_c and error is None:
+                searches.setdefault(n_c, []).append((s, k))
+
+    def hint_of(s: int, k: int) -> MuHint | None:
+        return None if hints is None else hints[s][k]
+
+    for n_c, lanes in searches.items():
+        if backend == "scalar" or len(lanes) == 1:
+            for s, k in lanes:
+                _, _, rmin, j, constrained, errors = prepared[s]
+                c = constrained[k]
+                try:
+                    mu, x_c = mu_search(
+                        j[k][c],
+                        rmin[k][c],
+                        float(stacks[s].budget[k]),
+                        mu_tol=mu_tol,
+                        hint=hint_of(s, k),
+                    )
+                except ConvergenceError as exc:
+                    errors[k] = exc
+                    continue
+                mus[s][k] = mu
+                if mu > 0.0:
+                    xs[s][k, c] = x_c
+                    roots[s][k] = x_c
+            continue
+        pieces: dict[int, list[int]] = {}
+        for s, k in lanes:
+            pieces.setdefault(s, []).append(k)
+        j_rows, rmin_rows = (
+            np.concatenate(
+                [
+                    prepared[s][col][ks][prepared[s][4][ks]].reshape(len(ks), n_c)
+                    for s, ks in pieces.items()
+                ]
+            )
+            for col in (3, 2)
+        )
+        mu_rows, x_rows, search_errors = _mu_search_vector_rows(
+            j_rows,
+            rmin_rows,
+            np.concatenate([stacks[s].budget[ks] for s, ks in pieces.items()]),
+            mu_tol=mu_tol,
+            hints=[hint_of(s, k) for s, ks in pieces.items() for k in ks],
+        )
+        at = 0
+        for s, ks in pieces.items():
+            errors, constrained = prepared[s][5], prepared[s][4]
+            for k in ks:
+                if search_errors[at] is not None:
+                    errors[k] = ConvergenceError(search_errors[at])
+                elif mu_rows[at] > 0.0:
+                    mus[s][k] = mu_rows[at]
+                    xs[s][k, constrained[k]] = x_rows[at]
+                    roots[s][k] = x_rows[at]
+                at += 1
+
+    out: list[SP2Rows] = []
+    for s, stack in enumerate(stacks):
+        nu, beta, rmin, j, constrained, errors = prepared[s]
+        power, bandwidth, rates, tau, feasible, objective = _sp2_finish_rows(
+            stack, nu, beta, rmin, j, constrained, mus[s], xs[s], errors
+        )
+        out.append(
+            SP2Rows(power, bandwidth, rates, tau, mus[s], feasible, objective, roots[s], errors)
+        )
+    return out
 
 
 def solve_sp2_v2(
@@ -1015,119 +1341,6 @@ def solve_sp2_v2(
     return result
 
 
-def _sp2_finish(
-    system: SystemModel,
-    nu: np.ndarray,
-    beta: np.ndarray,
-    rmin: np.ndarray,
-    j: np.ndarray,
-    constrained: np.ndarray,
-    mu: float,
-    x_c: np.ndarray | None,
-) -> SP2Result:
-    """Assemble the SP2_v2 allocation from a solved bandwidth multiplier.
-
-    The tail of the closed-form path — rate-active bandwidths, the box LP
-    (A.6) for the slack devices, power repair, and the feasibility verdict —
-    run per lane by :func:`solve_sp2_v2_rows`, so every lane is
-    bit-identical to a one-lane solve from the multiplier onward.
-    """
-    gains = system.gains
-    bits = system.upload_bits
-    noise = system.noise_psd_w_per_hz
-    p_min = system.min_power_w
-    p_max = system.max_power_w
-    budget = system.total_bandwidth_hz
-    n = system.num_devices
-
-    power = np.zeros(n)
-    bandwidth = np.zeros(n)
-    tau = np.zeros(n)
-
-    if np.any(constrained):
-        j_c = j[constrained]
-
-        if mu > 0.0:
-            a_c = j_c * _LN2 * x_c  # a_n = nu_n beta_n + tau_n at stationarity
-            tau_c = a_c - nu[constrained] * beta[constrained]
-            tau_full = np.zeros(n)
-            tau_full[constrained] = np.maximum(tau_c, 0.0)
-            tau = tau_full
-
-            active = constrained.copy()
-            active[constrained] = tau_c > 0.0
-            if np.any(active):
-                x_active = x_c[tau_c > 0.0]
-                bw_active = rmin[active] * _LN2 / np.log(x_active)
-                pw_active = (x_active - 1.0) * noise * bw_active / gains[active]
-                bandwidth[active] = bw_active
-                power[active] = np.clip(pw_active, p_min[active], p_max[active])
-        else:
-            active = np.zeros(n, dtype=bool)
-    else:
-        active = np.zeros(n, dtype=bool)
-
-    inactive = ~active
-    remaining = budget - float(bandwidth[active].sum())
-    if remaining < -1e-6 * budget:
-        raise InfeasibleProblemError("active rate constraints exceed the bandwidth budget")
-    remaining = max(remaining, 0.0)
-
-    if np.any(inactive):
-        g_i = gains[inactive]
-        d_i = bits[inactive]
-        nu_i = nu[inactive]
-        beta_i = beta[inactive]
-        rmin_i = rmin[inactive]
-        p_min_i = p_min[inactive]
-        p_max_i = p_max[inactive]
-
-        # Stationary SNR factor with tau = 0 (eq. (A.1) specialised); the
-        # clamp guards the theoretical corner beta -> 0, which cannot occur
-        # when beta comes from an actual feasible iterate.
-        x0 = np.maximum(beta_i * g_i / (noise * d_i * _LN2), 1.0 + 1e-12)
-        slope = np.log2(x0)
-        # Problem (A.6): linear cost per hertz of bandwidth.
-        costs = nu_i * ((x0 - 1.0) * noise * d_i / g_i - beta_i * slope)
-
-        lower_rate = np.where(rmin_i > 0.0, rmin_i / slope, 0.0)
-        lower_power = p_min_i * g_i / ((x0 - 1.0) * noise)
-        upper_power = p_max_i * g_i / ((x0 - 1.0) * noise)
-        lower = np.maximum(lower_rate, lower_power)
-        upper = np.maximum(upper_power, lower)
-
-        if lower.sum() > remaining * (1.0 + 1e-9):
-            # Relax the p_min-induced lower bound (the final clip to p_min can
-            # only increase the achieved rate) and retry before giving up.
-            lower = lower_rate
-            upper = np.maximum(upper, lower)
-            if lower.sum() > remaining * (1.0 + 1e-9):
-                raise InfeasibleProblemError(
-                    "LP lower bounds exceed the remaining bandwidth budget"
-                )
-        lp = solve_box_budget_lp(costs, lower, upper, remaining)
-        bw_i = lp.x
-        pw_i = np.clip((x0 - 1.0) * noise * bw_i / g_i, p_min_i, p_max_i)
-        bandwidth[inactive] = bw_i
-        power[inactive] = pw_i
-
-    power = _repair_rates(system, power, bandwidth, rmin)
-    feasible = (
-        _rate_feasibility(system, power, bandwidth, rmin)
-        and float(bandwidth.sum()) <= budget * (1.0 + 1e-6)
-    )
-    return SP2Result(
-        power_w=power,
-        bandwidth_hz=bandwidth,
-        objective=sp2_objective(system, nu, beta, power, bandwidth),
-        bandwidth_multiplier=float(mu),
-        rate_multipliers=tau,
-        feasible=feasible,
-        method="kkt",
-        constrained_roots=x_c if mu > 0.0 else None,
-    )
-
-
 def solve_sp2_v2_rows(
     systems: Sequence[SystemModel],
     nus: Sequence[np.ndarray],
@@ -1143,14 +1356,14 @@ def solve_sp2_v2_rows(
     Lane ``i`` solves SP2_v2 for ``(systems[i], nus[i], betas[i],
     min_rates[i])``, and its :class:`SP2Result` is bit-identical to the
     one-lane call ``solve_sp2_v2(systems[i], nus[i], betas[i],
-    min_rates[i], backend=backend)``: preparation and the allocation tail
-    run per lane (:func:`_sp2_prepare` / :func:`_sp2_finish`).  Lanes are
-    grouped by constrained-device count so all array passes run over
-    rectangular stacks (ragged padding would change NumPy's
-    pairwise-summation trees and break bit parity).
+    min_rates[i], backend=backend)``.  Lanes with the same device count
+    form one ``(lanes, n)`` stack whose preparation and allocation tail run
+    once for the whole stack (:func:`_solve_sp2_stacks`); every array pass
+    is elementwise, a row reduction or a sum over a rectangular stack of
+    equal-size subsets, so no lane's bits depend on its neighbours.
 
-    The bandwidth-multiplier search picks its kernel by lane count: a
-    group of two or more lanes runs the lockstep rows search
+    The bandwidth-multiplier search picks its kernel by lane count: lanes
+    grouped by constrained-device count run the lockstep rows search
     (:func:`_mu_search_vector_rows`, one bracketing call for the group,
     then one candidate per lane per round), a one-lane group runs the 1-D
     search of ``backend`` (the same state machine without per-lane masks,
@@ -1171,71 +1384,25 @@ def solve_sp2_v2_rows(
     :class:`~repro.exceptions.ConvergenceError` the per-drop call would
     have raised, letting callers replicate their per-lane fallback logic.
     """
-    mu_search = _MU_SEARCHES[validate_backend(backend)]
-    num_lanes = len(systems)
-    results: list[SP2Result | Exception] = [
-        InfeasibleProblemError("lane not solved") for _ in range(num_lanes)
-    ]
-    prepared: dict[int, tuple] = {}
-    for i in range(num_lanes):
-        try:
-            prepared[i] = _sp2_prepare(systems[i], nus[i], betas[i], min_rates[i])
-        except InfeasibleProblemError as exc:
-            results[i] = exc
-
-    # (mu, x_c) per prepared lane; lanes with no rate-constrained device
-    # skip the search entirely, exactly like the per-drop path.
-    solved: dict[int, tuple[float, np.ndarray | None]] = {}
     groups: dict[int, list[int]] = {}
-    for i, (_, _, rmin, _, constrained) in prepared.items():
-        if np.any(constrained):
-            groups.setdefault(int(np.sum(constrained)), []).append(i)
-        else:
-            solved[i] = (0.0, None)
-    if hints is None:
-        hints = [None] * num_lanes
-    for n_c, lanes in groups.items():
-        if len(lanes) == 1 or backend == "scalar":
-            for i in lanes:
-                _, _, rmin, j, constrained = prepared[i]
-                try:
-                    solved[i] = mu_search(
-                        j[constrained],
-                        rmin[constrained],
-                        systems[i].total_bandwidth_hz,
-                        mu_tol=mu_tol,
-                        hint=hints[i],
-                    )
-                except ConvergenceError as exc:
-                    results[i] = exc
-            continue
-        j_rows = np.empty((len(lanes), n_c))
-        rmin_rows = np.empty((len(lanes), n_c))
-        budgets = np.empty(len(lanes))
+    for i, system in enumerate(systems):
+        groups.setdefault(system.num_devices, []).append(i)
+    members = list(groups.values())
+    solved = _solve_sp2_stacks(
+        [SystemRows.of([systems[i] for i in lanes]) for lanes in members],
+        [np.array([nus[i] for i in lanes], dtype=float) for lanes in members],
+        [np.array([betas[i] for i in lanes], dtype=float) for lanes in members],
+        [np.array([min_rates[i] for i in lanes], dtype=float) for lanes in members],
+        mu_tol=mu_tol,
+        backend=backend,
+        hints=None if hints is None else [[hints[i] for i in lanes] for lanes in members],
+    )
+    results: list[SP2Result | Exception] = [
+        InfeasibleProblemError("lane not solved") for _ in systems
+    ]
+    for lanes, out in zip(members, solved):
         for k, i in enumerate(lanes):
-            _, _, rmin, j, constrained = prepared[i]
-            j_rows[k] = j[constrained]
-            rmin_rows[k] = rmin[constrained]
-            budgets[k] = systems[i].total_bandwidth_hz
-        mu_arr, x_rows, errors = _mu_search_vector_rows(
-            j_rows, rmin_rows, budgets, mu_tol=mu_tol, hints=[hints[i] for i in lanes]
-        )
-        for k, i in enumerate(lanes):
-            if errors[k] is not None:
-                results[i] = ConvergenceError(errors[k])
-            elif mu_arr[k] > 0.0:
-                solved[i] = (float(mu_arr[k]), x_rows[k])
-            else:
-                solved[i] = (0.0, None)
-
-    for i, (mu, x_c) in solved.items():
-        nu, beta, rmin, j, constrained = prepared[i]
-        try:
-            results[i] = _sp2_finish(
-                systems[i], nu, beta, rmin, j, constrained, mu, x_c
-            )
-        except InfeasibleProblemError as exc:
-            results[i] = exc
+            results[i] = out.result(k)
     return results
 
 
@@ -1301,18 +1468,20 @@ def solve_sp2_v2_numeric(
         per_device_objective, lower, upper, budget
     )
     bandwidth = result.x
-    power = optimal_power(bandwidth)
-    power = _repair_rates(system, power, bandwidth, rmin)
-    feasible = (
-        _rate_feasibility(system, power, bandwidth, rmin)
-        and float(bandwidth.sum()) <= budget * (1.0 + 1e-6)
+    power, _, feasible, objective = _sp2_certify_rows(
+        SystemRows.of([system]),
+        nu[None],
+        beta[None],
+        rmin[None],
+        optimal_power(bandwidth)[None],
+        bandwidth[None],
     )
     return SP2Result(
-        power_w=power,
+        power_w=power[0],
         bandwidth_hz=bandwidth,
-        objective=sp2_objective(system, nu, beta, power, bandwidth),
+        objective=float(objective[0]),
         bandwidth_multiplier=result.multiplier,
-        rate_multipliers=np.zeros_like(power),
-        feasible=feasible,
+        rate_multipliers=np.zeros_like(bandwidth),
+        feasible=bool(feasible[0]),
         method="numeric",
     )

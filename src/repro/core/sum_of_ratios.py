@@ -29,15 +29,17 @@ import numpy as np
 
 from ..exceptions import ConvergenceError, InfeasibleProblemError, SolverError
 from ..perf.timers import stage
-from ..solvers.newton import damped_newton_step
+from ..solvers.newton import damped_newton_step_rows, row_norms
 from ..system import SystemModel
 from .convergence import ConvergenceHistory
 from .subproblem2 import (
     DEFAULT_BACKEND,
     MuHint,
     SP2Result,
+    SP2Rows,
+    SystemRows,
+    _solve_sp2_stacks,
     solve_sp2_v2_numeric,
-    solve_sp2_v2_rows,
     sp2_objective,
     validate_backend,
 )
@@ -48,6 +50,11 @@ __all__ = [
     "SumOfRatiosSolver",
     "solve_sum_of_ratios_rows",
 ]
+
+_ZERO_RATE = (
+    "an iterate produced a zero uplink rate; the initial point must "
+    "give every device positive power and bandwidth"
+)
 
 
 @dataclass(frozen=True)
@@ -123,22 +130,8 @@ class SumOfRatiosSolver:
     def _rates(self, power: np.ndarray, bandwidth: np.ndarray) -> np.ndarray:
         rates = self.system.rates_bps(power, bandwidth)
         if np.any(rates <= 0.0):
-            raise InfeasibleProblemError(
-                "an iterate produced a zero uplink rate; the initial point must "
-                "give every device positive power and bandwidth"
-            )
+            raise InfeasibleProblemError(_ZERO_RATE)
         return rates
-
-    def _residual(
-        self,
-        beta: np.ndarray,
-        nu: np.ndarray,
-        power: np.ndarray,
-        rates: np.ndarray,
-    ) -> np.ndarray:
-        phi1 = -power * self.system.upload_bits + beta * rates
-        phi2 = -self._scale + nu * rates
-        return np.concatenate([phi1, phi2])
 
     def communication_energy(self, power: np.ndarray, bandwidth: np.ndarray) -> float:
         """Total transmission energy ``R_g sum p d / r`` of an allocation."""
@@ -170,14 +163,18 @@ class SumOfRatiosSolver:
 
 
 class _BatchLane:
-    """Per-lane Algorithm-1 state of the lockstep solve.
+    """What of one Algorithm-1 lane does not stack.
 
-    The one Algorithm-1 state machine: an initialisation (`__init__`), the
-    fallback ladder for the lane's closed-form SP2_v2 attempt
-    (:meth:`resolve_inner`) and one iteration's bookkeeping (:meth:`step`).
-    :func:`solve_sum_of_ratios_rows` drives any number of lanes in
-    lockstep, and :meth:`SumOfRatiosSolver.solve` is a batch of one, so a
-    lane's trajectory never depends on its neighbours.
+    The lane's start (`__init__`: its initial point, the paper's
+    auxiliary-variable initialisation and its residual scale), its
+    convergence history, its warm-start hint, and the fallback ladder for
+    a closed-form SP2_v2 attempt that failed or came back infeasible
+    (:meth:`resolve_inner`, rare).  While the lane runs, its iterates live
+    in a :class:`_LaneRows` stack with the other lanes of its device count,
+    which takes the Algorithm-1 step for all of them at once; the stack
+    writes the lane's final iterate back when the lane stops.
+    :meth:`SumOfRatiosSolver.solve` is a batch of one, so a lane's
+    trajectory never depends on its neighbours.
 
     ``hint`` is the warm start for the lane's next multiplier search: the
     last closed-form attempt's polished multiplier and constrained-device
@@ -260,74 +257,6 @@ class _BatchLane:
                 method="incumbent",
             )
 
-    def step(self, inner: SP2Result) -> bool:
-        """One Algorithm-1 iteration given the resolved inner solve.
-
-        Returns ``True`` while the lane should keep iterating: the
-        convergence tests, then (unless the lane converged) the damped
-        Newton update of ``(beta, nu)`` — steps 5-6 of Algorithm 1.  A lane
-        that exhausts ``max_iterations`` still takes that last update, so
-        its final ``(beta, nu)`` track the ratios of its final ``(p, B)``.
-        """
-        system = self.system
-        config = self.config
-        solver = self.solver
-        self.iteration += 1
-        if inner.bandwidth_multiplier > 0.0:
-            self.last_multiplier = inner.bandwidth_multiplier
-        new_power, new_bandwidth = inner.power_w, inner.bandwidth_hz
-        self.feasible = inner.feasible
-        new_rates = solver._rates(new_power, new_bandwidth)
-
-        residual = solver._residual(self.beta, self.nu, new_power, new_rates)
-        residual_norm = float(np.linalg.norm(residual))
-        objective = solver.energy_weight * system.global_rounds * float(
-            np.sum(new_power * system.upload_bits / new_rates)
-        )
-        step_change = float(
-            np.linalg.norm(new_power - self.power)
-            / max(np.linalg.norm(self.power), 1e-30)
-            + np.linalg.norm(new_bandwidth - self.bandwidth)
-            / max(np.linalg.norm(self.bandwidth), 1e-30)
-        )
-        self.history.append(
-            objective,
-            residual=residual_norm,
-            step_change=step_change,
-            note=inner.method,
-        )
-
-        self.power, self.bandwidth = new_power, new_bandwidth
-        if residual_norm <= config.residual_tol * self.residual_scale:
-            self.converged = True
-            return False
-        if self.iteration > 1 and step_change <= config.step_tol:
-            self.converged = True
-            return False
-
-        alpha = np.concatenate([self.beta, self.nu])
-        target_beta = self.power * system.upload_bits / new_rates
-        target_nu = solver._scale / new_rates
-        direction = np.concatenate(
-            [target_beta - self.beta, target_nu - self.nu]
-        )
-        power = self.power
-
-        def residual_of_alpha(a: np.ndarray) -> np.ndarray:
-            half = a.shape[0] // 2
-            return solver._residual(a[:half], a[half:], power, new_rates)
-
-        update = damped_newton_step(
-            alpha,
-            residual_of_alpha,
-            direction,
-            xi=config.damping_xi,
-            eps=config.damping_eps,
-        )
-        half = update.alpha.shape[0] // 2
-        self.beta, self.nu = update.alpha[:half], update.alpha[half:]
-        return self.iteration < config.max_iterations
-
     def result(self) -> SumOfRatiosResult:
         return SumOfRatiosResult(
             power_w=self.power,
@@ -345,6 +274,226 @@ class _BatchLane:
         )
 
 
+class _LaneRows:
+    """The running Algorithm-1 lanes of one device count and SP2 backend.
+
+    Their iterates ``(p, B)`` are ``(lanes, n)`` stacks and their auxiliary
+    variables one ``(lanes, 2n)`` stack ``alpha = (beta, nu)``; the system
+    constants are stacked once per :func:`solve_sum_of_ratios_rows` call
+    (:class:`SystemRows`).  Each round, :meth:`resolve` takes the stack's
+    closed-form SP2_v2 outcome (running the fallback ladder of the few lanes
+    that need it) and :meth:`advance` takes one Algorithm-1 iteration for
+    every lane at once: residuals, norms, objective and step change as row
+    operations, then the damped Newton update (29)-(31) with a backtrack
+    exponent per lane (:func:`damped_newton_step_rows`).  Rows are
+    compacted when lanes stop or fail.  Every row gets the bits of a
+    one-lane run.
+    """
+
+    def __init__(self, slots: list[int], lanes: list[_BatchLane]) -> None:
+        self.slots = slots
+        self.lanes = lanes
+        self.backend = lanes[0].solver.backend
+        self.system = SystemRows.of([lane.system for lane in lanes])
+        self.min_rate = np.array([lane.min_rate for lane in lanes])
+        self.power = np.array([lane.power for lane in lanes])
+        self.bandwidth = np.array([lane.bandwidth for lane in lanes])
+        self.alpha = np.array([np.concatenate([lane.beta, lane.nu]) for lane in lanes])
+        self.scale = np.array([[lane.solver._scale] * lane.system.num_devices for lane in lanes])
+        # Per-lane constants, one column each (see :meth:`advance`).
+        self.constants = np.array(
+            [
+                (
+                    lane.solver.energy_weight * lane.system.global_rounds,
+                    lane.config.residual_tol * lane.residual_scale,
+                    lane.config.step_tol,
+                    lane.config.max_iterations,
+                    lane.config.damping_xi,
+                    lane.config.damping_eps,
+                )
+                for lane in lanes
+            ]
+        )
+        self.last_multiplier = np.zeros(len(lanes))
+        self.iteration = 0
+        # The round's resolved closed-form outcome and history notes (:meth:`resolve`).
+        self.inner: SP2Rows | None = None
+        self.notes: list[str] = []
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self.alpha[:, : self.power.shape[1]]
+
+    @property
+    def nu(self) -> np.ndarray:
+        return self.alpha[:, self.power.shape[1] :]
+
+    def _write_back(self, k: int) -> None:
+        """Hand row ``k``'s iterate to its lane (fallback ladder, final result)."""
+        lane, n = self.lanes[k], self.power.shape[1]
+        lane.power, lane.bandwidth = self.power[k], self.bandwidth[k]
+        lane.beta, lane.nu = self.alpha[k, :n], self.alpha[k, n:]
+
+    def _keep(self, rows: np.ndarray) -> None:
+        """Compact the stack to the given rows."""
+        self.slots = [self.slots[k] for k in rows.tolist()]
+        self.lanes = [self.lanes[k] for k in rows.tolist()]
+        self.system = self.system.take(rows)
+        for name in (
+            "min_rate", "power", "bandwidth", "alpha", "scale", "constants", "last_multiplier"
+        ):
+            setattr(self, name, getattr(self, name)[rows])
+
+    def resolve(self, out: SP2Rows) -> list[tuple[int, Exception]]:
+        """Take the round's closed-form outcome, falling back where needed.
+
+        A feasible closed-form row is kept as is and its roots become the
+        lane's next hint; a raised or infeasible one goes through the lane's
+        fallback ladder (:meth:`_BatchLane.resolve_inner`), whose result
+        replaces the row.  Returns the ``(slot, exception)`` of every lane
+        that failed; they leave the stack.
+        """
+        self.inner = out
+        self.notes = ["kkt"] * len(self.lanes)
+        failed: list[tuple[int, Exception]] = []
+        for k, lane in enumerate(self.lanes):
+            if out.errors[k] is None and (
+                out.feasible[k] or not lane.config.use_numeric_fallback
+            ):
+                root = out.roots[k]
+                lane.hint = None if root is None else (float(out.mu[k]), root)
+                continue
+            self._write_back(k)
+            attempt = out.result(k)
+            try:
+                inner = lane.resolve_inner(attempt)
+            except (InfeasibleProblemError, ConvergenceError) as exc:
+                failed.append((k, exc))
+                continue
+            if inner is not attempt:
+                out.power[k], out.bandwidth[k] = inner.power_w, inner.bandwidth_hz
+                out.rates[k] = lane.system.rates_bps(inner.power_w, inner.bandwidth_hz)
+                out.feasible[k] = inner.feasible
+                out.mu[k] = inner.bandwidth_multiplier
+                self.notes[k] = inner.method
+        return self._drop(failed)
+
+    def _drop(self, failed: list[tuple[int, Exception]]) -> list[tuple[int, Exception]]:
+        """Remove the failed rows (stack and round outcome); return their slots."""
+        if not failed:
+            return []
+        gone = {k for k, _ in failed}
+        rows = np.array([k for k in range(len(self.lanes)) if k not in gone], dtype=int)
+        out = self.inner
+        self.inner = SP2Rows(
+            out.power[rows],
+            out.bandwidth[rows],
+            out.rates[rows],
+            out.tau[rows],
+            out.mu[rows],
+            out.feasible[rows],
+            out.objective[rows],
+            [out.roots[k] for k in rows.tolist()],
+            [out.errors[k] for k in rows.tolist()],
+        )
+        self.notes = [self.notes[k] for k in rows.tolist()]
+        slots = [(self.slots[k], exc) for k, exc in failed]
+        self._keep(rows)
+        return slots
+
+    def advance(self) -> list[tuple[int, Exception]]:
+        """One Algorithm-1 iteration of every lane, given the resolved inner solve.
+
+        The convergence tests, then (for lanes that did not converge) the
+        damped Newton update of ``(beta, nu)`` — steps 5-6 of Algorithm 1.
+        A lane that exhausts ``max_iterations`` still takes that last
+        update, so its final ``(beta, nu)`` track the ratios of its final
+        ``(p, B)``.  Stopped lanes get their final iterate written back and
+        leave the stack; returns the ``(slot, exception)`` of lanes whose
+        iterate has a zero rate.
+        """
+        inner = self.inner
+        self.iteration += 1
+        np.copyto(self.last_multiplier, inner.mu, where=inner.mu > 0.0)
+        gone: list[tuple[int, Exception]] = []
+        if not (inner.rates > 0.0).all():
+            gone = self._drop(
+                [
+                    (k, InfeasibleProblemError(_ZERO_RATE))
+                    for k in np.flatnonzero(np.any(inner.rates <= 0.0, axis=1)).tolist()
+                ]
+            )
+            inner = self.inner
+        power, bandwidth, rates = inner.power, inner.bandwidth, inner.rates
+        lanes, n = power.shape
+        objective_scale, residual_bound, step_tol, max_iterations, xi, eps = self.constants.T
+
+        # phi(alpha) = -(p d, w1 R_g) + alpha (G, G); its exact root is the target.
+        demand = power * self.system.bits
+        phi0 = -np.concatenate([demand, self.scale], axis=1)
+        rates2 = np.concatenate([rates, rates], axis=1)
+        residual_norm = row_norms(phi0 + self.alpha * rates2)
+        ratios = demand / rates
+        objective = objective_scale * ratios.sum(axis=1)
+        norms = row_norms(
+            np.concatenate(
+                [power - self.power, self.power, bandwidth - self.bandwidth, self.bandwidth]
+            )
+        ).reshape(4, lanes)
+        step_change = norms[0] / np.maximum(norms[1], 1e-30) + norms[2] / np.maximum(
+            norms[3], 1e-30
+        )
+        for lane, value, norm, change, note in zip(
+            self.lanes, objective.tolist(), residual_norm.tolist(), step_change.tolist(),
+            self.notes,
+        ):
+            lane.history.append(value, residual=norm, step_change=change, note=note)
+
+        self.power, self.bandwidth = power, bandwidth
+        converged = residual_norm <= residual_bound
+        if self.iteration > 1:
+            converged |= step_change <= step_tol
+        settled = converged.tolist()
+        if not all(settled):
+            moving: np.ndarray | slice = slice(None)
+            if any(settled):
+                moving = np.flatnonzero(~converged)
+            phi0, rates2, alpha = phi0[moving], rates2[moving], self.alpha[moving]
+            target = np.concatenate([ratios[moving], self.scale[moving] / rates[moving]], axis=1)
+
+            def residual(candidate: np.ndarray, rows: np.ndarray | slice) -> np.ndarray:
+                return phi0[rows] + candidate * rates2[rows]
+
+            update = damped_newton_step_rows(
+                alpha,
+                residual,
+                target - alpha,
+                base_norm=residual_norm[moving],
+                xi=xi[moving],
+                eps=eps[moving],
+            )
+            if isinstance(moving, slice):
+                self.alpha = update.alpha
+            else:
+                self.alpha = self.alpha.copy()
+                self.alpha[moving] = update.alpha
+
+        stop = (converged | (self.iteration >= max_iterations)).tolist()
+        if any(stop):
+            for k in [k for k, done in enumerate(stop) if done]:
+                self._write_back(k)
+                lane = self.lanes[k]
+                lane.converged = bool(converged[k])
+                lane.feasible = bool(inner.feasible[k])
+                lane.last_multiplier = float(self.last_multiplier[k])
+                lane.iteration = self.iteration
+            if all(stop):
+                self.lanes = []
+            else:
+                self._keep(np.array([k for k, done in enumerate(stop) if not done]))
+        return gone
+
+
 def solve_sum_of_ratios_rows(
     solvers: Sequence[SumOfRatiosSolver],
     min_rates: Sequence[np.ndarray],
@@ -354,16 +503,19 @@ def solve_sum_of_ratios_rows(
     """Lockstep batch of independent Algorithm-1 solves.
 
     Lane ``i`` runs Algorithm 1 for ``solvers[i]`` from ``(initial_powers[i],
-    initial_bandwidths[i])`` under ``min_rates[i]``.  Each round, every
-    active lane's SP2_v2 closed form is solved by one
-    :func:`~repro.core.subproblem2.solve_sp2_v2_rows` call per SP2 backend
-    (the kernel picks its 1-D or rows search by lane count), then the
-    per-lane bookkeeping (fallback ladder, residuals, convergence tests,
-    damped Newton update) runs lane by lane.  Converged or failed lanes drop
-    out of subsequent rounds; stragglers keep iterating.  From its second
-    round on, a lane's multiplier search starts warm from its previous
-    round's multiplier (:class:`_BatchLane`'s ``hint``), falling back to a
-    cold start when that fails; either start gives the same bits.
+    initial_bandwidths[i])`` under ``min_rates[i]``.  Lanes with the same
+    device count and SP2 backend form one :class:`_LaneRows` stack, whose
+    system constants are stacked once here.  Each round, every stack's
+    SP2_v2 closed form is solved by one :func:`_solve_sp2_stacks` call per
+    backend (multiplier searches grouped across stacks by constrained-device
+    count, the allocation tail once per stack), then each stack takes one
+    Algorithm-1 iteration for all its lanes at once (convergence tests and
+    damped Newton update); only the rare fallback ladder runs per lane.
+    Converged or failed lanes drop out of subsequent rounds; stragglers
+    keep iterating.  From its second round on, a lane's multiplier search
+    starts warm from its previous round's multiplier (:class:`_BatchLane`'s
+    ``hint``), falling back to a cold start when that fails; either start
+    gives the same bits.
 
     A lane's result does not depend on its neighbours: a batch of one
     (:meth:`SumOfRatiosSolver.solve`) gives the same bits.  Exceptions (e.g.
@@ -382,39 +534,35 @@ def solve_sum_of_ratios_rows(
             )
         except InfeasibleProblemError as exc:
             results[i] = exc
-    active = [i for i in lanes if lanes[i].config.max_iterations >= 1]
-    while active:
-        groups: dict[str, list[int]] = {}
-        for i in active:
-            groups.setdefault(lanes[i].solver.backend, []).append(i)
-        inners: dict[int, SP2Result] = {}
+    groups: dict[tuple[int, str], list[int]] = {}
+    for i, lane in lanes.items():
+        if lane.config.max_iterations >= 1:
+            groups.setdefault((lane.system.num_devices, lane.solver.backend), []).append(i)
+    stacks = [_LaneRows(slots, [lanes[i] for i in slots]) for slots in groups.values()]
+
+    def fail(failures: list[tuple[int, Exception]]) -> None:
+        for i, exc in failures:
+            results[i] = exc
+            lanes.pop(i)
+
+    while stacks:
         with stage("sp2_inner"):
-            for backend, group in groups.items():
-                attempts = solve_sp2_v2_rows(
-                    [lanes[i].system for i in group],
-                    [lanes[i].nu for i in group],
-                    [lanes[i].beta for i in group],
-                    [lanes[i].min_rate for i in group],
+            for backend in dict.fromkeys(stack.backend for stack in stacks):
+                group = [stack for stack in stacks if stack.backend == backend]
+                outs = _solve_sp2_stacks(
+                    [stack.system for stack in group],
+                    [stack.nu for stack in group],
+                    [stack.beta for stack in group],
+                    [stack.min_rate for stack in group],
                     backend=backend,
-                    hints=[lanes[i].hint for i in group],
+                    hints=[[lane.hint for lane in stack.lanes] for stack in group],
                 )
-                for i, attempt in zip(group, attempts):
-                    try:
-                        inners[i] = lanes[i].resolve_inner(attempt)
-                    except (InfeasibleProblemError, ConvergenceError) as exc:
-                        results[i] = exc
-                        lanes.pop(i)
-        still: list[int] = []
-        for i in active:
-            if i not in inners:
-                continue
-            try:
-                if lanes[i].step(inners[i]):
-                    still.append(i)
-            except (InfeasibleProblemError, ConvergenceError) as exc:
-                results[i] = exc
-                lanes.pop(i)
-        active = still
+                for stack, out in zip(group, outs):
+                    fail(stack.resolve(out))
+        for stack in stacks:
+            if stack.lanes:
+                fail(stack.advance())
+        stacks = [stack for stack in stacks if stack.lanes]
     for i, lane in lanes.items():
         try:
             results[i] = lane.result()

@@ -22,10 +22,16 @@ implements the required numerical machinery directly:
 """
 
 from .bisection import bisect_scalar, bisect_vector
-from .boxlp import solve_box_budget_lp
+from .boxlp import solve_box_budget_lp, solve_box_budget_lp_rows
 from .dual_decomposition import minimize_separable_with_budget
 from .lambert import lambert_solve_vector, solve_x_log_x
-from .newton import DampedNewtonResult, damped_newton_step
+from .newton import (
+    DampedNewtonResult,
+    DampedNewtonRows,
+    damped_newton_step,
+    damped_newton_step_rows,
+    row_norms,
+)
 from .scalar import golden_section_scalar, golden_section_vector
 from .waterfilling import maximize_concave_on_simplex, power_waterfilling
 
@@ -33,11 +39,15 @@ __all__ = [
     "bisect_scalar",
     "bisect_vector",
     "solve_box_budget_lp",
+    "solve_box_budget_lp_rows",
     "minimize_separable_with_budget",
     "lambert_solve_vector",
     "solve_x_log_x",
     "DampedNewtonResult",
     "damped_newton_step",
+    "DampedNewtonRows",
+    "damped_newton_step_rows",
+    "row_norms",
     "golden_section_scalar",
     "golden_section_vector",
     "maximize_concave_on_simplex",

@@ -19,12 +19,19 @@ value and that target.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["DampedNewtonResult", "damped_newton_step"]
+__all__ = [
+    "DampedNewtonResult",
+    "DampedNewtonRows",
+    "damped_newton_step",
+    "damped_newton_step_rows",
+    "row_norms",
+]
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,38 @@ class DampedNewtonResult:
     accepted: bool
 
 
+@dataclass(frozen=True)
+class DampedNewtonRows:
+    """Outcome of one damped update per row: the fields of
+    :class:`DampedNewtonResult`, stacked."""
+
+    alpha: np.ndarray
+    residual_norm: np.ndarray
+    step_exponent: np.ndarray
+    step_size: np.ndarray
+    accepted: np.ndarray
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a 2-D stack, bit-identical per row to
+    ``np.linalg.norm(row)``: one BLAS dot per row, then ``sqrt``
+    (``np.linalg.norm(rows, axis=1)`` sums the squares in another order)."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).reshape(-1))
+
+
+def _check_damping(xi: float, eps: float) -> None:
+    if not 0.0 < xi < 1.0:
+        raise ValueError(f"xi must be in (0, 1), got {xi}")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
+
+
+@functools.lru_cache(maxsize=None)
+def _powers(xi: float, max_backtracks: int) -> tuple[float, ...]:
+    """``xi**j`` for ``j = 0..max_backtracks`` by Python's float power."""
+    return tuple(xi**j for j in range(max_backtracks + 1))
+
+
 def damped_newton_step(
     alpha: np.ndarray,
     residual: Callable[[np.ndarray], np.ndarray],
@@ -48,6 +87,8 @@ def damped_newton_step(
     max_backtracks: int = 30,
 ) -> DampedNewtonResult:
     """Perform one damped Newton update with the Armijo-like rule (29).
+
+    A one-row :func:`damped_newton_step_rows` call.
 
     Parameters
     ----------
@@ -63,41 +104,107 @@ def damped_newton_step(
     max_backtracks:
         Maximum exponent ``j`` tried before accepting the smallest step.
     """
-    if not 0.0 < xi < 1.0:
-        raise ValueError(f"xi must be in (0, 1), got {xi}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    _check_damping(xi, eps)
     alpha = np.asarray(alpha, dtype=float)
     direction = np.asarray(newton_direction, dtype=float)
-    base_norm = float(np.linalg.norm(residual(alpha)))
-    if base_norm == 0.0:
-        return DampedNewtonResult(
-            alpha=alpha, residual_norm=0.0, step_exponent=0, step_size=1.0, accepted=True
-        )
+
+    def residual_rows(candidates: np.ndarray, rows: np.ndarray | slice) -> np.ndarray:
+        return np.asarray(residual(candidates[0]), dtype=float).reshape(1, -1)
+
+    step = damped_newton_step_rows(
+        alpha[None],
+        residual_rows,
+        direction[None],
+        base_norm=row_norms(residual_rows(alpha[None], slice(None))),
+        xi=np.array([xi]),
+        eps=np.array([eps]),
+        max_backtracks=max_backtracks,
+    )
+    return DampedNewtonResult(
+        alpha=step.alpha[0],
+        residual_norm=float(step.residual_norm[0]),
+        step_exponent=int(step.step_exponent[0]),
+        step_size=float(step.step_size[0]),
+        accepted=bool(step.accepted[0]),
+    )
+
+
+def damped_newton_step_rows(
+    alpha: np.ndarray,
+    residual: Callable[[np.ndarray, np.ndarray | slice], np.ndarray],
+    newton_direction: np.ndarray,
+    *,
+    base_norm: np.ndarray,
+    xi: np.ndarray,
+    eps: np.ndarray,
+    max_backtracks: int = 30,
+) -> DampedNewtonRows:
+    """One damped Newton update (29) for every row of an ``alpha`` stack.
+
+    Each row runs its own line search with its own backtrack exponent.
+    ``residual(candidates, rows)`` returns ``phi`` of the candidate rows,
+    ``rows`` selecting them (an index array, or ``slice(None)`` for all);
+    ``base_norm`` is ``|phi(alpha)|`` per row, which the caller already
+    holds; ``xi`` and ``eps`` are per-row damping constants.  Every row gets
+    the bits of a one-row call: the step ``xi**j`` is Python's power, norms
+    are :func:`row_norms`, and a row whose line search runs out of
+    backtracks takes the smallest step with ``accepted`` false.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    direction = np.asarray(newton_direction, dtype=float)
+    xi_list = np.asarray(xi, dtype=float).tolist()
+    eps = np.asarray(eps, dtype=float)
+    for pair in set(zip(xi_list, eps.tolist())):
+        _check_damping(*pair)
+    steps = np.array([_powers(x, max_backtracks) for x in xi_list])
+    lanes = alpha.shape[0]
+
+    out: DampedNewtonRows | None = None
+    rows: np.ndarray | slice = slice(None)
+    if not base_norm.all():
+        # A zero residual is already a root: the row keeps alpha.
+        out = _unmoved(alpha)
+        rows = np.flatnonzero(base_norm)
+        alpha, direction, base_norm = alpha[rows], direction[rows], base_norm[rows]
+        eps, steps = eps[rows], steps[rows]
     # A bounded line search *is* the fallback: exhaustion takes the smallest
     # step and reports it via accepted=False, which the caller's damping
     # logic (condition (29)) handles — not a silent convergence miss.
-    for j in range(max_backtracks + 1):  # repro-lint: disable=RL002 -- exhaustion is recorded in DampedNewtonResult.accepted
-        step = xi**j
-        candidate = alpha + step * direction
-        norm = float(np.linalg.norm(residual(candidate)))
-        if norm <= (1.0 - eps * step) * base_norm:
-            return DampedNewtonResult(
-                alpha=candidate,
-                residual_norm=norm,
-                step_exponent=j,
-                step_size=step,
-                accepted=True,
-            )
-    # No step satisfied the decrease condition; take the smallest step anyway
-    # so the outer loop can still make progress (matches the behaviour of a
-    # bounded line search).
-    step = xi**max_backtracks
-    candidate = alpha + step * direction
-    return DampedNewtonResult(
-        alpha=candidate,
-        residual_norm=float(np.linalg.norm(residual(candidate))),
-        step_exponent=max_backtracks,
-        step_size=step,
-        accepted=False,
+    for j in range(max_backtracks + 1):  # repro-lint: disable=RL002 -- exhaustion is recorded in DampedNewtonRows.accepted
+        if not alpha.shape[0]:
+            break
+        step = steps[:, j]
+        candidate = alpha + step[:, None] * direction
+        norm = row_norms(residual(candidate, rows))
+        done = accepted = norm <= (1.0 - eps * step) * base_norm
+        if j == max_backtracks:
+            # No step satisfied the decrease condition; take the smallest
+            # step anyway so the outer loop can still make progress.
+            done = np.ones_like(accepted)
+        if out is None:
+            if done.all():
+                # Every row settled in the same pass (the common case).
+                return DampedNewtonRows(candidate, norm, np.full(lanes, j), step, accepted)
+            out = _unmoved(alpha)
+            rows = np.arange(lanes)
+        taken = rows[done]
+        out.alpha[taken], out.residual_norm[taken] = candidate[done], norm[done]
+        out.step_exponent[taken], out.step_size[taken] = j, step[done]
+        out.accepted[taken] = accepted[done]
+        keep = ~done
+        rows, alpha, direction = rows[keep], alpha[keep], direction[keep]
+        base_norm, eps, steps = base_norm[keep], eps[keep], steps[keep]
+    assert out is not None
+    return out
+
+
+def _unmoved(alpha: np.ndarray) -> DampedNewtonRows:
+    """Rows that keep ``alpha``: a zero-residual row's update."""
+    lanes = alpha.shape[0]
+    return DampedNewtonRows(
+        alpha.copy(),
+        np.zeros(lanes),
+        np.zeros(lanes, dtype=int),
+        np.ones(lanes),
+        np.ones(lanes, dtype=bool),
     )

@@ -37,7 +37,9 @@ _BANDWIDTH_FLOOR_HZ = 1e-6
 _BANDWIDTH_TOL = 1e-9
 
 
-def _open_band_rate(gp: np.ndarray, b: np.ndarray, noise_psd: float) -> np.ndarray:
+def _open_band_rate(
+    gp: np.ndarray, b: np.ndarray, noise_psd: np.ndarray | float
+) -> np.ndarray:
     """``B log2(1 + g p / (N0 B))`` for bands ``B > 0``, given ``g p``."""
     return b * np.log2(1.0 + gp / (noise_psd * b))
 
@@ -46,11 +48,13 @@ def shannon_rate(
     power_w: np.ndarray | float,
     bandwidth_hz: np.ndarray | float,
     gain: np.ndarray | float,
-    noise_psd: float,
+    noise_psd: np.ndarray | float,
 ) -> np.ndarray:
     """Achievable rate ``B log2(1 + g p / (N0 B))`` in bit/s.
 
-    Zero bandwidth yields zero rate (the limit of the formula).
+    Zero bandwidth yields zero rate (the limit of the formula).  The noise
+    PSD may be an array broadcasting against the others (one per lane of a
+    stack).
     """
     p = np.asarray(power_w, dtype=float)
     b = np.asarray(bandwidth_hz, dtype=float)
@@ -59,10 +63,10 @@ def shannon_rate(
         # Every band is open: no masking needed.
         rate = _open_band_rate(g * p, b, noise_psd)
         return rate[()] if rate.ndim == 0 else rate
-    p, b, g = np.broadcast_arrays(p, b, g)
+    p, b, g, n0 = np.broadcast_arrays(p, b, g, np.asarray(noise_psd, dtype=float))
     rate = np.zeros(p.shape, dtype=float)
     positive = b > 0.0
-    rate[positive] = _open_band_rate(g[positive] * p[positive], b[positive], noise_psd)
+    rate[positive] = _open_band_rate(g[positive] * p[positive], b[positive], n0[positive])
     if rate.ndim == 0:
         return rate[()]
     return rate
@@ -86,23 +90,24 @@ def required_power_for_rate(
     rate_bps: np.ndarray | float,
     bandwidth_hz: np.ndarray | float,
     gain: np.ndarray | float,
-    noise_psd: float,
+    noise_psd: np.ndarray | float,
 ) -> np.ndarray:
     """Power needed so that ``shannon_rate`` meets ``rate_bps`` exactly.
 
     ``p = (2^(r/B) - 1) N0 B / g``.  A zero target rate needs zero power;
-    a positive target in a zero band needs infinite power.
+    a positive target in a zero band needs infinite power.  The noise PSD
+    may be an array broadcasting against the others.
     """
     r = np.asarray(rate_bps, dtype=float)
     b = np.asarray(bandwidth_hz, dtype=float)
     g = np.asarray(gain, dtype=float)
-    r, b, g = np.broadcast_arrays(r, b, g)
+    r, b, g, n0 = np.broadcast_arrays(r, b, g, np.asarray(noise_psd, dtype=float))
     power = np.zeros(r.shape, dtype=float)
     zero_rate = r <= 0.0
     zero_band = (b <= 0.0) & ~zero_rate
     ok = ~zero_rate & ~zero_band
     power[zero_band] = np.inf
-    power[ok] = (2.0 ** (r[ok] / b[ok]) - 1.0) * noise_psd * b[ok] / g[ok]
+    power[ok] = (2.0 ** (r[ok] / b[ok]) - 1.0) * n0[ok] * b[ok] / g[ok]
     if power.ndim == 0:
         return power[()]
     return power

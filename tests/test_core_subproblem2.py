@@ -14,6 +14,7 @@ from repro.core.verify import check_kkt
 from repro.exceptions import ConvergenceError, InfeasibleProblemError
 from tests.mu_search_reference import rooted_problem
 from tests.mu_search_vector_reference import mu_search_vector_reference
+from tests.sp2_tail_reference import _sp2_prepare
 
 
 def _setup(system, *, energy_weight=0.5, bandwidth_fraction=0.5, deadline_factor=1.0):
@@ -146,7 +147,7 @@ def test_expansion_exhaustion_raises_convergence_error(
     # positive there and the bracket must expand upward — which the
     # zeroed cap forbids.
     nu, beta, min_rate = _demanding_setup(tiny_system)
-    _, _, _, j, constrained = subproblem2._sp2_prepare(tiny_system, nu, beta, min_rate)
+    _, _, _, j, constrained = _sp2_prepare(tiny_system, nu, beta, min_rate)
     reference = solve_sp2_v2(tiny_system, nu, beta, min_rate, backend=backend)
     assert reference.bandwidth_multiplier > 10.0 * np.median(j[constrained])
     monkeypatch.setattr(subproblem2, "MU_BRACKET_MAX_EXPANSIONS", 0)

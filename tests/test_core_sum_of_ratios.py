@@ -104,14 +104,14 @@ def _recorded_hints(monkeypatch, solver, *args):
     from repro.core import sum_of_ratios
 
     calls = []
-    solve_rows = sum_of_ratios.solve_sp2_v2_rows
+    solve_stacks = sum_of_ratios._solve_sp2_stacks
 
     def recording(*a, hints=None, **kw):
-        attempts = solve_rows(*a, hints=hints, **kw)
-        calls.append((hints[0], attempts[0]))
-        return attempts
+        stacks = solve_stacks(*a, hints=hints, **kw)
+        calls.append((hints[0][0], stacks[0].result(0)))
+        return stacks
 
-    monkeypatch.setattr(sum_of_ratios, "solve_sp2_v2_rows", recording)
+    monkeypatch.setattr(sum_of_ratios, "_solve_sp2_stacks", recording)
     result = solver.solve(*args)
     return calls, result
 
@@ -140,11 +140,11 @@ def test_hints_do_not_move_the_result(monkeypatch, tiny_system):
     power, bandwidth, min_rate = _setup(tiny_system)
     solver = SumOfRatiosSolver(tiny_system, 0.5)
     warm = solver.solve(min_rate, power, bandwidth)
-    solve_rows = sum_of_ratios.solve_sp2_v2_rows
+    solve_stacks = sum_of_ratios._solve_sp2_stacks
     monkeypatch.setattr(
         sum_of_ratios,
-        "solve_sp2_v2_rows",
-        lambda *a, hints=None, **kw: solve_rows(*a, **kw),
+        "_solve_sp2_stacks",
+        lambda *a, hints=None, **kw: solve_stacks(*a, **kw),
     )
     cold = solver.solve(min_rate, power, bandwidth)
     assert warm.power_w.tobytes() == cold.power_w.tobytes()

@@ -416,6 +416,112 @@ def test_mu_search_lambert_calls_are_deterministic_and_within_budget(monkeypatch
     assert _mu_search_work(monkeypatch, batch_size=None) == batched
 
 
+def _algorithm1_tail_work(monkeypatch, batch_size):
+    """Work of the Algorithm-1 tail over the fig2 bench sweep, solved per
+    drop (``batch_size=1``) or batched: the rounds (closed-form calls) and
+    the stacks they solve, the stacked allocation-tail and step calls, the
+    rate-formula evaluations inside Algorithm 1, the Algorithm-1 runs, and
+    the summed outer (Algorithm 2) and inner (Algorithm 1) iterations."""
+    from repro.core import allocator, subproblem2, sum_of_ratios
+    from repro.core.allocator import ResourceAllocator
+    from repro.experiments.fig2 import run_fig2
+    from repro.experiments.runner import SweepRunner
+    from repro.wireless import rate
+
+    work = dict.fromkeys(
+        ("rounds", "stacks", "finish", "advance", "rates", "runs", "outer", "inner"), 0
+    )
+    inside = False
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            work[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    algorithm1 = allocator.solve_sum_of_ratios_rows
+
+    def timed_algorithm1(solvers, *args):
+        nonlocal inside
+        inside = True
+        try:
+            results = algorithm1(solvers, *args)
+        finally:
+            inside = False
+        work["runs"] += len(solvers)
+        work["inner"] += sum(r.iterations for r in results)
+        return results
+
+    solve_batch, solve = ResourceAllocator.solve_batch, ResourceAllocator.solve
+
+    def outer_batch(self, *args, **kwargs):
+        results = solve_batch(self, *args, **kwargs)
+        work["outer"] += sum(r.iterations for r in results)
+        return results
+
+    def outer_one(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        work["outer"] += result.iterations
+        return result
+
+    open_band = rate._open_band_rate
+
+    def counting_rate(*args):
+        work["rates"] += inside
+        return open_band(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(allocator, "solve_sum_of_ratios_rows", timed_algorithm1)
+        patch.setattr(ResourceAllocator, "solve_batch", outer_batch)
+        patch.setattr(ResourceAllocator, "solve", outer_one)
+        patch.setattr(rate, "_open_band_rate", counting_rate)
+        solve_stacks = sum_of_ratios._solve_sp2_stacks
+
+        def counting_stacks(stacks, *args, **kwargs):
+            work["rounds"] += 1
+            work["stacks"] += len(stacks)
+            return solve_stacks(stacks, *args, **kwargs)
+
+        patch.setattr(sum_of_ratios, "_solve_sp2_stacks", counting_stacks)
+        patch.setattr(
+            subproblem2, "_sp2_finish_rows", counting("finish", subproblem2._sp2_finish_rows)
+        )
+        patch.setattr(
+            sum_of_ratios._LaneRows, "advance", counting("advance", sum_of_ratios._LaneRows.advance)
+        )
+        runner = SweepRunner(jobs=1, use_cache=False, batch_size=batch_size)
+        table = run_fig2(bench.bench_config(False), runner=runner)
+    assert runner.last_stats.failed == 0
+    assert len(table.rows) > 0
+    return work
+
+
+def test_algorithm1_tail_runs_once_per_round_per_stack(monkeypatch):
+    """The fig2 bench sweep's 48 lanes (144 Algorithm-1 runs of 20 devices,
+    986 lane-iterations) build their SP2_v2 allocations and take their
+    damped Newton step once per round for the whole stack: 24 stacked tail
+    and step calls batched (986 per-lane ``_sp2_finish`` and
+    ``_BatchLane.step`` calls before), one per lane-iteration per drop.
+
+    Rate-formula evaluations inside Algorithm 1: one per stack and round
+    (the allocation's rates, reused by the feasibility verdict, the SP2
+    objective and the step) plus one at each run's start and one for its
+    result; batched 312 (before: 4,232, four per lane-iteration), per drop
+    1,274 (before: 4,232).  Outer and inner iterations are the per-drop
+    run's."""
+    batched = _algorithm1_tail_work(monkeypatch, batch_size=None)
+    per_drop = _algorithm1_tail_work(monkeypatch, batch_size=1)
+    for work in (batched, per_drop):
+        assert work["runs"] == 144
+        assert work["finish"] == work["advance"] == work["stacks"]
+        assert work["rates"] == work["stacks"] + 2 * work["runs"]
+    assert batched["rounds"] == batched["stacks"] == 24
+    assert per_drop["rounds"] == per_drop["stacks"] == per_drop["inner"] == 986
+    assert (batched["outer"], batched["inner"]) == (per_drop["outer"], per_drop["inner"])
+    assert _algorithm1_tail_work(monkeypatch, batch_size=None) == batched
+
+
 def _delay_min_rate_evaluations(monkeypatch):
     """Rate-formula evaluations per ``minimize_max_upload_time`` call on the
     80 ten-device paper/hotspot drops (seeds 0-39)."""
