@@ -13,11 +13,12 @@ until the allocation stops changing (tolerance ``epsilon_0``) or the
 iteration budget ``K`` is exhausted.
 
 There is one driver: a lockstep loop over independent problems ("lanes")
-that runs each step for every active lane at once.
-:meth:`ResourceAllocator.solve` is a batch of one lane and
-:meth:`ResourceAllocator.solve_batch` a batch of many; the numeric kernels
-underneath pick their 1-D or rows form by lane count, so a lane's result
-does not depend on the batch it ran in.
+that runs each outer round once per stack of same-size lanes, as row
+operations.  :meth:`ResourceAllocator.solve` is a batch of one lane and
+:meth:`ResourceAllocator.solve_batch` a batch of many; every row keeps the
+bits of the per-lane formulas and the numeric kernels underneath pick their
+1-D or rows form by lane count, so a lane's result does not depend on the
+batch it ran in.
 
 Two special regimes are handled exactly as the paper's experiments use them:
 
@@ -34,25 +35,21 @@ Two special regimes are handled exactly as the paper's experiments use them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..exceptions import InfeasibleProblemError
+from ..exceptions import ConfigurationError, InfeasibleProblemError
 from ..perf.timers import stage
 from ..solvers.dual_decomposition import minimize_separable_with_budget
-from ..wireless.rate import min_bandwidth_for_rate
+from ..solvers.newton import row_norms
+from ..wireless.rate import min_bandwidth_for_rate, shannon_rate
 from .allocation import ResourceAllocation
 from .convergence import ConvergenceHistory
 from .problem import JointProblem
-from .subproblem1 import solve_subproblem1_rows
-from .subproblem2 import validate_backend
-from .sum_of_ratios import (
-    SumOfRatiosConfig,
-    SumOfRatiosResult,
-    SumOfRatiosSolver,
-    solve_sum_of_ratios_rows,
-)
+from .subproblem1 import FrequencyRows, solve_subproblem1_stack
+from .subproblem2 import SystemRows, validate_backend
+from .sum_of_ratios import SumOfRatiosConfig, _LaneRows, solve_sum_of_ratios_stacks
 from .uplink_delay import minimize_max_upload_time
 
 __all__ = ["AllocatorConfig", "AllocationResult", "ResourceAllocator"]
@@ -120,54 +117,297 @@ class AllocationResult:
         }
 
 
-class _Lane:
-    """Mutable Algorithm-2 state of one lane of the lockstep driver."""
+class _Final(NamedTuple):
+    """A lane's last Algorithm-2 state, reported by :meth:`ResourceAllocator._finalize`."""
 
-    def __init__(self, problem: JointProblem, allocation: ResourceAllocation) -> None:
-        self.problem = problem
-        self.allocation = allocation
-        self.history = ConvergenceHistory()
-        self.converged = False
-        self.feasible = True
-        self.inner_iterations = 0
-        self.round_deadline = allocation.round_time_s(problem.system)
+    problem: JointProblem
+    allocation: ResourceAllocation
+    round_deadline: float
+    history: ConvergenceHistory
+    converged: bool = False
+    iterations: int = 0
+    feasible: bool = True
+    inner_iterations: int = 0
+    mu: float = 0.0
+
+
+def _upload_times(bits: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """:meth:`SystemModel.upload_time_s` per row: ``d / r``, infinite at a zero rate."""
+    return np.divide(bits, rates, out=np.full(rates.shape, np.inf), where=rates > 0.0)
+
+
+class _Stack:
+    """The running Algorithm-2 lanes of one device count, as row operations.
+
+    ``(p, B, f)`` are ``(lanes, n)`` stacks and the system constants are
+    stacked once per :meth:`ResourceAllocator.solve_batch` call: the radio
+    side as :class:`SystemRows`, the CPU side (cycles, ``kappa`` times
+    cycles, the frequency bounds, ``R_g``) as :class:`FrequencyRows`, and
+    the weights as columns.  One outer round is :meth:`subproblem1`,
+    :meth:`delay_step`, :meth:`algorithm1` (the stack's Algorithm-1 runs,
+    solved beside the other stacks'), :meth:`accept` and :meth:`finish`.
+    The rates of the round's starting ``(p, B)`` are evaluated once and
+    serve Subproblem 1's upload times, the rate requirements' fallback and
+    the current objective; the step's candidate gets one more evaluation,
+    whose objective is also the history's.  Each row keeps the bits of the
+    per-lane formulas: the objective sums ``E^trans + E^cmp`` per device
+    and then over devices (:meth:`JointProblem.objective`), row sums run
+    over C-contiguous stacks (the 1-D pairwise tree), and norms are
+    per-row dots (:func:`row_norms`).  Each check of the per-lane
+    :class:`ResourceAllocation` runs on the rows it guards and fails only
+    its own lane.  Rows are compacted when lanes stop or fail.
+    """
+
+    def __init__(
+        self,
+        slots: list[int],
+        problems: list[JointProblem],
+        allocations: list[ResourceAllocation],
+    ) -> None:
+        systems = [problem.system for problem in problems]
+        self.slots, self.problems, self.systems = slots, problems, systems
+        self.deadlines = [problem.round_deadline_s for problem in problems]
+        self.histories = [ConvergenceHistory() for _ in slots]
+        self.radio = SystemRows.of(systems)
+        self.cpu = FrequencyRows.of(systems)
+        self.w1 = np.array([problem.energy_weight for problem in problems], dtype=float)
+        self.w2 = np.array([problem.time_weight for problem in problems], dtype=float)
+        self.power = np.array([a.power_w for a in allocations])
+        self.bandwidth = np.array([a.bandwidth_hz for a in allocations])
+        self.frequency = np.array([a.frequency_hz for a in allocations])
+        self.round_deadline = np.zeros(len(slots))
+        self.feasible = np.ones(len(slots), dtype=bool)
+        self.inner_iterations = np.zeros(len(slots), dtype=int)
+        self.mu = np.zeros(len(slots))
         self.iteration = 0
-        self.last_mu = 0.0
+        # Round state (set by the round's steps, compacted with the rows).
+        self.previous_power = self.previous_bandwidth = self.previous_frequency = None
+        self.rates = self.upload = self.next_power = self.next_bandwidth = None
+        self.objective = None
+        self.a1 = np.zeros(0, dtype=int)
 
-    def min_rate_requirements(self) -> np.ndarray:
-        """Per-device rates the current frequencies and deadline demand."""
-        allocation = self.allocation
-        min_rate = self.problem.min_rate_requirements(
-            allocation.frequency_hz, self.round_deadline
+    _ROWS = (
+        "w1", "w2", "power", "bandwidth", "frequency", "round_deadline", "feasible",
+        "inner_iterations", "mu", "previous_power", "previous_bandwidth",
+        "previous_frequency", "rates", "upload", "next_power", "next_bandwidth", "objective",
+    )
+
+    def _drop(self, failed: list[tuple[int, Exception]]) -> list[tuple[int, Exception]]:
+        """Remove the failed rows; return their ``(slot, exception)``."""
+        if not failed:
+            return []
+        slots = [(self.slots[k], exc) for k, exc in failed]
+        gone = {k for k, _ in failed}
+        self._keep(np.array([k for k in range(len(self.slots)) if k not in gone], dtype=int))
+        return slots
+
+    def _keep(self, rows: np.ndarray) -> None:
+        """Compact the stack to the given rows."""
+        picked = rows.tolist()
+        for name in ("slots", "problems", "systems", "deadlines", "histories"):
+            values = getattr(self, name)
+            setattr(self, name, [values[k] for k in picked])
+        self.radio, self.cpu = self.radio.take(rows), self.cpu.take(rows)
+        for name in self._ROWS:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[rows])
+
+    def subproblem1(self, method: str) -> list[tuple[int, Exception]]:
+        """Step 1: the frequencies and round deadline for the current upload times."""
+        self.iteration += 1
+        self.previous_power, self.previous_bandwidth = self.power, self.bandwidth
+        self.previous_frequency = self.frequency
+        radio = self.radio
+        rates = shannon_rate(self.power, self.bandwidth, radio.gains, radio.noise)
+        self.rates, self.upload = rates, _upload_times(radio.bits, rates)
+        frequency, deadline, status = solve_subproblem1_stack(
+            self.systems, self.cpu, self.w1, self.w2, self.upload, self.deadlines, method
         )
-        # The frequencies chosen by Subproblem 1 guarantee positive slack, so
-        # the requirements are finite; numerical round-off can still produce
-        # an infinity when a device sits exactly on the deadline.
-        return np.where(
-            np.isfinite(min_rate),
-            min_rate,
-            self.problem.system.rates_bps(allocation.power_w, allocation.bandwidth_hz),
+        failed = [(k, s) for k, s in enumerate(status) if isinstance(s, Exception)]
+        # ``ResourceAllocation``'s check on the new frequencies.
+        failed += [
+            (k, ConfigurationError("CPU frequencies must be strictly positive"))
+            for k in np.flatnonzero((frequency <= 0.0).any(axis=1)).tolist()
+            if not isinstance(status[k], Exception)
+        ]
+        self.frequency, self.round_deadline = frequency, deadline
+        return self._drop(sorted(failed, key=lambda item: item[0]))
+
+    def delay_step(self) -> list[tuple[int, Exception]]:
+        """Step 2 of the ``w1 = 0`` (deadline) lanes: the min-max upload split."""
+        self.next_power, self.next_bandwidth = self.power.copy(), self.bandwidth.copy()
+        failed: list[tuple[int, Exception]] = []
+        for k in np.flatnonzero(~(self.w1 > 0.0)).tolist():
+            try:
+                uplink = minimize_max_upload_time(self.systems[k])
+            except Exception as exc:  # repro-lint: disable=RL005 -- lane isolation: one bad problem must fail its own slot, not the batch
+                failed.append((k, exc))
+                continue
+            self.next_power[k], self.next_bandwidth[k] = uplink.power_w, uplink.bandwidth_hz
+        return self._drop(failed)
+
+    def algorithm1(self, config: SumOfRatiosConfig, backend: str) -> _LaneRows | None:
+        """Step 2 of the ``w1 > 0`` lanes: their Algorithm-1 runs, started.
+
+        The rate requirements ``d / (T - R_l c D / f)``, falling back to the
+        current rates where a requirement is not finite (a device exactly
+        on the deadline).
+        """
+        self.a1 = a1 = np.flatnonzero(self.w1 > 0.0)
+        if not a1.size:
+            return None
+        slack = self.round_deadline[a1, None] - self.cpu.cycles[a1] / self.frequency[a1]
+        required = np.divide(
+            self.radio.bits[a1], slack, out=np.full(slack.shape, np.inf), where=slack > 0.0
+        )
+        required = np.where(np.isfinite(required), required, self.rates[a1])
+        return _LaneRows(
+            self.radio.take(a1),
+            [self.systems[k] for k in a1.tolist()],
+            self.w1[a1] * self.cpu.rounds[a1],
+            [config] * a1.size,
+            backend,
+            required,
+            self.power[a1],
+            self.bandwidth[a1],
         )
 
-    def accept(self, inner: SumOfRatiosResult) -> None:
-        """Take Algorithm 1's ``(p, B)`` unless it raises the objective."""
-        problem = self.problem
-        candidate = self.allocation.with_communication(inner.power_w, inner.bandwidth_hz)
-        # Never accept a step that increases the overall weighted objective;
-        # the alternating scheme then remains monotone even when the inner
-        # solver's heuristic split is slightly off.  A deadline lane whose
-        # current point misses the deadline takes the step regardless.
-        if problem.objective(candidate) <= problem.objective(self.allocation) * (1 + 1e-12) or (
-            problem.deadline_s is not None
-            and not problem.is_feasible(self.allocation, rtol=1e-6)
-        ):
-            self.allocation = candidate
-            self.feasible = inner.feasible
-        else:
-            self.feasible = True
-        self.inner_iterations += inner.iterations
-        if inner.bandwidth_multiplier > 0.0:
-            self.last_mu = inner.bandwidth_multiplier
+    def _objectives(self, power: np.ndarray, upload: np.ndarray) -> np.ndarray:
+        """:meth:`JointProblem.objective` of every row at the current frequencies."""
+        cpu = self.cpu
+        with np.errstate(invalid="ignore"):
+            transmission = np.where(power == 0.0, 0.0, power * upload)
+        energy = cpu.rounds * (transmission + cpu.energy * self.frequency**2).sum(axis=1)
+        time = cpu.rounds * (cpu.cycles / self.frequency + upload).max(axis=1)
+        return self.w1 * energy + self.w2 * time
+
+    def accept(self, inner: _LaneRows | None) -> list[tuple[int, Exception]]:
+        """Take each Algorithm-1 step unless it raises the lane's objective.
+
+        Never accepting a step that increases the overall weighted objective
+        keeps the alternating scheme monotone even when the inner solver's
+        heuristic split is slightly off.  A deadline lane whose current
+        point misses the deadline takes the step regardless.  A run that
+        ended infeasible, or whose final iterate has a zero rate, keeps the
+        previous (feasible) ``(p, B)``.  One rate evaluation of the
+        candidate stack serves the zero-rate test, the candidate objective
+        and the history record.
+        """
+        power, bandwidth = self.next_power, self.next_bandwidth
+        failed: list[tuple[int, Exception]] = []
+        done: list[int] = []
+        if inner is not None:
+            for j, error in enumerate(inner.errors):
+                if error is None:
+                    done.append(j)
+                elif isinstance(error, InfeasibleProblemError):
+                    self.feasible[self.a1[j]] = False
+                else:
+                    failed.append((int(self.a1[j]), error))
+            ran = self.a1[done]
+            power[ran], bandwidth[ran] = inner.out_power[done], inner.out_bandwidth[done]
+        radio = self.radio
+        with np.errstate(invalid="ignore"):
+            rates = shannon_rate(power, bandwidth, radio.gains, radio.noise)
+        # Algorithm 1's result check: a final iterate with a zero rate.
+        zero = (rates <= 0.0).any(axis=1)
+        for k in self.a1[done][zero[self.a1[done]]].tolist():
+            self.feasible[k] = False
+            power[k], bandwidth[k], rates[k] = self.power[k], self.bandwidth[k], self.rates[k]
+        # ``ResourceAllocation``'s checks on the new ``(p, B)``.
+        negative_power = (power < 0.0).any(axis=1)
+        invalid = negative_power | (bandwidth < 0.0).any(axis=1)
+        failed += [
+            (
+                k,
+                ConfigurationError(
+                    "transmit powers must be non-negative"
+                    if negative_power[k]
+                    else "bandwidths must be non-negative"
+                ),
+            )
+            for k in np.flatnonzero(invalid).tolist()
+        ]
+        judged = [j for j in done if not (zero[self.a1[j]] or invalid[self.a1[j]])]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            objective = self._objectives(power, _upload_times(radio.bits, rates))
+        if judged:
+            rows = self.a1[judged]
+            current = self._objectives(self.power, self.upload)[rows]
+            taken = objective[rows] <= current * (1 + 1e-12)
+            for j in np.flatnonzero(~taken).tolist():
+                k = int(rows[j])
+                problem = self.problems[k]
+                if problem.deadline_s is not None and not problem.is_feasible(
+                    ResourceAllocation(self.power[k], self.bandwidth[k], self.frequency[k]),
+                    rtol=1e-6,
+                ):
+                    taken[j] = True
+            kept = rows[~taken]
+            power[kept], bandwidth[kept] = self.power[kept], self.bandwidth[kept]
+            objective[kept] = current[~taken]
+            self.feasible[rows] = np.where(taken, inner.out_feasible[judged], True)
+            self.inner_iterations[rows] += inner.out_iterations[judged]
+            multiplier = inner.out_multiplier[judged]
+            self.mu[rows] = np.where(multiplier > 0.0, multiplier, self.mu[rows])
+        self.feasible[~(self.w1 > 0.0)] = True
+        self.power, self.bandwidth, self.objective = power, bandwidth, objective
+        return self._drop(sorted(failed, key=lambda item: item[0]))
+
+    def finish(self, tolerance: float, max_iterations: int) -> list[tuple[int, _Final]]:
+        """The step change, history record and convergence test of every lane.
+
+        The step change is :meth:`ResourceAllocation.distance_to` per row:
+        each block's relative change by per-row dots, the largest of the
+        three taken as Python's ``max`` takes it.  Stopped lanes leave the
+        stack; returns their ``(slot, final state)``.
+        """
+        lanes = len(self.slots)
+        norms = row_norms(
+            np.concatenate(
+                [
+                    self.power - self.previous_power, self.previous_power,
+                    self.bandwidth - self.previous_bandwidth, self.previous_bandwidth,
+                    self.frequency - self.previous_frequency, self.previous_frequency,
+                ]
+            )
+        ).reshape(6, lanes)
+        blocks = norms[0::2] / np.maximum(norms[1::2], 1e-30)
+        step = np.where(blocks[1] > blocks[0], blocks[1], blocks[0])
+        step = np.where(blocks[2] > step, blocks[2], step)
+        note = f"outer-{self.iteration}"
+        for history, value, change in zip(self.histories, self.objective.tolist(), step.tolist()):
+            history.append(value, step_change=change, note=note)
+        converged = step <= tolerance
+        stop = converged | (self.iteration >= max_iterations)
+        if not stop.any():
+            return []
+        done = [
+            (
+                self.slots[k],
+                _Final(
+                    self.problems[k],
+                    ResourceAllocation(self.power[k], self.bandwidth[k], self.frequency[k]),
+                    deadline,
+                    self.histories[k],
+                    bool(converged[k]),
+                    self.iteration,
+                    feasible,
+                    inner_iterations,
+                    mu,
+                ),
+            )
+            for k, deadline, feasible, inner_iterations, mu in zip(
+                np.flatnonzero(stop).tolist(),
+                self.round_deadline[stop].tolist(),
+                self.feasible[stop].tolist(),
+                self.inner_iterations[stop].tolist(),
+                self.mu[stop].tolist(),
+            )
+        ]
+        self._keep(np.flatnonzero(~stop))
+        return done
 
 
 class ResourceAllocator:
@@ -217,16 +457,19 @@ class ResourceAllocator:
         Each lane's trajectory — every SP1/SP2 iterate, the convergence
         history, iteration counts and the final allocation — is bit-identical
         to a stand-alone ``solve(problems[i])`` call: both run the same
-        driver, and the numeric kernels it calls (the SP1 golden-section
-        search, the SP2 bandwidth-multiplier search) return the same bits
-        whether they take the rows path for a group of lanes or the 1-D
-        path for a single one.  Every lane kind runs in the batch: delay-only
-        (``w1 = 0``, no deadline), hard-deadline and scalar-backend lanes
-        included.
+        driver, whose outer rounds run once per stack of same-size lanes
+        with the bits of the per-lane formulas, and the numeric kernels it
+        calls (the SP1 golden-section search, the SP2 bandwidth-multiplier
+        search) return the same bits whether they take the rows path for a
+        group of lanes or the 1-D path for a single one.  Lanes of
+        different device counts mix freely.  Every lane kind runs in the
+        batch: delay-only (``w1 = 0``, no deadline), hard-deadline and
+        scalar-backend lanes included.
 
         With ``return_exceptions=True`` a failing lane's exception is
         returned in its slot (the :func:`asyncio.gather` idiom) instead of
-        aborting the batch; otherwise the first failure propagates.
+        aborting the batch, wherever in the round it is raised; otherwise
+        the first failure propagates.
         """
         return self._solve_lanes(
             problems, [None] * len(problems), return_exceptions=return_exceptions
@@ -348,10 +591,16 @@ class ResourceAllocator:
     ) -> list[AllocationResult | Exception]:
         """The lockstep Algorithm-2 driver behind ``solve`` and ``solve_batch``.
 
-        Every round runs Subproblem 1 for all active lanes in one
-        :func:`solve_subproblem1_rows` call, then Subproblem 2 in one
-        :func:`solve_sum_of_ratios_rows` call, then each lane's convergence
-        test; converged lanes drop out.  Lane kinds:
+        Lanes that iterate are stacked by device count (:class:`_Stack`) and
+        every outer round runs once per stack as row operations: Subproblem
+        1 (:func:`solve_subproblem1_stack`, from the stack's upload times),
+        the Subproblem-2 step (the Algorithm-1 runs of every stack in one
+        :func:`solve_sum_of_ratios_stacks` call, which starts them from the
+        stacked constants), the accept test, the step change and the
+        history record; converged lanes drop out.  Per-lane
+        :class:`ResourceAllocation` objects are built only for the initial
+        point, the deadline-feasibility guard and the final report
+        (:meth:`_finalize`).  Lane kinds:
 
         * ``w1 = 0`` with no deadline finishes at setup with the closed
           form (maximum frequency, min-max upload; see
@@ -362,137 +611,69 @@ class ResourceAllocator:
         """
         config = self.config
         results: list[AllocationResult | Exception | None] = [None] * len(problems)
-        lanes: dict[int, _Lane] = {}
+        finals: dict[int, _Final] = {}
 
-        def fail(i: int, exc: Exception) -> None:
-            if not return_exceptions:
-                raise exc
-            results[i] = exc
-            lanes.pop(i, None)
+        def fail(failures: list[tuple[int, Exception]]) -> None:
+            for i, exc in sorted(failures, key=lambda item: item[0]):
+                if not return_exceptions:
+                    raise exc
+                results[i] = exc
 
-        active: list[int] = []
+        groups: dict[int, list[int]] = {}
+        starts: dict[int, ResourceAllocation] = {}
         with stage("algorithm2"):
             for i, problem in enumerate(problems):
                 try:
                     if problem.energy_weight <= 0.0 and problem.deadline_s is None:
                         with stage("sp2"):
                             uplink = minimize_max_upload_time(problem.system)
-                        lane = _Lane(
-                            problem,
-                            ResourceAllocation(
-                                power_w=uplink.power_w,
-                                bandwidth_hz=uplink.bandwidth_hz,
-                                frequency_hz=problem.system.max_frequency_hz.copy(),
-                            ),
+                        allocation = ResourceAllocation(
+                            power_w=uplink.power_w,
+                            bandwidth_hz=uplink.bandwidth_hz,
+                            frequency_hz=problem.system.max_frequency_hz.copy(),
                         )
-                        lane.history.append(
-                            problem.objective(lane.allocation), note="delay-only"
+                        round_deadline = allocation.round_time_s(problem.system)
+                        history = ConvergenceHistory()
+                        history.append(problem.objective(allocation), note="delay-only")
+                        finals[i] = _Final(
+                            problem, allocation, round_deadline, history, True, 1
                         )
-                        lane.converged, lane.iteration = True, 1
-                    else:
-                        lane = _Lane(
-                            problem,
-                            initial_allocations[i] or self._initial_allocation(problem),
-                        )
-                        if config.max_iterations >= 1:
-                            active.append(i)
-                    lanes[i] = lane
+                        continue
+                    allocation = initial_allocations[i] or self._initial_allocation(problem)
+                    # Also the shape and frequency checks of an explicit start.
+                    round_deadline = allocation.round_time_s(problem.system)
                 except Exception as exc:  # repro-lint: disable=RL005 -- lane isolation: one bad problem must fail its own slot, not the batch
-                    fail(i, exc)
+                    fail([(i, exc)])
+                    continue
+                if config.max_iterations >= 1:
+                    starts[i] = allocation
+                    groups.setdefault(problem.system.num_devices, []).append(i)
+                else:
+                    finals[i] = _Final(
+                        problem, allocation, round_deadline, ConvergenceHistory()
+                    )
 
-            while active:
-                for i in active:
-                    lanes[i].iteration += 1
-
-                # Step 1: Subproblem 1 — CPU frequencies and round deadline.
+            stacks = [
+                _Stack(slots, [problems[i] for i in slots], [starts[i] for i in slots])
+                for slots in groups.values()
+            ]
+            while stacks:
                 with stage("sp1"):
-                    sp1_results = solve_subproblem1_rows(
-                        [lanes[i].problem.system for i in active],
-                        [lanes[i].problem.energy_weight for i in active],
-                        [lanes[i].problem.time_weight for i in active],
-                        [
-                            lanes[i].problem.system.upload_time_s(
-                                lanes[i].allocation.power_w,
-                                lanes[i].allocation.bandwidth_hz,
-                            )
-                            for i in active
-                        ],
-                        round_deadlines_s=[lanes[i].problem.round_deadline_s for i in active],
-                        method=config.subproblem1_method,
-                    )
-                previous: dict[int, ResourceAllocation] = {}
-                for i, sp1 in zip(active, sp1_results):
-                    if isinstance(sp1, Exception):
-                        fail(i, sp1)
-                        continue
-                    lane = lanes[i]
-                    previous[i] = lane.allocation
-                    lane.allocation = lane.allocation.with_frequency(sp1.frequency_hz)
-                    lane.round_deadline = sp1.round_deadline_s
-                active = [i for i in active if i in lanes]
-
-                # Step 2: Subproblem 2 — transmit power and bandwidth.
+                    fail([f for s in stacks for f in s.subproblem1(config.subproblem1_method)])
                 with stage("sp2"):
-                    algorithm1: list[int] = []
-                    for i in active:
-                        lane = lanes[i]
-                        if lane.problem.energy_weight > 0.0:
-                            algorithm1.append(i)
-                            continue
-                        try:
-                            uplink = minimize_max_upload_time(lane.problem.system)
-                        except Exception as exc:  # repro-lint: disable=RL005 -- lane isolation: one bad problem must fail its own slot, not the batch
-                            fail(i, exc)
-                            continue
-                        lane.allocation = lane.allocation.with_communication(
-                            uplink.power_w, uplink.bandwidth_hz
-                        )
-                        lane.feasible = True
-                    inner_results = solve_sum_of_ratios_rows(
-                        [
-                            SumOfRatiosSolver(
-                                lanes[i].problem.system,
-                                lanes[i].problem.energy_weight,
-                                config=config.sum_of_ratios,
-                                backend=self.backend,
-                            )
-                            for i in algorithm1
-                        ],
-                        [lanes[i].min_rate_requirements() for i in algorithm1],
-                        [lanes[i].allocation.power_w for i in algorithm1],
-                        [lanes[i].allocation.bandwidth_hz for i in algorithm1],
-                    )
-                    for i, inner in zip(algorithm1, inner_results):
-                        if isinstance(inner, InfeasibleProblemError):
-                            # Keep the previous (feasible) communication allocation.
-                            lanes[i].feasible = False
-                        elif isinstance(inner, Exception):
-                            fail(i, inner)
-                        else:
-                            lanes[i].accept(inner)
+                    fail([f for s in stacks for f in s.delay_step()])
+                    inner = [s.algorithm1(config.sum_of_ratios, self.backend) for s in stacks]
+                    solve_sum_of_ratios_stacks([rows for rows in inner if rows is not None])
+                    fail([f for s, rows in zip(stacks, inner) for f in s.accept(rows)])
+                for stack in stacks:
+                    finals.update(stack.finish(config.tolerance, config.max_iterations))
+                stacks = [stack for stack in stacks if stack.slots]
 
-                survivors: list[int] = []
-                for i in active:
-                    if i not in lanes:
-                        continue
-                    lane = lanes[i]
-                    step_change = lane.allocation.distance_to(previous[i])
-                    lane.history.append(
-                        lane.problem.objective(lane.allocation),
-                        step_change=step_change,
-                        note=f"outer-{lane.iteration}",
-                    )
-                    if step_change <= config.tolerance:
-                        lane.converged = True
-                    elif lane.iteration < config.max_iterations:
-                        survivors.append(i)
-                active = survivors
-
-        for i, lane in lanes.items():
+        for i in sorted(finals):
             try:
-                results[i] = self._finalize(lane)
+                results[i] = self._finalize(finals[i])
             except Exception as exc:  # repro-lint: disable=RL005 -- lane isolation: one bad problem must fail its own slot, not the batch
-                fail(i, exc)
+                fail([(i, exc)])
         final: list[AllocationResult | Exception] = []
         for i, item in enumerate(results):
             if item is None:  # pragma: no cover - defensive
@@ -500,7 +681,8 @@ class ResourceAllocator:
             final.append(item)
         return final
 
-    def _finalize(self, lane: _Lane) -> AllocationResult:
+    @staticmethod
+    def _finalize(lane: _Final) -> AllocationResult:
         problem, allocation = lane.problem, lane.allocation
         terms = problem.objective_terms(allocation)
         report = problem.feasibility(allocation)
@@ -513,9 +695,9 @@ class ResourceAllocator:
             transmission_energy_j=terms["transmission_energy_j"],
             computation_energy_j=terms["computation_energy_j"],
             converged=lane.converged,
-            iterations=lane.iteration,
+            iterations=lane.iterations,
             feasible=lane.feasible and report.is_feasible,
             history=lane.history,
             inner_iterations=lane.inner_iterations,
-            mu=lane.last_mu,
+            mu=lane.mu,
         )

@@ -30,7 +30,7 @@ every device simply runs at the slowest feasible frequency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +40,13 @@ from ..solvers.scalar import golden_section_rows, golden_section_scalar
 from ..solvers.waterfilling import maximize_concave_on_simplex
 from ..system import SystemModel
 
-__all__ = ["Subproblem1Result", "solve_subproblem1", "solve_subproblem1_rows"]
+__all__ = [
+    "FrequencyRows",
+    "Subproblem1Result",
+    "solve_subproblem1",
+    "solve_subproblem1_rows",
+    "solve_subproblem1_stack",
+]
 
 
 @dataclass(frozen=True)
@@ -244,6 +250,143 @@ def solve_subproblem1(
     raise ConfigurationError(f"unknown Subproblem 1 method: {method!r}")
 
 
+@dataclass(frozen=True)
+class FrequencyRows:
+    """The Subproblem-1 constants of same-size lanes, stacked once.
+
+    ``cycles`` (``R_l c_n D_n``), ``energy`` (``kappa_n`` times it, the
+    factor :meth:`~repro.system.SystemModel.computation_energy_j` forms),
+    ``f_min`` and ``f_max`` are ``(lanes, n)``; ``rounds`` is each lane's
+    ``R_g`` as a float.
+    """
+
+    cycles: np.ndarray
+    energy: np.ndarray
+    f_min: np.ndarray
+    f_max: np.ndarray
+    rounds: np.ndarray
+
+    @classmethod
+    def of(cls, systems: Sequence[SystemModel]) -> FrequencyRows:
+        cycles = np.array([s.cycles_per_round for s in systems], dtype=float)
+        return cls(
+            cycles=cycles,
+            energy=np.array([s.effective_capacitance for s in systems], dtype=float) * cycles,
+            f_min=np.array([s.min_frequency_hz for s in systems], dtype=float),
+            f_max=np.array([s.max_frequency_hz for s in systems], dtype=float),
+            rounds=np.array([float(s.global_rounds) for s in systems]),
+        )
+
+    def take(self, rows: np.ndarray) -> FrequencyRows:
+        """The stack of the given rows."""
+        return FrequencyRows(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+def _primal_rows(
+    cpu: FrequencyRows, upload: np.ndarray, deadlines: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_primal_result`'s frequencies and realised deadlines, per row."""
+    slack = np.maximum(deadlines[:, None] - upload, 1e-300)
+    frequency = np.clip(cpu.cycles / slack, cpu.f_min, cpu.f_max)
+    return frequency, (upload + cpu.cycles / frequency).max(axis=1)
+
+
+def solve_subproblem1_stack(
+    systems: Sequence[SystemModel],
+    cpu: FrequencyRows,
+    energy_weights: np.ndarray,
+    time_weights: np.ndarray,
+    upload: np.ndarray,
+    round_deadlines_s: Sequence[float | None],
+    method: str = "primal",
+) -> tuple[np.ndarray, np.ndarray, list[Subproblem1Result | Exception | None]]:
+    """Subproblem 1 for a stack of same-size lanes, as row operations.
+
+    Row ``k`` solves ``solve_subproblem1(systems[k], energy_weights[k],
+    time_weights[k], upload[k], round_deadline_s=round_deadlines_s[k],
+    method=method)`` from the ``(lanes, n)`` upload times and the stacked
+    constants ``cpu``.  Returns the ``(lanes, n)`` frequencies, the
+    ``(lanes,)`` round deadlines and a per-row status: ``None`` for a row
+    solved here, the exception the 1-D call would raise (its row is then
+    meaningless), or the :class:`Subproblem1Result` of a row the 1-D solver
+    ran.  The input checks and the primal solution at a searched deadline
+    are row passes.  The golden-section search over the deadline ``T`` runs
+    through :func:`golden_section_rows`, whose rows replicate the scalar
+    search exactly, for two or more rows; a single golden row, the
+    degenerate corners (``w1 <= 0``, ``w2 <= 0``, an already-collapsed
+    interval), a fixed deadline and a non-primal ``method`` run the 1-D
+    solver on the row.  Each row's bits are those of the 1-D call: stacked
+    row sums reduce with the same pairwise tree as 1-D sums.
+    """
+    lanes = upload.shape[0]
+    frequency = np.full_like(upload, np.nan)
+    deadline = np.full(lanes, np.nan)
+    status: list[Subproblem1Result | Exception | None] = [None] * lanes
+    bad_upload = ((~np.isfinite(upload)).any(axis=1) | (upload < 0.0).any(axis=1)).tolist()
+    w1s, w2s = energy_weights.tolist(), time_weights.tolist()
+    primal: list[int] = []
+    for k in range(lanes):
+        if bad_upload[k]:
+            status[k] = ConfigurationError("upload times must be finite and non-negative")
+        elif w1s[k] < 0.0 or w2s[k] < 0.0:
+            status[k] = ConfigurationError("weights must be non-negative")
+        elif round_deadlines_s[k] is None and method == "primal":
+            primal.append(k)
+        else:
+            try:
+                status[k] = solve_subproblem1(
+                    systems[k],
+                    w1s[k],
+                    w2s[k],
+                    upload[k],
+                    round_deadline_s=round_deadlines_s[k],
+                    method=method,
+                )
+            except _LANE_ERRORS as exc:
+                status[k] = exc
+
+    one_d: list[int] = []
+    if primal:
+        rows = np.array(primal)
+        lower = (upload[rows] + cpu.cycles[rows] / cpu.f_max[rows]).max(axis=1)
+        upper = (upload[rows] + cpu.cycles[rows] / cpu.f_min[rows]).max(axis=1)
+        golden = (energy_weights[rows] > 0.0) & (time_weights[rows] > 0.0) & (
+            upper > lower * (1.0 + 1e-12)
+        )
+        one_d = [k for k, searched in zip(primal, golden.tolist()) if not searched]
+        if golden.sum() == 1:
+            one_d = primal
+        elif golden.any():
+            at = rows[golden]
+            part, up = cpu.take(at), upload[at]
+            w1, w2 = energy_weights[at], time_weights[at]
+
+            def objective_rows(deadlines: np.ndarray) -> np.ndarray:
+                slack = np.maximum(deadlines[:, None] - up, 1e-300)
+                freq = np.clip(part.cycles / slack, part.f_min, part.f_max)
+                energy = (part.energy * freq**2).sum(axis=1)
+                return part.rounds * (w1 * energy + w2 * deadlines)
+
+            try:
+                found, _ = golden_section_rows(
+                    objective_rows, lower[golden], upper[golden], tol=1e-12
+                )
+                frequency[at], deadline[at] = _primal_rows(part, up, found)
+            except ConvergenceError:
+                # One stuck lane aborts the whole rows search; redo the group
+                # lane by lane so only the genuinely failing lanes error out.
+                one_d = primal
+    for k in one_d:
+        try:
+            status[k] = _solve_primal(systems[k], w1s[k], w2s[k], upload[k])
+        except _LANE_ERRORS as exc:
+            status[k] = exc
+    for k, outcome in enumerate(status):
+        if isinstance(outcome, Subproblem1Result):
+            frequency[k], deadline[k] = outcome.frequency_hz, outcome.round_deadline_s
+    return frequency, deadline, status
+
+
 def solve_subproblem1_rows(
     systems: Sequence[SystemModel],
     energy_weights: Sequence[float],
@@ -258,101 +401,57 @@ def solve_subproblem1_rows(
     Lane ``i`` solves ``solve_subproblem1(systems[i], energy_weights[i],
     time_weights[i], upload_times_s[i], round_deadline_s=
     round_deadlines_s[i], method=method)`` and the result is bit-identical
-    to that 1-D call.  Only the primal golden-section search over the
-    deadline ``T`` is genuinely batched (through
-    :func:`~repro.solvers.scalar.golden_section_rows`, whose lanes
-    replicate the scalar search exactly), and only for a device-count
-    group of two or more lanes.  A one-lane group, a fixed-deadline lane
-    and the degenerate corners — ``w1 <= 0``, ``w2 <= 0``, an
-    already-collapsed interval, or a non-primal ``method`` — run the 1-D
-    solver lane by lane.  Exceptions the 1-D call would raise are returned
-    in that lane's slot.
-
-    Golden lanes are sub-grouped by device count so the stacked objective
-    sums run over rectangular ``(lanes, n)`` arrays, which NumPy reduces
-    with the same pairwise trees as the 1-D sums — the keystone of the
-    bit-parity guarantee.
+    to that 1-D call.  A list wrapper over :func:`solve_subproblem1_stack`:
+    lanes are stacked by device count here, so the stacked sums run over
+    rectangular ``(lanes, n)`` arrays, which NumPy reduces with the same
+    pairwise trees as the 1-D sums — the keystone of the bit-parity
+    guarantee.  Exceptions the 1-D call would raise are returned in that
+    lane's slot.
     """
     num_lanes = len(systems)
     results: list[Subproblem1Result | Exception] = [
         ConfigurationError("lane not solved") for _ in range(num_lanes)
     ]
-    golden: dict[int, list[int]] = {}
-    uploads: dict[int, np.ndarray] = {}
-    bounds: dict[int, tuple[float, float]] = {}
     deadlines_s = round_deadlines_s or [None] * num_lanes
-    lane_errors = (ConfigurationError, InfeasibleProblemError, ConvergenceError)
-
-    for i in range(num_lanes):
-        system = systems[i]
-        w1 = float(energy_weights[i])
-        w2 = float(time_weights[i])
-        try:
-            if deadlines_s[i] is not None or method != "primal":
-                results[i] = solve_subproblem1(
-                    system,
-                    w1,
-                    w2,
-                    upload_times_s[i],
-                    round_deadline_s=deadlines_s[i],
-                    method=method,
-                )
-                continue
-            upload = _checked_upload(system, w1, w2, upload_times_s[i])
-            cycles = system.cycles_per_round
-            t_lower = float(np.max(upload + cycles / system.max_frequency_hz))
-            t_upper = float(np.max(upload + cycles / system.min_frequency_hz))
-            if w1 > 0.0 and w2 > 0.0 and t_upper > t_lower * (1.0 + 1e-12):
-                golden.setdefault(system.num_devices, []).append(i)
-                uploads[i] = upload
-                bounds[i] = (t_lower, t_upper)
-            else:
-                results[i] = _solve_primal(system, w1, w2, upload)
-        except lane_errors as exc:
-            results[i] = exc
-
-    for n, lanes in golden.items():
-        deadlines = None
-        if len(lanes) > 1:
-            upload_rows = np.stack([uploads[i] for i in lanes])
-            cycles_rows = np.stack([systems[i].cycles_per_round for i in lanes])
-            fmin_rows = np.stack([systems[i].min_frequency_hz for i in lanes])
-            fmax_rows = np.stack([systems[i].max_frequency_hz for i in lanes])
-            # ``kappa * cycles`` per lane, as the 1-D objective hoists it.
-            energy_coeff_rows = np.stack(
-                [
-                    systems[i].effective_capacitance * cycles_rows[k]
-                    for k, i in enumerate(lanes)
-                ]
+    uploads: dict[int, np.ndarray] = {}
+    groups: dict[int, list[int]] = {}
+    for i, system in enumerate(systems):
+        upload = np.asarray(upload_times_s[i], dtype=float)
+        if upload.shape != (system.num_devices,):
+            results[i] = ConfigurationError(
+                f"upload_time_s must have shape ({system.num_devices},), got {upload.shape}"
             )
-            rg = np.array([float(systems[i].global_rounds) for i in lanes])
-            w1_arr = np.array([float(energy_weights[i]) for i in lanes])
-            w2_arr = np.array([float(time_weights[i]) for i in lanes])
-            t_lo = np.array([bounds[i][0] for i in lanes])
-            t_hi = np.array([bounds[i][1] for i in lanes])
-
-            def objective_rows(deadlines: np.ndarray) -> np.ndarray:
-                slack = np.maximum(deadlines[:, None] - upload_rows, 1e-300)
-                freq = np.clip(cycles_rows / slack, fmin_rows, fmax_rows)
-                energy = (energy_coeff_rows * freq**2).sum(axis=1)
-                return rg * (w1_arr * energy + w2_arr * deadlines)
-
-            try:
-                deadlines, _ = golden_section_rows(objective_rows, t_lo, t_hi, tol=1e-12)
-            except ConvergenceError:
-                # One stuck lane aborts the whole rows search; redo the group
-                # lane by lane so only the genuinely failing lanes error out.
-                deadlines = None
+            continue
+        uploads[i] = upload
+        groups.setdefault(system.num_devices, []).append(i)
+    for lanes in groups.values():
+        group = [systems[i] for i in lanes]
+        w1 = np.array([float(energy_weights[i]) for i in lanes])
+        w2 = np.array([float(time_weights[i]) for i in lanes])
+        frequency, deadline, status = solve_subproblem1_stack(
+            group,
+            FrequencyRows.of(group),
+            w1,
+            w2,
+            np.array([uploads[i] for i in lanes]),
+            [deadlines_s[i] for i in lanes],
+            method,
+        )
         for k, i in enumerate(lanes):
-            w1 = float(energy_weights[i])
-            w2 = float(time_weights[i])
-            try:
-                if deadlines is None:
-                    results[i] = _solve_primal(systems[i], w1, w2, uploads[i])
-                else:
-                    results[i] = _primal_result(
-                        systems[i], w1, w2, uploads[i], float(deadlines[k])
-                    )
-            except lane_errors as exc:
-                results[i] = exc
+            outcome = status[k]
+            if outcome is None:
+                realised = float(deadline[k])
+                outcome = Subproblem1Result(
+                    frequency_hz=frequency[k],
+                    round_deadline_s=realised,
+                    objective=_objective(
+                        group[k], float(energy_weights[i]), float(time_weights[i]),
+                        frequency[k], realised,
+                    ),
+                    method="primal",
+                )
+            results[i] = outcome
     return results
+
+
+_LANE_ERRORS = (ConfigurationError, InfeasibleProblemError, ConvergenceError)

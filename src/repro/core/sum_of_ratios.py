@@ -31,6 +31,7 @@ from ..exceptions import ConvergenceError, InfeasibleProblemError, SolverError
 from ..perf.timers import stage
 from ..solvers.newton import damped_newton_step_rows, row_norms
 from ..system import SystemModel
+from ..wireless.rate import shannon_rate
 from .convergence import ConvergenceHistory
 from .subproblem2 import (
     DEFAULT_BACKEND,
@@ -49,6 +50,7 @@ __all__ = [
     "SumOfRatiosResult",
     "SumOfRatiosSolver",
     "solve_sum_of_ratios_rows",
+    "solve_sum_of_ratios_stacks",
 ]
 
 _ZERO_RATE = (
@@ -165,16 +167,14 @@ class SumOfRatiosSolver:
 class _BatchLane:
     """What of one Algorithm-1 lane does not stack.
 
-    The lane's start (`__init__`: its initial point, the paper's
-    auxiliary-variable initialisation and its residual scale), its
-    convergence history, its warm-start hint, and the fallback ladder for
-    a closed-form SP2_v2 attempt that failed or came back infeasible
-    (:meth:`resolve_inner`, rare).  While the lane runs, its iterates live
-    in a :class:`_LaneRows` stack with the other lanes of its device count,
-    which takes the Algorithm-1 step for all of them at once; the stack
-    writes the lane's final iterate back when the lane stops.
-    :meth:`SumOfRatiosSolver.solve` is a batch of one, so a lane's
-    trajectory never depends on its neighbours.
+    Its system and configuration, its convergence history, its warm-start
+    hint, and the fallback ladder for a closed-form SP2_v2 attempt that
+    failed or came back infeasible (:meth:`resolve_inner`, rare).  The
+    lane's start and its iterates live in a :class:`_LaneRows` stack with
+    the other lanes of its device count, which writes the lane's iterate
+    (``min_rate``, ``power``, ``bandwidth``, ``beta``, ``nu``) here before
+    the ladder runs.  :meth:`SumOfRatiosSolver.solve` is a batch of one, so
+    a lane's trajectory never depends on its neighbours.
 
     ``hint`` is the warm start for the lane's next multiplier search: the
     last closed-form attempt's polished multiplier and constrained-device
@@ -186,39 +186,12 @@ class _BatchLane:
     its result.
     """
 
-    def __init__(
-        self,
-        solver: SumOfRatiosSolver,
-        min_rate_bps: np.ndarray,
-        initial_power_w: np.ndarray,
-        initial_bandwidth_hz: np.ndarray,
-    ) -> None:
-        self.solver = solver
-        self.system = solver.system
-        self.config = solver.config
-        self.min_rate = np.maximum(np.asarray(min_rate_bps, dtype=float), 0.0)
-        self.power = np.asarray(initial_power_w, dtype=float).copy()
-        self.bandwidth = np.asarray(initial_bandwidth_hz, dtype=float).copy()
-        rates = solver._rates(self.power, self.bandwidth)
-        self.beta = self.power * self.system.upload_bits / rates
-        self.nu = solver._scale / rates
+    def __init__(self, system: SystemModel, config: SumOfRatiosConfig) -> None:
+        self.system = system
+        self.config = config
         self.history = ConvergenceHistory()
-        self.converged = False
-        self.feasible = True
-        scale = float(
-            np.linalg.norm(
-                np.concatenate(
-                    [
-                        self.power * self.system.upload_bits,
-                        np.full_like(self.power, solver._scale),
-                    ]
-                )
-            )
-        )
-        self.residual_scale = max(scale, 1e-12)
-        self.last_multiplier = 0.0
-        self.iteration = 0
         self.hint: MuHint | None = None
+        self.min_rate = self.power = self.bandwidth = self.beta = self.nu = np.empty(0)
 
     def resolve_inner(self, attempt: SP2Result | Exception) -> SP2Result:
         """Resolve the lane's closed-form SP2_v2 attempt into a usable step.
@@ -257,65 +230,86 @@ class _BatchLane:
                 method="incumbent",
             )
 
-    def result(self) -> SumOfRatiosResult:
-        return SumOfRatiosResult(
-            power_w=self.power,
-            bandwidth_hz=self.bandwidth,
-            nu=self.nu,
-            beta=self.beta,
-            communication_energy_j=self.solver.communication_energy(
-                self.power, self.bandwidth
-            ),
-            converged=self.converged,
-            iterations=self.iteration,
-            feasible=self.feasible,
-            history=self.history,
-            bandwidth_multiplier=self.last_multiplier,
-        )
-
 
 class _LaneRows:
-    """The running Algorithm-1 lanes of one device count and SP2 backend.
+    """Algorithm-1 runs of one device count and SP2 backend, as row operations.
 
-    Their iterates ``(p, B)`` are ``(lanes, n)`` stacks and their auxiliary
-    variables one ``(lanes, 2n)`` stack ``alpha = (beta, nu)``; the system
-    constants are stacked once per :func:`solve_sum_of_ratios_rows` call
-    (:class:`SystemRows`).  Each round, :meth:`resolve` takes the stack's
-    closed-form SP2_v2 outcome (running the fallback ladder of the few lanes
-    that need it) and :meth:`advance` takes one Algorithm-1 iteration for
-    every lane at once: residuals, norms, objective and step change as row
-    operations, then the damped Newton update (29)-(31) with a backtrack
-    exponent per lane (:func:`damped_newton_step_rows`).  Rows are
-    compacted when lanes stop or fail.  Every row gets the bits of a
-    one-lane run.
+    The constructor is the runs' start, one row pass for the stack: the
+    initial point's rates (a zero rate fails the run), the paper's
+    auxiliary-variable initialisation ``beta = p d / r``, ``nu = w1 R_g / r``
+    (``scale`` holds ``w1 R_g`` per run) and the residual scale
+    (:func:`row_norms`).  The system constants come stacked
+    (:class:`SystemRows`); ``systems`` and ``configs`` are per run.  While
+    the runs iterate, ``(p, B)`` are ``(runs, n)`` stacks and ``alpha =
+    (beta, nu)`` one ``(runs, 2n)`` stack.  Each round, :meth:`resolve`
+    takes the stack's closed-form SP2_v2 outcome (running the fallback
+    ladder of the few runs that need it) and :meth:`advance` takes one
+    Algorithm-1 iteration for every run at once: residuals, norms,
+    objective and step change as row operations, then the damped Newton
+    update (29)-(31) with a backtrack exponent per run
+    (:func:`damped_newton_step_rows`).  Rows are compacted when runs stop
+    or fail.
+
+    The outcome is kept by input row: ``out_power``, ``out_bandwidth`` and
+    ``out_alpha`` (the final iterate), ``out_converged``,
+    ``out_iterations``, ``out_feasible``, ``out_multiplier`` (the last
+    positive bandwidth multiplier), ``runs[k].history`` and ``errors[k]``
+    (the exception that ended run ``k``, else ``None``).  A run with
+    ``max_iterations < 1`` keeps its start.  Every row gets the bits of a
+    one-run stack.
     """
 
-    def __init__(self, slots: list[int], lanes: list[_BatchLane]) -> None:
-        self.slots = slots
-        self.lanes = lanes
-        self.backend = lanes[0].solver.backend
-        self.system = SystemRows.of([lane.system for lane in lanes])
-        self.min_rate = np.array([lane.min_rate for lane in lanes])
-        self.power = np.array([lane.power for lane in lanes])
-        self.bandwidth = np.array([lane.bandwidth for lane in lanes])
-        self.alpha = np.array([np.concatenate([lane.beta, lane.nu]) for lane in lanes])
-        self.scale = np.array([[lane.solver._scale] * lane.system.num_devices for lane in lanes])
-        # Per-lane constants, one column each (see :meth:`advance`).
-        self.constants = np.array(
-            [
-                (
-                    lane.solver.energy_weight * lane.system.global_rounds,
-                    lane.config.residual_tol * lane.residual_scale,
-                    lane.config.step_tol,
-                    lane.config.max_iterations,
-                    lane.config.damping_xi,
-                    lane.config.damping_eps,
-                )
-                for lane in lanes
-            ]
+    def __init__(
+        self,
+        system: SystemRows,
+        systems: Sequence[SystemModel],
+        scale: np.ndarray,
+        configs: Sequence[SumOfRatiosConfig],
+        backend: str,
+        min_rate: np.ndarray,
+        power: np.ndarray,
+        bandwidth: np.ndarray,
+    ) -> None:
+        runs, n = power.shape
+        self.backend = backend
+        self.runs = [_BatchLane(model, config) for model, config in zip(systems, configs)]
+        self.errors: list[Exception | None] = [None] * runs
+        rates = shannon_rate(power, bandwidth, system.gains, system.noise)
+        for k in np.flatnonzero((rates <= 0.0).any(axis=1)).tolist():
+            self.errors[k] = InfeasibleProblemError(_ZERO_RATE)
+        demand = power * system.bits
+        self.scale = np.repeat(scale[:, None], n, axis=1)
+        residual_scale = np.maximum(
+            row_norms(np.concatenate([demand, self.scale], axis=1)), 1e-12
         )
-        self.last_multiplier = np.zeros(len(lanes))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.alpha = np.concatenate([demand / rates, self.scale / rates], axis=1)
+        self.out_power, self.out_bandwidth = power.copy(), bandwidth.copy()
+        self.out_alpha = self.alpha.copy()
+        self.out_converged = np.zeros(runs, dtype=bool)
+        self.out_iterations = np.zeros(runs, dtype=int)
+        self.out_feasible = np.ones(runs, dtype=bool)
+        self.out_multiplier = np.zeros(runs)
+
+        settings = np.array(
+            [
+                (c.residual_tol, c.step_tol, c.max_iterations, c.damping_xi, c.damping_eps)
+                for c in configs
+            ]
+        ).reshape(runs, 5)
+        # Per-lane constants, one column each (see :meth:`advance`).
+        self.constants = np.column_stack(
+            [scale, settings[:, 0] * residual_scale, settings[:, 1:]]
+        )
+        self.system, self.min_rate = system, np.maximum(min_rate, 0.0)
+        self.power, self.bandwidth = power, bandwidth
+        self.slots = np.arange(runs)
+        self.lanes = self.runs
+        self.last_multiplier = np.zeros(runs)
         self.iteration = 0
+        live = (settings[:, 2] >= 1) & np.array([error is None for error in self.errors])
+        if not live.all():
+            self._keep(np.flatnonzero(live))
         # The round's resolved closed-form outcome and history notes (:meth:`resolve`).
         self.inner: SP2Rows | None = None
         self.notes: list[str] = []
@@ -329,14 +323,14 @@ class _LaneRows:
         return self.alpha[:, self.power.shape[1] :]
 
     def _write_back(self, k: int) -> None:
-        """Hand row ``k``'s iterate to its lane (fallback ladder, final result)."""
+        """Hand row ``k``'s iterate to its lane (fallback ladder)."""
         lane, n = self.lanes[k], self.power.shape[1]
-        lane.power, lane.bandwidth = self.power[k], self.bandwidth[k]
+        lane.min_rate, lane.power, lane.bandwidth = self.min_rate[k], self.power[k], self.bandwidth[k]
         lane.beta, lane.nu = self.alpha[k, :n], self.alpha[k, n:]
 
     def _keep(self, rows: np.ndarray) -> None:
         """Compact the stack to the given rows."""
-        self.slots = [self.slots[k] for k in rows.tolist()]
+        self.slots = self.slots[rows]
         self.lanes = [self.lanes[k] for k in rows.tolist()]
         self.system = self.system.take(rows)
         for name in (
@@ -344,14 +338,13 @@ class _LaneRows:
         ):
             setattr(self, name, getattr(self, name)[rows])
 
-    def resolve(self, out: SP2Rows) -> list[tuple[int, Exception]]:
+    def resolve(self, out: SP2Rows) -> None:
         """Take the round's closed-form outcome, falling back where needed.
 
         A feasible closed-form row is kept as is and its roots become the
         lane's next hint; a raised or infeasible one goes through the lane's
         fallback ladder (:meth:`_BatchLane.resolve_inner`), whose result
-        replaces the row.  Returns the ``(slot, exception)`` of every lane
-        that failed; they leave the stack.
+        replaces the row.  Lanes whose ladder raised fail and leave the stack.
         """
         self.inner = out
         self.notes = ["kkt"] * len(self.lanes)
@@ -376,12 +369,14 @@ class _LaneRows:
                 out.feasible[k] = inner.feasible
                 out.mu[k] = inner.bandwidth_multiplier
                 self.notes[k] = inner.method
-        return self._drop(failed)
+        self._drop(failed)
 
-    def _drop(self, failed: list[tuple[int, Exception]]) -> list[tuple[int, Exception]]:
-        """Remove the failed rows (stack and round outcome); return their slots."""
+    def _drop(self, failed: list[tuple[int, Exception]]) -> None:
+        """Fail the given rows: record their exceptions, remove them (stack and round outcome)."""
         if not failed:
-            return []
+            return
+        for k, exc in failed:
+            self.errors[int(self.slots[k])] = exc
         gone = {k for k, _ in failed}
         rows = np.array([k for k in range(len(self.lanes)) if k not in gone], dtype=int)
         out = self.inner
@@ -397,27 +392,23 @@ class _LaneRows:
             [out.errors[k] for k in rows.tolist()],
         )
         self.notes = [self.notes[k] for k in rows.tolist()]
-        slots = [(self.slots[k], exc) for k, exc in failed]
         self._keep(rows)
-        return slots
 
-    def advance(self) -> list[tuple[int, Exception]]:
+    def advance(self) -> None:
         """One Algorithm-1 iteration of every lane, given the resolved inner solve.
 
         The convergence tests, then (for lanes that did not converge) the
         damped Newton update of ``(beta, nu)`` — steps 5-6 of Algorithm 1.
         A lane that exhausts ``max_iterations`` still takes that last
         update, so its final ``(beta, nu)`` track the ratios of its final
-        ``(p, B)``.  Stopped lanes get their final iterate written back and
-        leave the stack; returns the ``(slot, exception)`` of lanes whose
-        iterate has a zero rate.
+        ``(p, B)``.  Stopped runs get their outcome rows written and leave
+        the stack; a run whose iterate has a zero rate fails.
         """
         inner = self.inner
         self.iteration += 1
         np.copyto(self.last_multiplier, inner.mu, where=inner.mu > 0.0)
-        gone: list[tuple[int, Exception]] = []
         if not (inner.rates > 0.0).all():
-            gone = self._drop(
+            self._drop(
                 [
                     (k, InfeasibleProblemError(_ZERO_RATE))
                     for k in np.flatnonzero(np.any(inner.rates <= 0.0, axis=1)).tolist()
@@ -478,77 +469,48 @@ class _LaneRows:
                 self.alpha = self.alpha.copy()
                 self.alpha[moving] = update.alpha
 
-        stop = (converged | (self.iteration >= max_iterations)).tolist()
-        if any(stop):
-            for k in [k for k, done in enumerate(stop) if done]:
-                self._write_back(k)
-                lane = self.lanes[k]
-                lane.converged = bool(converged[k])
-                lane.feasible = bool(inner.feasible[k])
-                lane.last_multiplier = float(self.last_multiplier[k])
-                lane.iteration = self.iteration
-            if all(stop):
-                self.lanes = []
-            else:
-                self._keep(np.array([k for k, done in enumerate(stop) if not done]))
-        return gone
+        stop = converged | (self.iteration >= max_iterations)
+        if stop.any():
+            done = np.flatnonzero(stop)
+            slots = self.slots[done]
+            self.out_power[slots] = self.power[done]
+            self.out_bandwidth[slots] = self.bandwidth[done]
+            self.out_alpha[slots] = self.alpha[done]
+            self.out_converged[slots] = converged[done]
+            self.out_iterations[slots] = self.iteration
+            self.out_feasible[slots] = inner.feasible[done]
+            self.out_multiplier[slots] = self.last_multiplier[done]
+            self._keep(np.flatnonzero(~stop))
 
 
-def solve_sum_of_ratios_rows(
-    solvers: Sequence[SumOfRatiosSolver],
-    min_rates: Sequence[np.ndarray],
-    initial_powers: Sequence[np.ndarray],
-    initial_bandwidths: Sequence[np.ndarray],
-) -> list[SumOfRatiosResult | Exception]:
-    """Lockstep batch of independent Algorithm-1 solves.
+def solve_sum_of_ratios_stacks(stacks: Sequence[_LaneRows]) -> None:
+    """Run Algorithm 1 to the end on every stack; outcomes land in each stack.
 
-    Lane ``i`` runs Algorithm 1 for ``solvers[i]`` from ``(initial_powers[i],
-    initial_bandwidths[i])`` under ``min_rates[i]``.  Lanes with the same
-    device count and SP2 backend form one :class:`_LaneRows` stack, whose
-    system constants are stacked once here.  Each round, every stack's
-    SP2_v2 closed form is solved by one :func:`_solve_sp2_stacks` call per
-    backend (multiplier searches grouped across stacks by constrained-device
-    count, the allocation tail once per stack), then each stack takes one
-    Algorithm-1 iteration for all its lanes at once (convergence tests and
-    damped Newton update); only the rare fallback ladder runs per lane.
-    Converged or failed lanes drop out of subsequent rounds; stragglers
-    keep iterating.  From its second round on, a lane's multiplier search
-    starts warm from its previous round's multiplier (:class:`_BatchLane`'s
+    Each stack holds the runs of one device count and SP2 backend, started
+    as one row pass (:class:`_LaneRows`).  Each round, every stack's SP2_v2
+    closed form is solved by one :func:`_solve_sp2_stacks` call per backend
+    (multiplier searches grouped across stacks by constrained-device count,
+    the allocation tail once per stack), then each stack takes one
+    Algorithm-1 iteration for all its runs at once (convergence tests and
+    damped Newton update); only the rare fallback ladder runs per run.
+    Converged or failed runs drop out of subsequent rounds; stragglers keep
+    iterating.  From its second round on, a run's multiplier search starts
+    warm from its previous round's multiplier (:class:`_BatchLane`'s
     ``hint``), falling back to a cold start when that fails; either start
     gives the same bits.
 
-    A lane's result does not depend on its neighbours: a batch of one
-    (:meth:`SumOfRatiosSolver.solve`) gives the same bits.  Exceptions (e.g.
-    infeasible iterates) are returned in that lane's slot instead of
-    raised, so one bad lane cannot abort the batch.
+    This is the one Algorithm-1 driver: Algorithm 2 hands it its stacks
+    directly, and :func:`solve_sum_of_ratios_rows` and
+    :meth:`SumOfRatiosSolver.solve` are list and one-run wrappers.  A run's
+    outcome does not depend on its neighbours: a stack of one gives the same
+    bits, and a run's exception (e.g. an infeasible iterate) is kept in its
+    row instead of raised.
     """
-    num_lanes = len(solvers)
-    results: list[SumOfRatiosResult | Exception] = [
-        SolverError("lane not solved") for _ in range(num_lanes)
-    ]
-    lanes: dict[int, _BatchLane] = {}
-    for i in range(num_lanes):
-        try:
-            lanes[i] = _BatchLane(
-                solvers[i], min_rates[i], initial_powers[i], initial_bandwidths[i]
-            )
-        except InfeasibleProblemError as exc:
-            results[i] = exc
-    groups: dict[tuple[int, str], list[int]] = {}
-    for i, lane in lanes.items():
-        if lane.config.max_iterations >= 1:
-            groups.setdefault((lane.system.num_devices, lane.solver.backend), []).append(i)
-    stacks = [_LaneRows(slots, [lanes[i] for i in slots]) for slots in groups.values()]
-
-    def fail(failures: list[tuple[int, Exception]]) -> None:
-        for i, exc in failures:
-            results[i] = exc
-            lanes.pop(i)
-
-    while stacks:
+    running = [stack for stack in stacks if stack.lanes]
+    while running:
         with stage("sp2_inner"):
-            for backend in dict.fromkeys(stack.backend for stack in stacks):
-                group = [stack for stack in stacks if stack.backend == backend]
+            for backend in dict.fromkeys(stack.backend for stack in running):
+                group = [stack for stack in running if stack.backend == backend]
                 outs = _solve_sp2_stacks(
                     [stack.system for stack in group],
                     [stack.nu for stack in group],
@@ -558,14 +520,81 @@ def solve_sum_of_ratios_rows(
                     hints=[[lane.hint for lane in stack.lanes] for stack in group],
                 )
                 for stack, out in zip(group, outs):
-                    fail(stack.resolve(out))
-        for stack in stacks:
+                    stack.resolve(out)
+        for stack in running:
             if stack.lanes:
-                fail(stack.advance())
-        stacks = [stack for stack in stacks if stack.lanes]
-    for i, lane in lanes.items():
-        try:
-            results[i] = lane.result()
-        except InfeasibleProblemError as exc:
-            results[i] = exc
+                stack.advance()
+        running = [stack for stack in running if stack.lanes]
+
+
+def solve_sum_of_ratios_rows(
+    solvers: Sequence[SumOfRatiosSolver],
+    min_rates: Sequence[np.ndarray],
+    initial_powers: Sequence[np.ndarray],
+    initial_bandwidths: Sequence[np.ndarray],
+) -> list[SumOfRatiosResult | Exception]:
+    """Lockstep batch of independent Algorithm-1 solves, one per solver.
+
+    Lane ``i`` runs Algorithm 1 for ``solvers[i]`` from ``(initial_powers[i],
+    initial_bandwidths[i])`` under ``min_rates[i]``.  A list wrapper over
+    :func:`solve_sum_of_ratios_stacks`: lanes with the same device count and
+    SP2 backend are stacked here, and each lane's
+    :class:`SumOfRatiosResult` is read off its row, the communication
+    energies of a stack in one row pass.  A lane's result does not depend
+    on its neighbours; its exception (e.g. an infeasible iterate) is
+    returned in its slot instead of raised.
+    """
+    results: list[SumOfRatiosResult | Exception] = [
+        SolverError("lane not solved") for _ in solvers
+    ]
+    groups: dict[tuple[int, str], list[int]] = {}
+    for i, solver in enumerate(solvers):
+        groups.setdefault((solver.system.num_devices, solver.backend), []).append(i)
+    stacks, systems_rows = [], []
+    for (_, backend), slots in groups.items():
+        systems = [solvers[i].system for i in slots]
+        systems_rows.append(SystemRows.of(systems))
+        stacks.append(
+            _LaneRows(
+                systems_rows[-1],
+                systems,
+                np.array([solvers[i]._scale for i in slots]),
+                [solvers[i].config for i in slots],
+                backend,
+                np.array([min_rates[i] for i in slots], dtype=float),
+                np.array([initial_powers[i] for i in slots], dtype=float),
+                np.array([initial_bandwidths[i] for i in slots], dtype=float),
+            )
+        )
+    solve_sum_of_ratios_stacks(stacks)
+    for slots, stack, system in zip(groups.values(), stacks, systems_rows):
+        n = stack.out_power.shape[1]
+        rates = shannon_rate(stack.out_power, stack.out_bandwidth, system.gains, system.noise)
+        zero = (rates <= 0.0).any(axis=1).tolist()
+        rounds = np.array([float(solvers[i].system.global_rounds) for i in slots])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            energy = rounds * (stack.out_power * system.bits / rates).sum(axis=1)
+        for k, (i, value, converged, iterations, feasible, multiplier) in enumerate(
+            zip(
+                slots,
+                energy.tolist(),
+                stack.out_converged.tolist(),
+                stack.out_iterations.tolist(),
+                stack.out_feasible.tolist(),
+                stack.out_multiplier.tolist(),
+            )
+        ):
+            error = stack.errors[k] or (InfeasibleProblemError(_ZERO_RATE) if zero[k] else None)
+            results[i] = error or SumOfRatiosResult(
+                power_w=stack.out_power[k],
+                bandwidth_hz=stack.out_bandwidth[k],
+                nu=stack.out_alpha[k, n:],
+                beta=stack.out_alpha[k, :n],
+                communication_energy_j=value,
+                converged=converged,
+                iterations=iterations,
+                feasible=feasible,
+                history=stack.runs[k].history,
+                bandwidth_multiplier=multiplier,
+            )
     return results

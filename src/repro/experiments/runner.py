@@ -735,7 +735,7 @@ class SweepRunner:
 
         try:
             if pending:
-                units = self._plan_batches(tasks, pending, stats)
+                units = self._plan_batches(tasks, pending, stats, keys)
                 batched = {index for indices, _ in units for index in indices}
                 units += [([index], False) for index in pending if index not in batched]
                 executor = (
@@ -772,7 +772,7 @@ class SweepRunner:
 
     # -- lockstep units -------------------------------------------------------
     @staticmethod
-    def batch_group_key(task: SweepTask) -> str:
+    def batch_group_key(task: SweepTask, payload: Mapping[str, Any] | None = None) -> str:
         """The problem-shape key batched tasks are grouped by.
 
         Derived from the same canonical-payload machinery as the cache key
@@ -782,19 +782,34 @@ class SweepRunner:
         :class:`ResourceAllocator` serves a group of ``"proposed"``
         solves.  (FL runs carry their allocator inside the round-loop
         config; the lockstep driver groups their solves by it.)
+        ``payload`` is the task's :meth:`SweepTask.payload` when the caller
+        built it already; its canonical scenario and solver parameters give
+        the same key without canonicalising them again.
         """
+        if payload is None:
+            num_devices = task.scenario_spec().params.get("num_devices")
+            allocator = _jsonify(task.solver_params.get("allocator"))
+        else:
+            num_devices = payload["scenario"].get("num_devices")
+            allocator = payload["solver_params"].get("allocator")
         key = {
             "solver_kind": task.solver_kind,
-            "num_devices": task.scenario_spec().params.get("num_devices"),
-            "allocator": _jsonify(task.solver_params.get("allocator")),
+            "num_devices": num_devices,
+            "allocator": allocator,
         }
         return json.dumps(key, sort_keys=True, separators=(",", ":"))
 
     def _plan_batches(
-        self, tasks: Sequence[SweepTask], pending: Sequence[int], stats: SweepStats
+        self,
+        tasks: Sequence[SweepTask],
+        pending: Sequence[int],
+        stats: SweepStats,
+        keys: Mapping[int, tuple[str, dict[str, Any]]],
     ) -> list[_Unit]:
         """Group the batchable pending tasks into lockstep units.
 
+        ``keys`` holds the ``(digest, payload)`` :meth:`run` built for the
+        cache or the shard filter; a task's group key reuses its payload.
         Each same-shape group is cut into even contiguous chunks: as many
         as the ``batch_size`` cap needs, and with ``jobs > 1`` up to ``jobs``
         chunks so every worker gets one.
@@ -803,8 +818,10 @@ class SweepRunner:
             return []
         groups: dict[str, list[int]] = {}
         for index in pending:
-            if batchable_task(tasks[index]):
-                groups.setdefault(self.batch_group_key(tasks[index]), []).append(index)
+            task = tasks[index]
+            if batchable_task(task):
+                payload = keys[index][1] if index in keys else None
+                groups.setdefault(self.batch_group_key(task, payload), []).append(index)
         units: list[_Unit] = []
         for indices in groups.values():
             count = len(indices)

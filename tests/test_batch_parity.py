@@ -417,6 +417,21 @@ def test_runner_batch_group_key_separates_shapes():
     )
 
 
+def test_runner_group_key_from_the_payload_is_byte_identical():
+    """The runner builds each task's group key from the payload it already
+    made for the cache; the key is the one the task alone gives (the serve
+    coalescer's call) for every fig2, fig7 and flcurve task."""
+    from repro.experiments.flcurve import FLCurveConfig
+    from repro.experiments.runner import _task_key
+
+    tasks = Fig2Config().tasks() + Fig7Config().tasks() + FLCurveConfig().tasks()
+    assert {t.solver_kind for t in tasks} >= {"proposed", "baseline", "fl_roundloop"}
+    for task in tasks:
+        assert SweepRunner.batch_group_key(task, _task_key(task)[1]) == (
+            SweepRunner.batch_group_key(task)
+        )
+
+
 # -- kernel-level masked-lane isolation (Hypothesis) ---------------------------
 
 

@@ -154,10 +154,19 @@ def test_hints_do_not_move_the_result(monkeypatch, tiny_system):
 
 
 def _lane(system):
-    from repro.core.sum_of_ratios import _BatchLane
+    from repro.core.subproblem2 import SystemRows
+    from repro.core.sum_of_ratios import _LaneRows
 
     power, bandwidth, min_rate = _setup(system)
-    return _BatchLane(SumOfRatiosSolver(system, 0.5), min_rate, power, bandwidth)
+    solver = SumOfRatiosSolver(system, 0.5)
+    # A one-run stack's start, its iterate handed to the run as before its
+    # fallback ladder.
+    rows = _LaneRows(
+        SystemRows.of([system]), [system], np.array([solver._scale]), [solver.config],
+        solver.backend, min_rate[None], power[None], bandwidth[None],
+    )
+    rows._write_back(0)
+    return rows.lanes[0]
 
 
 def test_batch_lane_drops_its_hint_after_a_fallback(tiny_system):

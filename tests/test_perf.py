@@ -429,7 +429,8 @@ def _algorithm1_tail_work(monkeypatch, batch_size):
     from repro.wireless import rate
 
     work = dict.fromkeys(
-        ("rounds", "stacks", "finish", "advance", "rates", "runs", "outer", "inner"), 0
+        ("rounds", "stacks", "finish", "advance", "rates", "starts", "runs", "outer", "inner"),
+        0,
     )
     inside = False
 
@@ -440,18 +441,29 @@ def _algorithm1_tail_work(monkeypatch, batch_size):
 
         return wrapped
 
-    algorithm1 = allocator.solve_sum_of_ratios_rows
+    algorithm1 = allocator.solve_sum_of_ratios_stacks
 
-    def timed_algorithm1(solvers, *args):
-        nonlocal inside
-        inside = True
-        try:
-            results = algorithm1(solvers, *args)
-        finally:
-            inside = False
-        work["runs"] += len(solvers)
-        work["inner"] += sum(r.iterations for r in results)
-        return results
+    def timed(fn):
+        def wrapped(*args):
+            nonlocal inside
+            inside = True
+            try:
+                return fn(*args)
+            finally:
+                inside = False
+
+        return wrapped
+
+    def timed_algorithm1(stacks):
+        timed(algorithm1)(stacks)
+        work["runs"] += sum(len(stack.runs) for stack in stacks)
+        work["inner"] += sum(int(stack.out_iterations.sum()) for stack in stacks)
+
+    start = sum_of_ratios._LaneRows.__init__
+
+    def timed_start(self, *args):
+        work["starts"] += 1
+        timed(start)(self, *args)
 
     solve_batch, solve = ResourceAllocator.solve_batch, ResourceAllocator.solve
 
@@ -472,7 +484,8 @@ def _algorithm1_tail_work(monkeypatch, batch_size):
         return open_band(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(allocator, "solve_sum_of_ratios_rows", timed_algorithm1)
+        patch.setattr(allocator, "solve_sum_of_ratios_stacks", timed_algorithm1)
+        patch.setattr(sum_of_ratios._LaneRows, "__init__", timed_start)
         patch.setattr(ResourceAllocator, "solve_batch", outer_batch)
         patch.setattr(ResourceAllocator, "solve", outer_one)
         patch.setattr(rate, "_open_band_rate", counting_rate)
@@ -506,20 +519,123 @@ def test_algorithm1_tail_runs_once_per_round_per_stack(monkeypatch):
 
     Rate-formula evaluations inside Algorithm 1: one per stack and round
     (the allocation's rates, reused by the feasibility verdict, the SP2
-    objective and the step) plus one at each run's start and one for its
-    result; batched 312 (before: 4,232, four per lane-iteration), per drop
-    1,274 (before: 4,232).  Outer and inner iterations are the per-drop
-    run's."""
+    objective and the step) plus one per stack for the runs' start, which
+    is a row pass; Algorithm 2 reads no result energy.  Batched 27, per
+    drop 1,130 (with a start and a result energy per run: 312 and 1,274;
+    before the stacked tail: 4,232, four per lane-iteration).  Outer and
+    inner iterations are the per-drop run's."""
     batched = _algorithm1_tail_work(monkeypatch, batch_size=None)
     per_drop = _algorithm1_tail_work(monkeypatch, batch_size=1)
     for work in (batched, per_drop):
         assert work["runs"] == 144
         assert work["finish"] == work["advance"] == work["stacks"]
-        assert work["rates"] == work["stacks"] + 2 * work["runs"]
+        assert work["rates"] == work["stacks"] + work["starts"]
+    assert (batched["starts"], per_drop["starts"]) == (3, 144)
     assert batched["rounds"] == batched["stacks"] == 24
     assert per_drop["rounds"] == per_drop["stacks"] == per_drop["inner"] == 986
     assert (batched["outer"], batched["inner"]) == (per_drop["outer"], per_drop["inner"])
     assert _algorithm1_tail_work(monkeypatch, batch_size=None) == batched
+
+
+def _algorithm2_round_work(monkeypatch, batch_size):
+    """Work of Algorithm 2's own outer bookkeeping over the fig2 bench
+    sweep, solved per drop (``batch_size=1``) or batched: the stack-rounds,
+    the rate-formula evaluations of the rounds outside Subproblem 1 and
+    Algorithm 1, the :class:`ResourceAllocation` constructions inside the
+    allocator, and the summed outer and inner iterations."""
+    from repro.core import allocator
+    from repro.core.allocation import ResourceAllocation
+    from repro.core.allocator import ResourceAllocator
+    from repro.experiments.fig2 import run_fig2
+    from repro.experiments.runner import SweepRunner
+    from repro.wireless import rate
+
+    work = dict.fromkeys(("stack_rounds", "rates", "allocations", "outer", "inner"), 0)
+    depth = {"round": 0, "solve": 0}
+
+    def inside(key, fn):
+        def wrapped(*args, **kwargs):
+            depth[key] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[key] -= 1
+
+        return wrapped
+
+    open_band = rate._open_band_rate
+
+    def counting_rate(*args):
+        work["rates"] += depth["round"] > 0
+        return open_band(*args)
+
+    post_init = ResourceAllocation.__post_init__
+
+    def counting_allocation(self):
+        work["allocations"] += depth["solve"] > 0
+        post_init(self)
+
+    subproblem1 = allocator._Stack.subproblem1
+
+    def counting_round(self, *args):
+        work["stack_rounds"] += 1
+        return subproblem1(self, *args)
+
+    solve_batch, solve = ResourceAllocator.solve_batch, ResourceAllocator.solve
+
+    def outer_batch(self, *args, **kwargs):
+        results = solve_batch(self, *args, **kwargs)
+        work["outer"] += sum(r.iterations for r in results)
+        work["inner"] += sum(r.inner_iterations for r in results)
+        return results
+
+    def outer_one(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        work["outer"] += result.iterations
+        work["inner"] += result.inner_iterations
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rate, "_open_band_rate", counting_rate)
+        patch.setattr(ResourceAllocation, "__post_init__", counting_allocation)
+        patch.setattr(allocator._Stack, "subproblem1", inside("round", counting_round))
+        for step in ("delay_step", "accept", "finish"):
+            patch.setattr(allocator._Stack, step, inside("round", getattr(allocator._Stack, step)))
+        patch.setattr(ResourceAllocator, "_solve_lanes", inside("solve", ResourceAllocator._solve_lanes))
+        patch.setattr(ResourceAllocator, "solve_batch", outer_batch)
+        patch.setattr(ResourceAllocator, "solve", outer_one)
+        runner = SweepRunner(jobs=1, use_cache=False, batch_size=batch_size)
+        table = run_fig2(bench.bench_config(False), runner=runner)
+    assert runner.last_stats.failed == 0
+    assert len(table.rows) > 0
+    return work
+
+
+def test_algorithm2_rounds_run_once_per_stack(monkeypatch):
+    """The fig2 bench sweep's 48 lanes (one stack of 20 devices, 144
+    lane-iterations) run each Algorithm-2 outer round once for the stack:
+    3 stack-rounds batched, 144 per drop.
+
+    Rate-formula evaluations of the rounds outside Subproblem 1 and
+    Algorithm 1: two per stack and round, the starting ``(p, B)``'s (shared
+    by Subproblem 1's upload times, the rate requirements' fallback and the
+    current objective) and the step's; 6 batched, 288 per drop.  Before,
+    eight per lane-iteration (Subproblem 1's upload times, the
+    requirements' fallback, two per ``problem.objective`` for the accept
+    test's two and the history's): 1,152 in both modes.  ``ResourceAllocation``
+    constructions inside the allocator: the initial point and the final
+    report of each lane, 96 (before: 336, with one ``with_frequency`` and
+    one ``with_communication`` per lane-iteration).  Outer and inner
+    iterations are the per-drop run's."""
+    batched = _algorithm2_round_work(monkeypatch, batch_size=None)
+    per_drop = _algorithm2_round_work(monkeypatch, batch_size=1)
+    assert (batched["stack_rounds"], per_drop["stack_rounds"]) == (3, 144)
+    for work in (batched, per_drop):
+        assert work["rates"] == 2 * work["stack_rounds"]
+        assert work["allocations"] == 2 * 48
+    assert (batched["outer"], batched["inner"]) == (per_drop["outer"], per_drop["inner"])
+    assert per_drop["outer"] == 144
+    assert _algorithm2_round_work(monkeypatch, batch_size=None) == batched
 
 
 def _delay_min_rate_evaluations(monkeypatch):
