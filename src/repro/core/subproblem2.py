@@ -66,7 +66,6 @@ __all__ = [
     "SP2Result",
     "sp2_objective",
     "solve_sp2_v2",
-    "solve_sp2_v2_rows",
     "solve_sp2_v2_numeric",
     "validate_backend",
 ]
@@ -1213,14 +1212,27 @@ def _solve_sp2_stacks(
 ) -> list[SP2Rows]:
     """Closed-form SP2_v2 over stacks of same-size lanes, one :class:`SP2Rows` each.
 
-    Every stack is prepared and finished in one rows pass
-    (:func:`_sp2_prepare_rows`, :func:`_sp2_finish_rows`).  The multiplier
-    searches of all stacks are grouped by constrained-device count, so
-    lanes of different sizes still share a lockstep rows search: a group
-    of two or more lanes runs :func:`_mu_search_vector_rows`, a one-lane
-    group the 1-D search of ``backend``, and the ``"scalar"`` backend its
-    probe-sequential oracle lane by lane.  ``hints[s][k]`` is the
-    warm-start hint of lane ``k`` of stack ``s``.
+    The one closed-form solver: Algorithm 1 runs it on its stacks every
+    round, and :func:`solve_sp2_v2` on one row.  Every stack is prepared
+    and finished in one rows pass (:func:`_sp2_prepare_rows`,
+    :func:`_sp2_finish_rows`); every array pass is elementwise, a row
+    reduction or a sum over a rectangular stack of equal-size subsets, so
+    no lane's bits depend on its neighbours.  The multiplier searches of
+    all stacks are grouped by constrained-device count, so lanes of
+    different sizes still share a lockstep rows search: a group of two or
+    more lanes runs :func:`_mu_search_vector_rows`, a one-lane group the
+    1-D search of ``backend``, and the ``"scalar"`` backend its
+    probe-sequential oracle lane by lane.  Every path hands its bracket to
+    the entry-independent polish, which collapses them onto the same
+    double.  A lane's :class:`InfeasibleProblemError` or
+    :class:`~repro.exceptions.ConvergenceError` is kept in its row
+    (``SP2Rows.errors``) instead of raised.
+
+    ``hints[s][k]`` is the warm-start hint of lane ``k`` of stack ``s``: a
+    previous ``(bandwidth_multiplier, constrained_roots)`` of the same
+    lane, whose constrained-device set must not have changed.  A missing,
+    unusable or unhelpful hint means a cold start, with the same result
+    bits; the scalar oracle ignores hints.
     """
     mu_search = _MU_SEARCHES[validate_backend(backend)]
     prepared = [
@@ -1319,13 +1331,14 @@ def solve_sp2_v2(
 ) -> SP2Result:
     """Closed-form KKT solution of SP2_v2 (Theorem 2 / Appendix B).
 
-    A one-lane :func:`solve_sp2_v2_rows` call, so the multiplier search is
+    A one-row :func:`_solve_sp2_stacks` call, so the multiplier search is
     the 1-D search of ``backend``: ``"vector"`` (default) brackets the root
     in one batched Lambert call and runs a safeguarded Halley iteration
     over all devices in single array passes (:func:`_mu_search_vector`);
     ``"scalar"`` is the probe-sequential reference implementation.  Both
     hand their bracket to the same root polish, so they agree within
-    ``mu_tol``-level round-off — the backend-parity tests enforce it.
+    ``mu_tol``-level round-off — the backend-parity tests enforce it.  The
+    search starts cold: warm-start hints are Algorithm 1's, per run.
 
     Raises :class:`InfeasibleProblemError` when the decomposition's lower
     bounds cannot fit into the bandwidth budget, and
@@ -1333,77 +1346,18 @@ def solve_sp2_v2(
     exhausts one of its iteration caps (callers fall back to
     :func:`solve_sp2_v2_numeric` in both cases).
     """
-    (result,) = solve_sp2_v2_rows(
-        [system], [nu], [beta], [min_rate_bps], mu_tol=mu_tol, backend=backend
+    (out,) = _solve_sp2_stacks(
+        [SystemRows.of([system])],
+        [np.array([nu], dtype=float)],
+        [np.array([beta], dtype=float)],
+        [np.array([min_rate_bps], dtype=float)],
+        mu_tol=mu_tol,
+        backend=backend,
     )
+    result = out.result(0)
     if isinstance(result, Exception):
         raise result
     return result
-
-
-def solve_sp2_v2_rows(
-    systems: Sequence[SystemModel],
-    nus: Sequence[np.ndarray],
-    betas: Sequence[np.ndarray],
-    min_rates: Sequence[np.ndarray],
-    *,
-    mu_tol: float = 1e-13,
-    backend: str = DEFAULT_BACKEND,
-    hints: Sequence[MuHint | None] | None = None,
-) -> list[SP2Result | Exception]:
-    """Closed-form SP2_v2 across independent lanes.
-
-    Lane ``i`` solves SP2_v2 for ``(systems[i], nus[i], betas[i],
-    min_rates[i])``, and its :class:`SP2Result` is bit-identical to the
-    one-lane call ``solve_sp2_v2(systems[i], nus[i], betas[i],
-    min_rates[i], backend=backend)``.  Lanes with the same device count
-    form one ``(lanes, n)`` stack whose preparation and allocation tail run
-    once for the whole stack (:func:`_solve_sp2_stacks`); every array pass
-    is elementwise, a row reduction or a sum over a rectangular stack of
-    equal-size subsets, so no lane's bits depend on its neighbours.
-
-    The bandwidth-multiplier search picks its kernel by lane count: lanes
-    grouped by constrained-device count run the lockstep rows search
-    (:func:`_mu_search_vector_rows`, one bracketing call for the group,
-    then one candidate per lane per round), a one-lane group runs the 1-D
-    search of ``backend`` (the same state machine without per-lane masks,
-    scanning past the bracketing call in chunks of candidates), and the
-    ``"scalar"`` backend always runs its probe-sequential oracle
-    lane by lane.  Every path hands its bracket to the entry-independent
-    polish, which collapses them onto the same double.
-
-    ``hints[i]`` (optional) is lane ``i``'s warm-start hint for the vector
-    searches: a previous ``(bandwidth_multiplier, constrained_roots)`` of
-    the same lane, whose constrained-device set must not have changed.  A
-    missing, unusable or unhelpful hint means a cold start, with the same
-    result bits; the scalar oracle ignores hints.
-
-    Exceptions are returned in-place rather than raised so one diverged or
-    infeasible lane cannot abort its neighbours: each element is either a
-    result or the :class:`InfeasibleProblemError` /
-    :class:`~repro.exceptions.ConvergenceError` the per-drop call would
-    have raised, letting callers replicate their per-lane fallback logic.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, system in enumerate(systems):
-        groups.setdefault(system.num_devices, []).append(i)
-    members = list(groups.values())
-    solved = _solve_sp2_stacks(
-        [SystemRows.of([systems[i] for i in lanes]) for lanes in members],
-        [np.array([nus[i] for i in lanes], dtype=float) for lanes in members],
-        [np.array([betas[i] for i in lanes], dtype=float) for lanes in members],
-        [np.array([min_rates[i] for i in lanes], dtype=float) for lanes in members],
-        mu_tol=mu_tol,
-        backend=backend,
-        hints=None if hints is None else [[hints[i] for i in lanes] for lanes in members],
-    )
-    results: list[SP2Result | Exception] = [
-        InfeasibleProblemError("lane not solved") for _ in systems
-    ]
-    for lanes, out in zip(members, solved):
-        for k, i in enumerate(lanes):
-            results[i] = out.result(k)
-    return results
 
 
 def solve_sp2_v2_numeric(

@@ -49,7 +49,6 @@ __all__ = [
     "SumOfRatiosConfig",
     "SumOfRatiosResult",
     "SumOfRatiosSolver",
-    "solve_sum_of_ratios_rows",
     "solve_sum_of_ratios_stacks",
 ]
 
@@ -129,19 +128,6 @@ class SumOfRatiosSolver:
         """The constant ``w1 R_g`` multiplying every ratio."""
         return self.energy_weight * self.system.global_rounds
 
-    def _rates(self, power: np.ndarray, bandwidth: np.ndarray) -> np.ndarray:
-        rates = self.system.rates_bps(power, bandwidth)
-        if np.any(rates <= 0.0):
-            raise InfeasibleProblemError(_ZERO_RATE)
-        return rates
-
-    def communication_energy(self, power: np.ndarray, bandwidth: np.ndarray) -> float:
-        """Total transmission energy ``R_g sum p d / r`` of an allocation."""
-        rates = self._rates(power, bandwidth)
-        return self.system.global_rounds * float(
-            np.sum(power * self.system.upload_bits / rates)
-        )
-
     # -- main loop ---------------------------------------------------------
     def solve(
         self,
@@ -153,12 +139,21 @@ class SumOfRatiosSolver:
 
         The auxiliary variables ``(beta, nu)`` start at the initial point's
         exact ratios, which is the paper's initialisation.  This is a
-        one-lane :func:`solve_sum_of_ratios_rows` call; the lane's exception
-        is raised.
+        one-run :class:`_LaneRows` stack driven by
+        :func:`solve_sum_of_ratios_stacks`; the run's exception is raised.
         """
-        (result,) = solve_sum_of_ratios_rows(
-            [self], [min_rate_bps], [initial_power_w], [initial_bandwidth_hz]
+        stack = _LaneRows(
+            SystemRows.of([self.system]),
+            [self.system],
+            np.array([self._scale]),
+            [self.config],
+            self.backend,
+            np.array([min_rate_bps], dtype=float),
+            np.array([initial_power_w], dtype=float),
+            np.array([initial_bandwidth_hz], dtype=float),
         )
+        solve_sum_of_ratios_stacks([stack])
+        result = stack.result(0)
         if isinstance(result, Exception):
             raise result
         return result
@@ -254,7 +249,8 @@ class _LaneRows:
     ``out_alpha`` (the final iterate), ``out_converged``,
     ``out_iterations``, ``out_feasible``, ``out_multiplier`` (the last
     positive bandwidth multiplier), ``runs[k].history`` and ``errors[k]``
-    (the exception that ended run ``k``, else ``None``).  A run with
+    (the exception that ended run ``k``, else ``None``); :meth:`result`
+    reads run ``k``'s :class:`SumOfRatiosResult` off them.  A run with
     ``max_iterations < 1`` keeps its start.  Every row gets the bits of a
     one-run stack.
     """
@@ -370,6 +366,34 @@ class _LaneRows:
                 out.mu[k] = inner.bandwidth_multiplier
                 self.notes[k] = inner.method
         self._drop(failed)
+
+    def result(self, k: int) -> SumOfRatiosResult | Exception:
+        """Run ``k``'s :class:`SumOfRatiosResult`, or the exception that ended it.
+
+        The communication energy ``R_g sum p d / r`` is read at the run's
+        final ``(p, B)``, whose rates must all be positive.
+        """
+        if self.errors[k] is not None:
+            return self.errors[k]
+        system, n = self.runs[k].system, self.out_power.shape[1]
+        power, bandwidth = self.out_power[k], self.out_bandwidth[k]
+        rates = system.rates_bps(power, bandwidth)
+        if (rates <= 0.0).any():
+            return InfeasibleProblemError(_ZERO_RATE)
+        return SumOfRatiosResult(
+            power_w=power,
+            bandwidth_hz=bandwidth,
+            nu=self.out_alpha[k, n:],
+            beta=self.out_alpha[k, :n],
+            communication_energy_j=float(
+                system.global_rounds * (power * system.upload_bits / rates).sum()
+            ),
+            converged=bool(self.out_converged[k]),
+            iterations=int(self.out_iterations[k]),
+            feasible=bool(self.out_feasible[k]),
+            history=self.runs[k].history,
+            bandwidth_multiplier=float(self.out_multiplier[k]),
+        )
 
     def _drop(self, failed: list[tuple[int, Exception]]) -> None:
         """Fail the given rows: record their exceptions, remove them (stack and round outcome)."""
@@ -500,11 +524,10 @@ def solve_sum_of_ratios_stacks(stacks: Sequence[_LaneRows]) -> None:
     gives the same bits.
 
     This is the one Algorithm-1 driver: Algorithm 2 hands it its stacks
-    directly, and :func:`solve_sum_of_ratios_rows` and
-    :meth:`SumOfRatiosSolver.solve` are list and one-run wrappers.  A run's
-    outcome does not depend on its neighbours: a stack of one gives the same
-    bits, and a run's exception (e.g. an infeasible iterate) is kept in its
-    row instead of raised.
+    directly, and :meth:`SumOfRatiosSolver.solve` runs a stack of one.  A
+    run's outcome does not depend on its neighbours: a stack of one gives
+    the same bits, and a run's exception (e.g. an infeasible iterate) is
+    kept in its row instead of raised.
     """
     running = [stack for stack in stacks if stack.lanes]
     while running:
@@ -525,76 +548,3 @@ def solve_sum_of_ratios_stacks(stacks: Sequence[_LaneRows]) -> None:
             if stack.lanes:
                 stack.advance()
         running = [stack for stack in running if stack.lanes]
-
-
-def solve_sum_of_ratios_rows(
-    solvers: Sequence[SumOfRatiosSolver],
-    min_rates: Sequence[np.ndarray],
-    initial_powers: Sequence[np.ndarray],
-    initial_bandwidths: Sequence[np.ndarray],
-) -> list[SumOfRatiosResult | Exception]:
-    """Lockstep batch of independent Algorithm-1 solves, one per solver.
-
-    Lane ``i`` runs Algorithm 1 for ``solvers[i]`` from ``(initial_powers[i],
-    initial_bandwidths[i])`` under ``min_rates[i]``.  A list wrapper over
-    :func:`solve_sum_of_ratios_stacks`: lanes with the same device count and
-    SP2 backend are stacked here, and each lane's
-    :class:`SumOfRatiosResult` is read off its row, the communication
-    energies of a stack in one row pass.  A lane's result does not depend
-    on its neighbours; its exception (e.g. an infeasible iterate) is
-    returned in its slot instead of raised.
-    """
-    results: list[SumOfRatiosResult | Exception] = [
-        SolverError("lane not solved") for _ in solvers
-    ]
-    groups: dict[tuple[int, str], list[int]] = {}
-    for i, solver in enumerate(solvers):
-        groups.setdefault((solver.system.num_devices, solver.backend), []).append(i)
-    stacks, systems_rows = [], []
-    for (_, backend), slots in groups.items():
-        systems = [solvers[i].system for i in slots]
-        systems_rows.append(SystemRows.of(systems))
-        stacks.append(
-            _LaneRows(
-                systems_rows[-1],
-                systems,
-                np.array([solvers[i]._scale for i in slots]),
-                [solvers[i].config for i in slots],
-                backend,
-                np.array([min_rates[i] for i in slots], dtype=float),
-                np.array([initial_powers[i] for i in slots], dtype=float),
-                np.array([initial_bandwidths[i] for i in slots], dtype=float),
-            )
-        )
-    solve_sum_of_ratios_stacks(stacks)
-    for slots, stack, system in zip(groups.values(), stacks, systems_rows):
-        n = stack.out_power.shape[1]
-        rates = shannon_rate(stack.out_power, stack.out_bandwidth, system.gains, system.noise)
-        zero = (rates <= 0.0).any(axis=1).tolist()
-        rounds = np.array([float(solvers[i].system.global_rounds) for i in slots])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            energy = rounds * (stack.out_power * system.bits / rates).sum(axis=1)
-        for k, (i, value, converged, iterations, feasible, multiplier) in enumerate(
-            zip(
-                slots,
-                energy.tolist(),
-                stack.out_converged.tolist(),
-                stack.out_iterations.tolist(),
-                stack.out_feasible.tolist(),
-                stack.out_multiplier.tolist(),
-            )
-        ):
-            error = stack.errors[k] or (InfeasibleProblemError(_ZERO_RATE) if zero[k] else None)
-            results[i] = error or SumOfRatiosResult(
-                power_w=stack.out_power[k],
-                bandwidth_hz=stack.out_bandwidth[k],
-                nu=stack.out_alpha[k, n:],
-                beta=stack.out_alpha[k, :n],
-                communication_energy_j=value,
-                converged=converged,
-                iterations=iterations,
-                feasible=feasible,
-                history=stack.runs[k].history,
-                bandwidth_multiplier=multiplier,
-            )
-    return results

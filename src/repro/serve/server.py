@@ -21,9 +21,10 @@ dependencies beyond the standard library):
 The HTTP layer is deliberately thin: :class:`AllocationService` owns all
 state and is directly unit-testable; the handler only parses bytes and
 maps outcomes to status codes (400 malformed request, 404 unknown path,
-500 solver failure, 504 solve timeout).  Shutdown is graceful — closing
-the service drains the coalescing queue (resolving every waiting client)
-and flushes the store, which is what the CLI's SIGINT path relies on.
+413 body over :data:`MAX_BODY_BYTES`, 500 solver failure, 504 solve
+timeout).  Shutdown is graceful — closing the service drains the
+coalescing queue (resolving every waiting client) and flushes the store,
+which is what the CLI's SIGINT path relies on.
 """
 
 from __future__ import annotations
@@ -47,7 +48,11 @@ from ..store import ResultStore, open_store
 from .coalescer import RequestCoalescer, SolveOutcome
 from .schema import parse_request
 
-__all__ = ["ServeConfig", "AllocationService", "AllocationServer"]
+__all__ = ["MAX_BODY_BYTES", "ServeConfig", "AllocationService", "AllocationServer"]
+
+#: Largest ``POST /solve`` body read, in bytes; a request declaring more is
+#: answered 413 unread (real bodies are a few KB).
+MAX_BODY_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -263,6 +268,13 @@ class _Handler(BaseHTTPRequestHandler):
         if length <= 0:
             self.service._count("total", "invalid")
             self._respond(400, {"error": "request needs a JSON body (Content-Length)"})
+            return
+        if length > MAX_BODY_BYTES:
+            # The body stays unread, so this connection cannot carry another
+            # request.
+            self.close_connection = True
+            self.service._count("total", "invalid")
+            self._respond(413, {"error": f"request body over {MAX_BODY_BYTES} bytes"})
             return
         raw = self.rfile.read(length)
         try:

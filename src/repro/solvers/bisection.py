@@ -1,10 +1,11 @@
-"""Bisection root finding, scalar and vectorised.
+"""Vectorised bisection root finding.
 
-The solvers in :mod:`repro.core` repeatedly need the root of a monotone
-scalar function (e.g. the bandwidth dual variable ``mu`` in Appendix B, or
-the simplex dual variable ``eta`` in Subproblem 1's water-filling).  The
-vectorised variant finds one root per device simultaneously, which keeps
-Algorithm 2 fast for the paper's 50-80 device sweeps.
+:func:`bisect_vector` finds the roots of many independent monotone
+equations at once, one bracket per equation.  Its caller is
+:func:`~repro.wireless.rate.min_bandwidth_for_rate` (the smallest bandwidth
+that meets each device's rate at a given power); the min-max upload split
+of :mod:`repro.core.uplink_delay` repeats its steps, bit for bit, in one
+shared walk.
 """
 
 from __future__ import annotations
@@ -15,52 +16,7 @@ import numpy as np
 
 from ..exceptions import ConvergenceError, SolverError
 
-__all__ = ["bisect_scalar", "bisect_vector"]
-
-
-def bisect_scalar(
-    func: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """Find a root of a monotone scalar function on ``[lo, hi]`` by bisection.
-
-    The function values at the endpoints must have opposite signs (a zero at
-    an endpoint is also accepted).  The returned point ``x`` satisfies
-    ``hi - lo <= tol * max(1, |x|)`` or ``func(x) == 0``; exhausting
-    ``max_iter`` without meeting the tolerance raises
-    :class:`~repro.exceptions.ConvergenceError` instead of silently returning
-    the midpoint of a still-too-wide interval.
-    """
-    f_lo = func(lo)
-    f_hi = func(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise SolverError(
-            "bisect_scalar requires a sign change: "
-            f"f({lo})={f_lo:.3g}, f({hi})={f_hi:.3g}"
-        )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = func(mid)
-        if f_mid == 0.0:
-            return mid
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-        if hi - lo <= tol * max(1.0, abs(mid)):
-            return 0.5 * (lo + hi)
-    raise ConvergenceError(
-        f"bisect_scalar did not converge in {max_iter} iterations: the "
-        f"bracket [{lo:.6g}, {hi:.6g}] is still wider than tol={tol:.3g}"
-    )
+__all__ = ["bisect_vector"]
 
 
 def bisect_vector(

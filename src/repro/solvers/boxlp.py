@@ -14,57 +14,9 @@ negative cost coefficient first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..exceptions import InfeasibleProblemError
-
-__all__ = ["BoxBudgetLPResult", "solve_box_budget_lp", "solve_box_budget_lp_rows"]
-
-
-@dataclass(frozen=True)
-class BoxBudgetLPResult:
-    """Solution of a box-constrained budget LP."""
-
-    x: np.ndarray
-    objective: float
-    budget_used: float
-    budget_slack: float
-
-
-def solve_box_budget_lp(
-    costs: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    budget: float,
-    *,
-    atol: float = 1e-9,
-) -> BoxBudgetLPResult:
-    """Solve ``min c.x  s.t.  lower <= x <= upper,  sum(x) <= budget``.
-
-    A one-row :func:`solve_box_budget_lp_rows` call over 1-D inputs.
-    Raises :class:`InfeasibleProblemError` when ``sum(lower) > budget`` (the
-    lower bounds alone exceed the budget) or any ``lower > upper``.
-    """
-    c = np.asarray(costs, dtype=float)
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    if not (c.shape == lo.shape == hi.shape):
-        raise ValueError("costs, lower and upper must have identical shapes")
-    rows, errors = solve_box_budget_lp_rows(
-        c[None], lo[None], hi[None], np.array([budget], dtype=float), atol=atol
-    )
-    if errors[0] is not None:
-        raise InfeasibleProblemError(errors[0])
-    x = rows[0]
-    used = float(x.sum())
-    return BoxBudgetLPResult(
-        x=x,
-        objective=float(c @ x),
-        budget_used=used,
-        budget_slack=float(budget - used),
-    )
+__all__ = ["solve_box_budget_lp_rows"]
 
 
 def solve_box_budget_lp_rows(
@@ -75,13 +27,15 @@ def solve_box_budget_lp_rows(
     *,
     atol: float = 1e-9,
 ) -> tuple[np.ndarray, list[str | None]]:
-    """The greedy of :func:`solve_box_budget_lp` for every row of a stack.
+    """Solve ``min c.x  s.t.  lower <= x <= upper,  sum(x) <= budget`` for
+    every row of a stack.
 
     Row ``i`` of the ``(lanes, m)`` inputs is the LP ``min c_i.x  s.t.
-    lower_i <= x <= upper_i,  sum(x) <= budgets[i]``, and gets the bits of
-    the sequential greedy: in its own ``argsort`` order, each variable with
-    a negative cost takes ``min(room, remaining)`` and ``remaining -=
-    grant``, until a cost is non-negative or ``remaining <= atol``.  While
+    lower_i <= x <= upper_i,  sum(x) <= budgets[i]``; a single LP is a
+    one-row stack.  Each row gets the bits of the sequential greedy: in its
+    own ``argsort`` order, each variable with a negative cost takes
+    ``min(room, remaining)`` and ``remaining -= grant``, until a cost is
+    non-negative or ``remaining <= atol``.  While
     every grant is a whole room, the remaining budget before each rank is
     one left-to-right ``np.subtract.accumulate`` of the rooms — the same
     subtractions in the same order — and the first rank whose room exceeds

@@ -26,29 +26,17 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "DampedNewtonResult",
     "DampedNewtonRows",
-    "damped_newton_step",
     "damped_newton_step_rows",
     "row_norms",
 ]
 
 
 @dataclass(frozen=True)
-class DampedNewtonResult:
-    """Outcome of one damped Newton-like update."""
-
-    alpha: np.ndarray
-    residual_norm: float
-    step_exponent: int
-    step_size: float
-    accepted: bool
-
-
-@dataclass(frozen=True)
 class DampedNewtonRows:
-    """Outcome of one damped update per row: the fields of
-    :class:`DampedNewtonResult`, stacked."""
+    """Outcome of one damped update per row: the updated ``alpha``, its
+    residual norm, the backtrack exponent ``j`` and step ``xi**j`` taken,
+    and whether the step met the decrease condition (29)."""
 
     alpha: np.ndarray
     residual_norm: np.ndarray
@@ -75,58 +63,6 @@ def _check_damping(xi: float, eps: float) -> None:
 def _powers(xi: float, max_backtracks: int) -> tuple[float, ...]:
     """``xi**j`` for ``j = 0..max_backtracks`` by Python's float power."""
     return tuple(xi**j for j in range(max_backtracks + 1))
-
-
-def damped_newton_step(
-    alpha: np.ndarray,
-    residual: Callable[[np.ndarray], np.ndarray],
-    newton_direction: np.ndarray,
-    *,
-    xi: float = 0.5,
-    eps: float = 0.01,
-    max_backtracks: int = 30,
-) -> DampedNewtonResult:
-    """Perform one damped Newton update with the Armijo-like rule (29).
-
-    A one-row :func:`damped_newton_step_rows` call.
-
-    Parameters
-    ----------
-    alpha:
-        Current iterate of the auxiliary variables.
-    residual:
-        Function returning ``phi(alpha)`` as an array.
-    newton_direction:
-        The full Newton step ``sigma = -J^-1 phi(alpha)`` (already computed
-        by the caller, who knows the diagonal Jacobian).
-    xi, eps:
-        Damping base and sufficient-decrease constant, both in ``(0, 1)``.
-    max_backtracks:
-        Maximum exponent ``j`` tried before accepting the smallest step.
-    """
-    _check_damping(xi, eps)
-    alpha = np.asarray(alpha, dtype=float)
-    direction = np.asarray(newton_direction, dtype=float)
-
-    def residual_rows(candidates: np.ndarray, rows: np.ndarray | slice) -> np.ndarray:
-        return np.asarray(residual(candidates[0]), dtype=float).reshape(1, -1)
-
-    step = damped_newton_step_rows(
-        alpha[None],
-        residual_rows,
-        direction[None],
-        base_norm=row_norms(residual_rows(alpha[None], slice(None))),
-        xi=np.array([xi]),
-        eps=np.array([eps]),
-        max_backtracks=max_backtracks,
-    )
-    return DampedNewtonResult(
-        alpha=step.alpha[0],
-        residual_norm=float(step.residual_norm[0]),
-        step_exponent=int(step.step_exponent[0]),
-        step_size=float(step.step_size[0]),
-        accepted=bool(step.accepted[0]),
-    )
 
 
 def damped_newton_step_rows(

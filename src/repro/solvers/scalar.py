@@ -1,19 +1,19 @@
 """Golden-section minimisation of one-dimensional convex functions.
 
-Two flavours are provided:
+Three flavours are provided:
 
 * :func:`golden_section_scalar` minimises a scalar convex function on an
-  interval (used for the primal solution of Subproblem 1 over the round
-  deadline ``T``).
+  interval (Subproblem 1's search over the round deadline ``T`` for a
+  lone lane).
 * :func:`golden_section_vector` minimises many independent one-dimensional
   convex functions simultaneously, each on its own interval, by evaluating a
   vectorised objective (used by the dual-decomposition fallback solver for
-  SP2_v2, one sub-minimisation per device).
+  SP2_v2, one sub-minimisation per device, and by Scheme 1's split search).
 * :func:`golden_section_rows` is the lockstep batch twin of
   :func:`golden_section_scalar`: one independent minimisation per lane,
   replicating the scalar variant's bracket updates float-for-float so each
-  lane's result is bitwise equal to a stand-alone scalar call (used by the
-  batched Subproblem-1 pass of the multi-solve allocator path).
+  lane's result is bitwise equal to a stand-alone scalar call (Subproblem
+  1's deadline search over a stack of two or more lanes).
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ and the history objective are row operations.  This module keeps the
 per-lane driver it replaced, unchanged: a :class:`_Lane` per problem holding
 a :class:`ResourceAllocation`, ``problem.objective`` for the accept test and
 the history, ``distance_to`` for the convergence test, and ``_finalize``.
-The subproblem solvers are the library's list wrappers
-(:func:`solve_subproblem1_rows`, :func:`solve_sum_of_ratios_rows`), read at
-call time, and the initial point comes from the allocator under test, so
-the tests hold the stacked driver to the same bits, exception types and
+The subproblem solvers are the library's per-lane public calls
+(:func:`solve_subproblem1`, :meth:`SumOfRatiosSolver.solve`), read at call
+time, and the initial point comes from the allocator under test, so the
+tests hold the stacked driver to the same bits, exception types and
 messages included.
 """
 
@@ -24,14 +24,10 @@ from repro.core.allocation import ResourceAllocation
 from repro.core.allocator import AllocationResult, ResourceAllocator
 from repro.core.convergence import ConvergenceHistory
 from repro.core.problem import JointProblem
-from repro.core.subproblem1 import solve_subproblem1_rows
-from repro.core.sum_of_ratios import (
-    SumOfRatiosResult,
-    SumOfRatiosSolver,
-    solve_sum_of_ratios_rows,
-)
+from repro.core.subproblem1 import solve_subproblem1
+from repro.core.sum_of_ratios import SumOfRatiosResult, SumOfRatiosSolver
 from repro.core.uplink_delay import minimize_max_upload_time
-from repro.exceptions import InfeasibleProblemError
+from repro.exceptions import ConfigurationError, ConvergenceError, InfeasibleProblemError
 from repro.perf.timers import stage
 
 
@@ -139,20 +135,21 @@ def solve_lanes_reference(
 
             # Step 1: Subproblem 1 — CPU frequencies and round deadline.
             with stage("sp1"):
-                sp1_results = solve_subproblem1_rows(
-                    [lanes[i].problem.system for i in active],
-                    [lanes[i].problem.energy_weight for i in active],
-                    [lanes[i].problem.time_weight for i in active],
-                    [
+                sp1_results = [
+                    _lane_call(
+                        solve_subproblem1,
+                        lanes[i].problem.system,
+                        lanes[i].problem.energy_weight,
+                        lanes[i].problem.time_weight,
                         lanes[i].problem.system.upload_time_s(
                             lanes[i].allocation.power_w,
                             lanes[i].allocation.bandwidth_hz,
-                        )
-                        for i in active
-                    ],
-                    round_deadlines_s=[lanes[i].problem.round_deadline_s for i in active],
-                    method=config.subproblem1_method,
-                )
+                        ),
+                        round_deadline_s=lanes[i].problem.round_deadline_s,
+                        method=config.subproblem1_method,
+                    )
+                    for i in active
+                ]
             previous: dict[int, ResourceAllocation] = {}
             for i, sp1 in zip(active, sp1_results):
                 if isinstance(sp1, Exception):
@@ -181,20 +178,20 @@ def solve_lanes_reference(
                         uplink.power_w, uplink.bandwidth_hz
                     )
                     lane.feasible = True
-                inner_results = solve_sum_of_ratios_rows(
-                    [
+                inner_results = [
+                    _lane_call(
                         SumOfRatiosSolver(
                             lanes[i].problem.system,
                             lanes[i].problem.energy_weight,
                             config=config.sum_of_ratios,
                             backend=allocator.backend,
-                        )
-                        for i in algorithm1
-                    ],
-                    [lanes[i].min_rate_requirements() for i in algorithm1],
-                    [lanes[i].allocation.power_w for i in algorithm1],
-                    [lanes[i].allocation.bandwidth_hz for i in algorithm1],
-                )
+                        ).solve,
+                        lanes[i].min_rate_requirements(),
+                        lanes[i].allocation.power_w,
+                        lanes[i].allocation.bandwidth_hz,
+                    )
+                    for i in algorithm1
+                ]
                 for i, inner in zip(algorithm1, inner_results):
                     if isinstance(inner, InfeasibleProblemError):
                         # Keep the previous (feasible) communication allocation.
@@ -232,6 +229,14 @@ def solve_lanes_reference(
             raise RuntimeError(f"batch lane {i} was never solved")
         final.append(item)
     return final
+
+
+def _lane_call(solve, *args, **kwargs):
+    """One lane's solve, its exception returned in its slot."""
+    try:
+        return solve(*args, **kwargs)
+    except (ConfigurationError, InfeasibleProblemError, ConvergenceError) as exc:
+        return exc
 
 
 def _finalize(lane: _Lane) -> AllocationResult:

@@ -1,10 +1,14 @@
-"""Reference ``bisect_vector``: the straightforward implementation, frozen.
+"""Reference bisections, frozen: the vector one and the scalar oracle.
 
 The library's :func:`repro.solvers.bisection.bisect_vector` reads
 ``sign(f(lo))`` once and updates its bracket in place.  This copy keeps the
 original formulation — ``f_lo`` carried and re-signed every iteration, fresh
 ``np.where`` arrays for the bracket — so the tests can hold the lean version
 to bit-identical outputs and identical errors.
+
+:func:`bisect_scalar` is the probe-at-a-time bisection the library no
+longer needs, kept as the per-lane oracle of the vector bisection's
+differential tests.
 """
 
 from __future__ import annotations
@@ -58,4 +62,49 @@ def bisect_vector_reference(
     raise ConvergenceError(
         f"bisect_vector did not converge in {max_iter} iterations: interval "
         f"{idx} is still [{lo[idx]:.6g}, {hi[idx]:.6g}] against tol={tol:.3g}"
+    )
+
+
+def bisect_scalar(
+    func: Callable[[float], float],
+    lo: float,
+    hi: float,
+    *,
+    tol: float = 1e-12,
+    max_iter: int = 200,
+) -> float:
+    """Find a root of a monotone scalar function on ``[lo, hi]`` by bisection.
+
+    The function values at the endpoints must have opposite signs (a zero at
+    an endpoint is also accepted).  The returned point ``x`` satisfies
+    ``hi - lo <= tol * max(1, |x|)`` or ``func(x) == 0``; exhausting
+    ``max_iter`` without meeting the tolerance raises
+    :class:`~repro.exceptions.ConvergenceError` instead of silently returning
+    the midpoint of a still-too-wide interval.
+    """
+    f_lo = func(lo)
+    f_hi = func(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if np.sign(f_lo) == np.sign(f_hi):
+        raise SolverError(
+            "bisect_scalar requires a sign change: "
+            f"f({lo})={f_lo:.3g}, f({hi})={f_hi:.3g}"
+        )
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        f_mid = func(mid)
+        if f_mid == 0.0:
+            return mid
+        if np.sign(f_mid) == np.sign(f_lo):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+        if hi - lo <= tol * max(1.0, abs(mid)):
+            return 0.5 * (lo + hi)
+    raise ConvergenceError(
+        f"bisect_scalar did not converge in {max_iter} iterations: the "
+        f"bracket [{lo:.6g}, {hi:.6g}] is still wider than tol={tol:.3g}"
     )

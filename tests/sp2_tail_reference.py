@@ -14,6 +14,7 @@ stacked tail to the same bits, exception types and messages included.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,10 +33,29 @@ from repro.core.subproblem2 import (
 from repro.core.sum_of_ratios import SumOfRatiosResult
 from repro.exceptions import ConvergenceError, InfeasibleProblemError, SolverError
 from repro.perf.timers import stage
-from repro.solvers.boxlp import BoxBudgetLPResult
-from repro.solvers.newton import DampedNewtonResult
 from repro.system import SystemModel
 from repro.wireless.rate import required_power_for_rate
+
+
+@dataclass(frozen=True)
+class BoxBudgetLPResult:
+    """Solution of a box-constrained budget LP."""
+
+    x: np.ndarray
+    objective: float
+    budget_used: float
+    budget_slack: float
+
+
+@dataclass(frozen=True)
+class DampedNewtonResult:
+    """Outcome of one damped Newton-like update."""
+
+    alpha: np.ndarray
+    residual_norm: float
+    step_exponent: int
+    step_size: float
+    accepted: bool
 
 
 def solve_box_budget_lp(
@@ -204,7 +224,7 @@ def _sp2_prepare(
 
     Returns ``(nu, beta, rmin, j, constrained)`` with
     ``j_n = nu_n d_n N0 / g_n`` and ``constrained`` the rate-constrained
-    device mask.  Run per lane by :func:`solve_sp2_v2_rows`.
+    device mask.  Run per lane by :func:`solve_sp2_v2_rows_reference`.
     """
     nu = np.maximum(np.asarray(nu, dtype=float), 1e-300)
     beta = np.maximum(np.asarray(beta, dtype=float), 0.0)
@@ -230,7 +250,7 @@ def _sp2_finish(
 
     The tail of the closed-form path — rate-active bandwidths, the box LP
     (A.6) for the slack devices, power repair, and the feasibility verdict —
-    run per lane by :func:`solve_sp2_v2_rows`, so every lane is
+    run per lane by :func:`solve_sp2_v2_rows_reference`, so every lane is
     bit-identical to a one-lane solve from the multiplier onward.
     """
     gains = system.gains
@@ -440,6 +460,17 @@ def solve_sp2_v2_rows_reference(
     return results
 
 
+def _rates(solver, power, bandwidth):
+    """``SumOfRatiosSolver._rates`` as it was: the rates, all positive."""
+    rates = solver.system.rates_bps(power, bandwidth)
+    if np.any(rates <= 0.0):
+        raise InfeasibleProblemError(
+            "an iterate produced a zero uplink rate; the initial point must "
+            "give every device positive power and bandwidth"
+        )
+    return rates
+
+
 def _residual(solver, beta, nu, power, rates):
     """``SumOfRatiosSolver._residual`` as it was: ``phi`` stacked ``(phi1, phi2)``."""
     phi1 = -power * solver.system.upload_bits + beta * rates
@@ -453,7 +484,7 @@ class BatchLaneReference:
     The one Algorithm-1 state machine: an initialisation (`__init__`), the
     fallback ladder for the lane's closed-form SP2_v2 attempt
     (:meth:`resolve_inner`) and one iteration's bookkeeping (:meth:`step`).
-    :func:`solve_sum_of_ratios_rows` drives any number of lanes in
+    :func:`solve_sum_of_ratios_rows_reference` drives any number of lanes in
     lockstep, and :meth:`SumOfRatiosSolver.solve` is a batch of one, so a
     lane's trajectory never depends on its neighbours.
 
@@ -480,7 +511,7 @@ class BatchLaneReference:
         self.min_rate = np.maximum(np.asarray(min_rate_bps, dtype=float), 0.0)
         self.power = np.asarray(initial_power_w, dtype=float).copy()
         self.bandwidth = np.asarray(initial_bandwidth_hz, dtype=float).copy()
-        rates = solver._rates(self.power, self.bandwidth)
+        rates = _rates(solver, self.power, self.bandwidth)
         self.beta = self.power * self.system.upload_bits / rates
         self.nu = solver._scale / rates
         self.history = ConvergenceHistory()
@@ -555,7 +586,7 @@ class BatchLaneReference:
             self.last_multiplier = inner.bandwidth_multiplier
         new_power, new_bandwidth = inner.power_w, inner.bandwidth_hz
         self.feasible = inner.feasible
-        new_rates = solver._rates(new_power, new_bandwidth)
+        new_rates = _rates(solver, new_power, new_bandwidth)
 
         residual = _residual(solver, self.beta, self.nu, new_power, new_rates)
         residual_norm = float(np.linalg.norm(residual))
@@ -612,8 +643,11 @@ class BatchLaneReference:
             bandwidth_hz=self.bandwidth,
             nu=self.nu,
             beta=self.beta,
-            communication_energy_j=self.solver.communication_energy(
-                self.power, self.bandwidth
+            communication_energy_j=self.system.global_rounds * float(
+                np.sum(
+                    self.power * self.system.upload_bits
+                    / _rates(self.solver, self.power, self.bandwidth)
+                )
             ),
             converged=self.converged,
             iterations=self.iteration,
@@ -634,13 +668,13 @@ def solve_sum_of_ratios_rows_reference(
     Lane ``i`` runs Algorithm 1 for ``solvers[i]`` from ``(initial_powers[i],
     initial_bandwidths[i])`` under ``min_rates[i]``.  Each round, every
     active lane's SP2_v2 closed form is solved by one
-    :func:`~repro.core.subproblem2.solve_sp2_v2_rows` call per SP2 backend
+    :func:`solve_sp2_v2_rows_reference` call per SP2 backend
     (the kernel picks its 1-D or rows search by lane count), then the
     per-lane bookkeeping (fallback ladder, residuals, convergence tests,
     damped Newton update) runs lane by lane.  Converged or failed lanes drop
     out of subsequent rounds; stragglers keep iterating.  From its second
     round on, a lane's multiplier search starts warm from its previous
-    round's multiplier (:class:`_BatchLane`'s ``hint``), falling back to a
+    round's multiplier (:class:`BatchLaneReference`'s ``hint``), falling back to a
     cold start when that fails; either start gives the same bits.
 
     A lane's result does not depend on its neighbours: a batch of one
@@ -652,7 +686,7 @@ def solve_sum_of_ratios_rows_reference(
     results: list[SumOfRatiosResult | Exception] = [
         SolverError("lane not solved") for _ in range(num_lanes)
     ]
-    lanes: dict[int, _BatchLane] = {}
+    lanes: dict[int, BatchLaneReference] = {}
     for i in range(num_lanes):
         try:
             lanes[i] = BatchLaneReference(

@@ -28,10 +28,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import JointProblem, ProblemWeights
-from repro.core import subproblem2
+from repro.core import subproblem1, subproblem2
 from repro.core.allocator import ResourceAllocator
-from repro.core.subproblem1 import solve_subproblem1, solve_subproblem1_rows
-from repro.core.subproblem2 import solve_sp2_v2, solve_sp2_v2_rows
+from repro.core.subproblem1 import FrequencyRows, solve_subproblem1, solve_subproblem1_stack
+from repro.core.subproblem2 import SystemRows, solve_sp2_v2
 from repro.experiments.base import SweepConfig, proposed_tasks
 from repro.experiments.fig2 import Fig2Config, run_fig2
 from repro.experiments.fig7 import Fig7Config
@@ -45,6 +45,7 @@ from repro.solvers.lambert import (
     solve_x_log_x_rows,
 )
 from repro.solvers.scalar import golden_section_rows, golden_section_scalar
+from tests import subproblem1_reference as sp1_reference
 from tests.mu_search_reference import mu_search_rows_reference, rooted_problem
 
 
@@ -177,19 +178,28 @@ def test_solve_subproblem1_rows_bit_identical(family):
         (0.5, 0.5, rng.uniform(0.05, 0.4, size=10)),
         (0.2, 0.8, rng.uniform(0.05, 0.4, size=10)),
     ]
-    results = solve_subproblem1_rows(
-        [system] * len(lanes),
-        [w1 for w1, _, _ in lanes],
-        [w2 for _, w2, _ in lanes],
-        [upload for _, _, upload in lanes],
+    systems = [system] * len(lanes)
+    frequency, deadline, status = solve_subproblem1_stack(
+        systems,
+        FrequencyRows.of(systems),
+        np.array([w1 for w1, _, _ in lanes]),
+        np.array([w2 for _, w2, _ in lanes]),
+        np.array([upload for _, _, upload in lanes]),
+        [None] * len(lanes),
     )
-    for (w1, w2, upload), result in zip(lanes, results):
-        reference = solve_subproblem1(system, w1, w2, upload)
-        assert not isinstance(result, Exception)
-        assert np.array_equal(result.frequency_hz, reference.frequency_hz)
-        assert result.round_deadline_s == reference.round_deadline_s
-        assert result.objective == reference.objective
-        assert result.method == reference.method
+    # The three rows share one rows golden section; each one-row call runs
+    # the scalar search, and the frozen 1-D solver is the reference.
+    for k, (w1, w2, upload) in enumerate(lanes):
+        for reference in (
+            solve_subproblem1(system, w1, w2, upload),
+            sp1_reference.solve_subproblem1(system, w1, w2, upload),
+        ):
+            assert status[k] is None
+            assert np.array_equal(frequency[k], reference.frequency_hz)
+            assert float(deadline[k]) == reference.round_deadline_s
+            objective = subproblem1._objective(system, w1, w2, frequency[k], float(deadline[k]))
+            assert objective == reference.objective
+            assert reference.method == "primal"
 
 
 @pytest.mark.parametrize("family", scenario_families())
@@ -205,13 +215,12 @@ def test_solve_sp2_v2_rows_bit_identical(family):
         beta = power * system.upload_bits / rates
         min_rate = scale * rates * rng.uniform(0.9, 1.0, size=10)
         lanes.append((nu, beta, min_rate))
-    results = solve_sp2_v2_rows(
-        [system] * len(lanes),
-        [nu for nu, _, _ in lanes],
-        [beta for _, beta, _ in lanes],
-        [r for _, _, r in lanes],
+    (out,) = subproblem2._solve_sp2_stacks(
+        [SystemRows.of([system] * len(lanes))],
+        *([np.array([lane[i] for lane in lanes])] for i in range(3)),
     )
-    for (nu, beta, min_rate), result in zip(lanes, results):
+    for k, (nu, beta, min_rate) in enumerate(lanes):
+        result = out.result(k)
         reference = solve_sp2_v2(system, nu, beta, min_rate)
         assert not isinstance(result, Exception)
         assert np.array_equal(result.power_w, reference.power_w)

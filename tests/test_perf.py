@@ -638,6 +638,64 @@ def test_algorithm2_rounds_run_once_per_stack(monkeypatch):
     assert _algorithm2_round_work(monkeypatch, batch_size=None) == batched
 
 
+def _fig7_subproblem1_work(monkeypatch):
+    """Subproblem-1 work of the default fig7 ``proposed`` batch (6
+    hard-deadline lanes, one sweep batch): the stacked calls, the one-lane
+    1-D solves run inside them, and the summed outer iterations."""
+    from repro.core import allocator, subproblem1
+    from repro.experiments.fig7 import Fig7Config
+    from repro.experiments.runner import SweepRunner
+
+    work = {"stacks": 0, "one_lane": 0, "outer": 0}
+    inside = False
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            work["one_lane"] += inside
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    stack = allocator.solve_subproblem1_stack
+
+    def timed_stack(*args):
+        nonlocal inside
+        work["stacks"] += 1
+        inside = True
+        try:
+            return stack(*args)
+        finally:
+            inside = False
+
+    solve_batch = ResourceAllocator.solve_batch
+
+    def outer_batch(self, *args, **kwargs):
+        results = solve_batch(self, *args, **kwargs)
+        work["outer"] += sum(r.iterations for r in results)
+        return results
+
+    with monkeypatch.context() as patch:
+        patch.setattr(allocator, "solve_subproblem1_stack", timed_stack)
+        for name in ("solve_subproblem1", "_solve_dual", "golden_section_scalar"):
+            patch.setattr(subproblem1, name, counting(getattr(subproblem1, name)))
+        patch.setattr(ResourceAllocator, "solve_batch", outer_batch)
+        runner = SweepRunner(jobs=1, use_cache=False)
+        runner.run(Fig7Config(schemes=("proposed",)).tasks())
+    assert runner.last_stats.failed == 0 and runner.last_stats.batches == 1
+    return work
+
+
+def test_fig7_deadline_lanes_run_no_one_lane_subproblem1_solve(monkeypatch):
+    """The default fig7 ``proposed`` batch (6 lanes, 14 lane-iterations in
+    3 stack-rounds) solves its fixed-deadline rows as row passes inside
+    ``solve_subproblem1_stack``: no one-lane ``solve_subproblem1``, dual or
+    scalar golden-section call.  Before, the stack handed every
+    fixed-deadline row to the 1-D ``solve_subproblem1``: 14 one-lane solves,
+    one per deadline lane-iteration."""
+    work = _fig7_subproblem1_work(monkeypatch)
+    assert work == {"stacks": 3, "one_lane": 0, "outer": 14}
+
+
 def _delay_min_rate_evaluations(monkeypatch):
     """Rate-formula evaluations per ``minimize_max_upload_time`` call on the
     80 ten-device paper/hotspot drops (seeds 0-39)."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 pytestmark = pytest.mark.hypothesis
 
 from repro import constants
-from repro.solvers import solve_box_budget_lp, solve_x_log_x
+from repro.solvers import solve_box_budget_lp_rows, solve_x_log_x
 from repro.solvers.waterfilling import power_waterfilling
 from repro.wireless.rate import required_power_for_rate, shannon_rate
 
@@ -75,12 +75,16 @@ def test_box_budget_lp_feasibility_properties(n, seed, budget_extra):
     lower = rng.uniform(0.0, 1.0, size=n)
     upper = lower + rng.uniform(0.0, 2.0, size=n)
     budget = float(lower.sum() + budget_extra)
-    result = solve_box_budget_lp(costs, lower, upper, budget)
-    assert np.all(result.x >= lower - 1e-9)
-    assert np.all(result.x <= upper + 1e-9)
-    assert result.x.sum() <= budget + 1e-6
+    rows, errors = solve_box_budget_lp_rows(
+        costs[None], lower[None], upper[None], np.array([budget])
+    )
+    x = rows[0]
+    assert errors == [None]
+    assert np.all(x >= lower - 1e-9)
+    assert np.all(x <= upper + 1e-9)
+    assert x.sum() <= budget + 1e-6
     # The objective is never worse than staying at the lower bounds.
-    assert result.objective <= float(costs @ lower) + 1e-9
+    assert float(costs @ x) <= float(costs @ lower) + 1e-9
 
 
 @settings(max_examples=40, deadline=None)

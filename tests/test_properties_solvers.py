@@ -2,9 +2,10 @@
 
 Three families of invariants, one per solver primitive:
 
-* ``bisect_scalar`` / ``bisect_vector`` — the returned point stays inside
-  the initial bracket, the residual there is root-small, lanes converge
-  independently, and pathological inputs fail loudly
+* ``bisect_vector`` and its frozen scalar oracle ``bisect_scalar`` — the
+  returned point stays inside the initial bracket, the residual there is
+  root-small, lanes converge independently, and pathological inputs fail
+  loudly
   (:class:`SolverError` for unbracketable intervals,
   :class:`ConvergenceError` for exhausted iteration budgets) instead of
   silently returning midpoints;
@@ -30,14 +31,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.exceptions import ConvergenceError, SolverError
-from repro.solvers import (
-    bisect_scalar,
-    bisect_vector,
-    lambert_solve_vector,
-    solve_x_log_x,
-)
+from repro.solvers import bisect_vector, lambert_solve_vector, solve_x_log_x
 from repro.solvers.lambert import _lambert_solve_seeded
 from repro.solvers.waterfilling import power_waterfilling
+from tests.bisection_reference import bisect_scalar
 from tests.lambert_reference import lambert_w_principal
 
 pytestmark = pytest.mark.hypothesis
@@ -45,7 +42,7 @@ pytestmark = pytest.mark.hypothesis
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
-# -- bisect_scalar ------------------------------------------------------------
+# -- bisect_scalar (the frozen oracle) -----------------------------------------
 
 @settings(max_examples=60, deadline=None)
 @given(

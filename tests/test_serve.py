@@ -12,6 +12,7 @@ stranding waiting clients.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -29,6 +30,7 @@ from repro.serve import (
     ServeConfig,
     parse_request,
 )
+from repro.serve.server import MAX_BODY_BYTES
 from repro.store import open_store
 
 #: Tiny but real allocator setting shared by every request in this module.
@@ -324,6 +326,27 @@ def test_malformed_requests_are_400s(server):
     assert excinfo.value.code == 400
     _status, metrics = _get(server, "/metrics")
     assert metrics["requests"]["invalid"] == 3
+
+
+def test_an_oversized_body_is_a_prompt_413_and_closes_its_connection(server):
+    """A declared length above the cap is refused without reading the body;
+    the connection closes, and the service keeps answering."""
+    host, port = server.address
+    with socket.create_connection((host, port), timeout=10) as raw:
+        raw.sendall(
+            b"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 1000000000\r\n\r\n"
+        )
+        reply = b""
+        while chunk := raw.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413")
+    assert str(MAX_BODY_BYTES) in json.loads(body)["error"]
+    status, payload = _post(server, _request_body(seed=3))
+    assert status == 200 and "metrics" in payload
+    _status, metrics = _get(server, "/metrics")
+    assert metrics["requests"]["invalid"] == 1
 
 
 def test_unknown_paths_are_404s(server):

@@ -1,4 +1,4 @@
-"""Tests for the scalar and vectorised bisection solvers."""
+"""Tests for the vectorised bisection solver and its frozen scalar oracle."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConvergenceError, SolverError
-from repro.solvers import bisect_scalar, bisect_vector
-from tests.bisection_reference import bisect_vector_reference
+from repro.solvers import bisect_vector
+from tests.bisection_reference import bisect_scalar, bisect_vector_reference
 
 
 def test_bisect_scalar_finds_root_of_linear_function():

@@ -22,14 +22,21 @@ from hypothesis import strategies as st
 
 from repro import build_paper_scenario
 from repro.core import subproblem2
-from repro.core.subproblem2 import SP2Result, _subset_row_sums, solve_sp2_v2_rows
+from repro.core.subproblem2 import (
+    DEFAULT_BACKEND,
+    SP2Result,
+    SystemRows,
+    _subset_row_sums,
+    solve_sp2_v2,
+)
 from repro.core.sum_of_ratios import (
     SumOfRatiosConfig,
     SumOfRatiosSolver,
-    solve_sum_of_ratios_rows,
+    _LaneRows,
+    solve_sum_of_ratios_stacks,
 )
+from repro.exceptions import ConvergenceError, InfeasibleProblemError
 from repro.solvers import damped_newton_step_rows, row_norms, solve_box_budget_lp_rows
-from repro.solvers.boxlp import solve_box_budget_lp
 from tests import sp2_tail_reference as ref
 
 _KINDS = (
@@ -86,6 +93,37 @@ _lane_spec = st.tuples(
 )
 
 
+def _sp2_rows(systems, nus, betas, min_rates, *, backend=DEFAULT_BACKEND):
+    """Closed-form SP2_v2 of independent lanes, stacked by device count
+    (:func:`~repro.core.subproblem2._solve_sp2_stacks`): each lane's result,
+    or its exception, in its slot."""
+    groups: dict[int, list[int]] = {}
+    for i, system in enumerate(systems):
+        groups.setdefault(system.num_devices, []).append(i)
+    members = list(groups.values())
+    outs = subproblem2._solve_sp2_stacks(
+        [SystemRows.of([systems[i] for i in lanes]) for lanes in members],
+        *(
+            [np.array([column[i] for i in lanes], dtype=float) for lanes in members]
+            for column in (nus, betas, min_rates)
+        ),
+        backend=backend,
+    )
+    results = [None] * len(systems)
+    for lanes, out in zip(members, outs):
+        for k, i in enumerate(lanes):
+            results[i] = out.result(k)
+    return results
+
+
+def _one(solve, *args, **kwargs):
+    """A one-lane public call, its exception returned instead of raised."""
+    try:
+        return solve(*args, **kwargs)
+    except (InfeasibleProblemError, ConvergenceError) as exc:
+        return exc
+
+
 def _same_sp2(got, want) -> None:
     if isinstance(want, Exception):
         assert type(got) is type(want)
@@ -138,10 +176,12 @@ def test_stacked_sp2_matches_the_per_lane_reference(specs, backend):
     its exception type and message."""
     lanes = [_lane(*spec) for spec in specs]
     args = [[lane[i] for lane in lanes] for i in range(4)]
-    got = solve_sp2_v2_rows(*args, backend=backend)
+    got = _sp2_rows(*args, backend=backend)
     want = ref.solve_sp2_v2_rows_reference(*args, backend=backend)
     for g, w in zip(got, want):
         _same_sp2(g, w)
+    for i, w in enumerate(want):
+        _same_sp2(_one(solve_sp2_v2, *[a[i] for a in args], backend=backend), w)
 
 
 def _crafted_box_lp_raise():
@@ -162,7 +202,7 @@ def test_each_finish_raise_keeps_its_lane_and_message(monkeypatch):
     infinite = _lane(10, 8, "infinite", 0.5, 5)[:4]
     lanes = healthy + [relax, lp, infinite]
     args = [[lane[i] for lane in lanes] for i in range(4)]
-    got = solve_sp2_v2_rows(*args)
+    got = _sp2_rows(*args)
     want = ref.solve_sp2_v2_rows_reference(*args)
     for g, w in zip(got, want):
         _same_sp2(g, w)
@@ -185,14 +225,13 @@ def test_each_finish_raise_keeps_its_lane_and_message(monkeypatch):
     monkeypatch.setattr(subproblem2, "_mu_search_vector_rows", shrunk_rows)
     tight = [_lane(10, s, "tight", 1.9, s)[:4] for s in range(3)]
     args = [[lane[i] for lane in tight + healthy] for i in range(4)]
-    got = solve_sp2_v2_rows(*args)
+    got = _sp2_rows(*args)
     want = ref.solve_sp2_v2_rows_reference(*args)
     for g, w in zip(got, want):
         _same_sp2(g, w)
     assert "active rate constraints exceed the bandwidth budget" in [str(w) for w in want]
     # A one-lane group (the 1-D search) raises the same way.
-    (one,) = solve_sp2_v2_rows(*[[a[0]] for a in args])
-    _same_sp2(one, want[0])
+    _same_sp2(_one(solve_sp2_v2, *[a[0] for a in args]), want[0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -245,9 +284,9 @@ def test_stacked_finish_matches_the_per_lane_finish(n, lanes, seed):
 def test_perturbing_one_lane_moves_no_other_lane():
     lanes = [_lane(16, s, kind, 0.8, s)[:4] for s, kind in enumerate(_KINDS)]
     args = [[lane[i] for lane in lanes] for i in range(4)]
-    before = solve_sp2_v2_rows(*args)
+    before = _sp2_rows(*args)
     args[1][2] = args[1][2] * 1.37  # lane 2's nu
-    after = solve_sp2_v2_rows(*args)
+    after = _sp2_rows(*args)
     for k, (b, a) in enumerate(zip(before, after)):
         if k != 2:
             _same_sp2(a, b)
@@ -313,9 +352,13 @@ def test_box_lp_rows_match_the_one_lane_greedy(lanes, m, seed):
                 continue
             assert errors[i] is None
             assert x[i].tobytes() == want.x.tobytes()
-            one = solve_box_budget_lp(costs[i], lower[i], upper[i], float(budgets[i]), atol=atol)
-            assert one.x.tobytes() == want.x.tobytes()
-            assert one.objective == want.objective or np.isnan(want.objective)
+            one, one_errors = solve_box_budget_lp_rows(
+                costs[i : i + 1], lower[i : i + 1], upper[i : i + 1], budgets[i : i + 1],
+                atol=atol,
+            )
+            assert one_errors == [None]
+            assert one[0].tobytes() == want.x.tobytes()
+            assert float(costs[i] @ one[0]) == want.objective or np.isnan(want.objective)
 
 
 def test_box_lp_rows_reject_a_negative_atol():
@@ -399,6 +442,35 @@ _CONFIGS = {
 }
 
 
+def _algorithm1_rows(solvers, min_rates, powers, bandwidths):
+    """Algorithm-1 runs stacked by device count and backend
+    (:func:`solve_sum_of_ratios_stacks`): each run's result, or its
+    exception, in its slot."""
+    groups: dict[tuple[int, str], list[int]] = {}
+    for i, solver in enumerate(solvers):
+        groups.setdefault((solver.system.num_devices, solver.backend), []).append(i)
+    stacks = [
+        _LaneRows(
+            SystemRows.of([solvers[i].system for i in slots]),
+            [solvers[i].system for i in slots],
+            np.array([solvers[i]._scale for i in slots]),
+            [solvers[i].config for i in slots],
+            backend,
+            *(
+                np.array([column[i] for i in slots], dtype=float)
+                for column in (min_rates, powers, bandwidths)
+            ),
+        )
+        for (_, backend), slots in groups.items()
+    ]
+    solve_sum_of_ratios_stacks(stacks)
+    results = [None] * len(solvers)
+    for slots, stack in zip(groups.values(), stacks):
+        for k, i in enumerate(slots):
+            results[i] = stack.result(k)
+    return results
+
+
 def _runs(specs):
     solvers, min_rates, powers, bandwidths = [], [], [], []
     for (n, seed, kind, factor, salt), config, weight in specs:
@@ -435,13 +507,12 @@ def test_stacked_algorithm1_matches_the_per_lane_reference(specs):
     """A mixed lockstep batch equals the frozen per-lane driver lane for
     lane, and each lane equals its own one-lane call."""
     args = _runs(specs)
-    got = solve_sum_of_ratios_rows(*args)
+    got = _algorithm1_rows(*args)
     want = ref.solve_sum_of_ratios_rows_reference(*args)
     for g, w in zip(got, want):
         _same_run(g, w)
     for i, g in enumerate(got):
-        (alone,) = solve_sum_of_ratios_rows(*[[a[i]] for a in args])
-        _same_run(alone, g)
+        _same_run(_one(args[0][i].solve, *[a[i] for a in args[1:]]), g)
 
 
 def test_algorithm1_edge_paths_in_one_batch(monkeypatch):
@@ -463,7 +534,7 @@ def test_algorithm1_edge_paths_in_one_batch(monkeypatch):
     args[1][4], args[2][4], args[3][4] = system.rates_bps(power, bandwidth), power, bandwidth
     notes = []
     want = ref.solve_sum_of_ratios_rows_reference(*args)
-    got = solve_sum_of_ratios_rows(*args)
+    got = _algorithm1_rows(*args)
     for g, w in zip(got, want):
         _same_run(g, w)
         if not isinstance(w, Exception):
@@ -490,7 +561,7 @@ def test_algorithm1_edge_paths_in_one_batch(monkeypatch):
     starved = _runs(
         [((9, 5, "none", 1.0, 5), "default", 0.9), ((9, 1, "loose", 0.9, 1), "default", 0.5)]
     )
-    got = solve_sum_of_ratios_rows(*starved)
+    got = _algorithm1_rows(*starved)
     want = ref.solve_sum_of_ratios_rows_reference(*starved)
     for g, w in zip(got, want):
         _same_run(g, w)
@@ -503,9 +574,9 @@ def test_perturbing_one_run_moves_no_other_run(backend):
     solvers, min_rates, powers, bandwidths = _runs(specs)
     solvers = [SumOfRatiosSolver(s.system, s.energy_weight, s.config, backend=backend)
                for s in solvers]
-    before = solve_sum_of_ratios_rows(solvers, min_rates, powers, bandwidths)
+    before = _algorithm1_rows(solvers, min_rates, powers, bandwidths)
     min_rates[2] = min_rates[2] * 1.1 + 1.0
-    after = solve_sum_of_ratios_rows(solvers, min_rates, powers, bandwidths)
+    after = _algorithm1_rows(solvers, min_rates, powers, bandwidths)
     for k, (b, a) in enumerate(zip(before, after)):
         if k != 2:
             _same_run(a, b)
