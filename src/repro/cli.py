@@ -343,11 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--gather-window-ms",
         type=float,
-        default=5.0,
+        default=0.0,
         metavar="MS",
         help="how long the coalescer waits after the first queued request "
-        "before solving, so a concurrent burst lands in one batch "
-        "(default 5 ms)",
+        "before solving (default 0: solve at once; requests that arrive "
+        "during a solve batch together in the next one); a positive "
+        "window trades that much cold-request latency for larger batches",
     )
     serve.add_argument(
         "--request-timeout",

@@ -40,7 +40,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, ConvergenceError, InfeasibleProblemError
+from ..exceptions import (
+    ConfigurationError,
+    ConvergenceError,
+    InfeasibleProblemError,
+    SolverError,
+)
 from ..solvers.scalar import golden_section_rows, golden_section_scalar
 from ..solvers.waterfilling import maximize_concave_on_simplex
 from ..system import SystemModel
@@ -300,8 +305,9 @@ def solve_subproblem1_stack(
     (:func:`_search_deadlines`), and the frequencies and realised deadline
     at ``T`` are one row pass (:func:`_primal_rows`).  With
     ``method="dual"`` the rows whose weights are both positive run the
-    dual water-filling (:func:`_solve_dual`) one by one; the corners stay
-    primal.  Every row gets the bits of a one-row stack: stacked row sums
+    dual water-filling (:func:`_solve_dual`) one by one, and a
+    :class:`SolverError` there (a multiplier it cannot bracket) ends only
+    that row; the corners stay primal.  Every row gets the bits of a one-row stack: stacked row sums
     reduce with the same pairwise tree as 1-D sums.
     """
     lanes = upload.shape[0]
@@ -377,4 +383,4 @@ def solve_subproblem1_stack(
     return frequency, deadline, status
 
 
-_LANE_ERRORS = (ConfigurationError, InfeasibleProblemError, ConvergenceError)
+_LANE_ERRORS = (ConfigurationError, InfeasibleProblemError, SolverError)

@@ -1,9 +1,13 @@
 """The request-coalescing queue behind the allocation service.
 
 HTTP request threads :meth:`~RequestCoalescer.submit` cold tasks and block
-on a future; a single worker thread drains the queue every few
-milliseconds and turns whatever arrived in that window into as few solves
-as possible:
+on a future; a single worker thread sleeps until a request is queued, then
+takes everything queued so far and turns it into as few solves as
+possible.  Requests that arrive while that drain is solving queue up and
+form the next one, so batches grow with load and a lone request starts
+solving at once.  An optional gather window (``gather_window_s``) makes
+the worker wait that long after the first queued request before
+draining, trading latency for larger batches.
 
 * requests for the **same digest** collapse onto one in-flight future
   (submitted while an identical request is already queued or solving,
@@ -19,6 +23,12 @@ as possible:
 * everything else (baselines, custom solver kinds) runs through the exact
   per-drop execution path, one task at a time.
 
+Each batch and each per-drop task resolves its futures as soon as it
+finishes, not when the whole drain does.  At most :data:`MAX_QUEUED`
+distinct digests wait to be drained; past that :meth:`~RequestCoalescer.submit`
+refuses a new digest with :class:`QueueFullError` (joins are still
+accepted).
+
 Failures follow the sweep engine's crash-isolation contract: a broken
 lane resolves its futures with an error string, never an exception, and
 one bad request cannot take the worker (or a neighbouring lane) down.
@@ -28,12 +38,11 @@ worker exits, which is what makes the service's SIGINT shutdown graceful.
 
 from __future__ import annotations
 
-import queue
 import threading
 import warnings
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from ..experiments.runner import (
     SweepRunner,
@@ -44,7 +53,15 @@ from ..experiments.runner import (
 )
 from ..perf.timers import StageTimings, stage
 
-__all__ = ["SolveOutcome", "RequestCoalescer"]
+__all__ = ["MAX_QUEUED", "QueueFullError", "SolveOutcome", "RequestCoalescer"]
+
+#: Most distinct digests waiting to be drained; a new digest past this is
+#: refused (the service answers 429).  Lanes already solving do not count.
+MAX_QUEUED = 256
+
+
+class QueueFullError(RuntimeError):
+    """:meth:`RequestCoalescer.submit` refused a new digest: the queue is full."""
 
 
 @dataclass(frozen=True)
@@ -85,9 +102,11 @@ class RequestCoalescer:
         Maximum lanes per lockstep :func:`execute_batch` pass.
     gather_window_s:
         How long the worker waits after the first queued request before
-        draining, so a concurrent burst lands in one drain (and therefore
-        one batch).  A few milliseconds suffices for same-moment bursts;
-        tests raise it to make coalescing deterministic.
+        draining.  The default 0 drains at once: a lone request solves
+        without waiting, and requests that arrive during a solve batch
+        together in the next drain.  A positive window delays every cold
+        request by up to that long so that a burst spread over the window
+        lands in one batch; tests raise it to hold the worker.
     on_outcome:
         Optional callback invoked in the worker thread with each
         :class:`SolveOutcome` *before* its futures resolve — the service
@@ -99,7 +118,7 @@ class RequestCoalescer:
         self,
         *,
         batch_size: int = 8,
-        gather_window_s: float = 0.005,
+        gather_window_s: float = 0.0,
         on_outcome: Callable[[SolveOutcome], None] | None = None,
     ) -> None:
         if batch_size < 1:
@@ -108,9 +127,11 @@ class RequestCoalescer:
         self.gather_window_s = float(gather_window_s)
         self.on_outcome = on_outcome
         self.timings = StageTimings()
-        self._queue: queue.Queue[str] = queue.Queue()
+        #: Digests submitted and not yet drained, oldest first.
+        self._queued: list[str] = []
         self._lanes: dict[str, _Lane] = {}
         self._lock = threading.Lock()
+        self._arrived = threading.Condition(self._lock)
         self._stop = threading.Event()
         self._stats = {
             "submitted": 0,
@@ -135,6 +156,8 @@ class RequestCoalescer:
         A digest already queued (or currently solving) is *joined*: the
         caller gets the existing lane's future machinery and no duplicate
         work is enqueued.  The future resolves with a :class:`SolveOutcome`.
+        A new digest while :data:`MAX_QUEUED` digests wait raises
+        :class:`QueueFullError`.
         """
         future: Future = Future()
         with self._lock:
@@ -145,16 +168,19 @@ class RequestCoalescer:
                 lane.futures.append(future)
                 self._stats["joined"] += 1
                 return future
+            if len(self._queued) >= MAX_QUEUED:
+                raise QueueFullError(f"{len(self._queued)} requests already queued")
             self._lanes[digest] = _Lane(task=task, futures=[future])
             self._stats["submitted"] += 1
-        self._queue.put(digest)
+            self._queued.append(digest)
+            self._arrived.notify()
         return future
 
     def snapshot(self) -> dict[str, int]:
         """A consistent copy of the coalescing counters (plus queue depth)."""
         with self._lock:
             counters = dict(self._stats)
-        counters["queue_depth"] = self._queue.qsize()
+            counters["queue_depth"] = len(self._queued)
         return counters
 
     def close(self) -> None:
@@ -166,27 +192,22 @@ class RequestCoalescer:
         """
         with self._lock:
             self._stop.set()
+            self._arrived.notify()
         self._worker.join()
 
     # -- the worker side -----------------------------------------------------
     def _run(self) -> None:
         while True:
-            try:
-                first = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                if self._stop.is_set():
+            with self._lock:
+                while not self._queued and not self._stop.is_set():
+                    self._arrived.wait()
+                if not self._queued:
                     return
-                continue
-            # Let a concurrent burst land before draining, so same-moment
-            # requests coalesce into one lockstep batch.  The stop event
-            # doubles as the sleep: shutdown skips the wait and drains.
+            # The stop event doubles as the gather window's sleep:
+            # shutdown skips the wait and drains.
             self._stop.wait(self.gather_window_s)
-            digests = [first]
-            while True:
-                try:
-                    digests.append(self._queue.get_nowait())
-                except queue.Empty:
-                    break
+            with self._lock:
+                digests, self._queued = self._queued, []
             try:
                 self._drain(digests)
             except Exception as exc:  # repro-lint: disable=RL005 -- a worker bug must fail the drained lanes loudly, not hang their clients
@@ -194,8 +215,9 @@ class RequestCoalescer:
                 for digest in digests:
                     with self._lock:
                         lane = self._lanes.pop(digest, None)
-                        self._stats["solved"] += 1
-                        self._stats["errors"] += 1
+                        if lane is not None:
+                            self._stats["solved"] += 1
+                            self._stats["errors"] += 1
                     if lane is not None:
                         for future in lane.futures:
                             future.set_result(
@@ -209,7 +231,7 @@ class RequestCoalescer:
                             )
 
     def _drain(self, digests: list[str]) -> None:
-        """Solve one drained window: group, batch, resolve."""
+        """Solve one drain: group, then batch and resolve unit by unit."""
         with self._lock:
             lanes = [(digest, self._lanes[digest].task) for digest in digests]
 
@@ -223,15 +245,15 @@ class RequestCoalescer:
             else:
                 solo.append((digest, task))
 
-        collector = StageTimings()
-        outcomes: list[SolveOutcome] = []
         for members in groups.values():
             for start in range(0, len(members), self.batch_size):
                 chunk = members[start : start + self.batch_size]
+                collector = StageTimings()
                 with stage("serve_batch", collector):
                     triples = execute_batch([task for _, task in chunk])
+                self._record_batch(len(chunk), collector)
                 for (digest, task), (metrics, state, error) in zip(chunk, triples):
-                    outcomes.append(
+                    self._resolve(
                         SolveOutcome(
                             digest=digest,
                             task=task,
@@ -241,12 +263,10 @@ class RequestCoalescer:
                             batch_size=len(chunk),
                         )
                     )
-                self._record_batch(len(chunk))
         for digest, task in solo:
             metrics, state, timings, error = _execute_safely(task)
-            if timings:
-                collector.merge(timings)
-            outcomes.append(
+            self._record_batch(1, timings, solo=True)
+            self._resolve(
                 SolveOutcome(
                     digest=digest,
                     task=task,
@@ -256,14 +276,14 @@ class RequestCoalescer:
                     batch_size=1,
                 )
             )
-            self._record_batch(1, solo=True)
 
-        for outcome in outcomes:
-            self._resolve(outcome)
-        with self._lock:
-            self.timings.merge(collector)
-
-    def _record_batch(self, size: int, *, solo: bool = False) -> None:
+    def _record_batch(
+        self,
+        size: int,
+        timings: StageTimings | Mapping[str, float] | None,
+        *,
+        solo: bool = False,
+    ) -> None:
         with self._lock:
             if solo:
                 self._stats["solo_tasks"] += 1
@@ -272,6 +292,8 @@ class RequestCoalescer:
                 self._stats["batched_tasks"] += size
             self._stats["last_batch_size"] = size
             self._stats["max_batch_size"] = max(self._stats["max_batch_size"], size)
+            if timings:
+                self.timings.merge(timings)
 
     def _resolve(self, outcome: SolveOutcome) -> None:
         """Publish one outcome: store callback first, then the futures."""

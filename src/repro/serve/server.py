@@ -21,10 +21,13 @@ dependencies beyond the standard library):
 The HTTP layer is deliberately thin: :class:`AllocationService` owns all
 state and is directly unit-testable; the handler only parses bytes and
 maps outcomes to status codes (400 malformed request, 404 unknown path,
-413 body over :data:`MAX_BODY_BYTES`, 500 solver failure, 504 solve
-timeout).  Shutdown is graceful — closing the service drains the
-coalescing queue (resolving every waiting client) and flushes the store,
-which is what the CLI's SIGINT path relies on.
+413 body over :data:`MAX_BODY_BYTES`, 429 coalescing queue full (see
+:data:`~repro.serve.coalescer.MAX_QUEUED`), 500 solver failure, 504 solve
+timeout).  Responses go out with ``TCP_NODELAY`` set, so a client that
+keeps its connection open is not held up by its own delayed ACK.
+Shutdown is graceful — closing the service drains the coalescing queue
+(resolving every waiting client) and flushes the store, which is what the
+CLI's SIGINT path relies on.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from ..exceptions import ConfigurationError
 from ..experiments.runner import default_cache_dir, task_hash
 from ..perf.timers import wall_clock
 from ..store import ResultStore, open_store
-from .coalescer import RequestCoalescer, SolveOutcome
+from .coalescer import QueueFullError, RequestCoalescer, SolveOutcome
 from .schema import parse_request
 
 __all__ = ["MAX_BODY_BYTES", "ServeConfig", "AllocationService", "AllocationServer"]
@@ -65,6 +68,9 @@ class ServeConfig:
     ``backend`` is the default SP2 backend applied to requests that do
     not override it; it enters the task payload exactly as a sweep's
     ``--backend`` flag does, so it is part of the cache key.
+    ``batch_size`` and ``gather_window_s`` go to the
+    :class:`~repro.serve.coalescer.RequestCoalescer`: the default window 0
+    solves each cold request as soon as the worker is free.
     """
 
     host: str = "127.0.0.1"
@@ -73,7 +79,7 @@ class ServeConfig:
     store_backend: str | None = None
     backend: str | None = None
     batch_size: int = 8
-    gather_window_s: float = 0.005
+    gather_window_s: float = 0.0
     request_timeout_s: float = 300.0
 
     def __post_init__(self) -> None:
@@ -126,6 +132,7 @@ class AllocationService:
             "solved": 0,
             "errors": 0,
             "invalid": 0,
+            "rejected": 0,
         }
         self.coalescer = RequestCoalescer(
             batch_size=self.config.batch_size,
@@ -149,7 +156,11 @@ class AllocationService:
             metrics, _state = cached
             self._count("cache_hits")
             return 200, {"digest": digest, "cached": True, "metrics": metrics}
-        future = self.coalescer.submit(task, digest)
+        try:
+            future = self.coalescer.submit(task, digest)
+        except QueueFullError as exc:
+            self._count("rejected")
+            return 429, {"digest": digest, "error": f"service overloaded: {exc}"}
         try:
             outcome: SolveOutcome = future.result(timeout=self.config.request_timeout_s)
         except (TimeoutError, _FutureTimeoutError):
@@ -244,6 +255,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    #: Headers and body leave as two small writes; with Nagle on, the body
+    #: of a keep-alive response waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> AllocationService:

@@ -435,7 +435,7 @@ def test_serve_parser_defaults():
     assert args.store is None
     assert args.backend is None
     assert args.batch_size == 8
-    assert args.gather_window_ms == 5.0
+    assert args.gather_window_ms == 0.0
     assert args.request_timeout == 300.0
 
 

@@ -11,9 +11,13 @@ stranding waiting clients.
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import statistics
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -30,6 +34,7 @@ from repro.serve import (
     ServeConfig,
     parse_request,
 )
+from repro.serve import coalescer as coalescer_module
 from repro.serve.server import MAX_BODY_BYTES
 from repro.store import open_store
 
@@ -379,7 +384,188 @@ def test_healthz_and_metrics_endpoints(server):
         "solved",
         "errors",
         "invalid",
+        "rejected",
     }
+
+
+def test_keep_alive_requests_answer_without_a_delayed_ack_stall(server):
+    """Ten hits on one connection stay far under the ~40 ms a delayed ACK
+    costs each response when Nagle holds back its body, and each body is
+    the bytes a fresh connection gets."""
+    body = json.dumps(_request_body(seed=80)).encode("utf-8")
+    headers = {"Content-Type": "application/json"}
+
+    def fresh() -> bytes:
+        conn = http.client.HTTPConnection(*server.address, timeout=60)
+        try:
+            conn.request("POST", "/solve", body=body, headers=headers)
+            return conn.getresponse().read()
+        finally:
+            conn.close()
+
+    assert json.loads(fresh())["cached"] is False
+    expected = fresh()
+    assert json.loads(expected)["cached"] is True
+    conn = http.client.HTTPConnection(*server.address, timeout=60)
+    walls, replies = [], []
+    try:
+        for _ in range(10):
+            started = time.perf_counter()
+            conn.request("POST", "/solve", body=body, headers=headers)
+            response = conn.getresponse()
+            replies.append((response.status, response.read()))
+            walls.append(time.perf_counter() - started)
+    finally:
+        conn.close()
+    assert replies == [(200, expected)] * 10
+    assert statistics.median(walls) < 0.020, walls
+
+
+# -- the coalescing worker ---------------------------------------------------
+
+
+def _hold_batches(monkeypatch) -> tuple[threading.Event, threading.Event, list[int]]:
+    """Make every ``execute_batch`` pass wait for ``release``; returns
+    ``(entered, release, sizes)`` with ``sizes`` the batch sizes run."""
+    entered, release, sizes = threading.Event(), threading.Event(), []
+    real = coalescer_module.execute_batch
+
+    def held(tasks):
+        sizes.append(len(tasks))
+        entered.set()
+        assert release.wait(timeout=60)
+        return real(tasks)
+
+    monkeypatch.setattr(coalescer_module, "execute_batch", held)
+    return entered, release, sizes
+
+
+def test_the_default_gather_window_is_zero():
+    coalescer = RequestCoalescer()
+    coalescer.close()
+    assert coalescer.gather_window_s == 0.0
+    assert ServeConfig().gather_window_s == 0.0
+
+
+def test_requests_queued_during_a_solve_run_as_the_next_batch(monkeypatch):
+    entered, release, sizes = _hold_batches(monkeypatch)
+    coalescer = RequestCoalescer()
+    try:
+        first = parse_request(_request_body(seed=90))
+        first_future = coalescer.submit(first, task_hash(first))
+        assert entered.wait(timeout=60)
+        tasks = [parse_request(_request_body(seed=seed)) for seed in (91, 92, 93)]
+        futures = [coalescer.submit(task, task_hash(task)) for task in tasks]
+        assert coalescer.snapshot()["queue_depth"] == 3
+        release.set()
+        outcomes = [future.result(timeout=60) for future in futures]
+    finally:
+        release.set()
+        coalescer.close()
+    assert sizes == [1, 3]
+    assert first_future.result(timeout=0).metrics == execute_task(first)
+    for task, outcome in zip(tasks, outcomes):
+        assert outcome.batch_size == 3
+        assert outcome.metrics == execute_task(task)
+
+
+def test_a_batch_resolves_before_a_slow_baseline_in_the_same_drain(monkeypatch):
+    entered, release, _sizes = _hold_batches(monkeypatch)
+    baseline_release = threading.Event()
+    real_solo = coalescer_module._execute_safely
+
+    def held_solo(task):
+        assert baseline_release.wait(timeout=60)
+        return real_solo(task)
+
+    monkeypatch.setattr(coalescer_module, "_execute_safely", held_solo)
+    coalescer = RequestCoalescer()
+    try:
+        blocker = parse_request(_request_body(seed=94))
+        coalescer.submit(blocker, task_hash(blocker))
+        assert entered.wait(timeout=60)
+        proposed = parse_request(_request_body(seed=95))
+        baseline = parse_request(
+            {
+                "scenario": {"family": "paper", "num_devices": 4, "seed": 95},
+                "solver_kind": "baseline",
+                "baseline": "communication_only",
+                "deadline_s": 120.0,
+            }
+        )
+        proposed_future = coalescer.submit(proposed, task_hash(proposed))
+        baseline_future = coalescer.submit(baseline, task_hash(baseline))
+        release.set()
+        # One drain holds both; the batch's answer does not wait for the
+        # baseline still blocked behind it.
+        assert proposed_future.result(timeout=60).metrics == execute_task(proposed)
+        assert not baseline_future.done()
+        baseline_release.set()
+        assert baseline_future.result(timeout=60).metrics == execute_task(baseline)
+    finally:
+        release.set()
+        baseline_release.set()
+        coalescer.close()
+
+
+def test_concurrent_submits_lose_no_lane(monkeypatch):
+    """Eight threads submit overlapping digests while the worker drains;
+    every future resolves with its own task's answer and the counters add
+    up."""
+
+    def fake_batch(tasks):
+        return [({"seed": float(task.scenario["seed"])}, None, None) for task in tasks]
+
+    monkeypatch.setattr(coalescer_module, "execute_batch", fake_batch)
+    tasks = [parse_request(_request_body(seed=seed)) for seed in range(100, 112)]
+    coalescer = RequestCoalescer(batch_size=4)
+    submitted: list[tuple[int, object]] = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+
+        def fire(offset: int) -> None:
+            for k in range(30):
+                task = tasks[(offset + k) % len(tasks)]
+                submitted.append((task.scenario["seed"], coalescer.submit(task, task_hash(task))))
+
+        threads = [threading.Thread(target=fire, args=(offset,)) for offset in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        for seed, future in submitted:
+            assert future.result(timeout=60).metrics == {"seed": float(seed)}
+    finally:
+        sys.setswitchinterval(interval)
+        coalescer.close()
+    counters = coalescer.snapshot()
+    assert counters["submitted"] + counters["joined"] == len(submitted) == 240
+    assert counters["solved"] == counters["batched_tasks"] == counters["submitted"]
+    assert counters["queue_depth"] == 0
+
+
+def test_a_full_queue_is_a_429_but_a_queued_digest_can_be_joined(monkeypatch, tmp_path):
+    monkeypatch.setattr(coalescer_module, "MAX_QUEUED", 2)
+    # An hour-long gather window keeps every submitted digest queued.
+    service = AllocationService(
+        ServeConfig(store_root=tmp_path / "store", gather_window_s=3600.0)
+    )
+    try:
+        tasks = [parse_request(_request_body(seed=seed)) for seed in (96, 97)]
+        futures = [service.coalescer.submit(task, task_hash(task)) for task in tasks]
+        status, payload = service.solve(_request_body(seed=98))
+        assert status == 429
+        assert payload["error"] and payload["digest"]
+        joined = service.coalescer.submit(tasks[0], task_hash(tasks[0]))
+        assert service.metrics()["requests"]["rejected"] == 1
+        assert service.coalescer.snapshot()["joined"] == 1
+    finally:
+        service.close()
+    assert joined.result(timeout=0) is futures[0].result(timeout=0)
+    for task, future in zip(tasks, futures):
+        assert future.result(timeout=0).metrics == execute_task(task)
 
 
 # -- shutdown ----------------------------------------------------------------

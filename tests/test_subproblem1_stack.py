@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import subproblem1
 from repro.core.subproblem1 import FrequencyRows, solve_subproblem1, solve_subproblem1_stack
-from repro.exceptions import ConvergenceError
+from repro.exceptions import ConvergenceError, SolverError
 from repro.scenarios import ScenarioSpec
 from tests import subproblem1_reference as ref
 
@@ -178,10 +178,13 @@ _row_spec = st.tuples(
            ("w2-zero", 4, 0.5, 1.0), ("deadline", 5, 0.5, 2.0),
            ("inf-upload", 6, 0.5, 1.0), ("negative-upload", 7, 0.5, 1.0)],
 )
+@example(
+    family="paper",
+    n=3,
+    method="dual",
+    specs=[("collapsed", 1, 0.4, 1.0), ("golden", 2, 0.6, 1.0), ("collapsed", 3, 0.7, 1.0)],
+)
 def test_stacked_subproblem1_matches_the_frozen_solver(family, n, method, specs):
-    # The dual water-filling cannot bracket a collapsed row's multiplier; its
-    # SolverError is not a lane error, so it leaves the whole stack.
-    assume(method != "dual" or all(spec[0] != "collapsed" for spec in specs))
     rows = [_row(family, n, seed, kind, w1, factor) for kind, seed, w1, factor in specs]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         wants = [_frozen(*row, method) for row in rows]
@@ -209,3 +212,18 @@ def test_a_stuck_rows_search_falls_back_to_one_search_per_row(monkeypatch):
     results = _stack_results(rows, "primal")
     for got, row in zip(results, rows):
         _same(got, _frozen(*row, "primal"))
+
+
+def test_a_dual_row_that_cannot_bracket_fails_alone():
+    """A collapsed dual row's water-filling raises ``SolverError``; the
+    error is that row's status, and its neighbour keeps its one-row bits."""
+    bad = _row("paper", 9, 1, "collapsed", 0.4, 1.0)
+    good = _row("paper", 9, 2, "golden", 0.6, 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        got_bad, got_good = _stack_results([bad, good], "dual")
+        with pytest.raises(SolverError) as raised:
+            solve_subproblem1(bad[0], bad[1], bad[2], bad[3], method="dual")
+    assert type(got_bad) is type(raised.value)
+    assert str(got_bad) == str(raised.value)
+    _same(got_good, solve_subproblem1(good[0], good[1], good[2], good[3], method="dual"))
+    _same(got_good, _frozen(*good, "dual"))
