@@ -338,17 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         metavar="N",
         help="maximum concurrent requests coalesced into one lockstep "
-        "multi-solve pass (default 8)",
-    )
-    serve.add_argument(
-        "--gather-window-ms",
-        type=float,
-        default=0.0,
-        metavar="MS",
-        help="how long the coalescer waits after the first queued request "
-        "before solving (default 0: solve at once; requests that arrive "
-        "during a solve batch together in the next one); a positive "
-        "window trades that much cold-request latency for larger batches",
+        "multi-solve pass (default 8); a larger same-shape group splits "
+        "into even passes, as in `repro run --batch-size`",
     )
     serve.add_argument(
         "--request-timeout",
@@ -725,7 +716,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         store_backend=args.store,
         backend=args.backend,
         batch_size=args.batch_size,
-        gather_window_s=args.gather_window_ms / 1000.0,
         request_timeout_s=args.request_timeout,
     )
     server = AllocationServer(config)
@@ -733,8 +723,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     store_info = f"{store.backend}:{store.root}" if store is not None else "off"
     print(
         f"[serve] listening on {server.url} (store={store_info}, "
-        f"batch_size={config.batch_size}, "
-        f"gather_window={config.gather_window_s * 1000:.0f}ms) — "
+        f"batch_size={config.batch_size}) — "
         "POST /solve, GET /metrics, GET /healthz; Ctrl-C to stop",
         file=sys.stderr,
     )

@@ -52,7 +52,10 @@ from .subproblem2 import SystemRows, validate_backend
 from .sum_of_ratios import SumOfRatiosConfig, _LaneRows, solve_sum_of_ratios_stacks
 from .uplink_delay import minimize_max_upload_time
 
-__all__ = ["AllocatorConfig", "AllocationResult", "ResourceAllocator"]
+__all__ = ["INITIAL_STRATEGIES", "AllocatorConfig", "AllocationResult", "ResourceAllocator"]
+
+#: The values :attr:`AllocatorConfig.initial_strategy` accepts.
+INITIAL_STRATEGIES = ("auto", "equal", "delay_min", "compute_aware")
 
 
 @dataclass(frozen=True)
@@ -73,11 +76,15 @@ class AllocatorConfig:
     #: with spare bandwidth also keeps the first Subproblem-2 step from being
     #: pinned to the initial point.
     initial_bandwidth_fraction: float = 0.5
-    #: Initial-point strategy: ``"equal"`` uses the equal split above,
-    #: ``"delay_min"`` starts from the min-max-upload bandwidth split at
-    #: maximum power, and ``"auto"`` (default) picks ``delay_min`` whenever a
-    #: hard completion-time budget is set (where a channel-aware start keeps
-    #: far devices feasible) and ``equal`` otherwise.
+    #: Initial-point strategy, one of :data:`INITIAL_STRATEGIES`:
+    #: ``"equal"`` uses the equal split above, ``"delay_min"`` starts from
+    #: the min-max-upload bandwidth split at maximum power,
+    #: ``"compute_aware"`` picks the bandwidth split that minimises the
+    #: computation energy a hard completion-time budget forces (the equal
+    #: split when there is no budget), and
+    #: ``"auto"`` (default) picks ``compute_aware`` whenever such a budget
+    #: is set (where a channel-aware start keeps far devices feasible) and
+    #: ``equal`` otherwise.
     initial_strategy: str = "auto"
 
 
@@ -479,6 +486,8 @@ class ResourceAllocator:
     def _initial_allocation(self, problem: JointProblem) -> ResourceAllocation:
         """Build the initial feasible point according to the configured strategy."""
         strategy = self.config.initial_strategy
+        if strategy not in INITIAL_STRATEGIES:
+            raise ValueError(f"unknown initial strategy: {strategy!r}")
         if strategy == "auto":
             strategy = "compute_aware" if problem.deadline_s is not None else "equal"
         if strategy == "equal":
@@ -487,21 +496,19 @@ class ResourceAllocator:
             )
         if strategy == "compute_aware":
             return self._compute_aware_initial(problem)
-        if strategy == "delay_min":
-            system = problem.system
-            uplink = minimize_max_upload_time(system)
-            allocation = ResourceAllocation(
-                power_w=uplink.power_w,
-                bandwidth_hz=uplink.bandwidth_hz,
-                frequency_hz=system.max_frequency_hz.copy(),
+        system = problem.system  # "delay_min"
+        uplink = minimize_max_upload_time(system)
+        allocation = ResourceAllocation(
+            power_w=uplink.power_w,
+            bandwidth_hz=uplink.bandwidth_hz,
+            frequency_hz=system.max_frequency_hz.copy(),
+        )
+        if problem.deadline_s is not None and not problem.is_feasible(allocation):
+            raise InfeasibleProblemError(
+                "no feasible allocation exists: even the delay-minimising "
+                f"schedule misses the {problem.deadline_s:.1f} s deadline"
             )
-            if problem.deadline_s is not None and not problem.is_feasible(allocation):
-                raise InfeasibleProblemError(
-                    "no feasible allocation exists: even the delay-minimising "
-                    f"schedule misses the {problem.deadline_s:.1f} s deadline"
-                )
-            return allocation
-        raise ValueError(f"unknown initial strategy: {strategy!r}")
+        return allocation
 
     def _compute_aware_initial(self, problem: JointProblem) -> ResourceAllocation:
         """Initial point for deadline-constrained problems.

@@ -51,11 +51,15 @@ from ..solvers.waterfilling import maximize_concave_on_simplex
 from ..system import SystemModel
 
 __all__ = [
+    "SUBPROBLEM1_METHODS",
     "FrequencyRows",
     "Subproblem1Result",
     "solve_subproblem1",
     "solve_subproblem1_stack",
 ]
+
+#: The free-deadline Subproblem-1 methods ``method`` accepts.
+SUBPROBLEM1_METHODS = ("primal", "dual")
 
 
 @dataclass(frozen=True)
@@ -346,7 +350,7 @@ def solve_subproblem1_stack(
         frequency[rows] = np.clip(needed, cpu.f_min[rows], cpu.f_max[rows])
         deadline[rows] = given
 
-    if method not in ("primal", "dual"):
+    if method not in SUBPROBLEM1_METHODS:
         for k in np.flatnonzero(free).tolist():
             status[k] = ConfigurationError(f"unknown Subproblem 1 method: {method!r}")
         return frequency, deadline, status

@@ -28,15 +28,14 @@ through a pluggable :class:`SweepRunner`:
   independent invocations partition any task list exactly, and
   ``repro store merge`` reassembles their shard stores into the serial
   store bit-for-bit;
-* batchable tasks of one shape (:meth:`SweepRunner.batch_group_key`) run
-  together as one lockstep unit (:func:`execute_batch`), through their
-  kind's :func:`batch_twin`: ``"proposed"`` solves in one
-  :meth:`ResourceAllocator.solve_batch` pass, ``"proposed"`` closed FL
-  runs (``fl_roundloop``) a global round at a time with one
-  ``solve_batch`` per round (:func:`repro.fl.roundloop.run_lockstep`).
-  Every lane is bit-identical to its per-task run; with ``jobs > 1`` each
-  group is cut into at most ``jobs`` contiguous chunks, one pool call
-  each.
+* one planner (:func:`plan_units`) and one executor (:func:`execute_batch`)
+  schedule every solve, the sweeps' and the ``repro serve`` coalescer's:
+  batchable tasks of one shape (:meth:`SweepRunner.batch_group_key`) run
+  in even contiguous units through their kind's :func:`batch_twin` —
+  ``"proposed"`` solves in one :meth:`ResourceAllocator.solve_batch`
+  pass, ``"proposed"`` closed FL runs a global round at a time
+  (:func:`repro.fl.roundloop.run_lockstep`) — and every other task is a
+  unit of one.  Every lane is bit-identical to its per-task run.
 
 Every solve starts cold from the paper's initial point, so a task's result
 depends on nothing but the task itself.
@@ -54,7 +53,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -82,6 +81,7 @@ __all__ = [
     "execute_batch",
     "execute_task",
     "execute_task_detailed",
+    "plan_units",
     "task_hash",
     "parse_shard",
     "default_cache_dir",
@@ -401,27 +401,11 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _execute_safely(
-    task: SweepTask,
-) -> tuple[dict[str, float] | None, dict[str, Any] | None, dict[str, float] | None, str | None]:
-    """Run one task, trading exceptions for an error string.
-
-    Keeping the failure a plain string (instead of re-raising across the
-    process boundary) guarantees the outcome is picklable and that one bad
-    drop cannot take the whole sweep down.
-    """
-    try:
-        metrics, state, timings = execute_task_detailed(task)
-        return metrics, state, timings, None
-    except Exception as exc:  # repro-lint: disable=RL005 -- crash isolation: one bad drop must become an error row, not kill the sweep
-        return None, None, None, _error_text(exc)
-
-
 def batchable_task(task: SweepTask) -> bool:
     """Whether ``task`` rides a lockstep batch (:func:`execute_batch`).
 
-    The check shared by every batched execution surface (the runner's
-    batch mode and the ``repro serve`` coalescer): a task batches when its
+    The check behind :func:`plan_units`, which cuts the units of both the
+    runner and the ``repro serve`` coalescer: a task batches when its
     registered kind function has a :func:`batch_twin` that accepts its
     parameters — every ``"proposed"`` solve (:meth:`ResourceAllocator.solve_batch`
     runs each lane kind) and every ``"proposed"`` closed FL run
@@ -432,39 +416,88 @@ def batchable_task(task: SweepTask) -> bool:
     return accepts is not None and bool(accepts(task.solver_params))
 
 
+def plan_units(
+    tasks: Sequence[SweepTask],
+    indices: Iterable[int],
+    batch_size: int | None,
+    jobs: int = 1,
+    payloads: Mapping[int, Mapping[str, Any]] | None = None,
+) -> list[list[int]]:
+    """Cut the tasks at ``indices`` into scheduling units, batches first.
+
+    Batchable tasks (:func:`batchable_task`) are grouped by
+    :meth:`SweepRunner.batch_group_key` and each group is cut into even
+    contiguous chunks: as many as the ``batch_size`` cap needs (``None``:
+    one), and with ``jobs > 1`` up to ``jobs`` so every worker gets one.
+    Every other task, and every task when ``batch_size == 1``, is a unit
+    of one, in ``indices`` order.  ``payloads`` maps an index to the
+    task's :meth:`SweepTask.payload` where the caller built it already.
+    """
+    groups: dict[str, list[int]] = {}
+    solo: list[list[int]] = []
+    for index in indices:
+        task = tasks[index]
+        if batch_size != 1 and batchable_task(task):
+            payload = payloads.get(index) if payloads is not None else None
+            groups.setdefault(SweepRunner.batch_group_key(task, payload), []).append(index)
+        else:
+            solo.append([index])
+    units: list[list[int]] = []
+    for members in groups.values():
+        count = len(members)
+        pieces = 1 if batch_size is None else -(-count // batch_size)
+        if jobs > 1:
+            pieces = max(pieces, min(jobs, count))
+        base, extra = divmod(count, pieces)
+        start = 0
+        for piece in range(pieces):
+            stop = start + base + (piece < extra)
+            units.append(members[start:stop])
+            start = stop
+    return units + solo
+
+
 def execute_batch(
     tasks: Sequence[SweepTask],
 ) -> list[tuple[dict[str, float] | None, dict[str, Any] | None, str | None]]:
-    """Run one unit of batchable tasks in a single lockstep pass.
+    """Run one scheduling unit of :func:`plan_units`.
 
-    ``tasks`` share a solver kind (and a :meth:`SweepRunner.batch_group_key`);
-    the kind's :func:`batch_twin` runs them all at once.  Returns one
-    ``(metrics, state, error)`` triple per task, in task order, built
-    exactly as the per-task path builds them, so a batched result's cache
-    entry is byte-identical to the per-task one.  Failures follow
-    :func:`_execute_safely`'s contract: a broken lane (scenario build or
-    solve) becomes an error triple with the same ``"Type: message"``
-    string, never an exception.
+    A unit of several batchable tasks (one kind and group key) runs in one
+    lockstep pass of the kind's :func:`batch_twin`; any other unit calls
+    each task's kind function, as :func:`execute_task` does.  Returns one
+    ``(metrics, state, error)`` triple per task, in task order, built as
+    :func:`execute_task_detailed` builds them, so cache entries are
+    byte-identical either way.  Crash isolation: an unresolvable kind, a
+    failed scenario build or a raised solve becomes that lane's
+    ``"Type: message"`` error, never an exception, so one bad drop cannot
+    take the sweep down and the outcome stays picklable.
     """
-    twin = _resolve_solver(tasks[0].solver_kind).batch
     results: list[tuple[dict[str, float] | None, dict[str, Any] | None, str | None]] = [
         (None, None, None)
     ] * len(tasks)
-    built: list[tuple[int, SystemModel]] = []
+    lanes: list[tuple[int, SolverFn, SystemModel]] = []
     for position, task in enumerate(tasks):
         try:
+            solver = _resolve_solver(task.solver_kind)
             with stage("scenario_build"):
-                built.append((position, task.scenario_spec().build()))
-        except Exception as exc:  # repro-lint: disable=RL005 -- crash isolation: one bad drop must become an error row, not kill the batch
+                lanes.append((position, solver, task.scenario_spec().build()))
+        except Exception as exc:  # repro-lint: disable=RL005 -- crash isolation: one bad drop must become an error row, not kill the unit
             results[position] = (None, None, _error_text(exc))
-    if not built:
-        return results
-    with stage("solve"):
-        outputs = twin(
-            [system for _, system in built],
-            [tasks[position].solver_params for position, _ in built],
-        )
-    for (position, _system), output in zip(built, outputs):
+    outputs: list[Any] = []
+    if lanes and len(tasks) > 1 and batchable_task(tasks[0]):
+        with stage("solve"):
+            outputs = lanes[0][1].batch(  # type: ignore[attr-defined]
+                [system for _, _, system in lanes],
+                [tasks[position].solver_params for position, _, _ in lanes],
+            )
+    else:
+        for position, solver, system in lanes:
+            try:
+                with stage("solve"):
+                    outputs.append(solver(system, tasks[position].solver_params))
+            except Exception as exc:  # repro-lint: disable=RL005 -- crash isolation: one bad drop must become an error row, not kill the unit
+                outputs.append(exc)
+    for (position, _solver, _system), output in zip(lanes, outputs):
         if isinstance(output, Exception):
             results[position] = (None, None, _error_text(output))
             continue
@@ -475,18 +508,14 @@ def execute_batch(
 
 def _execute_step(
     tasks: Sequence[SweepTask],
-    batched: bool,
 ) -> list[tuple[dict[str, float] | None, dict[str, Any] | None, dict[str, float] | None, str | None]]:
-    """Run one scheduling unit of the runner (worker entry point).
+    """Run one scheduling unit and time it (worker entry point).
 
-    A batched unit is one lockstep pass (:func:`execute_batch`) of one or
-    more tasks; otherwise the unit is a single task run on its own through
-    :func:`_execute_safely`.  Either way one ``(metrics, state, timings,
-    error)`` tuple comes back per task.  A pass of several lanes has no
-    per-lane stage breakdown, so only a one-lane pass reports ``timings``.
+    One :func:`execute_batch` call under a stage collector; one
+    ``(metrics, state, timings, error)`` tuple comes back per task.  A
+    pass of several lanes has no per-lane stage breakdown, so only a
+    successful one-task unit reports ``timings``.
     """
-    if not batched:
-        return [_execute_safely(tasks[0])]
     collector = StageTimings()
     with collect_timings(collector):
         triples = execute_batch(tasks)
@@ -596,11 +625,6 @@ def parse_shard(spec: str | tuple[int, int] | None) -> tuple[int, int] | None:
 
 ProgressFn = Callable[[int, int, TaskOutcome], None]
 
-#: One scheduling unit of :meth:`SweepRunner.run`: the indices of the tasks
-#: it runs, and whether they run as one lockstep batch (otherwise the unit
-#: is one task run on its own).
-_Unit = tuple[list[int], bool]
-
 
 class SweepRunner:
     """Execute a batch of :class:`SweepTask` with caching and parallelism.
@@ -627,14 +651,14 @@ class SweepRunner:
         (:func:`batchable_task`: ``"proposed"`` solves and ``"proposed"``
         FL runs) are grouped by shape (:meth:`batch_group_key`) and each
         group runs in ``ceil(len / batch_size)`` even units
-        (:func:`execute_batch`); ``None`` (default) runs a whole group as
-        one unit, ``1`` runs every task on its own.  With ``jobs > 1`` a
-        group is further cut into up to ``jobs`` contiguous chunks, each
-        one pool call.  A batch of one costs what a per-task run costs
-        (the kernels take their 1-D path for one lane), so a lone task of
-        its shape is simply a one-lane batch.  Results and cache keys are
-        bit-identical to the per-task path; only the wall clock changes,
-        and outcomes of a unit of several tasks carry no ``timings``.
+        (:func:`plan_units`, :func:`execute_batch`); ``None`` (default)
+        runs a whole group as one unit, ``1`` runs every task on its own.
+        With ``jobs > 1`` a group is further cut into up to ``jobs``
+        contiguous chunks, each one pool call.  A lone task of its shape
+        is a batch of one, which runs its kind function like a per-task
+        run.  Results and cache keys are bit-identical to the per-task
+        path; only the wall clock changes, and outcomes of a unit of
+        several tasks carry no ``timings``.
     store_backend:
         Result-store backend for the cache (``"json"`` / ``"columnar"``);
         ``None`` auto-detects from the cache directory's on-disk layout.
@@ -688,15 +712,16 @@ class SweepRunner:
         done = 0
 
         pending: list[int] = []
-        # (digest, payload) per task, built once for the shard filter, the
-        # store lookup and the put.
-        keys: dict[int, tuple[str, dict[str, Any]]] = {}
+        # Digest and payload per task, built once for the shard filter, the
+        # store lookup, the unit planner and the put.
+        digests: dict[int, str] = {}
+        payloads: dict[int, dict[str, Any]] = {}
         for index, task in enumerate(tasks):
             if self.shard is not None or self.use_cache:
-                keys[index] = _task_key(task)
+                digests[index], payloads[index] = _task_key(task)
             if self.shard is not None:
                 shard_index, shard_count = self.shard
-                if shard_for_digest(keys[index][0], shard_count) != shard_index:
+                if shard_for_digest(digests[index], shard_count) != shard_index:
                     outcome = TaskOutcome(task=task, metrics=None, skipped=True)
                     outcomes[index] = outcome
                     stats.skipped += 1
@@ -706,7 +731,7 @@ class SweepRunner:
             entry = None
             if self.use_cache:
                 io_started = wall_clock()
-                entry = self.store.get_entry(keys[index][0])
+                entry = self.store.get_entry(digests[index])
                 stats.cache_io_s += wall_clock() - io_started
             if entry is not None:
                 metrics, state = entry
@@ -728,16 +753,24 @@ class SweepRunner:
                 stats.failed += 1
             elif self.use_cache:
                 io_started = wall_clock()
-                self._cache_put(outcome, *keys[index])
+                self._cache_put(outcome, digests[index], payloads[index])
                 stats.cache_io_s += wall_clock() - io_started
             done += 1
             self._report(done, stats.total, outcome)
 
         try:
             if pending:
-                units = self._plan_batches(tasks, pending, stats, keys)
-                batched = {index for indices, _ in units for index in indices}
-                units += [([index], False) for index in pending if index not in batched]
+                units = plan_units(
+                    tasks,
+                    pending,
+                    1 if self.batch is None else self.batch.size,
+                    self.jobs,
+                    payloads,
+                )
+                for unit in units:
+                    if self.batch is not None and batchable_task(tasks[unit[0]]):
+                        stats.batches += 1
+                        stats.batched_tasks += len(unit)
                 executor = (
                     ProcessPoolExecutor(max_workers=min(self.jobs, len(units)))
                     if self.jobs > 1
@@ -799,49 +832,10 @@ class SweepRunner:
         }
         return json.dumps(key, sort_keys=True, separators=(",", ":"))
 
-    def _plan_batches(
-        self,
-        tasks: Sequence[SweepTask],
-        pending: Sequence[int],
-        stats: SweepStats,
-        keys: Mapping[int, tuple[str, dict[str, Any]]],
-    ) -> list[_Unit]:
-        """Group the batchable pending tasks into lockstep units.
-
-        ``keys`` holds the ``(digest, payload)`` :meth:`run` built for the
-        cache or the shard filter; a task's group key reuses its payload.
-        Each same-shape group is cut into even contiguous chunks: as many
-        as the ``batch_size`` cap needs, and with ``jobs > 1`` up to ``jobs``
-        chunks so every worker gets one.
-        """
-        if self.batch is None:
-            return []
-        groups: dict[str, list[int]] = {}
-        for index in pending:
-            task = tasks[index]
-            if batchable_task(task):
-                payload = keys[index][1] if index in keys else None
-                groups.setdefault(self.batch_group_key(task, payload), []).append(index)
-        units: list[_Unit] = []
-        for indices in groups.values():
-            count = len(indices)
-            pieces = 1 if self.batch.size is None else -(-count // self.batch.size)
-            if self.jobs > 1:
-                pieces = max(pieces, min(self.jobs, count))
-            base, extra = divmod(count, pieces)
-            start = 0
-            for piece in range(pieces):
-                stop = start + base + (piece < extra)
-                units.append((indices[start:stop], True))
-                start = stop
-            stats.batches += pieces
-            stats.batched_tasks += count
-        return units
-
     def _execute(
         self,
         tasks: Sequence[SweepTask],
-        units: Sequence[_Unit],
+        units: Sequence[list[int]],
         executor: ProcessPoolExecutor | None,
     ) -> Iterator[tuple[int, TaskOutcome]]:
         """Run every unit, inline in order or fanned out over the pool."""
@@ -857,15 +851,13 @@ class SweepRunner:
                 )
 
         if executor is None:
-            for indices, batched in units:
-                yield from outcomes_of(
-                    indices, _execute_step([tasks[i] for i in indices], batched)
-                )
+            for indices in units:
+                yield from outcomes_of(indices, _execute_step([tasks[i] for i in indices]))
             return
 
         futures = {
-            executor.submit(_execute_step, [tasks[i] for i in indices], batched): indices
-            for indices, batched in units
+            executor.submit(_execute_step, [tasks[i] for i in indices]): indices
+            for indices in units
         }
         for future in as_completed(futures):
             indices = futures[future]

@@ -2,8 +2,9 @@
 
 A stdlib-only long-lived HTTP service (``repro serve``) that answers
 allocation requests: repeats come straight from the :mod:`repro.store`
-result cache, cold requests funnel through a coalescing queue that groups
-compatible concurrent requests into one lockstep
+result cache, cold requests funnel through a coalescing queue in front of
+the sweep engine, whose unit planner groups compatible concurrent requests
+into one lockstep
 :meth:`~repro.core.allocator.ResourceAllocator.solve_batch` pass.
 Responses are bit-identical to a direct per-drop ``solve()`` of the same
 task.  See :mod:`repro.serve.server` for the endpoints,

@@ -5,29 +5,26 @@ on a future; a single worker thread sleeps until a request is queued, then
 takes everything queued so far and turns it into as few solves as
 possible.  Requests that arrive while that drain is solving queue up and
 form the next one, so batches grow with load and a lone request starts
-solving at once.  An optional gather window (``gather_window_s``) makes
-the worker wait that long after the first queued request before
-draining, trading latency for larger batches.
+solving at once.
 
 * requests for the **same digest** collapse onto one in-flight future
   (submitted while an identical request is already queued or solving,
   a request never recomputes — it joins the existing lane);
-* distinct ``"proposed"`` tasks **group by**
-  :meth:`~repro.experiments.runner.SweepRunner.batch_group_key` and each
-  group runs through one lockstep
-  :meth:`~repro.core.allocator.ResourceAllocator.solve_batch` pass via the
-  sweep engine's :func:`~repro.experiments.runner.execute_batch` — the
-  same code the ``--batch-size`` sweep path uses, so a coalesced response
-  is bit-identical to a per-drop ``solve()``, hard-deadline lanes
-  included;
-* everything else (baselines, custom solver kinds) runs through the exact
-  per-drop execution path, one task at a time.
+* the distinct tasks of a drain are scheduled by the sweep engine itself:
+  :func:`~repro.experiments.runner.plan_units` cuts them into units
+  exactly as it cuts a ``repro run --batch-size`` sweep (``"proposed"``
+  tasks of one :meth:`~repro.experiments.runner.SweepRunner.batch_group_key`
+  form even chunks of at most ``batch_size``; baselines and custom kinds
+  are units of one), and the runner's unit step runs each unit through
+  :func:`~repro.experiments.runner.execute_batch` — so a coalesced
+  response is bit-identical to a per-drop ``solve()``, hard-deadline
+  lanes included.
 
-Each batch and each per-drop task resolves its futures as soon as it
-finishes, not when the whole drain does.  At most :data:`MAX_QUEUED`
-distinct digests wait to be drained; past that :meth:`~RequestCoalescer.submit`
-refuses a new digest with :class:`QueueFullError` (joins are still
-accepted).
+Batched units run before the units of one, and each unit resolves its
+futures as soon as it finishes, not when the whole drain does.  At most
+:data:`MAX_QUEUED` distinct digests wait to be drained; past that
+:meth:`~RequestCoalescer.submit` refuses a new digest with
+:class:`QueueFullError` (joins are still accepted).
 
 Failures follow the sweep engine's crash-isolation contract: a broken
 lane resolves its futures with an error string, never an exception, and
@@ -42,16 +39,10 @@ import threading
 import warnings
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
-from ..experiments.runner import (
-    SweepRunner,
-    SweepTask,
-    _execute_safely,
-    batchable_task,
-    execute_batch,
-)
-from ..perf.timers import StageTimings, stage
+from ..experiments.runner import SweepTask, _execute_step, batchable_task, plan_units
+from ..perf.timers import StageTimings
 
 __all__ = ["MAX_QUEUED", "QueueFullError", "SolveOutcome", "RequestCoalescer"]
 
@@ -69,8 +60,8 @@ class SolveOutcome:
     """What one coalesced solve produced for one digest.
 
     ``batch_size`` is the number of *distinct* tasks solved in the same
-    lockstep pass (1 for the per-drop path) — the observability hook the
-    coalescing tests assert on.
+    unit (1 for a unit of one) — the observability hook the coalescing
+    tests assert on.
     """
 
     digest: str
@@ -99,14 +90,8 @@ class RequestCoalescer:
     Parameters
     ----------
     batch_size:
-        Maximum lanes per lockstep :func:`execute_batch` pass.
-    gather_window_s:
-        How long the worker waits after the first queued request before
-        draining.  The default 0 drains at once: a lone request solves
-        without waiting, and requests that arrive during a solve batch
-        together in the next drain.  A positive window delays every cold
-        request by up to that long so that a burst spread over the window
-        lands in one batch; tests raise it to hold the worker.
+        Maximum lanes per lockstep unit; a larger same-shape group in one
+        drain is cut evenly (:func:`plan_units`).
     on_outcome:
         Optional callback invoked in the worker thread with each
         :class:`SolveOutcome` *before* its futures resolve — the service
@@ -118,13 +103,11 @@ class RequestCoalescer:
         self,
         *,
         batch_size: int = 8,
-        gather_window_s: float = 0.0,
         on_outcome: Callable[[SolveOutcome], None] | None = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = int(batch_size)
-        self.gather_window_s = float(gather_window_s)
         self.on_outcome = on_outcome
         self.timings = StageTimings()
         #: Digests submitted and not yet drained, oldest first.
@@ -203,10 +186,6 @@ class RequestCoalescer:
                     self._arrived.wait()
                 if not self._queued:
                     return
-            # The stop event doubles as the gather window's sleep:
-            # shutdown skips the wait and drains.
-            self._stop.wait(self.gather_window_s)
-            with self._lock:
                 digests, self._queued = self._queued, []
             try:
                 self._drain(digests)
@@ -214,86 +193,38 @@ class RequestCoalescer:
                 error = f"{type(exc).__name__}: {exc}"
                 for digest in digests:
                     with self._lock:
-                        lane = self._lanes.pop(digest, None)
-                        if lane is not None:
-                            self._stats["solved"] += 1
-                            self._stats["errors"] += 1
+                        lane = self._lanes.get(digest)
                     if lane is not None:
-                        for future in lane.futures:
-                            future.set_result(
-                                SolveOutcome(
-                                    digest=digest,
-                                    task=lane.task,
-                                    metrics=None,
-                                    state=None,
-                                    error=error,
-                                )
-                            )
+                        self._resolve(SolveOutcome(digest, lane.task, None, None, error))
 
     def _drain(self, digests: list[str]) -> None:
-        """Solve one drain: group, then batch and resolve unit by unit."""
+        """Solve one drain with the sweep engine's planner, unit by unit."""
         with self._lock:
-            lanes = [(digest, self._lanes[digest].task) for digest in digests]
-
-        groups: dict[str, list[tuple[str, SweepTask]]] = {}
-        solo: list[tuple[str, SweepTask]] = []
-        for digest, task in lanes:
-            if batchable_task(task):
-                groups.setdefault(SweepRunner.batch_group_key(task), []).append(
-                    (digest, task)
-                )
-            else:
-                solo.append((digest, task))
-
-        for members in groups.values():
-            for start in range(0, len(members), self.batch_size):
-                chunk = members[start : start + self.batch_size]
-                collector = StageTimings()
-                with stage("serve_batch", collector):
-                    triples = execute_batch([task for _, task in chunk])
-                self._record_batch(len(chunk), collector)
-                for (digest, task), (metrics, state, error) in zip(chunk, triples):
-                    self._resolve(
-                        SolveOutcome(
-                            digest=digest,
-                            task=task,
-                            metrics=metrics,
-                            state=state,
-                            error=error,
-                            batch_size=len(chunk),
-                        )
+            tasks = [self._lanes[digest].task for digest in digests]
+        for unit in plan_units(tasks, range(len(tasks)), self.batch_size):
+            results = _execute_step([tasks[i] for i in unit])
+            with self._lock:
+                if batchable_task(tasks[unit[0]]):
+                    self._stats["batches"] += 1
+                    self._stats["batched_tasks"] += len(unit)
+                else:
+                    self._stats["solo_tasks"] += 1
+                self._stats["last_batch_size"] = len(unit)
+                self._stats["max_batch_size"] = max(self._stats["max_batch_size"], len(unit))
+                for _metrics, _state, timings, _error in results:
+                    if timings:
+                        self.timings.merge(timings)
+            for i, (metrics, state, _timings, error) in zip(unit, results):
+                self._resolve(
+                    SolveOutcome(
+                        digest=digests[i],
+                        task=tasks[i],
+                        metrics=metrics,
+                        state=state,
+                        error=error,
+                        batch_size=len(unit),
                     )
-        for digest, task in solo:
-            metrics, state, timings, error = _execute_safely(task)
-            self._record_batch(1, timings, solo=True)
-            self._resolve(
-                SolveOutcome(
-                    digest=digest,
-                    task=task,
-                    metrics=metrics,
-                    state=state,
-                    error=error,
-                    batch_size=1,
                 )
-            )
-
-    def _record_batch(
-        self,
-        size: int,
-        timings: StageTimings | Mapping[str, float] | None,
-        *,
-        solo: bool = False,
-    ) -> None:
-        with self._lock:
-            if solo:
-                self._stats["solo_tasks"] += 1
-            else:
-                self._stats["batches"] += 1
-                self._stats["batched_tasks"] += size
-            self._stats["last_batch_size"] = size
-            self._stats["max_batch_size"] = max(self._stats["max_batch_size"], size)
-            if timings:
-                self.timings.merge(timings)
 
     def _resolve(self, outcome: SolveOutcome) -> None:
         """Publish one outcome: store callback first, then the futures."""

@@ -19,23 +19,32 @@ direct :func:`~repro.experiments.runner.execute_task` run::
     }
 
 Validation is strict — unknown keys, wrong types, unregistered families or
-baselines all raise :class:`~repro.exceptions.ConfigurationError` with a
-message naming the offending field, which the HTTP layer maps to a 400.
+baselines, allocator overrides outside the values the allocator accepts and
+a ``scenario.num_devices`` outside ``[1, MAX_DEVICES]`` all raise
+:class:`~repro.exceptions.ConfigurationError` with a message naming the
+offending field, which the HTTP layer maps to a 400.  Nothing here builds
+the scenario: a cache hit costs a parse and a hash, not a drop.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Mapping
+import math
+from typing import Any, Callable, Mapping
 
 from ..baselines.registry import get_baseline
-from ..core.allocator import AllocatorConfig
+from ..core.allocator import INITIAL_STRATEGIES, AllocatorConfig
+from ..core.subproblem1 import SUBPROBLEM1_METHODS
 from ..core.subproblem2 import validate_backend
 from ..exceptions import ConfigurationError
 from ..experiments.runner import SweepTask
 from ..scenarios import get_scenario_family
 
-__all__ = ["parse_request"]
+__all__ = ["MAX_DEVICES", "parse_request"]
+
+#: Largest ``scenario.num_devices`` a request may ask for: 12x the largest
+#: ``--paper`` fleet (fig4's 80 devices).
+MAX_DEVICES = 1000
 
 #: Keys a request body may carry; anything else is rejected loudly (a typo
 #: like "energy_wieght" silently falling back to a default would serve a
@@ -53,6 +62,28 @@ _REQUEST_KEYS = frozenset(
     }
 )
 
+#: Allocator overrides the solver would fail on (a 500), refused as a 400
+#: instead: field -> (accepts the value, what the value must be).
+_ALLOCATOR_CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "initial_strategy": (
+        lambda value: value in INITIAL_STRATEGIES,
+        f"one of {', '.join(INITIAL_STRATEGIES)}",
+    ),
+    "subproblem1_method": (
+        lambda value: value in SUBPROBLEM1_METHODS,
+        f"one of {', '.join(SUBPROBLEM1_METHODS)}",
+    ),
+    "max_iterations": (lambda value: _is_int(value) and value >= 0, "an integer >= 0"),
+    "tolerance": (
+        lambda value: _is_number(value) and math.isfinite(value) and value >= 0,
+        "a finite number >= 0",
+    ),
+    "initial_bandwidth_fraction": (
+        lambda value: _is_number(value) and 0 < value <= 1,
+        "a number in (0, 1]",
+    ),
+}
+
 #: AllocatorConfig fields a request may override (the nested sum-of-ratios
 #: configuration is reachable only through the "backend" key, keeping the
 #: request surface flat and the cache-key impact obvious).
@@ -61,9 +92,17 @@ _ALLOCATOR_FIELDS = frozenset(
 ) - {"sum_of_ratios"}
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require_number(body: Mapping[str, Any], key: str, default: Any = None) -> Any:
     value = body.get(key, default)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+    if value is not None and not _is_number(value):
         raise ConfigurationError(f"request field {key!r} must be a number")
     return value
 
@@ -81,6 +120,13 @@ def _parse_scenario(body: Mapping[str, Any]) -> dict[str, Any]:
     if not isinstance(family, str):
         raise ConfigurationError("scenario field 'family' must be a string")
     get_scenario_family(family)  # fail fast with the known-family list
+    if "num_devices" in scenario:
+        num_devices = scenario["num_devices"]
+        if not _is_int(num_devices) or not 1 <= num_devices <= MAX_DEVICES:
+            raise ConfigurationError(
+                f"scenario field 'num_devices' must be an integer in "
+                f"[1, {MAX_DEVICES}], got {num_devices!r}"
+            )
     return scenario
 
 
@@ -98,6 +144,12 @@ def _parse_allocator(
             raise ConfigurationError(
                 f"unknown allocator field(s) {', '.join(unknown)}; known: {known}"
             )
+        for name, value in overrides.items():
+            check = _ALLOCATOR_CHECKS.get(str(name))
+            if check is not None and not check[0](value):
+                raise ConfigurationError(
+                    f"allocator field {name!r} must be {check[1]}, got {value!r}"
+                )
         try:
             allocator = dataclasses.replace(allocator, **dict(overrides))
         except (TypeError, ValueError) as exc:

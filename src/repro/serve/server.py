@@ -68,9 +68,8 @@ class ServeConfig:
     ``backend`` is the default SP2 backend applied to requests that do
     not override it; it enters the task payload exactly as a sweep's
     ``--backend`` flag does, so it is part of the cache key.
-    ``batch_size`` and ``gather_window_s`` go to the
-    :class:`~repro.serve.coalescer.RequestCoalescer`: the default window 0
-    solves each cold request as soon as the worker is free.
+    ``batch_size`` caps the lanes of one coalesced lockstep unit
+    (:class:`~repro.serve.coalescer.RequestCoalescer`).
     """
 
     host: str = "127.0.0.1"
@@ -79,17 +78,12 @@ class ServeConfig:
     store_backend: str | None = None
     backend: str | None = None
     batch_size: int = 8
-    gather_window_s: float = 0.0
     request_timeout_s: float = 300.0
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ConfigurationError(
                 f"serve batch_size must be >= 1, got {self.batch_size}"
-            )
-        if self.gather_window_s < 0:
-            raise ConfigurationError(
-                f"serve gather window must be >= 0, got {self.gather_window_s}"
             )
         if self.request_timeout_s <= 0:
             raise ConfigurationError(
@@ -136,7 +130,6 @@ class AllocationService:
         }
         self.coalescer = RequestCoalescer(
             batch_size=self.config.batch_size,
-            gather_window_s=self.config.gather_window_s,
             on_outcome=self._store_outcome,
         )
         self._closed = False

@@ -435,7 +435,6 @@ def test_serve_parser_defaults():
     assert args.store is None
     assert args.backend is None
     assert args.batch_size == 8
-    assert args.gather_window_ms == 0.0
     assert args.request_timeout == 300.0
 
 
@@ -444,12 +443,14 @@ def test_serve_parser_accepts_overrides():
         [
             "serve", "--host", "0.0.0.0", "--port", "0",
             "--store", "columnar", "--backend", "scalar",
-            "--batch-size", "4", "--gather-window-ms", "20",
-            "--request-timeout", "10",
+            "--batch-size", "4", "--request-timeout", "10",
         ]
     )
     assert (args.host, args.port) == ("0.0.0.0", 0)
     assert (args.store, args.backend) == ("columnar", "scalar")
+    assert (args.batch_size, args.request_timeout) == (4, 10.0)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["serve", "--gather-window-ms", "5"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["serve", "--store", "parquet"])
     with pytest.raises(SystemExit):

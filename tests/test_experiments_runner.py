@@ -23,7 +23,10 @@ from repro.experiments.base import add_grid_row, proposed_tasks, run_sweep
 from repro.experiments.results import ResultTable
 from repro.experiments.runner import (
     allocation_from_state,
+    execute_batch,
+    execute_task,
     get_active_runner,
+    plan_units,
     register_solver_kind,
     set_default_runner,
 )
@@ -209,6 +212,76 @@ def test_unknown_solver_kind_becomes_error_outcome():
     [outcome] = SweepRunner(jobs=1).run([task])
     assert not outcome.ok
     assert "no_such_kind" in outcome.error
+
+
+# -- the unit planner and executor ------------------------------------------
+
+def _mixed_tasks() -> list[SweepTask]:
+    """Two proposed shapes, a baseline, a custom plain kind and a proposed
+    and a static closed FL run, interleaved."""
+    from repro.experiments.flcurve import FLCurveConfig
+
+    four = proposed_tasks(("p4",), SweepConfig(num_devices=4, num_trials=3), 0.5)
+    six = proposed_tasks(("p6",), SweepConfig(num_devices=6, num_trials=2), 0.5)
+    baseline = SweepTask(
+        key=("b",),
+        scenario=SweepConfig(num_devices=4).scenario_params(seed=0),
+        solver_kind="baseline",
+        solver_params={"name": "static", "energy_weight": 0.5, "deadline_s": None},
+    )
+    fl = FLCurveConfig(rounds=1, sweep=SweepConfig(num_devices=4, num_trials=1)).tasks()
+    fl_proposed, fl_static = (
+        next(t for t in fl if t.key[2] == scheme and t.key[1] == "paper")
+        for scheme in ("proposed", "static")
+    )
+    return [
+        four[0], baseline, six[0], four[1], _explode_tasks(1)[0],
+        fl_proposed, four[2], fl_static, six[1],
+    ]
+
+
+@pytest.mark.parametrize(
+    ("batch_size", "jobs", "expected"),
+    [
+        (None, 1, [[0, 3, 6], [2, 8], [5], [1], [4], [7]]),
+        (2, 1, [[0, 3], [6], [2, 8], [5], [1], [4], [7]]),
+        (None, 3, [[0], [3], [6], [2], [8], [5], [1], [4], [7]]),
+        (2, 3, [[0], [3], [6], [2], [8], [5], [1], [4], [7]]),
+        (1, 1, [[i] for i in range(9)]),
+        (1, 3, [[i] for i in range(9)]),
+    ],
+)
+def test_plan_units_batches_each_shape_evenly_and_runs_the_rest_alone(
+    batch_size, jobs, expected
+):
+    tasks = _mixed_tasks()
+    assert plan_units(tasks, range(len(tasks)), batch_size, jobs) == expected
+    payloads = {index: task.payload() for index, task in enumerate(tasks)}
+    assert plan_units(tasks, range(len(tasks)), batch_size, jobs, payloads) == expected
+
+
+def test_plan_units_plans_only_the_given_indices_in_their_order():
+    tasks = _mixed_tasks()
+    assert plan_units(tasks, [7, 6, 1, 0], None) == [[6, 0], [7], [1]]
+    assert plan_units(tasks, [], None) == []
+
+
+def test_execute_batch_runs_any_unit_and_isolates_each_lane():
+    tasks = _explode_tasks(3)
+    unknown = SweepTask(key=("x",), scenario=tasks[0].scenario, solver_kind="no_such_kind")
+    broken = SweepTask(
+        key=("y",),
+        scenario={**dict(tasks[0].scenario), "radius_km": -1.0},
+        solver_kind="explode_if_seed_one",
+        solver_params={"seed": 0},
+    )
+    results = execute_batch([*tasks, unknown, broken])
+    assert [error is None for _metrics, _state, error in results] == [True, False, True, False, False]
+    assert results[1][2] == "RuntimeError: boom on seed 1"
+    assert results[3][2].startswith("KeyError: \"unknown solver kind 'no_such_kind'")
+    assert results[4][2] == "ConfigurationError: radius_km must be positive, got -1.0"
+    for task, (metrics, state, _error) in zip(tasks[::2], results[::2]):
+        assert (metrics, state) == (execute_task(task), None)
 
 
 # -- progress and ambient runner --------------------------------------------

@@ -25,6 +25,7 @@ import pytest
 
 from repro.core.allocator import AllocatorConfig
 from repro.exceptions import ConfigurationError
+from repro.experiments import runner as runner_module
 from repro.experiments.base import SweepConfig, proposed_tasks
 from repro.experiments.runner import SweepRunner, execute_task, task_hash
 from repro.serve import (
@@ -35,6 +36,7 @@ from repro.serve import (
     parse_request,
 )
 from repro.serve import coalescer as coalescer_module
+from repro.serve.schema import MAX_DEVICES
 from repro.serve.server import MAX_BODY_BYTES
 from repro.store import open_store
 
@@ -137,6 +139,53 @@ def test_parse_request_rejects_malformed_bodies(body):
         parse_request(body)
 
 
+@pytest.mark.parametrize(
+    ("overrides", "field"),
+    [
+        ({"allocator": {"initial_strategy": "bogus"}}, "initial_strategy"),
+        ({"allocator": {"max_iterations": "5"}}, "max_iterations"),
+        ({"allocator": {"max_iterations": True}}, "max_iterations"),
+        ({"allocator": {"max_iterations": -1}}, "max_iterations"),
+        ({"allocator": {"subproblem1_method": "nope"}}, "subproblem1_method"),
+        ({"allocator": {"tolerance": float("nan")}}, "tolerance"),
+        ({"allocator": {"tolerance": -1e-3}}, "tolerance"),
+        ({"allocator": {"tolerance": "tight"}}, "tolerance"),
+        ({"allocator": {"initial_bandwidth_fraction": 0.0}}, "initial_bandwidth_fraction"),
+        ({"allocator": {"initial_bandwidth_fraction": 1.5}}, "initial_bandwidth_fraction"),
+        ({"scenario": {"family": "paper", "num_devices": 0, "seed": 0}}, "num_devices"),
+        ({"scenario": {"family": "paper", "num_devices": "x", "seed": 0}}, "num_devices"),
+        ({"scenario": {"family": "paper", "num_devices": 6.0, "seed": 0}}, "num_devices"),
+        ({"scenario": {"family": "paper", "num_devices": MAX_DEVICES + 1, "seed": 0}}, "num_devices"),
+    ],
+)
+def test_input_the_solver_would_fail_on_is_a_400_naming_its_field(tmp_path, overrides, field):
+    service = AllocationService(ServeConfig(store_root=tmp_path / "store"))
+    try:
+        status, payload = service.solve(_request_body(seed=6, **overrides))
+        assert service.metrics()["requests"]["invalid"] == 1
+    finally:
+        service.close()
+    assert status == 400
+    assert field in payload["error"]
+
+
+def test_boundary_values_of_the_checked_fields_are_accepted():
+    task = parse_request(
+        _request_body(
+            scenario={"family": "paper", "num_devices": MAX_DEVICES, "seed": 0},
+            allocator={
+                "initial_strategy": "compute_aware",
+                "subproblem1_method": "dual",
+                "max_iterations": 0,
+                "tolerance": 0,
+                "initial_bandwidth_fraction": 1.0,
+            },
+        )
+    )
+    assert task.scenario["num_devices"] == MAX_DEVICES
+    assert task.solver_params["allocator"].initial_strategy == "compute_aware"
+
+
 # -- HTTP round trips --------------------------------------------------------
 
 
@@ -148,7 +197,6 @@ def server(tmp_path):
             port=0,
             store_root=tmp_path / "store",
             store_backend="json",
-            gather_window_s=0.05,
         )
     ).start()
     try:
@@ -252,27 +300,38 @@ def test_sweep_cache_pre_warms_the_service(tmp_path):
         server.close()
 
 
-def test_concurrent_burst_coalesces_into_one_batch(server):
-    # Six compatible requests fired together must solve as one lockstep
-    # batch (they share a batch_group_key and land within the gather
-    # window), observable in both the responses and /metrics.
+def test_concurrent_burst_coalesces_into_one_batch(server, monkeypatch):
+    # Six compatible requests that queue while the worker is busy must
+    # solve as one lockstep batch (they share a batch_group_key),
+    # observable in both the responses and /metrics.
+    entered, release, sizes = _hold_batches(monkeypatch)
     results: list[tuple[int, dict]] = []
-    barrier = threading.Barrier(6)
 
     def fire(seed: int) -> None:
-        barrier.wait()
         results.append(_post(server, _request_body(seed=seed)))
 
     threads = [threading.Thread(target=fire, args=(seed,)) for seed in range(30, 36)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    try:
+        blocker = parse_request(_request_body(seed=29))
+        server.service.coalescer.submit(blocker, task_hash(blocker))
+        assert entered.wait(timeout=60)
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 60
+        while server.service.coalescer.snapshot()["queue_depth"] < 6:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+    finally:
+        release.set()
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    assert sizes == [1, 6]
     assert all(status == 200 for status, _ in results)
-    assert max(payload["batch_size"] for _, payload in results) > 1
+    assert [payload["batch_size"] for _, payload in results] == [6] * 6
     _status, metrics = _get(server, "/metrics")
-    assert metrics["coalescing"]["max_batch_size"] > 1
-    assert metrics["coalescing"]["batches"] < 6
+    assert metrics["coalescing"]["max_batch_size"] == 6
+    assert metrics["coalescing"]["batches"] == 2
     # Coalesced or not, every response stays bit-identical to a direct solve.
     for _, payload in results:
         seed = next(
@@ -364,9 +423,9 @@ def test_unknown_paths_are_404s(server):
 def test_solver_failures_are_500s_with_the_error_string(server):
     # A scenario the family builder rejects fails in the worker; the
     # response carries the crash-isolation error string, not a hung socket.
-    status, payload = _post(server, _request_body(seed=0, scenario={"family": "paper", "num_devices": 0, "seed": 0}))
+    status, payload = _post(server, _request_body(seed=0, scenario={"family": "paper", "num_devices": 4, "seed": 0, "radius_km": -1.0}))
     assert status == 500
-    assert payload["error"]
+    assert payload["error"] == "ConfigurationError: radius_km must be positive, got -1.0"
     _status, metrics = _get(server, "/metrics")
     assert metrics["requests"]["errors"] == 1
 
@@ -428,7 +487,7 @@ def _hold_batches(monkeypatch) -> tuple[threading.Event, threading.Event, list[i
     """Make every ``execute_batch`` pass wait for ``release``; returns
     ``(entered, release, sizes)`` with ``sizes`` the batch sizes run."""
     entered, release, sizes = threading.Event(), threading.Event(), []
-    real = coalescer_module.execute_batch
+    real = runner_module.execute_batch
 
     def held(tasks):
         sizes.append(len(tasks))
@@ -436,15 +495,8 @@ def _hold_batches(monkeypatch) -> tuple[threading.Event, threading.Event, list[i
         assert release.wait(timeout=60)
         return real(tasks)
 
-    monkeypatch.setattr(coalescer_module, "execute_batch", held)
+    monkeypatch.setattr(runner_module, "execute_batch", held)
     return entered, release, sizes
-
-
-def test_the_default_gather_window_is_zero():
-    coalescer = RequestCoalescer()
-    coalescer.close()
-    assert coalescer.gather_window_s == 0.0
-    assert ServeConfig().gather_window_s == 0.0
 
 
 def test_requests_queued_during_a_solve_run_as_the_next_batch(monkeypatch):
@@ -469,16 +521,64 @@ def test_requests_queued_during_a_solve_run_as_the_next_batch(monkeypatch):
         assert outcome.metrics == execute_task(task)
 
 
+def test_a_drain_over_the_batch_size_splits_evenly(monkeypatch):
+    """Seven same-shape requests at a cap of 3 run as 3+2+2, the sweep
+    runner's even cut, and each answer equals its direct solve."""
+    entered, release, sizes = _hold_batches(monkeypatch)
+    coalescer = RequestCoalescer(batch_size=3)
+    try:
+        blocker = parse_request(_request_body(seed=120))
+        coalescer.submit(blocker, task_hash(blocker))
+        assert entered.wait(timeout=60)
+        tasks = [parse_request(_request_body(seed=seed)) for seed in range(121, 128)]
+        futures = [coalescer.submit(task, task_hash(task)) for task in tasks]
+        release.set()
+        outcomes = [future.result(timeout=60) for future in futures]
+    finally:
+        release.set()
+        coalescer.close()
+    assert sizes == [1, 3, 2, 2]
+    assert [outcome.batch_size for outcome in outcomes] == [3, 3, 3, 2, 2, 2, 2]
+    for task, outcome in zip(tasks, outcomes):
+        assert outcome.metrics == execute_task(task)
+    counters = coalescer.snapshot()
+    assert (counters["batches"], counters["batched_tasks"]) == (4, 8)
+
+
+def test_a_raising_baseline_resolves_with_the_per_task_error_string():
+    task = parse_request(
+        {
+            "scenario": {"family": "paper", "num_devices": 4, "seed": 95},
+            "solver_kind": "baseline",
+            "baseline": "communication_only",
+            "deadline_s": 120.0,
+            "baseline_kwargs": {"no_such_argument": 1},
+        }
+    )
+    with pytest.raises(TypeError) as excinfo:
+        execute_task(task)
+    coalescer = RequestCoalescer()
+    try:
+        outcome = coalescer.submit(task, task_hash(task)).result(timeout=60)
+    finally:
+        coalescer.close()
+    assert outcome.metrics is None and outcome.state is None
+    assert outcome.error == f"TypeError: {excinfo.value}"
+    counters = coalescer.snapshot()
+    assert (counters["solo_tasks"], counters["errors"], counters["batches"]) == (1, 1, 0)
+
+
 def test_a_batch_resolves_before_a_slow_baseline_in_the_same_drain(monkeypatch):
     entered, release, _sizes = _hold_batches(monkeypatch)
     baseline_release = threading.Event()
-    real_solo = coalescer_module._execute_safely
+    held = runner_module.execute_batch
 
-    def held_solo(task):
-        assert baseline_release.wait(timeout=60)
-        return real_solo(task)
+    def held_baseline(tasks):
+        if tasks[0].solver_kind == "baseline":
+            assert baseline_release.wait(timeout=60)
+        return held(tasks)
 
-    monkeypatch.setattr(coalescer_module, "_execute_safely", held_solo)
+    monkeypatch.setattr(runner_module, "execute_batch", held_baseline)
     coalescer = RequestCoalescer()
     try:
         blocker = parse_request(_request_body(seed=94))
@@ -508,6 +608,22 @@ def test_a_batch_resolves_before_a_slow_baseline_in_the_same_drain(monkeypatch):
         coalescer.close()
 
 
+def test_a_worker_bug_fails_the_drained_lanes_instead_of_hanging_them(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("planner bug")
+
+    monkeypatch.setattr(coalescer_module, "plan_units", broken)
+    coalescer = RequestCoalescer()
+    try:
+        task = parse_request(_request_body(seed=130))
+        outcome = coalescer.submit(task, task_hash(task)).result(timeout=60)
+    finally:
+        coalescer.close()
+    assert not outcome.ok and outcome.error == "RuntimeError: planner bug"
+    counters = coalescer.snapshot()
+    assert (counters["solved"], counters["errors"]) == (1, 1)
+
+
 def test_concurrent_submits_lose_no_lane(monkeypatch):
     """Eight threads submit overlapping digests while the worker drains;
     every future resolves with its own task's answer and the counters add
@@ -516,7 +632,7 @@ def test_concurrent_submits_lose_no_lane(monkeypatch):
     def fake_batch(tasks):
         return [({"seed": float(task.scenario["seed"])}, None, None) for task in tasks]
 
-    monkeypatch.setattr(coalescer_module, "execute_batch", fake_batch)
+    monkeypatch.setattr(runner_module, "execute_batch", fake_batch)
     tasks = [parse_request(_request_body(seed=seed)) for seed in range(100, 112)]
     coalescer = RequestCoalescer(batch_size=4)
     submitted: list[tuple[int, object]] = []
@@ -548,11 +664,13 @@ def test_concurrent_submits_lose_no_lane(monkeypatch):
 
 def test_a_full_queue_is_a_429_but_a_queued_digest_can_be_joined(monkeypatch, tmp_path):
     monkeypatch.setattr(coalescer_module, "MAX_QUEUED", 2)
-    # An hour-long gather window keeps every submitted digest queued.
-    service = AllocationService(
-        ServeConfig(store_root=tmp_path / "store", gather_window_s=3600.0)
-    )
+    # A worker held inside its first solve keeps every later digest queued.
+    entered, release, _sizes = _hold_batches(monkeypatch)
+    service = AllocationService(ServeConfig(store_root=tmp_path / "store"))
     try:
+        blocker = parse_request(_request_body(seed=99))
+        service.coalescer.submit(blocker, task_hash(blocker))
+        assert entered.wait(timeout=60)
         tasks = [parse_request(_request_body(seed=seed)) for seed in (96, 97)]
         futures = [service.coalescer.submit(task, task_hash(task)) for task in tasks]
         status, payload = service.solve(_request_body(seed=98))
@@ -562,6 +680,7 @@ def test_a_full_queue_is_a_429_but_a_queued_digest_can_be_joined(monkeypatch, tm
         assert service.metrics()["requests"]["rejected"] == 1
         assert service.coalescer.snapshot()["joined"] == 1
     finally:
+        release.set()
         service.close()
     assert joined.result(timeout=0) is futures[0].result(timeout=0)
     for task, future in zip(tasks, futures):
@@ -571,15 +690,29 @@ def test_a_full_queue_is_a_429_but_a_queued_digest_can_be_joined(monkeypatch, tm
 # -- shutdown ----------------------------------------------------------------
 
 
-def test_close_drains_queued_requests():
-    # A coalescer with an hour-long gather window never solves on its own
-    # within the test; close() must drain (solve) the queue, not drop it.
-    coalescer = RequestCoalescer(gather_window_s=3600.0)
+def test_close_drains_queued_requests(monkeypatch):
+    # close() called while requests still wait behind a held solve must
+    # drain (solve) the queue, not drop it.
+    entered, release, sizes = _hold_batches(monkeypatch)
+    coalescer = RequestCoalescer()
+    closer = threading.Thread(target=coalescer.close)
     try:
+        blocker = parse_request(_request_body(seed=59))
+        coalescer.submit(blocker, task_hash(blocker))
+        assert entered.wait(timeout=60)
         tasks = [parse_request(_request_body(seed=seed)) for seed in (60, 61)]
         futures = [coalescer.submit(task, task_hash(task)) for task in tasks]
+        closer.start()
+        # close() refuses new work at once, then waits for the worker.
+        assert coalescer._stop.wait(timeout=60)
+        assert not any(future.done() for future in futures)
     finally:
-        coalescer.close()
+        release.set()
+        if closer.ident is None:
+            closer.start()
+        closer.join(timeout=60)
+    assert not closer.is_alive()
+    assert sizes == [1, 2]
     outcomes = [future.result(timeout=0) for future in futures]
     assert all(outcome.ok for outcome in outcomes)
     for task, outcome in zip(tasks, outcomes):
@@ -594,7 +727,6 @@ def test_service_close_flushes_the_store(tmp_path):
             port=0,
             store_root=tmp_path / "store",
             store_backend="columnar",
-            gather_window_s=0.0,
         )
     )
     try:
