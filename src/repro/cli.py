@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import signal
 import sys
 from typing import Any, Sequence
 
@@ -706,7 +707,7 @@ def _run_bench(args: argparse.Namespace) -> int:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    """Run the allocation service until SIGINT, then shut down gracefully."""
+    """Run the allocation service until SIGINT or SIGTERM, then stop gracefully."""
     from .serve import AllocationServer, ServeConfig
 
     config = ServeConfig(
@@ -721,13 +722,16 @@ def _run_serve(args: argparse.Namespace) -> int:
     server = AllocationServer(config)
     store = server.service.store
     store_info = f"{store.backend}:{store.root}" if store is not None else "off"
-    print(
-        f"[serve] listening on {server.url} (store={store_info}, "
-        f"batch_size={config.batch_size}) — "
-        "POST /solve, GET /metrics, GET /healthz; Ctrl-C to stop",
-        file=sys.stderr,
-    )
+    # Both stop it however it was launched (a shell's `cmd &` ignores SIGINT).
+    stops = (signal.SIGINT, signal.SIGTERM)
+    previous = [signal.signal(signum, signal.default_int_handler) for signum in stops]
     try:
+        print(
+            f"[serve] listening on {server.url} (store={store_info}, "
+            f"batch_size={config.batch_size}) — "
+            "POST /solve, GET /metrics, GET /healthz; Ctrl-C to stop",
+            file=sys.stderr,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         print(
@@ -737,6 +741,8 @@ def _run_serve(args: argparse.Namespace) -> int:
         )
     finally:
         server.close()
+        for signum, handler in zip(stops, previous):
+            signal.signal(signum, handler)
     print("[serve] stopped", file=sys.stderr)
     return 0
 

@@ -13,34 +13,36 @@ found by bisection: for a candidate ``t`` each device needs the bandwidth
 :func:`repro.wireless.rate.min_bandwidth_for_rate`), and ``t`` is feasible
 iff ``sum_n B_n(t) <= B``.
 
-The answer is bit-identical to rerunning ``min_bandwidth_for_rate`` at every
-step, but far cheaper, for two reasons:
+The answer is bit-identical to running ``min_bandwidth_for_rate`` at every
+step, but almost every step is answered from two certified points:
 
-* **One shared walk per device.**  ``min_bandwidth_for_rate`` bisects
-  ``[1e-6, B]`` and moves ``lo`` up exactly when ``rate(mid) < d_n / t``, so
-  every ``t`` walks the same tree of midpoints and only the comparisons
-  differ.  Every ``t`` still to be tested lies in the current bracket
-  ``[t_lo, t_hi]``, so each device keeps its deepest node on which all rates
-  in ``[d_n / t_hi, d_n / t_lo]`` take the same branch, and advances it
-  after each outer step as far as that agreement holds.  A test starts from
-  there instead of from the root.
-* **A test stops once its answer is certain.**  A device's converged
-  bandwidth stays inside its current ``[lo, hi]``, and a float sum is
-  monotone in every term, so summing the upper ends (the lower ends) over
-  the full-length vector, in ``min_bandwidth_for_rate``'s order, bounds the
-  converged sum from above (below).  An upper sum within the budget proves
-  ``t`` feasible, a lower sum above it proves it infeasible.
+* **The test is monotone in ``t``.**  ``min_bandwidth_for_rate`` bisects
+  ``[1e-6, B]`` and moves ``lo`` up exactly when the float rate at ``mid``
+  is below the target (while the target is above the rate at ``1e-6``), so
+  a larger target walks the same midpoints until it branches up, and never
+  gets a smaller answer.  ``d_n / t`` falls as ``t`` grows and a float sum
+  is monotone in every term: above a feasible ``t`` every ``t`` is
+  feasible, below an infeasible one none is.
+* **Two points are certified.**  Newton on ``t`` and the bands together
+  solves ``B_n log2(1 + g_n p_n / (N0 B_n)) = d_n / t``, ``sum_n B_n = B``
+  exactly for its root ``t_c``.  Near ``t_c``, float rates at ``a < b``
+  around each device's root prove that every midpoint up to ``a`` moves
+  ``lo`` up and every one in ``[b, B]`` moves ``hi`` down, given that a
+  float rate is within ``_ROUNDING * (r + B_n)`` of the exact one, which is
+  increasing and concave.  The converged bandwidth then lies within twice
+  the bisection tolerance of ``[a, b]``, so float sums of those bounds over
+  the full-length vector bound the converged sum: one point just above
+  ``t_c`` is proven feasible, one just below infeasible.
 
-Only the final ``B_n(t_hi)`` walks to convergence.  Tests the walk cannot
-take — a target at or below the rate at ``1e-6`` Hz, which makes
-``min_bandwidth_for_rate`` raise or bisect on a different sign — call
-``min_bandwidth_for_rate`` itself.
+The rest runs ``min_bandwidth_for_rate`` itself: a step between the points,
+a target at or below the rate at ``1e-6`` Hz (where it raises or bisects on
+another sign), a budget past the bisection's step cap, a failed Newton, and
+the final split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -55,10 +57,17 @@ from ..wireless.rate import (
 
 __all__ = ["UploadTimeAllocation", "minimize_max_upload_time"]
 
-# A walk from ``[1e-6, B]`` stops within ``log2(B / tol) + 2`` steps; past
-# this budget it could outlast ``bisect_vector``'s 200-step cap, whose
+# A bisection from ``[1e-6, B]`` stops within ``log2(B / tol) + 2`` steps;
+# past this budget it could outlast ``bisect_vector``'s 200-step cap, whose
 # ``ConvergenceError`` only ``min_bandwidth_for_rate`` itself reproduces.
-_MAX_WALK_BUDGET_HZ = _BANDWIDTH_TOL * 2.0**190
+_MAX_CERTIFIED_BUDGET_HZ = _BANDWIDTH_TOL * 2.0**190
+# 128 unit roundoffs, where a rate's five operations and ``log2`` take a few.
+_ROUNDING = 2.0**-46
+# A bracket end's rate margin: rounding there, at a midpoint beyond, and slack.
+_MARGIN = 3.0 * _ROUNDING
+_NEWTON_STEPS = 60
+_NEWTON_TOL = 1e-13
+_LN2 = np.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -70,133 +79,120 @@ class UploadTimeAllocation:
     max_upload_time_s: float
 
 
-def _descend(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    mid: np.ndarray,
-    active: np.ndarray,
-    moving: np.ndarray,
-    up: np.ndarray,
-) -> None:
-    """One ``bisect_vector`` step, in place, for the ``moving`` lanes:
-    ``lo`` moves to ``mid`` where ``up``, ``hi`` elsewhere.  (Every ``mid``
-    is at least ``1e-6``, so ``bisect_vector``'s ``|mid|`` is ``mid``.)"""
-    up &= moving
-    np.copyto(lo, mid, where=up)
-    np.copyto(hi, mid, where=moving & ~up)
-    np.copyto(mid, 0.5 * (lo + hi), where=moving)
-    active &= hi - lo > _BANDWIDTH_TOL * np.maximum(1.0, mid)
+def _newton_step(
+    snr_hz: np.ndarray, rate: np.ndarray, band: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual ``B log2(1 + snr_hz / B) - rate`` at ``band`` and its slope
+    in ``B``: one Newton evaluation per lane."""
+    ratio = snr_hz / band
+    log_term = np.log1p(ratio)
+    slope = (log_term - ratio / (1.0 + ratio)) / _LN2
+    return band * log_term / _LN2 - rate, slope
 
 
-class _BandwidthWalk:
-    """Each uploading device's shared node in the bandwidth-bisection tree."""
+class _FeasibilityTest:
+    """The bisection's test of one solve, from two certified points where they decide."""
 
-    def __init__(
-        self,
-        power: np.ndarray,
-        gains: np.ndarray,
-        noise: float,
-        bits: np.ndarray,
-        budget: float,
-    ) -> None:
-        self.power = power
-        self.gains = gains
-        self.noise = noise
-        self.bits = bits
-        self.budget = budget
+    def __init__(self, power, gains, noise, bits, budget, t_start) -> None:
+        self.power, self.gains, self.noise = power, gains, noise
+        self.all_bits, self.budget = bits, budget
         self.uploads = bits > 0.0
-        self.padded = not np.all(self.uploads)
+        self.bits = bits[self.uploads]
         self.gp = (gains * power)[self.uploads]
-        count = self.gp.shape
+        count = self.bits.shape
         self.cap_rate = _open_band_rate(self.gp, np.full(count, budget), noise)
         self.floor_rate = _open_band_rate(self.gp, np.full(count, _BANDWIDTH_FLOOR_HZ), noise)
-        if budget > _MAX_WALK_BUDGET_HZ:
-            self.floor_rate[:] = np.inf  # every test takes the nested call
-        self.lo = np.full(count, _BANDWIDTH_FLOOR_HZ)
-        self.hi = np.full(count, float(budget))
-        self.mid = 0.5 * (self.lo + self.hi)
-        self.active = self.hi - self.lo > _BANDWIDTH_TOL * np.maximum(1.0, self.mid)
-        # The rate at every active lane's shared node (any value elsewhere).
-        self.rate = _open_band_rate(self.gp, self.mid, noise)
-
-    def _nested(self, t: float) -> np.ndarray:
-        return min_bandwidth_for_rate(
-            self.bits / t, self.power, self.gains, self.noise, bandwidth_cap_hz=self.budget
-        )
-
-    def _full(self, values: np.ndarray) -> np.ndarray:
-        """``values`` in the full-length vector, zero for non-uploaders."""
-        if not self.padded:
-            return values
-        full = np.zeros(self.bits.shape)
-        full[self.uploads] = values
-        return full
-
-    def _targets(self, t: float) -> np.ndarray | None:
-        """Uploaders' target rates at ``t``, or ``None`` unless each is above
-        the rate at the bracket floor (only then does ``bisect_vector`` move
-        ``lo`` up exactly when ``rate(mid)`` is below the target)."""
-        rate = (self.bits / t)[self.uploads]
-        return rate if (self.floor_rate < rate).all() else None
-
-    def _walk(self, rate: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-        """``lo, hi, mid, active`` at each node of the endless walk towards
-        ``rate`` from the shared nodes (a converged lane stays put).  A
-        node's rate is computed only when the caller asks for the next one."""
-        lo, hi, mid = self.lo.copy(), self.hi.copy(), self.mid.copy()
-        active = self.active.copy()
-        at_mid = self.rate
-        while True:
-            yield lo, hi, mid, active
-            if at_mid is None:
-                at_mid = _open_band_rate(self.gp, mid, self.noise)
-            _descend(lo, hi, mid, active, active, at_mid < rate)
-            at_mid = None
-
-    def fits(self, t: float, limit: float) -> bool:
-        """Whether ``B_n(t)`` is finite and sums to at most ``limit``."""
-        rate = self._targets(t)
-        if rate is None:
-            needed = self._nested(t)
-            return bool(np.all(np.isfinite(needed)) and needed.sum() <= limit)
-        if (self.cap_rate < rate).any():
-            return False
-        walk = self._walk(rate)
-        while True:
-            lo, hi, mid, active = next(walk)
-            if self._full(np.where(active, hi, mid)).sum() <= limit:
-                return True
-            if self._full(np.where(active, lo, mid)).sum() > limit:
-                return False
+        # Every ``t <= t_minus`` needs more than ``lower`` hertz, and every
+        # ``t >= t_plus`` whose targets are above the floor rate fits.
+        self.t_minus, self.lower, self.t_plus = -np.inf, -np.inf, np.inf
+        if budget <= _MAX_CERTIFIED_BUDGET_HZ:
+            with np.errstate(all="ignore"):
+                self._certify(t_start)
 
     def needed(self, t: float) -> np.ndarray:
-        """``B_n(t)``, walked to convergence."""
-        rate = self._targets(t)
-        if rate is None or (self.cap_rate < rate).any():
-            return self._nested(t)
-        walk = self._walk(rate)
-        while True:
-            _, _, mid, active = next(walk)
-            if not active.any():
-                return self._full(mid)
+        """``B_n(t)``: ``min_bandwidth_for_rate`` itself."""
+        return min_bandwidth_for_rate(
+            self.all_bits / t, self.power, self.gains, self.noise, bandwidth_cap_hz=self.budget
+        )
 
-    def share(self, t_lo: float, t_hi: float) -> None:
-        """Advance every shared node while all of ``[t_lo, t_hi]`` agrees."""
-        # Every t between the two ends asks for a rate between these two.
-        bits = self.bits[self.uploads]
-        r_a, r_b = bits / t_lo, bits / t_hi
-        r_min, r_max = np.minimum(r_a, r_b), np.maximum(r_a, r_b)
-        moving = self.active.copy()
-        while True:
-            up = self.rate < r_min
-            moving &= up | (self.rate >= r_max)
-            if not moving.any():
-                return
-            _descend(self.lo, self.hi, self.mid, self.active, moving, up)
-            moving &= self.active
-            if not moving.any():
-                return  # every lane that moved has converged
-            self.rate = _open_band_rate(self.gp, self.mid, self.noise)
+    def fits(self, t: float, limit: float) -> bool:
+        """Whether ``B_n(t)`` is finite and sums to at most ``limit >= B``."""
+        if t >= self.t_plus and (self.floor_rate < self.bits / t).all():
+            return True
+        if t <= self.t_minus and self.lower > limit:
+            return False
+        needed = self.needed(t)
+        return bool(np.all(np.isfinite(needed)) and needed.sum() <= limit)
+
+    def _threshold(self, t: float) -> tuple[float, np.ndarray, np.ndarray] | None:
+        """Root ``t_c`` of the continuous ``sum_n B_n(t) = B``, ``B_n(t_c)`` and
+        the rate slopes there, by Newton from ``t`` and an equal split (a step
+        out of ``t, B_n > 0`` halves ``t`` or quarters ``B_n``); ``None`` if it fails."""
+        snr_hz, bits, budget = self.gp / self.noise, self.bits, self.budget
+        band = np.full(bits.shape, budget / bits.size)
+        for _ in range(_NEWTON_STEPS):
+            residual, slope = _newton_step(snr_hz, bits / t, band)
+            drift = -bits / (t * t * slope)  # d B_n / d t along the rate curve
+            step = (budget - band.sum() + (residual / slope).sum()) / drift.sum()
+            if not np.isfinite(step):
+                return None
+            new = band - residual / slope + drift * step
+            new = np.where(new > 0.0, new, 0.25 * band)
+            new_t = t + step if t + step > 0.0 else 0.5 * t
+            if abs(new_t - t) <= _NEWTON_TOL * new_t and np.all(
+                np.abs(new - band) <= _NEWTON_TOL * new
+            ):
+                return new_t, new, slope
+            t, band = new_t, new
+        return None
+
+    def _certify(self, t_start: float) -> None:
+        solved = self._threshold(t_start)
+        if solved is None:
+            return
+        t_c, band, slope = solved
+        rate = self.bits / t_c
+        drift = -rate / (t_c * slope)
+        # Brackets of eight times what moves a rate by the margin, at points
+        # where the roots' sum has moved by 1.5 times the bounds' slack: at
+        # ~1e-9 t from ``t_c`` the tangent's error is far inside a bracket.
+        half = 8.0 * np.maximum(_MARGIN * (rate + band) / slope, _NEWTON_TOL * band)
+        gap = 1.5 * (half + 2.0 * _BANDWIDTH_TOL * np.maximum(1.0, band)).sum() / -drift.sum()
+        above = self._bounds(t_c + gap, band + drift * gap, half)
+        if above is not None and above[1] <= self.budget:
+            self.t_plus = t_c + gap
+        below = self._bounds(t_c - gap, band - drift * gap, half)
+        if below is not None and below[0] > self.budget:
+            self.t_minus, self.lower = t_c - gap, below[0]
+
+    def _bounds(self, t: float, root: np.ndarray, half: np.ndarray) -> tuple[float, float] | None:
+        """Lower and upper bounds on ``B_n(t)``'s sum from the brackets
+        ``root -+ half``, or ``None`` where they are not proven."""
+        rate = self.bits / t
+        if not (self.floor_rate < rate).all():
+            return None
+        if (self.cap_rate < rate).any():
+            return np.inf, np.inf
+        a, b = root - half, root + half
+        # Midpoints up to ``a`` move ``lo`` up, those in ``[b, B]`` move ``hi``
+        # down (a concave lower bound on their float rate is least at an end).
+        at_a = _open_band_rate(self.gp, a, self.noise)
+        at_b = _open_band_rate(self.gp, b, self.noise)
+        proven = (a > _BANDWIDTH_FLOOR_HZ) & (b <= self.budget)
+        proven &= at_a * (1.0 + _MARGIN) + _MARGIN * a < rate
+        proven &= at_b * (1.0 - _MARGIN) - _MARGIN * b >= rate
+        proven &= self.cap_rate * (1.0 - _MARGIN) - _MARGIN * self.budget >= rate
+        if not proven.all():
+            return None
+        # A converged answer lies within twice the bisection tolerance of them.
+        widen = 2.0 * _BANDWIDTH_TOL * np.maximum(1.0, b)
+        return self._sum(a - widen), self._sum(b + widen)
+
+    def _sum(self, values: np.ndarray) -> float:
+        """``values`` summed in the full-length vector (zero elsewhere)."""
+        full = np.zeros(self.all_bits.shape)
+        full[self.uploads] = values
+        return float(full.sum())
 
 
 def minimize_max_upload_time(
@@ -230,19 +226,18 @@ def minimize_max_upload_time(
             max_upload_time_s=0.0,
         )
 
-    walk = _BandwidthWalk(power, gains, noise, bits, budget)
-
     # Upper bound: the equal split is always feasible for its own max time.
     equal = np.full(system.num_devices, budget / system.num_devices)
     t_hi = float(np.max(system.upload_bits / np.maximum(
         system.rates_bps(power, equal), 1e-300
     )))
-    if not walk.fits(t_hi, budget * (1 + 1e-9)):
+    test = _FeasibilityTest(power, gains, noise, bits, budget, t_hi)
+    if not test.fits(t_hi, budget * (1 + 1e-9)):
         # The equal-split time should always be feasible; guard against
         # numerical corner cases by growing the bound.
         for _ in range(100):
             t_hi *= 2.0
-            if walk.fits(t_hi, budget):
+            if test.fits(t_hi, budget):
                 break
         else:
             raise InfeasibleProblemError("could not find a feasible upload schedule")
@@ -253,9 +248,8 @@ def minimize_max_upload_time(
     t_lo = float(np.max(bits / solo_rates))
 
     for _ in range(max_iter):
-        walk.share(t_lo, t_hi)
         t_mid = 0.5 * (t_lo + t_hi)
-        if walk.fits(t_mid, budget):
+        if test.fits(t_mid, budget):
             t_hi = t_mid
         else:
             t_lo = t_mid
@@ -268,7 +262,7 @@ def minimize_max_upload_time(
             f"than tol={tol:.3g}"
         )
 
-    bandwidth = walk.needed(t_hi)
+    bandwidth = test.needed(t_hi)
     # Hand out any numerically unassigned slack proportionally (it can only
     # reduce upload times further).  Devices with nothing to upload need no
     # bandwidth, so a fleet where only some devices upload keeps the slack

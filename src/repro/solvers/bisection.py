@@ -4,8 +4,8 @@
 equations at once, one bracket per equation.  Its caller is
 :func:`~repro.wireless.rate.min_bandwidth_for_rate` (the smallest bandwidth
 that meets each device's rate at a given power); the min-max upload split
-of :mod:`repro.core.uplink_delay` repeats its steps, bit for bit, in one
-shared walk.
+of :mod:`repro.core.uplink_delay` runs it only where bounds on its converged
+answers cannot decide a step.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ __all__ = [
 
 
 #: ``min_bandwidth_for_rate``'s bisection bracket floor and default tolerance
-#: (``core.uplink_delay`` retraces the same bisection tree).
+#: (``core.uplink_delay`` bounds the bisection's answer with both).
 _BANDWIDTH_FLOOR_HZ = 1e-6
 _BANDWIDTH_TOL = 1e-9
 

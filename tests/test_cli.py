@@ -496,3 +496,38 @@ def test_serve_runs_until_interrupt_then_stops_cleanly(tmp_path, capsys, monkeyp
     assert "[serve] listening on http://127.0.0.1:" in err
     assert "draining the coalescing queue" in err
     assert "[serve] stopped" in err
+
+
+@pytest.mark.parametrize("signum", ["SIGINT", "SIGTERM"])
+def test_serve_stops_cleanly_on_a_signal_even_with_sigint_ignored(tmp_path, signum):
+    # A shell starts a background job with SIGINT ignored, and Python keeps
+    # an inherited ignored SIGINT; the service must still take its graceful
+    # path on SIGINT and on SIGTERM.
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--cache-dir", str(tmp_path / "store")],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        banner = proc.stderr.readline()
+        assert "[serve] listening on http://127.0.0.1:" in banner
+        proc.send_signal(getattr(signal, signum))
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0
+    assert "draining the coalescing queue" in err
+    assert "[serve] stopped" in err

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import build_paper_scenario
@@ -103,10 +103,11 @@ def test_partially_zero_upload_bits_fleet_keeps_finite_times():
 
 # -- bit parity with the nested bisection -------------------------------------
 #
-# ``minimize_max_upload_time`` shares one bandwidth walk per device across the
-# outer bisection and stops each feasibility test once its answer is certain;
-# ``tests.uplink_delay_reference`` reruns ``min_bandwidth_for_rate`` from the
-# root at every step.  Both must give the same bits and the same errors.
+# ``minimize_max_upload_time`` answers the outer bisection's steps from two
+# certified points around the continuous threshold and runs
+# ``min_bandwidth_for_rate`` only where they cannot decide;
+# ``tests.uplink_delay_reference`` runs it at every step.  Both must give the
+# same bits and the same errors.
 
 FAMILIES = ("paper", "cell-edge", "hotspot", "hetero-fleet", "indoor")
 
@@ -232,7 +233,24 @@ def _log_uniform(lo, hi):
     ),
     budget=_log_uniform(3.0, 9.0),
 )
+# Identical devices: the equal split's demand lands on the budget, so the
+# upper bound's own test sits between the two certified points.
+@example(devices=[(1e-10, 1e6, 0.1)] * 4, budget=1e6)
+# A lone device: the equal split's target is the rate at the cap itself.
+@example(devices=[(1e-12, 1e6, 0.1)], budget=1e6)
+# Targets above the floor rate at the upper certified point fall to it or
+# below at the equal split's time, where the nested bisection raises.
+@example(
+    devices=[(9.68e-14, 12.1, 0.119), (7.24e-16, 5.36e-7, 0.015), (9.9e-12, 6.1e-8, 0.0129)],
+    budget=1767.7,
+)
+# A budget above ``1e-9 * 2**190`` Hz, where nothing is certified.
+@example(devices=[(1e40, 1e50, 1.0), (1e12, 1.0, 1.0)], budget=2e48)
+# One uploader among devices with nothing to upload.
+@example(devices=[(1e-10, 0.0, 0.1), (1e-11, 1e6, 0.1), (1e-9, 0.0, 1.0)], budget=1e6)
 def test_shared_walk_is_bit_identical_to_the_nested_bisection(devices, budget):
     # Tiny uploads over strong channels reach below the floor rate, large
-    # ones over weak channels miss their target even at the full band.
+    # ones over weak channels miss their target even at the full band, and
+    # the examples pin the cases the certificate hands to the nested
+    # bisection.
     _assert_matches_reference(_uplink_system(devices, budget))

@@ -696,9 +696,11 @@ def test_fig7_deadline_lanes_run_no_one_lane_subproblem1_solve(monkeypatch):
     assert work == {"stacks": 3, "one_lane": 0, "outer": 14}
 
 
-def _delay_min_rate_evaluations(monkeypatch):
-    """Rate-formula evaluations per ``minimize_max_upload_time`` call on the
-    80 ten-device paper/hotspot drops (seeds 0-39)."""
+def _delay_min_work(monkeypatch):
+    """Work per ``minimize_max_upload_time`` call on the 80 ten-device
+    paper/hotspot drops (seeds 0-39): rate-formula evaluations, Newton
+    evaluations of the continuous threshold and its certified points, and
+    nested ``min_bandwidth_for_rate`` bisections."""
     from repro.core import uplink_delay
     from repro.scenarios import build_scenario_spec
     from repro.wireless import rate
@@ -708,28 +710,45 @@ def _delay_min_rate_evaluations(monkeypatch):
         for family in ("paper", "hotspot")
         for seed in range(40)
     ]
-    original = rate._open_band_rate
-    calls = 0
+    work = {"rate_evaluations": 0, "newton_iterations": 0, "nested_bisections": 0}
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
+    def counting(key, original):
+        def counted(*args, **kwargs):
+            work[key] += 1
+            return original(*args, **kwargs)
 
+        return counted
+
+    rate_evaluation = counting("rate_evaluations", rate._open_band_rate)
     with monkeypatch.context() as patch:
-        patch.setattr(rate, "_open_band_rate", counting)
-        patch.setattr(uplink_delay, "_open_band_rate", counting)
+        patch.setattr(rate, "_open_band_rate", rate_evaluation)
+        patch.setattr(uplink_delay, "_open_band_rate", rate_evaluation)
+        patch.setattr(
+            uplink_delay,
+            "_newton_step",
+            counting("newton_iterations", uplink_delay._newton_step),
+        )
+        patch.setattr(
+            uplink_delay,
+            "min_bandwidth_for_rate",
+            counting("nested_bisections", uplink_delay.min_bandwidth_for_rate),
+        )
         for system in systems:
             uplink_delay.minimize_max_upload_time(system)
-    return calls / len(systems)
+    return {key: count / len(systems) for key, count in work.items()}
 
 
 def test_delay_min_rate_evaluations_are_deterministic_and_within_budget(monkeypatch):
-    """The shared bandwidth walk costs a fixed, bounded number of rate
-    evaluations per delay-min solve (the nested bisection cost 909.0)."""
-    per_call = _delay_min_rate_evaluations(monkeypatch)
-    assert per_call <= 166
-    assert _delay_min_rate_evaluations(monkeypatch) == per_call
+    """A delay-min solve costs a fixed, bounded amount of work: 48.7 rate
+    evaluations, 7.5 Newton evaluations and 1.04 nested bisections per call
+    (the final split, and a step between the certified points in 3 of 80
+    calls).  The nested bisection at every step cost 909.0 rate evaluations
+    per call, the shared bandwidth walk that followed it 165.8."""
+    work = _delay_min_work(monkeypatch)
+    assert work["rate_evaluations"] <= 49
+    assert work["newton_iterations"] <= 8
+    assert work["nested_bisections"] <= 1.04
+    assert _delay_min_work(monkeypatch) == work
 
 
 def _fl_round_training_work(monkeypatch, model):
