@@ -1,16 +1,18 @@
 """Shared configuration for the benchmark suite.
 
-Every benchmark regenerates one of the paper's figures (Figs. 2-8 plus the
-samples sweep and the ablation study) at a reduced scale — fewer random
+Every figure test regenerates one of the paper's figures (Figs. 2-8 plus
+the samples sweep and the ablation study) at a reduced scale — fewer random
 drops and coarser grids than Section VII-A, so the whole suite finishes in
-minutes — and asserts the figure's qualitative claim on the produced table.
-Pass ``--benchmark-only`` to skip the regular tests, and see EXPERIMENTS.md
-for how to run the full paper-scale sweeps.
+a minute or two — and asserts the figure's qualitative claim on the
+produced table; ``test_bench_solver.py`` adds the wall-clock floors of the
+batched, vector-backend and columnar-store paths.  Run them with
+``python -m pytest benchmarks -q``; see EXPERIMENTS.md for the full
+paper-scale sweeps and ``perfbench/README.md`` for the timed benchmark.
 
 The figure sweeps run through the shared
 :class:`~repro.experiments.runner.SweepRunner`; set ``REPRO_BENCH_JOBS=N``
-to fan each benchmarked sweep out over ``N`` worker processes (the cache is
-kept off either way so the timings stay honest).
+to fan each sweep out over ``N`` worker processes (the cache is kept off
+either way, so every sweep really solves).
 """
 
 from __future__ import annotations
@@ -39,16 +41,3 @@ def bench_runner():
     yield runner
     set_default_runner(None)
 
-
-@pytest.fixture()
-def run_once(benchmark):
-    """Run a callable exactly once under pytest-benchmark timing.
-
-    The figure sweeps are macro-benchmarks (seconds each); a single round is
-    representative and keeps the suite fast.
-    """
-
-    def runner(func, *args, **kwargs):
-        return benchmark.pedantic(func, args=args, kwargs=kwargs, iterations=1, rounds=1)
-
-    return runner

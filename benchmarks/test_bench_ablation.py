@@ -5,9 +5,9 @@ from repro.experiments import AblationConfig, run_ablation
 from .conftest import bench_sweep
 
 
-def test_bench_ablation(run_once):
+def test_bench_ablation():
     config = AblationConfig(sweep=bench_sweep(num_devices=15), damping_values=(0.25, 0.5, 0.75))
-    table = run_once(run_ablation, config)
+    table = run_ablation(config)
     print("\n" + table.to_markdown())
 
     # Every ablation axis is covered.

@@ -5,13 +5,13 @@ from repro.experiments import Fig2Config, run_fig2
 from .conftest import bench_sweep
 
 
-def test_bench_fig2(run_once):
+def test_bench_fig2():
     config = Fig2Config(
         sweep=bench_sweep(),
         max_power_dbm_grid=(5.0, 8.0, 12.0),
         weight_pairs=((0.9, 0.1), (0.5, 0.5), (0.1, 0.9)),
     )
-    table = run_once(run_fig2, config)
+    table = run_fig2(config)
     print("\n" + table.to_markdown())
 
     for p_max in config.max_power_dbm_grid:

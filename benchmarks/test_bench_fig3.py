@@ -5,13 +5,13 @@ from repro.experiments import Fig3Config, run_fig3
 from .conftest import bench_sweep
 
 
-def test_bench_fig3(run_once):
+def test_bench_fig3():
     config = Fig3Config(
         sweep=bench_sweep(),
         max_frequency_ghz_grid=(0.5, 1.0, 2.0),
         weight_pairs=((0.9, 0.1), (0.5, 0.5)),
     )
-    table = run_once(run_fig3, config)
+    table = run_fig3(config)
     print("\n" + table.to_markdown())
 
     bench_energy = [row["energy_j"] for row in table.filter(scheme="benchmark")]

@@ -5,14 +5,14 @@ from repro.experiments import Fig4Config, run_fig4
 from .conftest import bench_sweep
 
 
-def test_bench_fig4(run_once):
+def test_bench_fig4():
     config = Fig4Config(
         sweep=bench_sweep(),
         num_devices_grid=(20, 40, 80),
         total_samples=25_000,
         weight_pairs=((0.9, 0.1), (0.5, 0.5)),
     )
-    table = run_once(run_fig4, config)
+    table = run_fig4(config)
     print("\n" + table.to_markdown())
 
     for w1 in (0.9, 0.5):

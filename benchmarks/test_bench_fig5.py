@@ -5,13 +5,13 @@ from repro.experiments import Fig5Config, run_fig5
 from .conftest import bench_sweep
 
 
-def test_bench_fig5(run_once):
+def test_bench_fig5():
     config = Fig5Config(
         sweep=bench_sweep(num_devices=20),
         radius_km_grid=(0.1, 0.7, 1.4),
         num_devices_grid=(20, 40),
     )
-    table = run_once(run_fig5, config)
+    table = run_fig5(config)
     print("\n" + table.to_markdown())
 
     for num_devices in config.num_devices_grid:

@@ -5,13 +5,13 @@ from repro.experiments import Fig6Config, run_fig6
 from .conftest import bench_sweep
 
 
-def test_bench_fig6(run_once):
+def test_bench_fig6():
     config = Fig6Config(
         sweep=bench_sweep(),
         local_iterations_grid=(10, 50, 110),
         global_rounds_grid=(50, 400),
     )
-    table = run_once(run_fig6, config)
+    table = run_fig6(config)
     print("\n" + table.to_markdown())
 
     for global_rounds in config.global_rounds_grid:

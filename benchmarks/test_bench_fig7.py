@@ -5,12 +5,12 @@ from repro.experiments import Fig7Config, run_fig7
 from .conftest import bench_sweep
 
 
-def test_bench_fig7(run_once):
+def test_bench_fig7():
     config = Fig7Config(
         sweep=bench_sweep(max_power_dbm=10.0),
         deadline_s_grid=(100.0, 125.0, 150.0),
     )
-    table = run_once(run_fig7, config)
+    table = run_fig7(config)
     print("\n" + table.to_markdown())
 
     proposed_series = []

@@ -5,13 +5,13 @@ from repro.experiments import Fig8Config, run_fig8
 from .conftest import bench_sweep
 
 
-def test_bench_fig8(run_once):
+def test_bench_fig8():
     config = Fig8Config(
         sweep=bench_sweep(),
         max_power_dbm_grid=(5.0, 8.0, 12.0),
         deadline_s_grid=(80.0, 150.0),
     )
-    table = run_once(run_fig8, config)
+    table = run_fig8(config)
     print("\n" + table.to_markdown())
 
     average_gap = {}

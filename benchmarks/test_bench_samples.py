@@ -5,9 +5,9 @@ from repro.experiments import SamplesConfig, run_samples_sweep
 from .conftest import bench_sweep
 
 
-def test_bench_samples(run_once):
+def test_bench_samples():
     config = SamplesConfig(sweep=bench_sweep(), samples_grid=(250, 500, 1000))
-    table = run_once(run_samples_sweep, config)
+    table = run_samples_sweep(config)
     print("\n" + table.to_markdown())
 
     energies = table.column("energy_j")

@@ -1,18 +1,36 @@
-"""Micro-benchmarks of the proposed algorithm's building blocks.
+"""The proposed algorithm's building blocks, and the wall-clock floors of
+its fast paths.
 
-Unlike the figure benchmarks (macro-benchmarks run once), these time the
-individual solver layers with pytest-benchmark's normal repetition so the
-cost of each stage of Algorithm 2 can be tracked:
+The first tests run each layer of Algorithm 2 once on a 50-device paper
+drop and check its answer:
 
-* one full Algorithm-2 solve at the paper's device count,
+* one full Algorithm-2 solve,
 * one Algorithm-1 (sum-of-ratios) solve,
 * one closed-form SP2_v2 solve (Theorem 2 / Appendix B),
-* one Subproblem-1 solve,
-* the SP2 stage of a small Figure-2 sweep on the vector backend against
-  the scalar reference backend.
+* one Subproblem-1 solve.
+
+The rest run the quick Figure-2 bench sweep
+(:func:`repro.perf.bench.bench_config`), pin its iteration counters
+exactly and hold three speedup floors, each next to the parity gate that
+makes the fast path worth having:
+
+* the batched multi-solve sweep against the per-drop sweep
+  (``>= 2.0 x 0.95``, tables bit-identical);
+* the vector SP2 backend against the scalar oracle on the ``sp2`` stage
+  (``>= 2.95``, tables within 1e-8);
+* columnar result-store reads against JSON reads (``>= 1.2 x 0.85``,
+  entries bit-identical).
+
+The three sweep modes run serially with the cache off, five rounds,
+interleaved, with the mode order rotated each round, so a load shift on
+the host biases every mode of a round alike; each floor is a ratio of
+walls summed over the rounds, so one scheduler spike dilutes into the
+totals instead of deciding a single short sample.  The 0.95 and 0.85
+factors absorb the noise of a wall ratio on a shared machine.
 """
 
 import dataclasses
+import tempfile
 import time
 
 import numpy as np
@@ -22,10 +40,10 @@ from repro import JointProblem, ProblemWeights, ResourceAllocator, build_paper_s
 from repro.core.subproblem1 import solve_subproblem1
 from repro.core.subproblem2 import solve_sp2_v2
 from repro.core.sum_of_ratios import SumOfRatiosSolver
-from repro.experiments import Fig2Config, run_fig2
-from repro.experiments.runner import SweepRunner
-
-from .conftest import bench_sweep
+from repro.experiments import run_fig2
+from repro.experiments.runner import SweepRunner, task_hash
+from repro.perf.bench import bench_config
+from repro.store import open_store
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +53,7 @@ def paper_system():
 
 @pytest.fixture(scope="module")
 def start_point(paper_system):
-    """A feasible (p, B, nu, beta, r_min) tuple shared by the micro-benchmarks."""
+    """A feasible (p, B, nu, beta, r_min) tuple shared by the layer tests."""
     system = paper_system
     n = system.num_devices
     power = system.max_power_w.copy()
@@ -50,78 +68,176 @@ def start_point(paper_system):
     return power, bandwidth, upload, min_rate, nu, beta
 
 
-def test_bench_full_algorithm2(benchmark, paper_system):
+def test_bench_full_algorithm2(paper_system):
     problem = JointProblem(paper_system, ProblemWeights(energy=0.5, time=0.5))
-    allocator = ResourceAllocator()
-    result = benchmark(allocator.solve, problem)
+    result = ResourceAllocator().solve(problem)
     assert result.feasible
 
 
-def test_bench_sum_of_ratios(benchmark, paper_system, start_point):
+def test_bench_sum_of_ratios(paper_system, start_point):
     power, bandwidth, _, min_rate, _, _ = start_point
     solver = SumOfRatiosSolver(paper_system, 0.5)
-    result = benchmark(solver.solve, min_rate, power, bandwidth)
+    result = solver.solve(min_rate, power, bandwidth)
     assert result.feasible
 
 
-def test_bench_sp2_closed_form(benchmark, paper_system, start_point):
+def test_bench_sp2_closed_form(paper_system, start_point):
     _, _, _, min_rate, nu, beta = start_point
-    result = benchmark(solve_sp2_v2, paper_system, nu, beta, min_rate)
+    result = solve_sp2_v2(paper_system, nu, beta, min_rate)
     assert result.feasible
 
 
-def test_bench_subproblem1(benchmark, paper_system, start_point):
+def test_bench_subproblem1(paper_system, start_point):
     _, _, upload, _, _, _ = start_point
-    result = benchmark(
-        solve_subproblem1, paper_system, 0.5, 0.5, upload
-    )
+    result = solve_subproblem1(paper_system, 0.5, 0.5, upload)
     assert result.round_deadline_s > 0
 
 
-def _timed_fig2(backend):
-    """A small per-drop Figure-2 sweep on ``backend``; returns (table,
-    outcomes, wall seconds).  Per drop (``batch_size=1``) because batched
-    lanes carry no per-stage timings."""
-    config = Fig2Config(
-        sweep=bench_sweep(num_devices=15, num_trials=1),
-        max_power_dbm_grid=(5.0, 7.0, 9.0, 12.0),
-        weight_pairs=((0.9, 0.1), (0.5, 0.5)),
-        include_benchmark=False,
-    )
+# -- speedup floors on the quick bench sweep ----------------------------------
+
+#: Timed rounds per sweep mode.
+ROUNDS = 5
+#: Batch size of the batched mode: divides the quick sweep's 8 tasks.
+BATCH_SIZE = 8
+#: Timed read passes per store backend (the fastest one counts).
+STORE_READ_REPEATS = 5
+#: The sweep modes: per drop on each backend (``batch_size=1``, so every
+#: task carries its stage timings) and batched on the default backend.
+MODES = {
+    "cold": {"backend": "vector", "batch_size": 1},
+    "scalar": {"backend": "scalar", "batch_size": 1},
+    "batch": {"backend": "vector", "batch_size": BATCH_SIZE},
+}
+
+
+def _run_mode(backend, batch_size):
+    """One serial, uncached quick bench sweep: (table, outcomes, stats)."""
+    config = bench_config(True)
     config = dataclasses.replace(config, sweep=config.sweep.with_backend(backend))
     outcomes = []
     runner = SweepRunner(
         jobs=1,
         use_cache=False,
         progress=lambda done, total, outcome: outcomes.append(outcome),
-        batch_size=1,
+        batch_size=batch_size,
     )
-    started = time.perf_counter()
     table = run_fig2(config, runner=runner)
-    return table, outcomes, time.perf_counter() - started
+    return table, outcomes, runner.last_stats
 
 
-def test_bench_backend_sp2_speedup(run_once):
-    """Vector backend beats the scalar oracle on the SP2 stage wall-clock."""
-    scalar_table, scalar_outcomes, scalar_s = _timed_fig2("scalar")
-    vector_table, vector_outcomes, vector_s = run_once(_timed_fig2, "vector")
+@pytest.fixture(scope="module")
+def sweep_rounds():
+    """Every mode's runs, ``ROUNDS`` each, interleaved with a rotating order."""
+    runs = {name: [] for name in MODES}
+    items = list(MODES.items())
+    for index in range(ROUNDS):
+        shift = index % len(items)
+        for name, kwargs in items[shift:] + items[:shift]:
+            runs[name].append(_run_mode(**kwargs))
+    for name, mode_runs in runs.items():
+        for _table, _outcomes, stats in mode_runs:
+            assert stats.failed == 0, f"{name}: {stats.failed} task(s) failed"
+    return runs
 
-    stage_total = lambda outs, name: sum(  # noqa: E731
-        (o.timings or {}).get(name, 0.0) for o in outs
+
+def _summed_wall(runs):
+    return sum(stats.elapsed_s for _table, _outcomes, stats in runs)
+
+
+def _summed_stage(runs, name):
+    return sum(
+        (outcome.timings or {}).get(name, 0.0)
+        for _table, outcomes, _stats in runs
+        for outcome in outcomes
     )
-    scalar_sp2 = stage_total(scalar_outcomes, "sp2")
-    vector_sp2 = stage_total(vector_outcomes, "sp2")
-    speedup = scalar_sp2 / max(vector_sp2, 1e-9)
-    print(
-        f"\n[backend] sp2 stage scalar {scalar_sp2:.2f}s vs vector "
-        f"{vector_sp2:.2f}s ({speedup:.2f}x); wall {scalar_s:.2f}s -> {vector_s:.2f}s"
-    )
 
-    # The backends must agree within the bench parity tolerance...
-    for scalar_row, vector_row in zip(scalar_table.rows, vector_table.rows):
-        for column in ("energy_j", "time_s", "objective"):
-            assert vector_row[column] == pytest.approx(scalar_row[column], rel=1e-8)
 
-    # ...and the vector backend must be the fast one (soft floor; the
-    # strict >= 2x gate lives in the bench comparison).
-    assert speedup > 1.5
+def test_bench_sweep_iterations_are_pinned(sweep_rounds):
+    """Every run of the quick bench sweep (8 drops), on either backend, per
+    drop or batched, takes exactly 24 Algorithm-2 and 162 Algorithm-1
+    iterations."""
+    for runs in sweep_rounds.values():
+        for _table, outcomes, _stats in runs:
+            assert len(outcomes) == 8
+            assert sum(o.metrics["iterations"] for o in outcomes) == 24
+            assert sum(o.metrics["inner_iterations"] for o in outcomes) == 162
+
+
+def test_bench_batch_tables_match_per_drop(sweep_rounds):
+    """Every timed batched run gives the per-drop table, whole rows and bits."""
+    cold, batch = sweep_rounds["cold"], sweep_rounds["batch"]
+    reference = cold[0][0].rows
+    for table, _outcomes, _stats in cold + batch:
+        assert table.rows == reference
+    for _table, _outcomes, stats in batch:
+        assert stats.batched_tasks == stats.total
+
+
+def test_bench_batch_wall_speedup(sweep_rounds):
+    """Batched multi-solve beats the per-drop sweep."""
+    cold, batch = sweep_rounds["cold"], sweep_rounds["batch"]
+    speedup = _summed_wall(cold) / max(_summed_wall(batch), 1e-12)
+    print(f"\n[batch] per-drop over batched wall: {speedup:.2f}x")
+    assert speedup >= 2.0 * 0.95
+
+
+def test_bench_backend_tables_agree(sweep_rounds):
+    """Every timed scalar run matches its vector round within 1e-8."""
+    vector, scalar = sweep_rounds["cold"], sweep_rounds["scalar"]
+    assert len(scalar) == len(vector) == ROUNDS
+    for (scalar_table, _, _), (vector_table, _, _) in zip(scalar, vector):
+        assert len(scalar_table.rows) == len(vector_table.rows)
+        for scalar_row, vector_row in zip(scalar_table.rows, vector_table.rows):
+            for column in ("energy_j", "time_s", "objective"):
+                assert vector_row[column] == pytest.approx(
+                    scalar_row[column], rel=1e-8, nan_ok=True
+                )
+
+
+def test_bench_backend_sp2_speedup(sweep_rounds):
+    """The vector backend beats the scalar oracle on the SP2 stage."""
+    vector, scalar = sweep_rounds["cold"], sweep_rounds["scalar"]
+    speedup = _summed_stage(scalar, "sp2") / max(_summed_stage(vector, "sp2"), 1e-12)
+    print(f"\n[backend] scalar over vector sp2 stage: {speedup:.2f}x")
+    assert speedup >= 2.95
+
+
+def test_bench_store_read_speedup(sweep_rounds):
+    """Columnar store reads beat JSON reads, and both serve the same entries.
+
+    Write = put every entry of the per-drop sweep, flush, compact.  A read
+    pass is a fresh store instance serving every digest once (the cache-hit
+    pattern of a repeated sweep); the fastest of ``STORE_READ_REPEATS``
+    passes counts.
+    """
+    _table, outcomes, _stats = sweep_rounds["cold"][0]
+    entries = [(task_hash(o.task), o.task.payload(), o.metrics, o.state) for o in outcomes]
+    read_s, read_back = {}, {}
+    for backend in ("json", "columnar"):
+        with tempfile.TemporaryDirectory(prefix=f"repro-store-{backend}-") as root:
+            store = open_store(root, backend)
+            for digest, task, metrics, state in entries:
+                store.put(digest, task, metrics, state)
+            store.flush()
+            if backend == "columnar":
+                store.compact()
+            best = float("inf")
+            for _ in range(STORE_READ_REPEATS):
+                reader = open_store(root, backend)
+                started = time.perf_counter()
+                for digest, _task, _metrics, _state in entries:
+                    reader.get_entry(digest)
+                best = min(best, time.perf_counter() - started)
+            read_s[backend] = best
+            reader = open_store(root, backend)
+            read_back[backend] = [reader.get_entry(digest) for digest, *_ in entries]
+    speedup = read_s["json"] / max(read_s["columnar"], 1e-12)
+    print(f"\n[store] json over columnar read: {speedup:.2f}x")
+    for index, (_digest, _task, metrics, state) in enumerate(entries):
+        for backend in ("json", "columnar"):
+            served_metrics, served_state = read_back[backend][index]
+            assert (served_metrics, served_state) == (metrics, state)
+            assert [type(v) for v in served_metrics.values()] == [
+                type(v) for v in metrics.values()
+            ]
+    assert speedup >= 1.2 * 0.85

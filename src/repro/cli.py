@@ -264,38 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--output", help="write the per-round table to this JSON file")
     fl.add_argument("--csv", help="write the per-round rows to this CSV file")
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the benchmark suite (fig2 sweep: vector vs scalar backend "
-        "vs batched) and write a BENCH_PR<k>.json perf report",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced suite (smaller fleet/grid) — what CI runs",
-    )
-    bench.add_argument(
-        "--label",
-        default="PR10",
-        help="report label; also names the default output file (default: PR10)",
-    )
-    bench.add_argument(
-        "--output",
-        help="report path (default: BENCH_<label>.json in the current directory)",
-    )
-    bench.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        help="compare against a committed baseline report and exit non-zero "
-        "on a tracked-metric regression, a missed floor, or a parity breach",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="relative regression tolerance for tracked metrics (default 0.20)",
-    )
-
     serve = subparsers.add_parser(
         "serve",
         help="start the long-lived allocation service: POST /solve answers "
@@ -666,46 +634,6 @@ def _run_fl(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    from .perf import bench
-
-    report = bench.run_bench(quick=args.quick, label=args.label)
-    metrics = report["metrics"]
-    output = args.output or f"BENCH_{args.label}.json"
-    bench.write_report(report, output)
-    print(
-        f"[bench:{report['mode']}] cold {metrics['cold_wall_s']:.2f}s, "
-        f"outer iterations {metrics['cold_outer_iterations']:.0f}; batch "
-        f"{metrics['batch_wall_s']:.2f}s ({metrics['batch_wall_speedup']:.2f}x, "
-        f"fill {metrics['batch_fill']:.2f}, parity "
-        f"{metrics['batch_parity_max_rel_dev']:.2e}); backend sp2 "
-        f"{metrics['backend_sp2_speedup']:.2f}x (scalar/vector parity "
-        f"{metrics['backend_parity_max_rel_dev']:.2e}); fl loop "
-        f"{metrics['fl_rounds_per_s']:.1f} rounds/s "
-        f"(backend parity {metrics['fl_backend_parity_max_rel_dev']:.2e}); "
-        f"dynamic fleet churn resolve {metrics['fl_churn_resolve_s']:.2f}s "
-        f"(backend parity {metrics['fl_dynamic_backend_parity_max_rel_dev']:.2e}, "
-        f"estimated-vs-oracle accuracy gap "
-        f"{metrics['fl_estimated_vs_oracle_accuracy_gap']:.3f})",
-        file=sys.stderr,
-    )
-    print(f"wrote {output}")
-    if args.compare:
-        baseline = bench.load_report(args.compare)
-        tolerance = args.tolerance if args.tolerance is not None else bench.DEFAULT_TOLERANCE
-        problems = bench.compare_reports(report, baseline, tolerance=tolerance)
-        if problems:
-            for problem in problems:
-                print(f"PERF REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(
-            f"no regression against {args.compare} "
-            f"(tolerance {tolerance:.0%}, baseline {baseline.get('label')})",
-            file=sys.stderr,
-        )
-    return 0
-
-
 def _run_serve(args: argparse.Namespace) -> int:
     """Run the allocation service until SIGINT or SIGTERM, then stop gracefully."""
     from .serve import AllocationServer, ServeConfig
@@ -858,8 +786,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point used by ``python -m repro.cli`` and the ``repro`` script."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "lint":
         return _run_lint(args)
     if args.command == "serve":

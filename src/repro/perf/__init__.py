@@ -1,14 +1,13 @@
-"""Performance subsystem: stage timers, the benchmark suite and the
-perf-trajectory tracking behind ``repro bench``.
+"""Performance subsystem: stage timers and the benchmarked configurations.
 
 ``repro.perf.timers`` is import-light (no dependency on the experiment
-stack) so the core solvers can use it freely; ``repro.perf.bench`` pulls in
-the sweep engine and is therefore loaded lazily.
+stack) so the core solvers can use it freely.  ``repro.perf.bench`` holds
+the fixed configurations that ``perfbench`` and the perf tests run; it
+imports the sweep engine, so it is not imported here.  The benchmark
+harness itself is ``perfbench/`` (see ``perfbench/README.md``).
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from .timers import StageTimings, active_collector, collect_timings, stage, wall_clock
 
@@ -18,21 +17,4 @@ __all__ = [
     "collect_timings",
     "stage",
     "wall_clock",
-    "run_bench",
-    "compare_reports",
-    "write_report",
-    "load_report",
 ]
-
-_BENCH_EXPORTS = {"run_bench", "compare_reports", "write_report", "load_report"}
-
-
-def __getattr__(name: str) -> Any:
-    # Lazy: repro.perf.bench imports repro.experiments, which imports
-    # repro.core, which imports repro.perf.timers — eager import here would
-    # make that a cycle.
-    if name in _BENCH_EXPORTS:
-        from . import bench
-
-        return getattr(bench, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -111,57 +111,12 @@ def test_scenario_param_requires_key_value(capsys):
     assert "KEY=VALUE" in capsys.readouterr().err
 
 
-def test_bench_command_writes_report_and_compares(tmp_path, capsys, monkeypatch):
-    from repro.perf import bench as bench_module
-
-    fake = {
-        "schema": 7,
-        "label": "PRX",
-        "mode": "quick",
-        "metrics": {
-            "store_read_speedup": 2.5,
-            "store_parity_max_rel_dev": 0.0,
-            "fl_churn_resolve_s": 0.1,
-            "fl_dynamic_outer_iterations": 14.0,
-            "fl_dynamic_backend_parity_max_rel_dev": 0.0,
-            "fl_estimated_vs_oracle_accuracy_gap": 0.01,
-            "fl_estimation_cycles_rel_err": 0.0,
-            "fl_estimation_gain_rel_err": 0.2,
-            "cold_wall_s": 1.0,
-            "scalar_wall_s": 2.5,
-            "batch_wall_s": 0.4,
-            "batch_wall_speedup": 2.5,
-            "batch_fill": 1.0,
-            "batch_parity_max_rel_dev": 0.0,
-            "backend_sp2_speedup": 3.0,
-            "cold_outer_iterations": 10.0,
-            "cold_inner_iterations": 70.0,
-            "backend_parity_max_rel_dev": 1e-12,
-            "fl_rounds_per_s": 30.0,
-            "fl_outer_iterations": 12.0,
-            "fl_backend_parity_max_rel_dev": 0.0,
-        },
-        "tracked": {"cold_inner_iterations": "lower"},
-        "floors": {"batch_wall_speedup": 2.0},
-        "backend_parity_tol": 1e-8,
-    }
-    monkeypatch.setattr(bench_module, "run_bench", lambda quick, label: dict(fake, label=label))
-
-    out_path = tmp_path / "BENCH_PRX.json"
-    base_path = tmp_path / "baseline.json"
-    base_path.write_text(json.dumps(fake))
-    assert main(["bench", "--quick", "--label", "PRX",
-                 "--output", str(out_path), "--compare", str(base_path)]) == 0
-    captured = capsys.readouterr()
-    assert "no regression" in captured.err
-    assert json.loads(out_path.read_text())["label"] == "PRX"
-
-    # A broken parity or missed floor makes the command fail.
-    bad = dict(fake, metrics=dict(fake["metrics"], batch_wall_speedup=1.0))
-    monkeypatch.setattr(bench_module, "run_bench", lambda quick, label: bad)
-    assert main(["bench", "--quick", "--output", str(out_path),
-                 "--compare", str(base_path)]) == 1
-    assert "PERF REGRESSION" in capsys.readouterr().err
+def test_bench_is_not_a_subcommand(capsys):
+    # The perf harness is perfbench/; the CLI has no benchmark command.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--quick"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_fl_command_runs_the_closed_loop(tmp_path, capsys):

@@ -8,13 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import build_paper_scenario
-from repro.core.uplink_delay import minimize_max_upload_time
+from repro.core import uplink_delay
+from repro.core.uplink_delay import _FeasibilityTest, minimize_max_upload_time
 from repro.devices.fleet import DeviceFleet
 from repro.devices.profiles import DeviceProfile
-from repro.exceptions import InfeasibleProblemError, SolverError
+from repro.exceptions import ConvergenceError, InfeasibleProblemError, SolverError
 from repro.scenarios import build_scenario_spec
 from repro.system import SystemModel
-from repro.wireless.rate import min_bandwidth_for_rate
+from repro.wireless.rate import _BANDWIDTH_TOL, min_bandwidth_for_rate
+from tests import uplink_delay_reference
 from tests.uplink_delay_reference import minimize_max_upload_time_reference
 
 
@@ -157,18 +159,23 @@ def test_matches_nested_bisection_on_zero_upload_fleets(num_uploading):
     _assert_matches_reference(_zero_upload_system(num_uploading))
 
 
+def _equal_split_time(system):
+    """The equal split's own max upload time: the bisection's upper bound."""
+    n = system.num_devices
+    rates = system.rates_bps(
+        system.max_power_w, np.full(n, system.total_bandwidth_hz / n)
+    )
+    return float(np.max(system.upload_bits / np.maximum(rates, 1e-300)))
+
+
 def _needed_at_equal_split_time(system):
     """``min_bandwidth_for_rate`` at the equal split's own max upload time."""
-    n = system.num_devices
-    budget = system.total_bandwidth_hz
-    rates = system.rates_bps(system.max_power_w, np.full(n, budget / n))
-    t_hi = float(np.max(system.upload_bits / np.maximum(rates, 1e-300)))
     return min_bandwidth_for_rate(
-        system.upload_bits / t_hi,
+        system.upload_bits / _equal_split_time(system),
         system.max_power_w,
         system.gains,
         system.noise_psd_w_per_hz,
-        bandwidth_cap_hz=budget,
+        bandwidth_cap_hz=system.total_bandwidth_hz,
     )
 
 
@@ -254,3 +261,132 @@ def test_shared_walk_is_bit_identical_to_the_nested_bisection(devices, budget):
     # the examples pin the cases the certificate hands to the nested
     # bisection.
     _assert_matches_reference(_uplink_system(devices, budget))
+
+
+# -- the certificate's guards --------------------------------------------------
+#
+# Outside the two certified points every outer step is answered without the
+# nested bisection, so each point must hold for the bisection's converged
+# bits: at ``t_plus`` the demands fit the budget, at ``t_minus`` their sum
+# is at least the proven ``lower`` bound, which exceeds the budget.  The
+# parity tests above rarely step close enough to a point to notice a point
+# that is wrong; these check the points themselves.
+
+
+def _certificate(system):
+    """The feasibility test ``minimize_max_upload_time`` builds for ``system``."""
+    with np.errstate(all="ignore"):
+        return _FeasibilityTest(
+            system.max_power_w,
+            system.gains,
+            system.noise_psd_w_per_hz,
+            system.upload_bits,
+            system.total_bandwidth_hz,
+            _equal_split_time(system),
+        )
+
+
+def _assert_certified_points_hold(system):
+    """Check each certified point against the nested bisection; returns the test."""
+    test = _certificate(system)
+    budget = system.total_bandwidth_hz
+    with np.errstate(all="ignore"):
+        if np.isfinite(test.t_plus):
+            needed = test.needed(test.t_plus)
+            assert np.all(np.isfinite(needed)) and needed.sum() <= budget
+        if np.isfinite(test.t_minus):
+            assert budget < test.lower <= test.needed(test.t_minus).sum()
+    return test
+
+
+def test_certified_points_hold_on_the_drop_grid():
+    # Many converged sums at ``t_minus`` sit below the sum of the brackets'
+    # lower ends: the ``2 tol max(1, b)`` widening is what keeps ``lower``
+    # below them.
+    certified = 0
+    for family in FAMILIES:
+        for num_devices in (2, 3, 5, 10, 12, 20):
+            for seed in range(6):
+                system = build_scenario_spec(
+                    {"family": family, "num_devices": num_devices, "seed": seed}
+                )
+                test = _assert_certified_points_hold(system)
+                certified += np.isfinite(test.t_plus) + np.isfinite(test.t_minus)
+    assert certified > 100
+
+
+def test_the_lower_point_holds_within_the_bisection_widening():
+    # The converged demand at ``t_minus`` exceeds ``lower`` by less than
+    # the widening summed over the bands (more than ``2 tol B``), so it
+    # lies below the brackets' lower ends.
+    system = build_scenario_spec({"family": "cell-edge", "num_devices": 5, "seed": 1})
+    test = _assert_certified_points_hold(system)
+    budget = system.total_bandwidth_hz
+    assert np.isfinite(test.t_minus)
+    assert test.needed(test.t_minus).sum() - test.lower < 2.0 * _BANDWIDTH_TOL * budget
+
+
+@pytest.mark.parametrize(
+    ("devices", "budget"),
+    [
+        ([(5.57e-13, 2.6e8, 1.0), (1.03e-16, 4.7e4, 1.0)], 3.2e12),
+        ([(4.38e-18, 1.5e3, 1.0), (7.96e-17, 5.3e4, 1.0)], 5.4e8),
+        ([(6.77e-17, 1.3e4, 1.0), (3.22e-16, 1.1e5, 1.0)], 1.2e9),
+        ([(4.38e-14, 1.2e7, 1.0), (4.38e-13, 8.6e7, 1.0)], 3.2e11),
+    ],
+)
+def test_certified_points_hold_where_the_rate_saturates(devices, budget):
+    # Bands far wider than ``g p / N0`` flatten the rate curve: the rounding
+    # of a float rate moves its root by more than the bisection tolerance,
+    # and only the ``_MARGIN`` on each bracket keeps the points on the right
+    # side of the bisection's converged bits.
+    system = _uplink_system(devices, budget)
+    test = _assert_certified_points_hold(system)
+    assert np.isfinite(test.t_plus) or np.isfinite(test.t_minus)
+    _assert_matches_reference(system)
+
+
+def _nested_bisections(monkeypatch, module, solve, system):
+    """``min_bandwidth_for_rate`` calls that ``solve`` makes on ``system``."""
+    calls = []
+    nested = module.min_bandwidth_for_rate
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return nested(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "min_bandwidth_for_rate", counted)
+        with np.errstate(all="ignore"):
+            _outcome(solve, system)
+    return len(calls)
+
+
+def test_a_budget_past_the_certified_limit_runs_every_nested_bisection(monkeypatch):
+    # Past ``_MAX_CERTIFIED_BUDGET_HZ`` nothing is certified, although the
+    # threshold's Newton converges here: every step runs the nested
+    # bisection, as in the reference.
+    system = _uplink_system([(3.98e32, 1e53, 1.0), (1.194e33, 2e53, 1.0)], 1e53)
+    assert system.total_bandwidth_hz > uplink_delay._MAX_CERTIFIED_BUDGET_HZ
+    with np.errstate(all="ignore"):
+        assert _certificate(system)._threshold(_equal_split_time(system)) is not None
+    calls = _nested_bisections(
+        monkeypatch, uplink_delay, minimize_max_upload_time, system
+    )
+    expected = _nested_bisections(
+        monkeypatch, uplink_delay_reference, minimize_max_upload_time_reference, system
+    )
+    assert calls == expected > 2
+    _assert_matches_reference(system)
+
+
+def test_a_budget_past_the_step_cap_raises_like_the_nested_bisection():
+    # Above 1e-9 * 2**200 ~ 1.6e51 Hz a device needing well under 1 Hz
+    # cannot converge in the bisection's 200 steps: the equal-split test
+    # raises, and so must the solve.
+    system = _uplink_system([(3.98e39, 1e54, 1.0), (3.98e24, 100.0, 1.0)], 1e53)
+    with pytest.raises(ConvergenceError):
+        _needed_at_equal_split_time(system)
+    _assert_matches_reference(system)
+    with pytest.raises(ConvergenceError):
+        minimize_max_upload_time(system)

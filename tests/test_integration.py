@@ -85,14 +85,14 @@ def test_allocation_feeds_the_fl_simulator():
 
 def test_reproducibility_of_the_whole_pipeline():
     """Same seed, same numbers — the entire pipeline is deterministic."""
-    def run_once():
+    def solve_once():
         system = build_paper_scenario(num_devices=12, seed=99)
         problem = JointProblem(system, ProblemWeights(energy=0.5, time=0.5))
         result = ResourceAllocator().solve(problem)
         return result.energy_j, result.completion_time_s, result.objective
 
-    first = run_once()
-    second = run_once()
+    first = solve_once()
+    second = solve_once()
     assert first == second
 
 

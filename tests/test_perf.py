@@ -1,5 +1,5 @@
-"""Tests for the perf subsystem: stage timers, solver instrumentation and
-the ``repro bench`` report/compare machinery."""
+"""Tests for the perf subsystem: stage timers, solver instrumentation, the
+benchmarked configurations and the deterministic work counters."""
 
 from __future__ import annotations
 
@@ -104,176 +104,13 @@ def test_delay_only_solve_still_reports_timings(tiny_system):
     assert result.inner_iterations == 0
 
 
-# -- bench report & compare ---------------------------------------------------
-
-def _report(**metric_overrides):
-    metrics = {
-        "cold_wall_s": 2.0,
-        "scalar_wall_s": 5.0,
-        "batch_wall_s": 0.8,
-        "batch_wall_speedup": 2.5,
-        "batch_fill": 1.0,
-        "batch_parity_max_rel_dev": 0.0,
-        "backend_sp2_speedup": 3.0,
-        "cold_outer_iterations": 100.0,
-        "cold_inner_iterations": 700.0,
-        "backend_parity_max_rel_dev": 1e-12,
-        "store_read_speedup": 2.5,
-        "store_parity_max_rel_dev": 0.0,
-    }
-    metrics.update(metric_overrides)
-    return {
-        "schema": bench.BENCH_SCHEMA_VERSION,
-        "label": "TEST",
-        "mode": "quick",
-        "metrics": metrics,
-        "tracked": {
-            "cold_inner_iterations": "lower",
-            "backend_sp2_speedup": "higher",
-        },
-        "floors": {"backend_sp2_speedup": 2.0},
-        "backend_parity_tol": 1e-8,
-    }
-
-
-def test_compare_reports_passes_on_identical_reports():
-    base = _report()
-    assert bench.compare_reports(_report(), base) == []
-
-
-def test_compare_reports_flags_tracked_regression():
-    base = _report()
-    worse = _report(cold_inner_iterations=900.0)
-    problems = bench.compare_reports(worse, base)
-    assert any("cold_inner_iterations" in p for p in problems)
-
-
-def test_compare_reports_allows_regressions_within_tolerance():
-    base = _report()
-    slightly_worse = _report(cold_inner_iterations=750.0)
-    assert bench.compare_reports(slightly_worse, base, tolerance=0.2) == []
-
-
-def test_compare_reports_enforces_speedup_floor_and_parity():
-    base = _report()
-    slow = _report(backend_sp2_speedup=1.1)
-    assert any("floor" in p for p in bench.compare_reports(slow, base))
-    broken = _report(batch_parity_max_rel_dev=1e-3)
-    assert any("parity" in p for p in bench.compare_reports(broken, base))
-
-
-def test_compare_reports_requires_the_batch_parity_gate():
-    # The batched/per-drop parity is the compare's required sweep-parity
-    # gate: a report without it fails instead of passing silently.
-    missing = _report()
-    del missing["metrics"]["batch_parity_max_rel_dev"]
-    assert any(
-        "batch_parity_max_rel_dev" in p and "missing" in p
-        for p in bench.compare_reports(missing, _report())
-    )
-
-
-def test_compare_reports_enforces_backend_floor_and_parity():
-    base = _report()
-    slow = _report(backend_sp2_speedup=1.5)
-    assert any(
-        "backend_sp2_speedup" in p and "floor" in p
-        for p in bench.compare_reports(slow, base)
-    )
-    # A deviation above the 1e-8 backend gate fails it...
-    broken = _report(backend_parity_max_rel_dev=1e-7)
-    assert any("backend parity" in p for p in bench.compare_reports(broken, base))
-    # ...and a NaN (structurally different tables) must fail, not pass.
-    nan = _report(backend_parity_max_rel_dev=float("nan"))
-    assert any("backend parity" in p for p in bench.compare_reports(nan, base))
-
-
-def test_compare_reports_enforces_batch_floor_and_exact_parity():
-    base = _report()
-    # The floor is 2.0 with the wall-speedup slack (0.95): 1.85 must fail...
-    slow = _report(batch_wall_speedup=1.85)
-    assert any(
-        "batch_wall_speedup" in p and "floor" in p
-        for p in bench.compare_reports(slow, base)
-    )
-    # ...while 1.95 sits inside the slack and passes.
-    within_slack = _report(batch_wall_speedup=1.95)
-    assert not any(
-        "batch_wall_speedup" in p for p in bench.compare_reports(within_slack, base)
-    )
-    # The batched path is bit-identical by construction: any deviation at
-    # all (or a NaN from structurally different tables) fails the gate.
-    broken = _report(batch_parity_max_rel_dev=1e-15)
-    assert any("batched" in p for p in bench.compare_reports(broken, base))
-    nan = _report(batch_parity_max_rel_dev=float("nan"))
-    assert any("batched" in p for p in bench.compare_reports(nan, base))
-
-
-def test_compare_reports_enforces_store_floor_and_exact_parity():
-    base = _report()
-    # The floor is 1.2 with the wall-speedup slack (0.85): 1.0 must fail...
-    slow = _report(store_read_speedup=1.0)
-    assert any(
-        "store_read_speedup" in p and "floor" in p
-        for p in bench.compare_reports(slow, base)
-    )
-    # ...while 1.1 sits inside the slack and passes.
-    within_slack = _report(store_read_speedup=1.1)
-    assert not any(
-        "store_read_speedup" in p
-        for p in bench.compare_reports(within_slack, base)
-    )
-    # Both backends round-trip losslessly, so the parity gate is exact:
-    # any deviation at all (or a NaN from a structural mismatch) fails.
-    broken = _report(store_parity_max_rel_dev=1e-15)
-    assert any("result-store" in p for p in bench.compare_reports(broken, base))
-    nan = _report(store_parity_max_rel_dev=float("nan"))
-    assert any("result-store" in p for p in bench.compare_reports(nan, base))
-    # A schema-4 baseline (no store metrics) can still be compared against,
-    # but the current report must carry the floor metric.
-    missing = _report()
-    del missing["metrics"]["store_read_speedup"]
-    assert any(
-        "store_read_speedup" in p and "missing" in p
-        for p in bench.compare_reports(missing, base)
-    )
-
-
-def test_compare_reports_cross_mode_checks_floors_only():
-    base = _report()
-    other_mode = _report(cold_inner_iterations=10_000.0)
-    other_mode["mode"] = "standard"
-    # Iteration counts are suite-scale dependent: not compared across modes.
-    assert bench.compare_reports(other_mode, base) == []
-
+# -- benchmarked configurations ----------------------------------------------
 
 def test_bench_config_scales_with_quick_flag():
     quick = bench.bench_config(quick=True)
     standard = bench.bench_config(quick=False)
     assert len(quick.tasks()) < len(standard.tasks())
     assert not quick.include_benchmark and not standard.include_benchmark
-
-
-def test_write_and_load_report_round_trip(tmp_path):
-    report = _report()
-    path = bench.write_report(report, tmp_path / "BENCH_TEST.json")
-    assert bench.load_report(path) == report
-
-
-# -- closed-loop FL bench additions (schema 3) -------------------------------
-
-def test_flat_parity_on_matching_and_broken_trajectories():
-    left = {"r001_accuracy": 0.5, "r001_elapsed_s": 1.0}
-    assert bench._flat_parity(left, dict(left)) == 0.0
-    shifted = {"r001_accuracy": 0.5, "r001_elapsed_s": 1.1}
-    assert bench._flat_parity(left, shifted) == pytest.approx(0.1)
-    assert bench._flat_parity(left, {"r001_accuracy": 0.5}) == float("inf")
-    assert (
-        bench._flat_parity(left, {"r001_accuracy": 0.5, "r001_elapsed_s": float("nan")})
-        == float("inf")
-    )
-    both_nan = {"a": float("nan")}
-    assert bench._flat_parity(both_nan, dict(both_nan)) == 0.0
 
 
 def test_fl_bench_config_scales_with_quick_flag():
@@ -285,24 +122,25 @@ def test_fl_bench_config_scales_with_quick_flag():
     assert quick.selection == "deadline-k"
 
 
-def test_compare_reports_flags_fl_parity_breach():
-    baseline = _report()
-    current = _report(
-        fl_backend_parity_max_rel_dev=1e-3, fl_dynamic_backend_parity_max_rel_dev=0.0
-    )
-    problems = bench.compare_reports(current, baseline)
-    assert any("fl_backend_parity_max_rel_dev" in p for p in problems)
+@pytest.mark.parametrize(
+    ("make_config", "outer_iterations"),
+    [(bench.fl_bench_config, 12), (bench.fl_dynamic_bench_config, 10)],
+    ids=["frozen", "dynamic"],
+)
+def test_quick_fl_bench_runs_are_pinned_and_backend_identical(make_config, outer_iterations):
+    """The quick closed-loop bench runs (frozen fleet; churn and battery
+    drain) take a fixed number of allocator iterations over their rounds
+    and give bit-identical trajectories on the vector and scalar backends."""
+    from dataclasses import replace
 
-    current = _report(
-        fl_backend_parity_max_rel_dev=0.0, fl_dynamic_backend_parity_max_rel_dev=1e-3
-    )
-    problems = bench.compare_reports(current, baseline)
-    assert any("fl_dynamic_backend_parity_max_rel_dev" in p for p in problems)
+    from repro.fl.roundloop import FLRoundLoop
 
-
-def test_compare_reports_tolerates_reports_without_fl_metrics():
-    # A schema-2 report (no FL suite) must still compare cleanly.
-    assert bench.compare_reports(_report(), _report()) == []
+    config = make_config(True)
+    vector = FLRoundLoop(replace(config, backend="vector")).run()
+    scalar = FLRoundLoop(replace(config, backend="scalar")).run()
+    assert vector.total_allocator_iterations == outer_iterations
+    assert scalar.total_allocator_iterations == outer_iterations
+    assert vector.flat_metrics() == scalar.flat_metrics()
 
 
 # -- deterministic work counters ---------------------------------------------
@@ -611,7 +449,7 @@ def _algorithm2_round_work(monkeypatch, batch_size):
     return work
 
 
-def test_algorithm2_rounds_run_once_per_stack(monkeypatch):
+def test_algorithm2_rounds_run_one_pass_per_stack(monkeypatch):
     """The fig2 bench sweep's 48 lanes (one stack of 20 devices, 144
     lane-iterations) run each Algorithm-2 outer round once for the stack:
     3 stack-rounds batched, 144 per drop.

@@ -1,12 +1,12 @@
 """Reference min-max upload-time allocation: the nested bisection, frozen.
 
-:func:`repro.core.uplink_delay.minimize_max_upload_time` walks one shared
-bandwidth-bisection tree per device and stops each feasibility test once
-its answer is certain.  This copy keeps the original formulation — every
-outer step on ``t`` reruns :func:`~repro.wireless.rate.min_bandwidth_for_rate`
-from the full ``[1e-6, B]`` bracket and sums its converged answer — so the
-tests can hold the shared walk to bit-identical outputs and identical
-errors.
+:func:`repro.core.uplink_delay.minimize_max_upload_time` answers most
+outer steps from two certified points around the continuous threshold and
+runs the nested bisection only where they cannot decide.  This copy keeps
+the original formulation — every outer step on ``t`` reruns
+:func:`~repro.wireless.rate.min_bandwidth_for_rate` from the full
+``[1e-6, B]`` bracket and sums its converged answer — so the tests can hold
+the certified shortcut to bit-identical outputs and identical errors.
 """
 
 from __future__ import annotations
