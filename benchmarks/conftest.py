@@ -5,7 +5,8 @@ the samples sweep and the ablation study) at a reduced scale — fewer random
 drops and coarser grids than Section VII-A, so the whole suite finishes in
 a minute or two — and asserts the figure's qualitative claim on the
 produced table; ``test_bench_solver.py`` adds the wall-clock floors of the
-batched, vector-backend and columnar-store paths.  Run them with
+batched sweep, the multiplier search (against its scalar test oracle) and
+the columnar store.  Run them with
 ``python -m pytest benchmarks -q``; see EXPERIMENTS.md for the full
 paper-scale sweeps and ``perfbench/README.md`` for the timed benchmark.
 

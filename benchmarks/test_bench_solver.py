@@ -16,8 +16,9 @@ makes the fast path worth having:
 
 * the batched multi-solve sweep against the per-drop sweep
   (``>= 2.0 x 0.95``, tables bit-identical);
-* the vector SP2 backend against the scalar oracle on the ``sp2`` stage
-  (``>= 2.95``, tables within 1e-8);
+* the library's multiplier search against the scalar test oracle
+  (:func:`tests.mu_search_scalar_reference.scalar_oracle`) on the ``sp2``
+  stage (``>= 2.95``, tables bit-identical);
 * columnar result-store reads against JSON reads (``>= 1.2 x 0.85``,
   entries bit-identical).
 
@@ -29,7 +30,7 @@ totals instead of deciding a single short sample.  The 0.95 and 0.85
 factors absorb the noise of a wall ratio on a shared machine.
 """
 
-import dataclasses
+import contextlib
 import tempfile
 import time
 
@@ -44,6 +45,7 @@ from repro.experiments import run_fig2
 from repro.experiments.runner import SweepRunner, task_hash
 from repro.perf.bench import bench_config
 from repro.store import open_store
+from tests.mu_search_scalar_reference import scalar_oracle
 
 
 @pytest.fixture(scope="module")
@@ -101,19 +103,18 @@ ROUNDS = 5
 BATCH_SIZE = 8
 #: Timed read passes per store backend (the fastest one counts).
 STORE_READ_REPEATS = 5
-#: The sweep modes: per drop on each backend (``batch_size=1``, so every
-#: task carries its stage timings) and batched on the default backend.
+#: The sweep modes: per drop (``batch_size=1``, so every task carries its
+#: stage timings) with the library's search and under the scalar oracle,
+#: and batched with the library's search.
 MODES = {
-    "cold": {"backend": "vector", "batch_size": 1},
-    "scalar": {"backend": "scalar", "batch_size": 1},
-    "batch": {"backend": "vector", "batch_size": BATCH_SIZE},
+    "cold": {"oracle": False, "batch_size": 1},
+    "scalar": {"oracle": True, "batch_size": 1},
+    "batch": {"oracle": False, "batch_size": BATCH_SIZE},
 }
 
 
-def _run_mode(backend, batch_size):
+def _run_mode(oracle, batch_size):
     """One serial, uncached quick bench sweep: (table, outcomes, stats)."""
-    config = bench_config(True)
-    config = dataclasses.replace(config, sweep=config.sweep.with_backend(backend))
     outcomes = []
     runner = SweepRunner(
         jobs=1,
@@ -121,7 +122,8 @@ def _run_mode(backend, batch_size):
         progress=lambda done, total, outcome: outcomes.append(outcome),
         batch_size=batch_size,
     )
-    table = run_fig2(config, runner=runner)
+    with scalar_oracle() if oracle else contextlib.nullcontext():
+        table = run_fig2(bench_config(True), runner=runner)
     return table, outcomes, runner.last_stats
 
 
@@ -153,7 +155,7 @@ def _summed_stage(runs, name):
 
 
 def test_bench_sweep_iterations_are_pinned(sweep_rounds):
-    """Every run of the quick bench sweep (8 drops), on either backend, per
+    """Every run of the quick bench sweep (8 drops), with either search, per
     drop or batched, takes exactly 24 Algorithm-2 and 162 Algorithm-1
     iterations."""
     for runs in sweep_rounds.values():
@@ -182,23 +184,19 @@ def test_bench_batch_wall_speedup(sweep_rounds):
 
 
 def test_bench_backend_tables_agree(sweep_rounds):
-    """Every timed scalar run matches its vector round within 1e-8."""
+    """Every timed run under the scalar oracle gives its round's table,
+    whole rows and bits."""
     vector, scalar = sweep_rounds["cold"], sweep_rounds["scalar"]
     assert len(scalar) == len(vector) == ROUNDS
     for (scalar_table, _, _), (vector_table, _, _) in zip(scalar, vector):
-        assert len(scalar_table.rows) == len(vector_table.rows)
-        for scalar_row, vector_row in zip(scalar_table.rows, vector_table.rows):
-            for column in ("energy_j", "time_s", "objective"):
-                assert vector_row[column] == pytest.approx(
-                    scalar_row[column], rel=1e-8, nan_ok=True
-                )
+        assert scalar_table.rows == vector_table.rows
 
 
 def test_bench_backend_sp2_speedup(sweep_rounds):
-    """The vector backend beats the scalar oracle on the SP2 stage."""
+    """The library's multiplier search beats the scalar oracle on the SP2 stage."""
     vector, scalar = sweep_rounds["cold"], sweep_rounds["scalar"]
     speedup = _summed_stage(scalar, "sp2") / max(_summed_stage(vector, "sp2"), 1e-12)
-    print(f"\n[backend] scalar over vector sp2 stage: {speedup:.2f}x")
+    print(f"\n[backend] scalar oracle over library sp2 stage: {speedup:.2f}x")
     assert speedup >= 2.95
 
 

@@ -36,13 +36,12 @@ import signal
 import sys
 from typing import Any, Sequence
 
-from .core.subproblem2 import BACKENDS
 from .exceptions import ConfigurationError
 from .experiments.registry import EXPERIMENTS, get_experiment
 from .experiments.results import ResultTable
 from .experiments.runner import SweepRunner, TaskOutcome, use_runner
 from .scenarios import get_scenario_family, scenario_families
-from .store import BACKENDS as STORE_BACKENDS
+from .store import STORE_BACKENDS
 from .store import merge_stores, migrate_store, open_store
 
 __all__ = ["main", "build_parser"]
@@ -98,13 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="family-specific scenario parameter (repeatable; VALUE is parsed "
         "as JSON, falling back to a plain string)",
-    )
-    run.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default=None,
-        help="SP2 inner-solve backend: 'vector' (batched array passes, the "
-        "default) or 'scalar' (probe-sequential reference oracle)",
     )
     run.add_argument(
         "--jobs",
@@ -199,12 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="the k of a k-style selection strategy (default: half the fleet)",
     )
     fl.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default=None,
-        help="SP2 inner-solve backend for the per-round allocation solves",
-    )
-    fl.add_argument(
         "--energy-weight",
         type=float,
         default=0.5,
@@ -292,14 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="result-store backend (default: whatever the store directory "
         "already holds, else json)",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default=None,
-        help="default SP2 inner-solve backend for requests that do not "
-        "override it (enters the cache key, exactly like `repro run "
-        "--backend`)",
     )
     serve.add_argument(
         "--batch-size",
@@ -533,7 +511,6 @@ def _run(
     csv: str | None,
     scenario: str | None = None,
     scenario_params: dict[str, Any] | None = None,
-    backend: str | None = None,
     runner: SweepRunner | None = None,
 ) -> ResultTable:
     experiment = get_experiment(name)
@@ -543,9 +520,6 @@ def _run(
         # to the experiment's reduced default when --paper wasn't given.
         config = config if config is not None else _config_class(name)()
         config = _apply_scenario(config, scenario, scenario_params or {})
-    if backend is not None:
-        config = config if config is not None else _config_class(name)()
-        config = dataclasses.replace(config, sweep=config.sweep.with_backend(backend))
     if runner is None:
         table = experiment(config) if config is not None else experiment()
     else:
@@ -558,11 +532,11 @@ def _run(
             skipped = (
                 f", {stats.skipped} other-shard" if stats.skipped else ""
             )
-            backend = f", store={stats.store_backend}" if stats.store_backend else ""
+            store = f", store={stats.store_backend}" if stats.store_backend else ""
             print(
                 f"[{name}] {stats.total} tasks in {stats.elapsed_s:.1f}s "
                 f"({stats.cache_hits} cached, {stats.failed} failed"
-                f"{skipped}, jobs={runner.jobs}{backend})",
+                f"{skipped}, jobs={runner.jobs}{store})",
                 file=sys.stderr,
             )
     print(table.to_markdown())
@@ -603,7 +577,6 @@ def _run_fl(args: argparse.Namespace) -> int:
         local_iterations=args.local_iterations,
         energy_weight=args.energy_weight,
         scheme=args.scheme,
-        backend=args.backend,
         selection=args.selection,
         selection_params=selection_params,
         fading=None if args.fading in ("none", "") else args.fading,
@@ -643,7 +616,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         port=args.port,
         store_root=args.cache_dir,
         store_backend=args.store,
-        backend=args.backend,
         batch_size=args.batch_size,
         request_timeout_s=args.request_timeout,
     )
@@ -823,7 +795,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 csv=args.csv,
                 scenario=args.scenario,
                 scenario_params=scenario_params,
-                backend=args.backend,
                 runner=_make_runner(args.experiment, args),
             )
         except ConfigurationError as exc:

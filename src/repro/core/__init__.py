@@ -28,7 +28,7 @@ Modules
     Iteration histories recorded by the iterative solvers.
 ``verify``
     KKT-residual certificates: feasibility + stationarity + complementary
-    slackness checks the tests (and the backend differential harness) use
+    slackness checks the tests (and the scalar-oracle differential harness) use
     to certify candidate solutions without re-solving.
 """
 

@@ -48,7 +48,7 @@ from .allocation import ResourceAllocation
 from .convergence import ConvergenceHistory
 from .problem import JointProblem
 from .subproblem1 import FrequencyRows, solve_subproblem1_stack
-from .subproblem2 import SystemRows, validate_backend
+from .subproblem2 import SystemRows
 from .sum_of_ratios import SumOfRatiosConfig, _LaneRows, solve_sum_of_ratios_stacks
 from .uplink_delay import minimize_max_upload_time
 
@@ -254,7 +254,7 @@ class _Stack:
             self.next_power[k], self.next_bandwidth[k] = uplink.power_w, uplink.bandwidth_hz
         return self._drop(failed)
 
-    def algorithm1(self, config: SumOfRatiosConfig, backend: str) -> _LaneRows | None:
+    def algorithm1(self, config: SumOfRatiosConfig) -> _LaneRows | None:
         """Step 2 of the ``w1 > 0`` lanes: their Algorithm-1 runs, started.
 
         The rate requirements ``d / (T - R_l c D / f)``, falling back to the
@@ -274,7 +274,6 @@ class _Stack:
             [self.systems[k] for k in a1.tolist()],
             self.w1[a1] * self.cpu.rounds[a1],
             [config] * a1.size,
-            backend,
             required,
             self.power[a1],
             self.bandwidth[a1],
@@ -418,20 +417,10 @@ class _Stack:
 
 
 class ResourceAllocator:
-    """Algorithm 2: alternating optimisation of ``(f, T)`` and ``(p, B)``.
+    """Algorithm 2: alternating optimisation of ``(f, T)`` and ``(p, B)``."""
 
-    ``backend`` selects the SP2_v2 inner-solve backend (``"vector"`` /
-    ``"scalar"``), overriding ``config.sum_of_ratios.backend``; the default
-    keeps the configured backend (vector unless configured otherwise).
-    """
-
-    def __init__(
-        self, config: AllocatorConfig | None = None, *, backend: str | None = None
-    ) -> None:
+    def __init__(self, config: AllocatorConfig | None = None) -> None:
         self.config = config or AllocatorConfig()
-        self.backend = validate_backend(
-            backend or self.config.sum_of_ratios.backend
-        )
 
     # -- public API --------------------------------------------------------
     def solve(
@@ -470,8 +459,8 @@ class ResourceAllocator:
         search) return the same bits whether they take the rows path for a
         group of lanes or the 1-D path for a single one.  Lanes of
         different device counts mix freely.  Every lane kind runs in the
-        batch: delay-only (``w1 = 0``, no deadline), hard-deadline and
-        scalar-backend lanes included.
+        batch: delay-only (``w1 = 0``, no deadline) and hard-deadline lanes
+        included.
 
         With ``return_exceptions=True`` a failing lane's exception is
         returned in its slot (the :func:`asyncio.gather` idiom) instead of
@@ -669,7 +658,7 @@ class ResourceAllocator:
                     fail([f for s in stacks for f in s.subproblem1(config.subproblem1_method)])
                 with stage("sp2"):
                     fail([f for s in stacks for f in s.delay_step()])
-                    inner = [s.algorithm1(config.sum_of_ratios, self.backend) for s in stacks]
+                    inner = [s.algorithm1(config.sum_of_ratios) for s in stacks]
                     solve_sum_of_ratios_stacks([rows for rows in inner if rows is not None])
                     fail([f for s, rows in zip(stacks, inner) for f in s.accept(rows)])
                 for stack in stacks:

@@ -34,7 +34,13 @@ takes over; otherwise, or without a hint, the search starts cold from
 ``median(j)``.  The polish is entry-independent, so a warm search returns
 the same bits as a cold one.  Algorithm 1 keeps a lane's hint for one run
 only (:class:`~repro.core.sum_of_ratios._BatchLane`), so each run's first
-search is cold; the scalar oracle always starts cold.
+search is cold.
+
+There is one multiplier search, in two shapes: :func:`_mu_search_vector`
+for a single lane and :func:`_mu_search_vector_rows` for a lockstep group.
+The probe-at-a-time bisection they replaced lives on in the test suite
+(``tests/mu_search_scalar_reference.py``) as the oracle both are held to,
+bit for bit, through the entry-independent polish (:func:`_polish_mu`).
 """
 
 from __future__ import annotations
@@ -58,8 +64,6 @@ from ..system import SystemModel
 from ..wireless.rate import min_bandwidth_for_rate, required_power_for_rate, shannon_rate
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
     "MU_BRACKET_MAX_EXPANSIONS",
     "MU_BRACKET_MAX_CONTRACTIONS",
     "MU_SEARCH_MAX_ITERATIONS",
@@ -67,23 +71,9 @@ __all__ = [
     "sp2_objective",
     "solve_sp2_v2",
     "solve_sp2_v2_numeric",
-    "validate_backend",
 ]
 
 _LN2 = np.log(2.0)
-
-#: The available SP2_v2 inner-solve backends.  ``"vector"`` (the default)
-#: finds the bandwidth multiplier through batched array passes — a warm
-#: start from the caller's hint when it brackets the root, else one
-#: Lambert call over the median start and its first ×4 candidates, which
-#: brackets almost every root, then safeguarded Halley steps with the
-#: analytic first and second ``mu``-derivatives of the excess — evaluating
-#: every device at once through the Lambert kernels of
-#: :mod:`repro.solvers.lambert`.  ``"scalar"`` is the original
-#: probe-at-a-time bisection, retained float-for-float as the reference
-#: oracle for the differential tests.
-BACKENDS: tuple[str, ...] = ("scalar", "vector")
-DEFAULT_BACKEND = "vector"
 
 #: Iteration caps of the bandwidth-multiplier search.  Exhausting any of
 #: them raises :class:`~repro.exceptions.ConvergenceError` (callers fall
@@ -103,14 +93,6 @@ _FIRST_CALL_EXPANSIONS = 8
 #: the 1-D vector search: one ``(chunk, num_devices)`` Lambert evaluation
 #: replaces up to ``chunk`` sequential scalar probes.
 _VECTOR_SCAN_CHUNK = 16
-
-
-def validate_backend(backend: str) -> str:
-    """Return ``backend`` if it is a known SP2 backend, else raise."""
-    if backend not in BACKENDS:
-        known = ", ".join(sorted(BACKENDS))
-        raise ValueError(f"unknown SP2 backend {backend!r}; known: {known}")
-    return backend
 
 
 @dataclass(frozen=True)
@@ -156,20 +138,20 @@ def _polish_mu(
     """Newton-polish ``mu`` onto the exact root of the excess equation.
 
     The bracketed searches stop at ``mu_tol`` relative width, which leaves
-    each backend on its own side of the root; a few analytic Newton steps
-    (``d excess / d mu = -sum rmin ln2 / (j x ln(x)^3)``) collapse that
-    residual to round-off.
+    each search path on its own side of the root; a few analytic Newton
+    steps (``d excess / d mu = -sum rmin ln2 / (j x ln(x)^3)``) collapse
+    that residual to round-off.
 
     The polish is deliberately **entry-independent**: the entry multiplier
     is first snapped to a 26-bit-mantissa grid — far coarser than the
     ``mu_tol`` agreement between the searches, far finer than the Newton
-    basin — so every search path (scalar or vector, per drop or batched)
-    almost surely starts the polish from the *same* double; ``x`` is then
-    evaluated through one canonical, unseeded evaluator, and the Newton map is
-    iterated into its double-precision attractor (fixed point, or 2-cycle
-    tie-broken to the smaller value).  The backends therefore return
-    bit-identical multipliers call for call — which is what keeps their
-    downstream Algorithm-1/2 trajectories, and therefore the reported
+    basin — so every search path (1-D or rows, warm or cold, or the scalar
+    test oracle) almost surely starts the polish from the *same* double;
+    ``x`` is then evaluated through one canonical, unseeded evaluator, and
+    the Newton map is iterated into its double-precision attractor (fixed
+    point, or 2-cycle tie-broken to the smaller value).  The paths therefore
+    return bit-identical multipliers call for call — which is what keeps
+    their downstream Algorithm-1/2 trajectories, and therefore the reported
     sweep metrics, in lockstep.
     """
     mantissa, exponent = np.frexp(mu)
@@ -462,83 +444,6 @@ def _warm_start(
     return warm, low, high
 
 
-def _mu_search_scalar(
-    j_c: np.ndarray,
-    rmin_c: np.ndarray,
-    budget: float,
-    *,
-    mu_tol: float,
-    hint: MuHint | None = None,
-) -> tuple[float, np.ndarray | None]:
-    """Reference bandwidth-multiplier search: one probe at a time.
-
-    Returns ``(mu, x)`` with ``x`` the per-device SNR factors at ``mu`` (or
-    ``None`` when ``mu == 0``, i.e. the budget constraint is slack for the
-    rate-active set).  This is the original probe-sequential implementation,
-    kept float-for-float identical as the oracle the vector backend is
-    differential-tested against; it always starts cold, so ``hint`` (taken
-    for the searches' common signature) is ignored.
-    """
-    def bandwidth_at(mu_value: float) -> np.ndarray:
-        x = solve_x_log_x(mu_value / j_c)
-        return rmin_c * _LN2 / np.maximum(np.log(x), 1e-300)
-
-    def excess(mu_value: float) -> float:
-        return float(bandwidth_at(mu_value).sum()) - budget
-
-    # Bracket the multiplier: bandwidth demand explodes as mu -> 0 and
-    # vanishes as mu -> infinity.
-    mu_hi = float(np.median(j_c))
-    f_hi = excess(mu_hi)
-    expansions = 0
-    while f_hi > 0.0:
-        if expansions >= MU_BRACKET_MAX_EXPANSIONS:
-            raise ConvergenceError(
-                "bandwidth multiplier could not be bracketed from above in "
-                f"{MU_BRACKET_MAX_EXPANSIONS} expansions (excess {f_hi:.3g} "
-                f"at mu {mu_hi:.3g})"
-            )
-        mu_hi *= 4.0
-        f_hi = excess(mu_hi)
-        expansions += 1
-    mu_lo, f_lo = mu_hi, f_hi
-    contractions = 0
-    while f_lo < 0.0:
-        if contractions >= MU_BRACKET_MAX_CONTRACTIONS:
-            raise ConvergenceError(
-                "bandwidth multiplier could not be bracketed from below in "
-                f"{MU_BRACKET_MAX_CONTRACTIONS} contractions (excess "
-                f"{f_lo:.3g} at mu {mu_lo:.3g})"
-            )
-        mu_lo *= 0.25
-        f_lo = excess(mu_lo)
-        contractions += 1
-    if mu_lo > 0.0:
-        # The multiplier lives at the scale of j_n (often ~1e-11), so the
-        # stopping rule must be relative to mu itself, and the returned
-        # value is taken from the feasible side of the bracket so the
-        # active-set bandwidth can never exceed the budget.
-        converged = False
-        for _ in range(MU_SEARCH_MAX_ITERATIONS):
-            mu_mid = 0.5 * (mu_lo + mu_hi)
-            if excess(mu_mid) > 0.0:
-                mu_lo = mu_mid
-            else:
-                mu_hi = mu_mid
-            if mu_hi - mu_lo <= mu_tol * mu_hi:
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                "bandwidth-multiplier search did not converge in "
-                f"{MU_SEARCH_MAX_ITERATIONS} iterations: the bracket "
-                f"[{mu_lo:.6g}, {mu_hi:.6g}] is still wider than "
-                f"tol={mu_tol:.3g}"
-            )
-        return _polish_mu(mu_hi, j_c, rmin_c, budget)
-    return 0.0, None
-
-
 def _mu_search_vector(
     j_c: np.ndarray,
     rmin_c: np.ndarray,
@@ -547,10 +452,11 @@ def _mu_search_vector(
     mu_tol: float,
     hint: MuHint | None = None,
 ) -> tuple[float, np.ndarray | None]:
-    """Batched bandwidth-multiplier search (the ``"vector"`` backend).
+    """Bandwidth-multiplier search of one lane, in batched array passes.
 
-    Same monotone root problem as :func:`_mu_search_scalar`, solved in a
-    handful of array passes instead of dozens of sequential probes:
+    The monotone root problem of Theorem 2 (the bandwidth demand of the
+    rate-constrained devices equals the budget), solved in a handful of
+    array passes instead of dozens of sequential probes:
 
     * **a warm start** — with a usable ``hint`` (the previous search's
       polished multiplier and roots), :func:`_warm_start` brackets the root
@@ -572,8 +478,9 @@ def _mu_search_vector(
       the tangent predictor of the previous roots
       (:func:`_lambert_solve_seeded`, :func:`_predict_x`).
 
-    The stopping rule is the same relative bracket width on the feasible
-    side, so scalar and vector backends, warm or cold, agree on ``mu`` to
+    The stopping rule is the relative bracket width ``mu_tol`` on the
+    feasible side, so every path into it — warm or cold, this search, the
+    rows search or the scalar test oracle — agrees on ``mu`` to
     ``mu_tol``-level round-off, which :func:`_polish_mu` turns into the
     same bits.
     """
@@ -915,9 +822,6 @@ def _mu_search_vector_rows(
     return mu_final, x_rows, errors
 
 
-_MU_SEARCHES = {"scalar": _mu_search_scalar, "vector": _mu_search_vector}
-
-
 @dataclass(frozen=True)
 class SystemRows:
     """The SP2_v2 constants of same-size lanes, stacked once.
@@ -1207,7 +1111,6 @@ def _solve_sp2_stacks(
     min_rates: Sequence[np.ndarray],
     *,
     mu_tol: float = 1e-13,
-    backend: str = DEFAULT_BACKEND,
     hints: Sequence[Sequence[MuHint | None]] | None = None,
 ) -> list[SP2Rows]:
     """Closed-form SP2_v2 over stacks of same-size lanes, one :class:`SP2Rows` each.
@@ -1221,10 +1124,9 @@ def _solve_sp2_stacks(
     all stacks are grouped by constrained-device count, so lanes of
     different sizes still share a lockstep rows search: a group of two or
     more lanes runs :func:`_mu_search_vector_rows`, a one-lane group the
-    1-D search of ``backend``, and the ``"scalar"`` backend its
-    probe-sequential oracle lane by lane.  Every path hands its bracket to
-    the entry-independent polish, which collapses them onto the same
-    double.  A lane's :class:`InfeasibleProblemError` or
+    1-D :func:`_mu_search_vector`.  Both hand their bracket to the
+    entry-independent polish, which collapses them onto the same double.
+    A lane's :class:`InfeasibleProblemError` or
     :class:`~repro.exceptions.ConvergenceError` is kept in its row
     (``SP2Rows.errors``) instead of raised.
 
@@ -1232,9 +1134,8 @@ def _solve_sp2_stacks(
     previous ``(bandwidth_multiplier, constrained_roots)`` of the same
     lane, whose constrained-device set must not have changed.  A missing,
     unusable or unhelpful hint means a cold start, with the same result
-    bits; the scalar oracle ignores hints.
+    bits.
     """
-    mu_search = _MU_SEARCHES[validate_backend(backend)]
     prepared = [
         _sp2_prepare_rows(stack, nu, beta, rmin)
         for stack, nu, beta, rmin in zip(stacks, nus, betas, min_rates)
@@ -1257,12 +1158,12 @@ def _solve_sp2_stacks(
         return None if hints is None else hints[s][k]
 
     for n_c, lanes in searches.items():
-        if backend == "scalar" or len(lanes) == 1:
+        if len(lanes) == 1:
             for s, k in lanes:
                 _, _, rmin, j, constrained, errors = prepared[s]
                 c = constrained[k]
                 try:
-                    mu, x_c = mu_search(
+                    mu, x_c = _mu_search_vector(
                         j[k][c],
                         rmin[k][c],
                         float(stacks[s].budget[k]),
@@ -1327,18 +1228,14 @@ def solve_sp2_v2(
     min_rate_bps: np.ndarray,
     *,
     mu_tol: float = 1e-13,
-    backend: str = DEFAULT_BACKEND,
 ) -> SP2Result:
     """Closed-form KKT solution of SP2_v2 (Theorem 2 / Appendix B).
 
     A one-row :func:`_solve_sp2_stacks` call, so the multiplier search is
-    the 1-D search of ``backend``: ``"vector"`` (default) brackets the root
-    in one batched Lambert call and runs a safeguarded Halley iteration
-    over all devices in single array passes (:func:`_mu_search_vector`);
-    ``"scalar"`` is the probe-sequential reference implementation.  Both
-    hand their bracket to the same root polish, so they agree within
-    ``mu_tol``-level round-off — the backend-parity tests enforce it.  The
-    search starts cold: warm-start hints are Algorithm 1's, per run.
+    the 1-D :func:`_mu_search_vector`: it brackets the root in one batched
+    Lambert call and runs a safeguarded Halley iteration over all devices
+    in single array passes, then polishes the root onto its exact double.
+    The search starts cold: warm-start hints are Algorithm 1's, per run.
 
     Raises :class:`InfeasibleProblemError` when the decomposition's lower
     bounds cannot fit into the bandwidth budget, and
@@ -1352,7 +1249,6 @@ def solve_sp2_v2(
         [np.array([beta], dtype=float)],
         [np.array([min_rate_bps], dtype=float)],
         mu_tol=mu_tol,
-        backend=backend,
     )
     result = out.result(0)
     if isinstance(result, Exception):

@@ -34,7 +34,6 @@ from ..system import SystemModel
 from ..wireless.rate import shannon_rate
 from .convergence import ConvergenceHistory
 from .subproblem2 import (
-    DEFAULT_BACKEND,
     MuHint,
     SP2Result,
     SP2Rows,
@@ -42,7 +41,6 @@ from .subproblem2 import (
     _solve_sp2_stacks,
     solve_sp2_v2_numeric,
     sp2_objective,
-    validate_backend,
 )
 
 __all__ = [
@@ -75,10 +73,6 @@ class SumOfRatiosConfig:
     #: Whether to fall back to the numeric SP2_v2 solver when the
     #: closed-form path fails or returns an infeasible point.
     use_numeric_fallback: bool = True
-    #: SP2_v2 inner-solve backend: ``"vector"`` (batched array passes, the
-    #: default) or ``"scalar"`` (probe-sequential reference oracle).  Both
-    #: agree within solver tolerance; the parity tests enforce it.
-    backend: str = DEFAULT_BACKEND
 
 
 @dataclass(frozen=True)
@@ -107,8 +101,6 @@ class SumOfRatiosSolver:
         system: SystemModel,
         energy_weight: float,
         config: SumOfRatiosConfig | None = None,
-        *,
-        backend: str | None = None,
     ) -> None:
         if energy_weight <= 0.0:
             raise ValueError(
@@ -118,9 +110,6 @@ class SumOfRatiosSolver:
         self.system = system
         self.energy_weight = float(energy_weight)
         self.config = config or SumOfRatiosConfig()
-        #: SP2 backend actually used: an explicit ``backend`` argument
-        #: overrides the configuration's.
-        self.backend = validate_backend(backend or self.config.backend)
 
     # -- helpers -----------------------------------------------------------
     @property
@@ -147,7 +136,6 @@ class SumOfRatiosSolver:
             [self.system],
             np.array([self._scale]),
             [self.config],
-            self.backend,
             np.array([min_rate_bps], dtype=float),
             np.array([initial_power_w], dtype=float),
             np.array([initial_bandwidth_hz], dtype=float),
@@ -227,7 +215,7 @@ class _BatchLane:
 
 
 class _LaneRows:
-    """Algorithm-1 runs of one device count and SP2 backend, as row operations.
+    """Algorithm-1 runs of one device count, as row operations.
 
     The constructor is the runs' start, one row pass for the stack: the
     initial point's rates (a zero rate fails the run), the paper's
@@ -261,13 +249,11 @@ class _LaneRows:
         systems: Sequence[SystemModel],
         scale: np.ndarray,
         configs: Sequence[SumOfRatiosConfig],
-        backend: str,
         min_rate: np.ndarray,
         power: np.ndarray,
         bandwidth: np.ndarray,
     ) -> None:
         runs, n = power.shape
-        self.backend = backend
         self.runs = [_BatchLane(model, config) for model, config in zip(systems, configs)]
         self.errors: list[Exception | None] = [None] * runs
         rates = shannon_rate(power, bandwidth, system.gains, system.noise)
@@ -510,9 +496,9 @@ class _LaneRows:
 def solve_sum_of_ratios_stacks(stacks: Sequence[_LaneRows]) -> None:
     """Run Algorithm 1 to the end on every stack; outcomes land in each stack.
 
-    Each stack holds the runs of one device count and SP2 backend, started
-    as one row pass (:class:`_LaneRows`).  Each round, every stack's SP2_v2
-    closed form is solved by one :func:`_solve_sp2_stacks` call per backend
+    Each stack holds the runs of one device count, started as one row pass
+    (:class:`_LaneRows`).  Each round, every stack's SP2_v2 closed form is
+    solved by one :func:`_solve_sp2_stacks` call
     (multiplier searches grouped across stacks by constrained-device count,
     the allocation tail once per stack), then each stack takes one
     Algorithm-1 iteration for all its runs at once (convergence tests and
@@ -532,18 +518,15 @@ def solve_sum_of_ratios_stacks(stacks: Sequence[_LaneRows]) -> None:
     running = [stack for stack in stacks if stack.lanes]
     while running:
         with stage("sp2_inner"):
-            for backend in dict.fromkeys(stack.backend for stack in running):
-                group = [stack for stack in running if stack.backend == backend]
-                outs = _solve_sp2_stacks(
-                    [stack.system for stack in group],
-                    [stack.nu for stack in group],
-                    [stack.beta for stack in group],
-                    [stack.min_rate for stack in group],
-                    backend=backend,
-                    hints=[[lane.hint for lane in stack.lanes] for stack in group],
-                )
-                for stack, out in zip(group, outs):
-                    stack.resolve(out)
+            outs = _solve_sp2_stacks(
+                [stack.system for stack in running],
+                [stack.nu for stack in running],
+                [stack.beta for stack in running],
+                [stack.min_rate for stack in running],
+                hints=[[lane.hint for lane in stack.lanes] for stack in running],
+            )
+            for stack, out in zip(running, outs):
+                stack.resolve(out)
         for stack in running:
             if stack.lanes:
                 stack.advance()

@@ -57,9 +57,15 @@ from ..wireless.rate import (
 
 __all__ = ["UploadTimeAllocation", "minimize_max_upload_time"]
 
-# A bisection from ``[1e-6, B]`` stops within ``log2(B / tol) + 2`` steps;
-# past this budget it could outlast ``bisect_vector``'s 200-step cap, whose
-# ``ConvergenceError`` only ``min_bandwidth_for_rate`` itself reproduces.
+# Budgets up to which the feasibility test certifies its answers.  Past it,
+# a solve certifies nothing and every feasibility test runs the nested
+# per-device bandwidth bisection, as the uncertified reference does (31
+# nested calls against 4 on the tests' pinned 1e53 Hz drop); the answers do
+# not change.  The guard keeps no error that would
+# otherwise be lost: on a drop where some device's bisection would outlast
+# ``bisect_vector``'s 200-step cap, the threshold's 60-step Newton does not
+# converge, nothing is certified, and ``min_bandwidth_for_rate`` raises its
+# ``ConvergenceError`` either way.
 _MAX_CERTIFIED_BUDGET_HZ = _BANDWIDTH_TOL * 2.0**190
 # 128 unit roundoffs, where a rate's five operations and ``log2`` take a few.
 _ROUNDING = 2.0**-46

@@ -6,8 +6,9 @@ solution can be *certified* without re-solving: evaluate the primal
 feasibility residuals, the stationarity equations the closed forms were
 derived from, and complementary slackness, and check that every residual is
 round-off-small.  The tests use these certificates instead of ad-hoc
-per-test tolerances, and the differential backend harness uses them to
-prove both backends optimal rather than merely mutually consistent.
+per-test tolerances, and the differential harness that holds the
+multiplier search to its scalar test oracle uses them to prove both sides
+optimal rather than merely mutually consistent.
 
 All residuals are **relative** magnitudes (scaled by the constraint's own
 size), so one tolerance applies across scenario families whose powers,

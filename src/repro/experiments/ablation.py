@@ -55,7 +55,7 @@ class AblationConfig:
             variants.append(("subproblem1", method, replace(sweep, allocator=allocator)))
         for xi in self.damping_values:
             # Vary only the damping: every other configured sum-of-ratios
-            # field (backend, fallback, tolerances) must survive the variant.
+            # field (fallback, tolerances) must survive the variant.
             sum_of_ratios = replace(sweep.allocator.sum_of_ratios, damping_xi=xi)
             allocator = replace(sweep.allocator, sum_of_ratios=sum_of_ratios)
             variants.append(("damping_xi", f"{xi:g}", replace(sweep, allocator=allocator)))

@@ -18,7 +18,6 @@ import numpy as np
 
 from .. import constants
 from ..core.allocator import AllocatorConfig
-from ..core.subproblem2 import validate_backend
 from ..exceptions import ConfigurationError
 from .results import ResultTable
 from .runner import SweepRunner, SweepTask, TaskOutcome, get_active_runner
@@ -90,21 +89,6 @@ class SweepConfig:
             scenario_family=family,
             scenario_extra={**dict(self.scenario_extra), **extra},
         )
-
-    def with_backend(self, backend: str) -> "SweepConfig":
-        """Copy of this sweep solving SP2 with the given backend.
-
-        The backend lives inside the allocator's sum-of-ratios
-        configuration, so it travels with every task (and enters the cache
-        key: scalar and vector results agree only within solver tolerance,
-        never byte-for-byte).
-        """
-        validate_backend(backend)
-        allocator = replace(
-            self.allocator,
-            sum_of_ratios=replace(self.allocator.sum_of_ratios, backend=backend),
-        )
-        return replace(self, allocator=allocator)
 
     def scenario_params(self, *, seed: int, **overrides: Any) -> dict[str, Any]:
         """The flat scenario-spec mapping of one random drop.

@@ -5,8 +5,8 @@ allocation changes the *wall-clock trajectory* of federated training: for
 the same FedAvg schedule, a better allocation reaches a given accuracy in
 fewer seconds and joules.  This experiment runs the closed-loop round loop
 (:mod:`repro.fl.roundloop`) once per (scenario family × scheme × trial) —
-the proposed Algorithm 2, re-solved cold every round on the vector
-backend, against the registered baseline schemes — and reports one
+the proposed Algorithm 2, re-solved cold every round, against the
+registered baseline schemes — and reports one
 row per global round: cumulative wall-clock, cumulative energy and test
 accuracy.  Plotting ``accuracy`` against ``elapsed_s`` per scheme is the
 accuracy-versus-wall-clock comparison.
@@ -127,7 +127,6 @@ class FLCurveConfig:
             local_iterations=self.local_iterations,
             energy_weight=self.energy_weight,
             scheme=scheme,
-            backend=None,
             selection=self.selection,
             selection_params=dict(self.selection_params),
             fading=self.fading,

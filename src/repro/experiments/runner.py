@@ -102,6 +102,9 @@ __all__ = [
 #: estimated-profile knobs ride into the payload through the asdict
 #: carrier) and fl_roundloop metrics gained the per-round dynamic keys, so
 #: pre-dynamic FL entries carry an incomplete schema.
+#: The SP2 backend knob later left the payload again with no bump: the
+#: results kept their bits, so entries keyed with it are unreachable, not
+#: stale.
 CACHE_VERSION = 5
 
 SolverFn = Callable[

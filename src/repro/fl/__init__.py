@@ -16,7 +16,7 @@ to actual training behaviour (accuracy versus wall-clock time and energy):
 * :mod:`repro.fl.selection` — pluggable client-selection strategies (all /
   random-k / fastest-k / allocation-aware deadline-k);
 * :mod:`repro.fl.roundloop` — the closed loop: per round, redraw the
-  fading, re-solve the allocation (cold, vector backend), price the
+  fading, re-solve the allocation (cold, every round), price the
   round, select clients and aggregate.
 
 How the pieces fit: ``datasets`` + ``partition`` produce per-client data;

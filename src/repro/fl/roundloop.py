@@ -10,8 +10,7 @@ resource-allocation stack *every global round*:
    :mod:`repro.wireless.fading` registry perturbs the gains, so the
    allocator faces an evolving channel exactly as a deployed system would.
 2. **Re-solve the allocation** — Algorithm 2 (or any registered baseline
-   scheme) solves the new drop from scratch, on the vector backend by
-   default.
+   scheme) solves the new drop from scratch.
 3. **Price the round** — the re-solved ``(p, B, f)`` gives every device its
    computation + upload time and energy for this round.
 4. **Select clients** — a pluggable strategy (:mod:`repro.fl.selection`)
@@ -30,7 +29,7 @@ battery drain and profile estimation, and returns the round's record.
 
 One driver, :func:`run_lockstep`, steps any number of independent runs
 together: round ``r`` of every run is prepared, then every ``"proposed"``
-run sharing an allocator configuration and backend is solved in one
+run sharing an allocator configuration is solved in one
 :meth:`~repro.core.allocator.ResourceAllocator.solve_batch` (a baseline run
 is solved on its own), then every run is finished.  :meth:`FLRoundLoop.run`
 is its one-run case, and the sweep engine hands it a flcurve's
@@ -58,7 +57,8 @@ loop):
 Everything is deterministic in ``RoundLoopConfig.seed``: the dataset,
 partition, model init, server RNG, each round's fading/selection draws and
 the churn event stream derive from per-purpose seed streams, so fixed-seed
-runs are bit-identical across solver backends and sweep execution order — churned, drained and estimated or not.
+runs are bit-identical across sweep execution orders (serial, parallel,
+per run or in lockstep) — churned, drained and estimated or not.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ import numpy as np
 from ..baselines.registry import BASELINES, get_baseline
 from ..core.allocator import AllocationResult, AllocatorConfig, ResourceAllocator
 from ..core.problem import JointProblem, ProblemWeights
-from ..core.subproblem2 import validate_backend
 from ..devices.battery import Battery, BatteryDrainedError
 from ..exceptions import ConfigurationError
 from ..perf.timers import StageTimings, stage
@@ -133,8 +132,6 @@ class RoundLoopConfig:
     deadline_s: float | None = None
     #: ``"proposed"`` (Algorithm 2) or any registered baseline scheme name.
     scheme: str = "proposed"
-    #: SP2 inner-solve backend (``"vector"`` / ``"scalar"``; None = default).
-    backend: str | None = None
     #: Client-selection strategy name (see :mod:`repro.fl.selection`).
     selection: str = "all"
     #: Strategy-specific parameters (e.g. ``{"k": 5}``).
@@ -186,8 +183,6 @@ class RoundLoopConfig:
             raise ConfigurationError(
                 f"unknown scheme {self.scheme!r}; known: {known}"
             )
-        if self.backend is not None:
-            validate_backend(self.backend)
         if self.partition not in ("dirichlet", "iid"):
             raise ConfigurationError(
                 f"partition must be 'dirichlet' or 'iid', got {self.partition!r}"
@@ -324,8 +319,7 @@ def run_lockstep(loops: Sequence[FLRoundLoop]) -> list[RoundLoopReport | Excepti
     """Run independent closed loops together, one global round at a time.
 
     Round ``r`` of every run is posed (``prepare_round``), then solved —
-    the ``"proposed"`` runs sharing an allocator configuration and backend
-    in one :meth:`ResourceAllocator.solve_batch`, each baseline run on its
+    the ``"proposed"`` runs sharing an allocator configuration in one :meth:`ResourceAllocator.solve_batch`, each baseline run on its
     own — then closed (``finish_round``).  Every run keeps its own state
     and RNG streams, and a batched lane is bit-identical to a lone solve,
     so each trajectory is the one the run produces alone.  Runs may have
@@ -419,13 +413,11 @@ class _RunState:
         )
         self.weights = ProblemWeights.from_energy_weight(config.energy_weight)
         # Runs with equal solve keys solve their rounds in one group: every
-        # proposed run with this allocator configuration and backend, or
-        # this baseline run alone.
+        # proposed run with this allocator configuration, or this baseline
+        # run alone.
         if config.scheme == "proposed":
-            self.allocator: ResourceAllocator | None = ResourceAllocator(
-                config.allocator, backend=config.backend
-            )
-            self.solve_key: Any = (config.allocator, self.allocator.backend)
+            self.allocator: ResourceAllocator | None = ResourceAllocator(config.allocator)
+            self.solve_key: Any = config.allocator
         else:
             self.allocator = None
             self.baseline = get_baseline(config.scheme)

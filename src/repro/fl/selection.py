@@ -25,7 +25,7 @@ Built-in strategies:
 All strategies are deterministic given the context: ties break by stable
 sort on the client index, and randomness comes only from ``ctx.rng`` (which
 the round loop seeds per round), so fixed-seed runs are bit-identical
-across solver backends and execution order.
+across sweep execution orders.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@
 :func:`fl_dynamic_bench_config`, and pins digests of their result CSVs, so
 these configurations must not change.  The quick variants are what the
 tests run: ``benchmarks/test_bench_solver.py`` holds the wall-clock floors
-(batched over per-drop sweeps, vector over scalar SP2 stage, columnar over
-JSON store reads) and pins the sweep's iteration counters exactly, and
+(batched over per-drop sweeps, the SP2 stage over its run under the scalar
+test oracle, columnar over JSON store reads) and pins the sweep's iteration
+counters exactly, and
 ``tests/test_perf.py`` pins the FL runs'.
 """
 

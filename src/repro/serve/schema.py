@@ -14,8 +14,7 @@ direct :func:`~repro.experiments.runner.execute_task` run::
       "solver_kind": "proposed",       # or "baseline"
       "baseline": "benchmark",         # baseline name (baseline kind only)
       "baseline_kwargs": {},           # extra baseline arguments
-      "allocator": {"max_iterations": 20, ...},   # AllocatorConfig overrides
-      "backend": "vector"              # SP2 backend override
+      "allocator": {"max_iterations": 20, ...}    # AllocatorConfig overrides
     }
 
 Validation is strict — unknown keys, wrong types, unregistered families or
@@ -35,7 +34,6 @@ from typing import Any, Callable, Mapping
 from ..baselines.registry import get_baseline
 from ..core.allocator import INITIAL_STRATEGIES, AllocatorConfig
 from ..core.subproblem1 import SUBPROBLEM1_METHODS
-from ..core.subproblem2 import validate_backend
 from ..exceptions import ConfigurationError
 from ..experiments.runner import SweepTask
 from ..scenarios import get_scenario_family
@@ -58,7 +56,6 @@ _REQUEST_KEYS = frozenset(
         "baseline",
         "baseline_kwargs",
         "allocator",
-        "backend",
     }
 )
 
@@ -85,8 +82,8 @@ _ALLOCATOR_CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
 }
 
 #: AllocatorConfig fields a request may override (the nested sum-of-ratios
-#: configuration is reachable only through the "backend" key, keeping the
-#: request surface flat and the cache-key impact obvious).
+#: configuration is not reachable, keeping the request surface flat and the
+#: cache-key impact obvious).
 _ALLOCATOR_FIELDS = frozenset(
     field.name for field in dataclasses.fields(AllocatorConfig)
 ) - {"sum_of_ratios"}
@@ -154,18 +151,6 @@ def _parse_allocator(
             allocator = dataclasses.replace(allocator, **dict(overrides))
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"invalid allocator override: {exc}") from exc
-    backend = body.get("backend")
-    if backend is not None:
-        if not isinstance(backend, str):
-            raise ConfigurationError("request field 'backend' must be a string")
-        try:
-            validate_backend(backend)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
-        allocator = dataclasses.replace(
-            allocator,
-            sum_of_ratios=dataclasses.replace(allocator.sum_of_ratios, backend=backend),
-        )
     return allocator
 
 
@@ -179,8 +164,8 @@ def parse_request(
     / ``baseline_tasks``) construct them, so the task hashes — and therefore
     caches and solves — identically to the same request made through a CLI
     sweep.  ``default_allocator`` is the service-wide allocator
-    configuration a request's ``"allocator"`` / ``"backend"`` overrides are
-    applied on top of.
+    configuration a request's ``"allocator"`` overrides are applied on top
+    of.
     """
     if not isinstance(body, Mapping):
         raise ConfigurationError("request body must be a JSON object")
@@ -236,10 +221,9 @@ def parse_request(
         kwargs = body.get("baseline_kwargs", {})
         if not isinstance(kwargs, Mapping):
             raise ConfigurationError("request field 'baseline_kwargs' must be an object")
-        if body.get("allocator") is not None or body.get("backend") is not None:
+        if body.get("allocator") is not None:
             raise ConfigurationError(
-                "request fields 'allocator'/'backend' only apply to "
-                "solver_kind 'proposed'"
+                "request field 'allocator' only applies to solver_kind 'proposed'"
             )
         energy_weight = float(_require_number(body, "energy_weight", 0.5))
         if not 0.0 <= energy_weight <= 1.0:

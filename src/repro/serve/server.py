@@ -32,7 +32,6 @@ CLI's SIGINT path relies on.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 import warnings
@@ -43,7 +42,6 @@ from pathlib import Path
 from typing import Any
 
 from ..core.allocator import AllocatorConfig
-from ..core.subproblem2 import validate_backend
 from ..exceptions import ConfigurationError
 from ..experiments.runner import default_cache_dir, task_hash
 from ..perf.timers import wall_clock
@@ -65,9 +63,6 @@ class ServeConfig:
     ``store_root`` / ``store_backend`` name the :mod:`repro.store` result
     store that memoises answers (the same stores ``repro run`` caches
     into, so a sweep's cache pre-warms the service and vice versa).
-    ``backend`` is the default SP2 backend applied to requests that do
-    not override it; it enters the task payload exactly as a sweep's
-    ``--backend`` flag does, so it is part of the cache key.
     ``batch_size`` caps the lanes of one coalesced lockstep unit
     (:class:`~repro.serve.coalescer.RequestCoalescer`).
     """
@@ -76,7 +71,6 @@ class ServeConfig:
     port: int = 8100
     store_root: str | Path | None = None
     store_backend: str | None = None
-    backend: str | None = None
     batch_size: int = 8
     request_timeout_s: float = 300.0
 
@@ -89,8 +83,6 @@ class ServeConfig:
             raise ConfigurationError(
                 f"serve request timeout must be positive, got {self.request_timeout_s}"
             )
-        if self.backend is not None:
-            validate_backend(self.backend)
 
 
 class AllocationService:
@@ -99,13 +91,6 @@ class AllocationService:
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config if config is not None else ServeConfig()
         self._default_allocator = AllocatorConfig()
-        if self.config.backend is not None:
-            self._default_allocator = dataclasses.replace(
-                self._default_allocator,
-                sum_of_ratios=dataclasses.replace(
-                    self._default_allocator.sum_of_ratios, backend=self.config.backend
-                ),
-            )
         root = (
             self.config.store_root
             if self.config.store_root is not None

@@ -17,8 +17,9 @@ step test is relative, ``|x_new - x| <= tol * x_new``: every iterate is
 more than half-way down to 1), so ``x_new`` is its own
 ``max(1, |x_new|)``; a NaN iterate never passes the test and an infinite
 one passes it only from a finite predecessor.  The
-kernels differ in their seed and iteration cap: the scalar oracle's
-(:func:`solve_x_log_x` and its rows twin), the vector backend's cold seed
+kernels differ in their seed and iteration cap: the canonical evaluator
+the multiplier polish (and the scalar test oracle) reads its roots from
+(:func:`solve_x_log_x` and its rows twin), the multiplier search's cold seed
 (:func:`lambert_solve_vector` and its rows twin), and the multiplier
 search's private :func:`_lambert_solve_seeded`, which starts from a seed
 the search predicts and skips validation.  The tests cross-check the
@@ -148,9 +149,10 @@ def lambert_solve_vector(
 ) -> np.ndarray:
     """Batched solve of ``x * ln(x) - x + 1 = rhs`` for arrays of any shape.
 
-    This is the vector backend's workhorse: where :func:`solve_x_log_x` is
-    tuned for the scalar solver's one-probe-at-a-time call pattern (and kept
-    float-for-float stable as the reference oracle), this variant accepts an
+    This is the multiplier search's workhorse: where :func:`solve_x_log_x`
+    is tuned for a one-probe-at-a-time call pattern (and kept float-for-float
+    stable as the polish's canonical evaluator and the test oracle's), this
+    variant accepts an
     arbitrarily shaped batch — e.g. a ``(num_probes, num_devices)`` grid of
     right-hand sides from a batched multiplier scan — and runs one guarded
     Newton iteration over the whole array at once, from the cold seed of

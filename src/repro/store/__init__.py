@@ -24,11 +24,11 @@ from .jsonstore import JsonResultStore
 from .ops import merge_stores, migrate_store
 
 __all__ = [
-    "BACKENDS",
     "ColumnarResultStore",
-    "DEFAULT_BACKEND",
+    "DEFAULT_STORE_BACKEND",
     "JsonResultStore",
     "ResultStore",
+    "STORE_BACKENDS",
     "StoreEntry",
     "StoreStat",
     "detect_backend",
@@ -39,12 +39,12 @@ __all__ = [
 ]
 
 #: Backend registry: name -> ResultStore subclass.
-BACKENDS: dict[str, type[ResultStore]] = {
+STORE_BACKENDS: dict[str, type[ResultStore]] = {
     JsonResultStore.backend: JsonResultStore,
     ColumnarResultStore.backend: ColumnarResultStore,
 }
 
-DEFAULT_BACKEND = JsonResultStore.backend
+DEFAULT_STORE_BACKEND = JsonResultStore.backend
 
 
 def detect_backend(root: str | Path) -> str | None:
@@ -63,13 +63,13 @@ def open_store(root: str | Path, backend: str | None = None) -> ResultStore:
 
     With ``backend=None`` the on-disk layout decides (so pre-existing cache
     directories keep working untouched), falling back to
-    :data:`DEFAULT_BACKEND` for a fresh directory.
+    :data:`DEFAULT_STORE_BACKEND` for a fresh directory.
     """
     if backend is None:
-        backend = detect_backend(root) or DEFAULT_BACKEND
+        backend = detect_backend(root) or DEFAULT_STORE_BACKEND
     try:
-        cls = BACKENDS[backend]
+        cls = STORE_BACKENDS[backend]
     except KeyError:
-        known = ", ".join(sorted(BACKENDS))
+        known = ", ".join(sorted(STORE_BACKENDS))
         raise ValueError(f"unknown store backend {backend!r} (known: {known})") from None
     return cls(root)

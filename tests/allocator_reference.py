@@ -184,7 +184,6 @@ def solve_lanes_reference(
                             lanes[i].problem.system,
                             lanes[i].problem.energy_weight,
                             config=config.sum_of_ratios,
-                            backend=allocator.backend,
                         ).solve,
                         lanes[i].min_rate_requirements(),
                         lanes[i].allocation.power_w,

@@ -23,12 +23,10 @@ from repro.core import subproblem2
 from repro.core.convergence import ConvergenceHistory
 from repro.core.subproblem2 import (
     _LN2,
-    DEFAULT_BACKEND,
     MuHint,
     SP2Result,
     solve_sp2_v2_numeric,
     sp2_objective,
-    validate_backend,
 )
 from repro.core.sum_of_ratios import SumOfRatiosResult
 from repro.exceptions import ConvergenceError, InfeasibleProblemError, SolverError
@@ -356,7 +354,6 @@ def solve_sp2_v2_rows_reference(
     min_rates: Sequence[np.ndarray],
     *,
     mu_tol: float = 1e-13,
-    backend: str = DEFAULT_BACKEND,
     hints: Sequence[MuHint | None] | None = None,
 ) -> list[SP2Result | Exception]:
     """Closed-form SP2_v2 across independent lanes.
@@ -364,7 +361,7 @@ def solve_sp2_v2_rows_reference(
     Lane ``i`` solves SP2_v2 for ``(systems[i], nus[i], betas[i],
     min_rates[i])``, and its :class:`SP2Result` is bit-identical to the
     one-lane call ``solve_sp2_v2(systems[i], nus[i], betas[i],
-    min_rates[i], backend=backend)``: preparation and the allocation tail
+    min_rates[i])``: preparation and the allocation tail
     run per lane (:func:`_sp2_prepare` / :func:`_sp2_finish`).  Lanes are
     grouped by constrained-device count so all array passes run over
     rectangular stacks (ragged padding would change NumPy's
@@ -374,11 +371,12 @@ def solve_sp2_v2_rows_reference(
     group of two or more lanes runs the lockstep rows search
     (:func:`_mu_search_vector_rows`, one bracketing call for the group,
     then one candidate per lane per round), a one-lane group runs the 1-D
-    search of ``backend`` (the same state machine without per-lane masks,
-    scanning past the bracketing call in chunks of candidates), and the
-    ``"scalar"`` backend always runs its probe-sequential oracle
-    lane by lane.  Every path hands its bracket to the entry-independent
-    polish, which collapses them onto the same double.
+    search (:func:`_mu_search_vector`, the same state machine without
+    per-lane masks, scanning past the bracketing call in chunks of
+    candidates).  Both are read from the library at call time, so under
+    :func:`tests.mu_search_scalar_reference.scalar_oracle` both run the
+    probe-sequential oracle lane by lane.  Every path hands its bracket to
+    the entry-independent polish, which collapses them onto the same double.
 
     ``hints[i]`` (optional) is lane ``i``'s warm-start hint for the vector
     searches: a previous ``(bandwidth_multiplier, constrained_roots)`` of
@@ -392,7 +390,6 @@ def solve_sp2_v2_rows_reference(
     :class:`~repro.exceptions.ConvergenceError` the per-drop call would
     have raised, letting callers replicate their per-lane fallback logic.
     """
-    mu_search = subproblem2._MU_SEARCHES[validate_backend(backend)]
     num_lanes = len(systems)
     results: list[SP2Result | Exception] = [
         InfeasibleProblemError("lane not solved") for _ in range(num_lanes)
@@ -416,11 +413,11 @@ def solve_sp2_v2_rows_reference(
     if hints is None:
         hints = [None] * num_lanes
     for n_c, lanes in groups.items():
-        if len(lanes) == 1 or backend == "scalar":
+        if len(lanes) == 1:
             for i in lanes:
                 _, _, rmin, j, constrained = prepared[i]
                 try:
-                    solved[i] = mu_search(
+                    solved[i] = subproblem2._mu_search_vector(
                         j[constrained],
                         rmin[constrained],
                         systems[i].total_bandwidth_hz,
@@ -668,7 +665,7 @@ def solve_sum_of_ratios_rows_reference(
     Lane ``i`` runs Algorithm 1 for ``solvers[i]`` from ``(initial_powers[i],
     initial_bandwidths[i])`` under ``min_rates[i]``.  Each round, every
     active lane's SP2_v2 closed form is solved by one
-    :func:`solve_sp2_v2_rows_reference` call per SP2 backend
+    :func:`solve_sp2_v2_rows_reference` call
     (the kernel picks its 1-D or rows search by lane count), then the
     per-lane bookkeeping (fallback ladder, residuals, convergence tests,
     damped Newton update) runs lane by lane.  Converged or failed lanes drop
@@ -696,26 +693,21 @@ def solve_sum_of_ratios_rows_reference(
             results[i] = exc
     active = [i for i in lanes if lanes[i].config.max_iterations >= 1]
     while active:
-        groups: dict[str, list[int]] = {}
-        for i in active:
-            groups.setdefault(lanes[i].solver.backend, []).append(i)
         inners: dict[int, SP2Result] = {}
         with stage("sp2_inner"):
-            for backend, group in groups.items():
-                attempts = solve_sp2_v2_rows_reference(
-                    [lanes[i].system for i in group],
-                    [lanes[i].nu for i in group],
-                    [lanes[i].beta for i in group],
-                    [lanes[i].min_rate for i in group],
-                    backend=backend,
-                    hints=[lanes[i].hint for i in group],
-                )
-                for i, attempt in zip(group, attempts):
-                    try:
-                        inners[i] = lanes[i].resolve_inner(attempt)
-                    except (InfeasibleProblemError, ConvergenceError) as exc:
-                        results[i] = exc
-                        lanes.pop(i)
+            attempts = solve_sp2_v2_rows_reference(
+                [lanes[i].system for i in active],
+                [lanes[i].nu for i in active],
+                [lanes[i].beta for i in active],
+                [lanes[i].min_rate for i in active],
+                hints=[lanes[i].hint for i in active],
+            )
+            for i, attempt in zip(active, attempts):
+                try:
+                    inners[i] = lanes[i].resolve_inner(attempt)
+                except (InfeasibleProblemError, ConvergenceError) as exc:
+                    results[i] = exc
+                    lanes.pop(i)
         still: list[int] = []
         for i in active:
             if i not in inners:

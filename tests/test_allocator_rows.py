@@ -4,7 +4,8 @@
 round once per stack of same-size lanes; ``tests/allocator_reference.py``
 keeps the per-lane driver it replaced.  A Hypothesis differential draws
 mixed batches (device counts 1-24 mixed in one batch, ``w1`` including 0,
-with and without a completion-time budget, both SP2 backends, the dual
+with and without a completion-time budget, under the scalar multiplier
+search oracle too, the dual
 Subproblem-1 method, explicit initial points, ``max_iterations`` of 0, 1
 and the default, failing lanes) and holds every :class:`AllocationResult`
 field and every history record ``==``-equal to the frozen driver and to a
@@ -29,6 +30,7 @@ from repro.core.allocator import AllocatorConfig, ResourceAllocator
 from repro.exceptions import ConfigurationError
 from repro.scenarios import ScenarioSpec
 from tests import allocator_reference as ref
+from tests.mu_search_scalar_reference import scalar_oracle
 
 _FIELDS = (
     "round_deadline_s",
@@ -178,7 +180,8 @@ def test_stacked_rounds_match_the_per_lane_driver(lanes, config):
     config=st.sampled_from(["default", "one"]),
 )
 def test_stacked_rounds_match_on_the_scalar_backend(lanes, config):
-    _check(ResourceAllocator(_CONFIGS[config], backend="scalar"), *_batch(lanes))
+    with scalar_oracle():
+        _check(ResourceAllocator(_CONFIGS[config]), *_batch(lanes))
 
 
 # -- lane isolation inside the round's bookkeeping ---------------------------------

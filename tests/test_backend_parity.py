@@ -1,17 +1,19 @@
-"""Differential tests: the vector SP2 backend against the scalar oracle.
+"""Differential tests: the multiplier search against the scalar oracle.
 
-The vector backend is only shippable because it is continuously fuzzed
-against the probe-sequential scalar implementation it replaced, on two
-levels:
+The library's multiplier search (1-D for one lane, rows for a lockstep
+group) is only shippable because it is continuously fuzzed against the
+probe-sequential scalar search it replaced, which the test suite keeps as an
+oracle (:func:`tests.mu_search_scalar_reference.scalar_oracle` routes every
+search through it), on two levels:
 
-* **end-to-end** — Algorithm 2 on every registered scenario family, with
-  the tracked sweep metrics held to the 1e-8 backend-parity gate (both
-  backends polish the bandwidth multiplier onto the exact KKT root, so in
-  practice they agree to round-off);
+* **end-to-end** — Algorithm 2 on every registered scenario family, whose
+  whole ``summary()`` must be equal under the oracle (both searches polish
+  the bandwidth multiplier onto the same exact double, so every downstream
+  iterate matches bit for bit);
 * **SP2-level (Hypothesis)** — randomized ``(system, nu, beta, r_min)``
-  instances solved by both backends, compared directly *and* certified
-  against the KKT residuals of Theorem 2, so agreement can never be
-  mutual-bug agreement.
+  instances solved by both, compared directly *and* certified against the
+  KKT residuals of Theorem 2, so agreement can never be mutual-bug
+  agreement.
 """
 
 from __future__ import annotations
@@ -22,25 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import JointProblem, ProblemWeights
-from repro.core.allocator import AllocatorConfig, ResourceAllocator
-from repro.core.subproblem2 import BACKENDS, solve_sp2_v2, validate_backend
-from repro.core.sum_of_ratios import SumOfRatiosConfig, SumOfRatiosSolver
+from repro.core.allocator import ResourceAllocator
+from repro.core.subproblem2 import solve_sp2_v2
 from repro.core.verify import check_kkt
 from repro.exceptions import ConvergenceError, InfeasibleProblemError
 from repro.scenarios import ScenarioSpec, scenario_families
-
-#: The tracked metrics the bench parity gate compares (continuous values;
-#: iteration counters are compared exactly instead).
-_TRACKED_METRICS = (
-    "objective",
-    "energy_j",
-    "completion_time_s",
-    "transmission_energy_j",
-    "computation_energy_j",
-)
-
-#: The acceptance gate: scalar and vector sweeps must agree to 1e-8.
-BACKEND_PARITY_TOL = 1e-8
+from tests.mu_search_scalar_reference import SEARCHES, scalar_oracle
 
 
 def _build(family: str, *, num_devices: int = 8, seed: int = 0):
@@ -61,26 +50,6 @@ def _sp2_inputs(system, rate_scale: np.ndarray, energy_weight: float = 0.5):
     return nu, beta, rates * rate_scale
 
 
-# -- configuration plumbing ---------------------------------------------------
-
-def test_backend_registry_and_validation():
-    assert set(BACKENDS) == {"scalar", "vector"}
-    assert validate_backend("vector") == "vector"
-    with pytest.raises(ValueError, match="unknown SP2 backend"):
-        validate_backend("simd")
-    with pytest.raises(ValueError, match="unknown SP2 backend"):
-        ResourceAllocator(backend="simd")
-
-
-def test_vector_is_the_default_backend(tiny_system):
-    assert SumOfRatiosConfig().backend == "vector"
-    assert ResourceAllocator().backend == "vector"
-    assert SumOfRatiosSolver(tiny_system, 0.5).backend == "vector"
-    # An explicit argument overrides the configuration.
-    config = AllocatorConfig(sum_of_ratios=SumOfRatiosConfig(backend="vector"))
-    assert ResourceAllocator(config, backend="scalar").backend == "scalar"
-
-
 # -- end-to-end parity over every scenario family -----------------------------
 
 @pytest.mark.parametrize("family", sorted(scenario_families()))
@@ -88,18 +57,10 @@ def test_vector_is_the_default_backend(tiny_system):
 def test_algorithm2_backend_parity_per_family(family, energy_weight):
     system = _build(family, num_devices=8, seed=11)
     problem = JointProblem(system, ProblemWeights.from_energy_weight(energy_weight))
-    scalar = ResourceAllocator(backend="scalar").solve(problem)
-    vector = ResourceAllocator(backend="vector").solve(problem)
-
-    assert vector.converged == scalar.converged
-    assert vector.feasible == scalar.feasible
-    assert vector.iterations == scalar.iterations
-    assert vector.inner_iterations == scalar.inner_iterations
-    scalar_summary, vector_summary = scalar.summary(), vector.summary()
-    for metric in _TRACKED_METRICS:
-        assert vector_summary[metric] == pytest.approx(
-            scalar_summary[metric], rel=BACKEND_PARITY_TOL
-        ), f"{family}: {metric} diverged between backends"
+    with scalar_oracle():
+        scalar = ResourceAllocator().solve(problem)
+    vector = ResourceAllocator().solve(problem)
+    assert vector.summary() == scalar.summary(), f"{family}: the oracle moved the summary"
 
 
 def test_backend_parity_with_deadline_constrained_problem():
@@ -111,12 +72,10 @@ def test_backend_parity_with_deadline_constrained_problem():
     problem = JointProblem(
         system, ProblemWeights.from_energy_weight(1.0), deadline_s=deadline
     )
-    scalar = ResourceAllocator(backend="scalar").solve(problem)
-    vector = ResourceAllocator(backend="vector").solve(problem)
-    for metric in _TRACKED_METRICS:
-        assert vector.summary()[metric] == pytest.approx(
-            scalar.summary()[metric], rel=BACKEND_PARITY_TOL
-        )
+    with scalar_oracle():
+        scalar = ResourceAllocator().solve(problem)
+    vector = ResourceAllocator().solve(problem)
+    assert vector.summary() == scalar.summary()
 
 
 # -- SP2-level differential fuzz (Hypothesis) ---------------------------------
@@ -134,23 +93,24 @@ def test_backend_parity_with_deadline_constrained_problem():
 def test_sp2_differential_fuzz_with_kkt_certificates(
     family, seed, num_devices, energy_weight, scale_lo, scale_width
 ):
-    """Both backends agree on SP2_v2 *and* both satisfy the KKT system."""
+    """The search and its oracle agree on SP2_v2 *and* both satisfy the KKT system."""
     system = _build(family, num_devices=num_devices, seed=seed)
     rng = np.random.default_rng(seed)
     rate_scale = scale_lo + scale_width * rng.random(num_devices)
     nu, beta, rmin = _sp2_inputs(system, rate_scale, energy_weight)
 
     results, errors = {}, {}
-    for backend in BACKENDS:
+    for side, route in SEARCHES.items():
         try:
-            results[backend] = solve_sp2_v2(system, nu, beta, rmin, backend=backend)
+            with route():
+                results[side] = solve_sp2_v2(system, nu, beta, rmin)
         except (InfeasibleProblemError, ConvergenceError) as exc:
-            errors[backend] = type(exc).__name__
+            errors[side] = type(exc).__name__
 
-    # Either both backends solve the instance or both reject it.
-    assert set(results) | set(errors) == set(BACKENDS)
+    # Either both sides solve the instance or both reject it.
+    assert set(results) | set(errors) == set(SEARCHES)
     assert not (results and errors), (
-        f"backends disagree on solvability: solved={sorted(results)}, "
+        f"the sides disagree on solvability: solved={sorted(results)}, "
         f"raised={errors}"
     )
     if errors:
@@ -167,7 +127,7 @@ def test_sp2_differential_fuzz_with_kkt_certificates(
     # negligible there.  The decision variables below are held tight; mu
     # itself gets the conditioning allowance, with the absolute term a
     # decade above the 1e-12*j round-off boundary — right at it, the two
-    # backends can land a factor apart while every decision variable
+    # sides can land a factor apart while every decision variable
     # still agrees bitwise.
     j_scale = float(
         np.median(nu * system.upload_bits * system.noise_psd_w_per_hz / system.gains)
@@ -186,10 +146,10 @@ def test_sp2_differential_fuzz_with_kkt_certificates(
     # Agreement alone could be a shared bug: certify both against the KKT
     # residuals of Theorem 2 (loosened only for the numeric fallback, whose
     # golden-section bandwidth split is coarser than the closed form).
-    for backend, result in results.items():
+    for side, result in results.items():
         certificate = check_kkt(system, nu, beta, rmin, result)
         if result.feasible:
             problems = certificate.problems(
                 1e-6 if result.method == "kkt" else 1e-4
             )
-            assert not problems, f"{backend}: {'; '.join(problems)}"
+            assert not problems, f"{side}: {'; '.join(problems)}"

@@ -17,6 +17,7 @@ from repro.baselines import (
 )
 from repro.baselines.scheme1 import Scheme1Config
 from repro.exceptions import ConfigurationError, InfeasibleProblemError
+from tests.mu_search_scalar_reference import scalar_oracle
 
 
 @pytest.fixture(scope="module")
@@ -149,21 +150,15 @@ def test_scheme1_detects_impossible_deadline(small_system):
         scheme1(problem)
 
 
-# -- backend knob coverage ----------------------------------------------------
+# -- the scalar multiplier-search oracle -------------------------------------
 #
-# Baselines must be backend-transparent: the schemes that never touch the
-# SP2 solver stack are bit-identical whichever backend is configured, and
-# the one scheme that does (communication_only runs Algorithm 1) must stay
-# within the 1e-8 backend-parity gate on the paper scenario.
+# Baselines must be search-transparent: the schemes that never touch the
+# SP2 solver stack are bit-identical under the scalar test oracle, and the
+# one scheme that does (communication_only runs Algorithm 1) must stay
+# within the 1e-8 parity gate on the paper scenario.
 
-def _solve_with_backend(name, problem, backend, rng_seed=7):
-    from repro.core.sum_of_ratios import SumOfRatiosConfig
-
-    kwargs = {}
-    if name == "benchmark":
-        kwargs["rng"] = rng_seed
-    if name == "communication_only":
-        kwargs["sum_of_ratios_config"] = SumOfRatiosConfig(backend=backend)
+def _solve(name, problem, rng_seed=7):
+    kwargs = {"rng": rng_seed} if name == "benchmark" else {}
     return get_baseline(name)(problem, **kwargs)
 
 
@@ -174,10 +169,11 @@ def test_every_baseline_is_backend_transparent(name, balanced_problem, deadline_
         if name in ("scheme1", "communication_only", "computation_only")
         else balanced_problem
     )
-    scalar = _solve_with_backend(name, problem, "scalar")
-    vector = _solve_with_backend(name, problem, "vector")
+    with scalar_oracle():
+        scalar = _solve(name, problem)
+    vector = _solve(name, problem)
     if name == "communication_only":
-        # Algorithm 1 runs inside: backends agree within the parity gate.
+        # Algorithm 1 runs inside: both searches agree within the parity gate.
         np.testing.assert_allclose(
             vector.allocation.power_w, scalar.allocation.power_w, rtol=1e-8
         )
@@ -189,7 +185,7 @@ def test_every_baseline_is_backend_transparent(name, balanced_problem, deadline_
             scalar.completion_time_s, rel=1e-8
         )
     else:
-        # No SP2 involvement: the backend knob must not leak in at all.
+        # No SP2 involvement: the oracle must not leak in at all.
         np.testing.assert_array_equal(
             vector.allocation.power_w, scalar.allocation.power_w
         )

@@ -20,6 +20,7 @@ Three levels enforce it:
 
 from __future__ import annotations
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -47,6 +48,7 @@ from repro.solvers.lambert import (
 from repro.solvers.scalar import golden_section_rows, golden_section_scalar
 from tests import subproblem1_reference as sp1_reference
 from tests.mu_search_reference import mu_search_rows_reference, rooted_problem
+from tests.mu_search_scalar_reference import scalar_oracle
 
 
 def _build(family: str, *, num_devices: int = 8, seed: int = 0):
@@ -128,12 +130,12 @@ def test_solve_batch_handles_corner_lanes():
     # The deadline lane with w1 = 0 really runs the alternation.
     assert batched[3].history[0].note == "outer-1"
 
-    # Scalar-backend lanes batch too (the w1 > 0 deadline lane is left out
-    # only because the scalar oracle takes seconds on it).
-    scalar = ResourceAllocator(backend="scalar")
+    # Lanes batch under the scalar multiplier-search oracle too (the w1 > 0
+    # deadline lane is left out only because the oracle takes seconds on it).
     lanes = [problems[0], problems[1], problems[3]]
-    for problem, result in zip(lanes, scalar.solve_batch(lanes)):
-        _assert_results_identical(result, scalar.solve(problem))
+    with scalar_oracle():
+        for problem, result in zip(lanes, allocator.solve_batch(lanes)):
+            _assert_results_identical(result, allocator.solve(problem))
 
     # A lane started from an explicit allocation, batched beside a lane on
     # the configured start: each matches its own ``solve``.
@@ -380,9 +382,10 @@ def test_runner_one_lane_group_runs_as_a_batch_of_one(monkeypatch):
 
 
 def test_runner_batches_deadline_delay_only_and_scalar_tasks():
-    # ``solve_batch`` runs every lane kind, so hard-deadline (Figure 7),
-    # ``energy_weight = 0`` and scalar-backend groups each run as one
-    # lockstep batch, with outcomes equal to the per-drop ones.
+    # ``solve_batch`` runs every lane kind, so hard-deadline (Figure 7) and
+    # ``energy_weight = 0`` groups each run as one lockstep batch, with
+    # outcomes equal to the per-drop ones; so does a group run under the
+    # scalar multiplier-search oracle.
     sweep = SweepConfig(num_devices=8, num_trials=2, max_power_dbm=10.0)
     groups = {
         "deadline": Fig7Config(
@@ -391,18 +394,19 @@ def test_runner_batches_deadline_delay_only_and_scalar_tasks():
         "delay-only": proposed_tasks(("w1=0",), sweep, 0.0)
         + proposed_tasks(("w1=0", 150.0), sweep, 0.0, deadline_s=150.0),
         "scalar": Fig2Config(
-            sweep=SweepConfig(num_devices=8, num_trials=1).with_backend("scalar"),
+            sweep=SweepConfig(num_devices=8, num_trials=1),
             max_power_dbm_grid=(5.0, 9.0),
             weight_pairs=((0.5, 0.5),),
             include_benchmark=False,
         ).tasks(),
     }
     for name, tasks in groups.items():
-        runner = SweepRunner()
-        batched = runner.run(tasks)
-        assert runner.last_stats.batches == 1, name
-        assert runner.last_stats.batched_tasks == len(tasks), name
-        per_drop = SweepRunner(batch_size=1).run(tasks)
+        with scalar_oracle() if name == "scalar" else contextlib.nullcontext():
+            runner = SweepRunner()
+            batched = runner.run(tasks)
+            assert runner.last_stats.batches == 1, name
+            assert runner.last_stats.batched_tasks == len(tasks), name
+            per_drop = SweepRunner(batch_size=1).run(tasks)
         for left, right in zip(per_drop, batched):
             assert left.error is None and right.error is None, name
             assert left.metrics == right.metrics, name

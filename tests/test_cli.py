@@ -213,22 +213,31 @@ def test_parse_churn_spec_shorthand_and_errors():
 
 
 def test_fl_command_selection_and_backend_flags(capsys):
-    assert (
-        main(
-            [
-                "fl",
-                "--quick",
-                "--selection", "fastest-k",
-                "--select-k", "2",
-                "--backend", "scalar",
-                "--fading", "none",
-                "--scheme", "static",
-            ]
-        )
-        == 0
-    )
+    flags = ["fl", "--quick", "--selection", "fastest-k", "--select-k", "2",
+             "--fading", "none", "--scheme", "static"]
+    assert main(flags) == 0
     out = capsys.readouterr().out
     assert "| 2 |" in out
+    # The SP2 backend flag is retired: there is one multiplier search.
+    with pytest.raises(SystemExit) as excinfo:
+        main([*flags, "--backend", "scalar"])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "fig2", "--backend", "vector"],
+        ["fl", "--backend", "vector"],
+        ["serve", "--backend", "vector"],
+    ],
+    ids=["run", "fl", "serve"],
+)
+def test_the_retired_sp2_backend_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --backend vector" in capsys.readouterr().err
 
 
 # -- repro store / --shard ---------------------------------------------------
@@ -350,6 +359,20 @@ def test_store_migrate_and_merge_round_trip(tmp_path, capsys):
     assert merged.get_entry("00" * 32) == open_store(tmp_path / "a").get_entry("00" * 32)
 
 
+def test_store_migrate_backend_flag_picks_the_destination_store(tmp_path, capsys):
+    # The store commands keep their own --backend: the destination layout.
+    from repro.store import open_store
+
+    _seed_store(tmp_path / "a", "columnar", indices=[0, 1])
+    assert main(
+        ["store", "migrate", str(tmp_path / "a"), str(tmp_path / "a-json"), "--backend", "json"]
+    ) == 0
+    assert "-> json:" in capsys.readouterr().out
+    migrated = open_store(tmp_path / "a-json")
+    assert migrated.backend == "json"
+    assert migrated.get_entry("00" * 32) == open_store(tmp_path / "a").get_entry("00" * 32)
+
+
 def test_store_stat_on_missing_root_fails_cleanly(tmp_path, capsys):
     assert main(["store", "stat", str(tmp_path / "nowhere")]) == 0  # empty store
     assert "entries: 0" in capsys.readouterr().out
@@ -388,7 +411,7 @@ def test_serve_parser_defaults():
     assert args.host == "127.0.0.1"
     assert args.port == 8100
     assert args.store is None
-    assert args.backend is None
+    assert not hasattr(args, "backend")
     assert args.batch_size == 8
     assert args.request_timeout == 300.0
 
@@ -397,19 +420,19 @@ def test_serve_parser_accepts_overrides():
     args = build_parser().parse_args(
         [
             "serve", "--host", "0.0.0.0", "--port", "0",
-            "--store", "columnar", "--backend", "scalar",
+            "--store", "columnar",
             "--batch-size", "4", "--request-timeout", "10",
         ]
     )
     assert (args.host, args.port) == ("0.0.0.0", 0)
-    assert (args.store, args.backend) == ("columnar", "scalar")
+    assert args.store == "columnar"
     assert (args.batch_size, args.request_timeout) == (4, 10.0)
     with pytest.raises(SystemExit):
         build_parser().parse_args(["serve", "--gather-window-ms", "5"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["serve", "--store", "parquet"])
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["serve", "--backend", "quantum"])
+        build_parser().parse_args(["serve", "--backend", "vector"])
 
 
 def test_serve_rejects_invalid_config(tmp_path, capsys):

@@ -13,6 +13,7 @@ from repro.core.subproblem2 import solve_sp2_v2, solve_sp2_v2_numeric, sp2_objec
 from repro.core.verify import check_kkt
 from repro.exceptions import ConvergenceError, InfeasibleProblemError
 from tests.mu_search_reference import rooted_problem
+from tests.mu_search_scalar_reference import SEARCHES
 from tests.mu_search_vector_reference import mu_search_vector_reference
 from tests.sp2_tail_reference import _sp2_prepare
 
@@ -148,11 +149,12 @@ def test_expansion_exhaustion_raises_convergence_error(
     # zeroed cap forbids.
     nu, beta, min_rate = _demanding_setup(tiny_system)
     _, _, _, j, constrained = _sp2_prepare(tiny_system, nu, beta, min_rate)
-    reference = solve_sp2_v2(tiny_system, nu, beta, min_rate, backend=backend)
-    assert reference.bandwidth_multiplier > 10.0 * np.median(j[constrained])
-    monkeypatch.setattr(subproblem2, "MU_BRACKET_MAX_EXPANSIONS", 0)
-    with pytest.raises(ConvergenceError, match="bracketed from above"):
-        solve_sp2_v2(tiny_system, nu, beta, min_rate, backend=backend)
+    with SEARCHES[backend]():
+        reference = solve_sp2_v2(tiny_system, nu, beta, min_rate)
+        assert reference.bandwidth_multiplier > 10.0 * np.median(j[constrained])
+        monkeypatch.setattr(subproblem2, "MU_BRACKET_MAX_EXPANSIONS", 0)
+        with pytest.raises(ConvergenceError, match="bracketed from above"):
+            solve_sp2_v2(tiny_system, nu, beta, min_rate)
 
 
 @pytest.mark.parametrize("backend", ["scalar", "vector"])
@@ -161,8 +163,8 @@ def test_contraction_exhaustion_raises_convergence_error(
 ):
     nu, beta, min_rate = _loose_setup(tiny_system)
     monkeypatch.setattr(subproblem2, "MU_BRACKET_MAX_CONTRACTIONS", 0)
-    with pytest.raises(ConvergenceError, match="bracketed from below"):
-        solve_sp2_v2(tiny_system, nu, beta, min_rate, backend=backend)
+    with SEARCHES[backend](), pytest.raises(ConvergenceError, match="bracketed from below"):
+        solve_sp2_v2(tiny_system, nu, beta, min_rate)
 
 
 @pytest.mark.parametrize("backend", ["scalar", "vector"])
@@ -171,8 +173,8 @@ def test_refinement_exhaustion_raises_convergence_error(
 ):
     nu, beta, min_rate = _binding_setup(tiny_system)
     monkeypatch.setattr(subproblem2, "MU_SEARCH_MAX_ITERATIONS", 0)
-    with pytest.raises(ConvergenceError, match="did not converge"):
-        solve_sp2_v2(tiny_system, nu, beta, min_rate, backend=backend)
+    with SEARCHES[backend](), pytest.raises(ConvergenceError, match="did not converge"):
+        solve_sp2_v2(tiny_system, nu, beta, min_rate)
 
 
 @pytest.mark.parametrize("backend", ["scalar", "vector"])
@@ -187,8 +189,9 @@ def test_exhaustion_falls_back_to_the_numeric_solver(
     # ``_binding_setup`` and exhausts the zeroed refinement cap.
     power, bandwidth, _, _, min_rate = _setup(tiny_system, deadline_factor=1.05)
     monkeypatch.setattr(subproblem2, "MU_SEARCH_MAX_ITERATIONS", 0)
-    solver = SumOfRatiosSolver(tiny_system, 0.5, backend=backend)
-    result = solver.solve(min_rate, power, bandwidth)
+    solver = SumOfRatiosSolver(tiny_system, 0.5)
+    with SEARCHES[backend]():
+        result = solver.solve(min_rate, power, bandwidth)
     assert result.history[0].note in ("numeric", "incumbent")
 
 

@@ -169,7 +169,7 @@ def _lane(system):
     # fallback ladder.
     rows = _LaneRows(
         SystemRows.of([system]), [system], np.array([solver._scale]), [solver.config],
-        solver.backend, min_rate[None], power[None], bandwidth[None],
+        min_rate[None], power[None], bandwidth[None],
     )
     rows._write_back(0)
     return rows.lanes[0]

@@ -5,8 +5,9 @@ The acceptance gates of the dynamic layer, all at **zero tolerance**:
 * the frozen-fleet loop (churn/battery/estimation all off) is bit-identical
   to the committed PR-9 golden record — adding the layer changed nothing
   for existing users;
-* fixed-seed churn + drain runs are bit-identical across solver backends,
-  repeated invocations, and serial versus parallel sweep execution;
+* fixed-seed churn + drain runs are bit-identical under the scalar
+  multiplier search oracle, across repeated invocations, and serial versus
+  parallel sweep execution;
 * the active fleet follows the resolved churn schedule round by round;
 * drained devices retire and are never selected again (``graceful``) or
   fail the run loudly (``loud``);
@@ -14,6 +15,7 @@ The acceptance gates of the dynamic layer, all at **zero tolerance**:
   its runs stay deterministic too.
 """
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from repro.exceptions import ConfigurationError
 from repro.fl.churn import resolve_churn
 from repro.fl.estimation import ProfileEstimator
 from repro.fl.roundloop import RoundLoopConfig, run_round_loop
+from tests.mu_search_scalar_reference import scalar_oracle
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_fl_pr9.json"
 DYNAMIC_GOLDEN_PATH = Path(__file__).parent / "data" / "golden_fl_dynamic.json"
@@ -93,8 +96,9 @@ class TestGoldenFrozenFleet:
 
 # -- golden dynamic-fleet regression ------------------------------------------
 #: Churned, drained and estimated runs pinned to a committed record, so a
-#: refactor of the loop cannot move them even where both backends would
-#: move together.
+#: refactor of the loop cannot move them even where the library's multiplier
+#: search and the scalar oracle would move together.  A name ending in
+#: ``-scalar`` runs under the oracle.
 DYNAMIC_GOLDEN_CONFIGS = {
     # The tiny capacity retires a device in round 3 (``r003_retired``).
     "events-battery": dict(churn=CHURN_EVENTS, battery={"capacity_j": 0.02}),
@@ -103,14 +107,12 @@ DYNAMIC_GOLDEN_CONFIGS = {
         battery={"capacity_j": 50.0},
         estimate_profiles=True,
         selection="deadline-k",
-        backend="vector",
     ),
     "poisson-estimated-deadline-k-scalar": dict(
         churn=CHURN_POISSON,
         battery={"capacity_j": 50.0},
         estimate_profiles=True,
         selection="deadline-k",
-        backend="scalar",
     ),
     "charge-k-battery": dict(
         selection="charge-k",
@@ -131,10 +133,12 @@ def dynamic_golden():
 @pytest.mark.parametrize("name", sorted(DYNAMIC_GOLDEN_CONFIGS))
 def test_dynamic_trajectory_matches_golden_exactly(name, dynamic_golden):
     config = tiny_config(**DYNAMIC_GOLDEN_CONFIGS[name])
-    assert run_round_loop(config).flat_metrics() == dynamic_golden[name]
+    with scalar_oracle() if name.endswith("-scalar") else contextlib.nullcontext():
+        metrics = run_round_loop(config).flat_metrics()
+    assert metrics == dynamic_golden[name]
 
 
-# -- the churn x backend determinism matrix ----------------------------------
+# -- the churn x multiplier-search determinism matrix ------------------------
 class TestDynamicDeterminismMatrix:
     @pytest.fixture(scope="class", params=["events", "poisson"])
     def churn_spec(self, request):
@@ -143,31 +147,20 @@ class TestDynamicDeterminismMatrix:
     @pytest.fixture(scope="class")
     def reference(self, churn_spec):
         return run_round_loop(
-            tiny_config(
-                churn=churn_spec,
-                battery={"capacity_j": 50.0},
-                backend="vector",
-            )
+            tiny_config(churn=churn_spec, battery={"capacity_j": 50.0})
         ).flat_metrics()
 
     def test_repeat_run_is_bit_identical(self, churn_spec, reference):
         again = run_round_loop(
-            tiny_config(
-                churn=churn_spec,
-                battery={"capacity_j": 50.0},
-                backend="vector",
-            )
+            tiny_config(churn=churn_spec, battery={"capacity_j": 50.0})
         ).flat_metrics()
         assert again == reference
 
     def test_scalar_backend_is_bit_identical(self, churn_spec, reference):
-        scalar = run_round_loop(
-            tiny_config(
-                churn=churn_spec,
-                battery={"capacity_j": 50.0},
-                backend="scalar",
-            )
-        ).flat_metrics()
+        with scalar_oracle():
+            scalar = run_round_loop(
+                tiny_config(churn=churn_spec, battery={"capacity_j": 50.0})
+            ).flat_metrics()
         assert scalar == reference
 
 

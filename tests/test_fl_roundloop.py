@@ -1,14 +1,15 @@
 """Tests for the closed-loop round-by-round FL training subsystem.
 
-The determinism tests here are the PR's acceptance gate: a fixed seed must
-give bit-identical per-round metrics across solver backends and sweep
-execution order.
+The determinism tests here are the subsystem's acceptance gate: a fixed
+seed must give bit-identical per-round metrics under the scalar multiplier
+search oracle and across sweep execution order.
 """
 
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.fl.roundloop import FLRoundLoop, RoundLoopConfig, run_round_loop
+from tests.mu_search_scalar_reference import scalar_oracle
 
 SCENARIO = {"family": "paper", "num_devices": 6, "seed": 11}
 
@@ -159,8 +160,9 @@ def _flat(config: RoundLoopConfig) -> dict[str, float]:
 
 
 def test_fixed_seed_runs_are_bit_identical_across_backends(baseline_report):
-    scalar = _flat(tiny_config(backend="scalar"))
-    vector = _flat(tiny_config(backend="vector"))
+    with scalar_oracle():
+        scalar = _flat(tiny_config())
+    vector = _flat(tiny_config())
     assert scalar == vector
     assert vector == baseline_report.flat_metrics()
 

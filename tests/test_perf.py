@@ -9,6 +9,7 @@ from repro.core.allocator import AllocatorConfig, ResourceAllocator
 from repro.core.problem import JointProblem, ProblemWeights
 from repro.perf import bench
 from repro.perf.timers import StageTimings, active_collector, collect_timings, stage
+from tests.mu_search_scalar_reference import scalar_oracle
 
 
 # -- StageTimings / stage / collect_timings ----------------------------------
@@ -130,17 +131,43 @@ def test_fl_bench_config_scales_with_quick_flag():
 def test_quick_fl_bench_runs_are_pinned_and_backend_identical(make_config, outer_iterations):
     """The quick closed-loop bench runs (frozen fleet; churn and battery
     drain) take a fixed number of allocator iterations over their rounds
-    and give bit-identical trajectories on the vector and scalar backends."""
+    and give bit-identical trajectories with the library's multiplier
+    search and under the scalar test oracle."""
+    from repro.fl.roundloop import FLRoundLoop
+
+    config = make_config(True)
+    vector = FLRoundLoop(config).run()
+    with scalar_oracle():
+        scalar = FLRoundLoop(config).run()
+    assert vector.total_allocator_iterations == outer_iterations
+    assert scalar.total_allocator_iterations == outer_iterations
+    assert vector.flat_metrics() == scalar.flat_metrics()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="channel-gain estimation is biased by deadline-k selection "
+    "(last-round gain error ~1.42; ~0.18 under selection='all')",
+)
+def test_estimated_gains_converge_under_deadline_k_selection():
+    """The estimator's gate: after 30 rounds of the dynamic bench run on
+    estimated profiles, the fitted channel gains are within 20% of the
+    truth.  It fails today, because deadline-k only ever observes the
+    clients it selects; when the estimator is corrected, this test starts
+    passing, the strict xfail turns that into a failure, and the marker
+    has to go."""
     from dataclasses import replace
 
     from repro.fl.roundloop import FLRoundLoop
 
-    config = make_config(True)
-    vector = FLRoundLoop(replace(config, backend="vector")).run()
-    scalar = FLRoundLoop(replace(config, backend="scalar")).run()
-    assert vector.total_allocator_iterations == outer_iterations
-    assert scalar.total_allocator_iterations == outer_iterations
-    assert vector.flat_metrics() == scalar.flat_metrics()
+    config = replace(
+        bench.fl_dynamic_bench_config(),
+        estimate_profiles=True,
+        rounds=30,
+        selection="deadline-k",
+    )
+    report = FLRoundLoop(config).run()
+    assert report.records[-1].estimation_gain_rel_err < 0.2
 
 
 # -- deterministic work counters ---------------------------------------------
@@ -180,7 +207,7 @@ def _mu_search_work(monkeypatch, batch_size):
         work["newton"] += in_kernel
         return newton_step(x, c)
 
-    one_lane = subproblem2._MU_SEARCHES["vector"]
+    one_lane = subproblem2._mu_search_vector
     lockstep = subproblem2._mu_search_vector_rows
 
     def counting_one_lane(*args, **kwargs):
@@ -212,7 +239,7 @@ def _mu_search_work(monkeypatch, batch_size):
         ):
             patch.setattr(subproblem2, kernel, counting(name, getattr(subproblem2, kernel)))
         patch.setattr(lambert, "_newton_step", counting_step)
-        patch.setitem(subproblem2._MU_SEARCHES, "vector", counting_one_lane)
+        patch.setattr(subproblem2, "_mu_search_vector", counting_one_lane)
         patch.setattr(subproblem2, "_mu_search_vector_rows", counting_lockstep)
         patch.setattr(subproblem2, "_warm_start", counting_warm_start)
         patch.setattr(sum_of_ratios._BatchLane, "__init__", counting_lane_init)

@@ -94,11 +94,6 @@ def test_parse_request_applies_the_service_default_allocator():
     assert task.solver_params["allocator"] == default
 
 
-def test_parse_request_backend_override_enters_the_allocator():
-    task = parse_request(_request_body(backend="scalar"))
-    assert task.solver_params["allocator"].sum_of_ratios.backend == "scalar"
-
-
 def test_parse_request_builds_baseline_tasks():
     task = parse_request(
         {
@@ -390,6 +385,15 @@ def test_malformed_requests_are_400s(server):
     assert excinfo.value.code == 400
     _status, metrics = _get(server, "/metrics")
     assert metrics["requests"]["invalid"] == 3
+
+
+def test_a_backend_field_is_a_400_naming_it(server):
+    """The service has one multiplier search; the retired SP2 backend
+    override is an unknown field like any other."""
+    for value in ("vector", "scalar"):
+        status, payload = _post(server, _request_body(seed=7, backend=value))
+        assert status == 400
+        assert "unknown request field(s) backend" in payload["error"]
 
 
 def test_an_oversized_body_is_a_prompt_413_and_closes_its_connection(server):

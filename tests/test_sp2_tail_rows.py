@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro import build_paper_scenario
 from repro.core import subproblem2
 from repro.core.subproblem2 import (
-    DEFAULT_BACKEND,
     SP2Result,
     SystemRows,
     _subset_row_sums,
@@ -38,6 +37,7 @@ from repro.core.sum_of_ratios import (
 from repro.exceptions import ConvergenceError, InfeasibleProblemError
 from repro.solvers import damped_newton_step_rows, row_norms, solve_box_budget_lp_rows
 from tests import sp2_tail_reference as ref
+from tests.mu_search_scalar_reference import SEARCHES
 
 _KINDS = (
     "none",  # no rate-constrained device: the search is skipped
@@ -93,7 +93,7 @@ _lane_spec = st.tuples(
 )
 
 
-def _sp2_rows(systems, nus, betas, min_rates, *, backend=DEFAULT_BACKEND):
+def _sp2_rows(systems, nus, betas, min_rates):
     """Closed-form SP2_v2 of independent lanes, stacked by device count
     (:func:`~repro.core.subproblem2._solve_sp2_stacks`): each lane's result,
     or its exception, in its slot."""
@@ -107,7 +107,6 @@ def _sp2_rows(systems, nus, betas, min_rates, *, backend=DEFAULT_BACKEND):
             [np.array([column[i] for i in lanes], dtype=float) for lanes in members]
             for column in (nus, betas, min_rates)
         ),
-        backend=backend,
     )
     results = [None] * len(systems)
     for lanes, out in zip(members, outs):
@@ -176,12 +175,13 @@ def test_stacked_sp2_matches_the_per_lane_reference(specs, backend):
     its exception type and message."""
     lanes = [_lane(*spec) for spec in specs]
     args = [[lane[i] for lane in lanes] for i in range(4)]
-    got = _sp2_rows(*args, backend=backend)
-    want = ref.solve_sp2_v2_rows_reference(*args, backend=backend)
-    for g, w in zip(got, want):
-        _same_sp2(g, w)
-    for i, w in enumerate(want):
-        _same_sp2(_one(solve_sp2_v2, *[a[i] for a in args], backend=backend), w)
+    with SEARCHES[backend]():
+        got = _sp2_rows(*args)
+        want = ref.solve_sp2_v2_rows_reference(*args)
+        for g, w in zip(got, want):
+            _same_sp2(g, w)
+        for i, w in enumerate(want):
+            _same_sp2(_one(solve_sp2_v2, *[a[i] for a in args]), w)
 
 
 def _crafted_box_lp_raise():
@@ -211,7 +211,7 @@ def test_each_finish_raise_keeps_its_lane_and_message(monkeypatch):
     assert "infinite rate requirement in SP2_v2" in messages
 
     # Too small a multiplier over-spends the budget on the active devices.
-    vector, rows = subproblem2._MU_SEARCHES["vector"], subproblem2._mu_search_vector_rows
+    vector, rows = subproblem2._mu_search_vector, subproblem2._mu_search_vector_rows
 
     def shrunk(*a, **kw):
         mu, x = vector(*a, **kw)
@@ -221,7 +221,7 @@ def test_each_finish_raise_keeps_its_lane_and_message(monkeypatch):
         mu, x, errors = rows(j_rows, *a, **kw)
         return mu * 0.7, subproblem2.solve_x_log_x_rows(mu[:, None] * 0.7 / j_rows), errors
 
-    monkeypatch.setitem(subproblem2._MU_SEARCHES, "vector", shrunk)
+    monkeypatch.setattr(subproblem2, "_mu_search_vector", shrunk)
     monkeypatch.setattr(subproblem2, "_mu_search_vector_rows", shrunk_rows)
     tight = [_lane(10, s, "tight", 1.9, s)[:4] for s in range(3)]
     args = [[lane[i] for lane in tight + healthy] for i in range(4)]
@@ -443,25 +443,24 @@ _CONFIGS = {
 
 
 def _algorithm1_rows(solvers, min_rates, powers, bandwidths):
-    """Algorithm-1 runs stacked by device count and backend
+    """Algorithm-1 runs stacked by device count
     (:func:`solve_sum_of_ratios_stacks`): each run's result, or its
     exception, in its slot."""
-    groups: dict[tuple[int, str], list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i, solver in enumerate(solvers):
-        groups.setdefault((solver.system.num_devices, solver.backend), []).append(i)
+        groups.setdefault(solver.system.num_devices, []).append(i)
     stacks = [
         _LaneRows(
             SystemRows.of([solvers[i].system for i in slots]),
             [solvers[i].system for i in slots],
             np.array([solvers[i]._scale for i in slots]),
             [solvers[i].config for i in slots],
-            backend,
             *(
                 np.array([column[i] for i in slots], dtype=float)
                 for column in (min_rates, powers, bandwidths)
             ),
         )
-        for (_, backend), slots in groups.items()
+        for slots in groups.values()
     ]
     solve_sum_of_ratios_stacks(stacks)
     results = [None] * len(solvers)
@@ -572,11 +571,10 @@ def test_algorithm1_edge_paths_in_one_batch(monkeypatch):
 def test_perturbing_one_run_moves_no_other_run(backend):
     specs = [((12, s, kind, 0.8, s), "default", 0.5) for s, kind in enumerate(_KINDS)]
     solvers, min_rates, powers, bandwidths = _runs(specs)
-    solvers = [SumOfRatiosSolver(s.system, s.energy_weight, s.config, backend=backend)
-               for s in solvers]
-    before = _algorithm1_rows(solvers, min_rates, powers, bandwidths)
-    min_rates[2] = min_rates[2] * 1.1 + 1.0
-    after = _algorithm1_rows(solvers, min_rates, powers, bandwidths)
+    with SEARCHES[backend]():
+        before = _algorithm1_rows(solvers, min_rates, powers, bandwidths)
+        min_rates[2] = min_rates[2] * 1.1 + 1.0
+        after = _algorithm1_rows(solvers, min_rates, powers, bandwidths)
     for k, (b, a) in enumerate(zip(before, after)):
         if k != 2:
             _same_run(a, b)

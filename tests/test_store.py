@@ -16,7 +16,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.store import (
-    BACKENDS,
+    STORE_BACKENDS,
     ColumnarResultStore,
     JsonResultStore,
     StoreEntry,
@@ -59,7 +59,7 @@ def _tree_bytes(root):
 # -- round trips, both backends ----------------------------------------------
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("backend", sorted(STORE_BACKENDS))
 def test_round_trip_preserves_types_and_key_order(tmp_path, backend):
     store = _fill(open_store(tmp_path, backend))
     reader = open_store(tmp_path, backend)
@@ -78,13 +78,13 @@ def test_round_trip_preserves_types_and_key_order(tmp_path, backend):
     assert reader.get_entry("ff" * 32) is None
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("backend", sorted(STORE_BACKENDS))
 def test_none_state_round_trips(tmp_path, backend):
     store = _fill(open_store(tmp_path, backend), indices=[0], state=None)
     assert store.get_entry(DIGESTS[0]) == (_entry(0)[2], None)
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("backend", sorted(STORE_BACKENDS))
 def test_keys_entries_len_contains_stat(tmp_path, backend):
     store = _fill(open_store(tmp_path, backend))
     assert sorted(store.keys()) == sorted(DIGESTS[:3])
@@ -100,7 +100,7 @@ def test_keys_entries_len_contains_stat(tmp_path, backend):
     assert stat.bytes > 0
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("backend", sorted(STORE_BACKENDS))
 def test_overwrite_keeps_latest(tmp_path, backend):
     store = open_store(tmp_path, backend)
     digest, task, metrics, state = _entry(0)
@@ -115,7 +115,7 @@ def test_overwrite_keeps_latest(tmp_path, backend):
     assert len(store) == 1
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("backend", sorted(STORE_BACKENDS))
 def test_metric_columns_and_query(tmp_path, backend):
     store = open_store(tmp_path, backend)
     store.put(DIGESTS[0], {}, {"a": 1.0, "b": 2}, None)
@@ -168,7 +168,7 @@ def test_detect_backend_and_auto_open(tmp_path):
 # -- crash safety (satellite: torn writes are misses, never corruption) ------
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("backend", sorted(STORE_BACKENDS))
 def test_put_leaves_no_temp_files(tmp_path, backend):
     _fill(open_store(tmp_path, backend))
     leftovers = [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
