@@ -22,6 +22,11 @@ makes the fast path worth having:
 * columnar result-store reads against JSON reads (``>= 1.2 x 0.85``,
   entries bit-identical).
 
+A last floor times ``min_bandwidth_for_rate``, which replays its bisection
+from certified brackets, against the frozen blind bisection
+(:mod:`tests.min_bandwidth_reference`) on the delay-min final split's
+inputs: at least 2x at 12 devices and 0.9x at 80, answers bit-identical.
+
 The three sweep modes run serially with the cache off, five rounds,
 interleaved, with the mode order rotated each round, so a load shift on
 the host biases every mode of a round alike; each floor is a ratio of
@@ -44,7 +49,11 @@ from repro.core.sum_of_ratios import SumOfRatiosSolver
 from repro.experiments import run_fig2
 from repro.experiments.runner import SweepRunner, task_hash
 from repro.perf.bench import bench_config
+from repro.core.uplink_delay import minimize_max_upload_time
+from repro.scenarios import build_scenario_spec
 from repro.store import open_store
+from repro.wireless.rate import min_bandwidth_for_rate
+from tests.min_bandwidth_reference import min_bandwidth_for_rate_reference
 from tests.mu_search_scalar_reference import scalar_oracle
 
 
@@ -239,3 +248,45 @@ def test_bench_store_read_speedup(sweep_rounds):
                 type(v) for v in metrics.values()
             ]
     assert speedup >= 1.2 * 0.85
+
+
+# -- the certified bandwidth replay against the blind bisection ---------------
+
+#: Timed passes per function, alternating (the fastest of each counts).
+REPLAY_REPEATS = 7
+
+
+def _final_split_calls(num_devices):
+    """The delay-min final split's arguments on 8 paper drops: every
+    device's target rate at the solve's max upload time."""
+    calls = []
+    for seed in range(8):
+        system = build_scenario_spec({"family": "paper", "num_devices": num_devices, "seed": seed})
+        t = minimize_max_upload_time(system).max_upload_time_s
+        calls.append((
+            (system.upload_bits / t, system.max_power_w, system.gains, system.noise_psd_w_per_hz),
+            {"bandwidth_cap_hz": system.total_bandwidth_hz},
+        ))
+    return calls
+
+
+@pytest.mark.parametrize(("num_devices", "floor"), [(12, 2.0), (80, 0.9)])
+def test_bench_min_bandwidth_replay_speedup(num_devices, floor):
+    """The certified replay beats the blind bisection on the same inputs,
+    with the same bits."""
+    calls = _final_split_calls(num_devices)
+    solvers = {"replay": min_bandwidth_for_rate, "bisection": min_bandwidth_for_rate_reference}
+    for args, kwargs in calls:
+        assert solvers["replay"](*args, **kwargs).tobytes() == (
+            solvers["bisection"](*args, **kwargs).tobytes()
+        )
+    best = dict.fromkeys(solvers, float("inf"))
+    for _ in range(REPLAY_REPEATS):
+        for name, solve in solvers.items():
+            started = time.perf_counter()
+            for args, kwargs in calls:
+                solve(*args, **kwargs)
+            best[name] = min(best[name], time.perf_counter() - started)
+    speedup = best["bisection"] / max(best["replay"], 1e-12)
+    print(f"\n[replay] bisection over replay at {num_devices} devices: {speedup:.2f}x")
+    assert speedup >= floor

@@ -158,7 +158,7 @@ def _polish_mu(
     mu = float(np.ldexp(np.round(mantissa * (1 << 26)) / float(1 << 26), exponent))
     lead = rmin_c * _LN2
     x = solve_x_log_x(mu / j_c)
-    previous = None
+    previous = previous_x = None
     for _ in range(steps):
         log_x = np.maximum(np.log(x), 1e-300)
         excess = float((lead / log_x).sum()) - budget
@@ -171,12 +171,12 @@ def _polish_mu(
         if mu_new == previous:
             # 2-cycle between adjacent doubles: the cycle is a property of
             # the map, not of the entry point, so the deterministic
-            # tie-break makes the result entry-independent.
+            # tie-break makes the result entry-independent.  The smaller
+            # multiplier is the previous iterate, whose roots are in hand.
             if mu_new < mu:
-                mu = mu_new
-                x = solve_x_log_x(mu / j_c)
+                mu, x = mu_new, previous_x
             break
-        previous = mu
+        previous, previous_x = mu, x
         mu = mu_new
         x = solve_x_log_x(mu / j_c)
     return mu, x
@@ -210,13 +210,15 @@ def _polish_mu_rows(
 
     The state stays full width: each step evaluates every lane, masks its
     decisions to the lanes still stepping, and re-solves only the lanes
-    whose multiplier moved.
+    still stepping (a lane that ends on a 2-cycle's smaller multiplier gets
+    back the roots it had there).
     """
     mantissa, exponent = np.frexp(mu)
     mu = np.ldexp(np.round(mantissa * (1 << 26)) / float(1 << 26), exponent)
     lead = rmin_rows * _LN2
     x = solve_x_log_x_rows(mu[:, None] / j_rows)
     previous = np.full_like(mu, np.nan)
+    previous_x = np.empty_like(x)
     active = np.ones(mu.shape[0], dtype=bool)
     for _ in range(steps):
         if not active.any():
@@ -230,11 +232,15 @@ def _polish_mu_rows(
         ok &= np.isfinite(mu_new) & (mu_new > 0.0) & (mu_new != mu)
         cycle = ok & (mu_new == previous)
         active = ok & ~cycle
-        update = active | (cycle & (mu_new < mu))
+        # A 2-cycle's smaller multiplier is the previous iterate: its roots
+        # are reused, not re-solved.
+        back = cycle & (mu_new < mu)
         np.copyto(previous, mu, where=active)
-        np.copyto(mu, mu_new, where=update)
-        if update.any():
-            x[update] = solve_x_log_x_rows(mu[update, None] / j_rows[update])
+        np.copyto(mu, mu_new, where=active | back)
+        np.copyto(x, previous_x, where=back[:, None])
+        if active.any():
+            np.copyto(previous_x, x, where=active[:, None])
+            x[active] = solve_x_log_x_rows(mu[active, None] / j_rows[active])
     return mu, x
 
 

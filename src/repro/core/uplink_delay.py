@@ -34,10 +34,13 @@ step, but almost every step is answered from two certified points:
   the full-length vector bound the converged sum: one point just above
   ``t_c`` is proven feasible, one just below infeasible.
 
-The rest runs ``min_bandwidth_for_rate`` itself: a step between the points,
-a target at or below the rate at ``1e-6`` Hz (where it raises or bisects on
+The rest calls ``min_bandwidth_for_rate``: a step between the points, a
+target at or below the rate at ``1e-6`` Hz (where it raises or bisects on
 another sign), a budget past the bisection's step cap, a failed Newton, and
-the final split.
+the final split.  That function proves the same brackets per device
+(:func:`~repro.wireless.rate._certified_brackets`, around each device's own
+root) and replays its bisection from them, so these calls too evaluate the
+rate only at the rare midpoint inside a bracket.
 """
 
 from __future__ import annotations
@@ -51,29 +54,17 @@ from ..system import SystemModel
 from ..wireless.rate import (
     _BANDWIDTH_FLOOR_HZ,
     _BANDWIDTH_TOL,
+    _MARGIN,
+    _MAX_CERTIFIED_BUDGET_HZ,
+    _NEWTON_STEPS,
+    _NEWTON_TOL,
+    _certified_brackets,
+    _newton_step,
     _open_band_rate,
     min_bandwidth_for_rate,
 )
 
 __all__ = ["UploadTimeAllocation", "minimize_max_upload_time"]
-
-# Budgets up to which the feasibility test certifies its answers.  Past it,
-# a solve certifies nothing and every feasibility test runs the nested
-# per-device bandwidth bisection, as the uncertified reference does (31
-# nested calls against 4 on the tests' pinned 1e53 Hz drop); the answers do
-# not change.  The guard keeps no error that would
-# otherwise be lost: on a drop where some device's bisection would outlast
-# ``bisect_vector``'s 200-step cap, the threshold's 60-step Newton does not
-# converge, nothing is certified, and ``min_bandwidth_for_rate`` raises its
-# ``ConvergenceError`` either way.
-_MAX_CERTIFIED_BUDGET_HZ = _BANDWIDTH_TOL * 2.0**190
-# 128 unit roundoffs, where a rate's five operations and ``log2`` take a few.
-_ROUNDING = 2.0**-46
-# A bracket end's rate margin: rounding there, at a midpoint beyond, and slack.
-_MARGIN = 3.0 * _ROUNDING
-_NEWTON_STEPS = 60
-_NEWTON_TOL = 1e-13
-_LN2 = np.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -83,17 +74,6 @@ class UploadTimeAllocation:
     power_w: np.ndarray
     bandwidth_hz: np.ndarray
     max_upload_time_s: float
-
-
-def _newton_step(
-    snr_hz: np.ndarray, rate: np.ndarray, band: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual ``B log2(1 + snr_hz / B) - rate`` at ``band`` and its slope
-    in ``B``: one Newton evaluation per lane."""
-    ratio = snr_hz / band
-    log_term = np.log1p(ratio)
-    slope = (log_term - ratio / (1.0 + ratio)) / _LN2
-    return band * log_term / _LN2 - rate, slope
 
 
 class _FeasibilityTest:
@@ -111,6 +91,11 @@ class _FeasibilityTest:
         # Every ``t <= t_minus`` needs more than ``lower`` hertz, and every
         # ``t >= t_plus`` whose targets are above the floor rate fits.
         self.t_minus, self.lower, self.t_plus = -np.inf, -np.inf, np.inf
+        # Past the certified budget every test runs the nested call, as the
+        # uncertified reference does (31 calls against 4 on the tests'
+        # pinned 1e53 Hz drop); the answers do not change.  No error is lost
+        # either way: where some device's bisection would outlast the 200-step
+        # cap, the 60-step Newton does not converge and nothing is certified.
         if budget <= _MAX_CERTIFIED_BUDGET_HZ:
             with np.errstate(all="ignore"):
                 self._certify(t_start)
@@ -179,15 +164,9 @@ class _FeasibilityTest:
             return None
         if (self.cap_rate < rate).any():
             return np.inf, np.inf
-        a, b = root - half, root + half
-        # Midpoints up to ``a`` move ``lo`` up, those in ``[b, B]`` move ``hi``
-        # down (a concave lower bound on their float rate is least at an end).
-        at_a = _open_band_rate(self.gp, a, self.noise)
-        at_b = _open_band_rate(self.gp, b, self.noise)
-        proven = (a > _BANDWIDTH_FLOOR_HZ) & (b <= self.budget)
-        proven &= at_a * (1.0 + _MARGIN) + _MARGIN * a < rate
-        proven &= at_b * (1.0 - _MARGIN) - _MARGIN * b >= rate
-        proven &= self.cap_rate * (1.0 - _MARGIN) - _MARGIN * self.budget >= rate
+        a, b, proven = _certified_brackets(
+            self.gp, self.noise, rate, self.cap_rate, self.budget, root, half
+        )
         if not proven.all():
             return None
         # A converged answer lies within twice the bisection tolerance of them.

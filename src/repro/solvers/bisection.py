@@ -3,9 +3,11 @@
 :func:`bisect_vector` finds the roots of many independent monotone
 equations at once, one bracket per equation.  Its caller is
 :func:`~repro.wireless.rate.min_bandwidth_for_rate` (the smallest bandwidth
-that meets each device's rate at a given power); the min-max upload split
-of :mod:`repro.core.uplink_delay` runs it only where bounds on its converged
-answers cannot decide a step.
+that meets each device's rate at a given power), whose answers are this
+bisection's bits: it replays the midpoints per device from certified
+brackets and runs the bisection only for a call with a device that has
+none (a target at or below the rate at the bracket floor, a budget past the
+certified limit, a failed Newton).
 """
 
 from __future__ import annotations

@@ -346,17 +346,18 @@ def test_certified_points_hold_where_the_rate_saturates(devices, budget):
     _assert_matches_reference(system)
 
 
-def _nested_bisections(monkeypatch, module, solve, system):
-    """``min_bandwidth_for_rate`` calls that ``solve`` makes on ``system``."""
+def _nested_bisections(monkeypatch, module, name, solve, system):
+    """Calls that ``solve`` makes on ``system`` to ``module``'s per-device
+    bandwidth function ``name``."""
     calls = []
-    nested = module.min_bandwidth_for_rate
+    nested = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(None)
         return nested(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(module, "min_bandwidth_for_rate", counted)
+        patch.setattr(module, name, counted)
         with np.errstate(all="ignore"):
             _outcome(solve, system)
     return len(calls)
@@ -371,10 +372,14 @@ def test_a_budget_past_the_certified_limit_runs_every_nested_bisection(monkeypat
     with np.errstate(all="ignore"):
         assert _certificate(system)._threshold(_equal_split_time(system)) is not None
     calls = _nested_bisections(
-        monkeypatch, uplink_delay, minimize_max_upload_time, system
+        monkeypatch, uplink_delay, "min_bandwidth_for_rate", minimize_max_upload_time, system
     )
     expected = _nested_bisections(
-        monkeypatch, uplink_delay_reference, minimize_max_upload_time_reference, system
+        monkeypatch,
+        uplink_delay_reference,
+        "min_bandwidth_for_rate_reference",
+        minimize_max_upload_time_reference,
+        system,
     )
     assert calls == expected > 2
     _assert_matches_reference(system)

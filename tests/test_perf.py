@@ -604,16 +604,158 @@ def _delay_min_work(monkeypatch):
 
 
 def test_delay_min_rate_evaluations_are_deterministic_and_within_budget(monkeypatch):
-    """A delay-min solve costs a fixed, bounded amount of work: 48.7 rate
-    evaluations, 7.5 Newton evaluations and 1.04 nested bisections per call
-    (the final split, and a step between the certified points in 3 of 80
-    calls).  The nested bisection at every step cost 909.0 rate evaluations
-    per call, the shared bandwidth walk that followed it 165.8."""
+    """A delay-min solve costs a fixed, bounded amount of work: 13.19 rate
+    evaluations, 7.5 Newton evaluations of the threshold and 1.04 nested
+    ``min_bandwidth_for_rate`` calls per call (the final split, and a step
+    between the certified points in 3 of 80 calls).  Bisecting the nested
+    calls blind from ``[1e-6, B]`` cost 48.7 rate evaluations per call; the
+    nested bisection at every step 909.0, the shared bandwidth walk that
+    followed it 165.8."""
     work = _delay_min_work(monkeypatch)
-    assert work["rate_evaluations"] <= 49
+    assert work["rate_evaluations"] <= 13.2
     assert work["newton_iterations"] <= 8
     assert work["nested_bisections"] <= 1.04
     assert _delay_min_work(monkeypatch) == work
+
+
+def _min_bandwidth_work(monkeypatch):
+    """Work inside the ``min_bandwidth_for_rate`` calls of the delay-min
+    solves on the 80 ten-device paper/hotspot drops (seeds 0-39): the calls,
+    the devices with a positive target, the rate evaluations over all of a
+    call's devices and those of one device inside its certified bracket,
+    the per-device Newton evaluations and the blind bisections."""
+    from repro.core import uplink_delay
+    from repro.scenarios import build_scenario_spec
+    from repro.wireless import rate
+
+    work = dict.fromkeys(("calls", "devices", "vector", "in_bracket", "newton", "bisections"), 0)
+    depth = [0]
+    open_band, min_bandwidth = rate._open_band_rate, rate.min_bandwidth_for_rate
+
+    def counting_rate(gp, band, noise):
+        if depth[0]:
+            work["in_bracket" if band.shape == (1,) else "vector"] += 1
+        return open_band(gp, band, noise)
+
+    def counting_call(rate_bps, *args, **kwargs):
+        work["calls"] += 1
+        work["devices"] += int((rate_bps > 0.0).sum())
+        depth[0] += 1
+        try:
+            return min_bandwidth(rate_bps, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counting(key, original):
+        def counted(*args, **kwargs):
+            work[key] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rate, "_open_band_rate", counting_rate)
+        patch.setattr(rate, "_newton_step", counting("newton", rate._newton_step))
+        patch.setattr(rate, "bisect_vector", counting("bisections", rate.bisect_vector))
+        patch.setattr(uplink_delay, "min_bandwidth_for_rate", counting_call)
+        for family in ("paper", "hotspot"):
+            for seed in range(40):
+                system = build_scenario_spec({"family": family, "num_devices": 10, "seed": seed})
+                uplink_delay.minimize_max_upload_time(system)
+    return work
+
+
+def test_min_bandwidth_rate_evaluations_per_device_are_pinned(monkeypatch):
+    """``min_bandwidth_for_rate`` replays its bisection from certified
+    brackets: over the 83 calls (830 devices) of the 80 delay-min solves it
+    evaluates the rate over all of a call's devices 4 times per call (at
+    the cap, at the 1e-6 Hz floor and at both bracket ends), inside a
+    bracket 3 times in all (0.0036 per device), and takes 5.9 Newton steps
+    per call; no call bisects blind.  The blind bisection evaluated the
+    rate 39 times per call, 3.9 per device on 10 devices."""
+    work = _min_bandwidth_work(monkeypatch)
+    assert (work["calls"], work["devices"]) == (83, 830)
+    assert work["vector"] == 4 * work["calls"]
+    assert work["in_bracket"] <= 0.004 * work["devices"]
+    assert work["newton"] <= 6 * work["calls"]
+    assert work["bisections"] == 0
+    assert _min_bandwidth_work(monkeypatch) == work
+
+
+def _polish_work(monkeypatch, batch_size):
+    """Canonical root solves of the multiplier polishes over the fig2 bench
+    sweep, solved per drop (``batch_size=1``, the one-lane ``_polish_mu``) or
+    batched (``_polish_mu_rows``), for the library's polishes and the frozen
+    ones that re-solve a 2-cycle's roots (``tests/polish_reference.py``).
+    Every polish runs both on the same inputs and must return the same bits."""
+    import numpy as np
+
+    from repro.core import subproblem2
+    from repro.experiments.fig2 import run_fig2
+    from repro.experiments.runner import SweepRunner
+    from tests import polish_reference
+
+    work = dict.fromkeys(
+        ("polishes", "calls", "rows", "reference_calls", "reference_rows"), 0
+    )
+
+    def counting_solve(prefix, solve):
+        def counted(rhs):
+            work[prefix + "calls"] += 1
+            work[prefix + "rows"] += rhs.shape[0] if rhs.ndim == 2 else 1
+            return solve(rhs)
+
+        return counted
+
+    def checked(polish, reference):
+        def both(*args):
+            work["polishes"] += 1
+            got = polish(*args)
+            want = reference(*(np.copy(arg) for arg in args))
+            for mine, theirs in zip(got, want):
+                assert np.asarray(mine).tobytes() == np.asarray(theirs).tobytes()
+            return got
+
+        return both
+
+    with monkeypatch.context() as patch:
+        for module, prefix in ((subproblem2, ""), (polish_reference, "reference_")):
+            for name in ("solve_x_log_x", "solve_x_log_x_rows"):
+                patch.setattr(module, name, counting_solve(prefix, getattr(module, name)))
+        patch.setattr(
+            subproblem2,
+            "_polish_mu",
+            checked(subproblem2._polish_mu, polish_reference.polish_mu_reference),
+        )
+        patch.setattr(
+            subproblem2,
+            "_polish_mu_rows",
+            checked(subproblem2._polish_mu_rows, polish_reference.polish_mu_rows_reference),
+        )
+        runner = SweepRunner(jobs=1, use_cache=False, batch_size=batch_size)
+        table = run_fig2(bench.bench_config(False), runner=runner)
+    assert runner.last_stats.failed == 0
+    assert len(table.rows) > 0
+    return work
+
+
+def test_polish_reuses_the_roots_of_a_two_cycle(monkeypatch):
+    """A polish that ends on a 2-cycle's smaller multiplier takes back the
+    roots it solved there instead of solving them again.  On the fig2 bench
+    sweep the polishes return the frozen polishes' bits; per drop 80 of the
+    986 one-lane polishes end on a 2-cycle's smaller multiplier, so their
+    canonical root solves fall from 2,745 to 2,665, and the 24 batched
+    polishes make 124 row solves (2,665 rows) instead of 130 (2,745)."""
+    per_drop = _polish_work(monkeypatch, batch_size=1)
+    assert per_drop == {
+        "polishes": 986, "calls": 2665, "rows": 2665,
+        "reference_calls": 2745, "reference_rows": 2745,
+    }
+    batched = _polish_work(monkeypatch, batch_size=None)
+    assert batched == {
+        "polishes": 24, "calls": 124, "rows": 2665,
+        "reference_calls": 130, "reference_rows": 2745,
+    }
 
 
 def _fl_round_training_work(monkeypatch, model):

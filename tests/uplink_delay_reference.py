@@ -3,10 +3,11 @@
 :func:`repro.core.uplink_delay.minimize_max_upload_time` answers most
 outer steps from two certified points around the continuous threshold and
 runs the nested bisection only where they cannot decide.  This copy keeps
-the original formulation — every outer step on ``t`` reruns
-:func:`~repro.wireless.rate.min_bandwidth_for_rate` from the full
-``[1e-6, B]`` bracket and sums its converged answer — so the tests can hold
-the certified shortcut to bit-identical outputs and identical errors.
+the original formulation — every outer step on ``t`` bisects every
+device's bandwidth from the full ``[1e-6, B]`` bracket (the frozen
+:func:`tests.min_bandwidth_reference.min_bandwidth_for_rate_reference`) and
+sums its converged answer — so the tests can hold the certified shortcut to
+bit-identical outputs and identical errors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from repro.core.uplink_delay import UploadTimeAllocation
 from repro.exceptions import ConvergenceError, InfeasibleProblemError
 from repro.system import SystemModel
-from repro.wireless.rate import min_bandwidth_for_rate
+from tests.min_bandwidth_reference import min_bandwidth_for_rate_reference
 
 
 def minimize_max_upload_time_reference(
@@ -43,7 +44,7 @@ def minimize_max_upload_time_reference(
         )
 
     def bandwidth_needed(t: float) -> np.ndarray:
-        return min_bandwidth_for_rate(
+        return min_bandwidth_for_rate_reference(
             bits / t, power, gains, noise, bandwidth_cap_hz=budget
         )
 
