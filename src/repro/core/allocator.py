@@ -20,6 +20,15 @@ bits of the per-lane formulas and the numeric kernels underneath pick their
 1-D or rows form by lane count, so a lane's result does not depend on the
 batch it ran in.
 
+A round that would replay the last one is answered, not run.  When a
+round leaves a lane's ``(p, B)`` bit for bit where it started, the next
+round would pose the lane bit-identical inputs at every step: Subproblem 1
+reads only the upload times, a function of ``(p, B)``, and Algorithm 1
+then gets the same requirements and start, so the candidate, the accept
+test and the allocation repeat and the step is exactly ``0.0``.  The lane
+is finished with the record, counts and convergence verdict that round
+would have written (see :meth:`_Stack.finish`).
+
 Two special regimes are handled exactly as the paper's experiments use them:
 
 * ``w1 = 0`` (pure delay minimisation): the communication energy vanishes
@@ -138,6 +147,11 @@ class _Final(NamedTuple):
     mu: float = 0.0
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row: whether two float stacks hold the same bits (``-0.0`` is not ``0.0``)."""
+    return (a.view(np.int64) == b.view(np.int64)).all(axis=1)
+
+
 def _upload_times(bits: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """:meth:`SystemModel.upload_time_s` per row: ``d / r``, infinite at a zero rate."""
     return np.divide(bits, rates, out=np.full(rates.shape, np.inf), where=rates > 0.0)
@@ -185,6 +199,8 @@ class _Stack:
         self.round_deadline = np.zeros(len(slots))
         self.feasible = np.ones(len(slots), dtype=bool)
         self.inner_iterations = np.zeros(len(slots), dtype=int)
+        # The Algorithm-1 iterations the last round added (0 for a run not judged).
+        self.added = np.zeros(len(slots), dtype=int)
         self.mu = np.zeros(len(slots))
         self.iteration = 0
         # Round state (set by the round's steps, compacted with the rows).
@@ -195,7 +211,7 @@ class _Stack:
 
     _ROWS = (
         "w1", "w2", "power", "bandwidth", "frequency", "round_deadline", "feasible",
-        "inner_iterations", "mu", "previous_power", "previous_bandwidth",
+        "inner_iterations", "added", "mu", "previous_power", "previous_bandwidth",
         "previous_frequency", "rates", "upload", "next_power", "next_bandwidth", "objective",
     )
 
@@ -338,6 +354,7 @@ class _Stack:
         judged = [j for j in done if not (zero[self.a1[j]] or invalid[self.a1[j]])]
         with np.errstate(invalid="ignore", divide="ignore"):
             objective = self._objectives(power, _upload_times(radio.bits, rates))
+        self.added = np.zeros(len(self.slots), dtype=int)
         if judged:
             rows = self.a1[judged]
             current = self._objectives(self.power, self.upload)[rows]
@@ -354,7 +371,8 @@ class _Stack:
             power[kept], bandwidth[kept] = self.power[kept], self.bandwidth[kept]
             objective[kept] = current[~taken]
             self.feasible[rows] = np.where(taken, inner.out_feasible[judged], True)
-            self.inner_iterations[rows] += inner.out_iterations[judged]
+            self.added[rows] = inner.out_iterations[judged]
+            self.inner_iterations[rows] += self.added[rows]
             multiplier = inner.out_multiplier[judged]
             self.mu[rows] = np.where(multiplier > 0.0, multiplier, self.mu[rows])
         self.feasible[~(self.w1 > 0.0)] = True
@@ -366,8 +384,25 @@ class _Stack:
 
         The step change is :meth:`ResourceAllocation.distance_to` per row:
         each block's relative change by per-row dots, the largest of the
-        three taken as Python's ``max`` takes it.  Stopped lanes leave the
-        stack; returns their ``(slot, final state)``.
+        three taken as Python's ``max`` takes it.
+
+        A lane that goes on but whose ``(p, B)`` ended bit for bit where the
+        round started is at a fixed point: the next round would pose it
+        bit-identical inputs at every step.  Subproblem 1 reads only the
+        upload times, a function of ``(p, B)``, so it returns the same
+        ``(f, T)``; Algorithm 1 then gets the same requirements and the same
+        start, so it returns the same candidate and the accept test makes
+        the same decision; the step is exactly ``0.0``.  Such a lane is
+        answered now with what that round would write: the same objective
+        with ``step_change=0.0``, its Algorithm-1 iterations once more, and
+        ``converged = 0.0 <= tolerance``.  When that test fails (a negative
+        or NaN tolerance) every round up to ``max_iterations`` would replay,
+        and each is written the same way.  The bits are compared through an
+        ``int64`` view, so ``-0.0`` does not pass for ``0.0``, and every
+        entry of ``(p, B, f)`` must be finite, since ``inf - inf`` would make
+        the replayed step NaN.
+
+        Stopped lanes leave the stack; returns their ``(slot, final state)``.
         """
         lanes = len(self.slots)
         norms = row_norms(
@@ -382,11 +417,30 @@ class _Stack:
         blocks = norms[0::2] / np.maximum(norms[1::2], 1e-30)
         step = np.where(blocks[1] > blocks[0], blocks[1], blocks[0])
         step = np.where(blocks[2] > step, blocks[2], step)
+        objectives = self.objective.tolist()
         note = f"outer-{self.iteration}"
-        for history, value, change in zip(self.histories, self.objective.tolist(), step.tolist()):
+        for history, value, change in zip(self.histories, objectives, step.tolist()):
             history.append(value, step_change=change, note=note)
         converged = step <= tolerance
         stop = converged | (self.iteration >= max_iterations)
+        fixed = (
+            ~stop
+            & _same_bits(self.power, self.previous_power)
+            & _same_bits(self.bandwidth, self.previous_bandwidth)
+            & np.isfinite(np.hstack([self.power, self.bandwidth, self.frequency])).all(axis=1)
+        )
+        iterations = np.full(lanes, self.iteration)
+        if fixed.any():
+            replays = 1 if 0.0 <= tolerance else max_iterations - self.iteration
+            for k in np.flatnonzero(fixed).tolist():
+                for iteration in range(self.iteration + 1, self.iteration + replays + 1):
+                    self.histories[k].append(
+                        objectives[k], step_change=0.0, note=f"outer-{iteration}"
+                    )
+            self.inner_iterations[fixed] += replays * self.added[fixed]
+            converged[fixed] = 0.0 <= tolerance
+            iterations[fixed] += replays
+            stop |= fixed
         if not stop.any():
             return []
         done = [
@@ -398,15 +452,16 @@ class _Stack:
                     deadline,
                     self.histories[k],
                     bool(converged[k]),
-                    self.iteration,
+                    iteration,
                     feasible,
                     inner_iterations,
                     mu,
                 ),
             )
-            for k, deadline, feasible, inner_iterations, mu in zip(
+            for k, deadline, iteration, feasible, inner_iterations, mu in zip(
                 np.flatnonzero(stop).tolist(),
                 self.round_deadline[stop].tolist(),
+                iterations[stop].tolist(),
                 self.feasible[stop].tolist(),
                 self.inner_iterations[stop].tolist(),
                 self.mu[stop].tolist(),
@@ -593,7 +648,9 @@ class ResourceAllocator:
         the Subproblem-2 step (the Algorithm-1 runs of every stack in one
         :func:`solve_sum_of_ratios_stacks` call, which starts them from the
         stacked constants), the accept test, the step change and the
-        history record; converged lanes drop out.  Per-lane
+        history record; converged lanes drop out, and so do lanes at a
+        fixed point, whose next round would replay the last one bit for bit
+        and is answered without running it (:meth:`_Stack.finish`).  Per-lane
         :class:`ResourceAllocation` objects are built only for the initial
         point, the deadline-feasibility guard and the final report
         (:meth:`_finalize`).  Lane kinds:

@@ -6,12 +6,14 @@ keeps the per-lane driver it replaced.  A Hypothesis differential draws
 mixed batches (device counts 1-24 mixed in one batch, ``w1`` including 0,
 with and without a completion-time budget, under the scalar multiplier
 search oracle too, the dual
-Subproblem-1 method, explicit initial points, ``max_iterations`` of 0, 1
-and the default, failing lanes) and holds every :class:`AllocationResult`
-field and every history record ``==``-equal to the frozen driver and to a
-one-lane call.  The isolation tests break one lane inside the round's
-bookkeeping and check that it alone fails, with the per-lane code's
-exception type and message.
+Subproblem-1 method, explicit initial points, ``max_iterations`` of 0, 1, 2
+and the default, a tolerance of 0 and a negative one, failing lanes) and
+holds every :class:`AllocationResult` field and every history record
+``==``-equal to the frozen driver and to a one-lane call.  The frozen
+driver runs every round, so it also checks the rounds the stacked driver
+answers at a fixed point without running them.  The isolation tests break
+one lane inside the round's bookkeeping and check that it alone fails,
+with the per-lane code's exception type and message.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from hypothesis import strategies as st
 from repro import JointProblem, ProblemWeights
 from repro.core import allocator as allocator_module
 from repro.core import subproblem1, sum_of_ratios
+from repro.core.allocation import ResourceAllocation
 from repro.core.allocator import AllocatorConfig, ResourceAllocator
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, InfeasibleProblemError
 from repro.scenarios import ScenarioSpec
 from tests import allocator_reference as ref
 from tests.mu_search_scalar_reference import scalar_oracle
@@ -137,6 +140,9 @@ _CONFIGS = {
     "dual": AllocatorConfig(subproblem1_method="dual"),
     "one": AllocatorConfig(max_iterations=1),
     "none": AllocatorConfig(max_iterations=0),
+    "two": AllocatorConfig(max_iterations=2),
+    "exact": AllocatorConfig(tolerance=0.0),
+    "negative": AllocatorConfig(tolerance=-1.0),
 }
 
 
@@ -182,6 +188,129 @@ def test_stacked_rounds_match_the_per_lane_driver(lanes, config):
 def test_stacked_rounds_match_on_the_scalar_backend(lanes, config):
     with scalar_oracle():
         _check(ResourceAllocator(_CONFIGS[config]), *_batch(lanes))
+
+
+# -- rounds answered at a fixed point -------------------------------------------
+
+#: Lane 0's round-1 Algorithm-1 step is turned down, so it is at a fixed
+#: point after one round; the others reach theirs later, or stop first.
+_FIXED_POINT_LANES = [
+    ("paper", 2, 0, 1.0, None, None),
+    ("paper", 20, 1, 0.5, None, None),
+    ("hotspot", 7, 3, 0.0, None, None),
+    ("paper", 3, 1, 0.9, 3.0, None),
+    ("paper", 4, 5, 0.0, 3.0, None),
+    ("paper", 12, 2, 0.9, None, 0.9),
+]
+
+
+@pytest.mark.parametrize("config", ["two", "exact", "negative"])
+def test_fixed_point_answers_match_the_per_lane_driver(config):
+    """A lane whose round leaves ``(p, B)`` bit for bit where it started is
+    answered with the rounds that would replay it: the results equal the
+    frozen driver's, which runs them."""
+    allocator = ResourceAllocator(_CONFIGS[config])
+    problems, starts = _batch(_FIXED_POINT_LANES)
+    _check(allocator, problems, starts)
+    results = allocator._solve_lanes(problems, starts, return_exceptions=True)
+    iterating = [r for r in results if r.history[0].note != "delay-only"]
+    assert len(iterating) == 5
+    if config == "negative":
+        # No step passes a negative tolerance: every round up to the budget.
+        for result in iterating:
+            assert (result.converged, result.iterations) == (False, 20)
+            assert len(result.history) == 20 and result.history[-1].step_change == 0.0
+    else:
+        # Lane 0's answered round 2 is the last one ``max_iterations=2`` allows.
+        first = results[0]
+        assert (first.converged, first.iterations) == (True, 2)
+        assert [r.step_change for r in first.history][1:] == [0.0]
+
+
+def test_a_rejected_first_step_is_answered_without_a_second_round(monkeypatch):
+    """Round 1 turns Algorithm 1's step down, so the lane ends it at its
+    start ``(p, B)``: round 2 would pose the same inputs, and is answered
+    from round 1 with one Algorithm-1 run and one Subproblem-1 row solve."""
+    allocator = ResourceAllocator()
+    problem = _problem("paper", 2, 0, 1.0, None)
+    start = allocator._initial_allocation(problem)
+    runs, sp1_rows = [], []
+    stacks = allocator_module.solve_sum_of_ratios_stacks
+    stack = allocator_module.solve_subproblem1_stack
+
+    def counting_runs(rows):
+        stacks(rows)
+        runs.extend((s.out_power.copy(), s.out_iterations.copy()) for s in rows)
+
+    def counting_rows(systems, *args):
+        sp1_rows.append(len(systems))
+        return stack(systems, *args)
+
+    monkeypatch.setattr(allocator_module, "solve_sum_of_ratios_stacks", counting_runs)
+    monkeypatch.setattr(allocator_module, "solve_subproblem1_stack", counting_rows)
+    result = allocator.solve(problem)
+    assert sp1_rows == [1]
+    ((power, iterations),) = runs
+    # The step was there, and was turned down.
+    assert power.tobytes() != start.power_w.tobytes()
+    assert result.allocation.power_w.tobytes() == start.power_w.tobytes()
+    assert result.allocation.bandwidth_hz.tobytes() == start.bandwidth_hz.tobytes()
+    assert (result.iterations, result.converged, result.feasible) == (2, True, True)
+    first, second = result.history
+    assert (second.note, second.step_change, second.objective) == ("outer-2", 0.0, first.objective)
+    assert iterations.tolist() == [18] and result.inner_iterations == 2 * 18
+    want = ref.solve_lanes_reference(allocator, [problem], [None], return_exceptions=True)
+    _same_result(result, want[0])
+
+
+def test_a_round_without_a_judged_run_adds_no_inner_iterations(monkeypatch):
+    """Algorithm 1 ends infeasible whenever the lane starts away from its
+    initial point (a pure function of the inputs, as the argument needs).
+    Round 1's run is judged and moves ``(p, B)``; round 2's keeps them, so
+    round 3 would replay round 2 and add no Algorithm-1 iterations, not the
+    count of round 1, the last round that judged a run."""
+    problem = JointProblem(_system("paper", 10, 1), ProblemWeights(0.5, 0.5))
+    allocator = ResourceAllocator()
+    initial = allocator._initial_allocation(problem).power_w.tobytes()
+    stacks = allocator_module.solve_sum_of_ratios_stacks
+
+    def infeasible_once_moved(rows):
+        starts = [stack.out_power.copy() for stack in rows]
+        stacks(rows)
+        for stack, start in zip(rows, starts):
+            for k, run in enumerate(stack.runs):
+                if run.system is problem.system and start[k].tobytes() != initial:
+                    stack.errors[k] = InfeasibleProblemError("moved")
+
+    monkeypatch.setattr(allocator_module, "solve_sum_of_ratios_stacks", infeasible_once_moved)
+    monkeypatch.setattr(sum_of_ratios, "solve_sum_of_ratios_stacks", infeasible_once_moved)
+    result = allocator.solve(problem)
+    (want,) = ref.solve_lanes_reference(allocator, [problem], [None], return_exceptions=True)
+    _same_result(result, want)
+    assert (result.iterations, result.converged, result.feasible) == (3, True, False)
+    assert result.history[-1].step_change == 0.0 and result.inner_iterations > 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_infinite_start_power_is_never_at_a_fixed_point():
+    """An explicit start may hold an infinite power.  The lane's ``(p, B)``
+    bits then repeat from round to round, but ``inf - inf`` makes every step
+    NaN, so it runs every round and never converges, as in the frozen
+    driver; answering it at a fixed point would report a step of 0.0."""
+    problem = _problem("paper", 3, 1, 0.5, None)
+    initial = problem.initial_allocation(bandwidth_fraction=0.5)
+    power = initial.power_w.copy()
+    power[0] = np.inf
+    start = ResourceAllocation(power, initial.bandwidth_hz, initial.frequency_hz)
+    allocator = ResourceAllocator()
+    (got,) = allocator._solve_lanes([problem], [start], return_exceptions=True)
+    (want,) = ref.solve_lanes_reference(allocator, [problem], [start], return_exceptions=True)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged) == (20, False)
+    assert got.inner_iterations == want.inner_iterations
+    assert len(got.history) == len(want.history) == 20
+    for g, w in zip(got.history, want.history):
+        assert g.note == w.note and math.isnan(g.step_change) and math.isnan(w.step_change)
+        assert _same_float(g.objective, w.objective)
 
 
 # -- lane isolation inside the round's bookkeeping ---------------------------------

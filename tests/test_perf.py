@@ -3,6 +3,7 @@ benchmarked configurations and the deterministic work counters."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.allocator import AllocatorConfig, ResourceAllocator
@@ -251,32 +252,36 @@ def _mu_search_work(monkeypatch, batch_size):
 
 
 def test_mu_search_lambert_calls_are_deterministic_and_within_budget(monkeypatch):
-    """The 48 fig2 bench problems (986 searches in 144 Algorithm-1 runs)
-    cost a fixed, bounded number of Lambert calls and inner Newton
-    iterations in the multiplier search, per drop and batched.
+    """The 48 fig2 bench problems (695 searches in 96 Algorithm-1 runs)
+    cost a fixed number of Lambert calls and inner Newton iterations in
+    the multiplier search, per drop and batched.
 
-    Only the first search of each run starts cold; the other 842 are
-    bracketed by the warm start from the previous multiplier.  Before the
-    warm start: 4,499 calls per drop (4.56 per search) and 140 batched;
-    14,981 inner Newton iterations per drop and 404 batched.  Before the
-    bracketing call and the Halley phase: 7,390 calls per drop (7.49 per
-    search) and 265 batched; 29,051 inner Newton iterations per drop (29.5
-    per search) and 1,124 batched."""
+    Only the first search of each run starts cold; the other 599 are
+    bracketed by the warm start from the previous multiplier.  Per drop:
+    2,170 calls (3.12 per search) and 6,036 inner Newton iterations;
+    batched: 56 calls and 151 iterations.  Before Algorithm 2 stopped at
+    its fixed point, every lane ran a third round that replayed its second
+    bit for bit: 986 searches in 144 runs, 3,015 calls (3.06 per search;
+    the 291 replayed searches cost 2.90 each) and 8,270 iterations per
+    drop, 78 calls and 206 iterations batched.  Before the warm start:
+    4,499 calls per drop (4.56 per search) and 140 batched; 14,981 inner
+    Newton iterations per drop and 404 batched.  Before the bracketing
+    call and the Halley phase: 7,390 calls per drop (7.49 per search) and
+    265 batched; 29,051 inner Newton iterations per drop (29.5 per search)
+    and 1,124 batched."""
     per_drop = _mu_search_work(monkeypatch, batch_size=1)
     batched = _mu_search_work(monkeypatch, batch_size=None)
     assert per_drop["rows"] == 0 and batched["vector"] == 0
-    assert per_drop["searches"] == batched["searches"] == 986
+    assert per_drop["searches"] == batched["searches"] == 695
     for work in (per_drop, batched):
-        assert work["runs"] == 144
+        assert work["runs"] == 96
         assert work["searches"] - work["warm"] == work["runs"]
     # A cold search makes one bracketing call, a warm one makes none.
-    assert per_drop["vector"] == 144
-    per_drop_calls = per_drop["vector"] + per_drop["seeded"]
-    assert per_drop_calls <= 3015
-    assert per_drop_calls / per_drop["searches"] <= 3.1
-    assert per_drop["newton"] <= 8270
-    assert batched["rows"] + batched["seeded"] <= 78
-    assert batched["newton"] <= 206
+    assert per_drop["vector"] == 96
+    assert per_drop["vector"] + per_drop["seeded"] == 2170
+    assert per_drop["newton"] == 6036
+    assert (batched["rows"], batched["seeded"]) == (2, 54)
+    assert batched["newton"] == 151
     assert _mu_search_work(monkeypatch, batch_size=1) == per_drop
     assert _mu_search_work(monkeypatch, batch_size=None) == batched
 
@@ -376,29 +381,33 @@ def _algorithm1_tail_work(monkeypatch, batch_size):
 
 
 def test_algorithm1_tail_runs_once_per_round_per_stack(monkeypatch):
-    """The fig2 bench sweep's 48 lanes (144 Algorithm-1 runs of 20 devices,
-    986 lane-iterations) build their SP2_v2 allocations and take their
-    damped Newton step once per round for the whole stack: 24 stacked tail
-    and step calls batched (986 per-lane ``_sp2_finish`` and
+    """The fig2 bench sweep's 48 lanes (96 Algorithm-1 runs of 20 devices,
+    695 lane-iterations) build their SP2_v2 allocations and take their
+    damped Newton step once per round for the whole stack: 17 stacked tail
+    and step calls batched (695 per-lane ``_sp2_finish`` and
     ``_BatchLane.step`` calls before), one per lane-iteration per drop.
 
     Rate-formula evaluations inside Algorithm 1: one per stack and round
     (the allocation's rates, reused by the feasibility verdict, the SP2
     objective and the step) plus one per stack for the runs' start, which
-    is a row pass; Algorithm 2 reads no result energy.  Batched 27, per
-    drop 1,130 (with a start and a result energy per run: 312 and 1,274;
-    before the stacked tail: 4,232, four per lane-iteration).  Outer and
-    inner iterations are the per-drop run's."""
+    is a row pass; Algorithm 2 reads no result energy.  Batched 19, per
+    drop 791.  Outer iterations are the per-drop run's, and each lane
+    still reports the 3 rounds it took to converge; the third replayed the
+    second bit for bit and is answered without an Algorithm-1 run (before:
+    144 runs, 986 lane-iterations, 24 stacked calls; rate evaluations 27
+    batched and 1,130 per drop, 1,274 with a start and a result energy per
+    run, 4,232 before the stacked tail)."""
     batched = _algorithm1_tail_work(monkeypatch, batch_size=None)
     per_drop = _algorithm1_tail_work(monkeypatch, batch_size=1)
     for work in (batched, per_drop):
-        assert work["runs"] == 144
+        assert work["runs"] == 96
         assert work["finish"] == work["advance"] == work["stacks"]
         assert work["rates"] == work["stacks"] + work["starts"]
-    assert (batched["starts"], per_drop["starts"]) == (3, 144)
-    assert batched["rounds"] == batched["stacks"] == 24
-    assert per_drop["rounds"] == per_drop["stacks"] == per_drop["inner"] == 986
+    assert (batched["starts"], per_drop["starts"]) == (2, 96)
+    assert batched["rounds"] == batched["stacks"] == 17
+    assert per_drop["rounds"] == per_drop["stacks"] == per_drop["inner"] == 695
     assert (batched["outer"], batched["inner"]) == (per_drop["outer"], per_drop["inner"])
+    assert per_drop["outer"] == 144
     assert _algorithm1_tail_work(monkeypatch, batch_size=None) == batched
 
 
@@ -479,27 +488,31 @@ def _algorithm2_round_work(monkeypatch, batch_size):
 def test_algorithm2_rounds_run_one_pass_per_stack(monkeypatch):
     """The fig2 bench sweep's 48 lanes (one stack of 20 devices, 144
     lane-iterations) run each Algorithm-2 outer round once for the stack:
-    3 stack-rounds batched, 144 per drop.
+    2 stack-rounds batched, 96 per drop.  Every lane's second round leaves
+    its ``(p, B)`` bit for bit where the round started, so its third round,
+    which would replay the second, is answered without being run (before:
+    3 stack-rounds batched, 144 per drop).
 
     Rate-formula evaluations of the rounds outside Subproblem 1 and
     Algorithm 1: two per stack and round, the starting ``(p, B)``'s (shared
     by Subproblem 1's upload times, the rate requirements' fallback and the
-    current objective) and the step's; 6 batched, 288 per drop.  Before,
+    current objective) and the step's; 4 batched, 192 per drop.  Before,
     eight per lane-iteration (Subproblem 1's upload times, the
     requirements' fallback, two per ``problem.objective`` for the accept
     test's two and the history's): 1,152 in both modes.  ``ResourceAllocation``
     constructions inside the allocator: the initial point and the final
     report of each lane, 96 (before: 336, with one ``with_frequency`` and
     one ``with_communication`` per lane-iteration).  Outer and inner
-    iterations are the per-drop run's."""
+    iterations are the per-drop run's, and still what every round run
+    reports: 144 and 986."""
     batched = _algorithm2_round_work(monkeypatch, batch_size=None)
     per_drop = _algorithm2_round_work(monkeypatch, batch_size=1)
-    assert (batched["stack_rounds"], per_drop["stack_rounds"]) == (3, 144)
+    assert (batched["stack_rounds"], per_drop["stack_rounds"]) == (2, 96)
     for work in (batched, per_drop):
         assert work["rates"] == 2 * work["stack_rounds"]
         assert work["allocations"] == 2 * 48
     assert (batched["outer"], batched["inner"]) == (per_drop["outer"], per_drop["inner"])
-    assert per_drop["outer"] == 144
+    assert (per_drop["outer"], per_drop["inner"]) == (144, 986)
     assert _algorithm2_round_work(monkeypatch, batch_size=None) == batched
 
 
@@ -552,13 +565,119 @@ def _fig7_subproblem1_work(monkeypatch):
 
 def test_fig7_deadline_lanes_run_no_one_lane_subproblem1_solve(monkeypatch):
     """The default fig7 ``proposed`` batch (6 lanes, 14 lane-iterations in
-    3 stack-rounds) solves its fixed-deadline rows as row passes inside
+    2 stack-rounds; the lanes' last rounds replay the ones before and are
+    answered without being run, which took a third stack-round before)
+    solves its fixed-deadline rows as row passes inside
     ``solve_subproblem1_stack``: no one-lane ``solve_subproblem1``, dual or
     scalar golden-section call.  Before, the stack handed every
     fixed-deadline row to the 1-D ``solve_subproblem1``: 14 one-lane solves,
     one per deadline lane-iteration."""
     work = _fig7_subproblem1_work(monkeypatch)
-    assert work == {"stacks": 3, "one_lane": 0, "outer": 14}
+    assert work == {"stacks": 2, "one_lane": 0, "outer": 14}
+
+
+def _replayed_inputs(monkeypatch, run) -> dict[str, int]:
+    """Run ``run()`` with Subproblem 1 and Algorithm 1 hooked; count the
+    inputs they are posed and the times a lane is posed bit-identical
+    inputs in two consecutive rounds of one Algorithm-2 call.
+
+    A lane is keyed by its system and weights (and, for Subproblem 1, its
+    deadline): its stack poses it once per round, so the key's last inputs
+    are the previous round's.  Algorithm 1's inputs are the requirements
+    and the start ``(p, B)``."""
+    from repro.core import allocator
+
+    work = {"sp1": 0, "algorithm1": 0, "replayed": 0}
+    last: dict[tuple, bytes] = {}
+
+    def posed(key: tuple, inputs: bytes) -> None:
+        work["replayed"] += last.get(key) == inputs
+        last[key] = inputs
+
+    stack = allocator.solve_subproblem1_stack
+
+    def hooked_sp1(systems, cpu, w1, w2, upload, deadlines, *args):
+        for k, system in enumerate(systems):
+            work["sp1"] += 1
+            posed(("sp1", id(system), w1[k], w2[k], deadlines[k]), upload[k].tobytes())
+        return stack(systems, cpu, w1, w2, upload, deadlines, *args)
+
+    stacks = allocator.solve_sum_of_ratios_stacks
+
+    def hooked_algorithm1(rows):
+        for lanes in rows:
+            for k, run in enumerate(lanes.runs):
+                work["algorithm1"] += 1
+                live = np.flatnonzero(lanes.slots == k)
+                inputs = (lanes.out_power[k], lanes.out_bandwidth[k], lanes.min_rate[live])
+                weight = lanes.constants[live, 0].tobytes()
+                posed(("a1", id(run.system), weight), b"".join(x.tobytes() for x in inputs))
+        stacks(rows)
+
+    solve_lanes = ResourceAllocator._solve_lanes
+
+    def one_call(self, *args, **kwargs):
+        last.clear()
+        return solve_lanes(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(allocator, "solve_subproblem1_stack", hooked_sp1)
+        patch.setattr(allocator, "solve_sum_of_ratios_stacks", hooked_algorithm1)
+        patch.setattr(ResourceAllocator, "_solve_lanes", one_call)
+        run()
+    return work
+
+
+def _run_fig2_bench():
+    from repro.experiments.fig2 import run_fig2
+    from repro.experiments.runner import SweepRunner
+
+    runner = SweepRunner(jobs=1, use_cache=False)
+    run_fig2(bench.bench_config(False), runner=runner)
+    assert runner.last_stats.failed == 0
+
+
+def _run_fig7_default():
+    from repro.experiments.fig7 import Fig7Config
+    from repro.experiments.runner import SweepRunner
+
+    runner = SweepRunner(jobs=1, use_cache=False)
+    runner.run(Fig7Config().tasks())
+    assert runner.last_stats.failed == 0
+
+
+def _run_fl_bench():
+    """The ``fl`` workload's stock configuration at 3 rounds."""
+    from dataclasses import replace
+
+    from repro.experiments.flcurve import FLCurveConfig, run_flcurve
+    from repro.experiments.runner import SweepRunner
+
+    dynamic = bench.fl_dynamic_bench_config(False)
+    config = FLCurveConfig(
+        rounds=3,
+        selection="deadline-k",
+        profile_modes=("oracle", "estimated"),
+        churn=dynamic.churn,
+        battery=dynamic.battery,
+    )
+    runner = SweepRunner(jobs=1, use_cache=False)
+    run_flcurve(replace(config, sweep=replace(config.sweep, base_seed=0)), runner=runner)
+    assert runner.last_stats.failed == 0
+
+
+@pytest.mark.parametrize(
+    "run", [_run_fig2_bench, _run_fig7_default, _run_fl_bench], ids=["fig2", "fig7", "fl"]
+)
+def test_no_lane_is_posed_the_same_inputs_in_consecutive_rounds(monkeypatch, run):
+    """A round that would pose a lane the inputs of its previous round
+    would replay it bit for bit; Algorithm 2 answers it at the fixed point
+    instead, so neither Subproblem 1 nor Algorithm 1 ever sees a lane's
+    inputs twice in a row.  Before, every fig2 bench lane replayed its
+    second round: 48 Subproblem-1 and 48 Algorithm-1 replays."""
+    work = _replayed_inputs(monkeypatch, run)
+    assert work["sp1"] > 0 and work["algorithm1"] > 0
+    assert work["replayed"] == 0
 
 
 def _delay_min_work(monkeypatch):
@@ -688,8 +807,6 @@ def _polish_work(monkeypatch, batch_size):
     batched (``_polish_mu_rows``), for the library's polishes and the frozen
     ones that re-solve a 2-cycle's roots (``tests/polish_reference.py``).
     Every polish runs both on the same inputs and must return the same bits."""
-    import numpy as np
-
     from repro.core import subproblem2
     from repro.experiments.fig2 import run_fig2
     from repro.experiments.runner import SweepRunner
@@ -742,19 +859,22 @@ def _polish_work(monkeypatch, batch_size):
 def test_polish_reuses_the_roots_of_a_two_cycle(monkeypatch):
     """A polish that ends on a 2-cycle's smaller multiplier takes back the
     roots it solved there instead of solving them again.  On the fig2 bench
-    sweep the polishes return the frozen polishes' bits; per drop 80 of the
-    986 one-lane polishes end on a 2-cycle's smaller multiplier, so their
-    canonical root solves fall from 2,745 to 2,665, and the 24 batched
-    polishes make 124 row solves (2,665 rows) instead of 130 (2,745)."""
+    sweep the polishes return the frozen polishes' bits; per drop 60 of the
+    695 one-lane polishes end on a 2-cycle's smaller multiplier, so their
+    canonical root solves fall from 1,948 to 1,888, and the 17 batched
+    polishes make 95 row solves (1,888 rows) instead of 99 (1,948).  Before
+    Algorithm 2 stopped at its fixed point, the replayed third rounds
+    polished too: 986 one-lane polishes (2,665 solves, 2,745 in the
+    reference) and 24 batched (124 row solves, 130 in the reference)."""
     per_drop = _polish_work(monkeypatch, batch_size=1)
     assert per_drop == {
-        "polishes": 986, "calls": 2665, "rows": 2665,
-        "reference_calls": 2745, "reference_rows": 2745,
+        "polishes": 695, "calls": 1888, "rows": 1888,
+        "reference_calls": 1948, "reference_rows": 1948,
     }
     batched = _polish_work(monkeypatch, batch_size=None)
     assert batched == {
-        "polishes": 24, "calls": 124, "rows": 2665,
-        "reference_calls": 130, "reference_rows": 2745,
+        "polishes": 17, "calls": 95, "rows": 1888,
+        "reference_calls": 99, "reference_rows": 1948,
     }
 
 
